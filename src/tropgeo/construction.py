@@ -118,36 +118,8 @@ class Construction:
                     preds[q] = list(s.curves)
         return preds
 
-    def oriented_edges(self):
-        out = []
-        for s in self.steps:
-            if isinstance(s, CurveThrough):
-                out.extend((q, s.name) for q in s.through)
-            else:
-                for q in s.names:
-                    out.extend(((s.curves[0], q), (s.curves[1], q)))
-        return out
-
-    def defining_step(self, name):
-        for idx, s in enumerate(self.steps):
-            if name in s.new_nodes:
-                return idx, s
-        return None, None
-
     def depths(self):
-        preds = self.direct_preds()
-        depth = {}
-
-        def rec(n):
-            if n in depth:
-                return depth[n]
-            ps = preds[n]
-            depth[n] = 0 if not ps else 1 + max(rec(p) for p in ps)
-            return depth[n]
-
-        for n in self.node_names():
-            rec(n)
-        return depth
+        return _depths(self.direct_preds())
 
     def ancestors(self, name):
         preds = self.direct_preds()
@@ -173,6 +145,23 @@ class Construction:
         return out
 
 
+def _depths(preds):
+    """Longest-path depth of every node of a DAG given by its direct
+    predecessors (0 for nodes without any)."""
+    depth = {}
+
+    def rec(n):
+        if n in depth:
+            return depth[n]
+        ps = preds[n]
+        depth[n] = 0 if not ps else 1 + max(rec(p) for p in ps)
+        return depth[n]
+
+    for n in preds:
+        rec(n)
+    return depth
+
+
 @dataclass
 class IncidenceStructure:
     points: list
@@ -185,13 +174,6 @@ class IncidenceStructure:
             if n == name:
                 return sup
         raise KeyError(name)
-
-    def levi_degree(self):
-        deg = {n: 0 for n in self.points + [b for b, _ in self.blocks]}
-        for p, b in self.flags:
-            deg[p] += 1
-            deg[b] += 1
-        return deg
 
     def is_acyclic(self):
         """Undirected acyclicity of the Levi graph (union-find)."""
@@ -349,18 +331,7 @@ def complete_to_construction(g: IncidenceStructure) -> Construction:
     kinds = {p: "point" for p in g.points}
     kinds.update({b: "curve" for b, _ in g.blocks})
     sups = dict(g.blocks)
-
-    depth = {}
-
-    def rec(n):
-        if n in depth:
-            return depth[n]
-        ps = preds[n]
-        depth[n] = 0 if not ps else 1 + max(rec(p) for p in ps)
-        return depth[n]
-
-    for n in preds:
-        rec(n)
+    depth = _depths(preds)
 
     c = Construction()
     aux = itertools.count()
@@ -439,7 +410,8 @@ def is_admissible(c: Construction):
     (True, None) or (False, DoublePath witness)."""
     preds = c.direct_preds()
     nodes = c.node_names()
-    order = sorted(nodes, key=lambda n: (c.depths()[n], n))
+    depth = c.depths()
+    order = sorted(nodes, key=lambda n: (depth[n], n))
     counts = {n: {} for n in nodes}  # counts[b][a] = #paths a->b
     for b in order:
         cb = counts[b]

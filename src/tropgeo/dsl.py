@@ -9,8 +9,14 @@ construction tables:
     points {P Q} = intersect l1 l2
     realize A = (0, -3/2)
     realize Z = "3y + 5 + 3y^2 + 0x^2 + 4x + 0xy"
+    genpos A C' in Z
     thesis point p on a'' b'' c''
     thesis curve R support cubic through q0 q1 q2
+
+A ``genpos`` line is a precondition of the thesis.  A statement with
+such lines is checked over every labeling of its intersection points,
+and the thesis must hold on each labeling in which all the listed
+points are in generic position in their curve.
 
 Named supports: line, conic, cubic, degree(d), vertical, horizontal,
 pencil; explicit supports as lattice-point lists {(0,0), (1,0)}.
@@ -44,6 +50,7 @@ _REALIZE_POINT = re.compile(
     rf"^realize\s+({NAME})\s*=\s*\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)$"
 )
 _REALIZE_CURVE = re.compile(rf"^realize\s+({NAME})\s*=\s*\"([^\"]*)\"$")
+_GENPOS = re.compile(rf"^genpos\s+((?:{NAME}\s+)*{NAME})\s+in\s+({NAME})$")
 _THESIS_POINT = re.compile(rf"^thesis\s+point\s+({NAME})\s+on\s+((?:{NAME}\s+)*{NAME})$")
 _THESIS_CURVE = re.compile(
     rf"^thesis\s+curve\s+({NAME})\s+support\s+(.+?)\s+through\s+((?:{NAME}\s+)*{NAME})$"
@@ -72,6 +79,7 @@ class DslDocument:
     inputs: list = dc_field(default_factory=list)
     steps: list = dc_field(default_factory=list)
     realizations: list = dc_field(default_factory=list)  # (name, value)
+    genpos: list = dc_field(default_factory=list)  # (point names, curve name)
     thesis: ThesisDecl | None = None
 
     def realization_map(self):
@@ -130,6 +138,10 @@ def parse(text: str) -> DslDocument:
                 raise DslError(str(exc), lineno, col=raw.find('"') + 2) from exc
             doc.realizations.append((m.group(1), poly))
             continue
+        m = _GENPOS.match(stripped)
+        if m:
+            doc.genpos.append((m.group(1).split(), m.group(2)))
+            continue
         m = _THESIS_POINT.match(stripped)
         if m:
             doc.thesis = ThesisDecl("point", m.group(1), None, m.group(2).split())
@@ -181,6 +193,8 @@ def print_doc(doc: DslDocument) -> str:
             lines.append(f'realize {name} = "{val}"')
         else:
             lines.append(f"realize {name} = ({val[0]}, {val[1]})")
+    for pts, cv in doc.genpos:
+        lines.append(f"genpos {' '.join(pts)} in {cv}")
     if doc.thesis:
         t = doc.thesis
         if t.kind == "point":
@@ -217,30 +231,14 @@ def to_statement(doc: DslDocument, name="statement"):
         raise ValueError("document has no thesis clause")
     c = to_construction(doc)
     t = doc.thesis
+    named = list(t.nodes) + [n for pts, cv in doc.genpos for n in (*pts, cv)]
+    unknown = sorted(set(named) - set(c.node_names()))
+    if unknown:
+        raise ValueError(f"thesis or genpos names unknown nodes: {' '.join(unknown)}")
     if t.kind == "point":
         thesis = ThesisPoint(name=t.name, on=list(t.nodes))
     else:
         thesis = ThesisCurve(name=t.name, support=t.support, through=list(t.nodes))
-    return Statement(name=name, hypothesis=c, thesis=thesis)
+    genpos_pairs = [(tuple(pts), cv) for pts, cv in doc.genpos]
+    return Statement(name=name, hypothesis=c, thesis=thesis, genpos_pairs=genpos_pairs)
 
-
-def construction_to_doc(c: Construction, realizations=None, thesis=None) -> DslDocument:
-    doc = DslDocument()
-    for n in c.input_points:
-        doc.inputs.append(InputDecl("point", n))
-    for n, sup in c.input_curves:
-        doc.inputs.append(InputDecl("curve", n, sup))
-    for s in c.steps:
-        if isinstance(s, CurveThrough):
-            doc.steps.append(("curve", s.name, list(s.through), s.support))
-        else:
-            doc.steps.append(("points", list(s.names), s.curves[0], s.curves[1]))
-    if realizations:
-        for n in c.input_points:
-            if n in realizations:
-                doc.realizations.append((n, realizations[n]))
-        for n, _ in c.input_curves:
-            if n in realizations:
-                doc.realizations.append((n, realizations[n]))
-    doc.thesis = thesis
-    return doc

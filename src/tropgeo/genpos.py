@@ -39,9 +39,6 @@ class GammaGraph:
     subdivision: object
     poly: TropPoly
 
-    def edge_count(self):
-        return len(self.edges)
-
 
 def _sorted_pair(a, b):
     return (a, b) if a <= b else (b, a)

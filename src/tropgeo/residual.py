@@ -17,6 +17,7 @@ choice introduces no ambiguity.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -198,9 +199,6 @@ class ResidualField:
         return "Q" if self.p is None else f"F_{self.p}"
 
 
-QQ = ResidualField(None)
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials over k
 
@@ -229,9 +227,6 @@ class RPoly:
     def const(c) -> "RPoly":
         c = _coerce_scalar(c)
         return RPoly({(): c} if c else {})
-
-    def _spawn(self, terms):
-        return RPoly({m: c for m, c in terms.items() if c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -358,21 +353,6 @@ class RPoly:
             out = v if out is None else out + v
         if out is None:
             return Fraction(0)
-        return out
-
-    def substitute(self, assignment: dict) -> "RPoly":
-        """Substitute RPoly/scalar values for (some) variables."""
-        out = RPoly()
-        for m, c in self.terms.items():
-            term = RPoly.const(c)
-            for var, e in m:
-                if var in assignment:
-                    val = assignment[var]
-                    val = val if isinstance(val, RPoly) else RPoly.const(val)
-                    term = term * val**e
-                else:
-                    term = term * RPoly({((var, e),): term._one_like()})
-            out = out + term
         return out
 
     def __str__(self):
@@ -589,14 +569,6 @@ class Jet:
         if self.is_degenerate:
             return f"Jet(<{self.order})"
         return f"Jet({self.coeff}*t^-({self.order}))"
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
 
 
 JET_ZERO = Jet.zero()
@@ -827,11 +799,10 @@ def _rat_sqrt(x: Fraction):
 
 
 def _int_sqrt(n: int):
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def rpoly_roots_univariate(p: RPoly, field: ResidualField):

@@ -25,13 +25,12 @@ from .trop_core import (
     Support,
     TropPoly,
     area2,
-    cross,
     curve,
     concave_canonical,
     dual_subdivision,
     frac,
     mixed_volume,
-    primitive,
+    upper_chain,
 )
 from .trop_linalg import cramer_stable, masked_det
 from .residual import (
@@ -71,9 +70,6 @@ class StableIntersection:
 
     def total(self):
         return sum(m for _, m in self.points)
-
-    def support_points(self):
-        return [p for p, _ in self.points]
 
     def as_labeled(self):
         """Points repeated by multiplicity, in deterministic label order."""
@@ -215,7 +211,6 @@ def perturbation_oracle(f: TropPoly, g: TropPoly, direction=None) -> StableInter
 
 def _perturbed_intersection(cf, cg, v) -> StableIntersection:
     crossings = {}
-    seen = []
     for e1 in cf.edges:
         b1 = (Eps(e1.base[0]), Eps(e1.base[1]))
         d1 = e1.dir
@@ -246,7 +241,6 @@ def _perturbed_intersection(cf, cg, v) -> StableIntersection:
                 raise _Degenerate()
             mult = abs(det) * e1.weight * e2.weight
             crossings[key] = ((px.a, py.a), mult)
-            seen.append(key)
     grouped = {}
     for (limit, mult) in crossings.values():
         grouped[limit] = grouped.get(limit, 0) + mult
@@ -465,105 +459,57 @@ class JPoly:
 JPOLY_ZERO = JPoly()
 
 
-def _as_y_poly(jets: dict):
-    """Split a bivariate jet polynomial into y-coefficients (JPoly in x)."""
-    out = {}
-    for (i, j), jet in jets.items():
-        out.setdefault(j, {})[i] = jet
-    return {j: JPoly(c) for j, c in out.items()}
-
-
 def _normalize_support(jets: dict) -> dict:
     mi = min(i for i, _ in jets)
     mj = min(j for _, j in jets)
     return {(i - mi, j - mj): jet for (i, j), jet in jets.items()}
 
 
-def sylvester_resultant(f_jets: dict, g_jets: dict, bound=SYLVESTER_BOUND) -> JPoly:
-    """Res_y(f, g) over the jet ring, as a JPoly in x.
+def _by_y(poly: dict) -> dict:
+    """{(i, j): c} as {j: {i: c}}, after moving the support to the origin
+    so that neither x nor y divides the polynomial (torus roots are
+    unaffected)."""
+    out = {}
+    for (i, j), c in _normalize_support(poly).items():
+        out.setdefault(j, {})[i] = c
+    return out
 
-    Supports are normalized so neither polynomial is divisible by x or y
-    (torus roots are unaffected).
+
+def _sylvester(fy: dict, gy: dict, zero, det, bound=None):
+    """Res_y(f, g) from the y-coefficients {degree: coefficient} of f and g.
+
+    The rows of the Sylvester matrix are filled with ``zero`` where f and
+    g have no coefficient; ``det(size, entry, zero)`` takes the
+    determinant in the coefficient ring (``masked_det``, or
+    ``_tp_permanent`` for max-plus heights).  With no y in f the matrix
+    is diagonal, so the resultant is fy[0]^n.
     """
-    f_jets = _normalize_support(f_jets)
-    g_jets = _normalize_support(g_jets)
-    fy = _as_y_poly(f_jets)
-    gy = _as_y_poly(g_jets)
-    m = max(fy)
-    n = max(gy)
-    if m + n > bound:
-        raise ResultantBoundExceeded(
-            f"Sylvester dimension {m + n} exceeds the bound {bound}"
-        )
+    m, n = max(fy), max(gy)
+    if bound is not None and m + n > bound:
+        raise ResultantBoundExceeded(f"Sylvester dimension {m + n} exceeds the bound {bound}")
     if m == 0 and n == 0:
         raise ValueError("resultant of two y-free polynomials")
-    if m == 0:
-        out = fy[0]
-        for _ in range(n - 1):
-            out = out * fy[0]
-        return out
-    if n == 0:
-        out = gy[0]
-        for _ in range(m - 1):
-            out = out * gy[0]
-        return out
-    size = m + n
     rows = []
-    for r in range(n):
-        row = [JPOLY_ZERO] * size
-        for k in range(m + 1):
-            row[r + k] = fy.get(m - k, JPOLY_ZERO)
-        rows.append(row)
-    for r in range(m):
-        row = [JPOLY_ZERO] * size
-        for k in range(n + 1):
-            row[r + k] = gy.get(n - k, JPOLY_ZERO)
-        rows.append(row)
-    return masked_det(size, lambda r, c: rows[r][c], JPOLY_ZERO)
+    for coeffs, deg, shifts in ((fy, m, n), (gy, n, m)):
+        for r in range(shifts):
+            row = [zero] * (m + n)
+            for k in range(deg + 1):
+                row[r + k] = coeffs.get(deg - k, zero)
+            rows.append(row)
+    return det(m + n, lambda r, c: rows[r][c], zero)
+
+
+def sylvester_resultant(f_jets: dict, g_jets: dict, bound=SYLVESTER_BOUND) -> JPoly:
+    """Res_y(f, g) over the jet ring, as a JPoly in x."""
+    fy = {j: JPoly(c) for j, c in _by_y(f_jets).items()}
+    gy = {j: JPoly(c) for j, c in _by_y(g_jets).items()}
+    return _sylvester(fy, gy, JPOLY_ZERO, masked_det, bound)
 
 
 def trop_resultant_heights(f_trop: dict, g_trop: dict, bound=SYLVESTER_BOUND) -> dict:
     """Generic heights of the resultant coefficients: the tropical
     (max-plus) Sylvester permanent, coefficientwise."""
-    f_jets = {i: Jet.principal(v, Fraction(1)) for i, v in f_trop.items()}
-    g_jets = {i: Jet.principal(v, Fraction(1)) for i, v in g_trop.items()}
-    f_jets = _normalize_support(f_jets)
-    g_jets = _normalize_support(g_jets)
-    fy = _as_y_poly(f_jets)
-    gy = _as_y_poly(g_jets)
-    m = max(fy)
-    n = max(gy)
-    if m + n > bound:
-        raise ResultantBoundExceeded(
-            f"Sylvester dimension {m + n} exceeds the bound {bound}"
-        )
-
-    def tp_entry(poly: JPoly):
-        return {e: j.order for e, j in poly.c.items()}
-
-    if m == 0 or n == 0:
-        basepoly = fy[0] if m == 0 else gy[0]
-        reps = n if m == 0 else m
-        base = tp_entry(basepoly)
-        out = {0: Fraction(0)}
-        for _ in range(reps):
-            out = _tp_mul(out, base)
-        return out
-    size = m + n
-    rows = []
-    for r in range(n):
-        row = [None] * size
-        for k in range(m + 1):
-            if fy.get(m - k):
-                row[r + k] = tp_entry(fy[m - k])
-        rows.append(row)
-    for r in range(m):
-        row = [None] * size
-        for k in range(n + 1):
-            if gy.get(n - k):
-                row[r + k] = tp_entry(gy[n - k])
-        rows.append(row)
-    return _tp_permanent(size, lambda r, c: rows[r][c])
+    return _sylvester(_by_y(f_trop), _by_y(g_trop), None, _tp_permanent, bound)
 
 
 def _tp_mul(a: dict, b: dict) -> dict:
@@ -585,7 +531,9 @@ def _tp_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _tp_permanent(n, entry):
+def _tp_permanent(n, entry, zero):
+    """Max-plus permanent of polynomial entries ({exponent: height});
+    ``zero`` marks the missing entries."""
     memo = {}
 
     def rec(r, mask):
@@ -601,7 +549,7 @@ def _tp_permanent(n, entry):
             c = low.bit_length() - 1
             m ^= low
             e = entry(r, c)
-            if e is not None:
+            if e is not zero:
                 sub = rec(r + 1, mask ^ low)
                 if sub is not None:
                     term = _tp_mul(e, sub)
@@ -617,13 +565,7 @@ def trop_univariate_roots(heights: dict):
     """Roots with multiplicities of a univariate max-plus polynomial."""
     if len(heights) < 2:
         return []
-    items = sorted(heights.items())
-    chain = []
-    for e, v in items:
-        p = (Fraction(e), v)
-        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) >= 0:
-            chain.pop()
-        chain.append(p)
+    chain = upper_chain([(Fraction(e), v) for e, v in sorted(heights.items())])
     roots = []
     for a in range(len(chain) - 1):
         (e0, v0), (e1, v1) = chain[a], chain[a + 1]
@@ -633,15 +575,7 @@ def trop_univariate_roots(heights: dict):
 
 def _newton_segment_vertices(heights: dict):
     """Indices at the upper-hull breakpoints of {(i, h_i)}."""
-    items = sorted(heights.items())
-    if len(items) == 1:
-        return [items[0][0]]
-    chain = []
-    for e, v in items:
-        p = (Fraction(e), v)
-        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) >= 0:
-            chain.pop()
-        chain.append(p)
+    chain = upper_chain([(Fraction(e), v) for e, v in sorted(heights.items())])
     return [int(e) for e, _ in chain]
 
 
@@ -868,15 +802,8 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     solutions with multiplicity bookkeeping (fiber multiplicities sum to
     the multiplicity of the x-root in the eliminant).
     """
-    ft = residual_terms(f_jets, b)
-    gt = residual_terms(g_jets, b)
-    lin1, lin2 = _xy_terms_linear(ft), _xy_terms_linear(gt)
-    if lin1 is not None and lin2 is not None and lin1[1] and not lin2[1] and lin2[0]:
-        # keep the generic path below for the genuinely linear case too;
-        # it handles all shapes uniformly.
-        pass
-    fx = _terms_to_rpoly_in(ft, field)
-    gx = _terms_to_rpoly_in(gt, field)
+    fx = _terms_to_rpoly_in(residual_terms(f_jets, b), field)
+    gx = _terms_to_rpoly_in(residual_terms(g_jets, b), field)
     return _solve_by_elimination(fx, gx, field)
 
 
@@ -908,29 +835,7 @@ def _rpoly_y_coeffs(p: RPoly):
 
 
 def _resultant_rpoly_y(f: RPoly, g: RPoly):
-    fy = _rpoly_y_coeffs(f)
-    gy = _rpoly_y_coeffs(g)
-    m, n = max(fy), max(gy)
-    if m == 0 and n == 0:
-        raise ValueError("no y to eliminate")
-    if m == 0:
-        return fy[0] ** n
-    if n == 0:
-        return gy[0] ** m
-    size = m + n
-    rows = []
-    zero = RPoly()
-    for r in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[r + k] = fy.get(m - k, zero)
-        rows.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[r + k] = gy.get(n - k, zero)
-        rows.append(row)
-    return masked_det(size, lambda r, c: rows[r][c], zero)
+    return _sylvester(_rpoly_y_coeffs(f), _rpoly_y_coeffs(g), RPoly(), masked_det)
 
 
 def _subs_x(p: RPoly, x0, field):

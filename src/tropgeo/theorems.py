@@ -15,6 +15,7 @@ Fourier-Motzkin for the inequalities).
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .residual import ResidualField
 from .stable_ops import stable_curve
 from .construction import (
     Construction,
-    CurveThrough,
     Intersect,
     is_admissible,
     labeling_choices,
@@ -33,6 +33,7 @@ from .construction import (
     realize,
 )
 from .genpos import in_general_position
+from . import dsl
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -171,7 +172,7 @@ def thesis_feasible_curve(I: Support, pts, node_bound: int = 200000):
                     if k == i_sel:
                         continue
                     vk = _expr_plus_const(exprs[k], mono_val(k, p))
-                    diff = _expr_sub_pairs(vi, vk)
+                    diff = _expr_sub(vi, vk)
                     coeffs = [Fraction(0)] * len(free_list)
                     for v, cf in diff[0].items():
                         coeffs[idx[v]] = cf
@@ -218,10 +219,6 @@ def _expr_sub(a, b):
 
 def _expr_plus_const(a, c):
     return (a[0], a[1] + c)
-
-
-def _expr_sub_pairs(a, b):
-    return _expr_sub(a, b)
 
 
 def _expr_apply_equality(exprs, free, eq):
@@ -321,11 +318,6 @@ class Statement:
     hypothesis: Construction
     thesis: object
     genpos_pairs: list = dc_field(default_factory=list)  # [(point names, curve name)]
-
-    def thesis_nodes(self):
-        if isinstance(self.thesis, ThesisPoint):
-            return self.thesis.on
-        return self.thesis.through
 
 
 @dataclass
@@ -470,89 +462,6 @@ def _check_with_labelings(s: Statement, inputs, t) -> Trial:
 # the catalog
 
 
-def fano_statement() -> Statement:
-    line = Support.named("line")
-    c = Construction(input_points=["1", "3", "5", "7"])
-    for nm, (u, v) in {
-        "a": ("1", "3"), "b": ("1", "5"), "c": ("1", "7"),
-        "d": ("3", "5"), "e": ("3", "7"), "f": ("5", "7"),
-    }.items():
-        c.steps.append(CurveThrough(name=nm, support=line, through=[u, v]))
-    c.steps.append(Intersect(names=["2"], curves=("a", "f")))
-    c.steps.append(Intersect(names=["4"], curves=("c", "d")))
-    c.steps.append(Intersect(names=["6"], curves=("b", "e")))
-    return Statement(
-        name="fano",
-        hypothesis=c,
-        thesis=ThesisCurve(name="l", support=line, through=["2", "4", "6"]),
-    )
-
-
-def pappus_statement() -> Statement:
-    line = Support.named("line")
-    c = Construction(input_points=["1", "2", "3", "4", "5"])
-    for nm, (u, v) in {
-        "a": ("1", "4"), "b": ("2", "4"), "c": ("3", "4"),
-        "a'": ("1", "5"), "b'": ("2", "5"), "c'": ("3", "5"),
-    }.items():
-        c.steps.append(CurveThrough(name=nm, support=line, through=[u, v]))
-    c.steps.append(Intersect(names=["6"], curves=("b", "c'")))
-    c.steps.append(Intersect(names=["7"], curves=("a'", "c")))
-    c.steps.append(Intersect(names=["8"], curves=("a", "b'")))
-    c.steps.append(CurveThrough(name="a''", support=line, through=["1", "6"]))
-    c.steps.append(CurveThrough(name="b''", support=line, through=["2", "7"]))
-    c.steps.append(CurveThrough(name="c''", support=line, through=["3", "8"]))
-    return Statement(
-        name="pappus",
-        hypothesis=c,
-        thesis=ThesisPoint(name="p", on=["a''", "b''", "c''"]),
-    )
-
-
-def pascal_converse_statement() -> Statement:
-    line = Support.named("line")
-    c = Construction(
-        input_points=["A", "B", "C", "X1", "X2", "X3"],
-        input_curves=[("l", line)],
-    )
-    c.steps.append(CurveThrough(name="LAB'", support=line, through=["A", "X1"]))
-    c.steps.append(CurveThrough(name="LBC'", support=line, through=["B", "X2"]))
-    c.steps.append(CurveThrough(name="LCA'", support=line, through=["C", "X3"]))
-    c.steps.append(Intersect(names=["P"], curves=("LAB'", "l")))
-    c.steps.append(Intersect(names=["Q"], curves=("LBC'", "l")))
-    c.steps.append(Intersect(names=["R"], curves=("LCA'", "l")))
-    c.steps.append(CurveThrough(name="LAC'", support=line, through=["A", "R"]))
-    c.steps.append(CurveThrough(name="LBA'", support=line, through=["B", "P"]))
-    c.steps.append(CurveThrough(name="LCB'", support=line, through=["C", "Q"]))
-    c.steps.append(Intersect(names=["A'"], curves=("LCA'", "LBA'")))
-    c.steps.append(Intersect(names=["B'"], curves=("LAB'", "LCB'")))
-    c.steps.append(Intersect(names=["C'"], curves=("LAC'", "LBC'")))
-    return Statement(
-        name="pascal_converse",
-        hypothesis=c,
-        thesis=ThesisCurve(
-            name="K", support=Support.named("conic"),
-            through=["A", "B", "C", "A'", "B'", "C'"],
-        ),
-    )
-
-
-def chasles_statement() -> Statement:
-    cubic = Support.named("cubic")
-    c = Construction(
-        input_points=["q0"],
-        input_curves=[("C1", cubic), ("C2", cubic)],
-    )
-    c.steps.append(Intersect(names=[f"q{i}" for i in range(1, 10)], curves=("C1", "C2")))
-    return Statement(
-        name="chasles",
-        hypothesis=c,
-        thesis=ThesisCurve(
-            name="R", support=cubic, through=[f"q{i}" for i in range(10)]
-        ),
-    )
-
-
 def cayley_bacharach_statement(d: int = 3, e: int = 3) -> Statement:
     if d < 3 or e < 3:
         raise ValueError("Cayley-Bacharach needs d, e >= 3")
@@ -576,123 +485,14 @@ def cayley_bacharach_statement(d: int = 3, e: int = 3) -> Statement:
     )
 
 
-def weak_pascal_statement() -> Statement:
-    line = Support.named("line")
-    conic = Support.named("conic")
-    c = Construction(input_curves=[("Z", conic), ("L1", line), ("L2", line), ("L3", line)])
-    c.steps.append(Intersect(names=["A", "B'"], curves=("Z", "L1")))
-    c.steps.append(Intersect(names=["B", "C'"], curves=("Z", "L2")))
-    c.steps.append(Intersect(names=["C", "A'"], curves=("Z", "L3")))
-    c.steps.append(CurveThrough(name="L4", support=line, through=["A", "C'"]))
-    c.steps.append(CurveThrough(name="L5", support=line, through=["B", "A'"]))
-    c.steps.append(CurveThrough(name="L6", support=line, through=["C", "B'"]))
-    c.steps.append(Intersect(names=["P"], curves=("L1", "L5")))
-    c.steps.append(Intersect(names=["Q"], curves=("L2", "L6")))
-    c.steps.append(Intersect(names=["R"], curves=("L3", "L4")))
-    return Statement(
-        name="weak_pascal",
-        hypothesis=c,
-        thesis=ThesisCurve(name="L", support=line, through=["P", "Q", "R"]),
-        genpos_pairs=[(("A", "C'"), "Z"), (("B", "A'"), "Z"), (("C", "B'"), "Z")],
-    )
-
-
-def four_lines_construction() -> Construction:
-    line = Support.named("line")
-    c = Construction(input_points=["a", "b", "c", "d", "e"])
-    for nm, q in {"l1": "b", "l2": "c", "l3": "d", "l4": "e"}.items():
-        c.steps.append(CurveThrough(name=nm, support=line, through=["a", q]))
-    k = 0
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            c.steps.append(Intersect(names=[f"p{i}{j}"], curves=(f"l{i}", f"l{j}")))
-            k += 1
-    return c
-
-
-def abc_double_path_construction() -> Construction:
-    line = Support.named("line")
-    c = Construction(input_points=["a", "b", "c"])
-    c.steps.append(CurveThrough(name="l1", support=line, through=["a", "b"]))
-    c.steps.append(CurveThrough(name="l2", support=line, through=["a", "c"]))
-    c.steps.append(Intersect(names=["p"], curves=("l1", "l2")))
-    return c
-
-
-def parallel_steps(c: Construction, tag: str, a: str, l: str, q: str, shared: dict) -> str:
-    """Append the parallel-through-a-point construction; returns the name
-    of the produced line.  The vertical/horizontal lines through shared
-    points are created once (a construction has no repeated steps)."""
-    line = Support.named("line")
-    vert = Support.named("vertical")
-    horiz = Support.named("horizontal")
-
-    def axis_line(support, kind, point, name):
-        key = (kind, point)
-        if key not in shared:
-            c.steps.append(CurveThrough(name=name, support=support, through=[point]))
-            shared[key] = name
-        return shared[key]
-
-    v1 = axis_line(vert, "v", a, f"{tag}v1")
-    v2 = axis_line(vert, "v", q, f"{tag}v2")
-    h1 = axis_line(horiz, "h", q, f"{tag}h1")
-    r1 = f"{tag}r1"
-    p1, p2, h2, p3, r2, p4 = (
-        f"{tag}p1", f"{tag}p2", f"{tag}h2", f"{tag}p3", f"{tag}r2", f"{tag}p4"
-    )
-    out = f"{tag}out"
-    c.steps.append(CurveThrough(name=r1, support=line, through=[a, q]))
-    c.steps.append(Intersect(names=[p1], curves=(l, r1)))
-    c.steps.append(Intersect(names=[p2], curves=(l, v2)))
-    c.steps.append(CurveThrough(name=h2, support=horiz, through=[p1]))
-    c.steps.append(Intersect(names=[p3], curves=(h2, v1)))
-    c.steps.append(CurveThrough(name=r2, support=line, through=[p2, p3]))
-    c.steps.append(Intersect(names=[p4], curves=(r2, h1)))
-    c.steps.append(CurveThrough(name=out, support=line, through=[a, p4]))
-    return out
-
-
-def vector_addition_construction() -> Construction:
-    """The parallelogram construction computing z = a + b + c, ending
-    with the line through a and z."""
-    pencil = Support.named("pencil")
-    line = Support.named("line")
-    c = Construction(input_points=["a", "b", "c", "q"])
-    shared = {}
-    c.steps.append(CurveThrough(name="l1", support=pencil, through=["a"]))
-    c.steps.append(CurveThrough(name="l2", support=pencil, through=["b"]))
-    c.steps.append(CurveThrough(name="l3", support=pencil, through=["c"]))
-    l4 = parallel_steps(c, "P4_", "a", "l2", "q", shared)
-    l5 = parallel_steps(c, "P5_", "b", "l1", "q", shared)
-    c.steps.append(Intersect(names=["d"], curves=(l4, l5)))
-    c.steps.append(CurveThrough(name="l6", support=pencil, through=["d"]))
-    l7 = parallel_steps(c, "P7_", "d", "l3", "q", shared)
-    l8 = parallel_steps(c, "P8_", "c", "l6", "q", shared)
-    c.steps.append(Intersect(names=["z"], curves=(l7, l8)))
-    c.steps.append(CurveThrough(name="l9", support=line, through=["a", "z"]))
-    return c
+_CATALOG = ("fano", "pappus", "pascal_converse", "chasles", "cayley_bacharach_3_3", "weak_pascal")
 
 
 def catalog() -> dict:
-    """The built-in statements, keyed by name."""
+    """The built-in statements, keyed by name, parsed from their .tgc
+    files in the package's ``catalog`` directory."""
     out = {}
-    for s in (
-        fano_statement(),
-        pappus_statement(),
-        pascal_converse_statement(),
-        chasles_statement(),
-        cayley_bacharach_statement(3, 3),
-        weak_pascal_statement(),
-    ):
-        out[s.name] = s
+    for name in _CATALOG:
+        with open(os.path.join(os.path.dirname(__file__), "catalog", f"{name}.tgc")) as f:
+            out[name] = dsl.to_statement(dsl.parse(f.read()), name=name)
     return out
-
-
-def example_constructions() -> dict:
-    """Constructions without a thesis used by the limit examples."""
-    return {
-        "abc_double_path": abc_double_path_construction(),
-        "four_lines": four_lines_construction(),
-        "vector_addition": vector_addition_construction(),
-    }

@@ -16,13 +16,10 @@ The central objects:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-Q = Fraction
 
 Point = tuple[Fraction, Fraction]
 LPoint = tuple[int, int]
@@ -33,10 +30,6 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def point(x, y) -> Point:
-    return (frac(x), frac(y))
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +59,17 @@ def convex_hull(pts):
     if len(hull) < 3:  # all collinear: keep the two extreme points
         return [pts[0], pts[-1]]
     return hull
+
+
+def upper_chain(pts):
+    """Vertices of the upper hull of plane points sorted by abscissa, left
+    to right; points on the hull but not at a corner are dropped."""
+    chain = []
+    for p in pts:
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) >= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def area2(pts) -> Fraction:
@@ -161,9 +165,6 @@ class Support:
     def delta(self) -> int:
         return len(self.points)
 
-    def newton_polygon(self):
-        return convex_hull(self.points)
-
     def __eq__(self, other):
         return isinstance(other, Support) and self.points == other.points
 
@@ -175,11 +176,6 @@ class Support:
 
     def to_json(self):
         return [list(p) for p in self.points]
-
-
-SUPPORT_LINE = Support.named("line")
-SUPPORT_CONIC = Support.named("conic")
-SUPPORT_CUBIC = Support.named("cubic")
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +427,15 @@ def _upper_chain_1d(pts, hts):
     base = pts[0]
     params = [(p[0] - base[0]) * d[0] + (p[1] - base[1]) * d[1] for p in pts]
     order = sorted(range(len(pts)), key=lambda i: params[i])
-    # 2d upper hull of (t, h)
-    chain = []
-    for idx in order:
-        p2 = (Fraction(params[idx]), hts[idx])
-        while len(chain) >= 2 and cross(chain[-2][0], chain[-1][0], p2) >= 0:
-            chain.pop()
-        chain.append((p2, idx))
+    chain = upper_chain([(Fraction(params[i]), hts[i]) for i in order])
     cells = []
     for a in range(len(chain) - 1):
-        t0, t1 = chain[a][0][0], chain[a + 1][0][0]
+        t0, t1 = chain[a][0], chain[a + 1][0]
         # all points on the chord between consecutive hull vertices
         on = [
             i
             for i in order
-            if t0 <= params[i] <= t1 and cross(chain[a][0], chain[a + 1][0], (Fraction(params[i]), hts[i])) == 0
+            if t0 <= params[i] <= t1 and cross(chain[a], chain[a + 1], (Fraction(params[i]), hts[i])) == 0
         ]
         cells.append(tuple(sorted(on)))
     return cells
@@ -614,13 +604,7 @@ def concave_canonical(f: TropPoly) -> TropPoly:
     if len(hull) == 2:
         d = primitive((hull[1][0] - hull[0][0], hull[1][1] - hull[0][1]))
         params = [(p[0] - hull[0][0]) * d[0] + (p[1] - hull[0][1]) * d[1] for p in pts]
-        lifted = sorted(zip(params, hts))
-        chain = []
-        for t, h in lifted:
-            p2 = (Fraction(t), h)
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p2) >= 0:
-                chain.pop()
-            chain.append(p2)
+        chain = upper_chain([(Fraction(t), h) for t, h in sorted(zip(params, hts))])
         for t in params:
             val = None
             for a in range(len(chain) - 1):
@@ -656,10 +640,3 @@ def mixed_volume(d1: Support, d2: Support) -> int:
         raise AssertionError("mixed volume must be an integer")
     return int(m2 // 2)
 
-
-def to_projective(p: Point):
-    return (p[0], p[1], Fraction(0))
-
-
-def tropical_poly_json(f: TropPoly) -> str:
-    return json.dumps(f.to_json(), sort_keys=True)

@@ -182,11 +182,6 @@ def trop_det_value_regular(a):
     return value, _matching_unique(mask)
 
 
-def _inversions(perm):
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-
-
 def masked_det(n, entry, zero):
     """Determinant over a commutative ring with masked-off entries.
 

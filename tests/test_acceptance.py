@@ -27,17 +27,10 @@ from tropgeo.construction import (
     subconstruction_to,
     verify_witness,
 )
-from tropgeo.theorems import (
-    abc_double_path_construction,
-    catalog,
-    check_statement,
-    fano_statement,
-    four_lines_construction,
-    pappus_statement,
-    vector_addition_construction,
-)
+from tropgeo.theorems import catalog, check_statement
 from tropgeo import dsl
 from tropgeo.cli import main as cli_main
+from test_construction import _ray_of_point, catalog_construction
 
 F10007 = ResidualField(10007)
 LINE = Support.named("line")
@@ -148,7 +141,7 @@ def test_criterion_04_weak_pascal_instance():
 
 def test_criterion_05_double_path_counterexample():
     with _criterion(5, "a,b,c double path: p = (0,1) != a and provably-empty conditions"):
-        c = abc_double_path_construction()
+        c = catalog_construction("abc_double_path")
         r = realize(c, {"a": (0, 0), "b": (-2, 1), "c": (-1, 3)})
         assert r.values["p"] == (F(0), F(1))
         assert r.values["p"] != r.values["a"]
@@ -158,7 +151,7 @@ def test_criterion_05_double_path_counterexample():
 
 def test_criterion_06_vector_addition_undecidable():
     with _criterion(6, "vector addition: final line Undecidable, z-subconstruction nonempty"):
-        c = vector_addition_construction()
+        c = catalog_construction("vector_addition")
         inp = {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)}
         r = realize(c, inp)
         rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=11, trials=6)
@@ -190,11 +183,11 @@ def test_criterion_07_theorem_suite():
 
 def test_criterion_08_admissibility():
     with _criterion(8, "admissibility verdicts with explicit double-path witnesses"):
-        assert is_admissible(fano_statement().hypothesis) == (True, None)
-        assert is_admissible(pappus_statement().hypothesis) == (True, None)
-        ok, wit = is_admissible(abc_double_path_construction())
+        assert is_admissible(catalog()["fano"].hypothesis) == (True, None)
+        assert is_admissible(catalog()["pappus"].hypothesis) == (True, None)
+        ok, wit = is_admissible(catalog_construction("abc_double_path"))
         assert not ok and len(wit.paths) == 2 and wit.paths[0] != wit.paths[1]
-        ok, wit = is_admissible(vector_addition_construction())
+        ok, wit = is_admissible(catalog_construction("vector_addition"))
         assert not ok and len(wit.paths) == 2
 
 
@@ -229,7 +222,7 @@ def test_criterion_09_oracle_suites():
 def test_criterion_10_lifting_soundness():
     with _criterion(10, "Fano & Pappus: 100 numeric lifts each, witnesses residually sound"):
         rng = random.Random(271828)
-        for stmt in (fano_statement(), pappus_statement()):
+        for stmt in (catalog()["fano"], catalog()["pappus"]):
             c = stmt.hypothesis
             good = 0
             for t in range(100):
@@ -248,8 +241,7 @@ def test_criterion_10_lifting_soundness():
 
 def test_criterion_11_four_lines_impossibility():
     with _criterion(11, "four lines through a point: a ray direction repeats, 100 inputs"):
-        c = four_lines_construction()
-        from test_construction import _ray_of_point
+        c = catalog_construction("four_lines")
 
         rng = random.Random(1618)
         for _ in range(100):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -23,17 +24,17 @@ from tropgeo.construction import (
     validate_construction,
     verify_witness,
 )
-from tropgeo.theorems import (
-    abc_double_path_construction,
-    fano_statement,
-    four_lines_construction,
-    pappus_statement,
-    vector_addition_construction,
-    weak_pascal_statement,
-)
+from tropgeo.theorems import catalog
+from tropgeo import dsl
 
 LINE = Support.named("line")
 F10007 = ResidualField(10007)
+
+
+def catalog_construction(name):
+    """The construction of a file in the package's .tgc catalog."""
+    path = resources.files("tropgeo") / "catalog" / f"{name}.tgc"
+    return dsl.to_construction(dsl.parse(path.read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ F10007 = ResidualField(10007)
 
 
 def test_pappus_hypothesis_is_a_valid_exact_construction():
-    d = validate_construction(pappus_statement().hypothesis)
+    d = validate_construction(catalog()["pappus"].hypothesis)
     assert d.ok and d.exact
 
 
@@ -109,7 +110,7 @@ def test_complete_single_predecessor_point_adds_a_line():
 
 
 def test_complete_is_idempotent_on_exact_constructions():
-    pp = pappus_statement().hypothesis
+    pp = catalog()["pappus"].hypothesis
     c = complete_to_construction(construction_to_incidence(pp))
     assert validate_construction(c).exact
     assert sorted(n for s in c.steps for n in s.new_nodes) == sorted(
@@ -134,8 +135,8 @@ def test_complete_pads_curve_steps_with_input_points():
 
 
 def test_fano_and_pappus_are_admissible():
-    assert is_admissible(fano_statement().hypothesis)[0]
-    assert is_admissible(pappus_statement().hypothesis)[0]
+    assert is_admissible(catalog()["fano"].hypothesis)[0]
+    assert is_admissible(catalog()["pappus"].hypothesis)[0]
 
 
 def test_depth_one_constructions_are_admissible():
@@ -145,14 +146,14 @@ def test_depth_one_constructions_are_admissible():
 
 
 def test_double_path_witness():
-    ok, wit = is_admissible(abc_double_path_construction())
+    ok, wit = is_admissible(catalog_construction("abc_double_path"))
     assert not ok
     assert wit.source == "a" and wit.target == "p"
     assert len(wit.paths) == 2 and wit.paths[0] != wit.paths[1]
 
 
 def test_vector_addition_not_admissible():
-    ok, wit = is_admissible(vector_addition_construction())
+    ok, wit = is_admissible(catalog_construction("vector_addition"))
     assert not ok and wit is not None
 
 
@@ -161,14 +162,14 @@ def test_vector_addition_not_admissible():
 
 
 def test_abc_realization_gives_p_ne_a():
-    c = abc_double_path_construction()
+    c = catalog_construction("abc_double_path")
     r = realize(c, {"a": (0, 0), "b": (-2, 1), "c": (-1, 3)})
     assert r.values["p"] == (F(0), F(1))
     assert r.values["p"] != r.values["a"]
 
 
 def test_all_degenerate_input_realizes_at_the_origin():
-    c = four_lines_construction()
+    c = catalog_construction("four_lines")
     r = realize(c, {n: (0, 0) for n in c.input_points})
     for s in c.steps:
         if isinstance(s, Intersect):
@@ -201,7 +202,7 @@ def _ray_of_point(line_poly: TropPoly, p):
 def test_most_degenerate_input_is_liftable():
     # every node at the origin, all curves all-zero: the construction is
     # still realizable algebraically with all elements of order zero
-    c = four_lines_construction()
+    c = catalog_construction("four_lines")
     r = realize(c, {n: (0, 0) for n in c.input_points})
     rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=77, trials=6)
     assert rep.successes and rep.successes >= 4
@@ -209,7 +210,7 @@ def test_most_degenerate_input_is_liftable():
 
 
 def test_four_lines_always_share_a_ray_direction():
-    c = four_lines_construction()
+    c = catalog_construction("four_lines")
     rng = random.Random(123)
     for _ in range(30):
         inputs = {n: (F(rng.randint(-9, 9)), F(rng.randint(-9, 9))) for n in c.input_points}
@@ -230,7 +231,7 @@ def test_four_lines_always_share_a_ray_direction():
 
 
 def test_abc_symbolic_lift_is_provably_empty():
-    c = abc_double_path_construction()
+    c = catalog_construction("abc_double_path")
     r = realize(c, {"a": (0, 0), "b": (-2, 1), "c": (-1, 3)})
     rep = lift_conditions(c, r, mode="symbolic")
     assert rep.verdict == PROVABLY_EMPTY
@@ -258,7 +259,7 @@ def test_transversal_line_intersection_is_always_compatible():
 
 def test_fano_pappus_numeric_lift_with_sound_witnesses():
     rng = random.Random(55)
-    for stmt in (fano_statement(), pappus_statement()):
+    for stmt in (catalog()["fano"], catalog()["pappus"]):
         c = stmt.hypothesis
         good = 0
         for t in range(10):
@@ -273,7 +274,7 @@ def test_fano_pappus_numeric_lift_with_sound_witnesses():
 
 
 def test_vector_addition_certificates():
-    c = vector_addition_construction()
+    c = catalog_construction("vector_addition")
     r = realize(c, {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)})
     assert r.values["z"] == (F(0), F(0))
     rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=11, trials=4)
@@ -289,7 +290,7 @@ def test_vector_addition_certificates():
 def test_weak_pascal_general_position_instance_lifts():
     # the almost-admissible case: when the double-path point pairs are in
     # general position the numeric lift finds a witness
-    stmt = weak_pascal_statement()
+    stmt = catalog()["weak_pascal"]
     inputs = {
         "Z": TropPoly.parse("3y+5+3y^2+0x^2+4x+0xy"),
         "L1": TropPoly.parse("1y+0x+0"),

@@ -51,6 +51,7 @@ curve l1 = through A A support line
 points {P Q} = intersect Z l1
 realize A = (0, -3/2)
 realize Z = "3y+5+3y^2+0x^2+4x+0xy"
+genpos P Q in Z
 thesis point w on l1 Z
 """
     doc = dsl.parse(text)
@@ -61,7 +62,9 @@ thesis point w on l1 Z
     rm = doc.realization_map()
     assert rm["A"] == (F(0), F(-3, 2))
     assert isinstance(rm["Z"], TropPoly)
+    assert doc.genpos == [(["P", "Q"], "Z")]
     assert doc.thesis.kind == "point"
+    assert dsl.to_statement(doc).genpos_pairs == [(("P", "Q"), "Z")]
 
 
 def test_explicit_and_degree_supports():
@@ -99,6 +102,23 @@ def test_cli_theorem_fano_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "6/6" in out
+
+
+def test_cli_theorem_weak_pascal_file_matches_catalog(capsys):
+    # the file states the generic-position precondition, as the catalog does
+    rc = main(["theorem", catalog_path("weak_pascal"), "--trials", "30", "--seed", "1"])
+    assert rc == 0
+    assert "30/30" in capsys.readouterr().out
+
+
+def test_cli_theorem_file_with_unknown_node_is_a_usage_error(tmp_path, capsys):
+    base = "input point a\ninput point b\ncurve l = through a b support line\n"
+    for extra in ("thesis curve K support line through a zz\n",
+                  "genpos a b in q\nthesis curve K support line through a b\n"):
+        path = tmp_path / "bad.tgc"
+        path.write_text(base + extra)
+        assert main(["theorem", str(path), "--trials", "2"]) == 2
+        assert "unknown nodes" in capsys.readouterr().err
 
 
 def test_cli_theorem_unknown_name(capsys):

@@ -19,6 +19,7 @@ from tropgeo.residual import (
     residual_poly,
     residual_terms,
     rpoly_roots_univariate,
+    _rat_sqrt,
 )
 
 
@@ -196,6 +197,14 @@ def test_roots_quadratic_over_q():
     assert roots == [(F(-3, 2), 1), (F(3, 2), 1)]
     with pytest.raises(RootsOutsideFieldError):
         rpoly_roots_univariate(x**2 - RPoly.const(2), ResidualField(None))
+
+
+def test_rat_sqrt_is_exact_on_huge_squares():
+    assert _rat_sqrt(F((10**20 + 7) ** 2)) == 10**20 + 7
+    assert _rat_sqrt(F(10**400)) == 10**200
+    assert _rat_sqrt(F(10**400, (10**20 + 7) ** 2)) == F(10**200, 10**20 + 7)
+    assert _rat_sqrt(F((10**20 + 7) ** 2 + 1)) is None
+    assert _rat_sqrt(F(-4)) is None
 
 
 def test_roots_random_cubic_matches_exhaustive_scan():

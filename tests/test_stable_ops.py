@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from tropgeo.trop_core import Support, TropPoly, mixed_volume
 from tropgeo.residual import Jet, ResidualField, RPoly, residual_terms
 from tropgeo.stable_ops import (
     ResultantBoundExceeded,
+    _resultant_rpoly_y,
     curve_step_conditions,
     intersection_step_conditions,
     local_intersection_solve,
@@ -231,6 +233,87 @@ def test_trop_resultant_roots_match_intersection():
     roots = sorted(r for r, _ in trop_univariate_roots(heights))
     xs = sorted({p[0] for p, _ in stable_intersection(C1, C2).points})
     assert roots == xs
+
+
+def _rand_bivariate(rng, max_deg=2):
+    """Random sparse {(i, j): coefficient} with 1..4 terms, exponents <= max_deg."""
+    pts = [(i, j) for i in range(max_deg + 1) for j in range(max_deg + 1)]
+    return {pt: rng.randint(-5, 5) or 1 for pt in rng.sample(pts, rng.randint(1, 4))}
+
+
+def test_resultant_rpoly_y_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(41)
+
+    def as_rpoly(terms):
+        out = RPoly()
+        for (i, j), c in terms.items():
+            out = out + RPoly({tuple((v, e) for v, e in (("x", i), ("y", j)) if e): F(c)})
+        return out
+
+    checked = 0
+    while checked < 60:
+        f, g = _rand_bivariate(rng), _rand_bivariate(rng)
+        if all(j == 0 for _, j in [*f, *g]):
+            continue
+        res = _resultant_rpoly_y(as_rpoly(f), as_rpoly(g))
+        fs = sum(c * x**i * y**j for (i, j), c in f.items())
+        gs = sum(c * x**i * y**j for (i, j), c in g.items())
+        expected = sympy.resultant(fs, gs, y)
+        got = sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
+            for m, c in res.terms.items()
+        )
+        assert sympy.expand(got - expected) == 0, (f, g)
+        checked += 1
+
+
+def _brute_trop_resultant(f_trop, g_trop):
+    """Max over permutations of the max-plus Sylvester matrix, term by term."""
+
+    def by_y(poly):
+        mi = min(i for i, _ in poly)
+        mj = min(j for _, j in poly)
+        out = {}
+        for (i, j), h in poly.items():
+            out.setdefault(j - mj, {})[i - mi] = h
+        return out
+
+    fy, gy = by_y(f_trop), by_y(g_trop)
+    m, n = max(fy), max(gy)
+    size = m + n
+
+    def entry(r, c):
+        coeffs, deg, shift = (fy, m, r) if r < n else (gy, n, r - n)
+        k = c - shift
+        return coeffs.get(deg - k, {}) if 0 <= k <= deg else {}
+
+    best = {}
+    for perm in itertools.permutations(range(size)):
+        entries = [entry(r, perm[r]) for r in range(size)]
+        for terms in itertools.product(*(e.items() for e in entries)):
+            exp = sum(t[0] for t in terms)
+            h = sum(t[1] for t in terms)
+            if exp not in best or h > best[exp]:
+                best[exp] = h
+    return best
+
+
+def test_trop_resultant_heights_matches_brute_force():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 80:
+        f = {pt: F(rng.randint(-9, 9), rng.randint(1, 3)) for pt in _rand_bivariate(rng)}
+        g = {pt: F(rng.randint(-9, 9), rng.randint(1, 3)) for pt in _rand_bivariate(rng)}
+
+        def ydeg(p):
+            return max(j for _, j in p) - min(j for _, j in p)
+
+        if not 0 < ydeg(f) + ydeg(g) <= 4:
+            continue
+        assert trop_resultant_heights(f, g) == _brute_trop_resultant(f, g), (f, g)
+        checked += 1
 
 
 def test_local_solve_transversal_lines():

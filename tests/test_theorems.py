@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +10,8 @@ from tropgeo.construction import realize
 from tropgeo.theorems import (
     SearchBoundExceeded,
     catalog,
+    cayley_bacharach_statement,
     check_statement,
-    fano_statement,
-    pappus_statement,
     sample_inputs,
     thesis_feasible_curve,
     thesis_feasible_point,
@@ -23,7 +23,7 @@ CUBIC = Support.named("cubic")
 
 
 def test_fano_points_admit_a_witness_line():
-    s = fano_statement()
+    s = catalog()["fano"]
     rng = random.Random(8)
     inputs = {n: (F(rng.randint(-9, 9)), F(rng.randint(-9, 9))) for n in s.hypothesis.input_points}
     r = realize(s.hypothesis, inputs)
@@ -84,7 +84,7 @@ def test_thesis_point_three_copies_of_a_line():
 
 
 def test_thesis_point_pappus_lines_concur():
-    s = pappus_statement()
+    s = catalog()["pappus"]
     rng = random.Random(4)
     for t in range(10):
         inputs = {n: (F(rng.randint(-8, 8)), F(rng.randint(-8, 8)))
@@ -121,10 +121,10 @@ def test_search_bound_is_reported():
 
 def test_catalog_contents():
     cat = catalog()
-    assert set(cat) == {
+    assert list(cat) == [
         "fano", "pappus", "pascal_converse", "chasles",
         "cayley_bacharach_3_3", "weak_pascal",
-    }
+    ]
     fano = cat["fano"]
     assert fano.hypothesis.input_points == ["1", "3", "5", "7"]
     assert sum(1 for s in fano.hypothesis.steps if hasattr(s, "through")) == 6
@@ -132,11 +132,13 @@ def test_catalog_contents():
     # l = 1 for (3,3): the construction reduces to the Chasles shape
     assert cb.hypothesis.input_points == ["p1"]
     assert len(cb.thesis.through) == 10
+    assert replace(cayley_bacharach_statement(3, 3), name=cb.name) == cb
+    assert cat["weak_pascal"].genpos_pairs == [
+        (("A", "C'"), "Z"), (("B", "A'"), "Z"), (("C", "B'"), "Z"),
+    ]
 
 
 def test_cayley_bacharach_dimension_formula():
-    from tropgeo.theorems import cayley_bacharach_statement
-
     s = cayley_bacharach_statement(3, 4)
     assert len(s.hypothesis.input_points) == 1 + (9 + 16 - 9 - 12) // 2
     assert s.thesis.support == Support.degree(4)
@@ -158,7 +160,7 @@ def test_check_statement_small_runs():
 
 
 def test_degenerate_specials_are_exercised():
-    s = fano_statement()
+    s = catalog()["fano"]
     rng = random.Random(0)
     zero = sample_inputs(s.hypothesis, rng, special="zero")
     assert all(v == (0, 0) for v in zero.values())
