@@ -87,27 +87,6 @@ class Construction:
             out.extend(s.new_nodes)
         return out
 
-    def kind(self, name):
-        if name in self.input_points:
-            return "point"
-        if any(name == n for n, _ in self.input_curves):
-            return "curve"
-        for s in self.steps:
-            if isinstance(s, CurveThrough) and s.name == name:
-                return "curve"
-            if isinstance(s, Intersect) and name in s.names:
-                return "point"
-        raise KeyError(name)
-
-    def support_of(self, name):
-        for n, sup in self.input_curves:
-            if n == name:
-                return sup
-        for s in self.steps:
-            if isinstance(s, CurveThrough) and s.name == name:
-                return s.support
-        raise KeyError(f"{name} is not a curve")
-
     def direct_preds(self):
         preds = {n: [] for n in self.node_names()}
         for s in self.steps:
@@ -206,20 +185,30 @@ class IncidenceStructure:
 
 
 def construction_to_incidence(c: Construction) -> IncidenceStructure:
-    points = [n for n in c.node_names() if c.kind(n) == "point"]
-    blocks = [(n, c.support_of(n)) for n in c.node_names() if c.kind(n) == "curve"]
+    defs = [(n, None) for n in c.input_points] + list(c.input_curves)  # (name, support)
     flags = []
     orientation = {}
     for s in c.steps:
         if isinstance(s, CurveThrough):
+            defs.append((s.name, s.support))
             for q in s.through:
                 flags.append((q, s.name))
                 orientation[(q, s.name)] = "pb"
         else:
+            defs.extend((q, None) for q in s.names)
             for q in s.names:
                 for cv in s.curves:
                     flags.append((q, cv))
                     orientation[(q, cv)] = "bp"
+    # a name defined twice keeps the kind and support of its first definition
+    first = {}
+    points, blocks = [], []
+    for n, sup in defs:
+        sup = first.setdefault(n, sup)
+        if sup is None:
+            points.append(n)
+        else:
+            blocks.append((n, sup))
     return IncidenceStructure(points, blocks, flags, orientation)
 
 

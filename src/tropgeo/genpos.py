@@ -240,9 +240,9 @@ class GenposWitness:
         }
 
 
-def _point_on_dual_cell(gamma: GammaGraph, refined_edge, salt: int):
-    """A point in the relative interior of the curve cell dual to the
-    subdivision edge containing the refined edge."""
+def _point_on_dual_cell(gamma: GammaGraph, cv, refined_edge, salt: int):
+    """A point in the relative interior of the cell of the curve ``cv`` of
+    gamma dual to the subdivision edge containing the refined edge."""
     sub = gamma.subdivision
     for k, pieces in gamma.refined_of.items():
         if refined_edge in pieces:
@@ -250,7 +250,6 @@ def _point_on_dual_cell(gamma: GammaGraph, refined_edge, salt: int):
             break
     else:
         raise KeyError(refined_edge)
-    cv = curve(gamma.poly)
     for e in cv.edges:
         if _sorted_pair(*e.dual) == _sorted_pair(*ends):
             if e.kind == "segment":
@@ -288,11 +287,13 @@ def in_general_position(f: TropPoly, pts, gamma: GammaGraph | None = None):
         dsu.union(e[0], e[1])
         used_edges.add(e)
     salt = 0
+    cv = None
     for e in sorted(gamma.edges):
         if e in used_edges:
             continue
         if dsu.union(e[0], e[1]):
-            q = _point_on_dual_cell(gamma, e, salt)
+            cv = cv or curve(gamma.poly)
+            q = _point_on_dual_cell(gamma, cv, e, salt)
             salt += 1
             free.append((q, ("edge", e)))
             used_edges.add(e)

@@ -6,10 +6,12 @@ realize the hypothesis, then decide exactly whether a tropical element x
 exists (a curve of fixed support through the produced points, or a
 common point of the produced curves).
 
-The curve-thesis decision is exact: fast path through stable curves of
-(delta-1)-subsets, complete path by branching over per-point argmax
-pairs with rational linear feasibility (substitution for the equalities,
-Fourier-Motzkin for the inequalities).
+The curve-thesis decision is exact and has no search bound.  delta points
+lie on a common curve of support I exactly when their delta x delta
+point-value matrix is tropically singular (Richter-Gebert, Sturmfels and
+Theobald, "First steps in tropical geometry").  A witness is a stable
+curve through delta-1 of the points; infeasibility is proven by a
+regular delta x delta minor.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .trop_core import Support, TropPoly, curve, frac
 from .trop_linalg import trop_det_value_regular
 from .residual import ResidualField
-from .stable_ops import stable_curve
+from .stable_ops import point_value_matrix, stable_curve
 from .construction import (
     Construction,
     Intersect,
@@ -34,85 +36,6 @@ from .construction import (
 )
 from .genpos import in_general_position
 from . import dsl
-
-
-class SearchBoundExceeded(RuntimeError):
-    def __init__(self, bound):
-        super().__init__(f"thesis search exceeded the node bound {bound}")
-        self.bound = bound
-
-
-# ---------------------------------------------------------------------------
-# exact rational linear feasibility (Fourier-Motzkin with witnesses)
-
-
-def _fm_solve(ineqs, nvars, cap=20000):
-    """Feasibility of sum(c_i x_i) + d >= 0 systems over Q.
-
-    Returns a witness assignment list or None.  Inequalities are
-    (coeff tuple, const).  Eliminates the last variable first.
-    """
-    ineqs = _fm_dedupe(ineqs)
-    if len(ineqs) > cap:
-        raise SearchBoundExceeded(cap)
-    if nvars == 0:
-        for _, d in ineqs:
-            if d < 0:
-                return None
-        return []
-    k = nvars - 1
-    pos, neg, rest = [], [], []
-    for c, d in ineqs:
-        ck = c[k]
-        if ck > 0:
-            pos.append((c, d))
-        elif ck < 0:
-            neg.append((c, d))
-        else:
-            rest.append((c[:k], d))
-    new = list(rest)
-    for cp, dp in pos:
-        for cn, dn in neg:
-            # x_k >= -(rest_p)/cp_k and x_k <= rest_n/(-cn_k)
-            a = -cn[k]
-            b = cp[k]
-            c = tuple(cp[i] * a + cn[i] * b for i in range(k))
-            new.append((c, dp * a + dn * b))
-    sub = _fm_solve(new, k, cap)
-    if sub is None:
-        return None
-    lo, hi = None, None
-    for c, d in pos:
-        val = sum(c[i] * sub[i] for i in range(k)) + d
-        bound = -val / c[k]
-        lo = bound if lo is None else max(lo, bound)
-    for c, d in neg:
-        val = sum(c[i] * sub[i] for i in range(k)) + d
-        bound = -val / c[k]
-        hi = bound if hi is None else min(hi, bound)
-    if lo is None and hi is None:
-        x = Fraction(0)
-    elif lo is None:
-        x = hi - 1
-    elif hi is None:
-        x = lo + 1
-    else:
-        if lo > hi:
-            return None
-        x = (lo + hi) / 2
-    return sub + [x]
-
-
-def _fm_dedupe(ineqs):
-    seen = {}
-    for c, d in ineqs:
-        nz = [abs(x) for x in c if x] + ([abs(d)] if d else [])
-        if not nz:
-            continue
-        scale = min(nz)
-        key = (tuple(x / scale for x in c), d / scale)
-        seen[key] = (c, d)
-    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +50,14 @@ def tropical_collinear(p, q, r) -> bool:
     return not regular
 
 
-def thesis_feasible_curve(I: Support, pts, node_bound: int = 200000):
+def thesis_feasible_curve(I: Support, pts):
     """A curve of support I through all of ``pts``, or None.
 
-    Fast path: stable curves through (delta-1)-subsets.  Complete path:
-    exact search over argmax pairs per point; raises
-    SearchBoundExceeded rather than returning a wrong answer.
+    The witness is the first stable curve through delta-1 of the points
+    (padded by repeating the last one) that passes through all of them.
+    Without one, None is proven by delta of the points whose point-value
+    matrix is tropically regular: a curve through all the points would
+    make every such minor singular.
     """
     pts = [(frac(p[0]), frac(p[1])) for p in pts]
     delta = I.delta()
@@ -145,105 +70,17 @@ def thesis_feasible_curve(I: Support, pts, node_bound: int = 200000):
         f = stable_curve(I, [base[i] for i in sub])
         if all(f.on_curve(p) for p in pts):
             return f
-
-    # complete path
-    sup = list(I.points)
-    nvar = len(sup)  # a_0 fixed to zero; variables are a_1..a_{nvar-1}
-    budget = [node_bound]
-
-    def mono_val(i, p):
-        return sup[i][0] * p[0] + sup[i][1] * p[1]
-
-    # coefficient expressions over the remaining free variables; per point
-    # branch on the argmax pair (i, j), record the equality by
-    # substitution, and at the leaf check all >= inequalities at once
-    def solve(level, exprs, free, chosen):
-        if budget[0] <= 0:
-            raise SearchBoundExceeded(node_bound)
-        budget[0] -= 1
-        if level == len(pts):
-            free_list = sorted(free)
-            idx = {v: k for k, v in enumerate(free_list)}
-            ineqs = []
-            for lv, p in enumerate(pts):
-                i_sel = chosen[lv]
-                vi = _expr_plus_const(exprs[i_sel], mono_val(i_sel, p))
-                for k in range(len(sup)):
-                    if k == i_sel:
-                        continue
-                    vk = _expr_plus_const(exprs[k], mono_val(k, p))
-                    diff = _expr_sub(vi, vk)
-                    coeffs = [Fraction(0)] * len(free_list)
-                    for v, cf in diff[0].items():
-                        coeffs[idx[v]] = cf
-                    ineqs.append((tuple(coeffs), diff[1]))
-            sol = _fm_solve(ineqs, len(free_list))
-            if sol is None:
-                return None
-            assign = dict(zip(free_list, sol))
-            coeffs = []
-            for i in range(len(sup)):
-                e, d = exprs[i]
-                coeffs.append(sum(cf * assign[v] for v, cf in e.items()) + d)
-            f = TropPoly(I, coeffs)
-            if not all(f.on_curve(p) for p in pts):
-                raise AssertionError("feasibility witness fails verification")
-            return f
-        p = pts[level]
-        for i, j in itertools.combinations(range(len(sup)), 2):
-            lhs = _expr_sub(exprs[i], exprs[j])
-            constd = mono_val(i, p) - mono_val(j, p)
-            lhs = (lhs[0], lhs[1] + constd)
-            newexprs, newfree, bad = _expr_apply_equality(exprs, free, lhs)
-            if bad:
-                continue
-            res = solve(level + 1, newexprs, newfree, chosen + [i])
-            if res is not None:
-                return res
-        return None
-
-    exprs = {0: ({}, Fraction(0))}
-    for v in range(1, nvar):
-        exprs[v] = ({v: Fraction(1)}, Fraction(0))
-    return solve(0, exprs, set(range(1, nvar)), [])
-
-
-def _expr_sub(a, b):
-    e = dict(a[0])
-    for v, cf in b[0].items():
-        e[v] = e.get(v, Fraction(0)) - cf
-        if not e[v]:
-            del e[v]
-    return (e, a[1] - b[1])
-
-
-def _expr_plus_const(a, c):
-    return (a[0], a[1] + c)
-
-
-def _expr_apply_equality(exprs, free, eq):
-    """eq = (coeffs, const) == 0; substitute one free variable."""
-    e, d = eq
-    if not e:
-        return exprs, free, d != 0
-    v = max(e)
-    cv = e[v]
-    # v = -(rest + d)/cv
-    rest = {w: -cf / cv for w, cf in e.items() if w != v}
-    dd = -d / cv
-    newexprs = {}
-    for i, (ce, cd) in exprs.items():
-        if v in ce:
-            cf = ce[v]
-            ne = {w: c2 for w, c2 in ce.items() if w != v}
-            for w, c2 in rest.items():
-                ne[w] = ne.get(w, Fraction(0)) + cf * c2
-                if not ne[w]:
-                    del ne[w]
-            newexprs[i] = (ne, cd + cf * dd)
-        else:
-            newexprs[i] = (ce, cd)
-    return newexprs, free - {v}, False
+    for sub in itertools.combinations(pts, delta):
+        if trop_det_value_regular(point_value_matrix(I, sub))[1]:
+            return None
+    # Not reached with at most delta points.  Fewer than delta points lie
+    # on the stable curve through them.  For delta points with a singular
+    # matrix A, two optimal permutations differ in some row i.  The stable
+    # curve through the other rows has the tropical minors of A as its
+    # coefficients, and the Laplace expansion of det A along row i attains
+    # its maximum at both columns, so that curve passes through point i
+    # and the loop above returned it.
+    raise AssertionError(f"no witness curve and no regular minor for {len(pts)} points")
 
 
 def thesis_feasible_point(curves):
@@ -418,14 +255,13 @@ def check_statement(
         elif specials and t == 1:
             special = "repeat"
         inputs = sample_inputs(s.hypothesis, rng, box, special)
+        r = realize(s.hypothesis, inputs)
         if s.genpos_pairs:
-            trial = _check_with_labelings(s, inputs, t)
+            trial = _check_with_labelings(s, inputs, r, t)
         else:
-            r = realize(s.hypothesis, inputs)
             witness = _run_thesis(s, r)
             trial = Trial(index=t, inputs=inputs, witness=witness, passed=witness is not None)
         if admissible and t < lift_probe:
-            r = realize(s.hypothesis, inputs)
             rep = lift_conditions(
                 s.hypothesis, r, mode="numeric", field=field, seed=seed + t, trials=4
             )
@@ -438,10 +274,10 @@ def check_statement(
     )
 
 
-def _check_with_labelings(s: Statement, inputs, t) -> Trial:
+def _check_with_labelings(s: Statement, inputs, r0, t) -> Trial:
     """Conditional statements (weak Pascal): for every labeling whose
-    double-path point sets are in generic position, the thesis must hold."""
-    r0 = realize(s.hypothesis, inputs)
+    double-path point sets are in generic position, the thesis must hold.
+    ``r0`` is the realization of ``inputs`` in the default labeling."""
     results = []
     ok = True
     for lab in labeling_choices(s.hypothesis, r0):

@@ -1,14 +1,12 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-
-import pytest
 
 from tropgeo.trop_core import Support, TropPoly
 from tropgeo.stable_ops import stable_intersection
 from tropgeo.construction import realize
 from tropgeo.theorems import (
-    SearchBoundExceeded,
     catalog,
     cayley_bacharach_statement,
     check_statement,
@@ -111,12 +109,16 @@ def test_thesis_point_three_coincident_vertical_lines():
     assert p is not None and v.on_curve(p)
 
 
-def test_search_bound_is_reported():
+def test_ten_points_off_every_cubic_are_decided():
     rng = random.Random(2)
     pts = [(F(rng.randint(-40, 40)), F(rng.randint(-40, 40))) for _ in range(9)]
-    with pytest.raises(SearchBoundExceeded):
-        thesis_feasible_curve(Support.named("cubic"), pts + [(F(1000), F(-997))],
-                              node_bound=5)
+    assert thesis_feasible_curve(CUBIC, pts + [(F(1000), F(-997))]) is None
+
+
+def test_six_points_off_every_conic_are_decided():
+    rng = random.Random(1)
+    pts = [(F(rng.randint(-40, 40)), F(rng.randint(-40, 40))) for _ in range(6)]
+    assert thesis_feasible_curve(Support.named("conic"), pts) is None
 
 
 def test_catalog_contents():
@@ -174,3 +176,188 @@ def test_weak_pascal_reports_per_labeling():
     assert v.holds
     for t in v.trials:
         assert "labelings" in t.note
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: branch search over one argmax pair per point, with
+# exact rational feasibility (substitution for the equalities,
+# Fourier-Motzkin for the inequalities).  Exponential, so it runs only
+# on small boxes and gives up at a node bound.
+
+
+class _BoundExceeded(Exception):
+    pass
+
+
+def _fm_solve(ineqs, nvars, cap=20000):
+    """A rational solution of the system sum(c_i x_i) + d >= 0 over the
+    (coefficient tuple, constant) pairs, or None; eliminates the last
+    variable first."""
+    ineqs = _fm_dedupe(ineqs)
+    if len(ineqs) > cap:
+        raise _BoundExceeded(cap)
+    if nvars == 0:
+        return None if any(d < 0 for _, d in ineqs) else []
+    k = nvars - 1
+    pos = [(c, d) for c, d in ineqs if c[k] > 0]
+    neg = [(c, d) for c, d in ineqs if c[k] < 0]
+    new = [(c[:k], d) for c, d in ineqs if c[k] == 0]
+    for cp, dp in pos:
+        for cn, dn in neg:
+            a, b = -cn[k], cp[k]
+            new.append((tuple(cp[i] * a + cn[i] * b for i in range(k)), dp * a + dn * b))
+    sub = _fm_solve(new, k, cap)
+    if sub is None:
+        return None
+    bounds = [(-(sum(c[i] * sub[i] for i in range(k)) + d) / c[k], c[k] > 0) for c, d in pos + neg]
+    lo = max((b for b, is_lo in bounds if is_lo), default=None)
+    hi = min((b for b, is_lo in bounds if not is_lo), default=None)
+    if lo is None and hi is None:
+        x = F(0)
+    elif lo is None:
+        x = hi - 1
+    elif hi is None:
+        x = lo + 1
+    elif lo > hi:
+        return None
+    else:
+        x = (lo + hi) / 2
+    return sub + [x]
+
+
+def _fm_dedupe(ineqs):
+    seen = {}
+    for c, d in ineqs:
+        nz = [abs(x) for x in c if x] + ([abs(d)] if d else [])
+        if nz:
+            scale = min(nz)
+            seen[(tuple(x / scale for x in c), d / scale)] = (c, d)
+    return list(seen.values())
+
+
+def _expr_sub(a, b):
+    e = dict(a[0])
+    for v, cf in b[0].items():
+        e[v] = e.get(v, F(0)) - cf
+        if not e[v]:
+            del e[v]
+    return (e, a[1] - b[1])
+
+
+def _expr_apply_equality(exprs, free, eq):
+    """Substitute one free variable out of eq = (coeffs, const) == 0;
+    the flag is True when eq is a false constant equation."""
+    e, d = eq
+    if not e:
+        return exprs, free, d != 0
+    v = max(e)
+    rest = {w: -cf / e[v] for w, cf in e.items() if w != v}
+    dd = -d / e[v]
+    out = {}
+    for i, (ce, cd) in exprs.items():
+        if v not in ce:
+            out[i] = (ce, cd)
+            continue
+        cf = ce[v]
+        ne = {w: c2 for w, c2 in ce.items() if w != v}
+        for w, c2 in rest.items():
+            ne[w] = ne.get(w, F(0)) + cf * c2
+            if not ne[w]:
+                del ne[w]
+        out[i] = (ne, cd + cf * dd)
+    return out, free - {v}, False
+
+
+def _branch_search(I, pts, node_bound):
+    """A curve of support I through all of ``pts``, or None; raises
+    _BoundExceeded after ``node_bound`` search nodes."""
+    pts = [(F(p[0]), F(p[1])) for p in pts]
+    sup = list(I.points)
+    budget = [node_bound]
+
+    def mono_val(i, p):
+        return sup[i][0] * p[0] + sup[i][1] * p[1]
+
+    def feasible(exprs, free, chosen):
+        # the chosen monomial attains the maximum at each point so far
+        free_list = sorted(free)
+        idx = {v: k for k, v in enumerate(free_list)}
+        ineqs = []
+        for p, i_sel in zip(pts, chosen):
+            for k in range(len(sup)):
+                if k == i_sel:
+                    continue
+                e, d = _expr_sub(exprs[i_sel], exprs[k])
+                coeffs = [F(0)] * len(free_list)
+                for v, cf in e.items():
+                    coeffs[idx[v]] = cf
+                ineqs.append((tuple(coeffs), d + mono_val(i_sel, p) - mono_val(k, p)))
+        sol = _fm_solve(ineqs, len(free_list))
+        return None if sol is None else dict(zip(free_list, sol))
+
+    # coefficient expressions over the remaining free variables (a_0 is
+    # fixed to zero); per point branch on the argmax pair (i, j), record
+    # the equality by substitution, and prune branches whose inequalities
+    # are already infeasible
+    def solve(level, exprs, free, chosen):
+        if budget[0] <= 0:
+            raise _BoundExceeded(node_bound)
+        budget[0] -= 1
+        assign = feasible(exprs, free, chosen)
+        if assign is None:
+            return None
+        if level == len(pts):
+            return TropPoly(I, [sum(cf * assign[v] for v, cf in e.items()) + d
+                                for e, d in (exprs[i] for i in range(len(sup)))])
+        p = pts[level]
+        for i, j in itertools.combinations(range(len(sup)), 2):
+            e, d = _expr_sub(exprs[i], exprs[j])
+            eq = (e, d + mono_val(i, p) - mono_val(j, p))
+            newexprs, newfree, bad = _expr_apply_equality(exprs, free, eq)
+            if bad:
+                continue
+            res = solve(level + 1, newexprs, newfree, chosen + [i])
+            if res is not None:
+                return res
+        return None
+
+    exprs = {0: ({}, F(0))}
+    for v in range(1, len(sup)):
+        exprs[v] = ({v: F(1)}, F(0))
+    return solve(0, exprs, set(range(1, len(sup))), [])
+
+
+def _has_regular_minor(I, pts):
+    """Whether delta of the points have a point-value matrix whose
+    maximum over permutations is attained once (brute force)."""
+    for sub in itertools.combinations(pts, I.delta()):
+        rows = [[p[0] * i[0] + p[1] * i[1] for i in I.points] for p in sub]
+        sums = sorted(sum(r[c] for r, c in zip(rows, perm))
+                      for perm in itertools.permutations(range(len(rows))))
+        if sums[-1] != sums[-2]:
+            return True
+    return False
+
+
+def test_thesis_decision_matches_branch_search():
+    rng = random.Random(2005)
+    cases = [(LINE, m, 2, 20000) for m in (3, 4, 5) for _ in range(60)]
+    cases += [(Support.named("conic"), m, 1, 400) for m in (6, 7) for _ in range(10)]
+    decided = {}
+    for sup, m, box, bound in cases:
+        pts = [(F(rng.randint(-box, box)), F(rng.randint(-box, box))) for _ in range(m)]
+        got = thesis_feasible_curve(sup, pts)
+        if got is None:
+            assert _has_regular_minor(sup, pts)
+        else:
+            assert all(got.on_curve(p) for p in pts)
+        try:
+            ref = _branch_search(sup, pts, bound)
+        except _BoundExceeded:
+            continue
+        if ref is not None:
+            assert all(ref.on_curve(p) for p in pts)
+        assert (got is None) == (ref is None), (sup, pts)
+        key = (sup.delta(), ref is None)
+        decided[key] = decided.get(key, 0) + 1
+    assert decided[(3, True)] >= 20 and decided[(3, False)] >= 20 and decided[(6, False)] >= 5
