@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 on success (theorem holds, lift nonempty), 1 on theorem
-failure / empty condition set / non-admissible, 2 on usage errors.  The
+failure / empty condition set / non-admissible, 2 on usage errors, 3 on
+a broken internal invariant (an ``AssertionError``).  The
 ``TROPGEO_FIELD`` environment variable overrides the default residual
 field (e.g. ``fp:10007`` or ``q``).
 """
@@ -373,6 +374,9 @@ def main(argv=None):
     except (dsl.DslError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

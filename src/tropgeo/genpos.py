@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .trop_core import (
     TropPoly,
+    _curve_of,
     area2,
-    curve,
     dual_subdivision,
     in_convex_polygon,
     on_segment,
@@ -292,7 +292,7 @@ def in_general_position(f: TropPoly, pts, gamma: GammaGraph | None = None):
         if e in used_edges:
             continue
         if dsu.union(e[0], e[1]):
-            cv = cv or curve(gamma.poly)
+            cv = cv or _curve_of(gamma.poly, gamma.subdivision)
             q = _point_on_dual_cell(gamma, cv, e, salt)
             salt += 1
             free.append((q, ("edge", e)))

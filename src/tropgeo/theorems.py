@@ -281,7 +281,10 @@ def _check_with_labelings(s: Statement, inputs, r0, t) -> Trial:
     results = []
     ok = True
     for lab in labeling_choices(s.hypothesis, r0):
-        r = realize(s.hypothesis, inputs, labeling=lab)
+        if all(perm == tuple(range(len(perm))) for perm in lab.values()):
+            r = r0  # labeling_choices keeps the identity for its key
+        else:
+            r = realize(s.hypothesis, inputs, labeling=lab)
         pre = all(
             in_general_position(r.values[cv], [r.values[p] for p in pts])[0]
             for pts, cv in s.genpos_pairs

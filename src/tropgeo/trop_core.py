@@ -534,7 +534,11 @@ def _outward_normal(hull, p0, p1) -> LPoint:
 
 def curve(f: TropPoly) -> DualComplex:
     """The tropical curve of f as a PL complex, dual to the subdivision."""
-    sub = dual_subdivision(f)
+    return _curve_of(f, dual_subdivision(f))
+
+
+def _curve_of(f: TropPoly, sub: NewtonSubdivision) -> DualComplex:
+    """The curve of f from its already computed ``dual_subdivision``."""
     pts = f.support.points
     if len(pts) == 1:
         return DualComplex([], [], sub)

@@ -3,12 +3,21 @@
 The tropical determinant is the maximum over permutations of the
 diagonal sum.  The key computational facts used here:
 
-* the value is an assignment problem, solved exactly with a Hungarian
-  method over Fractions;
-* with optimal dual potentials (u, v), a permutation attains the maximum
-  iff all its entries are *tight* (u_r + v_c == a_rc), so the set of
-  optimal permutations is the set of perfect matchings of the tight
-  graph;
+* the value is an assignment problem.  A matrix is scaled once by the
+  lcm of its entries' denominators and a Hungarian method solves it on
+  Python ints; values and potentials become Fractions again only at
+  the module's boundary;
+* with dual potentials (u, v) that are feasible (u_r + v_c >= a_rc)
+  and admit a tight perfect matching, a permutation attains the
+  maximum iff all its entries are *tight* (u_r + v_c == a_rc), so the
+  set of optimal permutations is the set of perfect matchings of the
+  tight graph;
+* all n+1 maximal minors of an n x (n+1) matrix come from one
+  assignment of the matrix with a zero row appended, plus one
+  shortest-path pass on its reduced costs.  The shifted potentials are
+  one optimal dual for every minor at once, so each minor's optimal
+  permutations are the perfect matchings of one common tight graph
+  with that minor's column deleted;
 * the pseudodeterminant of a same-shape matrix B over any commutative
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .trop_core import frac
 
@@ -32,46 +42,54 @@ def as_matrix(rows):
     return m
 
 
-def _hungarian_max(a):
-    """Max-assignment value and optimal dual potentials (u, v).
+def _scaled(a):
+    """(d, w): the lcm d of the entries' denominators and the int matrix d*a."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
-    Feasibility: u[r] + v[c] >= a[r][c] for all entries; a permutation is
-    optimal iff it only uses tight entries.
+
+def _hungarian_max(w):
+    """Max-weight assignment of the square int matrix w.
+
+    Returns (value, u, v, col): the row r -> col[r] assignment of weight
+    ``value`` and dual potentials with u[r] + v[c] >= w[r][c] everywhere,
+    equality on the assignment, and sum(u) + sum(v) == value.
     """
-    n = len(a)
-    cost = [[-x for x in row] for row in a]  # minimize the negation
-    INF = object()
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    n = len(w)
+    # minimizes -w; index 0 is a virtual row/column, p[j] the row of column j
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    cols = range(1, n + 1)
+    for i in cols:
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
+        minv = [None] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if minv[j] is INF or cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if delta is INF or minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
+            row = w[i0 - 1]
+            ui = u[i0]
+            delta = None
+            j1 = 0
+            for j in cols:
+                if not used[j]:
+                    cur = -row[j - 1] - ui - v[j]
+                    m = minv[j]
+                    if m is None or cur < m:
+                        minv[j] = m = cur
+                        way[j] = j0
+                    if delta is None or m < delta:
+                        delta = m
+                        j1 = j
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
                 else:
-                    if minv[j] is not INF:
-                        minv[j] -= delta
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -79,57 +97,50 @@ def _hungarian_max(a):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    value = Fraction(0)
-    for j in range(1, n + 1):
-        value += a[p[j] - 1][j - 1]
-    uu = [-u[i] for i in range(1, n + 1)]
-    vv = [-v[j] for j in range(1, n + 1)]
-    return value, uu, vv
+    col = [0] * n
+    for j in cols:
+        col[p[j] - 1] = j - 1
+    value = sum(w[r][col[r]] for r in range(n))
+    return value, [-x for x in u[1:]], [-x for x in v[1:]], col
 
 
 def tight_mask(a):
     """Boolean mask of entries that can appear in an optimal permutation."""
-    value, u, v = _hungarian_max(a)
-    n = len(a)
-    mask = [[u[r] + v[c] == a[r][c] for c in range(n)] for r in range(n)]
-    return value, mask
+    d, w = _scaled(a)
+    value, u, v, _ = _hungarian_max(w)
+    n = len(w)
+    mask = [[u[r] + v[c] == w[r][c] for c in range(n)] for r in range(n)]
+    return Fraction(value, d), mask
 
 
-def _matching_unique(mask):
-    """Whether the tight graph has exactly one perfect matching.
+def _matching_unique(adj):
+    """Whether a bipartite graph with a perfect matching has exactly one.
 
-    Strips forced edges (degree-1 vertices); the graph has a perfect
-    matching by construction, so if anything with degree >= 2 remains
-    there is an alternating cycle and at least two matchings.
+    ``adj[r]`` is the set of columns adjacent to row r.  A column of
+    degree 1 forces its edge; peel such columns in O(edges).  With a
+    unique matching M there is no alternating cycle, so the digraph with
+    an arc M(r) -> c for every other edge (r, c) is acyclic and its
+    sources, columns of degree 1, peel every row.  With two matchings
+    their alternating cycle is never peeled.
     """
-    n = len(mask)
-    row_adj = {r: {c for c in range(n) if mask[r][c]} for r in range(n)}
-    col_adj = {c: {r for r in range(n) if mask[r][c]} for c in range(n)}
-    queue = [("r", r) for r in row_adj if len(row_adj[r]) == 1]
-    queue += [("c", c) for c in col_adj if len(col_adj[c]) == 1]
-    while queue:
-        kind, x = queue.pop()
-        if kind == "r":
-            if x not in row_adj or len(row_adj[x]) != 1:
-                continue
-            r, c = x, next(iter(row_adj[x]))
-        else:
-            if x not in col_adj or len(col_adj[x]) != 1:
-                continue
-            r, c = next(iter(col_adj[x])), x
-        del row_adj[r]
-        del col_adj[c]
-        for c2 in list(col_adj):
-            if r in col_adj[c2]:
+    col_adj = {}
+    for r, cs in enumerate(adj):
+        for c in cs:
+            col_adj.setdefault(c, set()).add(r)
+    stack = [c for c, rs in col_adj.items() if len(rs) == 1]
+    peeled = 0
+    while stack:
+        c = stack.pop()
+        if len(col_adj[c]) != 1:
+            continue
+        r = col_adj[c].pop()
+        peeled += 1
+        for c2 in adj[r]:
+            if c2 != c:
                 col_adj[c2].discard(r)
                 if len(col_adj[c2]) == 1:
-                    queue.append(("c", c2))
-        for r2 in list(row_adj):
-            if c in row_adj[r2]:
-                row_adj[r2].discard(c)
-                if len(row_adj[r2]) == 1:
-                    queue.append(("r", r2))
-    return not row_adj
+                    stack.append(c2)
+    return peeled == len(adj)
 
 
 def _enumerate_matchings(mask):
@@ -179,7 +190,7 @@ def trop_det(rows, bound: int = DEFAULT_DET_BOUND) -> DetResult:
 def trop_det_value_regular(a):
     """Fast path: value and regularity without enumerating permutations."""
     value, mask = tight_mask(a)
-    return value, _matching_unique(mask)
+    return value, _matching_unique([{c for c, t in enumerate(row) if t} for row in mask])
 
 
 def masked_det(n, entry, zero):
@@ -249,15 +260,47 @@ class CramerSolution:
 
 
 def cramer_stable(a_rows) -> CramerSolution:
+    """All n+1 maximal minors of an n x (n+1) matrix and their flags.
+
+    One assignment of the matrix with a zero row appended gives the
+    largest minor |A^k0|, k0 being the column the zero row takes.  With
+    reduced costs red = u_r + v_c - w_rc >= 0, dist[r] is the cheapest
+    alternating path from row r to column k0, and forcing the zero row
+    onto column k costs red(zero row, k) + dist[row holding k].  The
+    potentials u - dist, v + dist are an optimal dual of every minor.
+    """
     a = as_matrix(a_rows)
     n = len(a)
     if len(a[0]) != n + 1:
         raise ValueError("stable Cramer solution needs an n x (n+1) matrix")
-    values, flags = [], []
-    for i in range(n + 1):
-        v, reg = trop_det_value_regular(_delete_col(a, i))
-        values.append(v)
-        flags.append(reg)
+    d, w = _scaled(a)
+    w.append([0] * (n + 1))
+    value, u, v, col = _hungarian_max(w)
+    k0 = col[n]
+    # dense Dijkstra toward column k0: settle the nearest row, then relax
+    # every row through the column it holds
+    dist = [None] * n
+    done = [False] * n
+    c, dc = k0, 0
+    for _ in range(n):
+        best = None
+        vc = v[c] + dc
+        for r in range(n):
+            if not done[r]:
+                cand = u[r] + vc - w[r][c]
+                if dist[r] is None or cand < dist[r]:
+                    dist[r] = cand
+                if best is None or dist[r] < dist[best]:
+                    best = r
+        done[best] = True
+        c, dc = col[best], dist[best]
+    shift = [0] * (n + 1)  # dist of the row holding each column, 0 at k0
+    for r in range(n):
+        shift[col[r]] = dist[r]
+    values = [Fraction(value - u[n] - v[k] - shift[k], d) for k in range(n + 1)]
+    tight = [{c for c in range(n + 1) if u[r] - dist[r] + v[c] + shift[c] == w[r][c]}
+             for r in range(n)]
+    flags = [_matching_unique([cs - {k} for cs in tight]) for k in range(n + 1)]
     return CramerSolution(values=tuple(values), regular=tuple(flags))
 
 

@@ -192,6 +192,18 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["plot", "nope.tgc", "--svg", "x.svg", "--bbox", "0,0,1,1"]) == 2
 
 
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    import tropgeo.theorems as th
+
+    def broken(I, pts):
+        raise AssertionError("no witness curve and no regular minor for 9 points")
+
+    monkeypatch.setattr(th, "thesis_feasible_curve", broken)
+    assert main(["theorem", "chasles", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: no witness curve and no regular minor for 9 points\n"
+
+
 def test_cli_plot_and_svg_structure(tmp_path, capsys):
     # plot the worked conic with a second curve: markers appear
     src = tmp_path / "conics.tgc"

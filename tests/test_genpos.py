@@ -142,3 +142,27 @@ def test_stable_curve_roundtrip_property():
         f = stable_curve(sup, P)
         ok, _witness = in_general_position(f, P)
         assert ok
+
+
+def test_general_position_reuses_the_stored_subdivision(monkeypatch):
+    import tropgeo.genpos as genpos
+    import tropgeo.trop_core as trop_core
+    from tropgeo.construction import realize
+    from tropgeo.theorems import catalog, sample_inputs
+
+    s = catalog()["weak_pascal"]
+    r = realize(s.hypothesis, sample_inputs(s.hypothesis, random.Random(0)))
+    calls = []
+    build = trop_core.dual_subdivision
+
+    def counted(f):
+        calls.append(f)
+        return build(f)
+
+    monkeypatch.setattr(trop_core, "dual_subdivision", counted)
+    monkeypatch.setattr(genpos, "dual_subdivision", counted)
+    for pts, cv in s.genpos_pairs:
+        calls.clear()
+        ok, witness = in_general_position(r.values[cv], [r.values[p] for p in pts])
+        assert ok and any(kind == "edge" for _, (kind, _) in witness.free_points)
+        assert calls == [r.values[cv]]  # build_gamma's, none for the curve

@@ -6,11 +6,14 @@ import pytest
 
 from tropgeo.residual import RPoly
 from tropgeo.trop_linalg import (
+    _hungarian_max,
+    _scaled,
     cramer_conditions,
     cramer_signed_solution,
     cramer_stable,
     pseudodet,
     trop_det,
+    trop_det_value_regular,
 )
 
 
@@ -81,6 +84,40 @@ def test_cramer_stable_examples():
 
     sol = cramer_stable([[0, 0, 0], [-1, 3, 0]])
     assert sol.values == (3, 0, 3)
+
+
+ORACLE_FAMILIES = {
+    "ties": lambda rng: F(rng.randint(-2, 2)),
+    "mixed_denominators": lambda rng: F(rng.randint(-3, 3), rng.randint(1, 7)),
+    "huge": lambda rng: F(rng.randint(-3, 3), rng.randint(1, 3)) * 10**40,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_cramer_minors_match_brute_force(family):
+    entry = ORACLE_FAMILIES[family]
+    rng = random.Random(f"cramer-{family}")
+    regular_seen = set()
+    for n in range(1, 6):
+        for _ in range(12):
+            a = [[entry(rng) for _ in range(n + 1)] for _ in range(n)]
+            sol = cramer_stable(a)
+            for k in range(n + 1):
+                minor = [row[:k] + row[k + 1 :] for row in a]
+                value, perms = brute_det(minor)
+                assert sol.values[k] == value
+                assert sol.regular[k] == (len(perms) == 1)
+                assert trop_det_value_regular(minor) == (value, len(perms) == 1)
+                regular_seen.add(sol.regular[k])
+                # the integer assignment is dual feasible and tight
+                d, w = _scaled(minor)
+                total, u, v, col = _hungarian_max(w)
+                assert sorted(col) == list(range(n))
+                assert F(total, d) == value == F(sum(u) + sum(v), d)
+                for r in range(n):
+                    assert u[r] + v[col[r]] == w[r][col[r]]
+                    assert all(u[r] + v[c] >= w[r][c] for c in range(n))
+    assert regular_seen == {True, False}
 
 
 def test_pseudodet_regular_is_single_product():
