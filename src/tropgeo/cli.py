@@ -173,7 +173,7 @@ def cmd_genpos(args):
     c = dsl.to_construction(doc)
     inputs = _realization_inputs(doc, c, args.seed)
     r = realize(c, inputs)
-    f = r.values[args.curve]
+    f = r.values.get(args.curve)
     if not isinstance(f, TropPoly):
         print(f"{args.curve!r} is not a curve node", file=sys.stderr)
         return 2

@@ -79,38 +79,8 @@ class Construction:
     input_curves: list = dc_field(default_factory=list)  # (name, Support)
     steps: list = dc_field(default_factory=list)
 
-    # -- graph views ---------------------------------------------------
-
     def node_names(self):
-        out = list(self.input_points) + [n for n, _ in self.input_curves]
-        for s in self.steps:
-            out.extend(s.new_nodes)
-        return out
-
-    def direct_preds(self):
-        preds = {n: [] for n in self.node_names()}
-        for s in self.steps:
-            if isinstance(s, CurveThrough):
-                preds[s.name] = list(s.through)
-            else:
-                for q in s.names:
-                    preds[q] = list(s.curves)
-        return preds
-
-    def depths(self):
-        return _depths(self.direct_preds())
-
-    def ancestors(self, name):
-        preds = self.direct_preds()
-        seen = set()
-        stack = list(preds[name])
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(preds[n])
-        return seen
+        return list(_node_table(self))
 
     def flags(self):
         """Point-on-curve incidences (point, curve), from all steps."""
@@ -124,21 +94,54 @@ class Construction:
         return out
 
 
-def _depths(preds):
-    """Longest-path depth of every node of a DAG given by its direct
-    predecessors (0 for nodes without any)."""
-    depth = {}
+# A node table maps each node name to (kind, support, direct predecessors,
+# defining step index, longest-path depth): kind is "point" or "curve",
+# points have support None, inputs have no predecessors, step None and
+# depth 0.  Every walk over a construction's DAG reads one.
+KIND, SUPPORT, PREDS, STEP, DEPTH = range(5)
 
-    def rec(n):
-        if n in depth:
-            return depth[n]
-        ps = preds[n]
-        depth[n] = 0 if not ps else 1 + max(rec(p) for p in ps)
-        return depth[n]
 
-    for n in preds:
-        rec(n)
-    return depth
+def _node_table(c: Construction) -> dict:
+    """The node table of a construction, in definition order.
+
+    Raises ValueError when a name is defined twice or a step names a node
+    that is not defined above it, so the definition order is a
+    topological order and the DAG has no oriented cycle.
+    """
+    table = {}
+
+    def define(name, kind, support, preds, step):
+        if name in table:
+            raise ValueError(f"node {name!r} is defined twice")
+        depth = 0
+        for p in preds:
+            if p not in table:
+                raise ValueError(f"step #{step} names {p!r}, which is not defined above it")
+            depth = max(depth, table[p][DEPTH] + 1)
+        table[name] = (kind, support, preds, step, depth)
+
+    for n in c.input_points:
+        define(n, "point", None, (), None)
+    for n, sup in c.input_curves:
+        define(n, "curve", sup, (), None)
+    for idx, s in enumerate(c.steps):
+        if isinstance(s, CurveThrough):
+            define(s.name, "curve", s.support, tuple(s.through), idx)
+        else:
+            for q in s.names:
+                define(q, "point", None, tuple(s.curves), idx)
+    return table
+
+
+def _ancestors(table, name):
+    seen = set()
+    stack = list(table[name][PREDS])
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(table[n][PREDS])
+    return seen
 
 
 @dataclass
@@ -171,45 +174,58 @@ class IncidenceStructure:
             parent[rp] = rb
         return True
 
-    def oriented_preds(self):
-        if self.orientation is None:
-            raise ValueError("incidence structure carries no orientation")
-        preds = {n: [] for n in self.points + [b for b, _ in self.blocks]}
-        for fl in self.flags:
-            p, b = fl
-            if self.orientation[fl] == "pb":
-                preds[b].append(p)
+
+def _incidence_table(g: IncidenceStructure):
+    """The node table of an oriented incidence structure (points, then
+    blocks), and the node at which an oriented cycle closes, or None.
+
+    One iterative depth-first search yields the depths; on a cyclic
+    structure the depths are meaningless and only the cycle counts.
+    """
+    if g.orientation is None:
+        raise ValueError("incidence structure carries no orientation")
+    preds = {p: [] for p in g.points}
+    preds.update((b, []) for b, _ in g.blocks)
+    for fl in g.flags:
+        p, b = fl
+        if g.orientation[fl] == "pb":
+            preds[b].append(p)
+        else:
+            preds[p].append(b)
+    depth, cycle = {}, None
+    for root in preds:
+        if root in depth:
+            continue
+        stack, open_ = [(root, iter(preds[root]))], {root}
+        while stack:
+            n, it = stack[-1]
+            for p in it:
+                if p in open_:
+                    if cycle is None:
+                        cycle = n
+                elif p not in depth:
+                    stack.append((p, iter(preds[p])))
+                    open_.add(p)
+                    break
             else:
-                preds[p].append(b)
-        return preds
+                stack.pop()
+                open_.discard(n)
+                depth[n] = 1 + max((depth.get(p, -1) for p in preds[n]), default=-1)
+    sups = dict(g.blocks)
+    table = {p: ("point", None, tuple(preds[p]), None, depth[p]) for p in g.points}
+    table.update((b, ("curve", sups[b], tuple(preds[b]), None, depth[b])) for b in sups)
+    return table, cycle
 
 
 def construction_to_incidence(c: Construction) -> IncidenceStructure:
-    defs = [(n, None) for n in c.input_points] + list(c.input_curves)  # (name, support)
-    flags = []
-    orientation = {}
-    for s in c.steps:
-        if isinstance(s, CurveThrough):
-            defs.append((s.name, s.support))
-            for q in s.through:
-                flags.append((q, s.name))
-                orientation[(q, s.name)] = "pb"
-        else:
-            defs.extend((q, None) for q in s.names)
-            for q in s.names:
-                for cv in s.curves:
-                    flags.append((q, cv))
-                    orientation[(q, cv)] = "bp"
-    # a name defined twice keeps the kind and support of its first definition
-    first = {}
-    points, blocks = [], []
-    for n, sup in defs:
-        sup = first.setdefault(n, sup)
-        if sup is None:
-            points.append(n)
-        else:
-            blocks.append((n, sup))
-    return IncidenceStructure(points, blocks, flags, orientation)
+    table = _node_table(c)
+    flags = c.flags()
+    return IncidenceStructure(
+        points=[n for n, e in table.items() if e[KIND] == "point"],
+        blocks=[(n, e[SUPPORT]) for n, e in table.items() if e[KIND] == "curve"],
+        flags=flags,
+        orientation={(q, cv): "bp" if cv in table[q][PREDS] else "pb" for q, cv in flags},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,72 +240,48 @@ class Diagnostics:
     inexact: list
 
 
-def _oriented_graph_of(obj):
-    if isinstance(obj, Construction):
-        g = construction_to_incidence(obj)
-    else:
-        g = obj
-    preds = g.oriented_preds()
-    kinds = {}
-    for p in g.points:
-        kinds[p] = "point"
-    for b, _ in g.blocks:
-        kinds[b] = "curve"
-    sups = dict(g.blocks)
-    return g, preds, kinds, sups
-
-
 def validate_construction(obj) -> Diagnostics:
     """Check the five conditions for being (a subgraph of) a construction
     graph, and whether the equalities of an exact construction hold."""
-    g, preds, kinds, sups = _oriented_graph_of(obj)
-    errors, inexact = [], []
+    if isinstance(obj, Construction):
+        return _diagnostics(_node_table(obj), None)
+    return _diagnostics(*_incidence_table(obj))
 
-    # DAG check
-    color = {}
 
-    def dfs(n):
-        color[n] = 1
-        for p in preds[n]:
-            if color.get(p) == 1:
-                errors.append(f"oriented cycle through {n!r}")
-                return False
-            if color.get(p) != 2 and not dfs(p):
-                return False
-        color[n] = 2
-        return True
-
-    for n in preds:
-        if color.get(n) != 2 and not dfs(n):
-            break
-
-    for n, k in kinds.items():
-        ps = preds[n]
-        if k == "point":
+def _diagnostics(table, cycle) -> Diagnostics:
+    errors = [] if cycle is None else [f"oriented cycle through {cycle!r}"]
+    inexact = []
+    succs = {}  # curve pair -> the points fed by both
+    full_steps = []  # curves with all of their delta-1 points
+    # points before curves, the order of the messages
+    for n, (kind, sup, ps, _step, _depth) in sorted(table.items(),
+                                                    key=lambda e: e[1][KIND] == "curve"):
+        if kind == "point":
             if len(ps) > 2:
                 errors.append(f"point {n!r} has {len(ps)} direct predecessors (max 2)")
             elif len(ps) == 1:
                 inexact.append(f"point {n!r} has one predecessor (needs 0 or 2)")
+            elif ps:
+                succs.setdefault(tuple(sorted(ps)), []).append(n)
         else:
-            limit = sups[n].delta() - 1
+            if any(table[p][KIND] != "point" for p in ps):
+                errors.append(f"curve {n!r} passes through non-points")
+            limit = sup.delta() - 1
             if len(ps) > limit:
                 errors.append(
                     f"curve {n!r} has {len(ps)} direct predecessors (max {limit})"
                 )
             elif 0 < len(ps) < limit:
                 inexact.append(f"curve {n!r} has {len(ps)} of {limit} points")
+            elif ps:
+                full_steps.append(n)
 
     # common-successor bound per curve pair
-    succs = {}
-    for n, ps in preds.items():
-        if kinds[n] == "point" and len(ps) == 2:
-            key = tuple(sorted(ps))
-            succs.setdefault(key, []).append(n)
     for (c1, c2), pts in succs.items():
-        if kinds.get(c1) != "curve" or kinds.get(c2) != "curve":
+        if table[c1][KIND] != "curve" or table[c2][KIND] != "curve":
             errors.append(f"point fed by non-curves {c1!r}, {c2!r}")
             continue
-        m = mixed_volume(sups[c1], sups[c2])
+        m = mixed_volume(table[c1][SUPPORT], table[c2][SUPPORT])
         if len(pts) > m:
             errors.append(
                 f"curves {c1!r},{c2!r} share {len(pts)} successors (mixed volume {m})"
@@ -299,12 +291,11 @@ def validate_construction(obj) -> Diagnostics:
 
     # no repeated full curve steps
     seen = {}
-    for n, k in kinds.items():
-        if k == "curve" and preds[n] and len(preds[n]) == sups[n].delta() - 1:
-            key = (sups[n], tuple(sorted(preds[n])))
-            if key in seen:
-                errors.append(f"curves {seen[key]!r} and {n!r} repeat the same step")
-            seen[key] = n
+    for n in full_steps:
+        key = (table[n][SUPPORT], tuple(sorted(table[n][PREDS])))
+        if key in seen:
+            errors.append(f"curves {seen[key]!r} and {n!r} repeat the same step")
+        seen[key] = n
 
     return Diagnostics(ok=not errors, exact=not errors and not inexact,
                        errors=errors, inexact=inexact)
@@ -313,73 +304,60 @@ def validate_construction(obj) -> Diagnostics:
 def complete_to_construction(g: IncidenceStructure) -> Construction:
     """Embed an oriented incidence structure into an exact construction,
     adding auxiliary input points/lines where arities fall short."""
-    diag = validate_construction(g)
+    table, cycle = _incidence_table(g)
+    diag = _diagnostics(table, cycle)
     if not diag.ok:
         raise ValueError("not a construction subgraph: " + "; ".join(diag.errors))
-    preds = g.oriented_preds()
-    kinds = {p: "point" for p in g.points}
-    kinds.update({b: "curve" for b, _ in g.blocks})
+    order = sorted(table, key=lambda n: (table[n][DEPTH], n))
     sups = dict(g.blocks)
-    depth = _depths(preds)
 
     c = Construction()
     aux = itertools.count()
     line = Support.named("line")
 
-    for n in sorted(preds, key=lambda n: (depth[n], n)):
-        if not preds[n]:
-            if kinds[n] == "point":
+    for n in order:
+        if not table[n][PREDS]:
+            if table[n][KIND] == "point":
                 c.input_points.append(n)
             else:
                 c.input_curves.append((n, sups[n]))
 
-    handled = set()
     # single-predecessor points first get an auxiliary input line
-    point_pairs = {}
-    for n in sorted(preds, key=lambda n: (depth[n], n)):
-        if kinds[n] != "point" or not preds[n]:
+    pair_of, members = {}, {}
+    for n in order:
+        kind, _sup, ps, _step, _depth = table[n]
+        if kind != "point" or not ps:
             continue
-        ps = list(preds[n])
+        ps = list(ps)
         if len(ps) == 1:
             z = f"_auxline{next(aux)}"
             c.input_curves.append((z, line))
-            kinds[z] = "curve"
             sups[z] = line
             ps.append(z)
-        point_pairs.setdefault(tuple(sorted(ps)), []).append(n)
+        pair_of[n] = tuple(sorted(ps))
+        members.setdefault(pair_of[n], []).append(n)
 
-    ordered = sorted(preds, key=lambda n: (depth[n], n))
     done_pairs = set()
-    for n in ordered:
-        if n in handled or not preds[n]:
+    for n in order:
+        kind, _sup, ps, _step, _depth = table[n]
+        if not ps:
             continue
-        if kinds[n] == "curve":
-            pts = list(preds[n])
+        if kind == "curve":
+            pts = list(ps)
             need = sups[n].delta() - 1 - len(pts)
             for _ in range(need):
                 q = f"_auxpt{next(aux)}"
                 c.input_points.append(q)
                 pts.append(q)
             c.steps.append(CurveThrough(name=n, support=sups[n], through=pts))
-            handled.add(n)
-        else:
-            key = None
-            for pair, members in point_pairs.items():
-                if n in members:
-                    key = pair
-                    break
-            if key in done_pairs:
-                handled.add(n)
-                continue
+        elif pair_of[n] not in done_pairs:
+            key = pair_of[n]
             done_pairs.add(key)
-            cur = [p for p in key if kinds.get(p, "curve") == "curve"]
-            members = point_pairs[key]
-            m = mixed_volume(sups[cur[0]], sups[cur[1]])
-            names = list(members)
+            names = list(members[key])
+            m = mixed_volume(sups[key[0]], sups[key[1]])
             while len(names) < m:
                 names.append(f"_auxint{next(aux)}")
-            c.steps.append(Intersect(names=names, curves=(cur[0], cur[1])))
-            handled.update(members)
+            c.steps.append(Intersect(names=names, curves=key))
     return c
 
 
@@ -397,46 +375,34 @@ class DoublePath:
 def is_admissible(c: Construction):
     """At most one oriented path between any two nodes; returns
     (True, None) or (False, DoublePath witness)."""
-    preds = c.direct_preds()
-    nodes = c.node_names()
-    depth = c.depths()
-    order = sorted(nodes, key=lambda n: (depth[n], n))
-    counts = {n: {} for n in nodes}  # counts[b][a] = #paths a->b
-    for b in order:
-        cb = counts[b]
-        for p in preds[b]:
+    table = _node_table(c)
+    counts = {}  # counts[b][a] = #paths a->b
+    for b in sorted(table, key=lambda n: (table[n][DEPTH], n)):
+        cb = counts[b] = {}
+        for p in table[b][PREDS]:
             cb[p] = cb.get(p, 0) + 1
             for a, k in counts[p].items():
                 cb[a] = cb.get(a, 0) + k
-    offender = None
-    for b in order:
-        for a, k in counts[b].items():
+        for a, k in cb.items():
             if k >= 2:
-                offender = (a, b)
-                break
-        if offender:
-            break
-    if offender is None:
-        return True, None
-    a, b = offender
-    paths = _two_paths(preds, a, b)
-    return False, DoublePath(source=a, target=b, paths=tuple(paths))
+                return False, DoublePath(source=a, target=b,
+                                         paths=_two_paths(table, counts, a, b))
+    return True, None
 
 
-def _two_paths(preds, a, b, want=2):
+def _two_paths(table, counts, a, b):
+    """The first two oriented paths a -> b in depth-first order over the
+    direct predecessors, skipping the nodes that a does not reach."""
     out = []
-
-    def dfs(n, path):
-        if len(out) >= want:
-            return
-        if n == a:
-            out.append(tuple(reversed(path + [n])))
-            return
-        for p in preds[n]:
-            dfs(p, path + [n])
-
-    dfs(b, [])
-    return out[:want]
+    stack = [(b,)]
+    while len(out) < 2:
+        path = stack.pop()
+        if path[0] == a:
+            out.append(path)
+            continue
+        stack.extend((p,) + path for p in reversed(table[path[0]][PREDS])
+                     if p == a or a in counts[p])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +768,8 @@ def lift_conditions(
     field = field or ResidualField(10007)
     if not field.finite:
         raise ValueError("numeric mode needs a finite residual field")
+    if trials < 1:
+        raise ValueError(f"numeric mode needs at least one trial, got {trials}")
     first_success = None
     last_failure = None
     successes = 0
@@ -854,6 +822,7 @@ def _jet_coeff_str(j: Jet):
 
 def classify_certificates(report: LiftReport, c: Construction, r: TropRealization) -> LiftReport:
     """Fill per-step certificate classes per the fixed-element case analysis."""
+    table = _node_table(c)
     fixed_nodes = set(c.input_points) | {n for n, _ in c.input_curves}
     for rep in report.steps:
         if rep.fixed:
@@ -864,9 +833,7 @@ def classify_certificates(report: LiftReport, c: Construction, r: TropRealizatio
             rep.certificate = CERT_UNDECIDABLE
             continue
         if rep.some_zero:
-            node = step.new_nodes[0]
-            anc = c.ancestors(node)
-            if all(a in fixed_nodes for a in anc):
+            if all(a in fixed_nodes for a in _ancestors(table, step.new_nodes[0])):
                 rep.certificate = CERT_NEVER
             else:
                 rep.certificate = CERT_GENERIC_FAILS
@@ -930,17 +897,13 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
 def subconstruction_to(c: Construction, node: str) -> Construction:
     """Minimal construction containing all inputs and the given node;
     intersection steps keep all their sibling points."""
-    needed = {node} | c.ancestors(node)
-    out = Construction(
+    table = _node_table(c)
+    needed = {table[n][STEP] for n in _ancestors(table, node) | {node}}
+    return Construction(
         input_points=list(c.input_points),
         input_curves=list(c.input_curves),
-        steps=[],
+        steps=[s for idx, s in enumerate(c.steps) if idx in needed],
     )
-    for s in c.steps:
-        if any(n in needed for n in s.new_nodes):
-            out.steps.append(s)
-            needed.update(s.new_nodes)
-    return out
 
 
 def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,

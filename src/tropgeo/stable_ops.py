@@ -380,7 +380,7 @@ def _condition_poly(value):
     return value
 
 
-def curve_step_conditions(I: Support, pts, var_names=None, values=None, field=None) -> CurveStepResult:
+def curve_step_conditions(I: Support, pts, var_names=None, values=None) -> CurveStepResult:
     """Public form of the curve step: symbolic or numeric residual data.
 
     ``var_names``: list of (name_x, name_y) per point for symbolic mode;

@@ -243,6 +243,8 @@ def check_statement(
     sampled realization of the hypothesis (including degenerate corner
     cases).  For admissible hypotheses the first trials also cross-run
     the numeric lifting conditions, exhibiting the transfer mechanism."""
+    if trials < 1:
+        raise ValueError(f"a statement check needs at least one trial, got {trials}")
     field = field or ResidualField(10007)
     admissible, _ = is_admissible(s.hypothesis)
     out = []

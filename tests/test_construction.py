@@ -79,19 +79,18 @@ def test_desargues_needs_an_orientation():
 
 
 def test_oriented_cycle_is_reported():
+    # p feeds a, a feeds q, q feeds b and b feeds p
+    flags = [("p", "a"), ("q", "a"), ("q", "b"), ("p", "b")]
     g = IncidenceStructure(
-        points=["p"],
-        blocks=[("a", LINE)],
-        flags=[("p", "a")],
-        orientation={("p", "a"): "pb"},
+        points=["p", "q"],
+        blocks=[("a", LINE), ("b", LINE)],
+        flags=flags,
+        orientation=dict(zip(flags, ("pb", "bp", "pb", "bp"))),
     )
-    g2 = IncidenceStructure(
-        points=["p"],
-        blocks=[("a", LINE)],
-        flags=[("p", "a"), ("p", "a")],
-        orientation={("p", "a"): "pb"},
-    )
-    assert validate_construction(g).ok
+    d = validate_construction(g)
+    assert d.errors == ["oriented cycle through 'a'"]
+    with pytest.raises(ValueError, match="oriented cycle"):
+        complete_to_construction(g)
 
 
 # ---------------------------------------------------------------------------

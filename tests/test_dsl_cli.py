@@ -185,6 +185,72 @@ def test_cli_genpos(capsys, tmp_path):
         "--points", "(1,-3/2)", "(1,0)",
     ])
     assert rc == 1
+    capsys.readouterr()
+    for name in ("A", "nope"):  # a point node, and no node at all
+        rc = main(["genpos", catalog_path("weak_pascal"), "--curve", name,
+                   "--points", "(1,0)"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"{name!r} is not a curve node\n"
+
+
+# a step may name only nodes defined above it, and each name once
+MALFORMED = {
+    "undefined": (
+        "input point a\ninput point b\n"
+        "curve l = through a zz support line\n"
+        "thesis curve K support line through a b\n",
+        "step #0 names 'zz', which is not defined above it",
+    ),
+    "forward": (
+        "input point a\ninput point b\ninput point c\ninput point d\ninput point e\n"
+        "curve m = through q e support line\n"
+        "curve l = through a b support line\n"
+        "curve n = through c d support line\n"
+        "points {q} = intersect l n\n"
+        "thesis point w on l m\n",
+        "step #0 names 'q', which is not defined above it",
+    ),
+    "twice": (
+        "input point A\ninput point B\n"
+        "curve l = through A B support line\n"
+        "curve A = through A B support line\n"
+        "thesis point w on l A\n",
+        "node 'A' is defined twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["realize", "admissible", "certify", "theorem"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_construction_is_a_usage_error(tmp_path, capsys, name, command):
+    text, message = MALFORMED[name]
+    path = tmp_path / f"{name}.tgc"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["realize", "certify"])
+def test_cli_curve_through_a_curve_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.tgc"
+    path.write_text("input point a\ninput point b\n"
+                    "curve l = through a b support line\n"
+                    "curve m = through l a support line\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: realize needs an exact construction: curve 'm' passes through non-points\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", catalog_path("fano"), "--trials", "0"],
+    ["certify", catalog_path("fano"), "--trials", "0"],
+    ["theorem", "fano", "--trials", "0"],
+    ["theorem", "fano", "--trials", "-1"],
+])
+def test_cli_rejects_fewer_than_one_trial(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "at least one trial" in err
 
 
 def test_cli_usage_error_exit_code(capsys):
