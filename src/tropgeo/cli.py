@@ -38,6 +38,13 @@ def _load_doc(path):
 
 def _realization_inputs(doc, c, seed):
     binds = doc.realization_map()
+    kinds = {n: "point" for n in c.input_points} | {n: "curve" for n, _ in c.input_curves}
+    for n, v in binds.items():
+        kind = "curve" if isinstance(v, TropPoly) else "point"
+        if n not in kinds:
+            raise ValueError(f"realize names {n!r}, which is not an input node")
+        if kinds[n] != kind:
+            raise ValueError(f"realize gives input {kinds[n]} {n!r} a {kind}")
     missing = [n for n in c.input_points if n not in binds]
     missing += [n for n, _ in c.input_curves if n not in binds]
     if not missing:

@@ -374,8 +374,12 @@ class DoublePath:
 
 def is_admissible(c: Construction):
     """At most one oriented path between any two nodes; returns
-    (True, None) or (False, DoublePath witness)."""
+    (True, None) or (False, DoublePath witness).  A malformed
+    construction raises ValueError; an inexact one is checked."""
     table = _node_table(c)
+    errors = _diagnostics(table, None).errors
+    if errors:
+        raise ValueError("; ".join(errors))
     counts = {}  # counts[b][a] = #paths a->b
     for b in sorted(table, key=lambda n: (table[n][DEPTH], n)):
         cb = counts[b] = {}
@@ -461,17 +465,20 @@ def realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
     return TropRealization(values=vals, intersections=inters, labelings=labelings)
 
 
-def labeling_choices(c: Construction, r: TropRealization, max_points=4):
+LABELING_MAX_POINTS = 4
+
+
+def labeling_choices(c: Construction, r: TropRealization):
     """Distinct label assignments per intersection step.
 
     Permutations inducing the same point assignment are merged; steps
-    with more than ``max_points`` labels keep only the default order
-    (enumeration is meant for small choice sets, e.g. conic-line pairs).
+    with more than LABELING_MAX_POINTS labels keep only the default
+    order (enumeration is meant for small sets, e.g. conic-line pairs).
     """
     per_step = {}
     for idx, si in r.intersections.items():
         labeled = si.as_labeled()
-        if len(labeled) > max_points:
+        if len(labeled) > LABELING_MAX_POINTS:
             per_step[idx] = [tuple(range(len(labeled)))]
             continue
         seen = {}

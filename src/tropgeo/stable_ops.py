@@ -11,9 +11,10 @@ Tropical side:
   (coordinates stay affine in eps because edge directions are integral),
   then take limits as eps -> 0.
 
-Residual side: conditions are pseudodeterminants computed implicitly by
-running determinants over the jet ring, where an exact top-order
-cancellation is precisely a vanishing pseudodeterminant.
+Residual side: conditions are pseudodeterminants, the jet-ring minors on
+the tight entries of the Cramer system, and Sylvester resultants over
+the jet ring, where an exact top-order cancellation is precisely a
+vanishing pseudodeterminant.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .trop_core import (
     mixed_volume,
     upper_chain,
 )
-from .trop_linalg import cramer_stable, masked_det
+from .trop_linalg import cramer_stable, masked_det, masked_minors
 from .residual import (
     ConditionSet,
     InformationLostError,
@@ -56,6 +57,7 @@ class NonGenericDirection(ValueError):
 
 
 SYLVESTER_BOUND = 8
+SHAPE_BOUND = 4  # largest Sylvester dimension given a monomial-shape run
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +336,20 @@ def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
     sol = cramer_stable(trop)
     f = concave_canonical(TropPoly(I, sol.values))
 
-    n = len(pt_jets)
     entries = []
     for _, (jx, jy) in pt_jets:
         entries.append([_monomial_jet(jx, jy, i) for i in I.points])
+    # a minor's top order cancels iff its pseudodeterminant vanishes, and
+    # only the optimal permutations, the tight ones, reach the top order
+    minors = masked_minors(
+        len(pt_jets), lambda r, c: entries[r][c] if c in sol.tight[r] else None, JET_ZERO
+    )
     conds = ConditionSet()
     coeff_jets = {}
     minor_regular = {}
     any_nonzero = False
     for k, i in enumerate(I.points):
-        cols = [c for c in range(len(I.points)) if c != k]
-        det = masked_det(n, lambda r, c: entries[r][cols[c]], JET_ZERO)
+        det = minors[k]
         trop_value = sol.values[k]
         minor_regular[i] = sol.regular[k]
         if det.is_principal and det.order == trop_value:
@@ -446,9 +451,6 @@ class JPoly:
                     out[e] = s
         return JPoly(out)
 
-    def degree(self):
-        return max(self.c, default=0)
-
     def __bool__(self):
         return bool(self.c)
 
@@ -475,14 +477,13 @@ def _by_y(poly: dict) -> dict:
     return out
 
 
-def _sylvester(fy: dict, gy: dict, zero, det, bound=None):
+def _sylvester(fy: dict, gy: dict, zero, bound=None):
     """Res_y(f, g) from the y-coefficients {degree: coefficient} of f and g.
 
-    The rows of the Sylvester matrix are filled with ``zero`` where f and
-    g have no coefficient; ``det(size, entry, zero)`` takes the
-    determinant in the coefficient ring (``masked_det``, or
-    ``_tp_permanent`` for max-plus heights).  With no y in f the matrix
-    is diagonal, so the resultant is fy[0]^n.
+    The Sylvester matrix holds None where f and g have no coefficient,
+    so ``masked_det`` never multiplies those cells; ``zero`` is the
+    coefficient ring's empty sum.  With no y in f the matrix is
+    diagonal, so the resultant is fy[0]^n.
     """
     m, n = max(fy), max(gy)
     if bound is not None and m + n > bound:
@@ -492,73 +493,57 @@ def _sylvester(fy: dict, gy: dict, zero, det, bound=None):
     rows = []
     for coeffs, deg, shifts in ((fy, m, n), (gy, n, m)):
         for r in range(shifts):
-            row = [zero] * (m + n)
+            row = [None] * (m + n)
             for k in range(deg + 1):
-                row[r + k] = coeffs.get(deg - k, zero)
+                row[r + k] = coeffs.get(deg - k)
             rows.append(row)
-    return det(m + n, lambda r, c: rows[r][c], zero)
+    return masked_det(m + n, lambda r, c: rows[r][c], zero)
 
 
-def sylvester_resultant(f_jets: dict, g_jets: dict, bound=SYLVESTER_BOUND) -> JPoly:
+def sylvester_resultant(f_jets: dict, g_jets: dict) -> JPoly:
     """Res_y(f, g) over the jet ring, as a JPoly in x."""
     fy = {j: JPoly(c) for j, c in _by_y(f_jets).items()}
     gy = {j: JPoly(c) for j, c in _by_y(g_jets).items()}
-    return _sylvester(fy, gy, JPOLY_ZERO, masked_det, bound)
+    return _sylvester(fy, gy, JPOLY_ZERO, SYLVESTER_BOUND)
 
 
-def trop_resultant_heights(f_trop: dict, g_trop: dict, bound=SYLVESTER_BOUND) -> dict:
-    """Generic heights of the resultant coefficients: the tropical
-    (max-plus) Sylvester permanent, coefficientwise."""
-    return _sylvester(_by_y(f_trop), _by_y(g_trop), None, _tp_permanent, bound)
+class _MaxPlusPoly:
+    """Univariate polynomial {exponent: height} over the max-plus
+    semiring.  Negation is the identity, so a signed determinant
+    expansion over it is the tropical permanent."""
 
+    __slots__ = ("c",)
 
-def _tp_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            v = v1 + v2
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, o):
+        out = dict(self.c)
+        for e, v in o.c.items():
             if e not in out or v > out[e]:
                 out[e] = v
-    return out
+        return _MaxPlusPoly(out)
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, o):
+        out = {}
+        for e1, v1 in self.c.items():
+            for e2, v2 in o.c.items():
+                e = e1 + e2
+                v = v1 + v2
+                if e not in out or v > out[e]:
+                    out[e] = v
+        return _MaxPlusPoly(out)
 
 
-def _tp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, v in b.items():
-        if e not in out or v > out[e]:
-            out[e] = v
-    return out
-
-
-def _tp_permanent(n, entry, zero):
-    """Max-plus permanent of polynomial entries ({exponent: height});
-    ``zero`` marks the missing entries."""
-    memo = {}
-
-    def rec(r, mask):
-        if r == n:
-            return {0: Fraction(0)}
-        key = mask
-        if key in memo:
-            return memo[key]
-        total = None
-        m = mask
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            e = entry(r, c)
-            if e is not zero:
-                sub = rec(r + 1, mask ^ low)
-                if sub is not None:
-                    term = _tp_mul(e, sub)
-                    total = term if total is None else _tp_add(total, term)
-        memo[key] = total
-        return total
-
-    out = rec(0, (1 << n) - 1)
-    return out or {}
+def trop_resultant_heights(f_trop: dict, g_trop: dict) -> dict:
+    """Generic heights of the resultant coefficients: the tropical
+    (max-plus) Sylvester permanent, coefficientwise."""
+    fy = {j: _MaxPlusPoly(c) for j, c in _by_y(f_trop).items()}
+    gy = {j: _MaxPlusPoly(c) for j, c in _by_y(g_trop).items()}
+    return _sylvester(fy, gy, _MaxPlusPoly({}), SYLVESTER_BOUND).c
 
 
 def trop_univariate_roots(heights: dict):
@@ -623,7 +608,7 @@ class ResultantBundle:
         )
 
 
-def _shape_monomial_flags(f_trop, g_trop, vertex_indices, bound):
+def _shape_monomial_flags(f_trop, g_trop, vertex_indices):
     """Monomial-ness of the vertex condition polynomials, from a run with
     fresh local variables per input coefficient.  Only done for small
     Sylvester dimensions; None means unknown."""
@@ -633,7 +618,7 @@ def _shape_monomial_flags(f_trop, g_trop, vertex_indices, bound):
     g_jets = {
         i: Jet.principal(v, RPoly.var(f"g[{i[0]},{i[1]}]")) for i, v in g_trop.items()
     }
-    res = sylvester_resultant(f_jets, g_jets, bound)
+    res = sylvester_resultant(f_jets, g_jets)
     flags = []
     for idx in vertex_indices:
         jet = res.c.get(idx, JET_ZERO)
@@ -641,7 +626,7 @@ def _shape_monomial_flags(f_trop, g_trop, vertex_indices, bound):
     return flags
 
 
-def _resultant_family(name, f_trop, f_jets, g_trop, g_jets, shape_bound=4):
+def _resultant_family(name, f_trop, f_jets, g_trop, g_jets):
     heights = trop_resultant_heights(f_trop, g_trop)
     res = sylvester_resultant(f_jets, g_jets)
     verts = _newton_segment_vertices(heights)
@@ -653,10 +638,9 @@ def _resultant_family(name, f_trop, f_jets, g_trop, g_jets, shape_bound=4):
             conds.append((idx, jet.coeff))
         else:
             conds.append((idx, _zero_like_coeff(sample) if sample is not None else Fraction(0)))
-    size = _sylvester_dim(f_trop, g_trop)
     flags = None
-    if size <= shape_bound:
-        flags = _shape_monomial_flags(f_trop, g_trop, verts, SYLVESTER_BOUND)
+    if max(_by_y(f_trop)) + max(_by_y(g_trop)) <= SHAPE_BOUND:
+        flags = _shape_monomial_flags(f_trop, g_trop, verts)
     return ResultantFamily(
         name=name,
         heights=heights,
@@ -664,14 +648,6 @@ def _resultant_family(name, f_trop, f_jets, g_trop, g_jets, shape_bound=4):
         conditions=conds,
         monomial_flags=flags,
     )
-
-
-def _sylvester_dim(f_trop, g_trop):
-    def ydeg(tr):
-        js = [j for _, j in tr]
-        return max(js) - min(js)
-
-    return ydeg(f_trop) + ydeg(g_trop)
 
 
 def _swap_xy(jets_or_trop):
@@ -701,9 +677,7 @@ def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
         a += 1
 
 
-def intersection_step_conditions(
-    f_jets: dict, g_jets: dict, origin="intersect", shape_bound=4
-) -> ResultantBundle:
+def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect") -> ResultantBundle:
     """Residual conditions for the compatibility of the stable and the
     algebraic intersection: principal coefficients at the Newton-segment
     vertices of the three resultants R_x, R_y, R_z must not vanish."""
@@ -723,7 +697,7 @@ def intersection_step_conditions(
 
     def run(name, ft, fj, gt, gj):
         try:
-            fam = _resultant_family(name, ft, fj, gt, gj, shape_bound)
+            fam = _resultant_family(name, ft, fj, gt, gj)
         except ResultantBoundExceeded:
             fam = ResultantFamily(
                 name=name, heights={}, vertex_indices=[], conditions=[],
@@ -835,7 +809,7 @@ def _rpoly_y_coeffs(p: RPoly):
 
 
 def _resultant_rpoly_y(f: RPoly, g: RPoly):
-    return _sylvester(_rpoly_y_coeffs(f), _rpoly_y_coeffs(g), RPoly(), masked_det)
+    return _sylvester(_rpoly_y_coeffs(f), _rpoly_y_coeffs(g), RPoly())
 
 
 def _subs_x(p: RPoly, x0, field):

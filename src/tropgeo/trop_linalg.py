@@ -21,7 +21,9 @@ diagonal sum.  The key computational facts used here:
 * the pseudodeterminant of a same-shape matrix B over any commutative
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
-  non-tight entries replaced by zero.
+  non-tight entries excluded; the n+1 maximal minors read B on their
+  common tight graph.  Every determinant of the package, Sylvester
+  resultants included, is the one masked Laplace expansion ``_laplace``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from math import lcm
 
 from .trop_core import frac
 
-DEFAULT_DET_BOUND = 12
+# trop_det enumerates every optimal permutation, up to n! of them
+DET_BOUND = 12
 
 
 def as_matrix(rows):
@@ -175,13 +178,13 @@ class DetResult:
     regular: bool
 
 
-def trop_det(rows, bound: int = DEFAULT_DET_BOUND) -> DetResult:
+def trop_det(rows) -> DetResult:
     a = as_matrix(rows)
     n = len(a)
     if len(a[0]) != n:
         raise ValueError("tropical determinant needs a square matrix")
-    if n > bound:
-        raise ValueError(f"matrix size {n} exceeds the configured bound {bound}")
+    if n > DET_BOUND:
+        raise ValueError(f"matrix size {n} exceeds the bound {DET_BOUND}")
     value, mask = tight_mask(a)
     perms = _enumerate_matchings(mask)
     return DetResult(value=value, optimal_perms=perms, regular=len(perms) == 1)
@@ -193,40 +196,49 @@ def trop_det_value_regular(a):
     return value, _matching_unique([{c for c, t in enumerate(row) if t} for row in mask])
 
 
-def masked_det(n, entry, zero):
-    """Determinant over a commutative ring with masked-off entries.
-
-    ``entry(r, c)`` returns a ring element or None for excluded cells;
-    ``zero`` is the ring's additive identity.  Laplace expansion along
-    rows, memoized on the set of free columns.
-    """
+def _laplace(n, entry, zero):
+    """``det(mask)``: the determinant of rows 0..n-1 on the n columns in
+    the bit set ``mask``, over a commutative ring; ``entry(r, c)`` is None
+    on excluded cells, which are never multiplied.  Row r expands over the
+    columns rows 0..r-1 left free, so one memo keyed on that mask serves
+    every column subset."""
     memo = {}
 
-    def rec(r, mask):
+    def det(mask, r=0):
         if r == n - 1:
-            c = mask.bit_length() - 1
-            e = entry(r, c)
+            e = entry(r, mask.bit_length() - 1)
             return e if e is not None else zero
-        key = mask
-        if key in memo:
-            return memo[key]
+        if mask in memo:
+            return memo[mask]
         total = zero
         sign = 1
         m = mask
         while m:
             low = m & -m
-            c = low.bit_length() - 1
             m ^= low
-            e = entry(r, c)
+            e = entry(r, low.bit_length() - 1)
             if e is not None:
-                sub = rec(r + 1, mask ^ low)
-                term = e * sub
+                term = e * det(mask ^ low, r + 1)
                 total = total + term if sign > 0 else total + (-term)
             sign = -sign
-        memo[key] = total
+        memo[mask] = total
         return total
 
-    return rec(0, (1 << n) - 1)
+    return det
+
+
+def masked_det(n, entry, zero):
+    """Determinant of an n x n matrix with entries ``entry(r, c)``, None
+    for excluded cells; ``zero`` is the ring's additive identity."""
+    return _laplace(n, entry, zero)((1 << n) - 1)
+
+
+def masked_minors(n, entry, zero):
+    """The n+1 maximal minors of an n x (n+1) masked matrix, minor k
+    deleting column k, from one shared expansion memo."""
+    det = _laplace(n, entry, zero)
+    full = (1 << (n + 1)) - 1
+    return [det(full ^ (1 << k)) for k in range(n + 1)]
 
 
 def pseudodet(a_rows, b_rows, zero=Fraction(0)):
@@ -243,20 +255,15 @@ def pseudodet(a_rows, b_rows, zero=Fraction(0)):
     return masked_det(n, lambda r, c: b[r][c] if mask[r][c] else None, zero)
 
 
-def _delete_col(rows, i):
-    return [r[:i] + r[i + 1 :] for r in rows]
-
-
 @dataclass
 class CramerSolution:
-    """Projective tuple [|A^1|_t : ... : |A^{n+1}|_t] with regularity flags."""
+    """Projective tuple [|A^1|_t : ... : |A^{n+1}|_t] with regularity
+    flags; minor k's optimal permutations are the perfect matchings of
+    the common tight graph ``tight`` (row -> columns) without column k."""
 
     values: tuple
     regular: tuple
-
-    def normalized(self):
-        c = self.values[0]
-        return tuple(v - c for v in self.values)
+    tight: tuple
 
 
 def cramer_stable(a_rows) -> CramerSolution:
@@ -301,7 +308,7 @@ def cramer_stable(a_rows) -> CramerSolution:
     tight = [{c for c in range(n + 1) if u[r] - dist[r] + v[c] + shift[c] == w[r][c]}
              for r in range(n)]
     flags = [_matching_unique([cs - {k} for cs in tight]) for k in range(n + 1)]
-    return CramerSolution(values=tuple(values), regular=tuple(flags))
+    return CramerSolution(values=tuple(values), regular=tuple(flags), tight=tuple(tight))
 
 
 def cramer_conditions(a_rows, b_rows, zero=Fraction(0)):
@@ -310,15 +317,13 @@ def cramer_conditions(a_rows, b_rows, zero=Fraction(0)):
     Nonvanishing of every entry is the residual sufficient condition for
     the algebraic solution to project onto the stable tropical one.
     """
-    a = as_matrix(a_rows)
-    n = len(a)
-    if len(a[0]) != n + 1:
-        raise ValueError("cramer_conditions needs an n x (n+1) matrix")
+    tight = cramer_stable(a_rows).tight
+    n = len(tight)
     b = list(b_rows)
-    out = []
-    for i in range(n + 1):
-        out.append((i, pseudodet(_delete_col(a, i), _delete_col(b, i), zero)))
-    return out
+    if len(b) != n or any(len(r) != n + 1 for r in b):
+        raise ValueError("weight and coefficient matrices must have equal shape")
+    minors = masked_minors(n, lambda r, c: b[r][c] if c in tight[r] else None, zero)
+    return list(enumerate(minors))
 
 
 def cramer_signed_solution(a_rows, b_rows, zero=Fraction(0)):

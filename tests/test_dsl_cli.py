@@ -241,6 +241,56 @@ def test_cli_curve_through_a_curve_is_a_usage_error(tmp_path, capsys, command):
         "", "error: realize needs an exact construction: curve 'm' passes through non-points\n")
 
 
+# admissible validates the construction first, as realize does
+NOT_A_CONSTRUCTION = {
+    "curve_through_curve": (
+        "input point a\ninput point b\n"
+        "curve l = through a b support line\n"
+        "curve m = through l a support line\n",
+        "curve 'm' passes through non-points",
+    ),
+    "intersect_points": (
+        "input point a\ninput point b\n"
+        "points {q} = intersect a b\n",
+        "point fed by non-curves 'a', 'b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CONSTRUCTION))
+def test_cli_admissible_rejects_malformed_construction(tmp_path, capsys, name):
+    text, message = NOT_A_CONSTRUCTION[name]
+    path = tmp_path / f"{name}.tgc"
+    path.write_text(text)
+    assert main(["admissible", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_admissible_accepts_inexact_construction(tmp_path, capsys):
+    path = tmp_path / "short.tgc"
+    path.write_text("input point a\ncurve l = through a support line\n")
+    assert main(["admissible", str(path)]) == 0
+    assert capsys.readouterr().out == "admissible\n"
+
+
+WRONG_REALIZE = {
+    "curve_for_point": ('realize a = "0 + x + y"', "realize gives input point 'a' a curve"),
+    "point_for_curve": ("realize Z = (1, 2)", "realize gives input curve 'Z' a point"),
+    "step_node": ('realize l = "0 + x + y"', "realize names 'l', which is not an input node"),
+}
+
+
+@pytest.mark.parametrize("command", ["realize", "lift", "certify"])
+@pytest.mark.parametrize("name", sorted(WRONG_REALIZE))
+def test_cli_wrong_realize_line_is_a_usage_error(tmp_path, capsys, name, command):
+    line, message = WRONG_REALIZE[name]
+    path = tmp_path / f"{name}.tgc"
+    path.write_text("input point a\ninput point b\ninput curve Z support line\n"
+                    "curve l = through a b support line\n" + line + "\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", catalog_path("fano"), "--trials", "0"],
     ["certify", catalog_path("fano"), "--trials", "0"],

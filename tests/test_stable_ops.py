@@ -5,20 +5,26 @@ from fractions import Fraction as F
 import pytest
 
 from tropgeo.trop_core import Support, TropPoly, mixed_volume
-from tropgeo.residual import Jet, ResidualField, RPoly, residual_terms
+from tropgeo.residual import JET_ZERO, ConditionSet, Jet, ResidualField, RPoly, residual_terms
 from tropgeo.stable_ops import (
     ResultantBoundExceeded,
+    _condition_poly,
+    _condition_zero,
+    _monomial_jet,
     _resultant_rpoly_y,
     curve_step_conditions,
+    curve_step_jets,
     intersection_step_conditions,
     local_intersection_solve,
     perturbation_oracle,
+    point_value_matrix,
     stable_curve,
     stable_intersection,
     sylvester_resultant,
     trop_resultant_heights,
     trop_univariate_roots,
 )
+from tropgeo.trop_linalg import cramer_conditions, pseudodet, trop_det_value_regular
 
 LINE = Support.named("line")
 F10007 = ResidualField(10007)
@@ -186,6 +192,102 @@ def test_curve_step_numeric_equal_residuals_is_undecidable():
     )
     assert res.undecidable
     assert res.conditions.provably_empty
+
+
+def _full_det(n, entry, zero):
+    """Unmasked memoized Laplace expansion, every cell multiplied."""
+    memo = {}
+
+    def rec(r, mask):
+        if r == n - 1:
+            return entry(r, mask.bit_length() - 1)
+        if mask not in memo:
+            total, sign, m = zero, 1, mask
+            while m:
+                low = m & -m
+                m ^= low
+                term = entry(r, low.bit_length() - 1) * rec(r + 1, mask ^ low)
+                total = total + term if sign > 0 else total - term
+                sign = -sign
+            memo[mask] = total
+        return memo[mask]
+
+    return rec(0, (1 << n) - 1)
+
+
+def _reference_curve_step(I, pt_jets):
+    """Each minor as the full jet determinant of its deleted-column
+    matrix: the top order cancels iff the pseudodeterminant vanishes."""
+    trop = point_value_matrix(I, [p for p, _ in pt_jets])
+    entries = [[_monomial_jet(jx, jy, i) for i in I.points] for _, (jx, jy) in pt_jets]
+    conds, coeff_jets, any_nonzero = ConditionSet(), {}, False
+    for k, i in enumerate(I.points):
+        cols = [c for c in range(len(I.points)) if c != k]
+        value, _ = trop_det_value_regular([[row[c] for c in cols] for row in trop])
+        det = _full_det(len(pt_jets), lambda r, c: entries[r][cols[c]], JET_ZERO)
+        if det.is_principal and det.order == value:
+            cond_val, any_nonzero = det.coeff, True
+            jet = det if k % 2 == 0 else -det
+        else:
+            cond_val, jet = _condition_zero(entries), Jet.degenerate(value)
+        coeff_jets[i] = jet
+        conds.add(_condition_poly(cond_val), f"curve minor {i}")
+    return coeff_jets, conds, not any_nonzero
+
+
+def _random_point_jet(rng, coords, kind, name):
+    """(tropical point, (jet_x, jet_y)): principal in F_7, symbolic or
+    rational residuals, with an occasional degenerate coordinate."""
+    field = ResidualField(7)
+    jets = []
+    for axis, o in zip("xy", coords):
+        if rng.random() < 0.15:
+            jets.append(Jet.degenerate(o))
+        elif kind == "fp":
+            jets.append(Jet.principal(o, field.elt(rng.randint(1, 6))))
+        elif kind == "sym" or rng.random() < 0.5:
+            jets.append(Jet.principal(o, RPoly.var(f"{name}.{axis}")))
+        else:
+            jets.append(Jet.principal(o, F(rng.choice([-2, -1, 1, 3]))))
+    return coords, tuple(jets)
+
+
+def test_curve_step_jets_matches_full_jet_minors():
+    rng = random.Random(77)
+    cases = [(Support.named("vertical"), "sym", 40), (Support.named("horizontal"), "fp", 40),
+             (LINE, "sym", 120), (LINE, "fp", 120), (LINE, "mixed", 80),
+             (Support.named("conic"), "fp", 60), (Support.named("conic"), "mixed", 25),
+             (Support.named("cubic"), "fp", 6)]
+    for sup, kind, count in cases:
+        for _ in range(count):
+            box = rng.choice([1, 2, 6])
+            pts = []
+            for idx in range(sup.delta() - 1):
+                if pts and rng.random() < 0.2:
+                    coords = rng.choice(pts)[0]  # a repeated point
+                else:
+                    coords = (F(rng.randint(-box, box)), F(rng.randint(-box, box)))
+                pts.append(_random_point_jet(rng, coords, kind, f"q{idx}"))
+            res = curve_step_jets(sup, pts)
+            coeff_jets, conds, undecidable = _reference_curve_step(sup, pts)
+            assert res.coeff_jets == coeff_jets, (sup, pts)
+            assert [(c.origin, repr(c.poly)) for c in res.conditions.conditions] == [
+                (c.origin, repr(c.poly)) for c in conds.conditions], (sup, pts)
+            assert res.undecidable == undecidable
+
+
+def test_cramer_conditions_match_per_column_pseudodet():
+    rng = random.Random(78)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        box = rng.choice([0, 1, 3])
+        a = [[rng.randint(-box, box) for _ in range(n + 1)] for _ in range(n)]
+        b = [[F(rng.randint(-3, 3)) for _ in range(n + 1)] for _ in range(n)]
+        expected = [(k, pseudodet([r[:k] + r[k + 1:] for r in a], [r[:k] + r[k + 1:] for r in b]))
+                    for k in range(n + 1)]
+        assert cramer_conditions(a, b) == expected, (a, b)
+    with pytest.raises(ValueError):
+        cramer_conditions([[0, 0, 0]], [[1, 2]])
 
 
 # ---------------------------------------------------------------------------
