@@ -276,12 +276,16 @@ def _diagnostics(table, cycle) -> Diagnostics:
             elif ps:
                 full_steps.append(n)
 
-    # common-successor bound per curve pair
+    # common-successor bound per curve pair, one mixed volume per support pair
+    volumes = {}
     for (c1, c2), pts in succs.items():
         if table[c1][KIND] != "curve" or table[c2][KIND] != "curve":
             errors.append(f"point fed by non-curves {c1!r}, {c2!r}")
             continue
-        m = mixed_volume(table[c1][SUPPORT], table[c2][SUPPORT])
+        sups = (table[c1][SUPPORT], table[c2][SUPPORT])
+        if sups not in volumes:
+            volumes[sups] = mixed_volume(*sups)
+        m = volumes[sups]
         if len(pts) > m:
             errors.append(
                 f"curves {c1!r},{c2!r} share {len(pts)} successors (mixed volume {m})"
@@ -512,6 +516,7 @@ class StepReport:
     all_zero: bool
     some_zero: bool
     fixed: bool
+    always_compatible: bool  # all minors regular, or the bundle's always_compatible
     certificate: str | None = None
     notes: list = dc_field(default_factory=list)
 
@@ -635,6 +640,7 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet):
         all_zero=res.undecidable,
         some_zero=bool(zeroes) or res.undecidable,
         fixed=any(res.minor_regular.values()),
+        always_compatible=all_reg,
     )
     if all_reg:
         rep.notes.append("all minors regular")
@@ -725,6 +731,7 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
         all_zero=bundle.undecidable,
         some_zero=failed,
         fixed=bundle.fixed,
+        always_compatible=bundle.always_compatible,
         notes=notes,
     )
     return rep, not failed
@@ -768,7 +775,7 @@ def lift_conditions(
             verdict=verdict, witness=witness, seed=seed, trials=None,
             witness_jets=jets if ok else None,
         )
-        return classify_certificates(rep, c, r)
+        return classify_certificates(rep, c)
 
     if mode != "numeric":
         raise ValueError("mode must be 'symbolic' or 'numeric'")
@@ -798,7 +805,7 @@ def lift_conditions(
         verdict=verdict, witness=witness, seed=seed, trials=trials,
         successes=successes, witness_jets=jets if successes else None,
     )
-    return classify_certificates(rep, c, r)
+    return classify_certificates(rep, c)
 
 
 def _witness_json(jets):
@@ -827,7 +834,7 @@ def _jet_coeff_str(j: Jet):
     return "0"
 
 
-def classify_certificates(report: LiftReport, c: Construction, r: TropRealization) -> LiftReport:
+def classify_certificates(report: LiftReport, c: Construction) -> LiftReport:
     """Fill per-step certificate classes per the fixed-element case analysis."""
     table = _node_table(c)
     fixed_nodes = set(c.input_points) | {n for n, _ in c.input_curves}
@@ -845,19 +852,8 @@ def classify_certificates(report: LiftReport, c: Construction, r: TropRealizatio
             else:
                 rep.certificate = CERT_GENERIC_FAILS
             continue
-        if isinstance(step, CurveThrough):
-            reg_note = any(n == "all minors regular" for n in rep.notes)
-            rep.certificate = CERT_ALWAYS if reg_note else CERT_CONDITIONAL
-        else:
-            always = all(
-                f"R_{nm}: resultant bound exceeded" not in rep.notes for nm in "xyz"
-            ) and rep.fixed and _always_compatible_note(rep)
-            rep.certificate = CERT_ALWAYS if always else CERT_CONDITIONAL
+        rep.certificate = CERT_ALWAYS if rep.always_compatible else CERT_CONDITIONAL
     return report
-
-
-def _always_compatible_note(rep: StepReport):
-    return any(n == "always-compatible" for n in rep.notes)
 
 
 def verify_witness(c: Construction, r: TropRealization, jets) -> list:

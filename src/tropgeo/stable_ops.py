@@ -316,7 +316,6 @@ def _zero_like_coeff(sample):
 
 @dataclass
 class CurveStepResult:
-    curve: TropPoly
     coeff_jets: dict          # support point -> cofactor-signed minor jet
     conditions: ConditionSet  # one pseudodeterminant != 0 per support point
     minor_regular: dict       # support point -> tropical minor regularity
@@ -334,7 +333,6 @@ def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
     pts = [p for p, _ in pt_jets]
     trop = point_value_matrix(I, pts)
     sol = cramer_stable(trop)
-    f = concave_canonical(TropPoly(I, sol.values))
 
     entries = []
     for _, (jx, jy) in pt_jets:
@@ -362,7 +360,6 @@ def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
         coeff_jets[i] = jet
         conds.add(_condition_poly(cond_val), f"{origin} minor {i}")
     return CurveStepResult(
-        curve=f,
         coeff_jets=coeff_jets,
         conditions=conds,
         minor_regular=minor_regular,
@@ -547,21 +544,16 @@ def trop_resultant_heights(f_trop: dict, g_trop: dict) -> dict:
 
 
 def trop_univariate_roots(heights: dict):
-    """Roots with multiplicities of a univariate max-plus polynomial."""
-    if len(heights) < 2:
-        return []
-    chain = upper_chain([(Fraction(e), v) for e, v in sorted(heights.items())])
-    roots = []
-    for a in range(len(chain) - 1):
-        (e0, v0), (e1, v1) = chain[a], chain[a + 1]
-        roots.append(((v0 - v1) / (e1 - e0), int(e1 - e0)))
-    return roots
+    """Roots with multiplicities of a univariate max-plus polynomial: one
+    per segment between consecutive Newton-segment vertices."""
+    verts = _newton_segment_vertices(heights)
+    return [(Fraction(heights[e0] - heights[e1], e1 - e0), e1 - e0)
+            for e0, e1 in zip(verts, verts[1:])]
 
 
 def _newton_segment_vertices(heights: dict):
     """Indices at the upper-hull breakpoints of {(i, h_i)}."""
-    chain = upper_chain([(Fraction(e), v) for e, v in sorted(heights.items())])
-    return [int(e) for e, _ in chain]
+    return [e for e, _ in upper_chain(sorted(heights.items()))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ The central objects:
 * ``NewtonSubdivision`` -- the regular subdivision of the Newton polygon
   induced by the coefficients (upper hull of the lifted points).
 * ``DualComplex`` -- the plane curve, cell-dual to the subdivision.
+
+``dual_subdivision`` is the one upper-hull computation: the curve and
+the concave canonical form (the minimum, over the maximal cells, of
+their affine height functions) are both read from it.
 """
 
 from __future__ import annotations
@@ -72,12 +76,12 @@ def upper_chain(pts):
     return chain
 
 
-def area2(pts) -> Fraction:
-    """Doubled area of the convex hull of ``pts`` (0 for dim < 2)."""
+def area2(pts) -> int:
+    """Doubled area of the convex hull of lattice points (0 for dim < 2)."""
     hull = convex_hull(pts)
     if len(hull) < 3:
-        return Fraction(0)
-    s = Fraction(0)
+        return 0
+    s = 0
     for i in range(len(hull)):
         a, b = hull[i], hull[(i + 1) % len(hull)]
         s += a[0] * b[1] - a[1] * b[0]
@@ -365,13 +369,6 @@ class NewtonSubdivision:
     edges: list[SubdivEdge]     # 1-cells, lex-sorted by ends
     vertices: list[LPoint]      # 0-cells
 
-    def cells(self):
-        """All cells as (dimension, vertex set), deterministic order."""
-        out = [(2, c.on_points) for c in self.facets]
-        out += [(1, e.on_points) for e in self.edges]
-        out += [(0, (v,)) for v in self.vertices]
-        return out
-
 
 def _upper_facets_2d(pts, hts):
     """Upper-hull facets of lifted points, by exhaustive plane search.
@@ -596,40 +593,35 @@ def _curve_of(f: TropPoly, sub: NewtonSubdivision) -> DualComplex:
 def concave_canonical(f: TropPoly) -> TropPoly:
     """Raise every coefficient to the upper hull of the lifted support.
 
-    The result is the unique concave polynomial with the same support and
-    the same curve; the operation is idempotent.
+    The result is the biconjugate of f: coefficient p becomes
+
+        min over maximal cells C of c_q + (q - p).v
+
+    where q is any support point of C and v is the point dual to C: its
+    ``dual_vertex`` for a facet, and for an edge a-b of a collinear
+    support the point lambda*(b - a), lambda = (c_a - c_b)/|b - a|^2, of
+    the line where monomials a and b tie.  It is the unique concave
+    polynomial with the same support and the same curve; the operation
+    is idempotent.
     """
     pts = f.support.points
-    hts = f.coeffs
-    if len(pts) == 1:
+    if len(convex_hull(pts)) == len(pts):  # every point a corner, so on the hull
         return f
-    hull = convex_hull(pts)
-    new = []
-    if len(hull) == 2:
-        d = primitive((hull[1][0] - hull[0][0], hull[1][1] - hull[0][1]))
-        params = [(p[0] - hull[0][0]) * d[0] + (p[1] - hull[0][1]) * d[1] for p in pts]
-        chain = upper_chain([(Fraction(t), h) for t, h in sorted(zip(params, hts))])
-        for t in params:
-            val = None
-            for a in range(len(chain) - 1):
-                (t0, h0), (t1, h1) = chain[a], chain[a + 1]
-                if t0 <= t <= t1:
-                    val = h0 + (h1 - h0) * (Fraction(t) - t0) / (t1 - t0)
-                    break
-            new.append(val)
-        return TropPoly(f.support, tuple(new))
-
-    raw = _upper_facets_2d(list(pts), list(hts))
-    planes = []
-    for on_idx, (nx, ny, nz) in raw:
-        i0 = on_idx[0]
-        c = nx * pts[i0][0] + ny * pts[i0][1] + nz * hts[i0]
-        planes.append((Fraction(nx), Fraction(ny), Fraction(nz), c))
-    for p in pts:
-        # the concave envelope is the min over the upper facet planes
-        val = min((c - nx * p[0] - ny * p[1]) / nz for nx, ny, nz, c in planes)
-        new.append(val)
-    return TropPoly(f.support, tuple(new))
+    sub = dual_subdivision(f)
+    cmap = f.coeff_map()
+    if sub.facets:
+        cells = [(c.on_points[0], c.dual_vertex) for c in sub.facets]
+    else:  # collinear support: the maximal cells are edges
+        cells = []
+        for e in sub.edges:
+            a, b = e.ends
+            u = (b[0] - a[0], b[1] - a[1])
+            lam = (cmap[a] - cmap[b]) / (u[0] * u[0] + u[1] * u[1])
+            cells.append((a, (lam * u[0], lam * u[1])))
+    return TropPoly(f.support, tuple(
+        min(cmap[q] + (q[0] - p[0]) * v[0] + (q[1] - p[1]) * v[1] for q, v in cells)
+        for p in pts
+    ))
 
 
 def minkowski_sum_points(a, b):

@@ -325,16 +325,3 @@ def cramer_conditions(a_rows, b_rows, zero=Fraction(0)):
     minors = masked_minors(n, lambda r, c: b[r][c] if c in tight[r] else None, zero)
     return list(enumerate(minors))
 
-
-def cramer_signed_solution(a_rows, b_rows, zero=Fraction(0)):
-    """Cofactor-signed solution vector of the homogeneous system B.
-
-    Entry k is (-1)^k det(B^k) restricted to the optimal permutations of
-    the tropical minor A^k; this is a genuine solution of the residual
-    linear system whenever no entry vanishes.
-    """
-    conds = cramer_conditions(a_rows, b_rows, zero)
-    out = []
-    for k, d in conds:
-        out.append(d if k % 2 == 0 else -d)
-    return out

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from tropgeo.trop_core import Support, TropPoly, curve
+from tropgeo.trop_core import Support, TropPoly, curve, mixed_volume
 from tropgeo.residual import PROVABLY_EMPTY, ResidualField, residual_terms
 from tropgeo.construction import (
     CERT_ALWAYS,
@@ -25,7 +25,7 @@ from tropgeo.construction import (
     verify_witness,
 )
 from tropgeo.theorems import catalog
-from tropgeo import dsl
+from tropgeo import construction, dsl
 
 LINE = Support.named("line")
 F10007 = ResidualField(10007)
@@ -44,6 +44,27 @@ def catalog_construction(name):
 def test_pappus_hypothesis_is_a_valid_exact_construction():
     d = validate_construction(catalog()["pappus"].hypothesis)
     assert d.ok and d.exact
+
+
+def test_validation_computes_each_mixed_volume_once(monkeypatch):
+    # lines L_i through a_i a_(i+1); q_i = L_i meet L_(i+2): 10 line pairs
+    n = 12
+    text = "\n".join(
+        [f"input point a{i}" for i in range(n + 1)]
+        + [f"curve L{i} = through a{i} a{i + 1} support line" for i in range(n)]
+        + [f"points {{q{i}}} = intersect L{i} L{i + 2}" for i in range(n - 2)]
+    )
+    c = dsl.to_construction(dsl.parse(text + "\n"))
+    calls = []
+
+    def counting(d1, d2):
+        calls.append((d1, d2))
+        return mixed_volume(d1, d2)
+
+    monkeypatch.setattr(construction, "mixed_volume", counting)
+    d = validate_construction(c)
+    assert d.ok and d.exact
+    assert calls == [(LINE, LINE)]
 
 
 def test_point_with_three_predecessors_rejected():

@@ -2,7 +2,9 @@
 keep their exit codes and their exact stdout, JSON report included
 (``--json -``).  The SHA-256 digests were recorded before the Cramer
 minors and the Sylvester heights moved onto the one masked Laplace
-expansion; a change that alters any report byte shows up here.
+expansion (the ``realize`` digests before the canonical form was read
+off the dual subdivision); a change that alters any report byte shows
+up here.
 """
 
 import hashlib
@@ -44,6 +46,13 @@ GOLDEN = [
      "b96cd3d06c740d46ce2cd10b5636d28d92633a8a279b9fcfd712e9b1ef3cf817"),
     (["certify", "@cayley_bacharach_3_3", "--trials", "2", "--seed", "1"], 0,
      "543628369b9c1ad1a29355f98f0930109e8f9a3511c74640b2b3b8c73d18f6d0"),
+    # realize prints every curve's coefficients in concave canonical form
+    (["realize", "@weak_pascal", "--seed", "1"], 0,
+     "cba6fc75df5d9b9ad820a545518045dc975bdac4f2663e3b1cd7a7cf3ed196cc"),
+    (["realize", "@cayley_bacharach_3_3", "--seed", "1"], 0,
+     "0bd0b3b9f8c4c00f7b407e03a6542def4e2c8cb73aad41ec675ea9294a0f2c66"),
+    (["realize", "@vector_addition", "--seed", "1"], 0,
+     "1810d5a38e8d1a613425df3e8135b988aae641f75e753cac121587816585be37"),
 ]
 
 

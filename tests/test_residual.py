@@ -19,6 +19,7 @@ from tropgeo.residual import (
     residual_poly,
     residual_terms,
     rpoly_roots_univariate,
+    _fp_roots,
     _rat_sqrt,
 )
 
@@ -234,6 +235,31 @@ def test_roots_with_multiplicity_over_fp():
     p = (x - RPoly.const(3)) ** 2 * (x - RPoly.const(5))
     roots = rpoly_roots_univariate(p, field)
     assert [(r.v, m) for r, m in roots] == [(3, 2), (5, 1)]
+
+
+def test_fp_roots_match_sympy():
+    # p <= 64 takes the scan branch, 10007 the gcd(x^p - x, f) splitting one
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(23)
+    for p in (2, 3, 61, 10007):
+        for _ in range(25):
+            # chosen roots repeat and include 0; the cofactor may add more
+            pool = [0, 1, rng.randrange(p), rng.randrange(p)]
+            roots = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            cof = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, p)]
+            if not roots and len(cof) == 1:
+                roots = [rng.choice(pool)]
+            f = sympy.Poly(list(reversed(cof)), x, modulus=p)
+            for r in roots:
+                f = f * sympy.Poly(x - r, x, modulus=p)
+            dense = [int(c) % p for c in reversed(f.all_coeffs())]
+            expected = sorted(
+                ((-int(g.all_coeffs()[1]) * pow(int(g.all_coeffs()[0]), -1, p)) % p, m)
+                for g, m in f.factor_list()[1]
+                if g.degree() == 1
+            )
+            assert _fp_roots(dense, p) == expected, (p, dense)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,9 +10,11 @@ from tropgeo.trop_core import (
     TropPoly,
     concave_canonical,
     convex_hull,
+    cross,
     curve,
     dual_subdivision,
     mixed_volume,
+    on_segment,
 )
 
 
@@ -139,6 +142,53 @@ def test_concave_canonical_preserves_curve():
             for y in range(-8, 9, 2):
                 p = (F(x, 2), F(y, 2))
                 assert f.on_curve(p) == g.on_curve(p)
+
+
+def _envelope_oracle(f):
+    """Concave envelope at each support point by brute force: by
+    Caratheodory, the max over the point itself and every segment and
+    triangle of support points containing it of the interpolated height."""
+    cm = f.coeff_map()
+    out = []
+    for p in f.support.points:
+        best = cm[p]
+        for a, b in itertools.combinations(f.support.points, 2):
+            if on_segment(p, a, b):
+                k = 0 if a[0] != b[0] else 1
+                t = F(p[k] - a[k], b[k] - a[k])
+                best = max(best, (1 - t) * cm[a] + t * cm[b])
+        for a, b, c in itertools.combinations(f.support.points, 3):
+            area = cross(a, b, c)
+            if area == 0:
+                continue
+            lam = (F(cross(p, b, c), area), F(cross(a, p, c), area), F(cross(a, b, p), area))
+            if min(lam) >= 0:
+                best = max(best, lam[0] * cm[a] + lam[1] * cm[b] + lam[2] * cm[c])
+        out.append(best)
+    return tuple(out)
+
+
+def test_concave_canonical_matches_envelope_oracle():
+    rng = random.Random(13)
+    box = [(i, j) for i in range(4) for j in range(4)]
+    polys = []
+    for _ in range(150):  # random supports in a box, heavy ties
+        sup = Support(rng.sample(box, rng.randint(1, 10)))
+        den = rng.randint(1, 3)
+        polys.append(TropPoly(sup, [F(rng.randint(-2, 2), den) for _ in sup.points]))
+    for _ in range(60):  # collinear, non-primitive steps
+        step = rng.choice([(2, 1), (1, 0), (0, 3), (1, -1)])
+        ks = rng.sample(range(6), rng.randint(1, 6))
+        sup = Support([(k * step[0], k * step[1]) for k in ks])
+        den = rng.randint(1, 3)
+        polys.append(TropPoly(sup, [F(rng.randint(-3, 3), den) for _ in sup.points]))
+    for d in (1, 2, 3):  # degree supports, all coefficients tied
+        polys.append(TropPoly(Support.degree(d), [0] * Support.degree(d).delta()))
+    for f in polys:
+        g = concave_canonical(f)
+        assert g.support == f.support
+        assert g.coeffs == _envelope_oracle(f), f
+        assert concave_canonical(g) == g
 
 
 def test_concavity_inequality_holds():

@@ -9,7 +9,6 @@ from tropgeo.trop_linalg import (
     _hungarian_max,
     _scaled,
     cramer_conditions,
-    cramer_signed_solution,
     cramer_stable,
     pseudodet,
     trop_det,
@@ -170,26 +169,31 @@ def test_cramer_conditions_regular_minors_are_monomials():
         assert poly.is_monomial()
 
 
-def test_cramer_signed_solution_solves_the_system():
+def test_cramer_conditions_are_signed_cramer_minors():
+    # minor k keeps only the optimal permutations of A^k, the ones through
+    # tight entries, so it is the plain minor of B with the other entries
+    # zeroed, and the cofactor-signed minors solve that system
     rng = random.Random(9)
+    regular = 0
     for _ in range(40):
         n = rng.randint(2, 3)
         a = [[F(rng.randint(-3, 3)) for _ in range(n + 1)] for _ in range(n)]
         b = [[F(rng.randint(1, 9)) for _ in range(n + 1)] for _ in range(n)]
-        # restrict to weight matrices whose minors are all regular so the
-        # masked determinants are honest determinants of b's minors
-        sol_flags = cramer_stable(a)
-        if not all(sol_flags.regular):
-            continue
-        x = cramer_signed_solution(a, b)
-        xb = []
-        for k in range(n + 1):
+        sol = cramer_stable(a)
+        bt = [[b[r][c] if c in sol.tight[r] else F(0) for c in range(n + 1)] for r in range(n)]
+        x = []
+        for k, minor in cramer_conditions(a, b):
             cols = [c for c in range(n + 1) if c != k]
-            minor = [[b[r][c] for c in cols] for r in range(n)]
-            det = _plain_det(minor)
-            xb.append(det if k % 2 == 0 else -det)
-        for row in b:
-            assert sum(row[k] * xb[k] for k in range(n + 1)) == 0
+            plain = _plain_det([[bt[r][c] for c in cols] for r in range(n)])
+            assert minor == plain
+            x.append((-1) ** k * minor)
+        for row in bt:
+            assert sum(row[k] * x[k] for k in range(n + 1)) == 0
+        if all(sol.regular):
+            # one optimal permutation per minor: a nonzero monomial
+            assert all(x)
+            regular += 1
+    assert regular >= 5
 
 
 def _plain_det(m):
