@@ -679,16 +679,9 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
                     raise SymbolicModeUnsupported(
                         f"{origin}: {exc} at point {b}"
                     ) from exc
-                conds.add(_num(det), f"{origin} local det at {b}")
-                conds.add(_num(x), f"{origin} torus x at {b}")
-                conds.add(_num(y), f"{origin} torus y at {b}")
-                step_conds.extend(
-                    [
-                        (f"{origin} local det at {b}", _num(det)),
-                        (f"{origin} torus x at {b}", _num(x)),
-                        (f"{origin} torus y at {b}", _num(y)),
-                    ]
-                )
+                for what, v in (("local det", det), ("torus x", x), ("torus y", y)):
+                    conds.add(_num(v), f"{origin} {what} at {b}")
+                    step_conds.append((f"{origin} {what} at {b}", _num(v)))
                 if not _num(x) or not _num(y) or not _num(det):
                     failed = True
                     solved[b] = []

@@ -14,7 +14,9 @@ Tropical side:
 Residual side: conditions are pseudodeterminants, the jet-ring minors on
 the tight entries of the Cramer system, and Sylvester resultants over
 the jet ring, where an exact top-order cancellation is precisely a
-vanishing pseudodeterminant.
+vanishing pseudodeterminant.  The jets carry their own tropical values:
+the orders of a jet resultant are the generic (max-plus) heights whose
+Newton segment picks the vertex conditions.
 """
 
 from __future__ import annotations
@@ -348,16 +350,13 @@ def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
     any_nonzero = False
     for k, i in enumerate(I.points):
         det = minors[k]
-        trop_value = sol.values[k]
         minor_regular[i] = sol.regular[k]
-        if det.is_principal and det.order == trop_value:
+        if det.is_principal:
             cond_val = det.coeff
             any_nonzero = True
-            jet = det if k % 2 == 0 else -det
         else:
             cond_val = _condition_zero(entries)
-            jet = Jet.degenerate(trop_value)
-        coeff_jets[i] = jet
+        coeff_jets[i] = det if k % 2 == 0 else -det
         conds.add(_condition_poly(cond_val), f"{origin} minor {i}")
     return CurveStepResult(
         coeff_jets=coeff_jets,
@@ -458,19 +457,15 @@ class JPoly:
 JPOLY_ZERO = JPoly()
 
 
-def _normalize_support(jets: dict) -> dict:
-    mi = min(i for i, _ in jets)
-    mj = min(j for _, j in jets)
-    return {(i - mi, j - mj): jet for (i, j), jet in jets.items()}
-
-
 def _by_y(poly: dict) -> dict:
     """{(i, j): c} as {j: {i: c}}, after moving the support to the origin
     so that neither x nor y divides the polynomial (torus roots are
     unaffected)."""
+    mi = min(i for i, _ in poly)
+    mj = min(j for _, j in poly)
     out = {}
-    for (i, j), c in _normalize_support(poly).items():
-        out.setdefault(j, {})[i] = c
+    for (i, j), c in poly.items():
+        out.setdefault(j - mj, {})[i - mi] = c
     return out
 
 
@@ -504,45 +499,6 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> JPoly:
     return _sylvester(fy, gy, JPOLY_ZERO, SYLVESTER_BOUND)
 
 
-class _MaxPlusPoly:
-    """Univariate polynomial {exponent: height} over the max-plus
-    semiring.  Negation is the identity, so a signed determinant
-    expansion over it is the tropical permanent."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def __add__(self, o):
-        out = dict(self.c)
-        for e, v in o.c.items():
-            if e not in out or v > out[e]:
-                out[e] = v
-        return _MaxPlusPoly(out)
-
-    def __neg__(self):
-        return self
-
-    def __mul__(self, o):
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in o.c.items():
-                e = e1 + e2
-                v = v1 + v2
-                if e not in out or v > out[e]:
-                    out[e] = v
-        return _MaxPlusPoly(out)
-
-
-def trop_resultant_heights(f_trop: dict, g_trop: dict) -> dict:
-    """Generic heights of the resultant coefficients: the tropical
-    (max-plus) Sylvester permanent, coefficientwise."""
-    fy = {j: _MaxPlusPoly(c) for j, c in _by_y(f_trop).items()}
-    gy = {j: _MaxPlusPoly(c) for j, c in _by_y(g_trop).items()}
-    return _sylvester(fy, gy, _MaxPlusPoly({}), SYLVESTER_BOUND).c
-
-
 def trop_univariate_roots(heights: dict):
     """Roots with multiplicities of a univariate max-plus polynomial: one
     per segment between consecutive Newton-segment vertices."""
@@ -565,7 +521,7 @@ class ResultantFamily:
     """Vertex conditions of one resultant's Newton segment."""
 
     name: str                   # "x", "y" or "z"
-    heights: dict               # generic coefficient heights
+    heights: dict               # orders of the resultant's coefficients
     vertex_indices: list
     conditions: list            # [(index, value)] at the vertices
     monomial_flags: list | None  # per vertex; None when shape analysis skipped
@@ -600,17 +556,13 @@ class ResultantBundle:
         )
 
 
-def _shape_monomial_flags(f_trop, g_trop, vertex_indices):
+def _shape_monomial_flags(f_jets, g_jets, vertex_indices):
     """Monomial-ness of the vertex condition polynomials, from a run with
-    fresh local variables per input coefficient.  Only done for small
-    Sylvester dimensions; None means unknown."""
-    f_jets = {
-        i: Jet.principal(v, RPoly.var(f"f[{i[0]},{i[1]}]")) for i, v in f_trop.items()
-    }
-    g_jets = {
-        i: Jet.principal(v, RPoly.var(f"g[{i[0]},{i[1]}]")) for i, v in g_trop.items()
-    }
-    res = sylvester_resultant(f_jets, g_jets)
+    fresh local variables per input coefficient at the input orders.
+    Only done for small Sylvester dimensions; None means unknown."""
+    f_vars = {i: Jet.principal(j.order, RPoly.var(f"f[{i[0]},{i[1]}]")) for i, j in f_jets.items()}
+    g_vars = {i: Jet.principal(j.order, RPoly.var(f"g[{i[0]},{i[1]}]")) for i, j in g_jets.items()}
+    res = sylvester_resultant(f_vars, g_vars)
     flags = []
     for idx in vertex_indices:
         jet = res.c.get(idx, JET_ZERO)
@@ -618,21 +570,21 @@ def _shape_monomial_flags(f_trop, g_trop, vertex_indices):
     return flags
 
 
-def _resultant_family(name, f_trop, f_jets, g_trop, g_jets):
-    heights = trop_resultant_heights(f_trop, g_trop)
+def _resultant_family(name, f_jets, g_jets):
     res = sylvester_resultant(f_jets, g_jets)
+    # The order of a jet sum is the larger order even when the top
+    # coefficients cancel (the sum is then degenerate at that order), and
+    # the order of a product is the sum of orders; no sum of nonzero jets
+    # is zero.  So the orders of the jet resultant are the max-plus
+    # Sylvester permanent of the input orders: the generic heights.
+    heights = {e: j.order for e, j in res.c.items()}
     verts = _newton_segment_vertices(heights)
-    conds = []
     sample = next((j.coeff for j in res.c.values() if j.is_principal), None)
-    for idx in verts:
-        jet = res.c.get(idx, JET_ZERO)
-        if jet.is_principal and jet.order == heights[idx]:
-            conds.append((idx, jet.coeff))
-        else:
-            conds.append((idx, _zero_like_coeff(sample) if sample is not None else Fraction(0)))
+    zero = _zero_like_coeff(sample) if sample is not None else Fraction(0)
+    conds = [(idx, res.c[idx].coeff if res.c[idx].is_principal else zero) for idx in verts]
     flags = None
-    if max(_by_y(f_trop)) + max(_by_y(g_trop)) <= SHAPE_BOUND:
-        flags = _shape_monomial_flags(f_trop, g_trop, verts)
+    if max(_by_y(f_jets)) + max(_by_y(g_jets)) <= SHAPE_BOUND:
+        flags = _shape_monomial_flags(f_jets, g_jets, verts)
     return ResultantFamily(
         name=name,
         heights=heights,
@@ -642,12 +594,12 @@ def _resultant_family(name, f_trop, f_jets, g_trop, g_jets):
     )
 
 
-def _swap_xy(jets_or_trop):
-    return {(j, i): v for (i, j), v in jets_or_trop.items()}
+def _swap_xy(jets):
+    return {(j, i): v for (i, j), v in jets.items()}
 
 
-def _shear(jets_or_trop, a):
-    return {(i, j + a * i): v for (i, j), v in jets_or_trop.items()}
+def _shear(jets, a):
+    return {(i, j + a * i): v for (i, j), v in jets.items()}
 
 
 def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
@@ -673,23 +625,20 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
     """Residual conditions for the compatibility of the stable and the
     algebraic intersection: principal coefficients at the Newton-segment
     vertices of the three resultants R_x, R_y, R_z must not vanish."""
-    f_trop = {i: j.order for i, j in f_jets.items() if not j.is_zero}
-    g_trop = {i: j.order for i, j in g_jets.items() if not j.is_zero}
-    if any(j.is_degenerate for j in f_jets.values()) or any(
-        j.is_degenerate for j in g_jets.values()
-    ):
+    f_jets = {i: j for i, j in f_jets.items() if not j.is_zero}
+    g_jets = {i: j for i, j in g_jets.items() if not j.is_zero}
+    if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
         cs = ConditionSet()
         cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
         return ResultantBundle(shear=None, families=[], conditions=cs, undecidable=True)
-    f = TropPoly(Support(f_trop.keys()), _normalize_support(f_trop))
-    g = TropPoly(Support(g_trop.keys()), _normalize_support(g_trop))
+    f, g = (TropPoly(Support(jets), {i: j.order for i, j in jets.items()}) for jets in (f_jets, g_jets))
 
     families = []
     cs = ConditionSet()
 
-    def run(name, ft, fj, gt, gj):
+    def run(name, fj, gj):
         try:
-            fam = _resultant_family(name, ft, fj, gt, gj)
+            fam = _resultant_family(name, fj, gj)
         except ResultantBoundExceeded:
             fam = ResultantFamily(
                 name=name, heights={}, vertex_indices=[], conditions=[],
@@ -702,12 +651,12 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
             cs.add(_condition_poly(val), f"{origin} R_{name} coeff {idx}")
         return fam
 
-    fam_x = run("x", f_trop, f_jets, g_trop, g_jets)
-    fam_y = run("y", _swap_xy(f_trop), _swap_xy(f_jets), _swap_xy(g_trop), _swap_xy(g_jets))
+    fam_x = run("x", f_jets, g_jets)
+    fam_y = run("y", _swap_xy(f_jets), _swap_xy(g_jets))
 
     if fam_x is not None and fam_y is not None and not fam_x.bound_exceeded and not fam_y.bound_exceeded:
         a, _ = choose_shear(f, g, fam_x.heights, fam_y.heights)
-        run("z", _shear(f_trop, a), _shear(f_jets, a), _shear(g_trop, a), _shear(g_jets, a))
+        run("z", _shear(f_jets, a), _shear(g_jets, a))
         shear = a
     else:
         shear = None

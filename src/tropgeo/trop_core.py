@@ -311,15 +311,8 @@ class TropPoly:
 
     @staticmethod
     def from_json(obj) -> "TropPoly":
-        sup = Support(tuple(map(tuple, obj["support"])))
-        # json order must match the normalized support order after translation
-        mx = min(p[0] for p in map(tuple, obj["support"]))
-        my = min(p[1] for p in map(tuple, obj["support"]))
-        cmap = {
-            (int(p[0]) - mx, int(p[1]) - my): frac(c)
-            for p, c in zip(obj["support"], obj["coeffs"])
-        }
-        return TropPoly(sup, cmap)
+        pts = [tuple(p) for p in obj["support"]]
+        return TropPoly(Support(pts), dict(zip(pts, obj["coeffs"])))
 
 
 def _normalize_coeff_keys(support: Support, coeffs: dict):

@@ -21,7 +21,6 @@ from tropgeo.stable_ops import (
     stable_curve,
     stable_intersection,
     sylvester_resultant,
-    trop_resultant_heights,
     trop_univariate_roots,
 )
 from tropgeo.trop_linalg import cramer_conditions, pseudodet, trop_det_value_regular
@@ -329,9 +328,9 @@ def test_trop_resultant_roots_match_intersection():
     # x-roots of Res_y are the x-coordinates of the stable intersection
     C1 = TropPoly.parse("(-11)+2x+2y+2xy+0x^2+0y^2")
     C2 = TropPoly.parse("0+8x+14y+20xy+12x^2+14y^2")
-    f_tr = dict(zip(C1.support.points, C1.coeffs))
-    g_tr = dict(zip(C2.support.points, C2.coeffs))
-    heights = trop_resultant_heights(f_tr, g_tr)
+    f_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C1.support.points, C1.coeffs)}
+    g_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C2.support.points, C2.coeffs)}
+    heights = {e: j.order for e, j in sylvester_resultant(f_jets, g_jets).c.items()}
     roots = sorted(r for r, _ in trop_univariate_roots(heights))
     xs = sorted({p[0] for p, _ in stable_intersection(C1, C2).points})
     assert roots == xs
@@ -403,19 +402,77 @@ def _brute_trop_resultant(f_trop, g_trop):
 
 
 def test_trop_resultant_heights_matches_brute_force():
-    rng = random.Random(43)
-    checked = 0
-    while checked < 80:
-        f = {pt: F(rng.randint(-9, 9), rng.randint(1, 3)) for pt in _rand_bivariate(rng)}
-        g = {pt: F(rng.randint(-9, 9), rng.randint(1, 3)) for pt in _rand_bivariate(rng)}
+    # the orders of the jet resultant are the max-plus Sylvester
+    # permanent, also where top coefficients cancel: with all
+    # coefficients 1 and tied heights (hi = 1) the signed permutation
+    # terms cancel often
+    def ydeg(p):
+        return max(j for _, j in p) - min(j for _, j in p)
 
-        def ydeg(p):
-            return max(j for _, j in p) - min(j for _, j in p)
+    for coeffs, (hi, den) in itertools.product(("ones", "random"), ((9, 3), (1, 1))):
+        rng, coeff_rng = random.Random(43), random.Random(44)
 
-        if not 0 < ydeg(f) + ydeg(g) <= 4:
-            continue
-        assert trop_resultant_heights(f, g) == _brute_trop_resultant(f, g), (f, g)
+        def jets(heights):
+            return {pt: Jet.principal(h, F(1) if coeffs == "ones" else F(coeff_rng.choice([-3, -1, 1, 2])))
+                    for pt, h in heights.items()}
+
+        checked = cancelled = 0
+        while checked < 80:
+            f = {pt: F(rng.randint(-hi, hi), rng.randint(1, den)) for pt in _rand_bivariate(rng)}
+            g = {pt: F(rng.randint(-hi, hi), rng.randint(1, den)) for pt in _rand_bivariate(rng)}
+            if not 0 < ydeg(f) + ydeg(g) <= 4:
+                continue
+            res = sylvester_resultant(jets(f), jets(g))
+            heights = {e: j.order for e, j in res.c.items()}
+            brute = _brute_trop_resultant(f, g)
+            assert set(heights) == set(brute), (coeffs, f, g)
+            assert heights == brute, (coeffs, f, g)
+            cancelled += any(j.is_degenerate for j in res.c.values())
+            checked += 1
+        if (coeffs, hi) == ("ones", 1):
+            assert cancelled >= 5
+
+
+def _jet_poly_in_s(jets, x, y, s):
+    """sum c * s^order * x^i * y^j after _by_y's translation to the origin."""
+    mi = min(i for i, _ in jets)
+    mj = min(j for _, j in jets)
+    return sum(int(jet.coeff) * s ** int(jet.order) * x ** (i - mi) * y ** (j - mj)
+               for (i, j), jet in jets.items())
+
+
+def test_jet_sylvester_resultant_matches_sympy():
+    # with s = 1/t, a jet c*t^(-o) + o(t^(-o)) stands for c*s^o + lower
+    # powers of s: a principal coefficient of the resultant is sympy's
+    # top s-term, a degenerate one bounds sympy's s-degree from above
+    sympy = pytest.importorskip("sympy")
+    x, y, s = sympy.symbols("x y s")
+    rng = random.Random(47)
+    pts = [(i, j) for i in range(3) for j in range(3)]
+    checked = degenerate = 0
+    while checked < 150:
+        f, g = ({pt: Jet.principal(rng.randint(0, 3), F(rng.choice([1, -1, 2])))
+                 for pt in rng.sample(pts, rng.randint(1, 4))} for _ in range(2))
+        if all(j == min(q for _, q in p) for p in (f, g) for _, j in p):
+            continue  # both y-free
+        res = sylvester_resultant(f, g)
+        expected = sympy.Poly(
+            sympy.resultant(_jet_poly_in_s(f, x, y, s), _jet_poly_in_s(g, x, y, s), y), x
+        )
+        by_x = {e: sympy.Poly(c, s) for (e,), c in expected.terms()}
+        for e, jet in res.c.items():
+            top = by_x.get(e, sympy.Poly(0, s))
+            if jet.is_principal:
+                assert top.degree() == jet.order and top.LC() == jet.coeff, (f, g, e)
+            else:
+                degenerate += 1
+                assert top.is_zero or top.degree() < jet.order, (f, g, e)
+        # an exponent the jets drop must vanish in sympy too; one the jets
+        # keep as degenerate may cancel to an exact zero
+        assert set(by_x) <= set(res.c), (f, g)
+        assert {e for e, j in res.c.items() if j.is_principal} <= set(by_x)
         checked += 1
+    assert degenerate > 0
 
 
 def test_local_solve_transversal_lines():

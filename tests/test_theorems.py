@@ -103,6 +103,19 @@ def test_thesis_point_three_generic_lines_fail():
     assert hits >= 12
 
 
+def test_thesis_point_of_two_curves_is_at_most_their_least_stable_point():
+    # every stable intersection point is a vertex of one curve or a
+    # transversal crossing of two edges, so the candidates that
+    # thesis_feasible_point scans (with _edge_cross) must contain it
+    rng = random.Random(12)
+    for _ in range(400):
+        f, g = (TropPoly(sup, [F(rng.randint(-2, 2)) for _ in sup.points])
+                for sup in (Support.degree(rng.randint(1, 3)) for _ in range(2)))
+        p = thesis_feasible_point([f, g])
+        assert p is not None and f.on_curve(p) and g.on_curve(p), (f, g)
+        assert p <= stable_intersection(f, g).points[0][0], (f, g)
+
+
 def test_thesis_point_three_coincident_vertical_lines():
     v = TropPoly(Support.named("vertical"), [F(1), F(0)])
     p = thesis_feasible_point([v, v, v])
