@@ -6,6 +6,7 @@ Tropical side:
 * ``stable_intersection`` -- mixed cells of the product subdivision: a maximal
   cell of Subdiv(f*g) decomposes as (argmax cell of f) + (argmax cell of g)
   over its dual vertex; its mixed area is the intersection multiplicity there.
+  The argmax cells are int argmaxes along the cell's facet normal.
 * ``perturbation_oracle`` -- an independent check: translate g by an
   infinitesimal epsilon*v, intersect transversally over the ring Q[eps]
   (coordinates stay affine in eps because edge directions are integral),
@@ -33,6 +34,8 @@ from .trop_core import (
     dual_subdivision,
     frac,
     mixed_volume,
+    polygon_area2,
+    scaled_ints,
     upper_chain,
 )
 from .trop_linalg import cramer_stable, masked_det, masked_minors
@@ -95,15 +98,26 @@ def trop_product(f: TropPoly, g: TropPoly) -> TropPoly:
     return TropPoly(Support(pts.keys()), pts)
 
 
+def _summand(pts, c, d, nx, ny, nz):
+    """The argmax cell at the point (nx/nz, ny/nz), nz > 0, of the
+    polynomial with support pts and coefficients c/d (c ints): the
+    points (i, j) maximising nz*c + d*(nx*i + ny*j)."""
+    vals = [nz * ci + d * (nx * i + ny * j) for (i, j), ci in zip(pts, c)]
+    top = max(vals)
+    return [p for p, v in zip(pts, vals) if v == top]
+
+
 def stable_intersection(f: TropPoly, g: TropPoly) -> StableIntersection:
     h = trop_product(f, g)
     sub = dual_subdivision(h)
+    fs = (f.support.points, *scaled_ints(f.coeffs))
+    gs = (g.support.points, *scaled_ints(g.coeffs))
     out = []
     for cell in sub.facets:
         p = cell.dual_vertex
-        _, sf = f.eval(p)
-        _, sg = g.eval(p)
-        m2 = area2(cell.on_points) - area2(sf) - area2(sg)
+        (nx, ny), nz = scaled_ints(p)
+        sf, sg = _summand(*fs, nx, ny, nz), _summand(*gs, nx, ny, nz)
+        m2 = polygon_area2(cell.hull) - area2(sf) - area2(sg)
         if m2 < 0 or m2 % 2:
             raise AssertionError("mixed cell area must be a nonnegative even integer")
         if m2:

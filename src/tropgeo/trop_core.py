@@ -15,7 +15,14 @@ The central objects:
 
 ``dual_subdivision`` is the one upper-hull computation: the curve and
 the concave canonical form (the minimum, over the maximal cells, of
-their affine height functions) are both read from it.
+their affine height functions) are both read from it.  The hull is gift
+wrapping on the heights scaled once to ints by the lcm of their
+denominators.  It starts from the first segment of the upper chain over
+one Newton-polygon edge; across each cell edge not on the polygon
+boundary, one pass over the points keeps the one whose plane through
+the edge lies above all the others.  The tie rule: a cell's points are
+all the support points lifted onto its plane, so coplanar points stay
+in it, and its corners are their convex hull.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Point = tuple[Fraction, Fraction]
 LPoint = tuple[int, int]
@@ -78,14 +85,14 @@ def upper_chain(pts):
 
 def area2(pts) -> int:
     """Doubled area of the convex hull of lattice points (0 for dim < 2)."""
-    hull = convex_hull(pts)
+    return polygon_area2(convex_hull(pts))
+
+
+def polygon_area2(hull) -> int:
+    """Doubled area of a convex polygon given by its ccw corners."""
     if len(hull) < 3:
         return 0
-    s = 0
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        s += a[0] * b[1] - a[1] * b[0]
-    return abs(s)
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])))
 
 
 def primitive(v) -> LPoint:
@@ -363,76 +370,110 @@ class NewtonSubdivision:
     vertices: list[LPoint]      # 0-cells
 
 
-def _upper_facets_2d(pts, hts):
-    """Upper-hull facets of lifted points, by exhaustive plane search.
+def scaled_ints(values):
+    """(ints, d): the lcm d of the values' denominators and the ints d*v."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
-    Returns list of (on_point_indices, normal) with normal (nx, ny, nz),
-    nz > 0, such that the facet plane in the original height scale is
-    dot((nx,ny,nz), (x,y,h)) == const and every lifted point lies on or
-    below it.  Denominators are cleared first so all predicates are
-    integer; the returned nz is rescaled back to the original heights.
+
+def _upper_facets(pts, hts, poly):
+    """Upper-hull facets of the lifted points (p, h) of a 2-D support with
+    ccw Newton polygon ``poly``, by gift wrapping.
+
+    Returns [(on_point_indices, normal, hull)] sorted by the indices: every
+    point whose lift lies on the facet plane, the plane's normal
+    (nx, ny, nz), nz > 0, with dot((nx, ny, nz), (x, y, h)) the same at
+    each of them in the original height scale (and larger at no point),
+    and the cell's ccw corners.
+
+    The planes through an upper-hull edge a-b form a pencil, totally
+    ordered by their slope towards one side, so one pass over the points
+    on that side keeps the one whose plane passes above all the others:
+    that plane is the facet's.  Each cell edge is wrapped across at most
+    once, and not at all once the facets on both its sides are found.
     """
-    den = 1
-    for h in hts:
-        den = den * h.denominator // gcd(den, h.denominator)
-    P = [(p[0], p[1], int(h * den)) for p, h in zip(pts, hts)]
-    n = len(P)
-    facets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx1 = (P[j][0] - P[i][0], P[j][1] - P[i][1], P[j][2] - P[i][2])
-            for k in range(j + 1, n):
-                dx2 = (P[k][0] - P[i][0], P[k][1] - P[i][1], P[k][2] - P[i][2])
-                nz = dx1[0] * dx2[1] - dx1[1] * dx2[0]
-                if nz == 0:
-                    continue
-                nx = dx1[1] * dx2[2] - dx1[2] * dx2[1]
-                ny = dx1[2] * dx2[0] - dx1[0] * dx2[2]
-                if nz < 0:
-                    nx, ny, nz = -nx, -ny, -nz
-                base = nx * P[i][0] + ny * P[i][1] + nz * P[i][2]
-                ok = True
-                on = []
-                for m in range(n):
-                    s = nx * P[m][0] + ny * P[m][1] + nz * P[m][2] - base
-                    if s > 0:
-                        ok = False
-                        break
-                    if s == 0:
-                        on.append(m)
-                if ok:
-                    # scaled heights were den*h, so the true normal is
-                    # (nx, ny, nz*den)
-                    facets[frozenset(on)] = (tuple(sorted(on)), (nx, ny, nz * den))
-    return sorted(facets.values())
+    H, den = scaled_ints(hts)
+    lifted = list(zip(pts, H))
+    height = dict(lifted)
+
+    def wrap(a, b):
+        """The facet left of a -> b through the lifted edge a-b, or None
+        when no point lies left of a -> b (a polygon edge)."""
+        ax, ay = a
+        ah = height[a]
+        ux, uy, uh = b[0] - ax, b[1] - ay, height[b] - ah
+        nx = ny = nz = 0
+        for (x, y), h in lifted:
+            wx, wy, wh = x - ax, y - ay, h - ah
+            s = ux * wy - uy * wx
+            if s > 0 and (not nz or nx * wx + ny * wy + nz * wh > 0):
+                nx, ny, nz = uy * wh - uh * wy, uh * wx - ux * wh, s
+        if not nz:
+            return None
+        top = nx * ax + ny * ay + nz * ah
+        on = tuple(i for i, ((x, y), h) in enumerate(lifted) if nx * x + ny * y + nz * h == top)
+        # the scaled heights were den*h, so the true normal is (nx, ny, nz*den)
+        return on, (nx, ny, nz * den)
+
+    # the polygon lies left of its edge u -> v, and the lift of the first
+    # upper-chain segment over that edge is an edge of the upper hull
+    u, v = poly[0], poly[1]
+    e = (v[0] - u[0], v[1] - u[1])
+    seed = upper_chain(sorted(
+        ((p[0] - u[0]) * e[0] + (p[1] - u[1]) * e[1], h, p) for p, h in lifted if cross(u, v, p) == 0
+    ))
+    todo = [(u, seed[1][2])]
+    facets = []
+    found = {}  # cell edge -> number of facets found on it
+    while todo:
+        a, b = todo.pop()
+        if found.get((a, b) if a < b else (b, a)) == 2:
+            continue
+        facet = wrap(a, b)
+        if facet is None:
+            continue
+        on, normal = facet
+        hull = tuple(convex_hull([pts[i] for i in on]))
+        facets.append((on, normal, hull))
+        for p, q in zip(hull, hull[1:] + hull[:1]):
+            key = (p, q) if p < q else (q, p)
+            found[key] = found.get(key, 0) + 1
+            if found[key] == 1:
+                todo.append((q, p))
+    return sorted(facets)
 
 
 def _upper_chain_1d(pts, hts):
-    """Upper hull for supports whose points are collinear.
+    """Upper hull for supports whose points are collinear, on the
+    lcm-scaled int heights.
 
     Returns the list of 1-cells as (on_point_indices,) tuples, in order
     along the segment.
     """
+    H, _ = scaled_ints(hts)
     d = primitive((pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1]))
     base = pts[0]
-    params = [(p[0] - base[0]) * d[0] + (p[1] - base[1]) * d[1] for p in pts]
-    order = sorted(range(len(pts)), key=lambda i: params[i])
-    chain = upper_chain([(Fraction(params[i]), hts[i]) for i in order])
-    cells = []
-    for a in range(len(chain) - 1):
-        t0, t1 = chain[a][0], chain[a + 1][0]
-        # all points on the chord between consecutive hull vertices
-        on = [
-            i
-            for i in order
-            if t0 <= params[i] <= t1 and cross(chain[a], chain[a + 1], (Fraction(params[i]), hts[i])) == 0
-        ]
-        cells.append(tuple(sorted(on)))
-    return cells
+    lifted = sorted(
+        ((p[0] - base[0]) * d[0] + (p[1] - base[1]) * d[1], h, i) for i, (p, h) in enumerate(zip(pts, H))
+    )
+    chain = upper_chain(lifted)
+    # all points on the chord between consecutive hull vertices
+    return [
+        tuple(sorted(i for t, h, i in lifted if a[0] <= t <= b[0] and cross(a, b, (t, h)) == 0))
+        for a, b in zip(chain, chain[1:])
+    ]
 
 
 def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
-    """Regular subdivision of the Newton polygon induced by the coefficients."""
+    """Regular subdivision of the Newton polygon induced by the coefficients.
+
+    The maximal cells come from ``_upper_facets``: gift wrapping over the
+    lifted support on lcm-scaled int heights.  A cell's ``on_points`` are
+    all the support points whose lift lies on its facet plane, so points
+    tied on a face (in its interior or on an edge) are kept, and its
+    ``hull`` is their ccw convex hull.  Collinear supports are subdivided
+    by the upper chain of the same int heights along the segment.
+    """
     pts = list(f.support.points)
     hts = list(f.coeffs)
     if len(pts) == 1:
@@ -449,14 +490,12 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
         edges.sort(key=lambda e: e.ends)
         return NewtonSubdivision(f.support, tuple(hts), [], edges, sorted(verts))
 
-    raw = _upper_facets_2d(pts, hts)
-    facets = []
-    for on_idx, (nx, ny, nz) in raw:
-        on = tuple(pts[i] for i in on_idx)
-        fh = convex_hull(on)
-        dv = (Fraction(nx, nz), Fraction(ny, nz))
-        facets.append(Cell(dim=2, on_points=on, hull=tuple(fh), dual_vertex=dv))
-    facets.sort(key=lambda c: c.on_points)
+    # sorted by on-point indices, hence (the support being sorted) by on_points
+    facets = [
+        Cell(dim=2, on_points=tuple(pts[i] for i in on), hull=fh,
+             dual_vertex=(Fraction(nx, nz), Fraction(ny, nz)))
+        for on, (nx, ny, nz), fh in _upper_facets(pts, hts, hull)
+    ]
 
     # 1-cells: maximal boundary segments of facets, shared facets recorded
     edge_map: dict[tuple[LPoint, LPoint], dict] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -138,6 +139,64 @@ def test_oracle_on_the_degenerate_pair():
     C1 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+0x^2+0y^2")
     C2 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+1x^2+2y^2")
     assert perturbation_oracle(C1, C2).points == stable_intersection(C1, C2).points
+
+
+def _golden_pairs():
+    """Seeded pairs of random rational curves at d = 2..8, then tie-heavy
+    pairs at d <= 4 with coefficients in {-1, 0, 1} and p/q, q <= 3."""
+    rng = random.Random(2027)
+
+    def poly(d, coeff):
+        sup = Support.degree(d)
+        return TropPoly(sup, [coeff() for _ in sup.points])
+
+    for d in range(2, 9):
+        def rq():
+            return F(rng.randint(-60, 60), rng.randint(1, 4))
+        yield f"d{d}", [(poly(d, rq), poly(d, rq))]
+
+    def tie():
+        return F(rng.randint(-1, 1), rng.choice([1, 1, 2, 3]))
+    yield "ties", [(poly(rng.randint(1, 4), tie), poly(rng.randint(1, 4), tie)) for _ in range(30)]
+
+
+GOLDEN_PAIRS = list(_golden_pairs())
+
+# SHA-256 of repr(stable_intersection(f, g).points) over each group, recorded
+# before the mixed cells were read from the integer facet normals
+GOLDEN_INTERSECTIONS = {
+    "d2": "51082e2a45069318739d3eae7cfd53199fa72b4970ee5f39f4f0f60183cf8f86",
+    "d3": "4f8ed5c6e907c583ffa9e0cb77829b35aeb8e5721f2926189dadc3aff51fe7cd",
+    "d4": "386ce0fe0e203e808b0c9925bf47c426ab3f599101ba19698891368ec8197267",
+    "d5": "39c95fb840e1f184c1fce63f83fda216be16c7f948b4adc61d13a8b88c12772b",
+    "d6": "8a780ca09c41cdb3ad7b96e62fffad2a6e0b6efc18a731abaafe2498ba84bc9b",
+    "d7": "f8cd90a4ddae7e6cb3681c1a91b31ba13b0bf3dc68ff8c7979d3d6d92a5e1f03",
+    "d8": "2c195dbce0a7cb6fc54dba32855007991c45ffe77df09da376dddc4f2ec6cd4d",
+    "ties": "03419fb80e1240dc91d91f23887107953c37737e6cef8165acd16ea817ad048a",
+}
+
+
+@pytest.mark.parametrize("name,pairs", GOLDEN_PAIRS, ids=[name for name, _ in GOLDEN_PAIRS])
+def test_stable_intersection_points_are_unchanged(name, pairs):
+    pts = [stable_intersection(f, g).points for f, g in pairs]
+    assert hashlib.sha256(repr(pts).encode()).hexdigest() == GOLDEN_INTERSECTIONS[name]
+
+
+def test_stable_intersection_never_evaluates(monkeypatch):
+    # each mixed cell's summands are integer argmaxes along the facet
+    # normal, so no Fraction evaluation of f or g is needed
+    calls = []
+    evaluate = TropPoly.eval
+
+    def counted(self, p):
+        calls.append(p)
+        return evaluate(self, p)
+
+    monkeypatch.setattr(TropPoly, "eval", counted)
+    for _, pairs in GOLDEN_PAIRS:
+        for f, g in pairs[:5]:
+            stable_intersection(f, g)
+    assert calls == []
 
 
 def test_segment_supports_intersect():

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
+from math import gcd
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropgeo.trop_core as trop_core
 from tropgeo.trop_core import (
     Support,
     TropPoly,
@@ -189,6 +192,159 @@ def test_concave_canonical_matches_envelope_oracle():
         assert g.support == f.support
         assert g.coeffs == _envelope_oracle(f), f
         assert concave_canonical(g) == g
+
+
+def _brute_upper_facets(pts, hts):
+    """Upper-hull facets of lifted points, by exhaustive plane search:
+    the library's O(n^4) hull before gift wrapping replaced it.
+
+    Returns list of (on_point_indices, normal) with normal (nx, ny, nz),
+    nz > 0, such that the facet plane in the original height scale is
+    dot((nx,ny,nz), (x,y,h)) == const and every lifted point lies on or
+    below it.
+    """
+    den = 1
+    for h in hts:
+        den = den * h.denominator // gcd(den, h.denominator)
+    P = [(p[0], p[1], int(h * den)) for p, h in zip(pts, hts)]
+    n = len(P)
+    facets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx1 = (P[j][0] - P[i][0], P[j][1] - P[i][1], P[j][2] - P[i][2])
+            for k in range(j + 1, n):
+                dx2 = (P[k][0] - P[i][0], P[k][1] - P[i][1], P[k][2] - P[i][2])
+                nz = dx1[0] * dx2[1] - dx1[1] * dx2[0]
+                if nz == 0:
+                    continue
+                nx = dx1[1] * dx2[2] - dx1[2] * dx2[1]
+                ny = dx1[2] * dx2[0] - dx1[0] * dx2[2]
+                if nz < 0:
+                    nx, ny, nz = -nx, -ny, -nz
+                base = nx * P[i][0] + ny * P[i][1] + nz * P[i][2]
+                ok = True
+                on = []
+                for m in range(n):
+                    s = nx * P[m][0] + ny * P[m][1] + nz * P[m][2] - base
+                    if s > 0:
+                        ok = False
+                        break
+                    if s == 0:
+                        on.append(m)
+                if ok:
+                    facets[frozenset(on)] = (tuple(sorted(on)), (nx, ny, nz * den))
+    return sorted(facets.values())
+
+
+def _dual_vertex(normal):
+    nx, ny, nz = normal
+    return (F(nx, nz), F(ny, nz))
+
+
+def _oracle_inputs():
+    """Seeded 2-D supports with heavy ties in the heights."""
+    rng = random.Random(31)
+    box = [(i, j) for i in range(5) for j in range(5)]
+
+    def height():
+        if rng.random() < 0.5:
+            return F(rng.randint(-1, 1))
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    out = []
+    for _ in range(100):  # degree-1..5 supports
+        sup = Support.degree(rng.randint(1, 5))
+        out.append((sup, [height() for _ in sup.points]))
+    while len(out) < 300:  # random subsets of [0, 4]^2
+        sup = Support(rng.sample(box, rng.randint(3, 14)))
+        if len(convex_hull(sup.points)) > 2:
+            out.append((sup, [height() for _ in sup.points]))
+    for d in range(1, 6):  # all heights equal: one facet
+        sup = Support.degree(d)
+        out.append((sup, [F(7, 3)] * sup.delta()))
+    for _ in range(20):  # interior points lifted below every facet
+        sup = Support(rng.sample(box, rng.randint(4, 14)))
+        corners = set(convex_hull(sup.points))
+        if len(corners) > 2:
+            out.append((sup, [height() if p in corners else F(-10) for p in sup.points]))
+    for d in range(2, 6):  # the seed edge (the row y = 0) carries tied interior points
+        sup = Support.degree(d)
+        out.append((sup, [F(0) if p[1] == 0 else height() for p in sup.points]))
+    return out
+
+
+def test_upper_facets_match_brute_force(monkeypatch):
+    got = []
+    for sup, hts in _oracle_inputs():
+        pts = list(sup.points)
+        fast = trop_core._upper_facets(pts, hts, convex_hull(pts))
+        slow = _brute_upper_facets(pts, hts)
+        assert [on for on, _, _ in fast] == [on for on, _ in slow], (pts, hts)
+        assert [_dual_vertex(n) for _, n, _ in fast] == [_dual_vertex(n) for _, n in slow]
+        for on, _, hull in fast:
+            assert list(hull) == convex_hull([pts[i] for i in on])
+        got.append(dual_subdivision(TropPoly(sup, hts)))
+
+    def brute(pts, hts, poly):
+        return [
+            (on, n, tuple(convex_hull([pts[i] for i in on])))
+            for on, n in _brute_upper_facets(pts, hts)
+        ]
+
+    monkeypatch.setattr(trop_core, "_upper_facets", brute)
+    for (sup, hts), sub in zip(_oracle_inputs(), got):
+        want = dual_subdivision(TropPoly(sup, hts))
+        assert sub.facets == want.facets
+        assert sub.edges == want.edges
+        assert sub.vertices == want.vertices
+
+
+def _golden_polys():
+    """Seeded random rationals at d = 2..8, then tie-heavy polynomials:
+    degree supports at d <= 4 and collinear supports, some with every
+    lifted point on one line."""
+    rng = random.Random(2026)
+    for d in range(2, 9):
+        sup = Support.degree(d)
+        yield f"d{d}", [TropPoly(sup, [F(rng.randint(-60, 60), rng.randint(1, 4)) for _ in sup.points])]
+
+    def tie():
+        return F(rng.randint(-1, 1), rng.choice([1, 1, 2, 3]))
+
+    ties = []
+    for _ in range(30):
+        sup = Support.degree(rng.randint(1, 4))
+        ties.append(TropPoly(sup, [tie() for _ in sup.points]))
+    for _ in range(12):
+        step = rng.choice([(2, 1), (1, 0), (0, 3), (1, -1)])
+        ks = rng.sample(range(6), rng.randint(2, 6))
+        pts = [(k * step[0], k * step[1]) for k in ks]
+        ties.append(TropPoly(Support(pts), [tie() for _ in pts]))
+        # heights affine along the segment: one cell holding every point
+        ties.append(TropPoly(Support(pts), {p: F(k, 2) for k, p in zip(ks, pts)}))
+    yield "ties", ties
+
+
+GOLDEN_POLYS = list(_golden_polys())
+
+# SHA-256 of repr(dual_subdivision(f)) over each group, recorded before the
+# plane search gave way to gift wrapping
+GOLDEN_SUBDIVISIONS = {
+    "d2": "94daf8807ccabbef868ffe91db9257930274a591e1dea377786bc1a18f0ea3a4",
+    "d3": "82515c470a64425018f5d176548b135d086c53e04e9e4617aba6f1c275277cb1",
+    "d4": "b2a7885a3b8b8c22f97063b001db061b920cf08fd670486e6da39992218d8052",
+    "d5": "31dcda05e6be671ef1744161a83cb0b100ced6f6c40fd1c524f86154d3d4f2b6",
+    "d6": "db1fe9f2554a4e3c3bd802b0d06b3c46523aaf80aaa32558dbb3c541a42b05b8",
+    "d7": "d27d9325d5e57bdb8f0e1404326660a7384130790dc5733499668b21a2b26acc",
+    "d8": "48ca93054adb18c05f35fd9bd8ca23edef73aa53cb3d01e023feabe272c1085f",
+    "ties": "554b4c1a90f246befea2faf3a7fdaef6a345e8071a6b6745356ee29e299593db",
+}
+
+
+@pytest.mark.parametrize("name,polys", GOLDEN_POLYS, ids=[name for name, _ in GOLDEN_POLYS])
+def test_dual_subdivisions_are_unchanged(name, polys):
+    subs = [dual_subdivision(f) for f in polys]
+    assert hashlib.sha256(repr(subs).encode()).hexdigest() == GOLDEN_SUBDIVISIONS[name]
 
 
 def test_concavity_inequality_holds():
