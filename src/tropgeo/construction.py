@@ -651,17 +651,29 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     f_jets = jets[s.curves[0]]
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
+    si = r.intersections[idx]
+    # symbolic mode solves linear local systems only; solve them before the
+    # resultants, whose symbolic corner coefficients grow fast with the
+    # degree, so that a step it cannot solve stops at once
+    linear = {}
+    for b, _m in si.points if symbolic else ():
+        try:
+            ft = residual_terms(f_jets, b)
+            gt = residual_terms(g_jets, b)
+        except InformationLostError as exc:
+            linear[b] = exc
+            continue
+        try:
+            linear[b] = solve_local_linear(ft, gt)
+        except ValueError as exc:
+            raise SymbolicModeUnsupported(f"{origin}: {exc} at point {b}") from exc
     bundle = intersection_step_conditions(f_jets, g_jets, origin=origin)
     conds.merge(bundle.conditions)
     step_conds = [(c.origin, c.poly) for c in bundle.conditions.conditions]
     notes = [f"shear a={bundle.shear}"] if bundle.shear is not None else []
-    for fam in bundle.families:
-        if fam.bound_exceeded:
-            notes.append(f"R_{fam.name}: resultant bound exceeded")
 
     if bundle.always_compatible:
         notes.append("always-compatible")
-    si = r.intersections[idx]
     perm = r.labelings[idx]
     labeled_pts = si.as_labeled()
     failed = bool([v for _, v in step_conds if not v]) or bundle.undecidable
@@ -671,14 +683,9 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     for b, _m in si.points:
         try:
             if symbolic:
-                ft = residual_terms(f_jets, b)
-                gt = residual_terms(g_jets, b)
-                try:
-                    x, y, det = solve_local_linear(ft, gt)
-                except ValueError as exc:
-                    raise SymbolicModeUnsupported(
-                        f"{origin}: {exc} at point {b}"
-                    ) from exc
+                if isinstance(linear[b], InformationLostError):
+                    raise linear[b]
+                x, y, det = linear[b]
                 for what, v in (("local det", det), ("torus x", x), ("torus y", y)):
                     conds.add(_num(v), f"{origin} {what} at {b}")
                     step_conds.append((f"{origin} {what} at {b}", _num(v)))

@@ -1,4 +1,6 @@
-"""Residual-field arithmetic: scalars, sparse polynomials, jets.
+"""Residual-field arithmetic: scalars, sparse polynomials, jets, and
+dense univariate polynomials over F_p or Z (roots, fraction-free
+determinants).
 
 The residual field k is either Q or a prime field F_p.  All lifting
 computations run over the ring of *jets*: principal terms c*t^(-u) with
@@ -628,6 +630,84 @@ def residual_poly(f_jets: dict, b) -> RPoly:
 
 
 # ---------------------------------------------------------------------------
+# dense univariate polynomials over F_p or Z: coefficient lists, low to high
+
+
+def _dense_trim(a, p):
+    """a reduced mod p (over Z when p is None) without its zero top
+    coefficients; the zero polynomial is []."""
+    if p is not None:
+        a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _dense_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _dense_exact_quotient(a, b, p):
+    """a / b over F_p, or over Z when p is None, for b dividing a."""
+    if b == [1]:
+        return a
+    a = a[:]
+    db, lc = len(b) - 1, b[-1]
+    inv = pow(lc, -1, p) if p is not None else None
+    out = [0] * max(len(a) - db, 0)
+    for i in range(len(out) - 1, -1, -1):
+        c = a[i + db] * inv % p if p is not None else a[i + db] // lc
+        out[i] = c
+        if c:
+            for k, bk in enumerate(b):
+                a[i + k] -= c * bk
+    if _dense_trim(a, p):
+        raise AssertionError("inexact polynomial division")
+    return _dense_trim(out, p)
+
+
+def dense_det(a, p=None):
+    """Determinant of a square matrix over F_p[x], or over Z[x] when p is
+    None; entries are dense coefficient lists, low degree first, reduced
+    and trimmed ([] for zero).
+
+    Fraction-free elimination (Bareiss 1968): after step k every entry
+    right of and below the pivot is a (k+2)-minor of the row-swapped
+    matrix, so its division by the previous pivot is exact.  A zero
+    pivot is swapped with a row below it; O(n^3) polynomial products.
+    """
+    a = [row[:] for row in a]
+    n = len(a)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk, rowk = a[k][k], a[k]
+        for rowi in a[k + 1:]:
+            aik = rowi[k]
+            for j in range(k + 1, n):
+                num, sub = _dense_mul(rowi[j], akk), _dense_mul(aik, rowk[j])
+                num += [0] * (len(sub) - len(num))
+                for e, c in enumerate(sub):
+                    num[e] -= c
+                rowi[j] = _dense_exact_quotient(_dense_trim(num, p), prev, p)
+        prev = akk
+    det = a[-1][-1]
+    return det if sign > 0 else _dense_trim([-c for c in det], p)
+
+
+# ---------------------------------------------------------------------------
 # univariate roots over the residual field
 
 
@@ -664,18 +744,6 @@ def _fp_polymod(a, b, p):
         out.pop()
     return out if out else [0]
 
-def _fp_polymul(a, b, p, mod=None):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    if mod is not None:
-        out = _fp_polymod(out, mod, p)
-    return out
-
-
 def _fp_polygcd(a, b, p):
     while any(b):
         a, b = b, _fp_polymod(a, b, p)
@@ -688,8 +756,8 @@ def _fp_powmod(base, e, mod, p):
     base = _fp_polymod(base, mod, p)
     while e:
         if e & 1:
-            out = _fp_polymul(out, base, p, mod)
-        base = _fp_polymul(base, base, p, mod)
+            out = _fp_polymod(_dense_mul(out, base), mod, p)
+        base = _fp_polymod(_dense_mul(base, base), mod, p)
         e >>= 1
     return out
 
@@ -769,23 +837,9 @@ def _fp_split(g, p):
         h[0] = (h[0] - 1) % p
         d = _fp_polygcd(g, h, p)
         if 1 < len(d) < len(g):
-            rest = _fp_quotient(g, d, p)
+            rest = _dense_exact_quotient(g, d, p)
             return _fp_split(d, p) + _fp_split(rest, p)
     raise AssertionError("deterministic shift splitting failed")
-
-
-def _fp_quotient(a, b, p):
-    """Exact quotient a/b over F_p (b divides a)."""
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv % p
-        out[i] = c
-        if c:
-            for k in range(len(b)):
-                a[i + k] = (a[i + k] - c * b[k]) % p
-    return out
 
 
 def _rat_sqrt(x: Fraction):

@@ -13,17 +13,23 @@ Tropical side:
   then take limits as eps -> 0.
 
 Residual side: conditions are pseudodeterminants, the jet-ring minors on
-the tight entries of the Cramer system, and Sylvester resultants over
-the jet ring, where an exact top-order cancellation is precisely a
-vanishing pseudodeterminant.  The jets carry their own tropical values:
-the orders of a jet resultant are the generic (max-plus) heights whose
-Newton segment picks the vertex conditions.
+the tight entries of the Cramer system, and the Newton-segment vertex
+coefficients of Sylvester resultants over the jet ring, where an exact
+top-order cancellation is precisely a vanishing pseudodeterminant.  Only
+the strict upper-hull corners of a jet resultant's heights are computed:
+each is found by a max-weight assignment at a slope inside its normal
+cone (parametric bisection, Eisner-Severance 1976), and its coefficient
+is the determinant of the dominant coefficients on that assignment's
+tight graph.  The eliminant of a numeric local system is the
+fraction-free (Bareiss) determinant of its Sylvester matrix over F_p[x]
+or Z[x].  No Sylvester dimension is bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .trop_core import (
     Support,
@@ -38,9 +44,10 @@ from .trop_core import (
     scaled_ints,
     upper_chain,
 )
-from .trop_linalg import cramer_stable, masked_det, masked_minors
+from .trop_linalg import _hungarian_max, cramer_stable, masked_det, masked_minors
 from .residual import (
     ConditionSet,
+    FpElt,
     InformationLostError,
     Jet,
     JET_ZERO,
@@ -48,20 +55,16 @@ from .residual import (
     ResidualField,
     RFrac,
     RPoly,
+    dense_det,
     residual_terms,
     rpoly_roots_univariate,
 )
-
-
-class ResultantBoundExceeded(ValueError):
-    """The Sylvester dimension needed for a resultant exceeds the bound."""
 
 
 class NonGenericDirection(ValueError):
     """Perturbation direction still degenerate after bounded retries."""
 
 
-SYLVESTER_BOUND = 8
 SHAPE_BOUND = 4  # largest Sylvester dimension given a monomial-shape run
 
 
@@ -421,54 +424,7 @@ def curve_step_conditions(I: Support, pts, var_names=None, values=None) -> Curve
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over jets (for Sylvester determinants)
-
-
-class JPoly:
-    """Univariate polynomial with jet coefficients (a commutative ring)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {e: j for e, j in (c or {}).items() if not j.is_zero}
-
-    def __add__(self, o):
-        out = dict(self.c)
-        for e, j in o.c.items():
-            s = out.get(e, JET_ZERO) + j
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return JPoly(out)
-
-    def __neg__(self):
-        return JPoly({e: -j for e, j in self.c.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        out = {}
-        for e1, j1 in self.c.items():
-            for e2, j2 in o.c.items():
-                e = e1 + e2
-                t = j1 * j2
-                s = out.get(e, JET_ZERO) + t
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return JPoly(out)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __repr__(self):
-        return f"JPoly({self.c})"
-
-
-JPOLY_ZERO = JPoly()
+# Sylvester resultants in y
 
 
 def _by_y(poly: dict) -> dict:
@@ -483,17 +439,12 @@ def _by_y(poly: dict) -> dict:
     return out
 
 
-def _sylvester(fy: dict, gy: dict, zero, bound=None):
-    """Res_y(f, g) from the y-coefficients {degree: coefficient} of f and g.
-
-    The Sylvester matrix holds None where f and g have no coefficient,
-    so ``masked_det`` never multiplies those cells; ``zero`` is the
-    coefficient ring's empty sum.  With no y in f the matrix is
-    diagonal, so the resultant is fy[0]^n.
-    """
+def _sylvester_rows(fy: dict, gy: dict):
+    """The Sylvester matrix of f and g in y from their y-coefficients
+    {degree: coefficient}: deg_y g shifted rows of f, then deg_y f
+    shifted rows of g, None where f or g has no coefficient.  With no y
+    in f the matrix is diagonal, so the resultant is fy[0]^n."""
     m, n = max(fy), max(gy)
-    if bound is not None and m + n > bound:
-        raise ResultantBoundExceeded(f"Sylvester dimension {m + n} exceeds the bound {bound}")
     if m == 0 and n == 0:
         raise ValueError("resultant of two y-free polynomials")
     rows = []
@@ -503,14 +454,111 @@ def _sylvester(fy: dict, gy: dict, zero, bound=None):
             for k in range(deg + 1):
                 row[r + k] = coeffs.get(deg - k)
             rows.append(row)
-    return masked_det(m + n, lambda r, c: rows[r][c], zero)
+    return rows
 
 
-def sylvester_resultant(f_jets: dict, g_jets: dict) -> JPoly:
-    """Res_y(f, g) over the jet ring, as a JPoly in x."""
-    fy = {j: JPoly(c) for j, c in _by_y(f_jets).items()}
-    gy = {j: JPoly(c) for j, c in _by_y(g_jets).items()}
-    return _sylvester(fy, gy, JPOLY_ZERO, SYLVESTER_BOUND)
+@dataclass
+class ResultantCorner:
+    """A strict upper-hull corner of the heights of a jet resultant."""
+
+    index: int        # the exponent of x
+    order: Fraction   # its height, the order of its coefficient
+    coeff: object     # the coefficient at that order; zero when it cancels
+    tight: list       # row -> {column: dominant x-exponent} inside its cone
+
+
+def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
+    """The strict upper-hull corners of Res_y(f, g) over the jet ring, by
+    x-exponent, for principal input jets.
+
+    Cell (r, c) of the Sylvester matrix is sum_i J_i x^i with jets J_i of
+    order o_i.  The orders h_e of the resultant's coefficients are the
+    max-plus Sylvester permanent (the generic heights), and at a slope
+    lam the weights max_i(o_i + lam*i) have the max-plus permanent
+    max_e(h_e + lam*e): a max-weight assignment at lam lands on the upper
+    hull of {(e, h_e)}.  lam = -L and +L, L above n times the spread of
+    the orders, give the two end corners; the corners between two known
+    hull points are found by assigning at the slope where their lines
+    meet (Eisner-Severance parametric bisection).  Orders are scaled
+    once to ints by their lcm, and lam = a/b weighs b*o + a*i.
+
+    At a lam strictly inside corner e's normal cone the optimal
+    (permutation, term) choices are exactly those of exponent e and
+    order h_e, so each cell on an optimal permutation has one dominant
+    term, and the corner's coefficient is the masked determinant of the
+    dominant coefficients on the assignment's tight graph; it vanishes
+    exactly when the top order cancels, and the jet is then degenerate.
+    """
+    rows = _sylvester_rows(_by_y(f_jets), _by_y(g_jets))
+    n = len(rows)
+    d = lcm(*(j.order.denominator for jets in (f_jets, g_jets) for j in jets.values()))
+    cells = [[None if cell is None else
+              [(i, j.order.numerator * (d // j.order.denominator)) for i, j in cell.items()]
+              for cell in row] for row in rows]
+    orders = [o for row in cells for cell in row if cell for _, o in cell]
+    big = n * (max(orders) - min(orders)) + 1
+
+    def assign(a, b):
+        """(e, h, tight): the hull point a max-weight assignment at
+        lam = a/b picks, and its tight graph."""
+        best = [[None if cell is None else max((b * o + a * i, i, o) for i, o in cell)
+                 for cell in row] for row in cells]
+        finite = [t[0] for row in best for t in row if t]
+        absent = -2 * n * max(map(abs, finite)) - 1  # below every permutation of cells
+        w = [[absent if t is None else t[0] for t in row] for row in best]
+        _, u, v, col = _hungarian_max(w)
+        tight = [{c: t[1] for c, t in enumerate(row) if t and u[r] + v[c] == t[0]}
+                 for r, row in enumerate(best)]
+        chosen = [best[r][col[r]] for r in range(n)]
+        return sum(t[1] for t in chosen), sum(t[2] for t in chosen), tight
+
+    ends = assign(-big, 1), assign(big, 1)
+    found = {p[0]: p for p in ends}
+    stack = [ends]
+    while stack:
+        (e1, h1, _), (e2, h2, _) = stack.pop()
+        if e2 - e1 < 2:
+            continue
+        a, b = h1 - h2, e2 - e1  # the slope where the two lines meet
+        mid = assign(a, b)
+        if b * mid[1] + a * mid[0] > b * h1 + a * e1:
+            found[mid[0]] = mid
+            stack += [(found[e1], mid), (mid, found[e2])]
+    hull = upper_chain(sorted((e, h) for e, h, _ in found.values()))
+
+    zero = _zero_like_coeff(next(iter(f_jets.values())).coeff)
+    out = []
+    for k, (e, h) in enumerate(hull):
+        if k == 0:
+            tight = ends[0][2]
+        elif k == len(hull) - 1:
+            tight = ends[1][2]
+        else:
+            (el, hl), (er, hr) = hull[k - 1], hull[k + 1]
+            lam = (Fraction(hl - h, e - el) + Fraction(h - hr, er - e)) / 2
+            tight = assign(lam.numerator, lam.denominator)[2]
+        coeff = _tight_det([{c: rows[r][c][i].coeff for c, i in tight[r].items()} for r in range(n)], zero)
+        out.append(ResultantCorner(e, Fraction(h, d), coeff, tight))
+    return out
+
+
+def _tight_det(rows, zero):
+    """Determinant of the matrix whose row r is rows[r] = {column: entry},
+    empty elsewhere: fraction-free elimination when the entries are
+    scalars of one field (rows of Fractions cleared of denominators), the
+    masked Laplace expansion over any other ring."""
+    n = len(rows)
+    vals = [e for row in rows for e in row.values()]
+    if all(isinstance(e, FpElt) for e in vals):
+        p = vals[0].p
+        det = dense_det([[[row[c].v] if c in row else [] for c in range(n)] for row in rows], p)
+        return FpElt(det[0] if det else 0, p)
+    if all(isinstance(e, Fraction) for e in vals):
+        dens = [lcm(*(e.denominator for e in row.values())) for row in rows]
+        det = dense_det([[[row[c].numerator * (d // row[c].denominator)] if c in row else []
+                          for c in range(n)] for row, d in zip(rows, dens)])
+        return Fraction(det[0] if det else 0, prod(dens))
+    return masked_det(n, lambda r, c: rows[r].get(c), zero)
 
 
 def trop_univariate_roots(heights: dict):
@@ -535,11 +583,10 @@ class ResultantFamily:
     """Vertex conditions of one resultant's Newton segment."""
 
     name: str                   # "x", "y" or "z"
-    heights: dict               # orders of the resultant's coefficients
+    heights: dict               # orders of the resultant's corner coefficients
     vertex_indices: list
     conditions: list            # [(index, value)] at the vertices
     monomial_flags: list | None  # per vertex; None when shape analysis skipped
-    bound_exceeded: bool = False
 
     @property
     def fixed(self):
@@ -559,51 +606,32 @@ class ResultantBundle:
 
     @property
     def fixed(self):
-        return all(f.fixed for f in self.families if not f.bound_exceeded) and any(
-            not f.bound_exceeded for f in self.families
-        )
+        return bool(self.families) and all(f.fixed for f in self.families)
 
     @property
     def always_compatible(self):
-        return bool(self.families) and all(
-            f.always_compatible and not f.bound_exceeded for f in self.families
-        )
-
-
-def _shape_monomial_flags(f_jets, g_jets, vertex_indices):
-    """Monomial-ness of the vertex condition polynomials, from a run with
-    fresh local variables per input coefficient at the input orders.
-    Only done for small Sylvester dimensions; None means unknown."""
-    f_vars = {i: Jet.principal(j.order, RPoly.var(f"f[{i[0]},{i[1]}]")) for i, j in f_jets.items()}
-    g_vars = {i: Jet.principal(j.order, RPoly.var(f"g[{i[0]},{i[1]}]")) for i, j in g_jets.items()}
-    res = sylvester_resultant(f_vars, g_vars)
-    flags = []
-    for idx in vertex_indices:
-        jet = res.c.get(idx, JET_ZERO)
-        flags.append(jet.is_principal and jet.coeff.is_monomial())
-    return flags
+        return bool(self.families) and all(f.always_compatible for f in self.families)
 
 
 def _resultant_family(name, f_jets, g_jets):
-    res = sylvester_resultant(f_jets, g_jets)
-    # The order of a jet sum is the larger order even when the top
-    # coefficients cancel (the sum is then degenerate at that order), and
-    # the order of a product is the sum of orders; no sum of nonzero jets
-    # is zero.  So the orders of the jet resultant are the max-plus
-    # Sylvester permanent of the input orders: the generic heights.
-    heights = {e: j.order for e, j in res.c.items()}
-    verts = _newton_segment_vertices(heights)
-    sample = next((j.coeff for j in res.c.values() if j.is_principal), None)
-    zero = _zero_like_coeff(sample) if sample is not None else Fraction(0)
-    conds = [(idx, res.c[idx].coeff if res.c[idx].is_principal else zero) for idx in verts]
+    corners = sylvester_resultant(f_jets, g_jets)
     flags = None
-    if max(_by_y(f_jets)) + max(_by_y(g_jets)) <= SHAPE_BOUND:
-        flags = _shape_monomial_flags(f_jets, g_jets, verts)
+    if len(corners[0].tight) <= SHAPE_BOUND:
+        # monomial-ness of the vertex conditions: the same tight graphs
+        # with a fresh local variable per input coefficient
+        rows = _sylvester_rows(*(
+            _by_y({i: RPoly.var(f"{tag}[{i[0]},{i[1]}]") for i in jets})
+            for tag, jets in (("f", f_jets), ("g", g_jets))
+        ))
+        flags = []
+        for k in corners:
+            det = _tight_det([{c: rows[r][c][i] for c, i in t.items()} for r, t in enumerate(k.tight)], RPoly())
+            flags.append(bool(det) and det.is_monomial())
     return ResultantFamily(
         name=name,
-        heights=heights,
-        vertex_indices=verts,
-        conditions=conds,
+        heights={k.index: k.order for k in corners},
+        vertex_indices=[k.index for k in corners],
+        conditions=[(k.index, k.coeff) for k in corners],
         monomial_flags=flags,
     )
 
@@ -653,11 +681,6 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
     def run(name, fj, gj):
         try:
             fam = _resultant_family(name, fj, gj)
-        except ResultantBoundExceeded:
-            fam = ResultantFamily(
-                name=name, heights={}, vertex_indices=[], conditions=[],
-                monomial_flags=None, bound_exceeded=True,
-            )
         except ValueError:
             return None
         families.append(fam)
@@ -668,7 +691,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
     fam_x = run("x", f_jets, g_jets)
     fam_y = run("y", _swap_xy(f_jets), _swap_xy(g_jets))
 
-    if fam_x is not None and fam_y is not None and not fam_x.bound_exceeded and not fam_y.bound_exceeded:
+    if fam_x is not None and fam_y is not None:
         a, _ = choose_shear(f, g, fam_x.heights, fam_y.heights)
         run("z", _shear(f_jets, a), _shear(g_jets, a))
         shear = a
@@ -676,8 +699,8 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
         shear = None
 
     undecidable = bool(families) and all(
-        all(not val for _, val in fam.conditions) for fam in families if not fam.bound_exceeded
-    ) and any(not fam.bound_exceeded for fam in families)
+        all(not val for _, val in fam.conditions) for fam in families
+    )
     return ResultantBundle(shear=shear, families=families, conditions=cs, undecidable=undecidable)
 
 
@@ -751,20 +774,28 @@ def _terms_to_rpoly_in(terms: dict, field):
     return out
 
 
-def _rpoly_y_coeffs(p: RPoly):
-    """Split an RPoly in x, y into {deg_y: RPoly in x}."""
-    out = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        j = d.pop("y", 0)
-        key = tuple(sorted(d.items()))
-        out.setdefault(j, RPoly())
-        out[j] = out[j] + RPoly({key: c})
-    return out
-
-
-def _resultant_rpoly_y(f: RPoly, g: RPoly):
-    return _sylvester(_rpoly_y_coeffs(f), _rpoly_y_coeffs(g), RPoly())
+def _resultant_rpoly_y(f: RPoly, g: RPoly) -> RPoly:
+    """Res_y(f, g) for f, g in k[x, y], as an RPoly in x: the fraction-free
+    determinant of the Sylvester matrix over F_p[x], or over Z[x] after
+    clearing each polynomial's denominators when k = Q (the resultant
+    scales by den_f^deg_y(g) * den_g^deg_y(f))."""
+    p = next((c.p for h in (f, g) for c in h.terms.values() if isinstance(c, FpElt)), None)
+    ys, dens = [], []
+    for h in (f, g):
+        den = 1 if p else lcm(*(c.denominator for c in h.terms.values()))
+        by_y = {}
+        for m, c in h.terms.items():
+            d = dict(m)
+            by_y.setdefault(d.get("y", 0), {})[d.get("x", 0)] = (
+                c.v if p else c.numerator * (den // c.denominator))
+        ys.append({j: [col.get(i, 0) for i in range(max(col) + 1)] for j, col in by_y.items()})
+        dens.append(den)
+    rows = _sylvester_rows(*ys)
+    res = dense_det([[cell or [] for cell in row] for row in rows], p)
+    if p:
+        return RPoly({((("x", e),) if e else ()): FpElt(c, p) for e, c in enumerate(res) if c})
+    scale = dens[0] ** max(ys[1]) * dens[1] ** max(ys[0])
+    return RPoly({((("x", e),) if e else ()): Fraction(c, scale) for e, c in enumerate(res) if c})
 
 
 def _subs_x(p: RPoly, x0, field):

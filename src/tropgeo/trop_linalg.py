@@ -22,8 +22,10 @@ diagonal sum.  The key computational facts used here:
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
   non-tight entries excluded; the n+1 maximal minors read B on their
-  common tight graph.  Every determinant of the package, Sylvester
-  resultants included, is the one masked Laplace expansion ``_laplace``.
+  common tight graph.  ``_laplace`` is the one masked Laplace expansion
+  of the package; the corner coefficients of jet Sylvester resultants
+  use it over symbolic rings, and fraction-free elimination
+  (``residual.dense_det``) over a field.
 """
 
 from __future__ import annotations

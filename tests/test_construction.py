@@ -262,6 +262,23 @@ def test_abc_symbolic_lift_is_provably_empty():
     assert any("torus y" in o for o in zero_origins)
 
 
+def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypatch):
+    # the symbolic corner coefficients of two quintics take seconds; a
+    # step whose local systems are not linear must not compute them
+    c = Construction(input_curves=[("f", Support.degree(5)), ("g", Support.degree(5))])
+    c.steps.append(Intersect(names=[f"p{k}" for k in range(25)], curves=("f", "g")))
+    rng = random.Random(1)
+    r = realize(c, {n: TropPoly(Support.degree(5), [F(rng.randint(-2, 2)) for _ in range(21)])
+                    for n in ("f", "g")})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("resultants computed for an unsupported step")
+
+    monkeypatch.setattr(construction, "intersection_step_conditions", unreachable)
+    with pytest.raises(construction.SymbolicModeUnsupported, match="not linear"):
+        lift_conditions(c, r, mode="symbolic")
+
+
 def test_transversal_line_intersection_is_always_compatible():
     # a vertex-free edge-edge crossing: every vertex condition of every
     # resultant is a monomial

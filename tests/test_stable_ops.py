@@ -5,14 +5,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropgeo.trop_core import Support, TropPoly, mixed_volume
-from tropgeo.residual import JET_ZERO, ConditionSet, Jet, ResidualField, RPoly, residual_terms
+from tropgeo.trop_core import Support, TropPoly, mixed_volume, upper_chain
+from tropgeo.residual import (
+    JET_ZERO,
+    ConditionSet,
+    InformationLostError,
+    Jet,
+    ResidualField,
+    RPoly,
+    dense_det,
+    residual_terms,
+)
 from tropgeo.stable_ops import (
-    ResultantBoundExceeded,
+    _by_y,
     _condition_poly,
     _condition_zero,
     _monomial_jet,
+    _resultant_family,
     _resultant_rpoly_y,
+    _solve_by_elimination,
     curve_step_conditions,
     curve_step_jets,
     intersection_step_conditions,
@@ -24,7 +35,7 @@ from tropgeo.stable_ops import (
     sylvester_resultant,
     trop_univariate_roots,
 )
-from tropgeo.trop_linalg import cramer_conditions, pseudodet, trop_det_value_regular
+from tropgeo.trop_linalg import cramer_conditions, masked_det, pseudodet, trop_det_value_regular
 
 LINE = Support.named("line")
 F10007 = ResidualField(10007)
@@ -375,12 +386,162 @@ def test_two_generic_lines_always_compatible():
     assert bundle.fixed
 
 
-def test_sylvester_bound_exceeded_for_sheared_cubics():
+# The masked Laplace expansion of the Sylvester matrix over the jet ring,
+# which computed every coefficient of the jet resultant before the hull
+# corners did: the differential oracle of ``sylvester_resultant``.
+
+
+class JPoly:
+    """Univariate polynomial with jet coefficients (a commutative ring)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c=None):
+        self.c = {e: j for e, j in (c or {}).items() if not j.is_zero}
+
+    def __add__(self, o):
+        out = dict(self.c)
+        for e, j in o.c.items():
+            s = out.get(e, JET_ZERO) + j
+            if s.is_zero:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        return JPoly(out)
+
+    def __neg__(self):
+        return JPoly({e: -j for e, j in self.c.items()})
+
+    def __mul__(self, o):
+        out = {}
+        for e1, j1 in self.c.items():
+            for e2, j2 in o.c.items():
+                e = e1 + e2
+                s = out.get(e, JET_ZERO) + j1 * j2
+                if s.is_zero:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return JPoly(out)
+
+
+def _laplace_resultant(f_jets, g_jets):
+    """Res_y(f, g) over the jet ring, every x-exponent: {exponent: jet}."""
+    fy = {j: JPoly(c) for j, c in _by_y(f_jets).items()}
+    gy = {j: JPoly(c) for j, c in _by_y(g_jets).items()}
+    m, n = max(fy), max(gy)
+    rows = []
+    for coeffs, deg, shifts in ((fy, m, n), (gy, n, m)):
+        for r in range(shifts):
+            row = [None] * (m + n)
+            for k in range(deg + 1):
+                row[r + k] = coeffs.get(deg - k)
+            rows.append(row)
+    return masked_det(m + n, lambda r, c: rows[r][c], JPoly()).c
+
+
+def _oracle_corners(f_jets, g_jets):
+    res = _laplace_resultant(f_jets, g_jets)
+    return [(e, res[e]) for e, _ in upper_chain(sorted((e, j.order) for e, j in res.items()))]
+
+
+def _corners(f_jets, g_jets):
+    return [(k.index, Jet.of(k.order, k.coeff)) for k in sylvester_resultant(f_jets, g_jets)]
+
+
+def _ydeg(p):
+    return max(j for _, j in p) - min(j for _, j in p)
+
+
+def _random_jets(rng, field, shear, orders, degrees=(1, 2, 3)):
+    """Jets on a random subset of a degree-d triangle, sheared by (i, j) ->
+    (i, j + shear*i)."""
+    d = rng.choice(degrees)
+    pts = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    return {(i, j + shear * i): Jet.principal(rng.choice(orders), field.random_nonzero(rng))
+            for i, j in rng.sample(pts, rng.randint(1, len(pts)))}
+
+
+EQUAL = [F(0)]
+TIED = [F(k) for k in (-1, 0, 1)]
+HALF = [F(k, 2) for k in range(-3, 4)]
+
+
+def test_sylvester_corners_match_laplace_oracle():
+    # each corner's exponent, order and coefficient; with equal orders
+    # over F_3 and F_5 the top coefficients cancel often
+    rng = random.Random(53)
+    checked = degenerate = 0
+    dims = set()
+    while checked < 500:
+        field = ResidualField(rng.choice([3, 5, 10007]))
+        shear, orders = rng.randint(0, 2), rng.choice([EQUAL, TIED, HALF])
+        f, g = (_random_jets(rng, field, shear, orders) for _ in range(2))
+        dim = _ydeg(f) + _ydeg(g)
+        if not 0 < dim <= 8:
+            continue
+        expected = _oracle_corners(f, g)
+        assert _corners(f, g) == expected, (f, g)
+        degenerate += sum(j.is_degenerate for _, j in expected)
+        dims.add(dim)
+        checked += 1
+    assert degenerate >= 20
+    assert dims == set(range(1, 9))
+
+
+def test_sylvester_corners_match_laplace_oracle_at_dim_9_and_10():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 4:
+        f, g = (_random_jets(rng, F10007, 2, HALF, degrees=(2, 3)) for _ in range(2))
+        if _ydeg(f) + _ydeg(g) not in (9, 10):
+            continue
+        assert _corners(f, g) == _oracle_corners(f, g), (f, g)
+        checked += 1
+
+
+def test_shape_flags_match_symbolic_oracle():
+    # the monomial flags, read on the tight graphs of the numeric run,
+    # against a full Laplace run with one variable per input coefficient
+    rng = random.Random(59)
+    checked = 0
+    seen = set()
+    while checked < 200:
+        shear, orders = rng.randint(0, 1), rng.choice([TIED, HALF])
+        f, g = (_random_jets(rng, F10007, shear, orders, degrees=(1, 2)) for _ in range(2))
+        if not 0 < _ydeg(f) + _ydeg(g) <= 4:
+            continue
+        fam = _resultant_family("x", f, g)
+        res = _laplace_resultant(*(
+            {i: Jet.principal(j.order, RPoly.var(f"{tag}[{i[0]},{i[1]}]")) for i, j in jets.items()}
+            for tag, jets in (("f", f), ("g", g))
+        ))
+        expected = [res[e].is_principal and res[e].coeff.is_monomial() for e in fam.vertex_indices]
+        assert fam.monomial_flags == expected, (f, g)
+        seen.update(expected)
+        checked += 1
+    assert seen == {True, False}
+
+
+def test_sheared_cubic_resultant_past_the_old_bound():
+    # dimension 18: at most 8 was expanded before, and larger resultant
+    # families were dropped from the conditions
     cubic = Support.named("cubic")
     f = {pt: Jet.principal(0, F(1 + i)) for i, pt in enumerate(cubic.points)}
     shear = {(i, j + 3 * i): v for (i, j), v in f.items()}
-    with pytest.raises(ResultantBoundExceeded):
-        sylvester_resultant(shear, shear)
+    assert _ydeg(shear) == 9
+    heights = {pt: j.order for pt, j in shear.items()}
+    corners = sylvester_resultant(shear, shear)
+    assert [(k.index, k.order) for k in corners] == upper_chain(
+        sorted(_brute_trop_resultant(heights, heights).items()))
+    assert not any(k.coeff for k in corners)  # Res(f, f) = 0
+    rng = random.Random(61)
+    f, g = ({(i, j + 3 * i): Jet.principal(F(rng.randint(-6, 6), rng.randint(1, 2)), F10007.random_nonzero(rng))
+             for i, j in cubic.points} for _ in range(2))
+    corners = sylvester_resultant(f, g)
+    brute = _brute_trop_resultant(*({pt: j.order for pt, j in jets.items()} for jets in (f, g)))
+    assert [(k.index, k.order) for k in corners] == upper_chain(sorted(brute.items()))
+    assert len(corners) > 2
 
 
 def test_trop_resultant_roots_match_intersection():
@@ -389,48 +550,125 @@ def test_trop_resultant_roots_match_intersection():
     C2 = TropPoly.parse("0+8x+14y+20xy+12x^2+14y^2")
     f_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C1.support.points, C1.coeffs)}
     g_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C2.support.points, C2.coeffs)}
-    heights = {e: j.order for e, j in sylvester_resultant(f_jets, g_jets).c.items()}
+    heights = {k.index: k.order for k in sylvester_resultant(f_jets, g_jets)}
     roots = sorted(r for r, _ in trop_univariate_roots(heights))
     xs = sorted({p[0] for p, _ in stable_intersection(C1, C2).points})
     assert roots == xs
 
 
-def _rand_bivariate(rng, max_deg=2):
-    """Random sparse {(i, j): coefficient} with 1..4 terms, exponents <= max_deg."""
+def _rand_bivariate(rng, max_deg=2, max_terms=4):
+    """Random sparse {(i, j): coefficient} with 1..max_terms terms,
+    exponents <= max_deg."""
     pts = [(i, j) for i in range(max_deg + 1) for j in range(max_deg + 1)]
-    return {pt: rng.randint(-5, 5) or 1 for pt in rng.sample(pts, rng.randint(1, 4))}
+    return {pt: rng.randint(-5, 5) or 1 for pt in rng.sample(pts, rng.randint(1, max_terms))}
+
+
+def _as_rpoly(terms, field):
+    return RPoly({tuple((v, e) for v, e in (("x", i), ("y", j)) if e): field.elt(c)
+                  for (i, j), c in terms.items() if field.elt(c)})
+
+
+def _sympy_resultant(sympy, f, g, field):
+    """Res_y(f, g) as {x-exponent: value in the field}, by sympy over Q and
+    reduced mod p.  sympy's sign follows the Sylvester matrix only when
+    deg_y f >= deg_y g, so the arguments go in that order."""
+    x, y = sympy.symbols("x y")
+    fs, gs = (sum(sympy.Rational(F(c).numerator, F(c).denominator) * x**i * y**j for (i, j), c in t.items())
+              for t in (f, g))
+    m, n = sympy.degree(fs, y), sympy.degree(gs, y)
+    res = sympy.resultant(fs, gs, y) if m >= n else (-1) ** (m * n) * sympy.resultant(gs, fs, y)
+    out = {}
+    for (e,), c in sympy.Poly(res, x).terms():
+        v = field.elt(F(int(c.p), int(c.q)))
+        if v:
+            out[e] = v
+    return out
 
 
 def test_resultant_rpoly_y_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
     rng = random.Random(41)
+    for spec in ("fp:2", "fp:3", "fp:10007", "q"):
+        field = ResidualField.parse(spec)
+        checked = 0
+        dims = set()
+        while checked < 40:
+            deg = rng.choice([2, 2, 4, 6])
+            f, g = (_rand_bivariate(rng, max_deg=deg, max_terms=deg + 2) for _ in range(2))
+            if field.finite:  # coefficients that vanish mod p drop out
+                f, g = ({pt: c for pt, c in t.items() if c % field.p} for t in (f, g))
+            else:
+                f, g = ({pt: F(c, rng.randint(1, 3)) for pt, c in t.items()} for t in (f, g))
+            if not f or not g or all(j == 0 for _, j in [*f, *g]):
+                continue
+            res = _resultant_rpoly_y(_as_rpoly(f, field), _as_rpoly(g, field))
+            got = {(m[0][1] if m else 0): c for m, c in res.terms.items()}
+            assert got == _sympy_resultant(sympy, f, g, field), (spec, f, g)
+            dims.add(_ydeg(f) + _ydeg(g))
+            checked += 1
+        assert max(dims) >= 10, spec
+    # the largest Sylvester matrix, 12 x 12
+    f = {(0, 6): 1, (1, 3): 2, (2, 0): -3, (0, 0): 1}
+    g = {(0, 6): 2, (2, 5): 1, (1, 1): 1, (0, 0): -1}
+    for spec in ("fp:10007", "q"):
+        field = ResidualField.parse(spec)
+        res = _resultant_rpoly_y(_as_rpoly(f, field), _as_rpoly(g, field))
+        assert {(m[0][1] if m else 0): c for m, c in res.terms.items()} == _sympy_resultant(sympy, f, g, field)
 
-    def as_rpoly(terms):
-        out = RPoly()
-        for (i, j), c in terms.items():
-            out = out + RPoly({tuple((v, e) for v, e in (("x", i), ("y", j)) if e): F(c)})
-        return out
 
-    checked = 0
-    while checked < 60:
-        f, g = _rand_bivariate(rng), _rand_bivariate(rng)
-        if all(j == 0 for _, j in [*f, *g]):
-            continue
-        res = _resultant_rpoly_y(as_rpoly(f), as_rpoly(g))
-        fs = sum(c * x**i * y**j for (i, j), c in f.items())
-        gs = sum(c * x**i * y**j for (i, j), c in g.items())
-        expected = sympy.resultant(fs, gs, y)
-        got = sum(
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
-            for m, c in res.terms.items()
-        )
-        assert sympy.expand(got - expected) == 0, (f, g)
-        checked += 1
+def _leibniz_det(a, p):
+    """sum over permutations of sign * product, on dense coefficient lists."""
+    total = []
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = [(-1) ** inversions]
+        for r, c in enumerate(perm):
+            term = [sum(term[k] * a[r][c][e - k] for k in range(len(term)) if 0 <= e - k < len(a[r][c]))
+                    for e in range(len(term) + len(a[r][c]) - 1)]
+        total = [x + y for x, y in itertools.zip_longest(total, term, fillvalue=0)]
+    return _dense(total, p)
 
 
-def _brute_trop_resultant(f_trop, g_trop):
-    """Max over permutations of the max-plus Sylvester matrix, term by term."""
+def test_dense_det_swaps_zero_pivots():
+    # zero pivots, at the first step and after elimination, over F_p[x]
+    # and Z[x], against the permutation expansion
+    rng = random.Random(71)
+    swapped = 0
+    for p in (2, 3, 10007, None):
+        for n in range(1, 6):
+            for _ in range(8):
+                a = [[_dense([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))], p) if rng.random() < 0.5 else []
+                      for _ in range(n)] for _ in range(n)]
+                if n > 1 and rng.random() < 0.5:
+                    a[0][0] = []
+                    swapped += 1
+                assert dense_det(a, p) == _leibniz_det(a, p), (p, a)
+    assert swapped > 20
+    # a matrix whose second pivot vanishes after the first step
+    assert dense_det([[[1], [1], [1]], [[1], [1], [2]], [[1], [2], [4]]]) == [-1]
+
+
+def _dense(coeffs, p):
+    out = [c % p for c in coeffs] if p else list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_vanishing_eliminant_is_information_lost():
+    # f and g share the factor y + x, so Res_y(f, g) = 0
+    f = {(0, 2): 1, (0, 1): 1, (1, 1): 1, (1, 0): 1}   # (y + x)(y + 1)
+    g = {(0, 2): 1, (0, 1): 2, (1, 1): 1, (1, 0): 2}   # (y + x)(y + 2)
+    for spec in ("fp:2", "fp:3", "fp:10007", "q"):
+        field = ResidualField.parse(spec)
+        fp, gp = _as_rpoly(f, field), _as_rpoly(g, field)
+        assert not _resultant_rpoly_y(fp, gp)
+        with pytest.raises(InformationLostError, match="eliminant vanishes"):
+            _solve_by_elimination(fp, gp, field)
+
+
+def _trop_sylvester_cells(f_trop, g_trop):
+    """The max-plus Sylvester matrix: cell (r, c) is {x-exponent: height}."""
 
     def by_y(poly):
         mi = min(i for i, _ in poly)
@@ -442,17 +680,21 @@ def _brute_trop_resultant(f_trop, g_trop):
 
     fy, gy = by_y(f_trop), by_y(g_trop)
     m, n = max(fy), max(gy)
-    size = m + n
 
     def entry(r, c):
         coeffs, deg, shift = (fy, m, r) if r < n else (gy, n, r - n)
         k = c - shift
         return coeffs.get(deg - k, {}) if 0 <= k <= deg else {}
 
+    return [[entry(r, c) for c in range(m + n)] for r in range(m + n)]
+
+
+def _permutation_trop_resultant(f_trop, g_trop):
+    """Max over permutations and term choices, term by term."""
+    rows = _trop_sylvester_cells(f_trop, g_trop)
     best = {}
-    for perm in itertools.permutations(range(size)):
-        entries = [entry(r, perm[r]) for r in range(size)]
-        for terms in itertools.product(*(e.items() for e in entries)):
+    for perm in itertools.permutations(range(len(rows))):
+        for terms in itertools.product(*(rows[r][c].items() for r, c in enumerate(perm))):
             exp = sum(t[0] for t in terms)
             h = sum(t[1] for t in terms)
             if exp not in best or h > best[exp]:
@@ -460,14 +702,51 @@ def _brute_trop_resultant(f_trop, g_trop):
     return best
 
 
+def _brute_trop_resultant(f_trop, g_trop):
+    """The same maximum by a dynamic program over the rows, in the order of
+    their first cell, keeping the best heights per set of columns used so
+    far; a set that leaves a column no later row reaches is dropped."""
+    rows = sorted(_trop_sylvester_cells(f_trop, g_trop),
+                  key=lambda row: min(c for c, e in enumerate(row) if e))
+    size = len(rows)
+    reach = [0] * (size + 1)  # the columns rows k.. have cells in, as bits
+    for k in range(size - 1, -1, -1):
+        reach[k] = reach[k + 1] | sum(1 << c for c, e in enumerate(rows[k]) if e)
+    full = (1 << size) - 1
+    states = {0: {0: 0}}
+    for k, row in enumerate(rows):
+        nxt = {}
+        for used, best in states.items():
+            for c, cell in enumerate(row):
+                u = used | 1 << c
+                if not cell or u == used or (full ^ u) & ~reach[k + 1]:
+                    continue
+                tgt = nxt.setdefault(u, {})
+                for e, h in best.items():
+                    for i, hi in cell.items():
+                        if e + i not in tgt or h + hi > tgt[e + i]:
+                            tgt[e + i] = h + hi
+        states = nxt
+    return states[full]
+
+
+def test_brute_trop_resultant_is_the_permutation_maximum():
+    rng = random.Random(45)
+    checked = 0
+    while checked < 60:
+        f = {pt: F(rng.randint(-3, 3), rng.randint(1, 2)) for pt in _rand_bivariate(rng)}
+        g = {pt: F(rng.randint(-3, 3), rng.randint(1, 2)) for pt in _rand_bivariate(rng)}
+        if not 0 < _ydeg(f) + _ydeg(g) <= 5:
+            continue
+        assert _brute_trop_resultant(f, g) == _permutation_trop_resultant(f, g), (f, g)
+        checked += 1
+
+
 def test_trop_resultant_heights_matches_brute_force():
     # the orders of the jet resultant are the max-plus Sylvester
     # permanent, also where top coefficients cancel: with all
     # coefficients 1 and tied heights (hi = 1) the signed permutation
-    # terms cancel often
-    def ydeg(p):
-        return max(j for _, j in p) - min(j for _, j in p)
-
+    # terms cancel often.  The corners are its upper hull.
     for coeffs, (hi, den) in itertools.product(("ones", "random"), ((9, 3), (1, 1))):
         rng, coeff_rng = random.Random(43), random.Random(44)
 
@@ -479,14 +758,15 @@ def test_trop_resultant_heights_matches_brute_force():
         while checked < 80:
             f = {pt: F(rng.randint(-hi, hi), rng.randint(1, den)) for pt in _rand_bivariate(rng)}
             g = {pt: F(rng.randint(-hi, hi), rng.randint(1, den)) for pt in _rand_bivariate(rng)}
-            if not 0 < ydeg(f) + ydeg(g) <= 4:
+            if not 0 < _ydeg(f) + _ydeg(g) <= 4:
                 continue
-            res = sylvester_resultant(jets(f), jets(g))
-            heights = {e: j.order for e, j in res.c.items()}
+            fj, gj = jets(f), jets(g)
+            res = _laplace_resultant(fj, gj)
             brute = _brute_trop_resultant(f, g)
-            assert set(heights) == set(brute), (coeffs, f, g)
-            assert heights == brute, (coeffs, f, g)
-            cancelled += any(j.is_degenerate for j in res.c.values())
+            assert {e: j.order for e, j in res.items()} == brute, (coeffs, f, g)
+            assert _corners(fj, gj) == _oracle_corners(fj, gj), (coeffs, f, g)
+            assert [(e, j.order) for e, j in _corners(fj, gj)] == upper_chain(sorted(brute.items()))
+            cancelled += any(j.is_degenerate for j in res.values())
             checked += 1
         if (coeffs, hi) == ("ones", 1):
             assert cancelled >= 5
@@ -503,7 +783,9 @@ def _jet_poly_in_s(jets, x, y, s):
 def test_jet_sylvester_resultant_matches_sympy():
     # with s = 1/t, a jet c*t^(-o) + o(t^(-o)) stands for c*s^o + lower
     # powers of s: a principal coefficient of the resultant is sympy's
-    # top s-term, a degenerate one bounds sympy's s-degree from above
+    # top s-term, a degenerate one bounds sympy's s-degree from above.
+    # The oracle's every coefficient is checked, and the corners are its
+    # corners.
     sympy = pytest.importorskip("sympy")
     x, y, s = sympy.symbols("x y s")
     rng = random.Random(47)
@@ -514,12 +796,12 @@ def test_jet_sylvester_resultant_matches_sympy():
                  for pt in rng.sample(pts, rng.randint(1, 4))} for _ in range(2))
         if all(j == min(q for _, q in p) for p in (f, g) for _, j in p):
             continue  # both y-free
-        res = sylvester_resultant(f, g)
+        res = _laplace_resultant(f, g)
         expected = sympy.Poly(
             sympy.resultant(_jet_poly_in_s(f, x, y, s), _jet_poly_in_s(g, x, y, s), y), x
         )
         by_x = {e: sympy.Poly(c, s) for (e,), c in expected.terms()}
-        for e, jet in res.c.items():
+        for e, jet in res.items():
             top = by_x.get(e, sympy.Poly(0, s))
             if jet.is_principal:
                 assert top.degree() == jet.order and top.LC() == jet.coeff, (f, g, e)
@@ -528,8 +810,9 @@ def test_jet_sylvester_resultant_matches_sympy():
                 assert top.is_zero or top.degree() < jet.order, (f, g, e)
         # an exponent the jets drop must vanish in sympy too; one the jets
         # keep as degenerate may cancel to an exact zero
-        assert set(by_x) <= set(res.c), (f, g)
-        assert {e for e, j in res.c.items() if j.is_principal} <= set(by_x)
+        assert set(by_x) <= set(res), (f, g)
+        assert {e for e, j in res.items() if j.is_principal} <= set(by_x)
+        assert _corners(f, g) == _oracle_corners(f, g), (f, g)
         checked += 1
     assert degenerate > 0
 
