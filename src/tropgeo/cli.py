@@ -103,11 +103,13 @@ def cmd_admissible(args):
 
 
 def _lift_report(args, mode):
+    field = ResidualField.parse(args.field) if args.field else _default_field()
+    if mode == "symbolic" and args.field and field.finite:
+        raise ValueError(f"--mode symbolic runs over Q; --field {args.field} does not apply")
     doc = _load_doc(args.file)
     c = dsl.to_construction(doc)
     inputs = _realization_inputs(doc, c, args.seed)
     r = realize(c, inputs)
-    field = ResidualField.parse(args.field) if args.field else _default_field()
     if mode == "symbolic":
         rep = lift_conditions(c, r, mode="symbolic", seed=args.seed, trials=args.trials)
     else:
@@ -323,7 +325,10 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", default=None, help="write a JSON report")
         if field:
-            sp.add_argument("--field", default=None, help="fp:P or q")
+            sp.add_argument("--field", default=None, help=(
+                "fp:P, the residual field of numeric runs (default $TROPGEO_FIELD or "
+                "fp:10007); q is symbolic-only: numeric runs exit 2 with 'numeric mode "
+                "needs a finite residual field', and --mode symbolic takes no fp:P"))
 
     sp = sub.add_parser("realize", help="run a construction tropically")
     sp.add_argument("file")

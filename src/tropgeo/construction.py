@@ -30,9 +30,10 @@ from .residual import (
     RFrac,
     RPoly,
     RootsOutsideFieldError,
+    _dense_trim,
     density_test,
+    dense_roots,
     residual_terms,
-    rpoly_roots_univariate,
 )
 from .stable_ops import (
     curve_step_jets,
@@ -423,9 +424,6 @@ class TropRealization:
     intersections: dict          # step index -> StableIntersection
     labelings: dict              # step index -> tuple permutation applied
 
-    def point(self, name):
-        return self.values[name]
-
 
 def realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
     """Forward tropical evaluation; total, never fails.
@@ -535,9 +533,6 @@ class LiftReport:
     witness_jets: dict | None = None
 
     def to_json(self):
-        def val_str(v):
-            return str(v)
-
         return {
             "mode": self.mode,
             "field": repr(self.field),
@@ -552,7 +547,7 @@ class LiftReport:
                     "nodes": list(s.nodes),
                     "certificate": s.certificate,
                     "conditions": [
-                        {"origin": o, "poly": val_str(v)} for o, v in s.conditions
+                        {"origin": o, "poly": str(v)} for o, v in s.conditions
                     ],
                     "notes": list(s.notes),
                 }
@@ -953,15 +948,13 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
         for _ in range(max_tries):
             # fix one coordinate, solve the other from the univariate trace
             xs = field.random_nonzero(rng)
-            poly = RPoly()
+            trace = [0] * (max(j for _, j in terms) + 1)
             for (i, j), cf in terms.items():
-                poly = poly + RPoly({((("y", j),) if j else ()): field.elt(cf) * xs**i})
-            if poly.is_constant():
+                trace[j] += field.elt(cf).v * pow(xs.v, i, field.p)
+            trace = _dense_trim(trace, field.p)
+            if len(trace) <= 1:
                 continue
-            try:
-                roots = [y for y, _ in rpoly_roots_univariate(poly, field) if y]
-            except RootsOutsideFieldError:
-                continue
+            roots = [y for y, _ in dense_roots(trace, field) if y]
             if roots:
                 y0 = roots[0]
                 jets[q] = (

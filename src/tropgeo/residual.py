@@ -2,7 +2,11 @@
 dense univariate polynomials over F_p or Z (roots, fraction-free
 determinants).
 
-The residual field k is either Q or a prime field F_p.  All lifting
+The residual field k is either Q or a prime field F_p.  Symbolic values
+are sparse ``RPoly``s; numeric residual polynomials are dense int
+coefficient lists, low degree first: reduced mod p, or over Q an
+integer multiple of the polynomial, which has the same roots.
+``dense_roots`` finds their roots in k.  All lifting
 computations run over the ring of *jets*: principal terms c*t^(-u) with
 an explicit absorbing element for "principal information lost", so
 undecidability surfaces as a value instead of a crash.
@@ -630,7 +634,7 @@ def residual_poly(f_jets: dict, b) -> RPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over F_p or Z: coefficient lists, low to high
+# dense univariate polynomials over F_p or Z: int lists, low to high, [] for 0
 
 
 def _dense_trim(a, p):
@@ -652,6 +656,14 @@ def _dense_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _dense_sub(a, b, p):
+    """a - b, reduced and trimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for e, c in enumerate(b):
+        out[e] -= c
+    return _dense_trim(out, p)
 
 
 def _dense_exact_quotient(a, b, p):
@@ -697,11 +709,8 @@ def dense_det(a, p=None):
         for rowi in a[k + 1:]:
             aik = rowi[k]
             for j in range(k + 1, n):
-                num, sub = _dense_mul(rowi[j], akk), _dense_mul(aik, rowk[j])
-                num += [0] * (len(sub) - len(num))
-                for e, c in enumerate(sub):
-                    num[e] -= c
-                rowi[j] = _dense_exact_quotient(_dense_trim(num, p), prev, p)
+                num = _dense_sub(_dense_mul(rowi[j], akk), _dense_mul(aik, rowk[j]), p)
+                rowi[j] = _dense_exact_quotient(num, prev, p)
         prev = akk
     det = a[-1][-1]
     return det if sign > 0 else _dense_trim([-c for c in det], p)
@@ -711,41 +720,29 @@ def dense_det(a, p=None):
 # univariate roots over the residual field
 
 
-def _dense_coeffs(p: RPoly, var: str, field: ResidualField):
-    deg = 0
-    for m in p.terms:
-        for v, e in m:
-            if v != var:
-                raise ValueError("polynomial is not univariate in " + var)
-            deg = max(deg, e)
-    out = [field.zero] * (deg + 1)
-    for m, c in p.terms.items():
-        e = m[0][1] if m else 0
-        out[e] = out[e] + field.elt(c)
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
+def _fp_eval(f, x, p):
+    """f(x) mod p by Horner."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _fp_polymod(a, b, p):
     """a mod b over F_p, dense int lists (low to high)."""
     a = [x % p for x in a]
     db = len(b) - 1
-    if db == 0:
-        return [0]
     inv = pow(b[-1], -1, p)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] * inv % p
         if c:
             for k in range(db + 1):
                 a[i - db + k] = (a[i - db + k] - c * b[k]) % p
-    out = a[:db]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out if out else [0]
+    return _dense_trim(a[:db], None)
+
 
 def _fp_polygcd(a, b, p):
-    while any(b):
+    while b:
         a, b = b, _fp_polymod(a, b, p)
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
@@ -763,66 +760,33 @@ def _fp_powmod(base, e, mod, p):
 
 
 def _fp_roots(coeffs, p):
-    """Roots (with multiplicity) of a dense F_p polynomial, exact.
+    """Roots (with multiplicity) of a dense F_p polynomial, exact, sorted.
 
-    Splits off the linear-factor part with gcd(x^p - x, f), then finds
-    the roots by deterministic shift splitting; multiplicities by
-    repeated division.
+    Strips the root at zero; the others come from a scan of F_p* when
+    p <= 64, else from the linear-factor part gcd(x^p - x, f) by
+    deterministic shift splitting.  Multiplicities by repeated exact
+    division by x - r.
     """
-    f = [c % p for c in coeffs]
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
+    f = _dense_trim(list(coeffs), p)
     if len(f) <= 1:
         raise ValueError("root finding needs a nonconstant polynomial")
-    roots = []
-    # root at zero
-    k = 0
-    while f[0] == 0 and len(f) > 1:
-        f = f[1:]
-        k += 1
-    if k:
-        roots.append((0, k))
+    k = next(i for i, c in enumerate(f) if c)
+    f = f[k:]
+    roots = [(0, k)] if k else []
     if len(f) == 1:
         return roots
     if p <= 64:
-        for r in range(p):
-            m = _fp_root_multiplicity(f, r, p)
-            if m:
-                roots.append((r, m))
-        return sorted(roots)
-    xp = _fp_powmod([0, 1], p, f, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _fp_polygcd(f, xp_minus_x, p)
-    lin_roots = _fp_split(g, p)
-    for r in sorted(lin_roots):
-        roots.append((r, _fp_root_multiplicity(f, r, p)))
-    return sorted(roots)
-
-
-def _fp_root_multiplicity(f, r, p):
-    m = 0
-    while len(f) > 1:
-        rem, q = _synth_div(f, r, p)
-        if rem != 0:
-            return m
-        m += 1
-        f = q
-    return m
-
-
-def _synth_div(f, r, p):
-    """Divide dense f (low-to-high) by (x - r) over F_p: (remainder, quotient)."""
-    n = len(f)
-    q = [0] * (n - 1)
-    carry = 0
-    for i in range(n - 1, 0, -1):
-        carry = (carry * r + f[i]) % p
-        q[i - 1] = carry
-    rem = (carry * r + f[0]) % p
-    return rem, q
+        cands = [r for r in range(1, p) if not _fp_eval(f, r, p)]
+    else:
+        xp_minus_x = _dense_sub(_fp_powmod([0, 1], p, f, p), [0, 1], p)
+        cands = sorted(_fp_split(_fp_polygcd(f, xp_minus_x, p), p))
+    for r in cands:
+        m = 0
+        while not _fp_eval(f, r, p):
+            f = _dense_exact_quotient(f, [-r % p, 1], p)
+            m += 1
+        roots.append((r, m))
+    return roots
 
 
 def _fp_split(g, p):
@@ -832,9 +796,7 @@ def _fp_split(g, p):
     if len(g) == 2:
         return [(-g[0] * pow(g[1], -1, p)) % p]
     for shift in range(0, 4 * len(g) + 16):
-        h = _fp_powmod([shift, 1], (p - 1) // 2, g, p)
-        h = h[:]
-        h[0] = (h[0] - 1) % p
+        h = _dense_sub(_fp_powmod([shift, 1], (p - 1) // 2, g, p), [1], p)
         d = _fp_polygcd(g, h, p)
         if 1 < len(d) < len(g):
             rest = _dense_exact_quotient(g, d, p)
@@ -842,64 +804,38 @@ def _fp_split(g, p):
     raise AssertionError("deterministic shift splitting failed")
 
 
-def _rat_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = _int_sqrt(n), _int_sqrt(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _int_sqrt(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def rpoly_roots_univariate(p: RPoly, field: ResidualField):
-    """All roots of a univariate polynomial in k, with multiplicities.
+def dense_roots(coeffs, field: ResidualField):
+    """All roots in k, with multiplicities and sorted, of a polynomial
+    given as dense ints, low degree first: mod p, or over Q any nonzero
+    integer multiple of the polynomial.
 
     Over a finite field this is complete; over Q only degrees <= 2 with a
-    rational square discriminant are supported, anything else raises
-    RootsOutsideFieldError so callers can switch fields or go symbolic.
+    square discriminant (after removing x^k) are supported, anything else
+    raises RootsOutsideFieldError so callers can switch fields or go
+    symbolic.
     """
-    vars_ = p.variables()
-    if len(vars_) > 1:
-        raise ValueError("univariate polynomial expected")
-    var = vars_[0] if vars_ else "x"
-    coeffs = _dense_coeffs(p, var, field)
     if field.finite:
-        dense = [c.v for c in coeffs]
-        return [(FpElt(r, field.p), m) for r, m in _fp_roots(dense, field.p)]
-    # rationals: strip x^k, then solve degree <= 2
-    if len(coeffs) <= 1:
+        return [(FpElt(r, field.p), m) for r, m in _fp_roots(coeffs, field.p)]
+    f = _dense_trim(list(coeffs), None)
+    if len(f) <= 1:
         raise ValueError("root finding needs a nonconstant polynomial")
-    roots = []
-    k = 0
-    while not coeffs[0] and len(coeffs) > 1:
-        coeffs = coeffs[1:]
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return roots
+    k = next(i for i, c in enumerate(f) if c)
+    f = f[k:]
+    roots = [(Fraction(0), k)] if k else []
+    deg = len(f) - 1
     if deg == 1:
-        roots.append((-coeffs[0] / coeffs[1], 1))
+        roots.append((Fraction(-f[0], f[1]), 1))
     elif deg == 2:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        c, b, a = f
         disc = b * b - 4 * a * c
-        r = _rat_sqrt(disc)
-        if r is None:
+        r = math.isqrt(max(disc, 0))
+        if r * r != disc:
             raise RootsOutsideFieldError("irrational quadratic roots")
         if r == 0:
-            roots.append((-b / (2 * a), 2))
+            roots.append((Fraction(-b, 2 * a), 2))
         else:
-            roots.extend(sorted([((-b + r) / (2 * a), 1), ((-b - r) / (2 * a), 1)]))
-    else:
+            roots += [(Fraction(-b + r, 2 * a), 1), (Fraction(-b - r, 2 * a), 1)]
+    elif deg > 2:
         raise RootsOutsideFieldError(f"degree {deg} root finding over Q is unsupported")
     return sorted(roots)
 

@@ -20,9 +20,13 @@ the strict upper-hull corners of a jet resultant's heights are computed:
 each is found by a max-weight assignment at a slope inside its normal
 cone (parametric bisection, Eisner-Severance 1976), and its coefficient
 is the determinant of the dominant coefficients on that assignment's
-tight graph.  The eliminant of a numeric local system is the
-fraction-free (Bareiss) determinant of its Sylvester matrix over F_p[x]
-or Z[x].  No Sylvester dimension is bounded.
+tight graph.  No Sylvester dimension is bounded.
+
+A numeric local system stays on dense int lists from its residual terms
+to its roots: each polynomial is read as {y-degree: dense x-list}, mod p
+or cleared of denominators over Q, its eliminant is the fraction-free
+(Bareiss) determinant of the Sylvester matrix over F_p[x] or Z[x], and
+each fiber over an x-root is evaluated by Horner.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ from .residual import (
     ResidualField,
     RFrac,
     RPoly,
+    _dense_trim,
     dense_det,
+    dense_roots,
     residual_terms,
-    rpoly_roots_univariate,
 )
 
 
@@ -197,7 +202,7 @@ class _Degenerate(Exception):
     pass
 
 
-def _edge_range_contains(e, t: Eps, strict=True):
+def _edge_range_contains(e, t: Eps):
     if e.kind == "line":
         return True
     if t.cmp(0) == 0 or (e.kind == "segment" and t.cmp(e.length) == 0):
@@ -752,98 +757,71 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
 
     Elimination by Sylvester resultant in y, then root scan; returns the
     solutions with multiplicity bookkeeping (fiber multiplicities sum to
-    the multiplicity of the x-root in the eliminant).
+    the multiplicity of the x-root in the eliminant).  Both polynomials
+    are read as {y-degree: dense x-list} of ints, so the eliminant is a
+    fraction-free determinant over F_p[x] or Z[x].
     """
-    fx = _terms_to_rpoly_in(residual_terms(f_jets, b), field)
-    gx = _terms_to_rpoly_in(residual_terms(g_jets, b), field)
-    return _solve_by_elimination(fx, gx, field)
-
-
-def _terms_to_rpoly_in(terms: dict, field):
-    out = RPoly()
-    for (i, j), c in terms.items():
-        if isinstance(c, (RPoly, RFrac)):
-            raise ValueError("numeric local solve needs scalar coefficients")
-        mono = {}
-        if i:
-            mono["x"] = i
-        if j:
-            mono["y"] = j
-        key = tuple(sorted(mono.items()))
-        out = out + RPoly({key: field.elt(c)})
-    return out
-
-
-def _resultant_rpoly_y(f: RPoly, g: RPoly) -> RPoly:
-    """Res_y(f, g) for f, g in k[x, y], as an RPoly in x: the fraction-free
-    determinant of the Sylvester matrix over F_p[x], or over Z[x] after
-    clearing each polynomial's denominators when k = Q (the resultant
-    scales by den_f^deg_y(g) * den_g^deg_y(f))."""
-    p = next((c.p for h in (f, g) for c in h.terms.values() if isinstance(c, FpElt)), None)
-    ys, dens = [], []
-    for h in (f, g):
-        den = 1 if p else lcm(*(c.denominator for c in h.terms.values()))
-        by_y = {}
-        for m, c in h.terms.items():
-            d = dict(m)
-            by_y.setdefault(d.get("y", 0), {})[d.get("x", 0)] = (
-                c.v if p else c.numerator * (den // c.denominator))
-        ys.append({j: [col.get(i, 0) for i in range(max(col) + 1)] for j, col in by_y.items()})
-        dens.append(den)
-    rows = _sylvester_rows(*ys)
-    res = dense_det([[cell or [] for cell in row] for row in rows], p)
-    if p:
-        return RPoly({((("x", e),) if e else ()): FpElt(c, p) for e, c in enumerate(res) if c})
-    scale = dens[0] ** max(ys[1]) * dens[1] ** max(ys[0])
-    return RPoly({((("x", e),) if e else ()): Fraction(c, scale) for e, c in enumerate(res) if c})
-
-
-def _subs_x(p: RPoly, x0, field):
-    acc = RPoly()
-    for m, c in p.terms.items():
-        d = dict(m)
-        i = d.pop("x", 0)
-        val = field.elt(c) * (x0**i if i else field.one)
-        acc = acc + RPoly({tuple(sorted(d.items())): val})
-    return acc
-
-
-def _solve_by_elimination(f: RPoly, g: RPoly, field: ResidualField):
-    have_y_f = any("y" in dict(m) for m in f.terms)
-    have_y_g = any("y" in dict(m) for m in g.terms)
-    if not have_y_f and not have_y_g:
+    f, g = (_dense_in_y(residual_terms(jets, b), field) for jets in (f_jets, g_jets))
+    if max(f) == 0 and max(g) == 0:
         raise InformationLostError("residual system is y-free; not zero-dimensional")
-    res = _resultant_rpoly_y(f, g)
+    res = dense_det([[cell or [] for cell in row] for row in _sylvester_rows(f, g)], field.p)
     if not res:
         raise InformationLostError("residual eliminant vanishes; not zero-dimensional")
-    if res.is_constant():
+    if len(res) == 1:
         return []
     out = []
-    for x0, mx in rpoly_roots_univariate(res, field):
+    for x0, mx in dense_roots(res, field):
         if not x0:
             continue  # outside the torus
-        f0 = _subs_x(f, x0, field)
-        g0 = _subs_x(g, x0, field)
-        ys = _common_y_roots(f0, g0, field)
+        ys = _common_y_roots(_fiber(f, x0, field.p), _fiber(g, x0, field.p), field)
         ys = [(y0, my) for y0, my in ys if y0]
-        if not ys:
-            continue
         tot = sum(my for _, my in ys)
-        for y0, my in ys:
-            out.append(LocalSolution(x=x0, y=y0, multiplicity=Fraction(mx * my, tot)))
+        out += [LocalSolution(x=x0, y=y0, multiplicity=Fraction(mx * my, tot)) for y0, my in ys]
     return out
 
 
-def _common_y_roots(f0: RPoly, g0: RPoly, field):
+def _dense_in_y(terms: dict, field):
+    """{(i, j): c} as {j: dense list over x}: ints mod p, or over Q the
+    coefficients times their denominator lcm, which keeps the roots."""
+    if any(isinstance(c, (RPoly, RFrac)) for c in terms.values()):
+        raise ValueError("numeric local solve needs scalar coefficients")
+    vals = {pt: field.elt(c) for pt, c in terms.items()}
+    den = 1 if field.finite else lcm(*(c.denominator for c in vals.values()))
+    out = {}
+    for (i, j), c in vals.items():
+        c = c.v if field.finite else c.numerator * (den // c.denominator)
+        if c:
+            col = out.setdefault(j, [])
+            col += [0] * (i + 1 - len(col))
+            col[i] = c
+    return out
+
+
+def _fiber(h: dict, x0, p):
+    """h(x0, y) as a dense list over y, by Horner in x.  Over Q (p None)
+    it is scaled by den(x0)^deg_x(h) so that it stays in ints."""
+    a, b = (x0.v, 1) if p else (x0.numerator, x0.denominator)
+    deg = max(map(len, h.values()))
+    out = [0] * (max(h) + 1)
+    for j, col in h.items():
+        acc, bk = 0, b ** (deg - len(col))
+        for c in reversed(col):
+            acc = acc * a + c * bk
+            bk *= b
+        out[j] = acc
+    return _dense_trim(out, p)
+
+
+def _common_y_roots(f0: list, g0: list, field):
     if not f0 and not g0:
         raise InformationLostError("residual fiber is the whole line")
     candidates = None
-    for p in (f0, g0):
-        if not p or p.is_constant():
-            if p and p.is_constant():
-                return []  # nonzero constant: no roots
+    for q in (f0, g0):
+        if len(q) == 1:
+            return []  # nonzero constant: no roots
+        if not q:
             continue
-        roots = dict(rpoly_roots_univariate(p, field))
+        roots = dict(dense_roots(q, field))
         if candidates is None:
             candidates = roots
         else:

@@ -291,6 +291,26 @@ def test_cli_wrong_realize_line_is_a_usage_error(tmp_path, capsys, name, command
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["lift", "certify"])
+def test_cli_symbolic_mode_rejects_a_finite_field(capsys, command):
+    argv = [command, catalog_path("fano"), "--mode", "symbolic"]
+    assert main(argv + ["--field", "fp:61"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --mode symbolic runs over Q; --field fp:61 does not apply\n")
+    assert main(argv + ["--field", "q", "--json", "-"]) == 0
+    assert '"field": "Q"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem", "fano", "--trials", "1", "--field", "q"],
+    ["lift", catalog_path("fano"), "--field", "q"],
+    ["certify", catalog_path("fano"), "--mode", "sample", "--field", "q"],
+])
+def test_cli_numeric_runs_reject_q(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: numeric mode needs a finite residual field\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", catalog_path("fano"), "--trials", "0"],
     ["certify", catalog_path("fano"), "--trials", "0"],

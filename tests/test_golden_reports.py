@@ -3,8 +3,9 @@ keep their exit codes and their exact stdout, JSON report included
 (``--json -``).  The SHA-256 digests were recorded before the Cramer
 minors and the Sylvester heights moved onto the one masked Laplace
 expansion (the ``realize`` digests before the canonical form was read
-off the dual subdivision); a change that alters any report byte shows
-up here.
+off the dual subdivision, the two local-solve ``certify`` digests before
+the numeric local solve moved onto dense coefficient lists); a change
+that alters any report byte shows up here.
 """
 
 import hashlib
@@ -46,6 +47,12 @@ GOLDEN = [
      "b96cd3d06c740d46ce2cd10b5636d28d92633a8a279b9fcfd712e9b1ef3cf817"),
     (["certify", "@cayley_bacharach_3_3", "--trials", "2", "--seed", "1"], 0,
      "543628369b9c1ad1a29355f98f0930109e8f9a3511c74640b2b3b8c73d18f6d0"),
+    # the local solve: a vanishing residual eliminant and "no torus
+    # solution" over F_10007, and the root scan of a field below 64
+    (["certify", "@chasles", "--trials", "8", "--seed", "0"], 1,
+     "79317579f223dd393bb66b58d0aaf2f883c3aa42fc40c6a20d4712493c03c6f2"),
+    (["certify", "@cayley_bacharach_3_3", "--trials", "8", "--seed", "5", "--field", "fp:61"], 1,
+     "b078ce621adfcb31a326ad8c633a06c75a62cece1e9a5d161f60286ad2f3d25c"),
     # realize prints every curve's coefficients in concave canonical form
     (["realize", "@weak_pascal", "--seed", "1"], 0,
      "cba6fc75df5d9b9ad820a545518045dc975bdac4f2663e3b1cd7a7cf3ed196cc"),

@@ -15,12 +15,11 @@ from tropgeo.residual import (
     RFrac,
     RPoly,
     RootsOutsideFieldError,
+    dense_roots,
     density_test,
     residual_poly,
     residual_terms,
-    rpoly_roots_univariate,
     _fp_roots,
-    _rat_sqrt,
 )
 
 
@@ -180,45 +179,39 @@ def test_residual_poly_matches_jet_substitution():
 
 
 def test_roots_over_f5():
-    p = RPoly.var("x") ** 2 - RPoly.const(1)
-    roots = rpoly_roots_univariate(p, ResidualField(5))
+    roots = dense_roots([-1, 0, 1], ResidualField(5))
     assert [(r.v, m) for r, m in roots] == [(1, 1), (4, 1)]
 
 
 def test_roots_x_squared_over_q():
-    p = RPoly.var("x") ** 2
-    roots = rpoly_roots_univariate(p, ResidualField(None))
+    roots = dense_roots([0, 0, 1], ResidualField(None))
     assert roots == [(F(0), 2)]
 
 
 def test_roots_quadratic_over_q():
-    x = RPoly.var("x")
-    p = x**2 - RPoly.const(F(9, 4))
-    roots = rpoly_roots_univariate(p, ResidualField(None))
+    # x^2 - 9/4, given as 4x^2 - 9: any integer multiple keeps the roots
+    roots = dense_roots([-9, 0, 4], ResidualField(None))
     assert roots == [(F(-3, 2), 1), (F(3, 2), 1)]
     with pytest.raises(RootsOutsideFieldError):
-        rpoly_roots_univariate(x**2 - RPoly.const(2), ResidualField(None))
+        dense_roots([-2, 0, 1], ResidualField(None))
 
 
-def test_rat_sqrt_is_exact_on_huge_squares():
-    assert _rat_sqrt(F((10**20 + 7) ** 2)) == 10**20 + 7
-    assert _rat_sqrt(F(10**400)) == 10**200
-    assert _rat_sqrt(F(10**400, (10**20 + 7) ** 2)) == F(10**200, 10**20 + 7)
-    assert _rat_sqrt(F((10**20 + 7) ** 2 + 1)) is None
-    assert _rat_sqrt(F(-4)) is None
+def test_q_quadratic_roots_are_exact_on_huge_squares():
+    Q, r = ResidualField(None), 10**20 + 7
+    assert dense_roots([-r * r, 0, 1], Q) == [(F(-r), 1), (F(r), 1)]
+    assert dense_roots([r * r, -2 * r, 1], Q) == [(F(r), 2)]
+    assert dense_roots([-(10**400), 0, r * r], Q) == [(F(-(10**200), r), 1), (F(10**200, r), 1)]
+    for coeffs in ([-(r * r + 1), 0, 1], [4, 0, 1]):  # not a square; negative
+        with pytest.raises(RootsOutsideFieldError, match="irrational quadratic roots"):
+            dense_roots(coeffs, Q)
 
 
 def test_roots_random_cubic_matches_exhaustive_scan():
     field = ResidualField(10007)
     rng = random.Random(4)
-    x = RPoly.var("x")
     for _ in range(5):
         coeffs = [rng.randrange(10007) for _ in range(3)] + [rng.randrange(1, 10007)]
-        p = RPoly()
-        for e, cf in enumerate(coeffs):
-            if cf:
-                p = p + RPoly.const(FpElt(cf, 10007)) * x**e
-        roots = {r.v: m for r, m in rpoly_roots_univariate(p, field)}
+        roots = {r.v: m for r, m in dense_roots(coeffs, field)}
         found = {}
         for v in range(10007):
             acc = 0
@@ -230,10 +223,8 @@ def test_roots_random_cubic_matches_exhaustive_scan():
 
 
 def test_roots_with_multiplicity_over_fp():
-    field = ResidualField(10007)
-    x = RPoly.var("x")
-    p = (x - RPoly.const(3)) ** 2 * (x - RPoly.const(5))
-    roots = rpoly_roots_univariate(p, field)
+    # (x - 3)^2 (x - 5)
+    roots = dense_roots([-45, 39, -11, 1], ResidualField(10007))
     assert [(r.v, m) for r, m in roots] == [(3, 2), (5, 1)]
 
 

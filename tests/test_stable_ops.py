@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -21,9 +22,9 @@ from tropgeo.stable_ops import (
     _condition_poly,
     _condition_zero,
     _monomial_jet,
+    _dense_in_y,
     _resultant_family,
-    _resultant_rpoly_y,
-    _solve_by_elimination,
+    _sylvester_rows,
     curve_step_conditions,
     curve_step_jets,
     intersection_step_conditions,
@@ -563,29 +564,31 @@ def _rand_bivariate(rng, max_deg=2, max_terms=4):
     return {pt: rng.randint(-5, 5) or 1 for pt in rng.sample(pts, rng.randint(1, max_terms))}
 
 
-def _as_rpoly(terms, field):
-    return RPoly({tuple((v, e) for v, e in (("x", i), ("y", j)) if e): field.elt(c)
-                  for (i, j), c in terms.items() if field.elt(c)})
+def _eliminant(f, g, field):
+    """Res_y(f, g) as the local solve computes it: the Sylvester
+    determinant of the {y-degree: dense x-list} readings of f and g."""
+    rows = _sylvester_rows(*(_dense_in_y(t, field) for t in (f, g)))
+    return dense_det([[cell or [] for cell in row] for row in rows], field.p)
 
 
 def _sympy_resultant(sympy, f, g, field):
-    """Res_y(f, g) as {x-exponent: value in the field}, by sympy over Q and
-    reduced mod p.  sympy's sign follows the Sylvester matrix only when
+    """Res_y(f, g) by sympy over Z, after clearing each polynomial's
+    denominators, as a dense list: reduced mod p, or exact over Q.
+    sympy's sign follows the Sylvester matrix only when
     deg_y f >= deg_y g, so the arguments go in that order."""
     x, y = sympy.symbols("x y")
-    fs, gs = (sum(sympy.Rational(F(c).numerator, F(c).denominator) * x**i * y**j for (i, j), c in t.items())
-              for t in (f, g))
+
+    def cleared(t):
+        den = lcm(*(F(c).denominator for c in t.values()))
+        return sum(int(F(c) * den) * x**i * y**j for (i, j), c in t.items())
+
+    fs, gs = cleared(f), cleared(g)
     m, n = sympy.degree(fs, y), sympy.degree(gs, y)
     res = sympy.resultant(fs, gs, y) if m >= n else (-1) ** (m * n) * sympy.resultant(gs, fs, y)
-    out = {}
-    for (e,), c in sympy.Poly(res, x).terms():
-        v = field.elt(F(int(c.p), int(c.q)))
-        if v:
-            out[e] = v
-    return out
+    return _dense([int(c) for c in reversed(sympy.Poly(res, x).all_coeffs())], field.p)
 
 
-def test_resultant_rpoly_y_matches_sympy():
+def test_dense_eliminant_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     for spec in ("fp:2", "fp:3", "fp:10007", "q"):
@@ -601,9 +604,7 @@ def test_resultant_rpoly_y_matches_sympy():
                 f, g = ({pt: F(c, rng.randint(1, 3)) for pt, c in t.items()} for t in (f, g))
             if not f or not g or all(j == 0 for _, j in [*f, *g]):
                 continue
-            res = _resultant_rpoly_y(_as_rpoly(f, field), _as_rpoly(g, field))
-            got = {(m[0][1] if m else 0): c for m, c in res.terms.items()}
-            assert got == _sympy_resultant(sympy, f, g, field), (spec, f, g)
+            assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field), (spec, f, g)
             dims.add(_ydeg(f) + _ydeg(g))
             checked += 1
         assert max(dims) >= 10, spec
@@ -612,8 +613,7 @@ def test_resultant_rpoly_y_matches_sympy():
     g = {(0, 6): 2, (2, 5): 1, (1, 1): 1, (0, 0): -1}
     for spec in ("fp:10007", "q"):
         field = ResidualField.parse(spec)
-        res = _resultant_rpoly_y(_as_rpoly(f, field), _as_rpoly(g, field))
-        assert {(m[0][1] if m else 0): c for m, c in res.terms.items()} == _sympy_resultant(sympy, f, g, field)
+        assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field)
 
 
 def _leibniz_det(a, p):
@@ -661,10 +661,11 @@ def test_vanishing_eliminant_is_information_lost():
     g = {(0, 2): 1, (0, 1): 2, (1, 1): 1, (1, 0): 2}   # (y + x)(y + 2)
     for spec in ("fp:2", "fp:3", "fp:10007", "q"):
         field = ResidualField.parse(spec)
-        fp, gp = _as_rpoly(f, field), _as_rpoly(g, field)
-        assert not _resultant_rpoly_y(fp, gp)
+        assert _eliminant(f, g, field) == []
+        fj, gj = ({pt: Jet.principal(0, field.elt(c)) for pt, c in t.items() if field.elt(c)}
+                  for t in (f, g))
         with pytest.raises(InformationLostError, match="eliminant vanishes"):
-            _solve_by_elimination(fp, gp, field)
+            local_intersection_solve(fj, gj, (0, 0), field)
 
 
 def _trop_sylvester_cells(f_trop, g_trop):
@@ -885,3 +886,46 @@ def test_local_solve_random_conic_pairs_substitution_check():
                     assert not val
                 checked += 1
     assert checked > 20
+
+
+def _fp_torus_zeros(f, g, p):
+    """Every (x, y) in (F_p^*)^2 with f(x, y) = g(x, y) = 0, by enumeration."""
+
+    def fiber(t, x):
+        ys = [0] * 4
+        for (i, j), c in t.items():
+            ys[j] += c * pow(x, i, p)
+        return ys
+
+    def vanishes(ys, y):
+        return not (((ys[3] * y + ys[2]) * y + ys[1]) * y + ys[0]) % p
+
+    out = set()
+    for x in range(1, p):
+        fy, gy = fiber(f, x), fiber(g, x)
+        out |= {(x, y) for y in range(1, p) if vanishes(fy, y) and vanishes(gy, y)}
+    return out
+
+
+def test_local_solve_matches_brute_force_over_small_fields():
+    # p = 67 and 101 take the gcd(x^p - x, f) splitting branch of the root
+    # finder, the smaller fields its scan of F_p^*
+    rng = random.Random(29)
+    tri = [(i, j) for i in range(4) for j in range(4 - i)]
+    compared = nonsimple = 0
+    for p in (5, 7, 13, 67, 101):
+        field = ResidualField(p)
+        for _ in range(120):
+            f, g = ({pt: rng.randrange(1, p) for pt in rng.sample(tri, rng.randint(2, 6))}
+                    for _ in range(2))
+            fj, gj = ({pt: Jet.principal(0, field.elt(c)) for pt, c in t.items()} for t in (f, g))
+            try:
+                sols = local_intersection_solve(fj, gj, (0, 0), field)
+            except InformationLostError:
+                continue  # y-free or a common factor: not zero-dimensional
+            got = [(s.x.v, s.y.v) for s in sols]
+            assert len(set(got)) == len(got) and set(got) == _fp_torus_zeros(f, g, p), (p, f, g)
+            assert all(s.multiplicity > 0 for s in sols)
+            nonsimple += any(s.multiplicity != 1 for s in sols)
+            compared += 1
+    assert compared >= 500 and nonsimple >= 20, (compared, nonsimple)
