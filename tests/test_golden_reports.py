@@ -63,7 +63,17 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0][:2]) for g in GOLDEN])
+def golden_ids(golden):
+    """Name a case by its command and target; a later case with the same
+    pair is named by its whole command line, so earlier names never change."""
+    ids = []
+    for argv, _, _ in golden:
+        name = " ".join(argv[:2])
+        ids.append(" ".join(argv) if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=golden_ids(GOLDEN))
 def test_report_bytes_are_unchanged(argv, code, digest):
     argv = [catalog_path(a[1:]) if a.startswith("@") else a for a in argv]
     out = io.StringIO()
