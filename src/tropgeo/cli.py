@@ -64,12 +64,6 @@ def _write_json(path, obj):
             f.write(text + "\n")
 
 
-def _value_json(v):
-    if isinstance(v, TropPoly):
-        return v.to_json()
-    return [str(v[0]), str(v[1])]
-
-
 def cmd_realize(args):
     doc = _load_doc(args.file)
     c = dsl.to_construction(doc)
@@ -84,7 +78,7 @@ def cmd_realize(args):
     if args.json:
         _write_json(
             args.json,
-            {"seed": args.seed, "nodes": {n: _value_json(v) for n, v in r.values.items()}},
+            {"seed": args.seed, "nodes": {n: th.value_json(v) for n, v in r.values.items()}},
         )
     return 0
 

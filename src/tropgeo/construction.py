@@ -30,12 +30,13 @@ from .residual import (
     RFrac,
     RPoly,
     RootsOutsideFieldError,
-    _dense_trim,
     density_test,
     dense_roots,
     residual_terms,
 )
 from .stable_ops import (
+    _dense_in_y,
+    _fiber,
     curve_step_jets,
     intersection_step_conditions,
     local_intersection_solve,
@@ -904,8 +905,10 @@ def subconstruction_to(c: Construction, node: str) -> Construction:
     )
 
 
-def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
-                 seed: int = 0, max_tries: int = 64):
+LIFT_TRIES = 64  # x-residuals tried per point-on-curve lift
+
+
+def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField, seed: int = 0):
     """Witness jets for an acyclic incidence structure (tree-walk lifting).
 
     Alternates point-on-curve lifts (choose a residual root of the
@@ -945,13 +948,11 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
         terms = residual_terms(fj, p)
         if len(terms) < 2:
             raise ValueError(f"point {q!r} is not on curve {b!r} tropically")
-        for _ in range(max_tries):
+        h = _dense_in_y(terms, field)
+        for _ in range(LIFT_TRIES):
             # fix one coordinate, solve the other from the univariate trace
             xs = field.random_nonzero(rng)
-            trace = [0] * (max(j for _, j in terms) + 1)
-            for (i, j), cf in terms.items():
-                trace[j] += field.elt(cf).v * pow(xs.v, i, field.p)
-            trace = _dense_trim(trace, field.p)
+            trace = _fiber(h, xs, field.p)
             if len(trace) <= 1:
                 continue
             roots = [y for y, _ in dense_roots(trace, field) if y]

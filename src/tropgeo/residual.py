@@ -75,12 +75,6 @@ class FpElt:
             return NotImplemented
         return FpElt(self.v - o, self.p)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(o - self.v, self.p)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -94,12 +88,6 @@ class FpElt:
         if o is NotImplemented:
             return NotImplemented
         return FpElt(self.v * pow(o, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(o * pow(self.v, -1, self.p), self.p)
 
     def __neg__(self):
         return FpElt(-self.v, self.p)
@@ -285,12 +273,6 @@ class RPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._as_poly(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._as_poly(other)
         if o is None:
@@ -329,14 +311,6 @@ class RPoly:
             if isinstance(c, FpElt):
                 return FpElt(1, c.p)
         return Fraction(1)
-
-    def __truediv__(self, other):
-        if isinstance(other, RFrac):
-            return RFrac(self, RPoly.const(1)) / other
-        o = self._as_poly(other)
-        if o is None:
-            return NotImplemented
-        return RFrac(self, o)
 
     def canonical(self):
         return tuple(sorted((m, c) for m, c in self.terms.items()))
@@ -414,9 +388,6 @@ class RFrac:
     def __sub__(self, other):
         return self + (-RFrac.of(other))
 
-    def __rsub__(self, other):
-        return RFrac.of(other) + (-self)
-
     def __mul__(self, other):
         o = RFrac.of(other)
         return RFrac(self.num * o.num, self.den * o.den)
@@ -429,9 +400,6 @@ class RFrac:
             raise ZeroDivisionError("division by symbolic zero")
         return RFrac(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        return RFrac.of(other) / self
-
     def __eq__(self, other):
         try:
             o = RFrac.of(other)
@@ -441,12 +409,6 @@ class RFrac:
 
     def __hash__(self):
         return hash(("rfrac", self.num.canonical(), self.den.canonical()))
-
-    def evaluate(self, assignment: dict):
-        d = self.den.evaluate(assignment)
-        if not d:
-            raise ZeroDivisionError("denominator vanished at the sample")
-        return self.num.evaluate(assignment) / d
 
     def __str__(self):
         if self.den == RPoly.const(1):
@@ -553,17 +515,6 @@ class Jet:
             return Jet.of(order, self.coeff * other.coeff)
         return Jet.degenerate(order)
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        if not other.is_principal:
-            raise InformationLostError("division by a non-principal jet")
-        if self.is_zero:
-            return self
-        if self.is_degenerate:
-            return Jet.degenerate(self.order - other.order)
-        return Jet.principal(self.order - other.order, self.coeff / other.coeff)
-
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
@@ -591,20 +542,12 @@ def residual_terms(f_jets: dict, b) -> dict:
     argmax support points to their principal coefficients.
     """
     bx, by = frac(b[0]), frac(b[1])
-    best = None
-    for pt, j in f_jets.items():
-        if not j.is_principal:
-            continue
-        v = j.order + pt[0] * bx + pt[1] * by
-        if best is None or v > best:
-            best = v
+    vals = [(pt, j, j.order + pt[0] * bx + pt[1] * by) for pt, j in f_jets.items() if not j.is_zero]
+    best = max((v for _, j, v in vals if j.is_principal), default=None)
     if best is None:
         raise InformationLostError("no principal jet in the lift")
     terms = {}
-    for pt, j in f_jets.items():
-        if j.is_zero:
-            continue
-        v = j.order + pt[0] * bx + pt[1] * by
+    for pt, j, v in vals:
         if j.is_degenerate:
             # a degenerate jet lives strictly below its bound, so it can
             # only hide information when the bound exceeds the maximum
@@ -927,17 +870,9 @@ def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int)
         if isinstance(c.poly, RPoly):
             variables.update(c.poly.variables())
     variables = sorted(variables)
-    failures = 0
     for t in range(max(trials, 1)):
         rng = random.Random(seed * 1000003 + t)
         sample = {v: field.random_nonzero(rng) for v in variables}
-        ok = True
-        for c in cs.conditions:
-            val = c.poly.evaluate(sample) if isinstance(c.poly, RPoly) else c.poly
-            if not val:
-                ok = False
-                break
-        if ok:
+        if all(c.poly.evaluate(sample) if isinstance(c.poly, RPoly) else c.poly for c in cs.conditions):
             return NONEMPTY_DENSE, sample
-        failures += 1
     return LIKELY_EMPTY, None

@@ -8,9 +8,10 @@ Tropical side:
   over its dual vertex; its mixed area is the intersection multiplicity there.
   The argmax cells are int argmaxes along the cell's facet normal.
 * ``perturbation_oracle`` -- an independent check: translate g by an
-  infinitesimal epsilon*v, intersect transversally over the ring Q[eps]
-  (coordinates stay affine in eps because edge directions are integral),
-  then take limits as eps -> 0.
+  infinitesimal epsilon*v and cross every edge pair transversally.  Edge
+  directions are integral, so every coordinate and edge parameter stays
+  affine in eps: a (value, eps-coefficient) pair, ordered as a tuple.
+  The limits as eps -> 0 are the intersection points.
 
 Residual side: conditions are pseudodeterminants, the jet-ring minors on
 the tight entries of the Cramer system, and the Newton-segment vertex
@@ -138,57 +139,7 @@ def stable_intersection(f: TropPoly, g: TropPoly) -> StableIntersection:
 
 
 # ---------------------------------------------------------------------------
-# perturbation oracle over Q[eps]
-
-
-class Eps:
-    """a + b*eps with Fractions; ordered lexicographically (eps > 0, tiny)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=Fraction(0)):
-        self.a = frac(a)
-        self.b = frac(b)
-
-    def __add__(self, o):
-        if isinstance(o, Eps):
-            return Eps(self.a + o.a, self.b + o.b)
-        return Eps(self.a + frac(o), self.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        return self + (-o if isinstance(o, Eps) else Eps(-frac(o)))
-
-    def __rsub__(self, o):
-        return Eps(frac(o)) - self
-
-    def __neg__(self):
-        return Eps(-self.a, -self.b)
-
-    def scaled(self, c):
-        c = frac(c)
-        return Eps(self.a * c, self.b * c)
-
-    def cmp(self, o):
-        o = o if isinstance(o, Eps) else Eps(frac(o))
-        if self.a != o.a:
-            return -1 if self.a < o.a else 1
-        if self.b != o.b:
-            return -1 if self.b < o.b else 1
-        return 0
-
-    def __eq__(self, o):
-        return self.cmp(o) == 0
-
-    def __lt__(self, o):
-        return self.cmp(o) < 0
-
-    def __le__(self, o):
-        return self.cmp(o) <= 0
-
-    def __repr__(self):
-        return f"({self.a}+{self.b}e)"
+# perturbation oracle: g translated by eps*v, eps > 0 infinitesimal
 
 
 _DIRECTIONS = [
@@ -202,19 +153,19 @@ class _Degenerate(Exception):
     pass
 
 
-def _edge_range_contains(e, t: Eps):
+def _inside(e, t) -> bool:
+    """Whether the parameter t = (value, eps-coefficient) lies inside the
+    edge e; tuple order is the order for infinitesimal eps > 0.  A
+    crossing at an end of a ray or segment is degenerate."""
     if e.kind == "line":
         return True
-    if t.cmp(0) == 0 or (e.kind == "segment" and t.cmp(e.length) == 0):
+    ends = ((0, 0), (e.length, 0)) if e.kind == "segment" else ((0, 0),)
+    if t in ends:
         raise _Degenerate()
-    if t.cmp(0) < 0:
-        return False
-    if e.kind == "segment" and t.cmp(e.length) > 0:
-        return False
-    return True
+    return t > (0, 0) and (e.kind == "ray" or t < (e.length, 0))
 
 
-def perturbation_oracle(f: TropPoly, g: TropPoly, direction=None) -> StableIntersection:
+def perturbation_oracle(f: TropPoly, g: TropPoly) -> StableIntersection:
     """Stable intersection via an infinitesimal translation of g.
 
     Translating by eps*v makes every crossing a transversal edge-edge
@@ -222,54 +173,42 @@ def perturbation_oracle(f: TropPoly, g: TropPoly, direction=None) -> StableInter
     as eps -> 0 reproduces the stable intersection.  Retries a
     deterministic direction sequence on any degeneracy.
     """
-    dirs = [direction] if direction is not None else _DIRECTIONS
     cf = curve(f)
     cg = curve(g)
-    last = None
-    for v in dirs:
+    for v in _DIRECTIONS:
         try:
             return _perturbed_intersection(cf, cg, v)
-        except _Degenerate as exc:
-            last = exc
+        except _Degenerate:
             continue
-    raise NonGenericDirection(f"no generic direction found (last: {last})")
+    raise NonGenericDirection(f"none of the {len(_DIRECTIONS)} directions is generic")
 
 
 def _perturbed_intersection(cf, cg, v) -> StableIntersection:
+    """Edge crossings of cf and cg + eps*v, grouped by their limits."""
     crossings = {}
     for e1 in cf.edges:
-        b1 = (Eps(e1.base[0]), Eps(e1.base[1]))
         d1 = e1.dir
         for e2 in cg.edges:
-            b2 = (Eps(e2.base[0], v[0]), Eps(e2.base[1], v[1]))
             d2 = e2.dir
             det = d1[0] * d2[1] - d1[1] * d2[0]
+            # b2 + eps*v - b1: a (value, eps-coefficient) pair per coordinate
+            r = (e2.base[0] - e1.base[0], v[0]), (e2.base[1] - e1.base[1], v[1])
             if det == 0:
                 # parallel; generic v keeps them disjoint, verify
-                rx = b2[0] - b1[0]
-                ry = b2[1] - b1[1]
-                c = rx.scaled(d1[1]) - ry.scaled(d1[0])
-                if c.cmp(0) == 0:
+                if all(x * d1[1] == y * d1[0] for x, y in zip(*r)):
                     raise _Degenerate()
                 continue
-            rx = b2[0] - b1[0]
-            ry = b2[1] - b1[1]
-            t = (rx.scaled(d2[1]) - ry.scaled(d2[0])).scaled(Fraction(1, det))
-            s = (rx.scaled(d1[1]) - ry.scaled(d1[0])).scaled(Fraction(1, det))
-            if not _edge_range_contains(e1, t):
+            t = tuple(Fraction(x * d2[1] - y * d2[0], det) for x, y in zip(*r))
+            s = tuple(Fraction(x * d1[1] - y * d1[0], det) for x, y in zip(*r))
+            if not (_inside(e1, t) and _inside(e2, s)):
                 continue
-            if not _edge_range_contains(e2, s):
-                continue
-            px = Eps(b1[0].a, b1[0].b) + Eps(t.a * d1[0], t.b * d1[0])
-            py = Eps(b1[1].a, b1[1].b) + Eps(t.a * d1[1], t.b * d1[1])
-            key = (px.a, px.b, py.a, py.b)
+            key = tuple((e1.base[k] + t[0] * d1[k], t[1] * d1[k]) for k in (0, 1))
             if key in crossings:
                 raise _Degenerate()
-            mult = abs(det) * e1.weight * e2.weight
-            crossings[key] = ((px.a, py.a), mult)
+            crossings[key] = abs(det) * e1.weight * e2.weight
     grouped = {}
-    for (limit, mult) in crossings.values():
-        grouped[limit] = grouped.get(limit, 0) + mult
+    for ((px, _), (py, _)), mult in crossings.items():
+        grouped[(px, py)] = grouped.get((px, py), 0) + mult
     return StableIntersection(sorted(grouped.items()))
 
 

@@ -12,6 +12,11 @@ point-value matrix is tropically singular (Richter-Gebert, Sturmfels and
 Theobald, "First steps in tropical geometry").  A witness is a stable
 curve through delta-1 of the points; infeasibility is proven by a
 regular delta x delta minor.
+
+A point thesis is decided on the vertices of the union of the curves,
+which is the curve of their product: the dual vertices of the maximal
+cells of the product subdivision (Maclagan and Sturmfels, "Introduction
+to Tropical Geometry", section 3).
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ import os
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
 
-from .trop_core import Support, TropPoly, curve, frac
+from .trop_core import Support, TropPoly, convex_hull, curve, dual_subdivision, frac
 from .trop_linalg import trop_det_value_regular
 from .residual import ResidualField
-from .stable_ops import point_value_matrix, stable_curve
+from .stable_ops import point_value_matrix, stable_curve, trop_product
 from .construction import (
     Construction,
     Intersect,
@@ -86,50 +92,23 @@ def thesis_feasible_curve(I: Support, pts):
 def thesis_feasible_point(curves):
     """A point common to all curves, or None.
 
-    Candidates: all curve vertices, all pairwise edge crossings, and
-    base points of vertex-free curves; the lexicographic minimum of the
-    candidates lying on every curve is returned.
+    The union of the curves is the curve of their tropical product, whose
+    vertices are the dual vertices of the maximal cells of the product
+    subdivision: every vertex of one curve and every point where edges of
+    two curves cross.  A common point that is no such vertex lies inside
+    parallel edges of all the curves, and moving along them reaches an
+    end, a vertex, unless all of those edges are whole lines.  Only
+    collinear supports have lines, so the base points of their lines are
+    candidates too.  The lexicographic minimum of the candidates that lie
+    on every curve is returned.
     """
     if not curves:
         raise ValueError("need at least one curve")
-    complexes = [curve(f) for f in curves]
-    candidates = set()
-    for cx in complexes:
-        candidates.update(tuple(v) for v in cx.vertices)
-        for e in cx.edges:
-            if e.kind == "line":
-                candidates.add(tuple(e.base))
-    for a in range(len(complexes)):
-        for b in range(a + 1, len(complexes)):
-            for e1 in complexes[a].edges:
-                for e2 in complexes[b].edges:
-                    p = _edge_cross(e1, e2)
-                    if p is not None:
-                        candidates.add(p)
-    good = [p for p in sorted(candidates) if all(f.on_curve(p) for f in curves)]
-    return good[0] if good else None
-
-
-def _edge_cross(e1, e2):
-    d1, d2 = e1.dir, e2.dir
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det == 0:
-        return None
-    rx = e2.base[0] - e1.base[0]
-    ry = e2.base[1] - e1.base[1]
-    t = Fraction(rx * d2[1] - ry * d2[0], det)
-    s = Fraction(rx * d1[1] - ry * d1[0], det)
-    if not _in_range(e1, t) or not _in_range(e2, s):
-        return None
-    return (e1.base[0] + t * d1[0], e1.base[1] + t * d1[1])
-
-
-def _in_range(e, t):
-    if e.kind == "line":
-        return True
-    if t < 0:
-        return False
-    return e.kind == "ray" or t <= e.length
+    candidates = {c.dual_vertex for c in dual_subdivision(reduce(trop_product, curves)).facets}
+    for f in curves:
+        if len(convex_hull(f.support.points)) == 2:
+            candidates.update(e.base for e in curve(f).edges)
+    return next((p for p in sorted(candidates) if all(f.on_curve(p) for f in curves)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +165,7 @@ class TheoremVerdict:
             "failures": [
                 {
                     "trial": t.index,
-                    "inputs": {k: _input_json(v) for k, v in t.inputs.items()},
+                    "inputs": {k: value_json(v) for k, v in t.inputs.items()},
                     "note": t.note,
                 }
                 for t in self.failures
@@ -194,13 +173,17 @@ class TheoremVerdict:
         }
 
 
-def _input_json(v):
+def value_json(v):
+    """A realized point or curve as JSON."""
     if isinstance(v, TropPoly):
         return v.to_json()
     return [str(v[0]), str(v[1])]
 
 
-def sample_inputs(c: Construction, rng: random.Random, box: int = 8, special=None):
+BOX = 8  # sampled input coordinates and coefficients lie in [-BOX, BOX]
+
+
+def sample_inputs(c: Construction, rng: random.Random, special=None):
     """Random integer input realization; specials: 'zero' and 'repeat'."""
     vals = {}
     if special == "zero":
@@ -211,14 +194,14 @@ def sample_inputs(c: Construction, rng: random.Random, box: int = 8, special=Non
         return vals
     repeat_point = None
     if special == "repeat":
-        repeat_point = (Fraction(rng.randint(-box, box)), Fraction(rng.randint(-box, box)))
+        repeat_point = (Fraction(rng.randint(-BOX, BOX)), Fraction(rng.randint(-BOX, BOX)))
     for n in c.input_points:
         if repeat_point is not None:
             vals[n] = repeat_point
         else:
-            vals[n] = (Fraction(rng.randint(-box, box)), Fraction(rng.randint(-box, box)))
+            vals[n] = (Fraction(rng.randint(-BOX, BOX)), Fraction(rng.randint(-BOX, BOX)))
     for n, sup in c.input_curves:
-        vals[n] = TropPoly(sup, [Fraction(rng.randint(-box, box)) for _ in sup.points])
+        vals[n] = TropPoly(sup, [Fraction(rng.randint(-BOX, BOX)) for _ in sup.points])
     return vals
 
 
@@ -231,18 +214,14 @@ def _run_thesis(s: Statement, r):
 
 
 def check_statement(
-    s: Statement,
-    trials: int = 100,
-    seed: int = 0,
-    box: int = 8,
-    field: ResidualField | None = None,
-    lift_probe: int = 1,
-    specials: bool = True,
+    s: Statement, trials: int = 100, seed: int = 0, field: ResidualField | None = None
 ) -> TheoremVerdict:
     """Property-based check: the thesis element must exist for every
-    sampled realization of the hypothesis (including degenerate corner
-    cases).  For admissible hypotheses the first trials also cross-run
-    the numeric lifting conditions, exhibiting the transfer mechanism."""
+    sampled realization of the hypothesis, including the degenerate
+    corner cases of trial 0 (every input zero) and trial 1 (every input
+    point the same).  For admissible hypotheses the first trial also
+    cross-runs the numeric lifting conditions, exhibiting the transfer
+    mechanism."""
     if trials < 1:
         raise ValueError(f"a statement check needs at least one trial, got {trials}")
     field = field or ResidualField(10007)
@@ -251,21 +230,16 @@ def check_statement(
     failures = []
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
-        special = None
-        if specials and t == 0:
-            special = "zero"
-        elif specials and t == 1:
-            special = "repeat"
-        inputs = sample_inputs(s.hypothesis, rng, box, special)
+        inputs = sample_inputs(s.hypothesis, rng, {0: "zero", 1: "repeat"}.get(t))
         r = realize(s.hypothesis, inputs)
         if s.genpos_pairs:
             trial = _check_with_labelings(s, inputs, r, t)
         else:
             witness = _run_thesis(s, r)
             trial = Trial(index=t, inputs=inputs, witness=witness, passed=witness is not None)
-        if admissible and t < lift_probe:
+        if admissible and t == 0:
             rep = lift_conditions(
-                s.hypothesis, r, mode="numeric", field=field, seed=seed + t, trials=4
+                s.hypothesis, r, mode="numeric", field=field, seed=seed, trials=4
             )
             trial.lift_verdict = rep.verdict
         out.append(trial)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
 from tropgeo.trop_core import Support, TropPoly, curve, mixed_volume
-from tropgeo.residual import PROVABLY_EMPTY, ResidualField, residual_terms
+from tropgeo.residual import PROVABLY_EMPTY, Jet, ResidualField, residual_terms
 from tropgeo.construction import (
     CERT_ALWAYS,
     CERT_NEVER,
@@ -227,6 +228,26 @@ def test_most_degenerate_input_is_liftable():
     rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=77, trials=6)
     assert rep.successes and rep.successes >= 4
     assert verify_witness(c, r, rep.witness_jets) == []
+
+
+def test_verify_witness_reports_each_violation():
+    c = Construction(input_points=["a", "b"], steps=[CurveThrough(name="m", support=LINE, through=["a", "b"])])
+    r = realize(c, {"a": (F(0), F(0)), "b": (F(1), F(3))})
+    jets = lift_conditions(c, r, mode="numeric", field=F10007, seed=1, trials=4).witness_jets
+    assert verify_witness(c, r, jets) == []
+    off = replace(r, values={**r.values, "a": (F(-50), F(7))})
+    assert verify_witness(c, off, jets) == ["a not on tropical curve m"]
+    assert verify_witness(c, r, {**jets, "a": (Jet.degenerate(0), jets["a"][1])}) == [
+        "a has non-principal witness jets"
+    ]
+    lost = {pt: Jet.degenerate(j.order) for pt, j in jets["m"].items()}
+    assert verify_witness(c, r, {**jets, "m": lost}) == [
+        f"residual terms of m at {q}: no principal jet in the lift" for q in "ab"
+    ]
+    bx, by = jets["b"]
+    moved = (Jet.principal(bx.order, bx.coeff * 2), by)
+    [msg] = verify_witness(c, r, {**jets, "b": moved})
+    assert msg.startswith("residual incidence of b on m fails: ")
 
 
 def test_four_lines_always_share_a_ray_direction():

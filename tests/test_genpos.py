@@ -31,6 +31,18 @@ def test_gamma_isolated_point_inside_cell():
     assert (1, 1) not in g.vertices
 
 
+def test_a_point_at_a_vertex_takes_an_interior_point_of_its_cell():
+    f = TropPoly(Support.named("cubic"), [0] * 10)  # one big cell; (1,1) is interior
+    v = (F(0), F(0))  # the curve's only vertex
+    assert find_assignment(f, [v]).targets == [("iso", (1, 1))]
+    # (1, 1) serves one point only; the second takes an edge of the cell
+    assert find_assignment(f, [v, v]).targets == [("iso", (1, 1)), ("edge", ((0, 0), (0, 1)))]
+    ok, witness = in_general_position(f, [v, v])
+    assert ok and witness.to_json()["assignment"][0] == {"kind": "interior-point", "point": [1, 1]}
+    pts = [v, v] + [p for p, _ in witness.free_points]
+    assert stable_curve(f.support, pts).same_curve(f)
+
+
 def test_gamma_refines_length_two_edges():
     f = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+0x^2+0y^2")
     g = build_gamma(f)

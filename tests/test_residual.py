@@ -9,6 +9,7 @@ from tropgeo.residual import (
     FpElt,
     InformationLostError,
     Jet,
+    LIKELY_EMPTY,
     NONEMPTY_DENSE,
     PROVABLY_EMPTY,
     ResidualField,
@@ -278,6 +279,19 @@ def test_density_finds_witness():
     verdict, witness = density_test(cs, ResidualField(10007), trials=20, seed=3)
     assert verdict == NONEMPTY_DENSE
     assert (witness["a"] - witness["b"]) and (witness["a"] * witness["c"] + 1)
+
+
+def test_density_rejects_samples_on_which_a_condition_vanishes():
+    cs = ConditionSet()
+    cs.add(RPoly.var("a") + RPoly.var("b"), "a != -b")
+    F3 = ResidualField(3)
+    # half the samples over F_3 have a = -b; under seed 1 the first five do
+    assert density_test(cs, F3, trials=5, seed=1) == (LIKELY_EMPTY, None)
+    verdict, witness = density_test(cs, F3, trials=20, seed=1)
+    assert verdict == NONEMPTY_DENSE and witness["a"] + witness["b"]
+    # every sample over F_3 has a = b or a = -b
+    cs.add(RPoly.var("a") - RPoly.var("b"), "a != b")
+    assert density_test(cs, F3, trials=20, seed=1) == (LIKELY_EMPTY, None)
 
 
 def test_units_and_duplicates_are_pruned():

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from tropgeo.trop_core import Support, TropPoly, mixed_volume, upper_chain
+from tropgeo.trop_core import CurveEdge, Support, TropPoly, mixed_volume, upper_chain
 from tropgeo.residual import (
     JET_ZERO,
     ConditionSet,
@@ -18,9 +18,11 @@ from tropgeo.residual import (
     residual_terms,
 )
 from tropgeo.stable_ops import (
+    _Degenerate,
     _by_y,
     _condition_poly,
     _condition_zero,
+    _inside,
     _monomial_jet,
     _dense_in_y,
     _resultant_family,
@@ -151,6 +153,19 @@ def test_oracle_on_the_degenerate_pair():
     C1 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+0x^2+0y^2")
     C2 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+1x^2+2y^2")
     assert perturbation_oracle(C1, C2).points == stable_intersection(C1, C2).points
+
+
+def test_oracle_edge_parameters_are_ordered_for_infinitesimal_eps():
+    # a parameter is (value, eps-coefficient): just before a segment's end
+    # is inside, just past it is not, and an exact end is degenerate
+    ray = CurveEdge(base=(F(0), F(0)), dir=(1, 0), length=None, weight=1, dual=((0, 0), (0, 1)), kind="ray")
+    seg = CurveEdge(base=(F(0), F(0)), dir=(1, 0), length=F(2), weight=1, dual=((0, 0), (0, 1)))
+    assert _inside(seg, (F(2), F(-1))) and not _inside(seg, (F(2), F(1)))
+    assert _inside(ray, (F(0), F(1))) and not _inside(ray, (F(0), F(-1)))
+    assert _inside(ray, (F(5), F(-7))) and not _inside(seg, (F(5), F(-7)))
+    for e, t in ((ray, (0, 0)), (seg, (0, 0)), (seg, (F(2), 0))):
+        with pytest.raises(_Degenerate):
+            _inside(e, t)
 
 
 def _golden_pairs():

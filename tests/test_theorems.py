@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
-from tropgeo.trop_core import Support, TropPoly
+from tropgeo.trop_core import Support, TropPoly, curve
 from tropgeo.stable_ops import stable_intersection
 from tropgeo.construction import realize
 from tropgeo.theorems import (
@@ -104,9 +105,9 @@ def test_thesis_point_three_generic_lines_fail():
 
 
 def test_thesis_point_of_two_curves_is_at_most_their_least_stable_point():
-    # every stable intersection point is a vertex of one curve or a
-    # transversal crossing of two edges, so the candidates that
-    # thesis_feasible_point scans (with _edge_cross) must contain it
+    # every stable intersection point is the dual vertex of a mixed cell
+    # of the product subdivision, so the candidates that
+    # thesis_feasible_point scans must contain it
     rng = random.Random(12)
     for _ in range(400):
         f, g = (TropPoly(sup, [F(rng.randint(-2, 2)) for _ in sup.points])
@@ -120,6 +121,90 @@ def test_thesis_point_three_coincident_vertical_lines():
     v = TropPoly(Support.named("vertical"), [F(1), F(0)])
     p = thesis_feasible_point([v, v, v])
     assert p is not None and v.on_curve(p)
+
+
+# reference oracle for thesis points: the vertices of every curve, the
+# base points of lines, and every crossing of two edges of different
+# curves
+
+
+def _edge_cross(e1, e2):
+    d1, d2 = e1.dir, e2.dir
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    if det == 0:
+        return None
+    rx = e2.base[0] - e1.base[0]
+    ry = e2.base[1] - e1.base[1]
+    t = F(rx * d2[1] - ry * d2[0], det)
+    s = F(rx * d1[1] - ry * d1[0], det)
+    if not _in_range(e1, t) or not _in_range(e2, s):
+        return None
+    return (e1.base[0] + t * d1[0], e1.base[1] + t * d1[1])
+
+
+def _in_range(e, t):
+    if e.kind == "line":
+        return True
+    if t < 0:
+        return False
+    return e.kind == "ray" or t <= e.length
+
+
+def _pairwise_thesis_point(curves):
+    complexes = [curve(f) for f in curves]
+    candidates = set()
+    for cx in complexes:
+        candidates.update(tuple(v) for v in cx.vertices)
+        candidates.update(tuple(e.base) for e in cx.edges if e.kind == "line")
+    for a, b in itertools.combinations(complexes, 2):
+        for e1 in a.edges:
+            for e2 in b.edges:
+                p = _edge_cross(e1, e2)
+                if p is not None:
+                    candidates.add(p)
+    good = [p for p in sorted(candidates) if all(f.on_curve(p) for f in curves)]
+    return good[0] if good else None
+
+
+_POINT_SUPPORTS = [Support.named(n) for n in ("line", "vertical", "horizontal", "pencil", "conic", "cubic")] + [
+    Support([(0, 0), (1, 0), (2, 0)]), Support([(0, 0), (2, 1)]), Support([(0, 0)]),
+]
+
+
+def _is_product_vertex(curves, p):
+    # the product's argmax set at p is the Minkowski sum of the factors'
+    # argmax sets, and p is a vertex of the product's curve when that sum
+    # spans the plane
+    vecs = [(a[0] - arg[0][0], a[1] - arg[0][1]) for arg in (f.eval(p)[1] for f in curves) for a in arg]
+    return any(u[0] * w[1] != u[1] * w[0] for u in vecs for w in vecs)
+
+
+def test_thesis_point_matches_pairwise_crossing_oracle():
+    rng = random.Random(13)
+    found = off_product = 0
+    for _ in range(5000):
+        sups = [rng.choice(_POINT_SUPPORTS) for _ in range(rng.randint(1, 4))]
+        curves = [TropPoly(sup, [F(rng.randint(-4, 4), 2) for _ in sup.points]) for sup in sups]
+        p = thesis_feasible_point(curves)
+        assert p == _pairwise_thesis_point(curves), curves
+        if p is None:
+            continue
+        found += 1
+        if not _is_product_vertex(curves, p):
+            # only the base point of a collinear factor's line can be a
+            # common point off the product's vertices
+            assert any(p == e.base for f in curves for e in curve(f).edges if e.kind == "line")
+            off_product += 1
+    assert found >= 1000 and off_product >= 100, (found, off_product)
+
+
+def test_pappus_witnesses_are_unchanged():
+    # SHA-256 of the witness list as the pairwise-crossing scan found it
+    v = check_statement(catalog()["pappus"], trials=30, seed=7)
+    witnesses = repr([str(t.witness) for t in v.trials]).encode()
+    assert hashlib.sha256(witnesses).hexdigest() == (
+        "203f519361e65e087dae7474ec3bd7399a7aaf31964eb4f08444473d8cc1ad27"
+    )
 
 
 def test_ten_points_off_every_cubic_are_decided():
