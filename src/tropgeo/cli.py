@@ -64,11 +64,15 @@ def _write_json(path, obj):
             f.write(text + "\n")
 
 
-def cmd_realize(args):
+def _realized(args):
+    """The construction in args.file and its realization at args.seed."""
     doc = _load_doc(args.file)
     c = dsl.to_construction(doc)
-    inputs = _realization_inputs(doc, c, args.seed)
-    r = realize(c, inputs)
+    return c, realize(c, _realization_inputs(doc, c, args.seed))
+
+
+def cmd_realize(args):
+    c, r = _realized(args)
     for n in c.node_names():
         v = r.values[n]
         if isinstance(v, TropPoly):
@@ -96,26 +100,21 @@ def cmd_admissible(args):
     return 1
 
 
-def _lift_report(args, mode):
+def _lift_report(args):
+    """The lift report of args.file, and its construction; --mode sample
+    is the library's numeric mode."""
     field = ResidualField.parse(args.field) if args.field else _default_field()
-    if mode == "symbolic" and args.field and field.finite:
+    if args.mode == "symbolic" and args.field and field.finite:
         raise ValueError(f"--mode symbolic runs over Q; --field {args.field} does not apply")
-    doc = _load_doc(args.file)
-    c = dsl.to_construction(doc)
-    inputs = _realization_inputs(doc, c, args.seed)
-    r = realize(c, inputs)
-    if mode == "symbolic":
-        rep = lift_conditions(c, r, mode="symbolic", seed=args.seed, trials=args.trials)
-    else:
-        rep = lift_conditions(
-            c, r, mode="numeric", field=field, seed=args.seed, trials=args.trials
-        )
-    return rep, c, r
+    c, r = _realized(args)
+    if args.mode == "symbolic":
+        return lift_conditions(c, r, mode="symbolic", seed=args.seed, trials=args.trials), c
+    return lift_conditions(c, r, mode="numeric", field=field, seed=args.seed,
+                           trials=args.trials), c
 
 
 def cmd_lift(args):
-    mode = "symbolic" if args.mode == "symbolic" else "numeric"
-    rep, _c, _r = _lift_report(args, mode)
+    rep, _c = _lift_report(args)
     print(f"verdict: {rep.verdict}")
     if rep.successes is not None:
         print(f"witness trials: {rep.successes}/{rep.trials}")
@@ -125,8 +124,7 @@ def cmd_lift(args):
 
 
 def cmd_certify(args):
-    mode = "symbolic" if args.mode == "symbolic" else "numeric"
-    rep, c, _r = _lift_report(args, mode)
+    rep, c = _lift_report(args)
     for s in rep.steps:
         step = c.steps[s.index]
         if hasattr(step, "through"):
@@ -172,10 +170,7 @@ def _parse_point(text):
 
 
 def cmd_genpos(args):
-    doc = _load_doc(args.file)
-    c = dsl.to_construction(doc)
-    inputs = _realization_inputs(doc, c, args.seed)
-    r = realize(c, inputs)
+    _c, r = _realized(args)
     f = r.values.get(args.curve)
     if not isinstance(f, TropPoly):
         print(f"{args.curve!r} is not a curve node", file=sys.stderr)
@@ -289,10 +284,7 @@ def render_svg(curves, bbox, markers=None, size=600):
 def cmd_plot(args):
     from .stable_ops import stable_intersection
 
-    doc = _load_doc(args.file)
-    c = dsl.to_construction(doc)
-    inputs = _realization_inputs(doc, c, args.seed)
-    r = realize(c, inputs)
+    _c, r = _realized(args)
     curves = [v for v in r.values.values() if isinstance(v, TropPoly)]
     if not curves:
         print("nothing to plot: no curves realized", file=sys.stderr)

@@ -9,7 +9,10 @@ residual sufficient-condition set: curve steps contribute
 pseudodeterminant conditions, intersection steps contribute resultant
 vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
-systems directly.
+systems directly.  One pass serves both residual modes: the input
+residuals are indeterminates (symbolic) or random elements of k*
+(numeric), and each local system is solved in closed form when linear
+(symbolic) or by elimination and root finding (numeric).
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .residual import (
     dense_roots,
     residual_terms,
 )
+from .genpos import _DSU
 from .stable_ops import (
+    _condition_poly,
     _dense_in_y,
     _fiber,
     curve_step_jets,
@@ -161,20 +166,8 @@ class IncidenceStructure:
 
     def is_acyclic(self):
         """Undirected acyclicity of the Levi graph (union-find)."""
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p, b in self.flags:
-            rp, rb = find(p), find(b)
-            if rp == rb:
-                return False
-            parent[rp] = rb
-        return True
+        dsu = _DSU()
+        return all(dsu.union(p, b) for p, b in self.flags)
 
 
 def _incidence_table(g: IncidenceStructure):
@@ -559,49 +552,34 @@ class LiftReport:
         }
 
 
-def _input_variables(c: Construction):
-    out = []
-    for n in c.input_points:
-        out.extend([f"{n}.x", f"{n}.y"])
-    for n, sup in c.input_curves:
-        out.extend(f"{n}[{i},{j}]" for (i, j) in sup.points)
-    return out
+def _free_jets(n, value, draw):
+    """The principal jets of an input node's tropical value, with the
+    residual draw(v) of each of its variables v, drawn in order: x then y
+    for a point, the support points in order for a curve."""
+    if isinstance(value, TropPoly):
+        return {pt: Jet.principal(o, draw(f"{n}[{pt[0]},{pt[1]}]"))
+                for pt, o in value.coeff_map().items()}
+    return (Jet.principal(frac(value[0]), draw(f"{n}.x")),
+            Jet.principal(frac(value[1]), draw(f"{n}.y")))
 
 
-def _symbolic_inputs(c: Construction, r: TropRealization):
-    res = {}
-    for n in c.input_points:
-        res[n] = (RFrac.of(RPoly.var(f"{n}.x")), RFrac.of(RPoly.var(f"{n}.y")))
-    for n, sup in c.input_curves:
-        res[n] = {
-            pt: RFrac.of(RPoly.var(f"{n}[{pt[0]},{pt[1]}]")) for pt in sup.points
-        }
-    return res
+def _sampler(field: ResidualField, rng: random.Random):
+    """A residual draw of numeric mode: a random element of k* per variable."""
+    return lambda _name: field.random_nonzero(rng)
 
 
-def _numeric_inputs(c: Construction, field: ResidualField, rng: random.Random):
-    res = {}
-    for n in c.input_points:
-        res[n] = (field.random_nonzero(rng), field.random_nonzero(rng))
-    for n, sup in c.input_curves:
-        res[n] = {pt: field.random_nonzero(rng) for pt in sup.points}
-    return res
-
-
-def _propagate(c: Construction, r: TropRealization, residuals, field, symbolic: bool):
-    """One forward pass; returns (step reports, condition set, node jets, ok)."""
-    jets = {}
-    for n in c.input_points:
-        p = r.values[n]
-        cx, cy = residuals[n]
-        jets[n] = (Jet.principal(p[0], cx), Jet.principal(p[1], cy))
-    for n, sup in c.input_curves:
-        f = r.values[n]
-        cmap = f.coeff_map()
-        jets[n] = {pt: Jet.principal(cmap[pt], residuals[n][pt]) for pt in sup.points}
-
+def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool):
+    """One forward pass, with draw(name) the residual of each input
+    variable; the condition set's variables are the names drawn, in
+    order.  Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
-    conds.variables = _input_variables(c)
+
+    def named(v):
+        conds.variables.append(v)
+        return draw(v)
+
+    jets = {n: _free_jets(n, r.values[n], named)
+            for n in [*c.input_points, *(n for n, _ in c.input_curves)]}
     reports = []
     ok = True
     for idx, s in enumerate(c.steps):
@@ -643,26 +621,43 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet):
     return rep, not rep.some_zero
 
 
+def _local_solve(f_jets, g_jets, b, field, symbolic, origin):
+    """The torus solutions of the local residual system at stable point b
+    and the conditions [(what, value)] the solve adds, or the
+    InformationLostError / RootsOutsideFieldError that ended it.
+
+    Symbolic mode solves linear systems only, in closed form; the
+    coordinates and the determinant must not vanish.
+    """
+    try:
+        if not symbolic:
+            sols = local_intersection_solve(f_jets, g_jets, b, field)
+            if not sols:
+                return [], [("no torus solution", field.zero)]
+            sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
+            return [(t.x, t.y) for t in sols], []
+        ft, gt = residual_terms(f_jets, b), residual_terms(g_jets, b)
+    except (InformationLostError, RootsOutsideFieldError) as exc:
+        return exc
+    try:
+        x, y, det = solve_local_linear(ft, gt)
+    except ValueError as exc:
+        raise SymbolicModeUnsupported(f"{origin}: {exc} at point {b}") from exc
+    checks = [(what, _condition_poly(v))
+              for what, v in (("local det", det), ("torus x", x), ("torus y", y))]
+    return [(x, y)] if all(v for _, v in checks) else [], checks
+
+
 def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbolic):
     f_jets = jets[s.curves[0]]
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
     si = r.intersections[idx]
-    # symbolic mode solves linear local systems only; solve them before the
+    # the local systems, one per distinct stable point, come before the
     # resultants, whose symbolic corner coefficients grow fast with the
-    # degree, so that a step it cannot solve stops at once
-    linear = {}
-    for b, _m in si.points if symbolic else ():
-        try:
-            ft = residual_terms(f_jets, b)
-            gt = residual_terms(g_jets, b)
-        except InformationLostError as exc:
-            linear[b] = exc
-            continue
-        try:
-            linear[b] = solve_local_linear(ft, gt)
-        except ValueError as exc:
-            raise SymbolicModeUnsupported(f"{origin}: {exc} at point {b}") from exc
+    # degree, so that a step symbolic mode cannot solve stops at once
+    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, symbolic, origin))
+                for b, _m in si.points]
     bundle = intersection_step_conditions(f_jets, g_jets, origin=origin)
     conds.merge(bundle.conditions)
     step_conds = [(c.origin, c.poly) for c in bundle.conditions.conditions]
@@ -670,47 +665,27 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
 
     if bundle.always_compatible:
         notes.append("always-compatible")
-    perm = r.labelings[idx]
-    labeled_pts = si.as_labeled()
     failed = bool([v for _, v in step_conds if not v]) or bundle.undecidable
 
-    # local residual systems, one per distinct stable point
     solved = {}
-    for b, _m in si.points:
-        try:
-            if symbolic:
-                if isinstance(linear[b], InformationLostError):
-                    raise linear[b]
-                x, y, det = linear[b]
-                for what, v in (("local det", det), ("torus x", x), ("torus y", y)):
-                    conds.add(_num(v), f"{origin} {what} at {b}")
-                    step_conds.append((f"{origin} {what} at {b}", _num(v)))
-                if not _num(x) or not _num(y) or not _num(det):
-                    failed = True
-                    solved[b] = []
-                else:
-                    solved[b] = [(x, y)]
-            else:
-                sols = local_intersection_solve(f_jets, g_jets, b, field)
-                if not sols:
-                    zero = field.zero
-                    conds.add(zero, f"{origin} no torus solution at {b}")
-                    step_conds.append((f"{origin} no torus solution at {b}", zero))
-                    failed = True
-                    solved[b] = []
-                else:
-                    sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
-                    solved[b] = [(t.x, t.y) for t in sols]
-        except (InformationLostError, RootsOutsideFieldError) as exc:
-            notes.append(f"local solve at {b}: {exc}")
-            failed = True
+    for b, out in outcomes:
+        if isinstance(out, Exception):
+            notes.append(f"local solve at {b}: {out}")
             solved[b] = []
+        else:
+            solved[b], checks = out
+            for what, v in checks:
+                conds.add(v, f"{origin} {what} at {b}")
+                step_conds.append((f"{origin} {what} at {b}", v))
+        failed = failed or not solved[b]
 
     # hand the solved principal terms to the labeled points
+    perm = r.labelings[idx]
+    labeled_pts = si.as_labeled()
     cursor = {}
     for k, q in enumerate(s.names):
         b = labeled_pts[perm[k]]
-        options = solved.get(b, [])
+        options = solved[b]
         if options:
             i = cursor.get(b, 0)
             x, y = options[i % len(options)]
@@ -733,10 +708,6 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     return rep, not failed
 
 
-def _num(v):
-    return v.num if isinstance(v, RFrac) else v
-
-
 def lift_conditions(
     c: Construction,
     r: TropRealization,
@@ -747,6 +718,9 @@ def lift_conditions(
 ) -> LiftReport:
     """Residual conditions for the whole construction to lift.
 
+    Both modes run the same forward pass; they differ in the input
+    residuals and in the local solve.
+
     symbolic mode: one pass with indeterminate input residuals; the
     condition set is over the input variables only (auxiliary point
     coordinates are eliminated by forward substitution).  Restricted to
@@ -754,52 +728,41 @@ def lift_conditions(
 
     numeric mode: samples input residuals in k* and propagates; a trial
     in which every condition is nonzero and every local system has a
-    torus solution yields witness jets for every node.
+    torus solution yields witness jets for every node.  The report is
+    that of the first such trial, or else of the last one.
     """
-    if mode == "symbolic":
+    symbolic = mode == "symbolic"
+    if symbolic:
         field = field or ResidualField(None)
-        residuals = _symbolic_inputs(c, r)
-        reports, conds, jets, ok = _propagate(c, r, residuals, field, symbolic=True)
-        if conds.provably_empty:
-            verdict = PROVABLY_EMPTY
-        else:
-            sample_field = field if field.finite else ResidualField(10007)
-            verdict, _w = density_test(conds, sample_field, trials=max(trials, 8), seed=seed)
-        witness = _witness_json(jets) if ok else None
-        rep = LiftReport(
-            mode=mode, field=field, steps=reports, condition_set=conds,
-            verdict=verdict, witness=witness, seed=seed, trials=None,
-            witness_jets=jets if ok else None,
-        )
-        return classify_certificates(rep, c)
-
-    if mode != "numeric":
+        draws = [lambda v: RFrac.of(RPoly.var(v))]
+    elif mode == "numeric":
+        field = field or ResidualField(10007)
+        if not field.finite:
+            raise ValueError("numeric mode needs a finite residual field")
+        if trials < 1:
+            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
+        draws = (_sampler(field, random.Random(seed * 1000003 + t)) for t in range(trials))
+    else:
         raise ValueError("mode must be 'symbolic' or 'numeric'")
-    field = field or ResidualField(10007)
-    if not field.finite:
-        raise ValueError("numeric mode needs a finite residual field")
-    if trials < 1:
-        raise ValueError(f"numeric mode needs at least one trial, got {trials}")
-    first_success = None
-    last_failure = None
-    successes = 0
-    for t in range(trials):
-        rng = random.Random(seed * 1000003 + t)
-        residuals = _numeric_inputs(c, field, rng)
-        outcome = _propagate(c, r, residuals, field, symbolic=False)
-        if outcome[3]:
-            successes += 1
-            if first_success is None:
-                first_success = outcome
-        else:
-            last_failure = outcome
-    reports, conds, jets, _ok = first_success or last_failure
-    verdict = NONEMPTY_DENSE if successes else LIKELY_EMPTY
-    witness = _witness_json(jets) if successes else None
+    kept, successes = None, 0
+    for draw in draws:
+        outcome = _propagate(c, r, draw, field, symbolic)
+        successes += outcome[3]
+        if kept is None or not kept[3]:
+            kept = outcome
+    reports, conds, jets, ok = kept
+    if not symbolic:
+        verdict = NONEMPTY_DENSE if successes else LIKELY_EMPTY
+    elif conds.provably_empty:
+        verdict = PROVABLY_EMPTY
+    else:
+        sample_field = field if field.finite else ResidualField(10007)
+        verdict, _w = density_test(conds, sample_field, trials=max(trials, 8), seed=seed)
     rep = LiftReport(
         mode=mode, field=field, steps=reports, condition_set=conds,
-        verdict=verdict, witness=witness, seed=seed, trials=trials,
-        successes=successes, witness_jets=jets if successes else None,
+        verdict=verdict, witness=_witness_json(jets) if ok else None, seed=seed,
+        trials=None if symbolic else trials, successes=None if symbolic else successes,
+        witness_jets=jets if ok else None,
     )
     return classify_certificates(rep, c)
 
@@ -920,6 +883,7 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
     if not field.finite:
         raise ValueError("acyclic lifting samples roots; use a finite field")
     rng = random.Random(seed)
+    draw = _sampler(field, rng)
     adj = {}
     for p, b in g.flags:
         adj.setdefault(p, []).append(b)
@@ -927,20 +891,6 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
     nodes = g.points + [b for b, _ in g.blocks]
     jets = {}
     block_names = {b for b, _ in g.blocks}
-
-    def lift_free(n):
-        if n in block_names:
-            f = realization[n]
-            cmap = f.coeff_map()
-            jets[n] = {
-                pt: Jet.principal(cmap[pt], field.random_nonzero(rng)) for pt in cmap
-            }
-        else:
-            p = realization[n]
-            jets[n] = (
-                Jet.principal(frac(p[0]), field.random_nonzero(rng)),
-                Jet.principal(frac(p[1]), field.random_nonzero(rng)),
-            )
 
     def lift_point_on_curve(q, b):
         fj = jets[b]
@@ -999,7 +949,7 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
     for start in sorted(nodes):
         if start in seen:
             continue
-        lift_free(start)
+        jets[start] = _free_jets(start, realization[start], draw)
         seen.add(start)
         queue = [start]
         while queue:

@@ -262,11 +262,11 @@ def _point_on_dual_cell(gamma: GammaGraph, cv, refined_edge, salt: int):
     raise AssertionError("dual curve edge not found")
 
 
-def in_general_position(f: TropPoly, pts, gamma: GammaGraph | None = None):
+def in_general_position(f: TropPoly, pts):
     """True iff an assignment exists; the witness includes the free
     points completing the set so the curve is the stable curve through
     all of them."""
-    gamma = gamma or build_gamma(f)
+    gamma = build_gamma(f)
     delta = f.support.delta()
     if len(pts) > delta - 1:
         raise ValueError(f"at most {delta - 1} points allowed")

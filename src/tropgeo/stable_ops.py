@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .trop_core import (
     Support,
@@ -433,12 +433,14 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
     dominant coefficients on the assignment's tight graph; it vanishes
     exactly when the top order cancels, and the jet is then degenerate.
     """
-    rows = _sylvester_rows(_by_y(f_jets), _by_y(g_jets))
+    ints, d = scaled_ints([j.order for jets in (f_jets, g_jets) for j in jets.values()])
+    it = iter(ints)
+    # each entry of a cell is (jet, its order scaled by d)
+    rows = _sylvester_rows(*(_by_y({k: (j, next(it)) for k, j in jets.items()})
+                             for jets in (f_jets, g_jets)))
     n = len(rows)
-    d = lcm(*(j.order.denominator for jets in (f_jets, g_jets) for j in jets.values()))
-    cells = [[None if cell is None else
-              [(i, j.order.numerator * (d // j.order.denominator)) for i, j in cell.items()]
-              for cell in row] for row in rows]
+    cells = [[None if cell is None else [(i, o) for i, (_, o) in cell.items()] for cell in row]
+             for row in rows]
     orders = [o for row in cells for cell in row if cell for _, o in cell]
     big = n * (max(orders) - min(orders)) + 1
 
@@ -481,7 +483,7 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
             (el, hl), (er, hr) = hull[k - 1], hull[k + 1]
             lam = (Fraction(hl - h, e - el) + Fraction(h - hr, er - e)) / 2
             tight = assign(lam.numerator, lam.denominator)[2]
-        coeff = _tight_det([{c: rows[r][c][i].coeff for c, i in tight[r].items()} for r in range(n)], zero)
+        coeff = _tight_det([{c: rows[r][c][i][0].coeff for c, i in tight[r].items()} for r in range(n)], zero)
         out.append(ResultantCorner(e, Fraction(h, d), coeff, tight))
     return out
 
@@ -498,24 +500,19 @@ def _tight_det(rows, zero):
         det = dense_det([[[row[c].v] if c in row else [] for c in range(n)] for row in rows], p)
         return FpElt(det[0] if det else 0, p)
     if all(isinstance(e, Fraction) for e in vals):
-        dens = [lcm(*(e.denominator for e in row.values())) for row in rows]
-        det = dense_det([[[row[c].numerator * (d // row[c].denominator)] if c in row else []
-                          for c in range(n)] for row, d in zip(rows, dens)])
-        return Fraction(det[0] if det else 0, prod(dens))
+        scaled = [scaled_ints(list(row.values())) for row in rows]
+        ints = [dict(zip(row, w)) for row, (w, _) in zip(rows, scaled)]
+        det = dense_det([[[row[c]] if c in row else [] for c in range(n)] for row in ints])
+        return Fraction(det[0] if det else 0, prod(d for _, d in scaled))
     return masked_det(n, lambda r, c: rows[r].get(c), zero)
 
 
 def trop_univariate_roots(heights: dict):
     """Roots with multiplicities of a univariate max-plus polynomial: one
     per segment between consecutive Newton-segment vertices."""
-    verts = _newton_segment_vertices(heights)
+    verts = [e for e, _ in upper_chain(sorted(heights.items()))]
     return [(Fraction(heights[e0] - heights[e1], e1 - e0), e1 - e0)
             for e0, e1 in zip(verts, verts[1:])]
-
-
-def _newton_segment_vertices(heights: dict):
-    """Indices at the upper-hull breakpoints of {(i, h_i)}."""
-    return [e for e, _ in upper_chain(sorted(heights.items()))]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +600,7 @@ def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
     while True:
         vals = {p[0] - a * p[1] for p in cands}
         if len(vals) == len(cands):
-            return a, cands
+            return a
         a += 1
 
 
@@ -636,7 +633,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect")
     fam_y = run("y", _swap_xy(f_jets), _swap_xy(g_jets))
 
     if fam_x is not None and fam_y is not None:
-        a, _ = choose_shear(f, g, fam_x.heights, fam_y.heights)
+        a = choose_shear(f, g, fam_x.heights, fam_y.heights)
         run("z", _shear(f_jets, a), _shear(g_jets, a))
         shear = a
     else:
@@ -724,11 +721,9 @@ def _dense_in_y(terms: dict, field):
     coefficients times their denominator lcm, which keeps the roots."""
     if any(isinstance(c, (RPoly, RFrac)) for c in terms.values()):
         raise ValueError("numeric local solve needs scalar coefficients")
-    vals = {pt: field.elt(c) for pt, c in terms.items()}
-    den = 1 if field.finite else lcm(*(c.denominator for c in vals.values()))
+    vals = [field.elt(c) for c in terms.values()]
     out = {}
-    for (i, j), c in vals.items():
-        c = c.v if field.finite else c.numerator * (den // c.denominator)
+    for (i, j), c in zip(terms, [c.v for c in vals] if field.finite else scaled_ints(vals)[0]):
         if c:
             col = out.setdefault(j, [])
             col += [0] * (i + 1 - len(col))

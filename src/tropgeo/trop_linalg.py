@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .trop_core import frac
+from .trop_core import frac, scaled_ints
 
 # trop_det enumerates every optimal permutation, up to n! of them
 DET_BOUND = 12
@@ -49,8 +48,9 @@ def as_matrix(rows):
 
 def _scaled(a):
     """(d, w): the lcm d of the entries' denominators and the int matrix d*a."""
-    d = lcm(*(x.denominator for row in a for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    flat, d = scaled_ints([x for row in a for x in row])
+    it = iter(flat)
+    return d, [[next(it) for _ in row] for row in a]
 
 
 def _hungarian_max(w):

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
@@ -6,7 +9,14 @@ from importlib import resources
 import pytest
 
 from tropgeo.trop_core import Support, TropPoly, curve, mixed_volume
-from tropgeo.residual import PROVABLY_EMPTY, Jet, ResidualField, residual_terms
+from tropgeo.residual import (
+    LIKELY_EMPTY,
+    PROVABLY_EMPTY,
+    Jet,
+    ResidualField,
+    residual_terms,
+)
+from tropgeo.cli import main
 from tropgeo.construction import (
     CERT_ALWAYS,
     CERT_NEVER,
@@ -298,6 +308,58 @@ def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypat
     monkeypatch.setattr(construction, "intersection_step_conditions", unreachable)
     with pytest.raises(construction.SymbolicModeUnsupported, match="not linear"):
         lift_conditions(c, r, mode="symbolic")
+
+
+ABC_TWICE = """\
+input point a
+input point b
+input point c
+input point d
+input point e
+curve l1 = through a b support line
+curve l2 = through a c support line
+points {p} = intersect l1 l2
+curve m1 = through d b support line
+curve m2 = through d c support line
+points {r} = intersect m1 m2
+curve l3 = through p r support line
+curve l4 = through b e support line
+points {q} = intersect l3 l4
+realize a = (0, 0)
+realize b = (-2, 1)
+realize c = (-1, 3)
+realize d = (-3, 5)
+realize e = (3, 4)
+"""
+
+
+@pytest.mark.parametrize("mode,verdict,code,digest", [
+    ("symbolic", PROVABLY_EMPTY, 1,
+     "88c025dea445fa3a197ddbf3e7274a5db680024fde3d0cce63655cd414c5d365"),
+    ("sample", LIKELY_EMPTY, 1,
+     "7e2ef0f3cb2e962c866fdc4e6603659efa86e64c93a005b3b40ecb9f63eb848f"),
+], ids=["symbolic", "sample"])
+def test_local_solve_notes_lost_information_in_both_modes(tmp_path, mode, verdict, code,
+                                                          digest):
+    # the abc double path done twice: p and r carry degenerate jets, so
+    # the line l3 through them has no principal jet at q's stable point
+    path = tmp_path / "abc_twice.tgc"
+    path.write_text(ABC_TWICE)
+    doc = dsl.parse(ABC_TWICE)
+    c = dsl.to_construction(doc)
+    r = realize(c, doc.realization_map())
+    rep = lift_conditions(c, r, mode="numeric" if mode == "sample" else mode, seed=4)
+    assert rep.verdict == verdict
+    last = rep.steps[8]
+    assert last.certificate == CERT_UNDECIDABLE
+    assert last.notes == [
+        "local solve at (Fraction(0, 1), Fraction(1, 1)): no principal jet in the lift"
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["lift", str(path), "--mode", mode, "--seed", "4", "--json", "-"])
+    assert rc == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_transversal_line_intersection_is_always_compatible():
