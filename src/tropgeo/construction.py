@@ -425,11 +425,21 @@ def realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
     ``labeling`` optionally permutes intersection labels per step index;
     the default order is lexicographic by point, multiplicities repeated.
     """
+    _require_exact(c)
+    return _realize(c, inputs, labeling)
+
+
+def _require_exact(c: Construction):
+    """Raise ValueError unless c is an exact construction."""
     diag = validate_construction(c)
     if not diag.exact:
         raise ValueError(
             "realize needs an exact construction: " + "; ".join(diag.errors + diag.inexact)
         )
+
+
+def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
+    """``realize`` of a construction that ``_require_exact`` accepted."""
     vals = {}
     for n in c.input_points:
         p = inputs[n]

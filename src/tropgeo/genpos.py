@@ -129,7 +129,7 @@ def _candidate_targets(gamma: GammaGraph, q):
     sub = gamma.subdivision
     _, arg = f.eval(q)
     if len(arg) < 2:
-        raise PointNotOnCurve(f"{q} is not on the curve")
+        raise PointNotOnCurve(f"({q[0]}, {q[1]}) is not on the curve")
     if area2(arg) == 0:
         # on an edge of the curve; the dual 1-cell is the unique
         # subdivision edge whose lifted points contain the argmax

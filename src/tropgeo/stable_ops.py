@@ -34,22 +34,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .trop_core import (
     Support,
     TropPoly,
+    _upper_facets_ints,
     area2,
     curve,
     concave_canonical,
-    dual_subdivision,
     frac,
     mixed_volume,
     polygon_area2,
     scaled_ints,
     upper_chain,
 )
-from .trop_linalg import _hungarian_max, cramer_stable, masked_det, masked_minors
+from .trop_linalg import _cramer, _hungarian_max, masked_det, masked_minors
 from .residual import (
     ConditionSet,
     FpElt,
@@ -95,42 +95,50 @@ class StableIntersection:
         return out
 
 
+def _product_ints(f: TropPoly, g: TropPoly):
+    """(support, ints, d): the max-plus product f*g on the int forms,
+    its coefficients ints/d with d the lcm of f's and g's denominators."""
+    (a, da), (b, db) = f.scaled(), g.scaled()
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    gs = [(j, c * sb) for j, c in zip(g.support.points, b)]
+    best = {}
+    for (i0, i1), c in zip(f.support.points, a):
+        c *= sa
+        for (j0, j1), cg in gs:
+            k = (i0 + j0, i1 + j1)
+            v = c + cg
+            if k not in best or v > best[k]:
+                best[k] = v
+    sup = Support(best)
+    return sup, [best[k] for k in sup.points], d
+
+
 def trop_product(f: TropPoly, g: TropPoly) -> TropPoly:
-    pts = {}
-    fm, gm = f.coeff_map(), g.coeff_map()
-    for i, a in fm.items():
-        for j, b in gm.items():
-            k = (i[0] + j[0], i[1] + j[1])
-            v = a + b
-            if k not in pts or v > pts[k]:
-                pts[k] = v
-    return TropPoly(Support(pts.keys()), pts)
-
-
-def _summand(pts, c, d, nx, ny, nz):
-    """The argmax cell at the point (nx/nz, ny/nz), nz > 0, of the
-    polynomial with support pts and coefficients c/d (c ints): the
-    points (i, j) maximising nz*c + d*(nx*i + ny*j)."""
-    vals = [nz * ci + d * (nx * i + ny * j) for (i, j), ci in zip(pts, c)]
-    top = max(vals)
-    return [p for p, v in zip(pts, vals) if v == top]
+    return TropPoly.from_ints(*_product_ints(f, g))
 
 
 def stable_intersection(f: TropPoly, g: TropPoly) -> StableIntersection:
-    h = trop_product(f, g)
-    sub = dual_subdivision(h)
-    fs = (f.support.points, *scaled_ints(f.coeffs))
-    gs = (g.support.points, *scaled_ints(g.coeffs))
+    """Mixed cells of the product subdivision, read from its facets: at a
+    facet normal (nx, ny, nz) the summands are the argmaxes of f and g at
+    the dual vertex (nx/nz, ny/nz), and a summand that is one point makes
+    the cell a translate of the other, of mixed area 0."""
+    sup, ints, d = _product_ints(f, g)
+    corners = sup.corners()
     out = []
-    for cell in sub.facets:
-        p = cell.dual_vertex
-        (nx, ny), nz = scaled_ints(p)
-        sf, sg = _summand(*fs, nx, ny, nz), _summand(*gs, nx, ny, nz)
-        m2 = polygon_area2(cell.hull) - area2(sf) - area2(sg)
+    facets = _upper_facets_ints(sup.points, ints, d, corners) if len(corners) > 2 else ()
+    for _, (nx, ny, nz), hull in facets:
+        sf = f.argmax(nx, ny, nz)[1]
+        if len(sf) == 1:
+            continue
+        sg = g.argmax(nx, ny, nz)[1]
+        if len(sg) == 1:
+            continue
+        m2 = polygon_area2(hull) - area2(sf) - area2(sg)
         if m2 < 0 or m2 % 2:
             raise AssertionError("mixed cell area must be a nonnegative even integer")
         if m2:
-            out.append((p, int(m2 // 2)))
+            out.append(((Fraction(nx, nz), Fraction(ny, nz)), m2 // 2))
     out.sort(key=lambda t: t[0])
     si = StableIntersection(out)
     if si.total() != mixed_volume(f.support, g.support):
@@ -153,16 +161,21 @@ class _Degenerate(Exception):
     pass
 
 
+def _reaches(e, t) -> bool:
+    """Whether the parameter t = (value, eps-coefficient) lies in the
+    closed range of the edge e; tuple order is the order for
+    infinitesimal eps > 0."""
+    return e.kind == "line" or (t >= (0, 0) and (e.kind == "ray" or t <= (e.length, 0)))
+
+
 def _inside(e, t) -> bool:
-    """Whether the parameter t = (value, eps-coefficient) lies inside the
-    edge e; tuple order is the order for infinitesimal eps > 0.  A
-    crossing at an end of a ray or segment is degenerate."""
-    if e.kind == "line":
-        return True
-    ends = ((0, 0), (e.length, 0)) if e.kind == "segment" else ((0, 0),)
-    if t in ends:
+    """Whether t lies inside the edge e.  A crossing at an end of a ray
+    or segment is degenerate."""
+    if not _reaches(e, t):
+        return False
+    if e.kind != "line" and (t == (0, 0) or (e.kind == "segment" and t == (e.length, 0))):
         raise _Degenerate()
-    return t > (0, 0) and (e.kind == "ray" or t < (e.length, 0))
+    return True
 
 
 def perturbation_oracle(f: TropPoly, g: TropPoly) -> StableIntersection:
@@ -200,7 +213,9 @@ def _perturbed_intersection(cf, cg, v) -> StableIntersection:
                 continue
             t = tuple(Fraction(x * d2[1] - y * d2[0], det) for x, y in zip(*r))
             s = tuple(Fraction(x * d1[1] - y * d1[0], det) for x, y in zip(*r))
-            if not (_inside(e1, t) and _inside(e2, s)):
+            # a crossing outside either closed range is no crossing, even
+            # at an end of the other edge: only then may an end raise
+            if not (_reaches(e1, t) and _reaches(e2, s) and _inside(e1, t) and _inside(e2, s)):
                 continue
             key = tuple((e1.base[k] + t[0] * d1[k], t[1] * d1[k]) for k in (0, 1))
             if key in crossings:
@@ -216,8 +231,16 @@ def _perturbed_intersection(cf, cg, v) -> StableIntersection:
 # stable curve through points
 
 
+def _point_values(I: Support, pts):
+    """(w, e): the point-value matrix times e, the lcm of the points'
+    coordinate denominators, as ints; row r is p_r.i over i in I."""
+    flat, e = scaled_ints([frac(c) for p in pts for c in p])
+    return [[i * x + j * y for i, j in I.points] for x, y in zip(flat[::2], flat[1::2])], e
+
+
 def point_value_matrix(I: Support, pts):
-    return [[frac(p[0]) * i[0] + frac(p[1]) * i[1] for i in I.points] for p in pts]
+    w, e = _point_values(I, pts)
+    return [[Fraction(v, e) for v in row] for row in w]
 
 
 def stable_curve(I: Support, pts) -> TropPoly:
@@ -227,7 +250,7 @@ def stable_curve(I: Support, pts) -> TropPoly:
         raise ValueError("curve supports need at least two points")
     if len(pts) != I.delta() - 1:
         raise ValueError(f"need {I.delta() - 1} points, got {len(pts)}")
-    sol = cramer_stable(point_value_matrix(I, pts))
+    sol = _cramer(*_point_values(I, pts))
     return concave_canonical(TropPoly(I, sol.values))
 
 
@@ -293,9 +316,7 @@ def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
     pseudodeterminant.  Coefficient jets carry cofactor signs so they
     solve the residual linear system.
     """
-    pts = [p for p, _ in pt_jets]
-    trop = point_value_matrix(I, pts)
-    sol = cramer_stable(trop)
+    sol = _cramer(*_point_values(I, [p for p, _ in pt_jets]))
 
     entries = []
     for _, (jx, jy) in pt_jets:

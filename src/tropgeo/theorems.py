@@ -28,17 +28,18 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import reduce
 
-from .trop_core import Support, TropPoly, convex_hull, curve, dual_subdivision, frac
+from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
 from .trop_linalg import trop_det_value_regular
 from .residual import ResidualField
 from .stable_ops import point_value_matrix, stable_curve, trop_product
 from .construction import (
     Construction,
     Intersect,
+    _realize,
+    _require_exact,
     is_admissible,
     labeling_choices,
     lift_conditions,
-    realize,
 )
 from .genpos import in_general_position
 from . import dsl
@@ -106,7 +107,7 @@ def thesis_feasible_point(curves):
         raise ValueError("need at least one curve")
     candidates = {c.dual_vertex for c in dual_subdivision(reduce(trop_product, curves)).facets}
     for f in curves:
-        if len(convex_hull(f.support.points)) == 2:
+        if len(f.support.corners()) == 2:
             candidates.update(e.base for e in curve(f).edges)
     return next((p for p in sorted(candidates) if all(f.on_curve(p) for f in curves)), None)
 
@@ -226,12 +227,13 @@ def check_statement(
         raise ValueError(f"a statement check needs at least one trial, got {trials}")
     field = field or ResidualField(10007)
     admissible, _ = is_admissible(s.hypothesis)
+    _require_exact(s.hypothesis)  # once: every trial realizes the same hypothesis
     out = []
     failures = []
     for t in range(trials):
         rng = random.Random(seed * 1000003 + t)
         inputs = sample_inputs(s.hypothesis, rng, {0: "zero", 1: "repeat"}.get(t))
-        r = realize(s.hypothesis, inputs)
+        r = _realize(s.hypothesis, inputs)
         if s.genpos_pairs:
             trial = _check_with_labelings(s, inputs, r, t)
         else:
@@ -260,7 +262,7 @@ def _check_with_labelings(s: Statement, inputs, r0, t) -> Trial:
         if all(perm == tuple(range(len(perm))) for perm in lab.values()):
             r = r0  # labeling_choices keeps the identity for its key
         else:
-            r = realize(s.hypothesis, inputs, labeling=lab)
+            r = _realize(s.hypothesis, inputs, labeling=lab)
         pre = all(
             in_general_position(r.values[cv], [r.values[p] for p in pts])[0]
             for pts, cv in s.genpos_pairs

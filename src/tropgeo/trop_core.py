@@ -13,11 +13,20 @@ The central objects:
   induced by the coefficients (upper hull of the lifted points).
 * ``DualComplex`` -- the plane curve, cell-dual to the subdivision.
 
-``dual_subdivision`` is the one upper-hull computation: the curve and
-the concave canonical form (the minimum, over the maximal cells, of
-their affine height functions) are both read from it.  The hull is gift
-wrapping on the heights scaled once to ints by the lcm of their
-denominators.  It starts from the first segment of the upper chain over
+Both objects are immutable, so each computes a derived form once and
+keeps it: a ``Support`` its Newton-polygon corners, a ``TropPoly`` its
+coefficients over their common denominator, ``scaled_ints(coeffs)``.
+Evaluation, the curve test and the concave canonical form run on that
+int form: a point is scaled once to a common denominator, and every
+comparison of monomial values is an int comparison.  The only
+``Fraction``s they build are the values they return.
+
+``_upper_facets_ints`` is the one upper-hull computation: the
+subdivision and the curve dual to it, the concave canonical form (the
+minimum, over the maximal cells, of their affine height functions) and
+the mixed cells of a stable intersection are all read from it.  The hull
+is gift wrapping on the heights scaled once to ints by the lcm of their
+denominators (``_upper_facets`` scales ``Fraction`` heights for it).  It starts from the first segment of the upper chain over
 one Newton-polygon edge; across each cell edge not on the polygon
 boundary, one pass over the points keeps the one whose plane through
 the edge lies above all the others.  The tie rule: a cell's points are
@@ -30,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 Point = tuple[Fraction, Fraction]
@@ -41,6 +51,12 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def scaled_ints(values):
+    """(ints, d): the lcm d of the values' denominators and the ints d*v."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +161,7 @@ class Support:
     their normalized forms coincide.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_corners")
 
     def __init__(self, pts):
         pts = {(int(p[0]), int(p[1])) for p in pts}
@@ -154,6 +170,14 @@ class Support:
         mx = min(p[0] for p in pts)
         my = min(p[1] for p in pts)
         self.points: tuple[LPoint, ...] = tuple(sorted((p[0] - mx, p[1] - my) for p in pts))
+        self._corners = None
+
+    def corners(self) -> tuple[LPoint, ...]:
+        """The ccw corners of the Newton polygon (``convex_hull``),
+        computed once."""
+        if self._corners is None:
+            self._corners = tuple(convex_hull(self.points))
+        return self._corners
 
     @staticmethod
     def named(name: str) -> "Support":
@@ -212,7 +236,7 @@ def _parse_monomial(s: str) -> LPoint:
 class TropPoly:
     """Max-plus polynomial: evaluation at p is max_i(coeff_i + i.p)."""
 
-    __slots__ = ("support", "coeffs")
+    __slots__ = ("support", "coeffs", "_scaled")
 
     def __init__(self, support: Support, coeffs):
         self.support = support
@@ -224,6 +248,38 @@ class TropPoly:
             if len(coeffs) != support.delta():
                 raise ValueError("one coefficient per support point required")
             self.coeffs = coeffs
+        self._scaled = None
+
+    @staticmethod
+    def from_ints(support: Support, ints, d: int) -> "TropPoly":
+        """The polynomial with coefficients ints[k]/d, d > 0, on
+        ``support.points``; the int form, reduced by its gcd, is kept as
+        ``scaled()``."""
+        g = gcd(d, *ints)
+        if g > 1:
+            ints, d = [c // g for c in ints], d // g
+        f = TropPoly.__new__(TropPoly)
+        f.support = support
+        f.coeffs = tuple(Fraction(c, d) for c in ints)
+        f._scaled = (ints, d)
+        return f
+
+    def scaled(self):
+        """(ints, d) = ``scaled_ints(coeffs)``, computed once: a TropPoly
+        is immutable."""
+        if self._scaled is None:
+            self._scaled = scaled_ints(self.coeffs)
+        return self._scaled
+
+    def argmax(self, x: int, y: int, e: int):
+        """(top, argmax) at the point (x/e, y/e), for ints x, y and e > 0:
+        the largest monomial value there times e*d, d the denominator of
+        ``scaled()``, and the support points attaining it."""
+        ints, d = self.scaled()
+        dx, dy = d * x, d * y
+        vals = [e * c + i * dx + j * dy for (i, j), c in zip(self.support.points, ints)]
+        top = max(vals)
+        return top, tuple(pt for pt, v in zip(self.support.points, vals) if v == top)
 
     @staticmethod
     def parse(text: str) -> "TropPoly":
@@ -252,19 +308,13 @@ class TropPoly:
 
     def eval(self, p: Point):
         """Value and argmax set at p; p is on the curve iff len(argmax) >= 2."""
-        px, py = frac(p[0]), frac(p[1])
-        best = None
-        arg = []
-        for pt, c in zip(self.support.points, self.coeffs):
-            v = c + pt[0] * px + pt[1] * py
-            if best is None or v > best:
-                best, arg = v, [pt]
-            elif v == best:
-                arg.append(pt)
-        return best, tuple(arg)
+        (x, y), e = scaled_ints((frac(p[0]), frac(p[1])))
+        top, arg = self.argmax(x, y, e)
+        return Fraction(top, e * self.scaled()[1]), arg
 
     def on_curve(self, p: Point) -> bool:
-        return len(self.eval(p)[1]) >= 2
+        (x, y), e = scaled_ints((frac(p[0]), frac(p[1])))
+        return len(self.argmax(x, y, e)[1]) >= 2
 
     def scale(self, c) -> "TropPoly":
         c = frac(c)
@@ -370,15 +420,16 @@ class NewtonSubdivision:
     vertices: list[LPoint]      # 0-cells
 
 
-def scaled_ints(values):
-    """(ints, d): the lcm d of the values' denominators and the ints d*v."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def _upper_facets(pts, hts, poly):
     """Upper-hull facets of the lifted points (p, h) of a 2-D support with
-    ccw Newton polygon ``poly``, by gift wrapping.
+    ccw Newton polygon ``poly``: ``_upper_facets_ints`` on the heights
+    scaled once by ``scaled_ints``."""
+    return _upper_facets_ints(pts, *scaled_ints(hts), poly)
+
+
+def _upper_facets_ints(pts, H, den, poly):
+    """Upper-hull facets of the lifted points (p, H/den) of a 2-D support
+    with ccw Newton polygon ``poly``, by gift wrapping on the int heights H.
 
     Returns [(on_point_indices, normal, hull)] sorted by the indices: every
     point whose lift lies on the facet plane, the plane's normal
@@ -392,7 +443,6 @@ def _upper_facets(pts, hts, poly):
     that plane is the facet's.  Each cell edge is wrapped across at most
     once, and not at all once the facets on both its sides are found.
     """
-    H, den = scaled_ints(hts)
     lifted = list(zip(pts, H))
     height = dict(lifted)
 
@@ -443,14 +493,13 @@ def _upper_facets(pts, hts, poly):
     return sorted(facets)
 
 
-def _upper_chain_1d(pts, hts):
-    """Upper hull for supports whose points are collinear, on the
-    lcm-scaled int heights.
+def _upper_chain_1d(pts, H):
+    """Upper hull for supports whose points are collinear, on the int
+    heights H (the heights over a common denominator).
 
     Returns the list of 1-cells as (on_point_indices,) tuples, in order
     along the segment.
     """
-    H, _ = scaled_ints(hts)
     d = primitive((pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1]))
     base = pts[0]
     lifted = sorted(
@@ -478,9 +527,9 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
     hts = list(f.coeffs)
     if len(pts) == 1:
         return NewtonSubdivision(f.support, tuple(hts), [], [], [pts[0]])
-    hull = convex_hull(pts)
+    hull = f.support.corners()
     if len(hull) == 2:  # collinear support: subdivision of a segment
-        chain = _upper_chain_1d(pts, hts)
+        chain = _upper_chain_1d(pts, f.scaled()[0])
         edges = []
         verts = set()
         for on in chain:
@@ -571,7 +620,7 @@ def _curve_of(f: TropPoly, sub: NewtonSubdivision) -> DualComplex:
     pts = f.support.points
     if len(pts) == 1:
         return DualComplex([], [], sub)
-    hull = convex_hull(pts)
+    hull = f.support.corners()
     edges: list[CurveEdge] = []
 
     if not sub.facets:  # collinear support: curve is a family of lines
@@ -625,43 +674,51 @@ def _curve_of(f: TropPoly, sub: NewtonSubdivision) -> DualComplex:
 def concave_canonical(f: TropPoly) -> TropPoly:
     """Raise every coefficient to the upper hull of the lifted support.
 
-    The result is the biconjugate of f: coefficient p becomes
-
-        min over maximal cells C of c_q + (q - p).v
-
-    where q is any support point of C and v is the point dual to C: its
-    ``dual_vertex`` for a facet, and for an edge a-b of a collinear
-    support the point lambda*(b - a), lambda = (c_a - c_b)/|b - a|^2, of
-    the line where monomials a and b tie.  It is the unique concave
-    polynomial with the same support and the same curve; the operation
-    is idempotent.
+    The result is the biconjugate of f: coefficient p becomes the
+    minimum, over the maximal cells C, of the height at p of C's affine
+    function.  On the int heights H = d*c of ``f.scaled()`` that height
+    is (A - B*p_x - C*p_y)/D, D > 0: from a facet normal (B, C, D*d) of
+    ``_upper_facets_ints``, A being the plane's value at the cell's
+    points, and for an edge a-b of a collinear support, u = b - a, from
+    H_a + (H_b - H_a)*(p - a).u/|u|^2.  Minima are compared by cross
+    multiplication.  It is the unique concave polynomial with the same
+    support and the same curve; the operation is idempotent.
     """
     pts = f.support.points
-    if len(convex_hull(pts)) == len(pts):  # every point a corner, so on the hull
+    corners = f.support.corners()
+    if len(corners) == len(pts):  # every point a corner, so on the hull
         return f
-    sub = dual_subdivision(f)
-    cmap = f.coeff_map()
-    if sub.facets:
-        cells = [(c.on_points[0], c.dual_vertex) for c in sub.facets]
+    H, den = f.scaled()
+    planes = []
+    if len(corners) > 2:
+        for on, (nx, ny, nz), _ in _upper_facets_ints(pts, H, den, corners):
+            (qx, qy), nz = pts[on[0]], nz // den
+            planes.append((nx * qx + ny * qy + nz * H[on[0]], nx, ny, nz))
     else:  # collinear support: the maximal cells are edges
-        cells = []
-        for e in sub.edges:
-            a, b = e.ends
-            u = (b[0] - a[0], b[1] - a[1])
-            lam = (cmap[a] - cmap[b]) / (u[0] * u[0] + u[1] * u[1])
-            cells.append((a, (lam * u[0], lam * u[1])))
-    return TropPoly(f.support, tuple(
-        min(cmap[q] + (q[0] - p[0]) * v[0] + (q[1] - p[1]) * v[1] for q, v in cells)
-        for p in pts
-    ))
+        for on in _upper_chain_1d(pts, H):
+            (ax, ay), (bx, by) = pts[on[0]], pts[on[-1]]
+            ux, uy, s = bx - ax, by - ay, H[on[-1]] - H[on[0]]
+            uu = ux * ux + uy * uy
+            planes.append((H[on[0]] * uu - s * (ax * ux + ay * uy), -s * ux, -s * uy, uu))
+    out = []
+    for x, y in pts:
+        num = dd = None
+        for a, b, c, d in planes:
+            v = a - b * x - c * y
+            if num is None or v * dd < num * d:
+                num, dd = v, d
+        out.append(Fraction(num, dd * den))
+    return TropPoly(f.support, out)
 
 
 def minkowski_sum_points(a, b):
     return sorted({(p[0] + q[0], p[1] + q[1]) for p in a for q in b})
 
 
+@lru_cache(maxsize=256)
 def mixed_volume(d1: Support, d2: Support) -> int:
-    """area(D1+D2) - area(D1) - area(D2); the Bernstein intersection count."""
+    """area(D1+D2) - area(D1) - area(D2); the Bernstein intersection
+    count, memoized per support pair."""
     s = minkowski_sum_points(d1.points, d2.points)
     m2 = area2(s) - area2(d1.points) - area2(d2.points)
     if m2 % 2 != 0:

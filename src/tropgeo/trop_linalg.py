@@ -279,10 +279,16 @@ def cramer_stable(a_rows) -> CramerSolution:
     potentials u - dist, v + dist are an optimal dual of every minor.
     """
     a = as_matrix(a_rows)
-    n = len(a)
-    if len(a[0]) != n + 1:
+    if len(a[0]) != len(a) + 1:
         raise ValueError("stable Cramer solution needs an n x (n+1) matrix")
     d, w = _scaled(a)
+    return _cramer(w, d)
+
+
+def _cramer(w, d) -> CramerSolution:
+    """``cramer_stable`` of the matrix w/d, for an n x (n+1) int matrix
+    w (extended in place by the zero row) and an int d > 0."""
+    n = len(w)
     w.append([0] * (n + 1))
     value, u, v, col = _hungarian_max(w)
     k0 = col[n]

@@ -193,6 +193,14 @@ def test_cli_genpos(capsys, tmp_path):
         assert capsys.readouterr().err == f"{name!r} is not a curve node\n"
 
 
+def test_cli_genpos_names_a_point_off_the_curve_as_written(capsys):
+    for point in ("(0,0)", "(1/2,-3)"):
+        rc = main(["genpos", catalog_path("pappus"), "--curve", "a", "--points", point, "(1,1)"])
+        assert rc == 2
+        text = point.replace(",", ", ")
+        assert capsys.readouterr().err == f"error: {text} is not on the curve\n"
+
+
 # a step may name only nodes defined above it, and each name once
 MALFORMED = {
     "undefined": (

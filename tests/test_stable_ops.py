@@ -3,10 +3,21 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
-from tropgeo.trop_core import CurveEdge, Support, TropPoly, mixed_volume, upper_chain
+from tropgeo.trop_core import (
+    CurveEdge,
+    Support,
+    TropPoly,
+    area2,
+    dual_subdivision,
+    mixed_volume,
+    polygon_area2,
+    scaled_ints,
+    upper_chain,
+)
 from tropgeo.residual import (
     JET_ZERO,
     ConditionSet,
@@ -25,6 +36,7 @@ from tropgeo.stable_ops import (
     _inside,
     _monomial_jet,
     _dense_in_y,
+    _perturbed_intersection,
     _resultant_family,
     _sylvester_rows,
     curve_step_conditions,
@@ -36,9 +48,16 @@ from tropgeo.stable_ops import (
     stable_curve,
     stable_intersection,
     sylvester_resultant,
+    trop_product,
     trop_univariate_roots,
 )
-from tropgeo.trop_linalg import cramer_conditions, masked_det, pseudodet, trop_det_value_regular
+from tropgeo.trop_linalg import (
+    cramer_conditions,
+    cramer_stable,
+    masked_det,
+    pseudodet,
+    trop_det_value_regular,
+)
 
 LINE = Support.named("line")
 F10007 = ResidualField(10007)
@@ -166,6 +185,145 @@ def test_oracle_edge_parameters_are_ordered_for_infinitesimal_eps():
     for e, t in ((ray, (0, 0)), (seg, (0, 0)), (seg, (F(2), 0))):
         with pytest.raises(_Degenerate):
             _inside(e, t)
+
+
+def test_a_crossing_at_an_end_of_one_edge_and_outside_the_other_is_no_crossing():
+    # e2 lies on the line x - 2 = y/2 and v = (1, 2) moves it along itself,
+    # so it meets e1's line exactly at e1's end (2, 0), at s = -1 on e2
+    e1 = CurveEdge(base=(F(0), F(0)), dir=(1, 0), length=F(2), weight=1, dual=((0, 0), (0, 1)))
+    e2 = CurveEdge(base=(F(3), F(2)), dir=(1, 2), length=F(1), weight=1, dual=((0, 0), (2, -1)))
+    cf, cg = SimpleNamespace(edges=[e1]), SimpleNamespace(edges=[e2])
+    assert _perturbed_intersection(cf, cg, (1, 2)).points == []
+    # the same end inside e2's range is still degenerate
+    e2 = CurveEdge(base=(F(1), F(-2)), dir=(1, 2), length=F(3), weight=1, dual=((0, 0), (2, -1)))
+    with pytest.raises(_Degenerate):
+        _perturbed_intersection(cf, SimpleNamespace(edges=[e2]), (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# differential oracles: the Fraction code the int kernel replaced
+
+
+def _fraction_product(f, g):
+    """The max-plus product on Fraction coefficients."""
+    pts = {}
+    for i, a in f.coeff_map().items():
+        for j, b in g.coeff_map().items():
+            k = (i[0] + j[0], i[1] + j[1])
+            v = a + b
+            if k not in pts or v > pts[k]:
+                pts[k] = v
+    return TropPoly(Support(pts.keys()), pts)
+
+
+def _fraction_argmax(f, p):
+    vals = [c + i * p[0] + j * p[1] for (i, j), c in zip(f.support.points, f.coeffs)]
+    return [q for q, v in zip(f.support.points, vals) if v == max(vals)]
+
+
+def _mixed_cell_oracle(f, g):
+    """The stable intersection from dual_subdivision of the Fraction
+    product: a maximal cell's summands are the argmaxes of f and g at its
+    dual vertex, by Fraction evaluation, and its multiplicity is half of
+    its doubled area less theirs."""
+    out = []
+    for cell in dual_subdivision(_fraction_product(f, g)).facets:
+        p = cell.dual_vertex
+        m2 = polygon_area2(cell.hull) - area2(_fraction_argmax(f, p)) - area2(_fraction_argmax(g, p))
+        assert m2 >= 0 and m2 % 2 == 0
+        if m2:
+            out.append((p, m2 // 2))
+    return sorted(out)
+
+
+def _differential_pairs():
+    """Seeded pairs: degree supports at d = 1..5 against each other with
+    tie-heavy and with spread rational coefficients, then collinear and
+    one-point supports, parallel ones included."""
+    rng = random.Random(1515)
+
+    def tie():
+        return F(rng.randint(-1, 1), rng.choice([1, 1, 2, 3]))
+
+    def spread():
+        return F(rng.randint(-40, 40), rng.randint(1, 6))
+
+    def poly(sup, coeff):
+        return TropPoly(sup, [coeff() for _ in sup.points])
+
+    pairs = []
+    for d in range(1, 6):
+        for coeff in (tie, spread):
+            for _ in range(6):
+                pairs.append((poly(Support.degree(d), coeff), poly(Support.degree(rng.randint(1, 5)), coeff)))
+    segments = [Support.named(n) for n in ("vertical", "horizontal")]
+    segments += [Support([(0, 0), (2, 0), (3, 0)]), Support([(0, 0), (1, 1), (3, 3)]), Support([(0, 0)])]
+    for a in segments:
+        for b in segments + [Support.named("line"), Support.degree(2)]:
+            for coeff in (tie, spread):
+                pairs.append((poly(a, coeff), poly(b, coeff)))
+    return pairs
+
+
+def test_trop_product_matches_the_fraction_product():
+    for f, g in _differential_pairs():
+        h = trop_product(f, g)
+        assert h == _fraction_product(f, g)
+        assert h.scaled() == scaled_ints(h.coeffs)
+
+
+def test_stable_intersection_matches_the_mixed_cell_oracle():
+    pairs = _differential_pairs()
+    for f, g in pairs:
+        assert stable_intersection(f, g).points == _mixed_cell_oracle(f, g), (f, g)
+    # parallel collinear supports: vertical x vertical never meet
+    v = Support.named("vertical")
+    parallel = [(f, g) for f, g in pairs if f.support == v and g.support == v]
+    assert parallel and mixed_volume(v, v) == 0
+    assert all(stable_intersection(f, g).points == [] for f, g in parallel)
+
+
+def _fraction_canonical(f):
+    """The concave canonical form read off dual_subdivision with Fraction
+    arithmetic: coefficient p is the minimum over the maximal cells C of
+    c_q + (q - p).v, q a point of C and v the point dual to C."""
+    pts = f.support.points
+    if len(pts) <= 2:
+        return f
+    sub = dual_subdivision(f)
+    cmap = f.coeff_map()
+    if sub.facets:
+        cells = [(c.on_points[0], c.dual_vertex) for c in sub.facets]
+    else:
+        cells = []
+        for e in sub.edges:
+            a, b = e.ends
+            u = (b[0] - a[0], b[1] - a[1])
+            lam = (cmap[a] - cmap[b]) / (u[0] * u[0] + u[1] * u[1])
+            cells.append((a, (lam * u[0], lam * u[1])))
+    return TropPoly(f.support, tuple(
+        min(cmap[q] + (q[0] - p[0]) * v[0] + (q[1] - p[1]) * v[1] for q, v in cells)
+        for p in pts
+    ))
+
+
+def test_stable_curve_matches_cramer_on_the_fraction_matrix():
+    rng = random.Random(77)
+
+    def q():
+        return F(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4]))
+
+    sups = [Support.degree(d) for d in (1, 2, 3, 4)]
+    sups += [Support.named("vertical"), Support([(0, 0), (2, 0), (3, 0)]), Support([(0, 0), (1, 0), (0, 1), (2, 2)])]
+    for sup in sups:
+        for _ in range(12):
+            pts = [(q(), q()) for _ in range(sup.delta() - 1)]
+            if rng.random() < 0.3:  # repeated points
+                pts[-1] = pts[0]
+            a = [[F(p[0]) * i[0] + F(p[1]) * i[1] for i in sup.points] for p in pts]
+            assert point_value_matrix(sup, pts) == a
+            want = _fraction_canonical(TropPoly(sup, cramer_stable(a).values))
+            assert stable_curve(sup, pts) == want, (sup, pts)
 
 
 def _golden_pairs():

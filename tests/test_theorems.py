@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
+
 from tropgeo.trop_core import Support, TropPoly, curve
 from tropgeo.stable_ops import stable_intersection
 from tropgeo.construction import realize
@@ -257,6 +259,28 @@ def test_check_statement_small_runs():
         v = check_statement(cat[name], trials=8, seed=3)
         assert v.holds
         assert v.trials[0].lift_verdict == "nonempty-dense"
+
+
+@pytest.mark.parametrize("name", ["pappus", "weak_pascal"])
+def test_check_statement_validates_the_hypothesis_a_fixed_number_of_times(monkeypatch, name):
+    # weak_pascal also realizes every labeling of every trial
+    import tropgeo.construction as construction
+
+    s = catalog()[name]
+    calls = []
+    diagnostics = construction._diagnostics
+
+    def counted(*args):
+        calls.append(args)
+        return diagnostics(*args)
+
+    monkeypatch.setattr(construction, "_diagnostics", counted)
+    counts = []
+    for trials in (2, 20):
+        calls.clear()
+        assert check_statement(s, trials=trials, seed=3).holds
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_degenerate_specials_are_exercised():

@@ -40,6 +40,50 @@ def test_eval_line_on_and_off_curve():
     assert not f.on_curve((5, 0))
 
 
+def _fraction_eval(f, p):
+    """The Fraction loop TropPoly.eval ran before the int form: the value
+    and the argmax of max_i(c_i + i.p), in support order."""
+    px, py = F(p[0]), F(p[1])
+    best, arg = None, []
+    for pt, c in zip(f.support.points, f.coeffs):
+        v = c + pt[0] * px + pt[1] * py
+        if best is None or v > best:
+            best, arg = v, [pt]
+        elif v == best:
+            arg.append(pt)
+    return best, tuple(arg)
+
+
+def test_eval_matches_the_fraction_loop_with_forced_ties():
+    rng = random.Random(15)
+    box = [(i, j) for i in range(4) for j in range(4)]
+
+    def q():
+        return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+
+    ties = vertices = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            sup = Support.degree(rng.randint(1, 4))
+        else:
+            sup = Support(rng.sample(box, rng.randint(1, 9)))
+        f = TropPoly(sup, [q() for _ in sup.points])
+        pts = [(q(), q()), (rng.randint(-5, 5), rng.randint(-5, 5))]
+        # forced ties: the curve's vertices (argmax of 3 or more points) and
+        # a point inside each of its edges (2 points)
+        for e in curve(f).edges:
+            t = e.length / 2 if e.kind == "segment" else F(1)
+            pts += [e.base, (e.base[0] + t * e.dir[0], e.base[1] + t * e.dir[1])]
+        for p in pts:
+            want = _fraction_eval(f, p)
+            assert f.eval(p) == want, (f, p)
+            assert type(f.eval(p)[0]) is F
+            assert f.on_curve(p) == (len(want[1]) >= 2)
+            ties += len(want[1]) >= 2
+            vertices += len(want[1]) >= 3
+    assert ties > 1000 and vertices > 300
+
+
 def test_parse_print_roundtrip():
     for text in [
         "(-11)+2x+2y+2xy+0x^2+0y^2",
