@@ -13,6 +13,13 @@ systems directly.  One pass serves both residual modes: the input
 residuals are indeterminates (symbolic) or random elements of k*
 (numeric), and each local system is solved in closed form when linear
 (symbolic) or by elimination and root finding (numeric).
+
+The tropical half of each step does not depend on the residues, so a
+``lift_conditions`` call keeps a lift plan: each step's plan (see
+``stable_ops``) is built at the first pass that meets the kinds
+(principal, degenerate, zero) of its input jets, and reused by every
+later trial; a trial only evaluates the residues.  The plan is dropped
+when the call returns.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from .stable_ops import (
     _dense_in_y,
     _fiber,
     curve_step_jets,
+    curve_step_plan,
     intersection_step_conditions,
+    intersection_step_plan,
     local_intersection_solve,
     solve_local_linear,
     stable_curve,
@@ -578,10 +587,11 @@ def _sampler(field: ResidualField, rng: random.Random):
     return lambda _name: field.random_nonzero(rng)
 
 
-def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool):
+def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool, plans: dict):
     """One forward pass, with draw(name) the residual of each input
     variable; the condition set's variables are the names drawn, in
-    order.  Returns (step reports, condition set, node jets, ok)."""
+    order.  ``plans`` holds the step plans met so far (``_step_plan``).
+    Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
 
     def named(v):
@@ -594,22 +604,38 @@ def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool)
     ok = True
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            rep, ok_step = _propagate_curve_step(idx, s, jets, conds)
+            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, plans)
         else:
             rep, ok_step = _propagate_intersection_step(
-                idx, s, jets, conds, r, field, symbolic
+                idx, s, jets, conds, r, field, symbolic, plans
             )
         reports.append(rep)
         ok = ok and ok_step
     return reports, conds, jets, ok
 
 
-def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet):
-    pt_jets = []
-    for q in s.through:
-        jx, jy = jets[q]
-        pt_jets.append(((jx.order, jy.order), (jx, jy)))
-    res = curve_step_jets(s.support, pt_jets, origin=f"step#{idx} curve {s.name}")
+def _step_key(idx, ins):
+    """The plan key of step idx with input jets ins (pairs of point jets
+    or dicts of curve jets): the step and the kinds of its jets.  A
+    principal jet's order is fixed by the realization, and so is the
+    bound of a degenerate one, so the kinds decide every input order."""
+    return idx, tuple(j.kind for x in ins for j in (x.values() if isinstance(x, dict) else x))
+
+
+def _step_plan(plans, idx, ins, build):
+    """The residue-free half of step idx for input jets ins: built by
+    build() at the first pass that meets their kinds, then reused."""
+    key = _step_key(idx, ins)
+    if key not in plans:
+        plans[key] = build()
+    return plans[key]
+
+
+def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans):
+    ins = [jets[q] for q in s.through]
+    pt_jets = [((jx.order, jy.order), (jx, jy)) for jx, jy in ins]
+    plan = _step_plan(plans, idx, ins, lambda: curve_step_plan(s.support, [p for p, _ in pt_jets]))
+    res = curve_step_jets(s.support, pt_jets, origin=f"step#{idx} curve {s.name}", plan=plan)
     jets[s.name] = res.coeff_jets
     conds.merge(res.conditions)
     step_conds = [(c.origin, c.poly) for c in res.conditions.conditions]
@@ -658,7 +684,7 @@ def _local_solve(f_jets, g_jets, b, field, symbolic, origin):
     return [(x, y)] if all(v for _, v in checks) else [], checks
 
 
-def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbolic):
+def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbolic, plans):
     f_jets = jets[s.curves[0]]
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
@@ -668,7 +694,8 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     # degree, so that a step symbolic mode cannot solve stops at once
     outcomes = [(b, _local_solve(f_jets, g_jets, b, field, symbolic, origin))
                 for b, _m in si.points]
-    bundle = intersection_step_conditions(f_jets, g_jets, origin=origin)
+    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets))
+    bundle = intersection_step_conditions(f_jets, g_jets, origin=origin, plan=plan)
     conds.merge(bundle.conditions)
     step_conds = [(c.origin, c.poly) for c in bundle.conditions.conditions]
     notes = [f"shear a={bundle.shear}"] if bundle.shear is not None else []
@@ -744,19 +771,12 @@ def lift_conditions(
     symbolic = mode == "symbolic"
     if symbolic:
         field = field or ResidualField(None)
-        draws = [lambda v: RFrac.of(RPoly.var(v))]
     elif mode == "numeric":
         field = field or ResidualField(10007)
-        if not field.finite:
-            raise ValueError("numeric mode needs a finite residual field")
-        if trials < 1:
-            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
-        draws = (_sampler(field, random.Random(seed * 1000003 + t)) for t in range(trials))
     else:
         raise ValueError("mode must be 'symbolic' or 'numeric'")
     kept, successes = None, 0
-    for draw in draws:
-        outcome = _propagate(c, r, draw, field, symbolic)
+    for outcome in _passes(c, r, field, seed, None if symbolic else trials):
         successes += outcome[3]
         if kept is None or not kept[3]:
             kept = outcome
@@ -775,6 +795,26 @@ def lift_conditions(
         witness_jets=jets if ok else None,
     )
     return classify_certificates(rep, c)
+
+
+def _passes(c: Construction, r: TropRealization, field, seed, trials):
+    """The forward passes of ``lift_conditions``, one at a time: one
+    symbolic pass when trials is None, else one numeric pass per trial
+    over the finite field.  The passes share one lift plan, which lives
+    as long as this generator: the tropical work of each step is done
+    once per kinds of its input jets, and a pass evaluates only the
+    residues."""
+    if trials is None:
+        draws = [lambda v: RFrac.of(RPoly.var(v))]
+    else:
+        if not field.finite:
+            raise ValueError("numeric mode needs a finite residual field")
+        if trials < 1:
+            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
+        draws = (_sampler(field, random.Random(seed * 1000003 + t)) for t in range(trials))
+    plans = {}
+    for draw in draws:
+        yield _propagate(c, r, draw, field, trials is None, plans)
 
 
 def _witness_json(jets):

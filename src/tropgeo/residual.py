@@ -178,10 +178,10 @@ class ResidualField:
         return self.elt(1)
 
     def random_nonzero(self, rng: random.Random):
-        if self.p is not None:
-            return FpElt(rng.randrange(1, self.p), self.p)
-        v = rng.randrange(1, 10**6)
-        return Fraction(v if rng.random() < 0.5 else -v)
+        """A uniform element of F_p*; Q has no uniform distribution."""
+        if self.p is None:
+            raise ValueError("random residues need a finite field")
+        return FpElt(rng.randrange(1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, ResidualField) and self.p == other.p
@@ -659,6 +659,30 @@ def dense_det(a, p=None):
     return det if sign > 0 else _dense_trim([-c for c in det], p)
 
 
+def fp_det(a, p):
+    """Determinant mod p of a square int matrix: ``dense_det`` on
+    constants, by Gaussian elimination on ints."""
+    a = [[x % p for x in row] for row in a]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        rowk = a[k]
+        det = det * rowk[k] % p
+        inv = pow(rowk[k], -1, p)
+        for rowi in a[k + 1:]:
+            f = rowi[k] * inv % p
+            if f:
+                for j in range(k + 1, n):
+                    rowi[j] = (rowi[j] - f * rowk[j]) % p
+    return det % p
+
+
 # ---------------------------------------------------------------------------
 # univariate roots over the residual field
 
@@ -706,9 +730,9 @@ def _fp_roots(coeffs, p):
     """Roots (with multiplicity) of a dense F_p polynomial, exact, sorted.
 
     Strips the root at zero; the others come from a scan of F_p* when
-    p <= 64, else from the linear-factor part gcd(x^p - x, f) by
-    deterministic shift splitting.  Multiplicities by repeated exact
-    division by x - r.
+    p <= 64, else from f itself when it is linear, else from the
+    linear-factor part gcd(x^p - x, f) by deterministic shift
+    splitting.  Multiplicities by repeated exact division by x - r.
     """
     f = _dense_trim(list(coeffs), p)
     if len(f) <= 1:
@@ -720,6 +744,8 @@ def _fp_roots(coeffs, p):
         return roots
     if p <= 64:
         cands = [r for r in range(1, p) if not _fp_eval(f, r, p)]
+    elif len(f) == 2:
+        cands = _fp_split(f, p)
     else:
         xp_minus_x = _dense_sub(_fp_powmod([0, 1], p, f, p), [0, 1], p)
         cands = sorted(_fp_split(_fp_polygcd(f, xp_minus_x, p), p))
@@ -819,8 +845,12 @@ class ConditionSet:
     conditions: list = dc_field(default_factory=list)
     empty_flag: str = UNKNOWN
     variables: list = dc_field(default_factory=list)
+    _keys: set = dc_field(default_factory=set, init=False, repr=False, compare=False)
 
     def add(self, poly, origin: str):
+        """Add poly != 0, unless it is a nonzero constant or repeats a
+        stored condition; the first of equal conditions keeps its place
+        and origin.  A zero is always stored."""
         cond = Condition(poly, origin)
         if cond.is_zero():
             self.empty_flag = PROVABLY_EMPTY
@@ -828,9 +858,10 @@ class ConditionSet:
             return
         if cond.is_unit():
             return  # nonzero constants carry no constraint
-        if any(cond.key() == c.key() for c in self.conditions):
-            return
-        self.conditions.append(cond)
+        key = cond.key()
+        if key not in self._keys:
+            self._keys.add(key)
+            self.conditions.append(cond)
 
     def merge(self, other: "ConditionSet"):
         for c in other.conditions:

@@ -23,6 +23,15 @@ cone (parametric bisection, Eisner-Severance 1976), and its coefficient
 is the determinant of the dominant coefficients on that assignment's
 tight graph.  No Sylvester dimension is bounded.
 
+Each residual step splits into a plan and an evaluator.  The plan reads
+only the orders and kinds of the input jets: a curve step's Cramer tight
+graph and regular flags (``curve_step_plan``), an intersection step's
+resultant corners, their tight graphs, the monomial flags of their
+conditions and the shear (``intersection_step_plan``).  The evaluator
+reads the residues: the jet-ring minors and the corner determinants.
+Given a plan, ``curve_step_jets`` and ``intersection_step_conditions``
+only evaluate.
+
 A numeric local system stays on dense int lists from its residual terms
 to its roots: each polynomial is read as {y-degree: dense x-list}, mod p
 or cleared of denominators over Q, its eliminant is the fraction-free
@@ -63,6 +72,7 @@ from .residual import (
     _dense_trim,
     dense_det,
     dense_roots,
+    fp_det,
     residual_terms,
 )
 
@@ -308,15 +318,23 @@ class CurveStepResult:
     undecidable: bool         # every pseudodeterminant vanished
 
 
-def curve_step_jets(I: Support, pt_jets, origin="curve") -> CurveStepResult:
+def curve_step_plan(I: Support, pts):
+    """The residue-free half of a curve step through the tropical points
+    pts: the Cramer solution of their point-value matrix, whose tight
+    graph and regular flags every residual evaluation reads."""
+    return _cramer(*_point_values(I, pts))
+
+
+def curve_step_jets(I: Support, pt_jets, origin="curve", plan=None) -> CurveStepResult:
     """Stable curve through points given as (tropical point, (jet_x, jet_y)).
 
     The minors of the homogeneous system are evaluated in the jet ring;
     a minor whose top order cancels is exactly a vanishing
     pseudodeterminant.  Coefficient jets carry cofactor signs so they
-    solve the residual linear system.
+    solve the residual linear system.  ``plan`` is the points'
+    ``curve_step_plan``, computed here when not given.
     """
-    sol = _cramer(*_point_values(I, [p for p, _ in pt_jets]))
+    sol = plan or curve_step_plan(I, [p for p, _ in pt_jets])
 
     entries = []
     for _, (jx, jy) in pt_jets:
@@ -453,12 +471,28 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
     term, and the corner's coefficient is the masked determinant of the
     dominant coefficients on the assignment's tight graph; it vanishes
     exactly when the top order cancels, and the jet is then degenerate.
+
+    The orders fix the corners and their tight graphs
+    (``_resultant_corners``); only the determinants read the
+    coefficients (``_corner_coeff``).
     """
+    corners = _resultant_corners(f_jets, g_jets)
+    coeffs = _coeffs((f_jets, g_jets))
+    zero = _zero_like_coeff(next(iter(coeffs[0].values())))
+    return [ResultantCorner(e, h, _corner_coeff(picks, coeffs, zero), tight)
+            for e, h, tight, picks in corners]
+
+
+def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
+    """The corner half of ``sylvester_resultant``, read off the jets'
+    orders alone: (x-exponent, order, tight, picks) per corner, where
+    picks[r] = {column: (0 for f or 1 for g, support point)} names the
+    input coefficient of each dominant entry on the tight graph."""
     ints, d = scaled_ints([j.order for jets in (f_jets, g_jets) for j in jets.values()])
     it = iter(ints)
-    # each entry of a cell is (jet, its order scaled by d)
-    rows = _sylvester_rows(*(_by_y({k: (j, next(it)) for k, j in jets.items()})
-                             for jets in (f_jets, g_jets)))
+    # each entry of a cell is (its input coefficient, its order scaled by d)
+    rows = _sylvester_rows(*(_by_y({i: ((k, i), next(it)) for i in jets})
+                             for k, jets in enumerate((f_jets, g_jets))))
     n = len(rows)
     cells = [[None if cell is None else [(i, o) for i, (_, o) in cell.items()] for cell in row]
              for row in rows]
@@ -493,7 +527,6 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
             stack += [(found[e1], mid), (mid, found[e2])]
     hull = upper_chain(sorted((e, h) for e, h, _ in found.values()))
 
-    zero = _zero_like_coeff(next(iter(f_jets.values())).coeff)
     out = []
     for k, (e, h) in enumerate(hull):
         if k == 0:
@@ -504,22 +537,33 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
             (el, hl), (er, hr) = hull[k - 1], hull[k + 1]
             lam = (Fraction(hl - h, e - el) + Fraction(h - hr, er - e)) / 2
             tight = assign(lam.numerator, lam.denominator)[2]
-        coeff = _tight_det([{c: rows[r][c][i][0].coeff for c, i in tight[r].items()} for r in range(n)], zero)
-        out.append(ResultantCorner(e, Fraction(h, d), coeff, tight))
+        picks = [{c: rows[r][c][i][0] for c, i in t.items()} for r, t in enumerate(tight)]
+        out.append((e, Fraction(h, d), tight, picks))
     return out
+
+
+def _coeffs(pair):
+    """The coefficients of a pair of jet dicts, by support point."""
+    return tuple({i: j.coeff for i, j in jets.items()} for jets in pair)
+
+
+def _corner_coeff(picks, coeffs, zero):
+    """The coefficient half of ``sylvester_resultant``: the determinant,
+    on a corner's tight graph, of the coefficients coeffs = (f's, g's)
+    that its picks name."""
+    return _tight_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], zero)
 
 
 def _tight_det(rows, zero):
     """Determinant of the matrix whose row r is rows[r] = {column: entry},
-    empty elsewhere: fraction-free elimination when the entries are
-    scalars of one field (rows of Fractions cleared of denominators), the
-    masked Laplace expansion over any other ring."""
+    empty elsewhere: elimination on ints when the entries are scalars of
+    one field (mod p, or fraction-free on rows of Fractions cleared of
+    denominators), the masked Laplace expansion over any other ring."""
     n = len(rows)
     vals = [e for row in rows for e in row.values()]
     if all(isinstance(e, FpElt) for e in vals):
         p = vals[0].p
-        det = dense_det([[[row[c].v] if c in row else [] for c in range(n)] for row in rows], p)
-        return FpElt(det[0] if det else 0, p)
+        return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(n)] for row in rows], p), p)
     if all(isinstance(e, Fraction) for e in vals):
         scaled = [scaled_ints(list(row.values())) for row in rows]
         ints = [dict(zip(row, w)) for row, (w, _) in zip(rows, scaled)]
@@ -575,25 +619,36 @@ class ResultantBundle:
         return bool(self.families) and all(f.always_compatible for f in self.families)
 
 
-def _resultant_family(name, f_jets, g_jets):
-    corners = sylvester_resultant(f_jets, g_jets)
+@dataclass
+class FamilyPlan:
+    """The residue-free half of a resultant family: its corners, their
+    tight graphs as picks, and the monomial flags of their conditions."""
+
+    name: str
+    heights: dict
+    vertex_indices: list
+    picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
+    monomial_flags: list | None  # per vertex; None when shape analysis skipped
+
+
+def _resultant_family(name, f_jets, g_jets) -> FamilyPlan:
+    """The plan of one resultant family, from the orders of its jets."""
+    corners = _resultant_corners(f_jets, g_jets)
     flags = None
-    if len(corners[0].tight) <= SHAPE_BOUND:
+    if len(corners[0][2]) <= SHAPE_BOUND:
         # monomial-ness of the vertex conditions: the same tight graphs
         # with a fresh local variable per input coefficient
-        rows = _sylvester_rows(*(
-            _by_y({i: RPoly.var(f"{tag}[{i[0]},{i[1]}]") for i in jets})
-            for tag, jets in (("f", f_jets), ("g", g_jets))
-        ))
+        var = tuple({i: RPoly.var(f"{tag}[{i[0]},{i[1]}]") for i in jets}
+                    for tag, jets in (("f", f_jets), ("g", g_jets)))
         flags = []
-        for k in corners:
-            det = _tight_det([{c: rows[r][c][i] for c, i in t.items()} for r, t in enumerate(k.tight)], RPoly())
+        for *_, picks in corners:
+            det = _corner_coeff(picks, var, RPoly())
             flags.append(bool(det) and det.is_monomial())
-    return ResultantFamily(
+    return FamilyPlan(
         name=name,
-        heights={k.index: k.order for k in corners},
-        vertex_indices=[k.index for k in corners],
-        conditions=[(k.index, k.coeff) for k in corners],
+        heights={e: h for e, h, *_ in corners},
+        vertex_indices=[e for e, *_ in corners],
+        picks=[picks for *_, picks in corners],
         monomial_flags=flags,
     )
 
@@ -604,6 +659,21 @@ def _swap_xy(jets):
 
 def _shear(jets, a):
     return {(i, j + a * i): v for (i, j), v in jets.items()}
+
+
+def _family_view(name, pair, a):
+    """A pair of dicts over the support points as resultant family
+    ``name`` reads them: as given (R_x), with x and y swapped (R_y), or
+    sheared by a (R_z)."""
+    if name == "y":
+        return tuple(map(_swap_xy, pair))
+    if name == "z":
+        return tuple(_shear(d, a) for d in pair)
+    return pair
+
+
+def _nonzero(jets):
+    return {i: j for i, j in jets.items() if not j.is_zero}
 
 
 def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
@@ -625,45 +695,70 @@ def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
         a += 1
 
 
-def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect") -> ResultantBundle:
-    """Residual conditions for the compatibility of the stable and the
-    algebraic intersection: principal coefficients at the Newton-segment
-    vertices of the three resultants R_x, R_y, R_z must not vanish."""
-    f_jets = {i: j for i, j in f_jets.items() if not j.is_zero}
-    g_jets = {i: j for i, j in g_jets.items() if not j.is_zero}
+@dataclass
+class IntersectionPlan:
+    """The residue-free half of an intersection step."""
+
+    families: list | None  # FamilyPlans; None when an input jet is degenerate
+    shear: int | None
+
+
+def intersection_step_plan(f_jets: dict, g_jets: dict) -> IntersectionPlan:
+    """The plan of an intersection step, read off the kinds and orders of
+    its input jets alone: the families R_x, R_y and R_z, with the shear
+    of R_z.  A family whose resultant is not defined is left out."""
+    f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
-        cs = ConditionSet()
-        cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
-        return ResultantBundle(shear=None, families=[], conditions=cs, undecidable=True)
+        return IntersectionPlan(families=None, shear=None)
     f, g = (TropPoly(Support(jets), {i: j.order for i, j in jets.items()}) for jets in (f_jets, g_jets))
-
     families = []
-    cs = ConditionSet()
 
-    def run(name, fj, gj):
+    def run(name, a=None):
         try:
-            fam = _resultant_family(name, fj, gj)
+            families.append(_resultant_family(name, *_family_view(name, (f_jets, g_jets), a)))
         except ValueError:
             return None
-        families.append(fam)
-        for idx, val in fam.conditions:
-            cs.add(_condition_poly(val), f"{origin} R_{name} coeff {idx}")
-        return fam
+        return families[-1]
 
-    fam_x = run("x", f_jets, g_jets)
-    fam_y = run("y", _swap_xy(f_jets), _swap_xy(g_jets))
-
+    fam_x, fam_y = run("x"), run("y")
+    shear = None
     if fam_x is not None and fam_y is not None:
-        a = choose_shear(f, g, fam_x.heights, fam_y.heights)
-        run("z", _shear(f_jets, a), _shear(g_jets, a))
-        shear = a
-    else:
-        shear = None
+        shear = choose_shear(f, g, fam_x.heights, fam_y.heights)
+        run("z", shear)
+    return IntersectionPlan(families=families, shear=shear)
+
+
+def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect",
+                                 plan=None) -> ResultantBundle:
+    """Residual conditions for the compatibility of the stable and the
+    algebraic intersection: principal coefficients at the Newton-segment
+    vertices of the three resultants R_x, R_y, R_z must not vanish.
+    ``plan`` is the jets' ``intersection_step_plan``, computed here when
+    not given; only the corner coefficients are computed from the
+    residues."""
+    plan = plan or intersection_step_plan(f_jets, g_jets)
+    f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
+    cs = ConditionSet()
+    if plan.families is None:
+        cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
+        return ResultantBundle(shear=None, families=[], conditions=cs, undecidable=True)
+
+    coeffs = _coeffs((f_jets, g_jets))
+    families = []
+    for fam in plan.families:
+        view = _family_view(fam.name, coeffs, plan.shear)
+        zero = _zero_like_coeff(next(iter(coeffs[0].values())))
+        conditions = [(e, _corner_coeff(picks, view, zero))
+                      for e, picks in zip(fam.vertex_indices, fam.picks)]
+        for idx, val in conditions:
+            cs.add(_condition_poly(val), f"{origin} R_{fam.name} coeff {idx}")
+        families.append(ResultantFamily(fam.name, fam.heights, fam.vertex_indices,
+                                        conditions, fam.monomial_flags))
 
     undecidable = bool(families) and all(
         all(not val for _, val in fam.conditions) for fam in families
     )
-    return ResultantBundle(shear=shear, families=families, conditions=cs, undecidable=undecidable)
+    return ResultantBundle(shear=plan.shear, families=families, conditions=cs, undecidable=undecidable)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,24 @@ def test_cli_theorem_weak_pascal_file_matches_catalog(capsys):
     assert "30/30" in capsys.readouterr().out
 
 
+def test_cli_theorem_that_fails_exits_one_and_lists_its_failing_trials(tmp_path, capsys):
+    # weak Pascal without its generic-position precondition fails two of
+    # 100 trials at seed 2026
+    text = "".join(ln for ln in catalog_text("weak_pascal").splitlines(keepends=True)
+                   if not ln.startswith("genpos "))
+    path, report = tmp_path / "weak_pascal_anywhere.tgc", tmp_path / "verdict.json"
+    path.write_text(text)
+    rc = main(["theorem", str(path), "--trials", "100", "--seed", "2026", "--json", str(report)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "98/100 trials passed" in out
+    assert "failing trial 3" in out and "failing trial 25" in out
+    data = json.loads(report.read_text())
+    assert (data["trials"], data["passed"]) == (100, 98)
+    assert [row["trial"] for row in data["failures"]] == [3, 25]
+    assert all(set(row["inputs"]) == {"Z", "L1", "L2", "L3"} for row in data["failures"])
+
+
 def test_cli_theorem_file_with_unknown_node_is_a_usage_error(tmp_path, capsys):
     base = "input point a\ninput point b\ncurve l = through a b support line\n"
     for extra in ("thesis curve K support line through a zz\n",

@@ -302,6 +302,28 @@ def test_units_and_duplicates_are_pruned():
     assert len(cs.conditions) == 1
 
 
+def test_duplicates_keep_the_first_origin_and_order():
+    a, b = RPoly.var("a"), RPoly.var("a") * RPoly.var("b") + RPoly.const(2)
+    cs = ConditionSet()
+    for poly, origin in [(a, "a first"), (b, "b first"), (RPoly.var("a"), "a again"),
+                         (RPoly(), "zero"), (b * RPoly.const(1), "b again"), (RPoly(), "zero again")]:
+        cs.add(poly, origin)
+    assert [c.origin for c in cs.conditions] == ["a first", "b first", "zero", "zero again"]
+    merged = ConditionSet()
+    merged.add(RPoly.var("b"), "b alone")
+    merged.add(b, "b earlier")
+    merged.merge(cs)
+    assert [c.origin for c in merged.conditions] == ["b alone", "b earlier", "a first", "zero", "zero again"]
+    assert merged.provably_empty
+
+
+def test_random_nonzero_needs_a_finite_field():
+    with pytest.raises(ValueError, match="finite field"):
+        ResidualField(None).random_nonzero(random.Random(0))
+    draws = {ResidualField(3).random_nonzero(random.Random(t)).v for t in range(40)}
+    assert draws == {1, 2}
+
+
 def test_schwartz_zippel_sanity():
     # empirical vanishing rate of a nonzero polynomial is at most d/q + 3 sigma
     field = ResidualField(101)

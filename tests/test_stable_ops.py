@@ -26,6 +26,7 @@ from tropgeo.residual import (
     ResidualField,
     RPoly,
     dense_det,
+    fp_det,
     residual_terms,
 )
 from tropgeo.stable_ops import (
@@ -819,6 +820,17 @@ def test_dense_det_swaps_zero_pivots():
     assert swapped > 20
     # a matrix whose second pivot vanishes after the first step
     assert dense_det([[[1], [1], [1]], [[1], [1], [2]], [[1], [2], [4]]]) == [-1]
+
+
+def test_fp_det_matches_the_permutation_expansion():
+    # scalar matrices mod p, zero pivots included, as dense_det's constants
+    rng = random.Random(73)
+    for p in (2, 3, 10007):
+        for n in range(1, 7):
+            for _ in range(10):
+                a = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+                expected = _leibniz_det([[_dense([x], p) for x in row] for row in a], p)
+                assert fp_det(a, p) == (expected[0] if expected else 0), (p, a)
 
 
 def _dense(coeffs, p):

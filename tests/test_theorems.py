@@ -8,7 +8,7 @@ import pytest
 
 from tropgeo.trop_core import Support, TropPoly, curve
 from tropgeo.stable_ops import stable_intersection
-from tropgeo.construction import realize
+from tropgeo.construction import lift_conditions, realize
 from tropgeo.theorems import (
     catalog,
     cayley_bacharach_statement,
@@ -281,6 +281,36 @@ def test_check_statement_validates_the_hypothesis_a_fixed_number_of_times(monkey
         assert check_statement(s, trials=trials, seed=3).holds
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_lift_probe_stops_at_its_first_successful_trial(monkeypatch):
+    # the probe's verdict is that of lift_conditions(..., trials=4), from
+    # the same passes up to the first one that succeeds
+    import tropgeo.construction as construction
+
+    passes = []
+    propagate = construction._propagate
+
+    def counted(*args):
+        out = propagate(*args)
+        passes.append(out[3])
+        return out
+
+    monkeypatch.setattr(construction, "_propagate", counted)
+    lengths = set()
+    for name in ("pappus", "pascal_converse", "chasles", "cayley_bacharach_3_3"):
+        s = catalog()[name]
+        for seed in range(6):
+            passes.clear()
+            verdict = check_statement(s, trials=1, seed=seed).trials[0].lift_verdict
+            probe = list(passes)
+            r = realize(s.hypothesis, sample_inputs(s.hypothesis, random.Random(seed * 1000003), "zero"))
+            passes.clear()
+            assert lift_conditions(s.hypothesis, r, mode="numeric", seed=seed, trials=4).verdict == verdict
+            assert probe == passes[:len(probe)]
+            assert not any(probe[:-1]) and (probe[-1] or len(probe) == 4)
+            lengths.add(len(probe))
+    assert min(lengths) == 1 and max(lengths) > 1
 
 
 def test_degenerate_specials_are_exercised():
