@@ -523,6 +523,13 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert set(many_total) == expected
 
 
+@pytest.mark.parametrize("name, c, r", list(_plan_cases()))
+def test_a_shared_lift_plan_gives_the_report_of_a_fresh_plan_per_pass(monkeypatch, name, c, r):
+    shared = lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json()
+    monkeypatch.setattr(construction, "_step_plan", lambda plans, idx, ins, build: build())
+    assert lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json() == shared
+
+
 # ---------------------------------------------------------------------------
 # acyclic lifting
 
