@@ -43,6 +43,7 @@ from .residual import (
     density_test,
     dense_roots,
     residual_terms,
+    support_terms,
 )
 from .genpos import _DSU
 from .stable_ops import (
@@ -657,24 +658,27 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans
     return rep, not rep.some_zero
 
 
-def _local_solve(f_jets, g_jets, b, field, symbolic, origin):
+def _local_solve(f_jets, g_jets, b, field, symbolic, origin, supports):
     """The torus solutions of the local residual system at stable point b
     and the conditions [(what, value)] the solve adds, or the
     InformationLostError / RootsOutsideFieldError that ended it.
+    ``supports`` is the step plan's ``point_supports`` at b.
 
     Symbolic mode solves linear systems only, in closed form; the
     coordinates and the determinant must not vanish.
     """
-    try:
-        if not symbolic:
-            sols = local_intersection_solve(f_jets, g_jets, b, field)
-            if not sols:
-                return [], [("no torus solution", field.zero)]
-            sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
-            return [(t.x, t.y) for t in sols], []
-        ft, gt = residual_terms(f_jets, b), residual_terms(g_jets, b)
-    except (InformationLostError, RootsOutsideFieldError) as exc:
-        return exc
+    if isinstance(supports, InformationLostError):
+        return supports
+    if not symbolic:
+        try:
+            sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
+        except (InformationLostError, RootsOutsideFieldError) as exc:
+            return exc
+        if not sols:
+            return [], [("no torus solution", field.zero)]
+        sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
+        return [(t.x, t.y) for t in sols], []
+    ft, gt = (support_terms(jets, sup) for jets, sup in zip((f_jets, g_jets), supports))
     try:
         x, y, det = solve_local_linear(ft, gt)
     except ValueError as exc:
@@ -689,12 +693,13 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
     si = r.intersections[idx]
+    points = [b for b, _m in si.points]
+    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets, points))
     # the local systems, one per distinct stable point, come before the
     # resultants, whose symbolic corner coefficients grow fast with the
     # degree, so that a step symbolic mode cannot solve stops at once
-    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, symbolic, origin))
-                for b, _m in si.points]
-    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets))
+    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, symbolic, origin, plan.supports[b]))
+                for b in points]
     bundle = intersection_step_conditions(f_jets, g_jets, origin=origin, plan=plan)
     conds.merge(bundle.conditions)
     step_conds = [(c.origin, c.poly) for c in bundle.conditions.conditions]

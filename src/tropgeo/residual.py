@@ -3,7 +3,8 @@ dense univariate polynomials over F_p or Z (roots, fraction-free
 determinants).
 
 The residual field k is either Q or a prime field F_p.  Symbolic values
-are sparse ``RPoly``s; numeric residual polynomials are dense int
+are sparse ``RPoly``s over Q on packed int monomials; numeric residual
+polynomials are dense int
 coefficient lists, low degree first: reduced mod p, or over Q an
 integer multiple of the polynomial, which has the same roots.
 ``dense_roots`` finds their roots in k.  All lifting
@@ -23,8 +24,11 @@ choice introduces no ambiguity.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -194,78 +198,174 @@ class ResidualField:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over k
+# sparse multivariate polynomials over Q, on packed monomials
 
 
-def _coerce_scalar(x):
-    if isinstance(x, (FpElt, Fraction)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not a residual scalar: {x!r}")
+_BITS = 16                        # bits of one variable's exponent field
+_FIELD = (1 << _BITS) - 1
+MAX_EXP = (1 << (_BITS - 1)) - 1  # the top bit of every field stays clear
+_INDEX = {}                       # variable name -> field index, first use first
+_NAMES = []                       # field index -> variable name
+_GUARD = 0                        # the top bit of every registered field
+
+
+def _index(name: str) -> int:
+    global _GUARD
+    i = _INDEX.get(name)
+    if i is None:
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (_BITS * i + _BITS - 1)
+    return i
+
+
+def _pack(mono) -> int:
+    """The packed monomial of (name, exponent) pairs with distinct names."""
+    m = 0
+    for name, e in mono:
+        if not 0 <= e <= MAX_EXP:
+            raise OverflowError(f"exponent {e} of {name} outside 0..{MAX_EXP}")
+        m += e << (_BITS * _index(name))
+    return m
+
+
+def _unpack(m: int) -> tuple:
+    """The sorted (name, exponent) pairs of a packed monomial."""
+    out = []
+    while m:
+        shift = (m & -m).bit_length() - 1
+        shift -= shift % _BITS
+        e = (m >> shift) & _FIELD
+        out.append((_NAMES[shift // _BITS], e))
+        m -= e << shift
+    out.sort()
+    return tuple(out)
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms: sorted (var, exp) tuples
+    to Fraction coefficients, decoded at the first lookup, so that
+    counting the terms (as the benchmark's tracer does for every
+    product) decodes nothing."""
+
+    __slots__ = ("_t", "_d", "_decoded")
+
+    def __init__(self, t, d):
+        self._t, self._d, self._decoded = t, d, None
+
+    def _map(self):
+        if self._decoded is None:
+            self._decoded = {_unpack(m): Fraction(c, self._d) for m, c in self._t.items()}
+        return self._decoded
+
+    def __len__(self):
+        return len(self._t)
+
+    def __iter__(self):
+        return iter(self._map())
+
+    def __getitem__(self, mono):
+        return self._map()[mono]
 
 
 class RPoly:
-    """Sparse polynomial over k; monomials are sorted (var, exp) tuples."""
+    """Sparse polynomial over Q in named variables.
 
-    __slots__ = ("terms",)
+    A monomial is one int (Kronecker packing): variable i owns the bits
+    16*i .. 16*i+15, and its exponent sits there.  Indices come from the
+    module registry, in first-use order, and never reach an output: the
+    ``terms`` view, ``__str__``, ``variables()``, ``total_degree()`` and
+    ``evaluate()`` decode to sorted (name, exponent) pairs.  Exponents
+    stay in 0..MAX_EXP, so the top bit of every field is clear and the
+    sum of two monomials cannot carry into the next variable; an
+    exponent past MAX_EXP, from ``var`` or a product, raises
+    OverflowError.  Coefficients are int numerators over one positive
+    denominator, in lowest terms (1 wherever the library builds them),
+    so a product term costs one int add and one int multiply.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
+    __slots__ = ("_t", "_d")
+
+    def __init__(self, terms=None, den=1):
+        """terms: packed monomial -> nonzero int numerator over den, in
+        lowest terms; ``RPoly()`` is zero."""
+        self._t = terms if terms is not None else {}
+        self._d = den
+
+    @staticmethod
+    def _reduced(t, d):
+        if d != 1:
+            g = math.gcd(d, *t.values())
+            if g != 1:
+                t = {m: c // g for m, c in t.items()}
+                d //= g
+        return RPoly(t, d)
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "RPoly":
-        return RPoly({((name, exp),): Fraction(1)})
+        return RPoly({_pack(((name, exp),)): 1})
 
     @staticmethod
     def const(c) -> "RPoly":
-        c = _coerce_scalar(c)
-        return RPoly({(): c} if c else {})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"not a rational scalar: {c!r}")
+        c = Fraction(c)
+        return RPoly({0: c.numerator}, c.denominator) if c else RPoly()
+
+    @property
+    def terms(self):
+        return _Terms(self._t, self._d)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {()}
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def variables(self):
-        return sorted({v for m in self.terms for v, _ in m})
+        # a field of the OR of all monomials is nonzero iff its variable occurs
+        return [v for v, _ in _unpack(functools.reduce(operator.or_, self._t, 0))]
 
     def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max((sum(e for _, e in _unpack(m)) for m in self._t), default=0)
 
-    def _as_poly(self, other):
+    @staticmethod
+    def _as_poly(other):
         if isinstance(other, RPoly):
             return other
-        if isinstance(other, (int, Fraction, FpElt)):
-            c = other if isinstance(other, (Fraction, FpElt)) else Fraction(other)
-            return RPoly({(): c} if c else {})
+        if isinstance(other, (int, Fraction)):
+            return RPoly.const(other)
         return None
 
     def __add__(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        t = dict(self.terms)
-        for m, c in o.terms.items():
+        a, b, d = self._t, o._t, self._d
+        if d != o._d:
+            d = math.lcm(d, o._d)
+            a = {m: c * (d // self._d) for m, c in a.items()}
+            b = {m: c * (d // o._d) for m, c in b.items()}
+        t = dict(a)
+        for m, c in b.items():
             s = t.get(m, 0) + c
             if s:
                 t[m] = s
-            elif m in t:
+            else:
                 del t[m]
-        return RPoly(t)
+        return RPoly._reduced(t, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RPoly({m: -c for m, c in self.terms.items()})
+        return RPoly({m: -c for m, c in self._t.items()}, self._d)
 
     def __sub__(self, other):
         o = self._as_poly(other)
@@ -278,57 +378,48 @@ class RPoly:
         if o is None:
             return NotImplemented
         t = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in o.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                m = tuple(sorted(d.items()))
-                s = t.get(m, 0) + c1 * c2
-                if s:
-                    t[m] = s
-                elif m in t:
-                    del t[m]
-        return RPoly(t)
+        get = t.get
+        b = o._t.items()
+        for m1, c1 in self._t.items():
+            for m2, c2 in b:
+                m = m1 + m2
+                t[m] = get(m, 0) + c1 * c2
+        t = {m: c for m, c in t.items() if c}
+        if functools.reduce(operator.or_, t, 0) & _GUARD:
+            raise OverflowError(f"a product exponent exceeds {MAX_EXP}")
+        return RPoly._reduced(t, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers live in RFrac")
-        out = RPoly.const(self._one_like())
-        b = self
+        out, b = RPoly({0: 1}), self
         while n:
             if n & 1:
                 out = out * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return out
 
-    def _one_like(self):
-        for c in self.terms.values():
-            if isinstance(c, FpElt):
-                return FpElt(1, c.p)
-        return Fraction(1)
-
     def canonical(self):
-        return tuple(sorted((m, c) for m, c in self.terms.items()))
+        return self._d, frozenset(self._t.items())
 
     def __eq__(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        return self.canonical() == o.canonical()
+        return self._d == o._d and self._t == o._t
 
     def __hash__(self):
         return hash(self.canonical())
 
     def evaluate(self, assignment: dict):
         out = None
-        for m, c in self.terms.items():
-            v = c
-            for var, e in m:
+        for m, c in self._t.items():
+            v = Fraction(c, self._d)
+            for var, e in _unpack(m):
                 v = v * assignment[var] ** e
             out = v if out is None else out + v
         if out is None:
@@ -336,14 +427,13 @@ class RPoly:
         return out
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
-            cs = str(c)
-            if isinstance(c, Fraction) and (c < 0 or c.denominator != 1):
-                cs = f"({cs})"
+        for mono, c in sorted((_unpack(m), c) for m, c in self._t.items()):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+            c = Fraction(c, self._d)
+            cs = f"({c})" if c < 0 or c.denominator != 1 else str(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
@@ -535,18 +625,16 @@ JET_ZERO = Jet.zero()
 # residual polynomial of a lift at a tropical point
 
 
-def residual_terms(f_jets: dict, b) -> dict:
-    """Terms of the residual polynomial over b.
-
-    ``f_jets`` maps support points (i1, i2) to jets; the result maps the
-    argmax support points to their principal coefficients.
-    """
+def residual_support(f_jets: dict, b) -> list:
+    """The argmax support points over b of the residual polynomial, in
+    the order of ``f_jets``, which maps support points (i1, i2) to jets.
+    It reads only the orders and kinds of the jets."""
     bx, by = frac(b[0]), frac(b[1])
     vals = [(pt, j, j.order + pt[0] * bx + pt[1] * by) for pt, j in f_jets.items() if not j.is_zero]
     best = max((v for _, j, v in vals if j.is_principal), default=None)
     if best is None:
         raise InformationLostError("no principal jet in the lift")
-    terms = {}
+    support = []
     for pt, j, v in vals:
         if j.is_degenerate:
             # a degenerate jet lives strictly below its bound, so it can
@@ -557,8 +645,19 @@ def residual_terms(f_jets: dict, b) -> dict:
                 )
             continue
         if v == best:
-            terms[pt] = j.coeff
-    return terms
+            support.append(pt)
+    return support
+
+
+def support_terms(f_jets: dict, support) -> dict:
+    """The support points with their principal coefficients."""
+    return {pt: f_jets[pt].coeff for pt in support}
+
+
+def residual_terms(f_jets: dict, b) -> dict:
+    """Terms of the residual polynomial over b: the argmax support points
+    (``residual_support``) with their principal coefficients."""
+    return support_terms(f_jets, residual_support(f_jets, b))
 
 
 def residual_poly(f_jets: dict, b) -> RPoly:
@@ -570,7 +669,7 @@ def residual_poly(f_jets: dict, b) -> RPoly:
     terms = residual_terms(f_jets, b)
     out = RPoly()
     for (i1, i2), c in terms.items():
-        mono = RPoly({tuple(t for t in (("x", i1), ("y", i2)) if t[1]): Fraction(1)})
+        mono = RPoly({_pack((("x", i1), ("y", i2))): 1})
         cp = c if isinstance(c, RPoly) else RPoly.const(c)
         out = out + cp * mono
     return out

@@ -27,10 +27,12 @@ Each residual step splits into a plan and an evaluator.  The plan reads
 only the orders and kinds of the input jets: a curve step's Cramer tight
 graph and regular flags (``curve_step_plan``), an intersection step's
 resultant corners, their tight graphs, the monomial flags of their
-conditions and the shear (``intersection_step_plan``).  The evaluator
-reads the residues: the jet-ring minors and the corner determinants.
-Given a plan, ``curve_step_jets`` and ``intersection_step_conditions``
-only evaluate.
+conditions, the shear, and the argmax supports of the two residual
+polynomials at each stable point (``intersection_step_plan``).  The
+evaluator reads the residues: the jet-ring minors, the corner
+determinants and the coefficients on those supports.  Given a plan,
+``curve_step_jets``, ``intersection_step_conditions`` and
+``local_intersection_solve`` only evaluate.
 
 A numeric local system stays on dense int lists from its residual terms
 to its roots: each polynomial is read as {y-degree: dense x-list}, mod p
@@ -73,7 +75,8 @@ from .residual import (
     dense_det,
     dense_roots,
     fp_det,
-    residual_terms,
+    residual_support,
+    support_terms,
 )
 
 
@@ -701,15 +704,28 @@ class IntersectionPlan:
 
     families: list | None  # FamilyPlans; None when an input jet is degenerate
     shear: int | None
+    supports: dict         # stable point -> its local solve's ``point_supports``
 
 
-def intersection_step_plan(f_jets: dict, g_jets: dict) -> IntersectionPlan:
+def point_supports(f_jets: dict, g_jets: dict, b):
+    """The argmax supports (f's, g's) over the stable point b of the two
+    residual polynomials, or the InformationLostError that the first of
+    them raises: the residue-free half of a local solve."""
+    try:
+        return residual_support(f_jets, b), residual_support(g_jets, b)
+    except InformationLostError as exc:
+        return exc
+
+
+def intersection_step_plan(f_jets: dict, g_jets: dict, points=()) -> IntersectionPlan:
     """The plan of an intersection step, read off the kinds and orders of
     its input jets alone: the families R_x, R_y and R_z, with the shear
-    of R_z.  A family whose resultant is not defined is left out."""
+    of R_z, and the argmax supports at each of the stable points.  A
+    family whose resultant is not defined is left out."""
+    supports = {b: point_supports(f_jets, g_jets, b) for b in points}
     f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
-        return IntersectionPlan(families=None, shear=None)
+        return IntersectionPlan(families=None, shear=None, supports=supports)
     f, g = (TropPoly(Support(jets), {i: j.order for i, j in jets.items()}) for jets in (f_jets, g_jets))
     families = []
 
@@ -725,7 +741,7 @@ def intersection_step_plan(f_jets: dict, g_jets: dict) -> IntersectionPlan:
     if fam_x is not None and fam_y is not None:
         shear = choose_shear(f, g, fam_x.heights, fam_y.heights)
         run("z", shear)
-    return IntersectionPlan(families=families, shear=shear)
+    return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
 def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect",
@@ -804,16 +820,20 @@ class LocalSolution:
     multiplicity: object
 
 
-def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField):
+def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField, supports=None):
     """Solve the residual system f_b = g_b = 0 in (k*)^2, numeric mode.
 
     Elimination by Sylvester resultant in y, then root scan; returns the
     solutions with multiplicity bookkeeping (fiber multiplicities sum to
     the multiplicity of the x-root in the eliminant).  Both polynomials
     are read as {y-degree: dense x-list} of ints, so the eliminant is a
-    fraction-free determinant over F_p[x] or Z[x].
+    fraction-free determinant over F_p[x] or Z[x].  ``supports`` is the
+    pair of argmax supports at b (``point_supports``), found here when
+    not given.
     """
-    f, g = (_dense_in_y(residual_terms(jets, b), field) for jets in (f_jets, g_jets))
+    if supports is None:
+        supports = residual_support(f_jets, b), residual_support(g_jets, b)
+    f, g = (_dense_in_y(support_terms(jets, sup), field) for jets, sup in zip((f_jets, g_jets), supports))
     if max(f) == 0 and max(g) == 0:
         raise InformationLostError("residual system is y-free; not zero-dimensional")
     res = dense_det([[cell or [] for cell in row] for row in _sylvester_rows(f, g)], field.p)

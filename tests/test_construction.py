@@ -461,15 +461,16 @@ def _plan_cases():
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
 def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypatch, name, c, r):
     # per lift_conditions call, the corner assignments, shears, shape
-    # determinants and curve-step Cramer solves run only when a step
-    # meets a new (step, input-jet kinds) key, whatever the trial count
+    # determinants, curve-step Cramer solves and the argmax supports of
+    # the local solves run only when a step meets a new (step, input-jet
+    # kinds) key, whatever the trial count
     from collections import Counter
 
     from tropgeo import stable_ops
     from tropgeo.residual import RPoly
 
     counts = Counter()
-    for fn in ("_hungarian_max", "_cramer", "choose_shear"):
+    for fn in ("_hungarian_max", "_cramer", "choose_shear", "residual_support"):
         def counted(*args, fn=fn, orig=getattr(stable_ops, fn)):
             counts[fn] += 1
             return orig(*args)
@@ -517,7 +518,7 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert many_total == few_total + sum((w for k, w in many.items() if k not in few), Counter())
     assert (len(many) > len(few)) == (name == "weak_pascal")
     # chasles intersects two cubics, whose Sylvester dimension 6 is past SHAPE_BOUND
-    expected = {"_hungarian_max", "choose_shear"}
+    expected = {"_hungarian_max", "choose_shear", "residual_support"}
     expected |= {"_cramer"} if any(isinstance(s, CurveThrough) for s in c.steps) else set()
     expected |= {"shape det"} if name != "chasles" else set()
     assert set(many_total) == expected

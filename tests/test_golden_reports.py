@@ -4,7 +4,9 @@ keep their exit codes and their exact stdout, JSON report included
 minors and the Sylvester heights moved onto the one masked Laplace
 expansion (the ``realize`` digests before the canonical form was read
 off the dual subdivision, the two local-solve ``certify`` digests before
-the numeric local solve moved onto dense coefficient lists); a change
+the numeric local solve moved onto dense coefficient lists, the last
+three symbolic ``lift`` digests before ``RPoly`` packed its monomials
+into ints); a change
 that alters any report byte shows up here.
 """
 
@@ -60,6 +62,14 @@ GOLDEN = [
      "0bd0b3b9f8c4c00f7b407e03a6542def4e2c8cb73aad41ec675ea9294a0f2c66"),
     (["realize", "@vector_addition", "--seed", "1"], 0,
      "1810d5a38e8d1a613425df3e8135b988aae641f75e753cac121587816585be37"),
+    # symbolic conditions of every size: the provably-empty full
+    # vector_addition report is 449 KB of printed polynomials
+    (["lift", "@vector_addition", "--mode", "symbolic"], 1,
+     "df525aeaee086582b43e8d57dc24da6c3b257a549ff828c1a18dc7e7ffe9e268"),
+    (["lift", "@abc_double_path", "--mode", "symbolic"], 1,
+     "8b524d9eb011484a5c77063c9c5cbe246183fa842d9da43cbeecb4e74e61f191"),
+    (["lift", "@pascal_converse", "--mode", "symbolic"], 0,
+     "f41bde3508bb031a5eba568c304e07f0b016c691e261d00f0540150d9e0edb7a"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropgeo.residual import (
+    MAX_EXP,
     ConditionSet,
     FpElt,
     InformationLostError,
@@ -111,6 +112,202 @@ def test_jet_ring_laws_without_degeneracy(a, b, c):
 def test_tropicalization_is_a_homomorphism_on_orders(a, b):
     assert (a * b).order == a.order + b.order
     assert (a + b).order == max(a.order, b.order)
+
+
+# ---------------------------------------------------------------------------
+# RPoly on packed monomials against the tuple-monomial form it replaced
+
+
+class _TuplePoly:
+    """Differential oracle: the tuple-monomial RPoly that packed monomials
+    replaced.  Monomials are sorted (var, exp) tuples and coefficients
+    Fractions; every product term builds a dict and a sorted tuple."""
+
+    def __init__(self, terms=None):
+        self.terms = dict(terms or {})
+
+    @staticmethod
+    def var(name, exp=1):
+        return _TuplePoly({((name, exp),): F(1)})
+
+    @staticmethod
+    def const(c):
+        c = F(c)
+        return _TuplePoly({(): c} if c else {})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_monomial(self):
+        return len(self.terms) == 1
+
+    def is_constant(self):
+        return not self.terms or set(self.terms) == {()}
+
+    def variables(self):
+        return sorted({v for m in self.terms for v, _ in m})
+
+    def total_degree(self):
+        return max((sum(e for _, e in m) for m in self.terms), default=0)
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            s = t.get(m, 0) + c
+            if s:
+                t[m] = s
+            elif m in t:
+                del t[m]
+        return _TuplePoly(t)
+
+    def __neg__(self):
+        return _TuplePoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        t = {}
+        for m1, c1 in self.terms.items():
+            d1 = dict(m1)
+            for m2, c2 in other.terms.items():
+                d = dict(d1)
+                for v, e in m2:
+                    d[v] = d.get(v, 0) + e
+                m = tuple(sorted(d.items()))
+                s = t.get(m, 0) + c1 * c2
+                if s:
+                    t[m] = s
+                elif m in t:
+                    del t[m]
+        return _TuplePoly(t)
+
+    def __pow__(self, n):
+        out, b = _TuplePoly.const(1), self
+        while n:
+            if n & 1:
+                out = out * b
+            b = b * b
+            n >>= 1
+        return out
+
+    def canonical(self):
+        return tuple(sorted(self.terms.items()))
+
+    def __eq__(self, other):
+        return self.canonical() == other.canonical()
+
+    def __hash__(self):
+        return hash(self.canonical())
+
+    def evaluate(self, assignment):
+        out = None
+        for m, c in self.terms.items():
+            v = c
+            for var, e in m:
+                v = v * assignment[var] ** e
+            out = v if out is None else out + v
+        return F(0) if out is None else out
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m, c in sorted(self.terms.items()):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+            cs = str(c)
+            if c < 0 or c.denominator != 1:
+                cs = f"({cs})"
+            parts.append(f"{cs}*{mono}" if mono else cs)
+        return " + ".join(parts)
+
+
+# first used in an order unlike their sorted one, so that a registry index
+# leaking into an output would show
+_DIFF_VARS = ["d.z", "d[1,0]", "d.b", "d_q", "d.a", "d[0,2]", "D", "d.x", "d.y", "d0"]
+for _v in _DIFF_VARS:
+    RPoly.var(_v)
+
+
+def _random_pair(rng):
+    """One polynomial as a packed RPoly and as the oracle, from the same
+    terms: integer or proper rational coefficients over up to 10
+    variables, exponents up to 200."""
+    new, old = RPoly(), _TuplePoly()
+    rational = rng.random() < 0.5
+    for _ in range(rng.randint(0, 6)):
+        c = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]) if rational else 1)
+        mono = [(v, rng.choice([1, 1, 2, 3, rng.randint(1, 200)]))
+                for v in rng.sample(_DIFF_VARS, rng.randint(0, 4))]
+        tn, to = RPoly.const(c), _TuplePoly.const(c)
+        for v, e in mono:
+            tn, to = tn * RPoly.var(v, e), to * _TuplePoly.var(v, e)
+        new, old = new + tn, old + to
+    return new, old
+
+
+def _assert_same(new, old, point):
+    assert str(new) == str(old)
+    assert dict(new.terms) == old.terms and len(new.terms) == len(old.terms)
+    assert sorted(new.terms) == sorted(old.terms)
+    assert new.variables() == old.variables()
+    assert new.total_degree() == old.total_degree()
+    assert new.is_constant() == old.is_constant()
+    assert new.is_monomial() == old.is_monomial()
+    assert bool(new) == bool(old)
+    assert new.evaluate(point) == old.evaluate(point)
+
+
+def test_packed_rpoly_matches_tuple_monomial_oracle():
+    rng = random.Random(2017)
+    field = ResidualField(10007)
+    cancelled = 0
+    for _ in range(300):
+        (a, oa), (b, ob) = _random_pair(rng), _random_pair(rng)
+        k = rng.choice([2, -1, F(-3, 2), F(1, 7)])
+        if rng.random() < 0.3:
+            # b cancels every term of a in a + b, and a + b is c or zero
+            c, oc = _random_pair(rng) if rng.random() < 0.5 else (RPoly(), _TuplePoly())
+            b, ob = c - a, oc - oa
+        point = {v: field.random_nonzero(rng) for v in _DIFF_VARS}
+        qpoint = {v: F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3])) for v in _DIFF_VARS}
+        results = [(a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob), (b - b, ob - ob),
+                   (a * b, oa * ob), (-a, -oa), (a * k, oa * _TuplePoly.const(k)),
+                   (k * a + b, oa * _TuplePoly.const(k) + ob)]
+        for new, old in results:
+            _assert_same(new, old, point)
+            assert new.evaluate(qpoint) == old.evaluate(qpoint)
+        for n in range(4):
+            _assert_same(a ** n, oa ** n, point)
+        cancelled += not (a + b) and bool(a)
+        assert (a == b) == (oa == ob)
+        assert ((a + b) - b == a) and hash((a + b) - b) == hash(a)
+        assert (a * b == b * a) and hash(a * b) == hash(b * a)
+        if a == b:
+            assert hash(a) == hash(b)
+        if a.is_constant():
+            assert a == oa.terms.get((), 0) and a == RPoly.const(oa.terms.get((), 0))
+    assert cancelled > 10
+
+
+def test_packed_exponent_overflow_raises_and_never_carries():
+    x, y = RPoly.var("ovf.x"), RPoly.var("ovf.y")  # y's field sits above x's
+    for exp in (2**40, MAX_EXP + 1, -1):
+        with pytest.raises(OverflowError):
+            RPoly.var("ovf.x", exp)
+    top = RPoly.var("ovf.x", MAX_EXP)
+    assert top == RPoly.var("ovf.x", MAX_EXP - 1) * x == x ** MAX_EXP
+    assert dict((top * y).terms) == {(("ovf.x", MAX_EXP), ("ovf.y", 1)): 1}
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        top * top
+    with pytest.raises(OverflowError):
+        x ** (MAX_EXP + 1)
+    with pytest.raises(OverflowError):
+        (x * y) ** (MAX_EXP + 1)
+    with pytest.raises(OverflowError):
+        (top + y) * (x + 1)
 
 
 # ---------------------------------------------------------------------------
