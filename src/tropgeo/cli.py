@@ -4,7 +4,8 @@ Exit codes: 0 on success (theorem holds, lift nonempty), 1 on theorem
 failure / empty condition set / non-admissible, 2 on usage errors, 3 on
 a broken internal invariant (an ``AssertionError``).  The
 ``TROPGEO_FIELD`` environment variable overrides the default residual
-field (e.g. ``fp:10007`` or ``q``).
+field of numeric runs, F_10007 (e.g. ``fp:61``).  Numeric residues live
+in F_p only, so ``q`` applies to symbolic mode, which runs over Q anyway.
 """
 
 from __future__ import annotations

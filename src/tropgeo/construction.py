@@ -10,9 +10,9 @@ pseudodeterminant conditions, intersection steps contribute resultant
 vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
-residuals are indeterminates (symbolic) or random elements of k*
-(numeric), and each local system is solved in closed form when linear
-(symbolic) or by elimination and root finding (numeric).
+residuals are indeterminates over Q (symbolic) or random elements of
+F_p* (numeric), and each local system is solved in closed form when
+linear (symbolic) or by elimination and root finding in F_p (numeric).
 
 The tropical half of each step does not depend on the residues, so a
 ``lift_conditions`` call keeps a lift plan: each step's plan (see
@@ -584,7 +584,7 @@ def _free_jets(n, value, draw):
 
 
 def _sampler(field: ResidualField, rng: random.Random):
-    """A residual draw of numeric mode: a random element of k* per variable."""
+    """A residual draw of numeric mode: a random element of F_p* per variable."""
     return lambda _name: field.random_nonzero(rng)
 
 
@@ -661,18 +661,20 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans
 def _local_solve(f_jets, g_jets, b, field, symbolic, origin, supports):
     """The torus solutions of the local residual system at stable point b
     and the conditions [(what, value)] the solve adds, or the
-    InformationLostError / RootsOutsideFieldError that ended it.
-    ``supports`` is the step plan's ``point_supports`` at b.
+    InformationLostError that ended it.  ``supports`` is the step plan's
+    ``point_supports`` at b.
 
-    Symbolic mode solves linear systems only, in closed form; the
-    coordinates and the determinant must not vanish.
+    Numeric mode finds every solution in (F_p*)^2, so an empty list adds
+    the zero condition "no torus solution".  Symbolic mode solves linear
+    systems only, in closed form; the coordinates and the determinant
+    must not vanish.
     """
     if isinstance(supports, InformationLostError):
         return supports
     if not symbolic:
         try:
             sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
-        except (InformationLostError, RootsOutsideFieldError) as exc:
+        except InformationLostError as exc:
             return exc
         if not sols:
             return [], [("no torus solution", field.zero)]
@@ -768,7 +770,7 @@ def lift_conditions(
     coordinates are eliminated by forward substitution).  Restricted to
     constructions whose local residual systems are linear.
 
-    numeric mode: samples input residuals in k* and propagates; a trial
+    numeric mode: samples input residuals in F_p* and propagates; a trial
     in which every condition is nonzero and every local system has a
     torus solution yields witness jets for every node.  The report is
     that of the first such trial, or else of the last one.

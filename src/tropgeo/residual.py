@@ -1,13 +1,11 @@
 """Residual-field arithmetic: scalars, sparse polynomials, jets, and
-dense univariate polynomials over F_p or Z (roots, fraction-free
-determinants).
+dense univariate polynomials over F_p (roots, determinants).
 
-The residual field k is either Q or a prime field F_p.  Symbolic values
-are sparse ``RPoly``s over Q on packed int monomials; numeric residual
-polynomials are dense int
-coefficient lists, low degree first: reduced mod p, or over Q an
-integer multiple of the polynomial, which has the same roots.
-``dense_roots`` finds their roots in k.  All lifting
+Symbolic values are sparse ``RPoly``s over Q on packed int monomials.
+Numeric residues live in a prime field F_p only: numeric residual
+polynomials are dense int coefficient lists mod p, low degree first, and
+``dense_roots`` finds their roots in F_p.  ``ResidualField(None)`` is Q,
+the label of symbolic mode; it has no numeric elements.  All lifting
 computations run over the ring of *jets*: principal terms c*t^(-u) with
 an explicit absorbing element for "principal information lost", so
 undecidability surfaces as a value instead of a crash.
@@ -132,7 +130,8 @@ def _is_prime(n: int) -> bool:
 
 
 class ResidualField:
-    """Either Q (p is None) or F_p for a prime p."""
+    """F_p for a prime p, the field of numeric residues, or Q (p is
+    None), the label of symbolic mode, which has no numeric elements."""
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
@@ -141,13 +140,17 @@ class ResidualField:
 
     @staticmethod
     def parse(spec: str) -> "ResidualField":
+        """'q' (or 'qq', 'rationals'), or 'fp:P' (or 'fP') for a prime P."""
         spec = spec.strip().lower()
         if spec in ("q", "qq", "rationals"):
             return ResidualField(None)
-        if spec.startswith("fp:"):
-            return ResidualField(int(spec[3:]))
         if spec.startswith("f"):
-            return ResidualField(int(spec[1:]))
+            try:
+                p = int(spec[3:] if spec.startswith("fp:") else spec[1:])
+            except ValueError:
+                pass
+            else:
+                return ResidualField(p)
         raise ValueError(f"cannot parse field spec {spec!r}")
 
     @property
@@ -160,9 +163,7 @@ class ResidualField:
 
     def elt(self, x):
         if self.p is None:
-            if isinstance(x, FpElt):
-                raise ValueError("cannot coerce F_p element into Q")
-            return frac(x)
+            raise ValueError("numeric residues need a finite field")
         if isinstance(x, FpElt):
             if x.p != self.p:
                 raise ValueError("mixed characteristics")
@@ -676,11 +677,11 @@ def residual_poly(f_jets: dict, b) -> RPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over F_p or Z: int lists, low to high, [] for 0
+# dense univariate polynomials over F_p: int lists, low to high, [] for 0
 
 
 def _dense_trim(a, p):
-    """a reduced mod p (over Z when p is None) without its zero top
+    """a, reduced mod p unless p is None, without its zero top
     coefficients; the zero polynomial is []."""
     if p is not None:
         a = [x % p for x in a]
@@ -709,15 +710,14 @@ def _dense_sub(a, b, p):
 
 
 def _dense_exact_quotient(a, b, p):
-    """a / b over F_p, or over Z when p is None, for b dividing a."""
+    """a / b over F_p, for b dividing a."""
     if b == [1]:
         return a
     a = a[:]
-    db, lc = len(b) - 1, b[-1]
-    inv = pow(lc, -1, p) if p is not None else None
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
     out = [0] * max(len(a) - db, 0)
     for i in range(len(out) - 1, -1, -1):
-        c = a[i + db] * inv % p if p is not None else a[i + db] // lc
+        c = a[i + db] * inv % p
         out[i] = c
         if c:
             for k, bk in enumerate(b):
@@ -727,10 +727,10 @@ def _dense_exact_quotient(a, b, p):
     return _dense_trim(out, p)
 
 
-def dense_det(a, p=None):
-    """Determinant of a square matrix over F_p[x], or over Z[x] when p is
-    None; entries are dense coefficient lists, low degree first, reduced
-    and trimmed ([] for zero).
+def dense_det(a, p):
+    """Determinant of a square matrix over F_p[x]; entries are dense
+    coefficient lists, low degree first, reduced mod the prime p and
+    trimmed ([] for zero).
 
     Fraction-free elimination (Bareiss 1968): after step k every entry
     right of and below the pivot is a (k+2)-minor of the row-swapped
@@ -783,7 +783,7 @@ def fp_det(a, p):
 
 
 # ---------------------------------------------------------------------------
-# univariate roots over the residual field
+# univariate roots over F_p
 
 
 def _fp_eval(f, x, p):
@@ -873,39 +873,11 @@ def _fp_split(g, p):
 
 
 def dense_roots(coeffs, field: ResidualField):
-    """All roots in k, with multiplicities and sorted, of a polynomial
-    given as dense ints, low degree first: mod p, or over Q any nonzero
-    integer multiple of the polynomial.
-
-    Over a finite field this is complete; over Q only degrees <= 2 with a
-    square discriminant (after removing x^k) are supported, anything else
-    raises RootsOutsideFieldError so callers can switch fields or go
-    symbolic.
-    """
-    if field.finite:
-        return [(FpElt(r, field.p), m) for r, m in _fp_roots(coeffs, field.p)]
-    f = _dense_trim(list(coeffs), None)
-    if len(f) <= 1:
-        raise ValueError("root finding needs a nonconstant polynomial")
-    k = next(i for i, c in enumerate(f) if c)
-    f = f[k:]
-    roots = [(Fraction(0), k)] if k else []
-    deg = len(f) - 1
-    if deg == 1:
-        roots.append((Fraction(-f[0], f[1]), 1))
-    elif deg == 2:
-        c, b, a = f
-        disc = b * b - 4 * a * c
-        r = math.isqrt(max(disc, 0))
-        if r * r != disc:
-            raise RootsOutsideFieldError("irrational quadratic roots")
-        if r == 0:
-            roots.append((Fraction(-b, 2 * a), 2))
-        else:
-            roots += [(Fraction(-b + r, 2 * a), 1), (Fraction(-b - r, 2 * a), 1)]
-    elif deg > 2:
-        raise RootsOutsideFieldError(f"degree {deg} root finding over Q is unsupported")
-    return sorted(roots)
+    """All roots in F_p, with multiplicities and sorted, of a polynomial
+    given as dense ints mod p, low degree first (``_fp_roots``)."""
+    if not field.finite:
+        raise ValueError("root finding needs a finite field")
+    return [(FpElt(r, field.p), m) for r, m in _fp_roots(coeffs, field.p)]
 
 
 # ---------------------------------------------------------------------------

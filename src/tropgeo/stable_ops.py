@@ -34,18 +34,19 @@ determinants and the coefficients on those supports.  Given a plan,
 ``curve_step_jets``, ``intersection_step_conditions`` and
 ``local_intersection_solve`` only evaluate.
 
-A numeric local system stays on dense int lists from its residual terms
-to its roots: each polynomial is read as {y-degree: dense x-list}, mod p
-or cleared of denominators over Q, its eliminant is the fraction-free
-(Bareiss) determinant of the Sylvester matrix over F_p[x] or Z[x], and
-each fiber over an x-root is evaluated by Horner.
+A numeric local system lives in F_p and stays on dense int lists from
+its residual terms to its roots: each polynomial is read as {y-degree:
+dense x-list} mod p, its eliminant is the fraction-free (Bareiss)
+determinant of the Sylvester matrix over F_p[x], each fiber over an
+x-root is evaluated by Horner, and the common y-roots of the two fibers
+are the roots of their gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .trop_core import (
     Support,
@@ -72,6 +73,8 @@ from .residual import (
     RFrac,
     RPoly,
     _dense_trim,
+    _fp_eval,
+    _fp_polygcd,
     dense_det,
     dense_roots,
     fp_det,
@@ -559,19 +562,13 @@ def _corner_coeff(picks, coeffs, zero):
 
 def _tight_det(rows, zero):
     """Determinant of the matrix whose row r is rows[r] = {column: entry},
-    empty elsewhere: elimination on ints when the entries are scalars of
-    one field (mod p, or fraction-free on rows of Fractions cleared of
-    denominators), the masked Laplace expansion over any other ring."""
+    empty elsewhere: Gaussian elimination on ints when the entries are
+    F_p scalars, the masked Laplace expansion over any other ring."""
     n = len(rows)
     vals = [e for row in rows for e in row.values()]
     if all(isinstance(e, FpElt) for e in vals):
         p = vals[0].p
         return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(n)] for row in rows], p), p)
-    if all(isinstance(e, Fraction) for e in vals):
-        scaled = [scaled_ints(list(row.values())) for row in rows]
-        ints = [dict(zip(row, w)) for row, (w, _) in zip(rows, scaled)]
-        det = dense_det([[[row[c]] if c in row else [] for c in range(n)] for row in ints])
-        return Fraction(det[0] if det else 0, prod(d for _, d in scaled))
     return masked_det(n, lambda r, c: rows[r].get(c), zero)
 
 
@@ -821,15 +818,16 @@ class LocalSolution:
 
 
 def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField, supports=None):
-    """Solve the residual system f_b = g_b = 0 in (k*)^2, numeric mode.
+    """Solve the residual system f_b = g_b = 0 in (F_p*)^2, numeric mode.
 
-    Elimination by Sylvester resultant in y, then root scan; returns the
-    solutions with multiplicity bookkeeping (fiber multiplicities sum to
-    the multiplicity of the x-root in the eliminant).  Both polynomials
-    are read as {y-degree: dense x-list} of ints, so the eliminant is a
-    fraction-free determinant over F_p[x] or Z[x].  ``supports`` is the
-    pair of argmax supports at b (``point_supports``), found here when
-    not given.
+    Elimination by Sylvester resultant in y, then the roots in F_p;
+    returns the solutions with multiplicity bookkeeping (fiber
+    multiplicities sum to the multiplicity of the x-root in the
+    eliminant).  Both polynomials are read as {y-degree: dense x-list}
+    of ints mod p, so the eliminant is a fraction-free determinant over
+    F_p[x]; over Q this raises ValueError.  ``supports`` is the pair of
+    argmax supports at b (``point_supports``), found here when not
+    given.
     """
     if supports is None:
         supports = residual_support(f_jets, b), residual_support(g_jets, b)
@@ -853,13 +851,12 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
 
 
 def _dense_in_y(terms: dict, field):
-    """{(i, j): c} as {j: dense list over x}: ints mod p, or over Q the
-    coefficients times their denominator lcm, which keeps the roots."""
+    """{(i, j): c} as {j: dense list over x} of ints mod p."""
     if any(isinstance(c, (RPoly, RFrac)) for c in terms.values()):
         raise ValueError("numeric local solve needs scalar coefficients")
-    vals = [field.elt(c) for c in terms.values()]
     out = {}
-    for (i, j), c in zip(terms, [c.v for c in vals] if field.finite else scaled_ints(vals)[0]):
+    for (i, j), c in terms.items():
+        c = field.elt(c).v
         if c:
             col = out.setdefault(j, [])
             col += [0] * (i + 1 - len(col))
@@ -868,34 +865,21 @@ def _dense_in_y(terms: dict, field):
 
 
 def _fiber(h: dict, x0, p):
-    """h(x0, y) as a dense list over y, by Horner in x.  Over Q (p None)
-    it is scaled by den(x0)^deg_x(h) so that it stays in ints."""
-    a, b = (x0.v, 1) if p else (x0.numerator, x0.denominator)
-    deg = max(map(len, h.values()))
+    """h(x0, y) mod p as a dense list over y: each y-column evaluated at
+    the F_p element x0 by Horner."""
     out = [0] * (max(h) + 1)
     for j, col in h.items():
-        acc, bk = 0, b ** (deg - len(col))
-        for c in reversed(col):
-            acc = acc * a + c * bk
-            bk *= b
-        out[j] = acc
-    return _dense_trim(out, p)
+        out[j] = _fp_eval(col, x0.v, p)
+    return _dense_trim(out, None)
 
 
 def _common_y_roots(f0: list, g0: list, field):
+    """The common roots in F_p of two fibers, with multiplicities, ordered
+    by repr: the roots of their gcd, in which a root's multiplicity is
+    the smaller of its two multiplicities."""
     if not f0 and not g0:
         raise InformationLostError("residual fiber is the whole line")
-    candidates = None
-    for q in (f0, g0):
-        if len(q) == 1:
-            return []  # nonzero constant: no roots
-        if not q:
-            continue
-        roots = dict(dense_roots(q, field))
-        if candidates is None:
-            candidates = roots
-        else:
-            candidates = {
-                y: min(m, roots[y]) for y, m in candidates.items() if y in roots
-            }
-    return sorted(candidates.items(), key=lambda t: repr(t[0])) if candidates else []
+    d = _fp_polygcd(f0, g0, field.p)
+    if len(d) == 1:
+        return []
+    return sorted(dense_roots(d, field), key=lambda t: repr(t[0]))

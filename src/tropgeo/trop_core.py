@@ -26,12 +26,13 @@ subdivision and the curve dual to it, the concave canonical form (the
 minimum, over the maximal cells, of their affine height functions) and
 the mixed cells of a stable intersection are all read from it.  The hull
 is gift wrapping on the heights scaled once to ints by the lcm of their
-denominators (``_upper_facets`` scales ``Fraction`` heights for it).  It starts from the first segment of the upper chain over
-one Newton-polygon edge; across each cell edge not on the polygon
-boundary, one pass over the points keeps the one whose plane through
-the edge lies above all the others.  The tie rule: a cell's points are
-all the support points lifted onto its plane, so coplanar points stay
-in it, and its corners are their convex hull.
+denominators (a polynomial's cached ``scaled()``).  It starts from the
+first segment of the upper chain over one Newton-polygon edge; across
+each cell edge not on the polygon boundary, one pass over the points
+keeps the one whose plane through the edge lies above all the others.
+The tie rule: a cell's points are all the support points lifted onto
+its plane, so coplanar points stay in it, and its corners are their
+convex hull.
 """
 
 from __future__ import annotations
@@ -420,13 +421,6 @@ class NewtonSubdivision:
     vertices: list[LPoint]      # 0-cells
 
 
-def _upper_facets(pts, hts, poly):
-    """Upper-hull facets of the lifted points (p, h) of a 2-D support with
-    ccw Newton polygon ``poly``: ``_upper_facets_ints`` on the heights
-    scaled once by ``scaled_ints``."""
-    return _upper_facets_ints(pts, *scaled_ints(hts), poly)
-
-
 def _upper_facets_ints(pts, H, den, poly):
     """Upper-hull facets of the lifted points (p, H/den) of a 2-D support
     with ccw Newton polygon ``poly``, by gift wrapping on the int heights H.
@@ -516,12 +510,13 @@ def _upper_chain_1d(pts, H):
 def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
     """Regular subdivision of the Newton polygon induced by the coefficients.
 
-    The maximal cells come from ``_upper_facets``: gift wrapping over the
-    lifted support on lcm-scaled int heights.  A cell's ``on_points`` are
-    all the support points whose lift lies on its facet plane, so points
-    tied on a face (in its interior or on an edge) are kept, and its
-    ``hull`` is their ccw convex hull.  Collinear supports are subdivided
-    by the upper chain of the same int heights along the segment.
+    The maximal cells come from ``_upper_facets_ints``: gift wrapping over
+    the lifted support on the polynomial's cached lcm-scaled int heights
+    (``f.scaled()``).  A cell's ``on_points`` are all the support points
+    whose lift lies on its facet plane, so points tied on a face (in its
+    interior or on an edge) are kept, and its ``hull`` is their ccw
+    convex hull.  Collinear supports are subdivided by the upper chain of
+    the same int heights along the segment.
     """
     pts = list(f.support.points)
     hts = list(f.coeffs)
@@ -543,7 +538,7 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
     facets = [
         Cell(dim=2, on_points=tuple(pts[i] for i in on), hull=fh,
              dual_vertex=(Fraction(nx, nz), Fraction(ny, nz)))
-        for on, (nx, ny, nz), fh in _upper_facets(pts, hts, hull)
+        for on, (nx, ny, nz), fh in _upper_facets_ints(pts, *f.scaled(), hull)
     ]
 
     # 1-cells: maximal boundary segments of facets, shared facets recorded

@@ -337,6 +337,23 @@ def test_cli_numeric_runs_reject_q(capsys, argv):
     assert capsys.readouterr() == ("", "error: numeric mode needs a finite residual field\n")
 
 
+@pytest.mark.parametrize("via", ["--field", "TROPGEO_FIELD"])
+@pytest.mark.parametrize("command", ["lift", "theorem"])
+def test_cli_malformed_field_spec_is_a_usage_error(monkeypatch, capsys, command, via):
+    argv = [command, catalog_path("fano") if command == "lift" else "fano", "--trials", "1"]
+    specs = [("foo", "cannot parse field spec 'foo'"), ("fp:abc", "cannot parse field spec 'fp:abc'"),
+             ("fp:", "cannot parse field spec 'fp:'"), ("7", "cannot parse field spec '7'"),
+             ("fp:10", "10 is not prime"), ("f9", "9 is not prime")]
+    for spec, message in specs:
+        if via == "--field":
+            args = argv + ["--field", spec]
+        else:
+            args = argv
+            monkeypatch.setenv("TROPGEO_FIELD", spec)
+        assert main(args) == 2, spec
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", catalog_path("fano"), "--trials", "0"],
     ["certify", catalog_path("fano"), "--trials", "0"],

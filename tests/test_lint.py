@@ -1,0 +1,67 @@
+"""Static checks on the library source, with the standard ``ast`` module:
+no module-level import goes unused, and no private module-level
+function or class goes unreferenced in the package."""
+
+import ast
+from pathlib import Path
+
+import tropgeo
+
+SRC = Path(tropgeo.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(node):
+    """Every name a subtree reads: bare names, attribute names and names
+    imported from a module."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def _bound_names(stmt):
+    """The names a module-level import statement binds."""
+    return [a.asname or a.name.split(".")[0] for a in stmt.names]
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue  # its imports are the package's re-exports
+        body_names = set()
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                body_names |= _used_names(stmt)
+        imported_elsewhere = set()
+        for other, t in MODULES.items():
+            for n in ast.walk(t):
+                if (other != name and isinstance(n, ast.ImportFrom)
+                        and (n.module or "").split(".")[-1] == name):
+                    imported_elsewhere.update(a.name for a in n.names)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}.py:{stmt.lineno}: {b}" for b in _bound_names(stmt)
+                           if b not in body_names and b not in imported_elsewhere]
+    assert not unused, unused
+
+
+def test_every_private_definition_is_referenced():
+    uses = [(stmt, _used_names(stmt)) for tree in MODULES.values() for stmt in tree.body]
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                    # references from its own body (recursion) do not count
+                    and not any(stmt.name in names for top, names in uses if top is not stmt)):
+                unreferenced.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
+    assert not unreferenced, unreferenced

@@ -16,7 +16,6 @@ from tropgeo.residual import (
     ResidualField,
     RFrac,
     RPoly,
-    RootsOutsideFieldError,
     dense_roots,
     density_test,
     residual_poly,
@@ -381,27 +380,16 @@ def test_roots_over_f5():
     assert [(r.v, m) for r, m in roots] == [(1, 1), (4, 1)]
 
 
-def test_roots_x_squared_over_q():
-    roots = dense_roots([0, 0, 1], ResidualField(None))
-    assert roots == [(F(0), 2)]
-
-
-def test_roots_quadratic_over_q():
-    # x^2 - 9/4, given as 4x^2 - 9: any integer multiple keeps the roots
-    roots = dense_roots([-9, 0, 4], ResidualField(None))
-    assert roots == [(F(-3, 2), 1), (F(3, 2), 1)]
-    with pytest.raises(RootsOutsideFieldError):
-        dense_roots([-2, 0, 1], ResidualField(None))
-
-
-def test_q_quadratic_roots_are_exact_on_huge_squares():
-    Q, r = ResidualField(None), 10**20 + 7
-    assert dense_roots([-r * r, 0, 1], Q) == [(F(-r), 1), (F(r), 1)]
-    assert dense_roots([r * r, -2 * r, 1], Q) == [(F(r), 2)]
-    assert dense_roots([-(10**400), 0, r * r], Q) == [(F(-(10**200), r), 1), (F(10**200, r), 1)]
-    for coeffs in ([-(r * r + 1), 0, 1], [4, 0, 1]):  # not a square; negative
-        with pytest.raises(RootsOutsideFieldError, match="irrational quadratic roots"):
-            dense_roots(coeffs, Q)
+def test_numeric_residues_over_q_are_refused():
+    # Q only labels symbolic mode: it has no roots and no numeric elements
+    q = ResidualField(None)
+    for coeffs in ([0, 0, 1], [-9, 0, 4], [-2, 0, 1]):
+        with pytest.raises(ValueError, match="finite field"):
+            dense_roots(coeffs, q)
+    for x in (0, 1, F(1, 2), "3/4", FpElt(2, 5)):
+        with pytest.raises(ValueError, match="finite field"):
+            q.elt(x)
+    assert repr(q) == "Q" and q == ResidualField.parse("q")
 
 
 def test_roots_random_cubic_matches_exhaustive_scan():

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
-from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -26,12 +25,14 @@ from tropgeo.residual import (
     ResidualField,
     RPoly,
     dense_det,
+    dense_roots,
     fp_det,
     residual_terms,
 )
 from tropgeo.stable_ops import (
     _Degenerate,
     _by_y,
+    _common_y_roots,
     _condition_poly,
     _condition_zero,
     _inside,
@@ -746,17 +747,11 @@ def _eliminant(f, g, field):
 
 
 def _sympy_resultant(sympy, f, g, field):
-    """Res_y(f, g) by sympy over Z, after clearing each polynomial's
-    denominators, as a dense list: reduced mod p, or exact over Q.
-    sympy's sign follows the Sylvester matrix only when
+    """Res_y(f, g) by sympy over Z of two int polynomials, as a dense list
+    reduced mod p.  sympy's sign follows the Sylvester matrix only when
     deg_y f >= deg_y g, so the arguments go in that order."""
     x, y = sympy.symbols("x y")
-
-    def cleared(t):
-        den = lcm(*(F(c).denominator for c in t.values()))
-        return sum(int(F(c) * den) * x**i * y**j for (i, j), c in t.items())
-
-    fs, gs = cleared(f), cleared(g)
+    fs, gs = (sum(c * x**i * y**j for (i, j), c in t.items()) for t in (f, g))
     m, n = sympy.degree(fs, y), sympy.degree(gs, y)
     res = sympy.resultant(fs, gs, y) if m >= n else (-1) ** (m * n) * sympy.resultant(gs, fs, y)
     return _dense([int(c) for c in reversed(sympy.Poly(res, x).all_coeffs())], field.p)
@@ -765,17 +760,15 @@ def _sympy_resultant(sympy, f, g, field):
 def test_dense_eliminant_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
-    for spec in ("fp:2", "fp:3", "fp:10007", "q"):
+    for spec in ("fp:2", "fp:3", "fp:10007"):
         field = ResidualField.parse(spec)
         checked = 0
         dims = set()
         while checked < 40:
             deg = rng.choice([2, 2, 4, 6])
             f, g = (_rand_bivariate(rng, max_deg=deg, max_terms=deg + 2) for _ in range(2))
-            if field.finite:  # coefficients that vanish mod p drop out
-                f, g = ({pt: c for pt, c in t.items() if c % field.p} for t in (f, g))
-            else:
-                f, g = ({pt: F(c, rng.randint(1, 3)) for pt, c in t.items()} for t in (f, g))
+            # coefficients that vanish mod p drop out
+            f, g = ({pt: c for pt, c in t.items() if c % field.p} for t in (f, g))
             if not f or not g or all(j == 0 for _, j in [*f, *g]):
                 continue
             assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field), (spec, f, g)
@@ -785,9 +778,8 @@ def test_dense_eliminant_matches_sympy():
     # the largest Sylvester matrix, 12 x 12
     f = {(0, 6): 1, (1, 3): 2, (2, 0): -3, (0, 0): 1}
     g = {(0, 6): 2, (2, 5): 1, (1, 1): 1, (0, 0): -1}
-    for spec in ("fp:10007", "q"):
-        field = ResidualField.parse(spec)
-        assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field)
+    field = ResidualField.parse("fp:10007")
+    assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field)
 
 
 def _leibniz_det(a, p):
@@ -804,11 +796,11 @@ def _leibniz_det(a, p):
 
 
 def test_dense_det_swaps_zero_pivots():
-    # zero pivots, at the first step and after elimination, over F_p[x]
-    # and Z[x], against the permutation expansion
+    # zero pivots, at the first step and after elimination, over F_p[x],
+    # against the permutation expansion
     rng = random.Random(71)
     swapped = 0
-    for p in (2, 3, 10007, None):
+    for p in (2, 3, 10007):
         for n in range(1, 6):
             for _ in range(8):
                 a = [[_dense([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))], p) if rng.random() < 0.5 else []
@@ -819,7 +811,7 @@ def test_dense_det_swaps_zero_pivots():
                 assert dense_det(a, p) == _leibniz_det(a, p), (p, a)
     assert swapped > 20
     # a matrix whose second pivot vanishes after the first step
-    assert dense_det([[[1], [1], [1]], [[1], [1], [2]], [[1], [2], [4]]]) == [-1]
+    assert dense_det([[[1], [1], [1]], [[1], [1], [2]], [[1], [2], [4]]], 10007) == [10006]
 
 
 def test_fp_det_matches_the_permutation_expansion():
@@ -834,7 +826,7 @@ def test_fp_det_matches_the_permutation_expansion():
 
 
 def _dense(coeffs, p):
-    out = [c % p for c in coeffs] if p else list(coeffs)
+    out = [c % p for c in coeffs]
     while out and not out[-1]:
         out.pop()
     return out
@@ -844,7 +836,7 @@ def test_vanishing_eliminant_is_information_lost():
     # f and g share the factor y + x, so Res_y(f, g) = 0
     f = {(0, 2): 1, (0, 1): 1, (1, 1): 1, (1, 0): 1}   # (y + x)(y + 1)
     g = {(0, 2): 1, (0, 1): 2, (1, 1): 1, (1, 0): 2}   # (y + x)(y + 2)
-    for spec in ("fp:2", "fp:3", "fp:10007", "q"):
+    for spec in ("fp:2", "fp:3", "fp:10007"):
         field = ResidualField.parse(spec)
         assert _eliminant(f, g, field) == []
         fj, gj = ({pt: Jet.principal(0, field.elt(c)) for pt, c in t.items() if field.elt(c)}
@@ -1008,17 +1000,24 @@ def test_local_solve_transversal_lines():
     g = _line_jets([F(5), F(1), F(2)])
     # tropical lines are both all-zero; the stable point is the origin.
     # algebraically 3x+2y+4 and 5x+y+2 meet at x=0: outside the torus.
-    sols = local_intersection_solve(f, g, (0, 0), ResidualField(None))
+    sols = local_intersection_solve(f, g, (0, 0), F10007)
     assert sols == []
 
 
 def test_local_solve_generic_lines_in_torus():
     f = _line_jets([F(3), F(2), F(5)])
     g = _line_jets([F(5), F(1), F(2)])
-    sols = local_intersection_solve(f, g, (0, 0), ResidualField(None))
+    sols = local_intersection_solve(f, g, (0, 0), F10007)
     assert len(sols) == 1
     s = sols[0]
     assert 3 * s.x + 2 * s.y + 5 == 0 and 5 * s.x + s.y + 2 == 0
+
+
+def test_local_solve_over_q_is_refused():
+    f = _line_jets([F(3), F(2), F(5)])
+    g = _line_jets([F(5), F(1), F(2)])
+    with pytest.raises(ValueError, match="finite field"):
+        local_intersection_solve(f, g, (0, 0), ResidualField(None))
 
 
 def test_local_solve_multiplicity_four():
@@ -1114,3 +1113,66 @@ def test_local_solve_matches_brute_force_over_small_fields():
             nonsimple += any(s.multiplicity != 1 for s in sols)
             compared += 1
     assert compared >= 500 and nonsimple >= 20, (compared, nonsimple)
+
+
+def _intersected_y_roots(f0, g0, field):
+    """The common roots of two fibers as ``_common_y_roots`` found them
+    before it took their gcd: the roots of each nonzero fiber, kept where
+    both have them at the smaller multiplicity, ordered by repr."""
+    if not f0 and not g0:
+        raise InformationLostError("residual fiber is the whole line")
+    candidates = None
+    for q in (f0, g0):
+        if len(q) == 1:
+            return []  # nonzero constant: no roots
+        if not q:
+            continue
+        roots = dict(dense_roots(q, field))
+        if candidates is None:
+            candidates = roots
+        else:
+            candidates = {y: min(m, roots[y]) for y, m in candidates.items() if y in roots}
+    return sorted(candidates.items(), key=lambda t: repr(t[0])) if candidates else []
+
+
+def _random_fiber(rng, p, shared):
+    """A dense fiber mod p: zero, a nonzero constant, or a product of
+    linear factors, some of them the shared roots (0 among them at
+    times), with multiplicities up to 3, times a random cofactor."""
+    kind = rng.random()
+    if kind < 0.08:
+        return []
+    if kind < 0.16:
+        return [rng.randrange(1, p)]
+    out = [rng.randrange(1, p)]
+    roots = rng.sample(shared, rng.randint(0, len(shared))) + [rng.randrange(p)]
+    for r in roots:
+        for _ in range(rng.randint(1, 3)):
+            out = _dense([sum(out[k] * c for k, c in [(e, -r), (e - 1, 1)] if 0 <= k < len(out))
+                          for e in range(len(out) + 1)], p)
+    cofactor = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+    return _dense([sum(out[k] * cofactor[e - k] for k in range(len(out)) if 0 <= e - k < len(cofactor))
+                   for e in range(len(out) + len(cofactor) - 1)], p)
+
+
+def test_common_y_roots_match_the_per_fiber_intersection():
+    rng = random.Random(83)
+    compared = both_zero = shared_zero = repeated = 0
+    for p in (2, 3, 10007):
+        field = ResidualField(p)
+        for _ in range(800):
+            shared = rng.sample(range(min(p, 6)), min(p, rng.randint(1, 3)))
+            f0, g0 = _random_fiber(rng, p, shared), _random_fiber(rng, p, shared)
+            if not f0 and not g0:
+                for find in (_common_y_roots, _intersected_y_roots):
+                    with pytest.raises(InformationLostError, match="whole line"):
+                        find(f0, g0, field)
+                both_zero += 1
+                continue
+            got = _common_y_roots(f0, g0, field)
+            assert got == _intersected_y_roots(f0, g0, field), (p, f0, g0)
+            shared_zero += any(y == 0 for y, _ in got)
+            repeated += any(m > 1 for _, m in got)
+            compared += 1
+    assert compared >= 2000 and both_zero >= 10 and shared_zero >= 100 and repeated >= 100, (
+        compared, both_zero, shared_zero, repeated)

@@ -321,7 +321,7 @@ def test_upper_facets_match_brute_force(monkeypatch):
     got = []
     for sup, hts in _oracle_inputs():
         pts = list(sup.points)
-        fast = trop_core._upper_facets(pts, hts, convex_hull(pts))
+        fast = trop_core._upper_facets_ints(pts, *trop_core.scaled_ints(hts), convex_hull(pts))
         slow = _brute_upper_facets(pts, hts)
         assert [on for on, _, _ in fast] == [on for on, _ in slow], (pts, hts)
         assert [_dual_vertex(n) for _, n, _ in fast] == [_dual_vertex(n) for _, n in slow]
@@ -329,13 +329,13 @@ def test_upper_facets_match_brute_force(monkeypatch):
             assert list(hull) == convex_hull([pts[i] for i in on])
         got.append(dual_subdivision(TropPoly(sup, hts)))
 
-    def brute(pts, hts, poly):
+    def brute(pts, H, den, poly):
         return [
             (on, n, tuple(convex_hull([pts[i] for i in on])))
-            for on, n in _brute_upper_facets(pts, hts)
+            for on, n in _brute_upper_facets(pts, [F(h, den) for h in H])
         ]
 
-    monkeypatch.setattr(trop_core, "_upper_facets", brute)
+    monkeypatch.setattr(trop_core, "_upper_facets_ints", brute)
     for (sup, hts), sub in zip(_oracle_inputs(), got):
         want = dual_subdivision(TropPoly(sup, hts))
         assert sub.facets == want.facets
