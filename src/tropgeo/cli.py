@@ -4,8 +4,8 @@ Exit codes: 0 on success (theorem holds, lift nonempty), 1 on theorem
 failure / empty condition set / non-admissible, 2 on usage errors, 3 on
 a broken internal invariant (an ``AssertionError``).  The
 ``TROPGEO_FIELD`` environment variable overrides the default residual
-field of numeric runs, F_10007 (e.g. ``fp:61``).  Numeric residues live
-in F_p only, so ``q`` applies to symbolic mode, which runs over Q anyway.
+field of numeric runs, F_10007 (e.g. ``fp:61``); symbolic mode runs over
+Q and takes no field.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ import sys
 from fractions import Fraction
 
 from .trop_core import TropPoly, frac
-from .residual import ResidualField, PROVABLY_EMPTY, LIKELY_EMPTY
+from .residual import DEFAULT_FIELD, ResidualField, PROVABLY_EMPTY, LIKELY_EMPTY
 from .construction import is_admissible, lift_conditions, realize
 from .genpos import in_general_position
 from . import dsl
 from . import theorems as th
 
 
-def _default_field():
-    spec = os.environ.get("TROPGEO_FIELD")
-    if spec:
-        return ResidualField.parse(spec)
-    return ResidualField(10007)
+def _field(spec):
+    """The residual field of a numeric run: spec, else $TROPGEO_FIELD, else F_10007."""
+    spec = spec or os.environ.get("TROPGEO_FIELD")
+    return ResidualField.parse(spec) if spec else DEFAULT_FIELD
 
 
 def _load_doc(path):
@@ -104,14 +103,10 @@ def cmd_admissible(args):
 def _lift_report(args):
     """The lift report of args.file, and its construction; --mode sample
     is the library's numeric mode."""
-    field = ResidualField.parse(args.field) if args.field else _default_field()
-    if args.mode == "symbolic" and args.field and field.finite:
-        raise ValueError(f"--mode symbolic runs over Q; --field {args.field} does not apply")
+    field = None if args.mode == "symbolic" and not args.field else _field(args.field)
     c, r = _realized(args)
-    if args.mode == "symbolic":
-        return lift_conditions(c, r, mode="symbolic", seed=args.seed, trials=args.trials), c
-    return lift_conditions(c, r, mode="numeric", field=field, seed=args.seed,
-                           trials=args.trials), c
+    mode = "symbolic" if args.mode == "symbolic" else "numeric"
+    return lift_conditions(c, r, mode=mode, field=field, seed=args.seed, trials=args.trials), c
 
 
 def cmd_lift(args):
@@ -152,8 +147,7 @@ def cmd_theorem(args):
         print(f"unknown theorem {args.name!r}; catalog: {', '.join(sorted(cat))}",
               file=sys.stderr)
         return 2
-    field = ResidualField.parse(args.field) if args.field else _default_field()
-    verdict = th.check_statement(stmt, trials=args.trials, seed=args.seed, field=field)
+    verdict = th.check_statement(stmt, trials=args.trials, seed=args.seed, field=_field(args.field))
     print(f"{verdict.name}: {verdict.passed}/{len(verdict.trials)} trials passed")
     if args.json:
         _write_json(args.json, verdict.to_json())
@@ -165,9 +159,10 @@ def cmd_theorem(args):
 
 
 def _parse_point(text):
-    text = text.strip().lstrip("(").rstrip(")")
-    a, b = text.split(",")
-    return (frac(a.strip()), frac(b.strip()))
+    coords = text.strip().lstrip("(").rstrip(")").split(",")
+    if len(coords) != 2:
+        raise ValueError(f"cannot parse point {text!r}")
+    return (frac(coords[0].strip()), frac(coords[1].strip()))
 
 
 def cmd_genpos(args):
@@ -313,9 +308,8 @@ def build_parser():
         sp.add_argument("--json", default=None, help="write a JSON report")
         if field:
             sp.add_argument("--field", default=None, help=(
-                "fp:P, the residual field of numeric runs (default $TROPGEO_FIELD or "
-                "fp:10007); q is symbolic-only: numeric runs exit 2 with 'numeric mode "
-                "needs a finite residual field', and --mode symbolic takes no fp:P"))
+                "fp:P for a prime P below 3.3e24, the residual field of numeric runs "
+                "(default $TROPGEO_FIELD or fp:10007); --mode symbolic takes none"))
 
     sp = sub.add_parser("realize", help="run a construction tropically")
     sp.add_argument("file")

@@ -10,9 +10,9 @@ pseudodeterminant conditions, intersection steps contribute resultant
 vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
-residuals are indeterminates over Q (symbolic) or random elements of
-F_p* (numeric), and each local system is solved in closed form when
-linear (symbolic) or by elimination and root finding in F_p (numeric).
+residuals are indeterminates over Q (symbolic mode, which has no field)
+or random elements of F_p* (numeric), and each local system is solved in
+closed form when linear (symbolic) or by root finding in F_p (numeric).
 
 The tropical half of each step does not depend on the residues, so a
 ``lift_conditions`` call keeps a lift plan: each step's plan (see
@@ -36,6 +36,7 @@ from .residual import (
     NONEMPTY_DENSE,
     LIKELY_EMPTY,
     PROVABLY_EMPTY,
+    DEFAULT_FIELD,
     ResidualField,
     RFrac,
     RPoly,
@@ -536,7 +537,7 @@ class StepReport:
 @dataclass
 class LiftReport:
     mode: str
-    field: ResidualField
+    field: ResidualField | None  # None in symbolic mode
     steps: list
     condition_set: ConditionSet
     verdict: str
@@ -549,7 +550,7 @@ class LiftReport:
     def to_json(self):
         return {
             "mode": self.mode,
-            "field": repr(self.field),
+            "field": "Q" if self.field is None else repr(self.field),
             "seed": self.seed,
             "trials": self.trials,
             "successes": self.successes,
@@ -588,10 +589,11 @@ def _sampler(field: ResidualField, rng: random.Random):
     return lambda _name: field.random_nonzero(rng)
 
 
-def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool, plans: dict):
+def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     """One forward pass, with draw(name) the residual of each input
     variable; the condition set's variables are the names drawn, in
-    order.  ``plans`` holds the step plans met so far (``_step_plan``).
+    order; symbolic when field is None.  ``plans`` holds the step plans
+    met so far (``_step_plan``).
     Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
 
@@ -607,9 +609,7 @@ def _propagate(c: Construction, r: TropRealization, draw, field, symbolic: bool,
         if isinstance(s, CurveThrough):
             rep, ok_step = _propagate_curve_step(idx, s, jets, conds, plans)
         else:
-            rep, ok_step = _propagate_intersection_step(
-                idx, s, jets, conds, r, field, symbolic, plans
-            )
+            rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, field, plans)
         reports.append(rep)
         ok = ok and ok_step
     return reports, conds, jets, ok
@@ -658,20 +658,20 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans
     return rep, not rep.some_zero
 
 
-def _local_solve(f_jets, g_jets, b, field, symbolic, origin, supports):
+def _local_solve(f_jets, g_jets, b, field, origin, supports):
     """The torus solutions of the local residual system at stable point b
     and the conditions [(what, value)] the solve adds, or the
     InformationLostError that ended it.  ``supports`` is the step plan's
     ``point_supports`` at b.
 
-    Numeric mode finds every solution in (F_p*)^2, so an empty list adds
-    the zero condition "no torus solution".  Symbolic mode solves linear
-    systems only, in closed form; the coordinates and the determinant
-    must not vanish.
+    Numeric mode (a field F_p) finds every solution in (F_p*)^2, so an
+    empty list adds the zero condition "no torus solution".  Symbolic
+    mode (field None) solves linear systems only, in closed form; the
+    coordinates and the determinant must not vanish.
     """
     if isinstance(supports, InformationLostError):
         return supports
-    if not symbolic:
+    if field is not None:
         try:
             sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
         except InformationLostError as exc:
@@ -690,7 +690,7 @@ def _local_solve(f_jets, g_jets, b, field, symbolic, origin, supports):
     return [(x, y)] if all(v for _, v in checks) else [], checks
 
 
-def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbolic, plans):
+def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans):
     f_jets = jets[s.curves[0]]
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
@@ -700,7 +700,7 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, symbo
     # the local systems, one per distinct stable point, come before the
     # resultants, whose symbolic corner coefficients grow fast with the
     # degree, so that a step symbolic mode cannot solve stops at once
-    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, symbolic, origin, plan.supports[b]))
+    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
                 for b in points]
     bundle = intersection_step_conditions(f_jets, g_jets, origin=origin, plan=plan)
     conds.merge(bundle.conditions)
@@ -768,37 +768,40 @@ def lift_conditions(
     symbolic mode: one pass with indeterminate input residuals; the
     condition set is over the input variables only (auxiliary point
     coordinates are eliminated by forward substitution).  Restricted to
-    constructions whose local residual systems are linear.
+    constructions whose local residual systems are linear.  It takes no
+    field; its density test samples in ``DEFAULT_FIELD``.
 
-    numeric mode: samples input residuals in F_p* and propagates; a trial
-    in which every condition is nonzero and every local system has a
-    torus solution yields witness jets for every node.  The report is
-    that of the first such trial, or else of the last one.
+    numeric mode: samples input residuals in F_p* (default field
+    ``DEFAULT_FIELD``) and propagates; a trial in which every condition is
+    nonzero and every local system has a torus solution yields witness
+    jets for every node.  The report is that of the first such trial, or
+    else of the last one.
     """
-    symbolic = mode == "symbolic"
-    if symbolic:
-        field = field or ResidualField(None)
+    if mode == "symbolic":
+        if field is not None:
+            raise ValueError(f"symbolic mode runs over Q; {field!r} does not apply")
     elif mode == "numeric":
-        field = field or ResidualField(10007)
+        field = field or DEFAULT_FIELD
+        if trials < 1:
+            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
     else:
         raise ValueError("mode must be 'symbolic' or 'numeric'")
     kept, successes = None, 0
-    for outcome in _passes(c, r, field, seed, None if symbolic else trials):
+    for outcome in _passes(c, r, field, seed, trials):
         successes += outcome[3]
         if kept is None or not kept[3]:
             kept = outcome
     reports, conds, jets, ok = kept
-    if not symbolic:
+    if field is not None:
         verdict = NONEMPTY_DENSE if successes else LIKELY_EMPTY
     elif conds.provably_empty:
         verdict = PROVABLY_EMPTY
     else:
-        sample_field = field if field.finite else ResidualField(10007)
-        verdict, _w = density_test(conds, sample_field, trials=max(trials, 8), seed=seed)
+        verdict, _w = density_test(conds, DEFAULT_FIELD, trials=max(trials, 8), seed=seed)
     rep = LiftReport(
         mode=mode, field=field, steps=reports, condition_set=conds,
         verdict=verdict, witness=_witness_json(jets) if ok else None, seed=seed,
-        trials=None if symbolic else trials, successes=None if symbolic else successes,
+        trials=None if field is None else trials, successes=None if field is None else successes,
         witness_jets=jets if ok else None,
     )
     return classify_certificates(rep, c)
@@ -806,22 +809,17 @@ def lift_conditions(
 
 def _passes(c: Construction, r: TropRealization, field, seed, trials):
     """The forward passes of ``lift_conditions``, one at a time: one
-    symbolic pass when trials is None, else one numeric pass per trial
-    over the finite field.  The passes share one lift plan, which lives
-    as long as this generator: the tropical work of each step is done
-    once per kinds of its input jets, and a pass evaluates only the
-    residues."""
-    if trials is None:
+    symbolic pass when field is None, else one numeric pass per trial
+    over field.  The passes share one lift plan, which lives as long as
+    this generator: the tropical work of each step is done once per
+    kinds of its input jets, and a pass evaluates only the residues."""
+    if field is None:
         draws = [lambda v: RFrac.of(RPoly.var(v))]
     else:
-        if not field.finite:
-            raise ValueError("numeric mode needs a finite residual field")
-        if trials < 1:
-            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
         draws = (_sampler(field, random.Random(seed * 1000003 + t)) for t in range(trials))
     plans = {}
     for draw in draws:
-        yield _propagate(c, r, draw, field, trials is None, plans)
+        yield _propagate(c, r, draw, field, plans)
 
 
 def _witness_json(jets):
@@ -937,8 +935,6 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
     """
     if not g.is_acyclic():
         raise ValueError("graph not acyclic")
-    if not field.finite:
-        raise ValueError("acyclic lifting samples roots; use a finite field")
     rng = random.Random(seed)
     draw = _sampler(field, rng)
     adj = {}

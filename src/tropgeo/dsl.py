@@ -126,17 +126,17 @@ def parse(text: str) -> DslDocument:
         if m:
             doc.steps.append(("points", m.group(1).split(), m.group(2), m.group(3)))
             continue
-        m = _REALIZE_POINT.match(stripped)
-        if m:
-            doc.realizations.append((m.group(1), (frac(m.group(2)), frac(m.group(3)))))
-            continue
-        m = _REALIZE_CURVE.match(stripped)
+        m = _REALIZE_POINT.match(stripped) or _REALIZE_CURVE.match(stripped)
         if m:
             try:
-                poly = TropPoly.parse(m.group(2))
+                if m.re is _REALIZE_POINT:
+                    value = (frac(m.group(2)), frac(m.group(3)))
+                else:
+                    value = TropPoly.parse(m.group(2))
             except ValueError as exc:
-                raise DslError(str(exc), lineno, col=raw.find('"') + 2) from exc
-            doc.realizations.append((m.group(1), poly))
+                col = len(raw) - len(raw.lstrip()) + m.start(2) + 1
+                raise DslError(str(exc), lineno, col) from exc
+            doc.realizations.append((m.group(1), value))
             continue
         m = _GENPOS.match(stripped)
         if m:

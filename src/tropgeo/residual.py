@@ -4,11 +4,10 @@ dense univariate polynomials over F_p (roots, determinants).
 Symbolic values are sparse ``RPoly``s over Q on packed int monomials.
 Numeric residues live in a prime field F_p only: numeric residual
 polynomials are dense int coefficient lists mod p, low degree first, and
-``dense_roots`` finds their roots in F_p.  ``ResidualField(None)`` is Q,
-the label of symbolic mode; it has no numeric elements.  All lifting
-computations run over the ring of *jets*: principal terms c*t^(-u) with
-an explicit absorbing element for "principal information lost", so
-undecidability surfaces as a value instead of a crash.
+``dense_roots`` finds their roots in F_p.  All lifting computations run
+over the ring of *jets*: principal terms c*t^(-u) with an explicit
+absorbing element for "principal information lost", so undecidability
+surfaces as a value instead of a crash.
 
 Coefficients of jets range over any of the domains defined here
 (field scalars, sparse polynomials, rational functions); all of them
@@ -116,34 +115,51 @@ class FpElt:
         return f"{self.v}"
 
 
+# Miller-Rabin on the first 13 prime bases, 2..41, is exact below the
+# smallest strong pseudoprime to all of them (Sorenson-Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or above _MR_BOUND raises ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for a residue field")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 class ResidualField:
-    """F_p for a prime p, the field of numeric residues, or Q (p is
-    None), the label of symbolic mode, which has no numeric elements."""
+    """F_p for a prime p, the field of numeric residues; symbolic mode has none."""
 
-    def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
+    def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise ValueError(f"a residual field needs an int prime, got {p!r}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
     @staticmethod
     def parse(spec: str) -> "ResidualField":
-        """'q' (or 'qq', 'rationals'), or 'fp:P' (or 'fP') for a prime P."""
+        """'fp:P' (or 'fP') for a prime P."""
         spec = spec.strip().lower()
-        if spec in ("q", "qq", "rationals"):
-            return ResidualField(None)
         if spec.startswith("f"):
             try:
                 p = int(spec[3:] if spec.startswith("fp:") else spec[1:])
@@ -153,17 +169,7 @@ class ResidualField:
                 return ResidualField(p)
         raise ValueError(f"cannot parse field spec {spec!r}")
 
-    @property
-    def char(self) -> int:
-        return self.p or 0
-
-    @property
-    def finite(self) -> bool:
-        return self.p is not None
-
     def elt(self, x):
-        if self.p is None:
-            raise ValueError("numeric residues need a finite field")
         if isinstance(x, FpElt):
             if x.p != self.p:
                 raise ValueError("mixed characteristics")
@@ -183,9 +189,7 @@ class ResidualField:
         return self.elt(1)
 
     def random_nonzero(self, rng: random.Random):
-        """A uniform element of F_p*; Q has no uniform distribution."""
-        if self.p is None:
-            raise ValueError("random residues need a finite field")
+        """A uniform element of F_p*."""
         return FpElt(rng.randrange(1, self.p), self.p)
 
     def __eq__(self, other):
@@ -195,7 +199,11 @@ class ResidualField:
         return hash(("field", self.p))
 
     def __repr__(self):
-        return "Q" if self.p is None else f"F_{self.p}"
+        return f"F_{self.p}"
+
+
+# the residual field of numeric runs unless one is given, and of symbolic density tests
+DEFAULT_FIELD = ResidualField(10007)
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +883,6 @@ def _fp_split(g, p):
 def dense_roots(coeffs, field: ResidualField):
     """All roots in F_p, with multiplicities and sorted, of a polynomial
     given as dense ints mod p, low degree first (``_fp_roots``)."""
-    if not field.finite:
-        raise ValueError("root finding needs a finite field")
     return [(FpElt(r, field.p), m) for r, m in _fp_roots(coeffs, field.p)]
 
 

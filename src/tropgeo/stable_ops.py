@@ -825,7 +825,7 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     multiplicities sum to the multiplicity of the x-root in the
     eliminant).  Both polynomials are read as {y-degree: dense x-list}
     of ints mod p, so the eliminant is a fraction-free determinant over
-    F_p[x]; over Q this raises ValueError.  ``supports`` is the pair of
+    F_p[x].  ``supports`` is the pair of
     argmax supports at b (``point_supports``), found here when not
     given.
     """

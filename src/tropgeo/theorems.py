@@ -30,7 +30,7 @@ from functools import reduce
 
 from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
 from .trop_linalg import trop_det_value_regular
-from .residual import LIKELY_EMPTY, NONEMPTY_DENSE, ResidualField
+from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, ResidualField
 from .stable_ops import point_value_matrix, stable_curve, trop_product
 from .construction import (
     Construction,
@@ -227,7 +227,7 @@ def check_statement(
     stops at the first success."""
     if trials < 1:
         raise ValueError(f"a statement check needs at least one trial, got {trials}")
-    field = field or ResidualField(10007)
+    field = field or DEFAULT_FIELD
     admissible, _ = is_admissible(s.hypothesis)
     _require_exact(s.hypothesis)  # once: every trial realizes the same hypothesis
     out = []

@@ -48,10 +48,13 @@ LPoint = tuple[int, int]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '11/2' and Fractions to Fraction."""
+    """Coerce ints, strings like '11/2' and Fractions to Fraction; '1/0' is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def scaled_ints(values):

@@ -293,6 +293,17 @@ def test_abc_symbolic_lift_is_provably_empty():
     assert any("torus y" in o for o in zero_origins)
 
 
+def test_symbolic_lift_takes_no_field():
+    from tropgeo.theorems import sample_inputs
+
+    c = catalog_construction("fano")
+    r = realize(c, sample_inputs(c, random.Random(0)))
+    with pytest.raises(ValueError, match="symbolic mode runs over Q; F_61 does not apply"):
+        lift_conditions(c, r, mode="symbolic", field=ResidualField(61))
+    rep = lift_conditions(c, r, mode="symbolic")
+    assert rep.field is None and rep.to_json()["field"] == "Q"
+
+
 def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypatch):
     # the symbolic corner coefficients of two quintics take seconds; a
     # step whose local systems are not linear must not compute them

@@ -317,13 +317,39 @@ def test_cli_wrong_realize_line_is_a_usage_error(tmp_path, capsys, name, command
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+ZERO_DENOMINATOR = "zero denominator in '1/0'"
+BAD_NUMBERS = {
+    "realize_point": (["realize"], "realize a = (1/0, 2)", f"line 5, column 14: {ZERO_DENOMINATOR}"),
+    "realize_curve": (["realize"], 'realize Z = "1/0 + x + y"', f"line 5, column 14: {ZERO_DENOMINATOR}"),
+    "theorem_curve": (["theorem"], 'realize Z = "1/0 + x + y"', f"line 5, column 14: {ZERO_DENOMINATOR}"),
+    "genpos_point": (["genpos", "--curve", "l", "--points", "(1/0,2)"], "", ZERO_DENOMINATOR),
+    "genpos_triple": (["genpos", "--curve", "l", "--points", "(1,2,3)"], "", "cannot parse point '(1,2,3)'"),
+    "plot_bbox": (["plot", "--svg", "out.svg", "--bbox", "0,0,1/0,1"], "", ZERO_DENOMINATOR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+def test_cli_bad_number_in_input_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+    (command, *options), line, message = BAD_NUMBERS[name]
+    path = tmp_path / f"{name}.tgc"
+    path.write_text("input point a\ninput point b\ninput curve Z support line\n"
+                    "curve l = through a b support line\n" + line + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(path), *options]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out.svg").exists()
+
+
 @pytest.mark.parametrize("command", ["lift", "certify"])
-def test_cli_symbolic_mode_rejects_a_finite_field(capsys, command):
+def test_cli_symbolic_mode_rejects_a_finite_field(monkeypatch, capsys, command):
     argv = [command, catalog_path("fano"), "--mode", "symbolic"]
     assert main(argv + ["--field", "fp:61"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: --mode symbolic runs over Q; --field fp:61 does not apply\n")
-    assert main(argv + ["--field", "q", "--json", "-"]) == 0
+    assert capsys.readouterr() == ("", "error: symbolic mode runs over Q; F_61 does not apply\n")
+    assert main(argv + ["--field", "q"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot parse field spec 'q'\n")
+    # TROPGEO_FIELD sets the field of numeric runs only
+    monkeypatch.setenv("TROPGEO_FIELD", "foo")
+    assert main(argv + ["--json", "-"]) == 0
     assert '"field": "Q"' in capsys.readouterr().out
 
 
@@ -334,7 +360,7 @@ def test_cli_symbolic_mode_rejects_a_finite_field(capsys, command):
 ])
 def test_cli_numeric_runs_reject_q(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", "error: numeric mode needs a finite residual field\n")
+    assert capsys.readouterr() == ("", "error: cannot parse field spec 'q'\n")
 
 
 @pytest.mark.parametrize("via", ["--field", "TROPGEO_FIELD"])

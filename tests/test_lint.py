@@ -1,6 +1,7 @@
 """Static checks on the library source, with the standard ``ast`` module:
-no module-level import goes unused, and no private module-level
-function or class goes unreferenced in the package."""
+no module-level import goes unused, no private module-level function or
+class goes unreferenced in the package, and no float enters the library
+outside the SVG renderer, which only formats pixel coordinates."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,39 @@ def test_every_private_definition_is_referenced():
                     and not any(stmt.name in names for top, names in uses if top is not stmt)):
                 unreferenced.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
     assert not unreferenced, unreferenced
+
+
+FLOAT_MATH = {"sqrt", "log", "exp"}
+FLOAT_OK = {("cli", "render_svg"), ("cli", "render_svg.to_px")}
+
+
+def _float_uses(tree):
+    """(enclosing qualified name, '' at module level; line) of each float
+    literal, float(...) call and math.sqrt/log/exp in a module."""
+    from_math = {a.asname or a.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module == "math"
+                 for a in n.names if a.name in FLOAT_MATH}
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if ((isinstance(child, ast.Constant) and isinstance(child.value, float))
+                    or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id in {"float"} | from_math)
+                    or (isinstance(child, ast.Attribute) and child.attr in FLOAT_MATH
+                        and isinstance(child.value, ast.Name) and child.value.id == "math")):
+                out.append((inner, child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_no_floats_outside_the_svg_renderer():
+    hits = [f"{name}.py:{line}: {scope or '<module>'}"
+            for name, tree in MODULES.items() for scope, line in _float_uses(tree)
+            if (name, scope) not in FLOAT_OK]
+    assert not hits, hits

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,8 @@ from tropgeo.residual import (
     PROVABLY_EMPTY,
     ResidualField,
     RFrac,
+    _MR_BOUND,
+    _is_prime,
     RPoly,
     dense_roots,
     density_test,
@@ -26,12 +29,47 @@ from tropgeo.residual import (
 
 def test_field_parsing_and_elements():
     f = ResidualField.parse("fp:10007")
-    assert f.finite and f.char == 10007
-    q = ResidualField.parse("q")
-    assert not q.finite and q.char == 0
+    assert f.p == 10007 and f == ResidualField(10007) and repr(f) == "F_10007"
+    with pytest.raises(ValueError, match="cannot parse field spec 'q'"):
+        ResidualField.parse("q")
     assert f.elt(F(1, 2)) * f.elt(2) == f.one
     with pytest.raises(ValueError):
         ResidualField(10)  # not prime
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# Carmichael numbers; strong pseudoprimes to base 2, the smallest to the
+# bases 2..3, 2..5 and 2..7; 2^61 + 1; and psi_12, the smallest strong
+# pseudoprime to every prime base 2..37 (Sorenson-Webster 2015)
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801]
+PSEUDOPRIMES = CARMICHAEL + [2047, 3277, 4033, 1373653, 25326001, 3215031751,
+                             2 ** 61 + 1, 399165290221 * 798330580441]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n) != _trial_division_is_prime(n)] == []
+    assert [n for n in PSEUDOPRIMES if _is_prime(n)] == []
+    primes = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 14 + 31]
+    assert all(_trial_division_is_prime(n) for n in primes[:2])
+    # 3317044064679887385961813 is the largest prime below the bound
+    assert all(_is_prime(n) for n in primes + [2 ** 61 - 1, 3317044064679887385961813])
+
+
+def test_residual_field_of_a_large_prime_and_the_size_bound():
+    assert ResidualField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert ResidualField.parse(f"fp:{2 ** 61 - 1}") == ResidualField(2 ** 61 - 1)
+    # the bound is psi_13, a strong pseudoprime to every base used, so it
+    # and every larger n (2^89 - 1 is prime) are refused, not guessed
+    assert _MR_BOUND == 1287836182261 * 2575672364521
+    for n in (_MR_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"{n} is too large for a residue field"):
+            ResidualField(n)
+    for n in (10, 9, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            ResidualField(n)
 
 
 def test_fp_arithmetic():
@@ -381,15 +419,13 @@ def test_roots_over_f5():
 
 
 def test_numeric_residues_over_q_are_refused():
-    # Q only labels symbolic mode: it has no roots and no numeric elements
-    q = ResidualField(None)
-    for coeffs in ([0, 0, 1], [-9, 0, 4], [-2, 0, 1]):
-        with pytest.raises(ValueError, match="finite field"):
-            dense_roots(coeffs, q)
-    for x in (0, 1, F(1, 2), "3/4", FpElt(2, 5)):
-        with pytest.raises(ValueError, match="finite field"):
-            q.elt(x)
-    assert repr(q) == "Q" and q == ResidualField.parse("q")
+    # numeric residues live in F_p only: there is no residual field Q
+    for arg in (None, 61.0, F(61), "61"):
+        with pytest.raises(ValueError, match="int prime"):
+            ResidualField(arg)
+    for spec in ("q", "qq", "rationals", "Q"):
+        with pytest.raises(ValueError, match=f"cannot parse field spec '{spec.lower()}'"):
+            ResidualField.parse(spec)
 
 
 def test_roots_random_cubic_matches_exhaustive_scan():
@@ -503,8 +539,6 @@ def test_duplicates_keep_the_first_origin_and_order():
 
 
 def test_random_nonzero_needs_a_finite_field():
-    with pytest.raises(ValueError, match="finite field"):
-        ResidualField(None).random_nonzero(random.Random(0))
     draws = {ResidualField(3).random_nonzero(random.Random(t)).v for t in range(40)}
     assert draws == {1, 2}
 

@@ -1013,13 +1013,6 @@ def test_local_solve_generic_lines_in_torus():
     assert 3 * s.x + 2 * s.y + 5 == 0 and 5 * s.x + s.y + 2 == 0
 
 
-def test_local_solve_over_q_is_refused():
-    f = _line_jets([F(3), F(2), F(5)])
-    g = _line_jets([F(5), F(1), F(2)])
-    with pytest.raises(ValueError, match="finite field"):
-        local_intersection_solve(f, g, (0, 0), ResidualField(None))
-
-
 def test_local_solve_multiplicity_four():
     # the degenerate conic pair: residual system x^2 = -a, y^2 = -b x^2
     C1 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+0x^2+0y^2")
