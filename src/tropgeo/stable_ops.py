@@ -827,8 +827,11 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     of ints mod p, so the eliminant is a fraction-free determinant over
     F_p[x].  ``supports`` is the pair of
     argmax supports at b (``point_supports``), found here when not
-    given.
+    given.  Over Q (``field`` None, symbolic mode) there is no local
+    solve: it raises ``ValueError``.
     """
+    if not isinstance(field, ResidualField):
+        raise ValueError(f"a local solve needs a finite field F_p, not {field!r}")
     if supports is None:
         supports = residual_support(f_jets, b), residual_support(g_jets, b)
     f, g = (_dense_in_y(support_terms(jets, sup), field) for jets, sup in zip((f_jets, g_jets), supports))

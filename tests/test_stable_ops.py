@@ -1013,6 +1013,16 @@ def test_local_solve_generic_lines_in_torus():
     assert 3 * s.x + 2 * s.y + 5 == 0 and 5 * s.x + s.y + 2 == 0
 
 
+def test_local_solve_over_q_is_refused():
+    # symbolic mode has no field, and no Q field can be built to pass
+    f = _line_jets([F(3), F(2), F(5)])
+    g = _line_jets([F(5), F(1), F(2)])
+    with pytest.raises(ValueError, match="int prime"):
+        ResidualField(None)
+    with pytest.raises(ValueError, match="finite field F_p, not None"):
+        local_intersection_solve(f, g, (0, 0), None)
+
+
 def test_local_solve_multiplicity_four():
     # the degenerate conic pair: residual system x^2 = -a, y^2 = -b x^2
     C1 = TropPoly.parse("0+(-10)x+(-10)y+(-10)xy+0x^2+0y^2")
