@@ -13,7 +13,6 @@ from .stable_ops import (
     stable_curve,
     stable_intersection,
     perturbation_oracle,
-    curve_step_conditions,
     intersection_step_conditions,
     local_intersection_solve,
 )

@@ -45,6 +45,7 @@ from .residual import (
     dense_roots,
     residual_terms,
     support_terms,
+    trial_rng,
 )
 from .genpos import _DSU
 from .stable_ops import (
@@ -529,7 +530,7 @@ class StepReport:
     all_zero: bool
     some_zero: bool
     fixed: bool
-    always_compatible: bool  # all minors regular, or the bundle's always_compatible
+    always_compatible: bool  # all minors regular, or the plan's always_compatible
     certificate: str | None = None
     notes: list = dc_field(default_factory=list)
 
@@ -636,21 +637,21 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans
     ins = [jets[q] for q in s.through]
     pt_jets = [((jx.order, jy.order), (jx, jy)) for jx, jy in ins]
     plan = _step_plan(plans, idx, ins, lambda: curve_step_plan(s.support, [p for p, _ in pt_jets]))
-    res = curve_step_jets(s.support, pt_jets, origin=f"step#{idx} curve {s.name}", plan=plan)
-    jets[s.name] = res.coeff_jets
-    conds.merge(res.conditions)
-    step_conds = [(c.origin, c.poly) for c in res.conditions.conditions]
+    jets[s.name], step_cs, undecidable = curve_step_jets(
+        s.support, pt_jets, plan, origin=f"step#{idx} curve {s.name}")
+    conds.merge(step_cs)
+    step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
     zeroes = [v for _, v in step_conds if not v]
-    # a regular minor gives a monomial pseudodeterminant: recompute flags
-    all_reg = all(res.minor_regular.values())
+    # a regular minor gives a monomial pseudodeterminant
+    all_reg = all(plan.regular)
     rep = StepReport(
         index=idx,
         kind="curve",
         nodes=[s.name],
         conditions=step_conds,
-        all_zero=res.undecidable,
-        some_zero=bool(zeroes) or res.undecidable,
-        fixed=any(res.minor_regular.values()),
+        all_zero=undecidable,
+        some_zero=bool(zeroes) or undecidable,
+        fixed=any(plan.regular),
         always_compatible=all_reg,
     )
     if all_reg:
@@ -702,14 +703,14 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
     # degree, so that a step symbolic mode cannot solve stops at once
     outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
                 for b in points]
-    bundle = intersection_step_conditions(f_jets, g_jets, origin=origin, plan=plan)
-    conds.merge(bundle.conditions)
-    step_conds = [(c.origin, c.poly) for c in bundle.conditions.conditions]
-    notes = [f"shear a={bundle.shear}"] if bundle.shear is not None else []
+    step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, origin=origin)
+    conds.merge(step_cs)
+    step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
+    notes = [f"shear a={plan.shear}"] if plan.shear is not None else []
 
-    if bundle.always_compatible:
+    if plan.always_compatible:
         notes.append("always-compatible")
-    failed = bool([v for _, v in step_conds if not v]) or bundle.undecidable
+    failed = bool([v for _, v in step_conds if not v]) or undecidable
 
     solved = {}
     for b, out in outcomes:
@@ -743,10 +744,10 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
         kind="intersect",
         nodes=list(s.names),
         conditions=step_conds,
-        all_zero=bundle.undecidable,
+        all_zero=undecidable,
         some_zero=failed,
-        fixed=bundle.fixed,
-        always_compatible=bundle.always_compatible,
+        fixed=plan.fixed,
+        always_compatible=plan.always_compatible,
         notes=notes,
     )
     return rep, not failed
@@ -816,7 +817,7 @@ def _passes(c: Construction, r: TropRealization, field, seed, trials):
     if field is None:
         draws = [lambda v: RFrac.of(RPoly.var(v))]
     else:
-        draws = (_sampler(field, random.Random(seed * 1000003 + t)) for t in range(trials))
+        draws = (_sampler(field, trial_rng(seed, t)) for t in range(trials))
     plans = {}
     for draw in draws:
         yield _propagate(c, r, draw, field, plans)

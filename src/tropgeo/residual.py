@@ -963,6 +963,12 @@ class ConditionSet:
         }
 
 
+def trial_rng(seed: int, t: int) -> random.Random:
+    """The generator of trial t of a seeded run: each trial draws from its
+    own stream, so a trial's samples do not depend on the trials before it."""
+    return random.Random(seed * 1000003 + t)
+
+
 def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int):
     """Sample the condition variables uniformly in k* and look for a witness.
 
@@ -979,7 +985,7 @@ def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int)
             variables.update(c.poly.variables())
     variables = sorted(variables)
     for t in range(max(trials, 1)):
-        rng = random.Random(seed * 1000003 + t)
+        rng = trial_rng(seed, t)
         sample = {v: field.random_nonzero(rng) for v in variables}
         if all(c.poly.evaluate(sample) if isinstance(c.poly, RPoly) else c.poly for c in cs.conditions):
             return NONEMPTY_DENSE, sample

@@ -28,11 +28,16 @@ only the orders and kinds of the input jets: a curve step's Cramer tight
 graph and regular flags (``curve_step_plan``), an intersection step's
 resultant corners, their tight graphs, the monomial flags of their
 conditions, the shear, and the argmax supports of the two residual
-polynomials at each stable point (``intersection_step_plan``).  The
-evaluator reads the residues: the jet-ring minors, the corner
-determinants and the coefficients on those supports.  Given a plan,
-``curve_step_jets``, ``intersection_step_conditions`` and
-``local_intersection_solve`` only evaluate.
+polynomials at each stable point (``intersection_step_plan``).  The plan
+alone says whether a step is fixed or always compatible: a curve step's
+regular flags (a regular minor's pseudodeterminant is a monomial), an
+intersection plan's ``fixed`` and ``always_compatible``, read from the
+monomial flags.  The evaluators take the plan and read the residues,
+returning only what the residues decide: ``curve_step_jets`` the
+jet-ring minors, their conditions and whether all of them vanish,
+``intersection_step_conditions`` the corner determinants and whether
+all of them vanish, and ``local_intersection_solve`` the roots of the
+coefficients on the plan's supports.
 
 A numeric local system lives in F_p and stays on dense int lists from
 its residual terms to its roots: each polynomial is read as {y-degree:
@@ -68,7 +73,6 @@ from .residual import (
     InformationLostError,
     Jet,
     JET_ZERO,
-    PROVABLY_EMPTY,
     ResidualField,
     RFrac,
     RPoly,
@@ -254,11 +258,6 @@ def _point_values(I: Support, pts):
     return [[i * x + j * y for i, j in I.points] for x, y in zip(flat[::2], flat[1::2])], e
 
 
-def point_value_matrix(I: Support, pts):
-    w, e = _point_values(I, pts)
-    return [[Fraction(v, e) for v in row] for row in w]
-
-
 def stable_curve(I: Support, pts) -> TropPoly:
     """The unique curve of support I through delta-1 points that varies
     continuously with them, in concave canonical form."""
@@ -298,65 +297,44 @@ def _monomial_jet(jx: Jet, jy: Jet, i) -> Jet:
 
 
 def _one_like_coeff(j: Jet):
-    c = j.coeff if j.is_principal else None
-    if isinstance(c, RPoly):
-        return RPoly.const(1)
-    if isinstance(c, RFrac):
-        return RFrac.of(1)
-    if c is None:
-        return Fraction(1)
-    return c / c  # field one of the right characteristic
-
-
-def _zero_like_coeff(sample):
-    if isinstance(sample, RPoly):
-        return RPoly()
-    if isinstance(sample, RFrac):
-        return RFrac(RPoly())
-    return sample * 0
-
-
-@dataclass
-class CurveStepResult:
-    coeff_jets: dict          # support point -> cofactor-signed minor jet
-    conditions: ConditionSet  # one pseudodeterminant != 0 per support point
-    minor_regular: dict       # support point -> tropical minor regularity
-    undecidable: bool         # every pseudodeterminant vanished
+    """The one of j's coefficient ring, or of Q when j is not principal."""
+    return j.coeff * 0 + 1 if j.is_principal else Fraction(1)
 
 
 def curve_step_plan(I: Support, pts):
     """The residue-free half of a curve step through the tropical points
     pts: the Cramer solution of their point-value matrix, whose tight
-    graph and regular flags every residual evaluation reads."""
+    graph and regular flags every residual evaluation reads.  The step
+    is fixed when any minor is regular (``any(plan.regular)``) and always
+    compatible when all are: a regular minor's pseudodeterminant is a
+    monomial."""
     return _cramer(*_point_values(I, pts))
 
 
-def curve_step_jets(I: Support, pt_jets, origin="curve", plan=None) -> CurveStepResult:
-    """Stable curve through points given as (tropical point, (jet_x, jet_y)).
+def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
+    """Stable curve through points given as (tropical point, (jet_x, jet_y)),
+    whose ``curve_step_plan`` is plan: (coefficient jets, conditions,
+    undecidable).
 
     The minors of the homogeneous system are evaluated in the jet ring;
     a minor whose top order cancels is exactly a vanishing
-    pseudodeterminant.  Coefficient jets carry cofactor signs so they
-    solve the residual linear system.  ``plan`` is the points'
-    ``curve_step_plan``, computed here when not given.
+    pseudodeterminant, one condition per support point.  Coefficient
+    jets carry cofactor signs so they solve the residual linear system.
+    The step is undecidable when every pseudodeterminant vanishes.
     """
-    sol = plan or curve_step_plan(I, [p for p, _ in pt_jets])
-
     entries = []
     for _, (jx, jy) in pt_jets:
         entries.append([_monomial_jet(jx, jy, i) for i in I.points])
     # a minor's top order cancels iff its pseudodeterminant vanishes, and
     # only the optimal permutations, the tight ones, reach the top order
     minors = masked_minors(
-        len(pt_jets), lambda r, c: entries[r][c] if c in sol.tight[r] else None, JET_ZERO
+        len(pt_jets), lambda r, c: entries[r][c] if c in plan.tight[r] else None, JET_ZERO
     )
     conds = ConditionSet()
     coeff_jets = {}
-    minor_regular = {}
     any_nonzero = False
     for k, i in enumerate(I.points):
         det = minors[k]
-        minor_regular[i] = sol.regular[k]
         if det.is_principal:
             cond_val = det.coeff
             any_nonzero = True
@@ -364,19 +342,14 @@ def curve_step_jets(I: Support, pt_jets, origin="curve", plan=None) -> CurveStep
             cond_val = _condition_zero(entries)
         coeff_jets[i] = det if k % 2 == 0 else -det
         conds.add(_condition_poly(cond_val), f"{origin} minor {i}")
-    return CurveStepResult(
-        coeff_jets=coeff_jets,
-        conditions=conds,
-        minor_regular=minor_regular,
-        undecidable=not any_nonzero,
-    )
+    return coeff_jets, conds, not any_nonzero
 
 
 def _condition_zero(entries):
     for row in entries:
         for e in row:
             if e.is_principal:
-                return _zero_like_coeff(e.coeff)
+                return e.coeff * 0
     return Fraction(0)
 
 
@@ -385,31 +358,6 @@ def _condition_poly(value):
     if isinstance(value, RFrac):
         return value.num
     return value
-
-
-def curve_step_conditions(I: Support, pts, var_names=None, values=None) -> CurveStepResult:
-    """Public form of the curve step: symbolic or numeric residual data.
-
-    ``var_names``: list of (name_x, name_y) per point for symbolic mode;
-    ``values``: list of (cx, cy) residual scalars for numeric mode.
-    """
-    if len(pts) != I.delta() - 1:
-        raise ValueError(f"need {I.delta() - 1} points, got {len(pts)}")
-    pt_jets = []
-    for idx, p in enumerate(pts):
-        if values is not None:
-            cx, cy = values[idx]
-            jx = Jet.principal(frac(p[0]), cx)
-            jy = Jet.principal(frac(p[1]), cy)
-        else:
-            nx, ny = var_names[idx] if var_names else (f"q{idx}.x", f"q{idx}.y")
-            jx = Jet.principal(frac(p[0]), RPoly.var(nx))
-            jy = Jet.principal(frac(p[1]), RPoly.var(ny))
-        pt_jets.append((p, (jx, jy)))
-    res = curve_step_jets(I, pt_jets)
-    if res.undecidable:
-        res.conditions.empty_flag = PROVABLY_EMPTY
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +394,12 @@ def _sylvester_rows(fy: dict, gy: dict):
     return rows
 
 
-@dataclass
-class ResultantCorner:
-    """A strict upper-hull corner of the heights of a jet resultant."""
-
-    index: int        # the exponent of x
-    order: Fraction   # its height, the order of its coefficient
-    coeff: object     # the coefficient at that order; zero when it cancels
-    tight: list       # row -> {column: dominant x-exponent} inside its cone
-
-
-def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
+def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
     """The strict upper-hull corners of Res_y(f, g) over the jet ring, by
-    x-exponent, for principal input jets.
+    x-exponent, for principal input jets, read off the jets' orders
+    alone: (x-exponent, order, tight, picks) per corner, where picks[r] =
+    {column: (0 for f or 1 for g, support point)} names the input
+    coefficient of each dominant entry on the tight graph.
 
     Cell (r, c) of the Sylvester matrix is sum_i J_i x^i with jets J_i of
     order o_i.  The orders h_e of the resultant's coefficients are the
@@ -475,25 +416,10 @@ def sylvester_resultant(f_jets: dict, g_jets: dict) -> list:
     (permutation, term) choices are exactly those of exponent e and
     order h_e, so each cell on an optimal permutation has one dominant
     term, and the corner's coefficient is the masked determinant of the
-    dominant coefficients on the assignment's tight graph; it vanishes
-    exactly when the top order cancels, and the jet is then degenerate.
-
-    The orders fix the corners and their tight graphs
-    (``_resultant_corners``); only the determinants read the
-    coefficients (``_corner_coeff``).
+    dominant coefficients on that tight graph (``_corner_coeff``); it
+    vanishes exactly when the top order cancels, and the jet is then
+    degenerate.
     """
-    corners = _resultant_corners(f_jets, g_jets)
-    coeffs = _coeffs((f_jets, g_jets))
-    zero = _zero_like_coeff(next(iter(coeffs[0].values())))
-    return [ResultantCorner(e, h, _corner_coeff(picks, coeffs, zero), tight)
-            for e, h, tight, picks in corners]
-
-
-def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
-    """The corner half of ``sylvester_resultant``, read off the jets'
-    orders alone: (x-exponent, order, tight, picks) per corner, where
-    picks[r] = {column: (0 for f or 1 for g, support point)} names the
-    input coefficient of each dominant entry on the tight graph."""
     ints, d = scaled_ints([j.order for jets in (f_jets, g_jets) for j in jets.values()])
     it = iter(ints)
     # each entry of a cell is (its input coefficient, its order scaled by d)
@@ -548,15 +474,10 @@ def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
     return out
 
 
-def _coeffs(pair):
-    """The coefficients of a pair of jet dicts, by support point."""
-    return tuple({i: j.coeff for i, j in jets.items()} for jets in pair)
-
-
 def _corner_coeff(picks, coeffs, zero):
-    """The coefficient half of ``sylvester_resultant``: the determinant,
-    on a corner's tight graph, of the coefficients coeffs = (f's, g's)
-    that its picks name."""
+    """The coefficient of a resultant corner: the determinant, on its
+    tight graph, of the coefficients coeffs = (f's, g's) that its picks
+    name."""
     return _tight_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], zero)
 
 
@@ -585,13 +506,14 @@ def trop_univariate_roots(heights: dict):
 
 
 @dataclass
-class ResultantFamily:
-    """Vertex conditions of one resultant's Newton segment."""
+class FamilyPlan:
+    """The residue-free half of a resultant family: its corners, their
+    tight graphs as picks, and the monomial flags of their conditions."""
 
-    name: str                   # "x", "y" or "z"
-    heights: dict               # orders of the resultant's corner coefficients
+    name: str                    # "x", "y" or "z"
+    heights: dict                # orders of the resultant's corner coefficients
     vertex_indices: list
-    conditions: list            # [(index, value)] at the vertices
+    picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
     monomial_flags: list | None  # per vertex; None when shape analysis skipped
 
     @property
@@ -601,34 +523,6 @@ class ResultantFamily:
     @property
     def always_compatible(self):
         return bool(self.monomial_flags) and all(self.monomial_flags)
-
-
-@dataclass
-class ResultantBundle:
-    shear: int | None
-    families: list
-    conditions: ConditionSet
-    undecidable: bool
-
-    @property
-    def fixed(self):
-        return bool(self.families) and all(f.fixed for f in self.families)
-
-    @property
-    def always_compatible(self):
-        return bool(self.families) and all(f.always_compatible for f in self.families)
-
-
-@dataclass
-class FamilyPlan:
-    """The residue-free half of a resultant family: its corners, their
-    tight graphs as picks, and the monomial flags of their conditions."""
-
-    name: str
-    heights: dict
-    vertex_indices: list
-    picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
-    monomial_flags: list | None  # per vertex; None when shape analysis skipped
 
 
 def _resultant_family(name, f_jets, g_jets) -> FamilyPlan:
@@ -697,11 +591,21 @@ def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
 
 @dataclass
 class IntersectionPlan:
-    """The residue-free half of an intersection step."""
+    """The residue-free half of an intersection step.  The step is fixed
+    when every family has a monomial vertex condition, and always
+    compatible when every vertex condition is a monomial."""
 
     families: list | None  # FamilyPlans; None when an input jet is degenerate
     shear: int | None
     supports: dict         # stable point -> its local solve's ``point_supports``
+
+    @property
+    def fixed(self):
+        return bool(self.families) and all(f.fixed for f in self.families)
+
+    @property
+    def always_compatible(self):
+        return bool(self.families) and all(f.always_compatible for f in self.families)
 
 
 def point_supports(f_jets: dict, g_jets: dict, b):
@@ -741,37 +645,30 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points=()) -> Intersectio
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
-def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect",
-                                 plan=None) -> ResultantBundle:
+def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="intersect"):
     """Residual conditions for the compatibility of the stable and the
-    algebraic intersection: principal coefficients at the Newton-segment
-    vertices of the three resultants R_x, R_y, R_z must not vanish.
-    ``plan`` is the jets' ``intersection_step_plan``, computed here when
-    not given; only the corner coefficients are computed from the
-    residues."""
-    plan = plan or intersection_step_plan(f_jets, g_jets)
+    algebraic intersection, whose ``intersection_step_plan`` is plan:
+    (conditions, undecidable).  The principal coefficients at the
+    Newton-segment vertices of the three resultants R_x, R_y, R_z must
+    not vanish; only these corner coefficients are computed from the
+    residues.  The step is undecidable when an input jet is degenerate
+    or every vertex condition vanishes."""
     f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     cs = ConditionSet()
     if plan.families is None:
         cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
-        return ResultantBundle(shear=None, families=[], conditions=cs, undecidable=True)
+        return cs, True
 
-    coeffs = _coeffs((f_jets, g_jets))
-    families = []
+    coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
+    undecidable = bool(plan.families)
     for fam in plan.families:
         view = _family_view(fam.name, coeffs, plan.shear)
-        zero = _zero_like_coeff(next(iter(coeffs[0].values())))
-        conditions = [(e, _corner_coeff(picks, view, zero))
-                      for e, picks in zip(fam.vertex_indices, fam.picks)]
-        for idx, val in conditions:
-            cs.add(_condition_poly(val), f"{origin} R_{fam.name} coeff {idx}")
-        families.append(ResultantFamily(fam.name, fam.heights, fam.vertex_indices,
-                                        conditions, fam.monomial_flags))
-
-    undecidable = bool(families) and all(
-        all(not val for _, val in fam.conditions) for fam in families
-    )
-    return ResultantBundle(shear=plan.shear, families=families, conditions=cs, undecidable=undecidable)
+        zero = next(iter(coeffs[0].values())) * 0
+        for e, picks in zip(fam.vertex_indices, fam.picks):
+            val = _corner_coeff(picks, view, zero)
+            cs.add(_condition_poly(val), f"{origin} R_{fam.name} coeff {e}")
+            undecidable = undecidable and not val
+    return cs, undecidable
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +678,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, origin="intersect",
 def _xy_terms_linear(terms: dict):
     if not set(terms) <= {(0, 0), (1, 0), (0, 1)}:
         return None
-    z = _zero_like_coeff(next(iter(terms.values())))
+    z = next(iter(terms.values())) * 0
     return (
         terms.get((1, 0), z),
         terms.get((0, 1), z),

@@ -30,8 +30,8 @@ from functools import reduce
 
 from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
 from .trop_linalg import trop_det_value_regular
-from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, ResidualField
-from .stable_ops import point_value_matrix, stable_curve, trop_product
+from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, ResidualField, trial_rng
+from .stable_ops import _point_values, stable_curve, trop_product
 from .construction import (
     Construction,
     Intersect,
@@ -78,7 +78,9 @@ def thesis_feasible_curve(I: Support, pts):
         if all(f.on_curve(p) for p in pts):
             return f
     for sub in itertools.combinations(pts, delta):
-        if trop_det_value_regular(point_value_matrix(I, sub))[1]:
+        # the int matrix is the point-value matrix scaled by e > 0, which
+        # keeps its optimal permutations and so its regularity
+        if trop_det_value_regular(_point_values(I, sub)[0])[1]:
             return None
     # Not reached with at most delta points.  Fewer than delta points lie
     # on the stable curve through them.  For delta points with a singular
@@ -233,7 +235,7 @@ def check_statement(
     out = []
     failures = []
     for t in range(trials):
-        rng = random.Random(seed * 1000003 + t)
+        rng = trial_rng(seed, t)
         inputs = sample_inputs(s.hypothesis, rng, {0: "zero", 1: "repeat"}.get(t))
         r = _realize(s.hypothesis, inputs)
         if s.genpos_pairs:

@@ -6,7 +6,8 @@ expansion (the ``realize`` digests before the canonical form was read
 off the dual subdivision, the two local-solve ``certify`` digests before
 the numeric local solve moved onto dense coefficient lists, the last
 three symbolic ``lift`` digests before ``RPoly`` packed its monomials
-into ints); a change
+into ints, the last five ``certify`` digests before the steps' fixed
+and always-compatible flags moved onto their plans); a change
 that alters any report byte shows up here.
 """
 
@@ -70,6 +71,19 @@ GOLDEN = [
      "8b524d9eb011484a5c77063c9c5cbe246183fa842d9da43cbeecb4e74e61f191"),
     (["lift", "@pascal_converse", "--mode", "symbolic"], 0,
      "f41bde3508bb031a5eba568c304e07f0b016c691e261d00f0540150d9e0edb7a"),
+    # every certificate the fixed and always-compatible flags decide
+    # (AlwaysCompatible, Conditional, NeverLiftable) and the notes they
+    # add, recorded before those flags moved onto the step plans
+    (["certify", "@pappus", "--trials", "4", "--seed", "2"], 0,
+     "eefb62d3cedb2f10be0b80a0ab66a6af775212071f80065aa7af3cd06497501f"),
+    (["certify", "@fano", "--trials", "4", "--seed", "2"], 0,
+     "961614cd9d937d104bb199e78fa22e84853761b1e94006a2b8badbca6b68c965"),
+    (["certify", "@pascal_converse", "--trials", "4", "--seed", "2"], 0,
+     "5aad33f904ff1d20aed4f2610387790cc8ea8c741ec2163a781de4881a962b0f"),
+    (["certify", "@abc_double_path", "--trials", "4", "--seed", "2"], 1,
+     "0acbb1a4f0239330346c5510ed30f9b10403f97587522357c89fbefc6db2cc7c"),
+    (["certify", "@weak_pascal", "--trials", "4", "--seed", "2"], 0,
+     "52aa684a2a52d0d48e8d9ac0a4501f4cc12ac7b5809f828288966ad938c3ea1e"),
 ]
 
 

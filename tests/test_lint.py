@@ -1,6 +1,7 @@
 """Static checks on the library source, with the standard ``ast`` module:
 no module-level import goes unused, no private module-level function or
-class goes unreferenced in the package, and no float enters the library
+class goes unreferenced in the package, no public one goes unread in the
+package, its tests and its benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates."""
 
 import ast
@@ -10,6 +11,7 @@ import tropgeo
 
 SRC = Path(tropgeo.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _used_names(node):
@@ -66,6 +68,30 @@ def test_every_private_definition_is_referenced():
                     and not any(stmt.name in names for top, names in uses if top is not stmt)):
                 unreferenced.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
     assert not unreferenced, unreferenced
+
+
+def _read_names(node):
+    """The names a subtree reads as bare names or attributes; an import
+    alone is no read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_read():
+    # a read anywhere in the package, the tests or the benchmark counts,
+    # except from the definition's own body; the package's re-exports
+    # are imports, so they do not count
+    trees = [*(t for name, t in MODULES.items() if name != "__init__"),
+             *(ast.parse(path.read_text(), str(path))
+               for d in ("tests", "perfbench") for path in sorted((ROOT / d).glob("*.py")))]
+    uses = [(stmt, _read_names(stmt)) for tree in trees for stmt in tree.body]
+    unread = []
+    for name, tree in MODULES.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+                    and not any(stmt.name in names for top, names in uses if top is not stmt)):
+                unread.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
+    assert not unread, unread
 
 
 FLOAT_MATH = {"sqrt", "log", "exp"}

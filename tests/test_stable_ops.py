@@ -19,6 +19,7 @@ from tropgeo.trop_core import (
 )
 from tropgeo.residual import (
     JET_ZERO,
+    PROVABLY_EMPTY,
     ConditionSet,
     InformationLostError,
     Jet,
@@ -35,21 +36,23 @@ from tropgeo.stable_ops import (
     _common_y_roots,
     _condition_poly,
     _condition_zero,
+    _corner_coeff,
     _inside,
     _monomial_jet,
     _dense_in_y,
     _perturbed_intersection,
+    _point_values,
+    _resultant_corners,
     _resultant_family,
     _sylvester_rows,
-    curve_step_conditions,
     curve_step_jets,
+    curve_step_plan,
     intersection_step_conditions,
+    intersection_step_plan,
     local_intersection_solve,
     perturbation_oracle,
-    point_value_matrix,
     stable_curve,
     stable_intersection,
-    sylvester_resultant,
     trop_product,
     trop_univariate_roots,
 )
@@ -309,6 +312,13 @@ def _fraction_canonical(f):
     ))
 
 
+def point_value_matrix(I, pts):
+    """The point-value matrix of pts over I as Fractions: row r is p_r.i
+    over i in I."""
+    w, e = _point_values(I, pts)
+    return [[F(v, e) for v in row] for row in w]
+
+
 def test_stable_curve_matches_cramer_on_the_fraction_matrix():
     rng = random.Random(77)
 
@@ -400,9 +410,32 @@ def test_segment_supports_intersect():
 # curve step conditions
 
 
+def curve_step_conditions(I, pts, var_names=None, values=None):
+    """The curve step through the tropical points pts, with symbolic
+    residuals (``var_names``: one (name_x, name_y) per point, q<k>.x and
+    q<k>.y by default) or numeric ones (``values``: one (cx, cy) per
+    point): its plan, and the evaluator's coefficient jets, conditions
+    and undecidable flag.  An undecidable step's conditions are
+    provably empty."""
+    pt_jets = []
+    for idx, p in enumerate(pts):
+        if values is not None:
+            cx, cy = values[idx]
+        else:
+            nx, ny = var_names[idx] if var_names else (f"q{idx}.x", f"q{idx}.y")
+            cx, cy = RPoly.var(nx), RPoly.var(ny)
+        pt_jets.append((p, (Jet.principal(p[0], cx), Jet.principal(p[1], cy))))
+    plan = curve_step_plan(I, pts)
+    coeff_jets, conds, undecidable = curve_step_jets(I, pt_jets, plan)
+    if undecidable:
+        conds.empty_flag = PROVABLY_EMPTY
+    return SimpleNamespace(plan=plan, coeff_jets=coeff_jets, conditions=conds,
+                           undecidable=undecidable)
+
+
 def test_curve_step_all_minors_regular_gives_monomials():
     res = curve_step_conditions(LINE, [(0, 0), (-2, 1)])
-    assert all(res.minor_regular.values())
+    assert all(res.plan.regular)
     for c in res.conditions.conditions:
         assert c.poly.is_monomial()
     assert not res.undecidable
@@ -413,7 +446,7 @@ def test_curve_step_all_zero_matrix_gives_full_determinants():
     # all minors singular: each condition is a full 2x2 determinant
     for c in res.conditions.conditions:
         assert len(c.poly.terms) == 2
-    assert not any(res.minor_regular.values())
+    assert not any(res.plan.regular)
 
 
 def test_curve_step_conic_through_five_symbolic_points():
@@ -513,12 +546,13 @@ def test_curve_step_jets_matches_full_jet_minors():
                 else:
                     coords = (F(rng.randint(-box, box)), F(rng.randint(-box, box)))
                 pts.append(_random_point_jet(rng, coords, kind, f"q{idx}"))
-            res = curve_step_jets(sup, pts)
+            got_jets, got_conds, got_undecidable = curve_step_jets(
+                sup, pts, curve_step_plan(sup, [p for p, _ in pts]))
             coeff_jets, conds, undecidable = _reference_curve_step(sup, pts)
-            assert res.coeff_jets == coeff_jets, (sup, pts)
-            assert [(c.origin, repr(c.poly)) for c in res.conditions.conditions] == [
+            assert got_jets == coeff_jets, (sup, pts)
+            assert [(c.origin, repr(c.poly)) for c in got_conds.conditions] == [
                 (c.origin, repr(c.poly)) for c in conds.conditions], (sup, pts)
-            assert res.undecidable == undecidable
+            assert got_undecidable == undecidable
 
 
 def test_cramer_conditions_match_per_column_pseudodet():
@@ -549,17 +583,52 @@ def _line_jets(coeffs, names=None, orders=None):
     return out
 
 
-def test_two_generic_lines_always_compatible():
-    f = {pt: Jet.principal(o, RPoly.var(f"f{pt}")) for pt, o in
-         [((1, 0), F(1)), ((0, 1), F(0)), ((0, 0), F(1))]}
-    g = {pt: Jet.principal(o, RPoly.var(f"g{pt}")) for pt, o in
-         [((1, 0), F(3)), ((0, 1), F(0)), ((0, 0), F(3))]}
-    bundle = intersection_step_conditions(f, g)
-    assert bundle.shear is not None
-    assert not bundle.undecidable
-    # transversal line crossing: the vertex conditions of each resultant
-    # are monomials, so the step is fixed and always compatible
-    assert bundle.fixed
+def _symbolic_line_jets(orders):
+    """Two lines f and g on (x, y, 1) with the given orders and one
+    variable per coefficient."""
+    return [_line_jets([RPoly.var(f"{tag}{k}") for k in range(3)], orders=os)
+            for tag, os in zip("fg", orders)]
+
+
+def test_two_lines_on_a_shared_ray_are_fixed_not_always_compatible():
+    f, g = _symbolic_line_jets([(1, 0, 1), (3, 0, 3)])
+    plan = intersection_step_plan(f, g)
+    conds, undecidable = intersection_step_conditions(f, g, plan)
+    assert plan.shear is not None
+    assert not undecidable and all(c.poly for c in conds.conditions)
+    # both lines contain the ray x = 0 below (0, 1), so the first vertex
+    # of R_y is not a monomial: every family has a monomial vertex
+    # condition, so the step is fixed, but not every vertex condition is
+    # one, so it is not always compatible
+    assert [fam.monomial_flags for fam in plan.families] == [[True, True], [False, True],
+                                                             [True, True]]
+    assert plan.fixed
+    assert not plan.always_compatible
+
+
+def test_two_transversal_lines_are_always_compatible():
+    f, g = _symbolic_line_jets([(0, 0, 0), (0, 3, 1)])
+    assert stable_intersection(*(TropPoly(LINE, {i: j.order for i, j in jets.items()})
+                                 for jets in (f, g))).points == [((F(0), F(-2)), 1)]
+    plan = intersection_step_plan(f, g)
+    conds, undecidable = intersection_step_conditions(f, g, plan)
+    assert not undecidable
+    # a vertex-free edge-edge crossing: every vertex condition of every
+    # resultant is a monomial
+    assert all(all(fam.monomial_flags) for fam in plan.families)
+    assert all(c.poly.is_monomial() for c in conds.conditions)
+    assert plan.fixed and plan.always_compatible
+
+
+def sylvester_resultant(f_jets, g_jets):
+    """The strict upper-hull corners of Res_y(f, g) over the jet ring, by
+    x-exponent, for principal input jets: each corner's exponent, order
+    and coefficient, the corner and its tight graph read off the orders,
+    the coefficient the determinant of the residues on that graph."""
+    coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
+    zero = next(iter(coeffs[0].values())) * 0
+    return [SimpleNamespace(index=e, order=h, coeff=_corner_coeff(picks, coeffs, zero))
+            for e, h, _, picks in _resultant_corners(f_jets, g_jets)]
 
 
 # The masked Laplace expansion of the Sylvester matrix over the jet ring,

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropgeo.trop_core import Support, TropPoly, curve
+from tropgeo.residual import trial_rng
 from tropgeo.stable_ops import stable_intersection
 from tropgeo.construction import lift_conditions, realize
 from tropgeo.theorems import (
@@ -304,7 +305,7 @@ def test_lift_probe_stops_at_its_first_successful_trial(monkeypatch):
             passes.clear()
             verdict = check_statement(s, trials=1, seed=seed).trials[0].lift_verdict
             probe = list(passes)
-            r = realize(s.hypothesis, sample_inputs(s.hypothesis, random.Random(seed * 1000003), "zero"))
+            r = realize(s.hypothesis, sample_inputs(s.hypothesis, trial_rng(seed, 0), "zero"))
             passes.clear()
             assert lift_conditions(s.hypothesis, r, mode="numeric", seed=seed, trials=4).verdict == verdict
             assert probe == passes[:len(probe)]
