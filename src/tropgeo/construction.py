@@ -697,7 +697,7 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
     si = r.intersections[idx]
     points = [b for b, _m in si.points]
-    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets, points))
+    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets, si.points))
     # the local systems, one per distinct stable point, come before the
     # resultants, whose symbolic corner coefficients grow fast with the
     # degree, so that a step symbolic mode cannot solve stops at once

@@ -18,10 +18,11 @@ the tight entries of the Cramer system, and the Newton-segment vertex
 coefficients of Sylvester resultants over the jet ring, where an exact
 top-order cancellation is precisely a vanishing pseudodeterminant.  Only
 the strict upper-hull corners of a jet resultant's heights are computed:
-each is found by a max-weight assignment at a slope inside its normal
-cone (parametric bisection, Eisner-Severance 1976), and its coefficient
-is the determinant of the dominant coefficients on that assignment's
-tight graph.  No Sylvester dimension is bounded.
+the resultant's tropical roots are the projections of the stable
+intersection, with multiplicities (Sturmfels-Tevelev 2008), so each
+corner is one max-weight assignment at a slope between two of them, and
+its coefficient is the determinant of the dominant coefficients on that
+assignment's tight graph.  No Sylvester dimension is bounded.
 
 Each residual step splits into a plan and an evaluator.  The plan reads
 only the orders and kinds of the input jets: a curve step's Cramer tight
@@ -64,7 +65,6 @@ from .trop_core import (
     mixed_volume,
     polygon_area2,
     scaled_ints,
-    upper_chain,
 )
 from .trop_linalg import _cramer, _hungarian_max, masked_det, masked_minors
 from .residual import (
@@ -394,23 +394,27 @@ def _sylvester_rows(fy: dict, gy: dict):
     return rows
 
 
-def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
+def _resultant_corners(f_jets: dict, g_jets: dict, roots) -> list:
     """The strict upper-hull corners of Res_y(f, g) over the jet ring, by
-    x-exponent, for principal input jets, read off the jets' orders
-    alone: (x-exponent, order, tight, picks) per corner, where picks[r] =
-    {column: (0 for f or 1 for g, support point)} names the input
-    coefficient of each dominant entry on the tight graph.
+    x-exponent, for principal input jets whose resultant has the tropical
+    roots roots, [(root, multiplicity)] ascending: (x-exponent, order,
+    tight, picks) per corner, where picks[r] = {column: (0 for f or 1
+    for g, support point)} names the input coefficient of each dominant
+    entry on the tight graph.
 
     Cell (r, c) of the Sylvester matrix is sum_i J_i x^i with jets J_i of
     order o_i.  The orders h_e of the resultant's coefficients are the
     max-plus Sylvester permanent (the generic heights), and at a slope
     lam the weights max_i(o_i + lam*i) have the max-plus permanent
     max_e(h_e + lam*e): a max-weight assignment at lam lands on the upper
-    hull of {(e, h_e)}.  lam = -L and +L, L above n times the spread of
-    the orders, give the two end corners; the corners between two known
-    hull points are found by assigning at the slope where their lines
-    meet (Eisner-Severance parametric bisection).  Orders are scaled
-    once to ints by their lcm, and lam = a/b weighs b*o + a*i.
+    hull of {(e, h_e)}.  The hull's slopes are the tropical roots, the
+    projections of the stable intersection (Sturmfels-Tevelev,
+    "Elimination theory for tropical varieties", 2008), so each corner is
+    one assignment at a slope inside its normal cone: below the least
+    root, between two consecutive roots, above the largest, or 0 with no
+    root.  Orders are scaled once to ints by their lcm d, and lam = a/b
+    weighs b*o + a*i.  Consecutive corners must be a root's multiplicity
+    apart and their lines must meet at it.
 
     At a lam strictly inside corner e's normal cone the optimal
     (permutation, term) choices are exactly those of exponent e and
@@ -426,52 +430,25 @@ def _resultant_corners(f_jets: dict, g_jets: dict) -> list:
     rows = _sylvester_rows(*(_by_y({i: ((k, i), next(it)) for i in jets})
                              for k, jets in enumerate((f_jets, g_jets))))
     n = len(rows)
-    cells = [[None if cell is None else [(i, o) for i, (_, o) in cell.items()] for cell in row]
-             for row in rows]
-    orders = [o for row in cells for cell in row if cell for _, o in cell]
-    big = n * (max(orders) - min(orders)) + 1
-
-    def assign(a, b):
-        """(e, h, tight): the hull point a max-weight assignment at
-        lam = a/b picks, and its tight graph."""
-        best = [[None if cell is None else max((b * o + a * i, i, o) for i, o in cell)
-                 for cell in row] for row in cells]
+    xs = [r for r, _ in roots]
+    slopes = [xs[0] - 1, *((r0 + r1) / 2 for r0, r1 in zip(xs, xs[1:])), xs[-1] + 1] if xs else [Fraction(0)]
+    out = []
+    for lam in slopes:
+        a, b = (lam * d).numerator, (lam * d).denominator
+        best = [[None if cell is None else max((b * o + a * i, i, o) for i, (_, o) in cell.items())
+                 for cell in row] for row in rows]
         finite = [t[0] for row in best for t in row if t]
         absent = -2 * n * max(map(abs, finite)) - 1  # below every permutation of cells
-        w = [[absent if t is None else t[0] for t in row] for row in best]
-        _, u, v, col = _hungarian_max(w)
+        _, u, v, col = _hungarian_max([[absent if t is None else t[0] for t in row] for row in best])
         tight = [{c: t[1] for c, t in enumerate(row) if t and u[r] + v[c] == t[0]}
                  for r, row in enumerate(best)]
         chosen = [best[r][col[r]] for r in range(n)]
-        return sum(t[1] for t in chosen), sum(t[2] for t in chosen), tight
-
-    ends = assign(-big, 1), assign(big, 1)
-    found = {p[0]: p for p in ends}
-    stack = [ends]
-    while stack:
-        (e1, h1, _), (e2, h2, _) = stack.pop()
-        if e2 - e1 < 2:
-            continue
-        a, b = h1 - h2, e2 - e1  # the slope where the two lines meet
-        mid = assign(a, b)
-        if b * mid[1] + a * mid[0] > b * h1 + a * e1:
-            found[mid[0]] = mid
-            stack += [(found[e1], mid), (mid, found[e2])]
-    hull = upper_chain(sorted((e, h) for e, h, _ in found.values()))
-
-    out = []
-    for k, (e, h) in enumerate(hull):
-        if k == 0:
-            tight = ends[0][2]
-        elif k == len(hull) - 1:
-            tight = ends[1][2]
-        else:
-            (el, hl), (er, hr) = hull[k - 1], hull[k + 1]
-            lam = (Fraction(hl - h, e - el) + Fraction(h - hr, er - e)) / 2
-            tight = assign(lam.numerator, lam.denominator)[2]
         picks = [{c: rows[r][c][i][0] for c, i in t.items()} for r, t in enumerate(tight)]
-        out.append((e, Fraction(h, d), tight, picks))
-    return out
+        out.append((sum(t[1] for t in chosen), sum(t[2] for t in chosen), tight, picks))
+    for (e0, h0, *_), (e1, h1, *_), (r, m) in zip(out, out[1:], roots):
+        if e1 - e0 != m or h0 - h1 != r * d * m:
+            raise AssertionError("resultant corners disagree with the stable intersection")
+    return [(e, Fraction(h, d), tight, picks) for e, h, tight, picks in out]
 
 
 def _corner_coeff(picks, coeffs, zero):
@@ -493,14 +470,6 @@ def _tight_det(rows, zero):
     return masked_det(n, lambda r, c: rows[r].get(c), zero)
 
 
-def trop_univariate_roots(heights: dict):
-    """Roots with multiplicities of a univariate max-plus polynomial: one
-    per segment between consecutive Newton-segment vertices."""
-    verts = [e for e, _ in upper_chain(sorted(heights.items()))]
-    return [(Fraction(heights[e0] - heights[e1], e1 - e0), e1 - e0)
-            for e0, e1 in zip(verts, verts[1:])]
-
-
 # ---------------------------------------------------------------------------
 # intersection step over jets
 
@@ -511,7 +480,6 @@ class FamilyPlan:
     tight graphs as picks, and the monomial flags of their conditions."""
 
     name: str                    # "x", "y" or "z"
-    heights: dict                # orders of the resultant's corner coefficients
     vertex_indices: list
     picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
     monomial_flags: list | None  # per vertex; None when shape analysis skipped
@@ -525,9 +493,10 @@ class FamilyPlan:
         return bool(self.monomial_flags) and all(self.monomial_flags)
 
 
-def _resultant_family(name, f_jets, g_jets) -> FamilyPlan:
-    """The plan of one resultant family, from the orders of its jets."""
-    corners = _resultant_corners(f_jets, g_jets)
+def _resultant_family(name, f_jets, g_jets, roots) -> FamilyPlan:
+    """The plan of one resultant family, from the orders of its jets and
+    its tropical roots."""
+    corners = _resultant_corners(f_jets, g_jets, roots)
     flags = None
     if len(corners[0][2]) <= SHAPE_BOUND:
         # monomial-ness of the vertex conditions: the same tight graphs
@@ -538,13 +507,7 @@ def _resultant_family(name, f_jets, g_jets) -> FamilyPlan:
         for *_, picks in corners:
             det = _corner_coeff(picks, var, RPoly())
             flags.append(bool(det) and det.is_monomial())
-    return FamilyPlan(
-        name=name,
-        heights={e: h for e, h, *_ in corners},
-        vertex_indices=[e for e, *_ in corners],
-        picks=[picks for *_, picks in corners],
-        monomial_flags=flags,
-    )
+    return FamilyPlan(name, [e for e, *_ in corners], [picks for *_, picks in corners], flags)
 
 
 def _swap_xy(jets):
@@ -570,11 +533,10 @@ def _nonzero(jets):
     return {i: j for i, j in jets.items() if not j.is_zero}
 
 
-def choose_shear(f: TropPoly, g: TropPoly, rx_heights, ry_heights):
+def choose_shear(f: TropPoly, g: TropPoly, xs, ys):
     """Smallest a >= 0 with x - a*y injective on the candidate point set
-    T(f) n T(g) n T(R_x) n T(R_y)."""
-    xs = [r for r, _ in trop_univariate_roots(rx_heights)]
-    ys = [r for r, _ in trop_univariate_roots(ry_heights)]
+    T(f) n T(g) n T(R_x) n T(R_y), for the tropical roots xs of R_x and
+    ys of R_y."""
     cands = []
     for x in xs:
         for y in ys:
@@ -618,30 +580,35 @@ def point_supports(f_jets: dict, g_jets: dict, b):
         return exc
 
 
-def intersection_step_plan(f_jets: dict, g_jets: dict, points=()) -> IntersectionPlan:
+def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPlan:
     """The plan of an intersection step, read off the kinds and orders of
-    its input jets alone: the families R_x, R_y and R_z, with the shear
-    of R_z, and the argmax supports at each of the stable points.  A
-    family whose resultant is not defined is left out."""
-    supports = {b: point_supports(f_jets, g_jets, b) for b in points}
+    its input jets and its stable points, [(point, multiplicity)]: the
+    families R_x, R_y and R_z, whose tropical roots are the points'
+    projections, with the shear of R_z, and the argmax supports at each
+    stable point.  A family whose resultant is not defined is left out."""
+    supports = {b: point_supports(f_jets, g_jets, b) for b, _ in points}
     f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
         return IntersectionPlan(families=None, shear=None, supports=supports)
     f, g = (TropPoly(Support(jets), {i: j.order for i, j in jets.items()}) for jets in (f_jets, g_jets))
     families = []
 
-    def run(name, a=None):
+    def run(name, coord, a=None):
+        roots = {}
+        for b, m in points:
+            roots[coord(b)] = roots.get(coord(b), 0) + m
+        roots = sorted(roots.items())
         try:
-            families.append(_resultant_family(name, *_family_view(name, (f_jets, g_jets), a)))
+            families.append(_resultant_family(name, *_family_view(name, (f_jets, g_jets), a), roots))
         except ValueError:
             return None
-        return families[-1]
+        return [r for r, _ in roots]
 
-    fam_x, fam_y = run("x"), run("y")
+    xs, ys = run("x", lambda b: b[0]), run("y", lambda b: b[1])
     shear = None
-    if fam_x is not None and fam_y is not None:
-        shear = choose_shear(f, g, fam_x.heights, fam_y.heights)
-        run("z", shear)
+    if xs is not None and ys is not None:
+        shear = choose_shear(f, g, xs, ys)
+        run("z", lambda b: b[0] - shear * b[1], shear)
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 

@@ -7,7 +7,9 @@ off the dual subdivision, the two local-solve ``certify`` digests before
 the numeric local solve moved onto dense coefficient lists, the last
 three symbolic ``lift`` digests before ``RPoly`` packed its monomials
 into ints, the last five ``certify`` digests before the steps' fixed
-and always-compatible flags moved onto their plans); a change
+and always-compatible flags moved onto their plans, the last three
+before the resultant corners were read at slopes from the stable
+intersection); a change
 that alters any report byte shows up here.
 """
 
@@ -84,6 +86,15 @@ GOLDEN = [
      "0acbb1a4f0239330346c5510ed30f9b10403f97587522357c89fbefc6db2cc7c"),
     (["certify", "@weak_pascal", "--trials", "4", "--seed", "2"], 0,
      "52aa684a2a52d0d48e8d9ac0a4501f4cc12ac7b5809f828288966ad938c3ea1e"),
+    # resultant corners of degree >= 2 and the sheared family R_z,
+    # recorded before the corners were read at slopes from the stable
+    # intersection
+    (["lift", "@chasles", "--mode", "sample", "--trials", "8", "--seed", "2"], 0,
+     "debdf04f046171d56e853e8e65660227d12b6941cc32e714e4745927ad2cc79c"),
+    (["lift", "@cayley_bacharach_3_3", "--mode", "sample", "--trials", "8", "--seed", "2"], 0,
+     "832dcb0ee9437c88a2e4d69629dcdf68b720c71398a9195a35c7b0e99e0cd9e9"),
+    (["certify", "@weak_pascal", "--trials", "8", "--seed", "1"], 0,
+     "f6d53b270e29e97d13f1ad6592216ac84eb7db00eb60643802c4ba1b812cda9f"),
 ]
 
 

@@ -40,6 +40,7 @@ from tropgeo.stable_ops import (
     _inside,
     _monomial_jet,
     _dense_in_y,
+    _family_view,
     _perturbed_intersection,
     _point_values,
     _resultant_corners,
@@ -54,7 +55,6 @@ from tropgeo.stable_ops import (
     stable_curve,
     stable_intersection,
     trop_product,
-    trop_univariate_roots,
 )
 from tropgeo.trop_linalg import (
     cramer_conditions,
@@ -583,6 +583,23 @@ def _line_jets(coeffs, names=None, orders=None):
     return out
 
 
+def _stable_points(f_jets, g_jets):
+    """The stable intersection, [(point, multiplicity)], of the tropical
+    polynomials whose coefficients are the orders of the jets."""
+    return stable_intersection(*(TropPoly(Support(jets), {i: j.order for i, j in jets.items()})
+                                 for jets in (f_jets, g_jets))).points
+
+
+def _x_roots(f_jets, g_jets):
+    """The tropical roots of Res_y(f, g), [(root, multiplicity)]
+    ascending: the x-coordinates of the stable points, with the
+    multiplicities of the points that share one summed."""
+    out = {}
+    for (x, _), m in _stable_points(f_jets, g_jets):
+        out[x] = out.get(x, 0) + m
+    return sorted(out.items())
+
+
 def _symbolic_line_jets(orders):
     """Two lines f and g on (x, y, 1) with the given orders and one
     variable per coefficient."""
@@ -592,7 +609,7 @@ def _symbolic_line_jets(orders):
 
 def test_two_lines_on_a_shared_ray_are_fixed_not_always_compatible():
     f, g = _symbolic_line_jets([(1, 0, 1), (3, 0, 3)])
-    plan = intersection_step_plan(f, g)
+    plan = intersection_step_plan(f, g, _stable_points(f, g))
     conds, undecidable = intersection_step_conditions(f, g, plan)
     assert plan.shear is not None
     assert not undecidable and all(c.poly for c in conds.conditions)
@@ -610,7 +627,7 @@ def test_two_transversal_lines_are_always_compatible():
     f, g = _symbolic_line_jets([(0, 0, 0), (0, 3, 1)])
     assert stable_intersection(*(TropPoly(LINE, {i: j.order for i, j in jets.items()})
                                  for jets in (f, g))).points == [((F(0), F(-2)), 1)]
-    plan = intersection_step_plan(f, g)
+    plan = intersection_step_plan(f, g, _stable_points(f, g))
     conds, undecidable = intersection_step_conditions(f, g, plan)
     assert not undecidable
     # a vertex-free edge-edge crossing: every vertex condition of every
@@ -628,7 +645,7 @@ def sylvester_resultant(f_jets, g_jets):
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
     zero = next(iter(coeffs[0].values())) * 0
     return [SimpleNamespace(index=e, order=h, coeff=_corner_coeff(picks, coeffs, zero))
-            for e, h, _, picks in _resultant_corners(f_jets, g_jets)]
+            for e, h, _, picks in _resultant_corners(f_jets, g_jets, _x_roots(f_jets, g_jets))]
 
 
 # The masked Laplace expansion of the Sylvester matrix over the jet ring,
@@ -756,7 +773,7 @@ def test_shape_flags_match_symbolic_oracle():
         f, g = (_random_jets(rng, F10007, shear, orders, degrees=(1, 2)) for _ in range(2))
         if not 0 < _ydeg(f) + _ydeg(g) <= 4:
             continue
-        fam = _resultant_family("x", f, g)
+        fam = _resultant_family("x", f, g, _x_roots(f, g))
         res = _laplace_resultant(*(
             {i: Jet.principal(j.order, RPoly.var(f"{tag}[{i[0]},{i[1]}]")) for i, j in jets.items()}
             for tag, jets in (("f", f), ("g", g))
@@ -789,16 +806,77 @@ def test_sheared_cubic_resultant_past_the_old_bound():
     assert len(corners) > 2
 
 
-def test_trop_resultant_roots_match_intersection():
-    # x-roots of Res_y are the x-coordinates of the stable intersection
-    C1 = TropPoly.parse("(-11)+2x+2y+2xy+0x^2+0y^2")
-    C2 = TropPoly.parse("0+8x+14y+20xy+12x^2+14y^2")
-    f_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C1.support.points, C1.coeffs)}
-    g_jets = {pt: Jet.principal(c, F(1)) for pt, c in zip(C2.support.points, C2.coeffs)}
-    heights = {k.index: k.order for k in sylvester_resultant(f_jets, g_jets)}
-    roots = sorted(r for r, _ in trop_univariate_roots(heights))
-    xs = sorted({p[0] for p, _ in stable_intersection(C1, C2).points})
-    assert roots == xs
+def _identity_jets(rng):
+    """Principal jets with half-integer orders on a dense degree-1..6
+    triangle or on a sparse subset of a box."""
+    if rng.random() < 0.5:
+        d = rng.choice([1, 1, 2, 2, 3, 3, 4, 5, 6])
+        pts = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    else:
+        box = [(i, j) for i in range(4) for j in range(4)]
+        pts = rng.sample(box, rng.randint(2, 7))
+    return {pt: Jet.principal(F(rng.randint(-12, 12), rng.choice([1, 2])), F10007.random_nonzero(rng))
+            for pt in pts}
+
+
+def test_resultant_corners_are_read_at_slopes_from_the_stable_intersection():
+    # tropical elimination is the projection of the stable intersection,
+    # with multiplicities: the roots of R_x, R_y and the sheared R_z are
+    # the stable points' x, y and x - a*y.  A plan whose corners disagree
+    # with them raises; where the Sylvester matrix is small the corners
+    # are the upper hull of the max-plus Sylvester permanent.
+    rng = random.Random(89)
+    coords = {"x": lambda b, a: b[0], "y": lambda b, a: b[1], "z": lambda b, a: b[0] - a * b[1]}
+    families = compared = large = 0
+    for _ in range(500):
+        f, g = _identity_jets(rng), _identity_jets(rng)
+        points = _stable_points(f, g)
+        plan = intersection_step_plan(f, g, points)
+        families += len(plan.families)
+        for fam in plan.families:
+            view = _family_view(fam.name, (f, g), plan.shear)
+            dim = _ydeg(view[0]) + _ydeg(view[1])
+            large += dim >= 10
+            if dim > 6:
+                continue
+            roots = {}
+            for b, m in points:
+                r = coords[fam.name](b, plan.shear)
+                roots[r] = roots.get(r, 0) + m
+            corners = _resultant_corners(*view, sorted(roots.items()))
+            assert [e for e, *_ in corners] == fam.vertex_indices
+            brute = _brute_trop_resultant(*({pt: j.order for pt, j in jets.items()} for jets in view))
+            assert [(e, h) for e, h, *_ in corners] == upper_chain(sorted(brute.items())), (f, g, fam.name)
+            compared += 1
+    assert families >= 1200 and compared >= 600 and large >= 50, (families, compared, large)
+    # the tripwire: R_x handed the roots of R_y
+    f, g = _symbolic_line_jets([(0, 0, 0), (0, 3, 1)])
+    with pytest.raises(AssertionError, match="disagree with the stable intersection"):
+        _resultant_corners(f, g, [(F(-2), 1)])
+
+
+def test_each_resultant_corner_costs_one_assignment(monkeypatch):
+    from tropgeo import stable_ops
+
+    calls = []
+    hungarian = stable_ops._hungarian_max
+
+    def counted(w):
+        calls.append(len(w))
+        return hungarian(w)
+
+    monkeypatch.setattr(stable_ops, "_hungarian_max", counted)
+    rng = random.Random(97)
+    for _ in range(40):
+        f, g = _identity_jets(rng), _identity_jets(rng)
+        for name in ("x", "y"):
+            view = _family_view(name, (f, g), None)
+            if _ydeg(view[0]) + _ydeg(view[1]) == 0:
+                continue
+            roots = _x_roots(*view)
+            calls.clear()
+            fam = _resultant_family(name, *view, roots)
+            assert len(calls) == len(fam.vertex_indices) == len(roots) + 1
 
 
 def _rand_bivariate(rng, max_deg=2, max_terms=4):
