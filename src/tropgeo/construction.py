@@ -52,6 +52,7 @@ from .stable_ops import (
     _condition_poly,
     _dense_in_y,
     _fiber,
+    _to_origin,
     curve_step_jets,
     curve_step_plan,
     intersection_step_conditions,
@@ -667,8 +668,9 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
 
     Numeric mode (a field F_p) finds every solution in (F_p*)^2, so an
     empty list adds the zero condition "no torus solution".  Symbolic
-    mode (field None) solves linear systems only, in closed form; the
-    coordinates and the determinant must not vanish.
+    mode (field None) solves linear systems only, in closed form, after
+    moving each polynomial to the origin; the coordinates and the
+    determinant must not vanish.
     """
     if isinstance(supports, InformationLostError):
         return supports
@@ -681,7 +683,7 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
             return [], [("no torus solution", field.zero)]
         sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
         return [(t.x, t.y) for t in sols], []
-    ft, gt = (support_terms(jets, sup) for jets, sup in zip((f_jets, g_jets), supports))
+    ft, gt = (_to_origin(support_terms(jets, sup)) for jets, sup in zip((f_jets, g_jets), supports))
     try:
         x, y, det = solve_local_linear(ft, gt)
     except ValueError as exc:
@@ -696,13 +698,12 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
     si = r.intersections[idx]
-    points = [b for b, _m in si.points]
     plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets, si.points))
     # the local systems, one per distinct stable point, come before the
     # resultants, whose symbolic corner coefficients grow fast with the
     # degree, so that a step symbolic mode cannot solve stops at once
     outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
-                for b in points]
+                for b, _ in si.points]
     step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, origin=origin)
     conds.merge(step_cs)
     step_conds = [(c.origin, c.poly) for c in step_cs.conditions]

@@ -41,11 +41,11 @@ all of them vanish, and ``local_intersection_solve`` the roots of the
 coefficients on the plan's supports.
 
 A numeric local system lives in F_p and stays on dense int lists from
-its residual terms to its roots: each polynomial is read as {y-degree:
-dense x-list} mod p, its eliminant is the fraction-free (Bareiss)
-determinant of the Sylvester matrix over F_p[x], each fiber over an
-x-root is evaluated by Horner, and the common y-roots of the two fibers
-are the roots of their gcd.
+its residual terms to its roots: each polynomial is divided by its
+monomial content and read as {y-degree: dense x-list} mod p, its
+eliminant is the fraction-free (Bareiss) determinant of the Sylvester
+matrix over F_p[x], each fiber over an x-root is evaluated by Horner,
+and the common y-roots of the two fibers are the roots of their gcd.
 """
 
 from __future__ import annotations
@@ -364,15 +364,19 @@ def _condition_poly(value):
 # Sylvester resultants in y
 
 
-def _by_y(poly: dict) -> dict:
-    """{(i, j): c} as {j: {i: c}}, after moving the support to the origin
-    so that neither x nor y divides the polynomial (torus roots are
-    unaffected)."""
+def _to_origin(poly: dict) -> dict:
+    """{(i, j): c} divided by its monomial content, so that neither x nor
+    y divides it; its torus roots are unaffected."""
     mi = min(i for i, _ in poly)
     mj = min(j for _, j in poly)
+    return {(i - mi, j - mj): c for (i, j), c in poly.items()}
+
+
+def _by_y(poly: dict) -> dict:
+    """{(i, j): c} moved to the origin, as {j: {i: c}}."""
     out = {}
-    for (i, j), c in poly.items():
-        out.setdefault(j - mj, {})[i - mi] = c
+    for (i, j), c in _to_origin(poly).items():
+        out.setdefault(j, {})[i] = c
     return out
 
 
@@ -687,9 +691,11 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     Elimination by Sylvester resultant in y, then the roots in F_p;
     returns the solutions with multiplicity bookkeeping (fiber
     multiplicities sum to the multiplicity of the x-root in the
-    eliminant).  Both polynomials are read as {y-degree: dense x-list}
-    of ints mod p, so the eliminant is a fraction-free determinant over
-    F_p[x].  ``supports`` is the pair of
+    eliminant).  Both polynomials are moved to the origin and read as
+    {y-degree: dense x-list} of ints mod p (``_dense_in_y``), so a
+    common monomial factor, which has no torus zero, does not make the
+    eliminant vanish, and the eliminant is a fraction-free determinant
+    over F_p[x].  ``supports`` is the pair of
     argmax supports at b (``point_supports``), found here when not
     given.  Over Q (``field`` None, symbolic mode) there is no local
     solve: it raises ``ValueError``.
@@ -718,17 +724,13 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
 
 
 def _dense_in_y(terms: dict, field):
-    """{(i, j): c} as {j: dense list over x} of ints mod p."""
+    """{(i, j): c} as {j: dense list over x} of ints mod p, the residues
+    that vanish mod p dropped and the rest moved to the origin
+    (``_by_y``)."""
     if any(isinstance(c, (RPoly, RFrac)) for c in terms.values()):
         raise ValueError("numeric local solve needs scalar coefficients")
-    out = {}
-    for (i, j), c in terms.items():
-        c = field.elt(c).v
-        if c:
-            col = out.setdefault(j, [])
-            col += [0] * (i + 1 - len(col))
-            col[i] = c
-    return out
+    nonzero = {ij: v for ij, c in terms.items() if (v := field.elt(c).v)}
+    return {j: [row.get(i, 0) for i in range(max(row) + 1)] for j, row in _by_y(nonzero).items()}
 
 
 def _fiber(h: dict, x0, p):

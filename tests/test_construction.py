@@ -404,6 +404,28 @@ def test_fano_pappus_numeric_lift_with_sound_witnesses():
         assert good >= 9
 
 
+def test_input_curve_intersections_lift_after_the_shift_to_the_origin():
+    # two residual polynomials that share a power of y have no common
+    # torus zero on it: the local solve divides the monomial content out,
+    # so its eliminant does not vanish and no step is refused as not
+    # zero-dimensional
+    from tropgeo.theorems import sample_inputs
+
+    for name in ("chasles", "cayley_bacharach_3_3"):
+        c = catalog()[name].hypothesis
+        witnessed = 0
+        for t in range(10):
+            r = realize(c, sample_inputs(c, random.Random(t)))
+            rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=8)
+            notes = [n for s in rep.steps for n in s.notes]
+            assert not any("not zero-dimensional" in n for n in notes), (name, t, notes)
+            if rep.witness_jets is not None:
+                assert verify_witness(c, r, rep.witness_jets) == [], (name, t)
+                witnessed += 1
+        # at t = 7 some local systems have no root in F_p
+        assert witnessed == 9, (name, witnessed)
+
+
 def test_vector_addition_certificates():
     c = catalog_construction("vector_addition")
     r = realize(c, {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)})

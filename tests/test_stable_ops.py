@@ -904,7 +904,16 @@ def _sympy_resultant(sympy, f, g, field):
     return _dense([int(c) for c in reversed(sympy.Poly(res, x).all_coeffs())], field.p)
 
 
+def _monomial_free(t):
+    """{(i, j): c} divided by x^min(i) * y^min(j)."""
+    mi, mj = min(i for i, _ in t), min(j for _, j in t)
+    return {(i - mi, j - mj): c for (i, j), c in t.items()}
+
+
 def test_dense_eliminant_matches_sympy():
+    # the local solve divides each polynomial by its monomial content
+    # first, so that a common power of x or y does not make its
+    # eliminant vanish
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     for spec in ("fp:2", "fp:3", "fp:10007"):
@@ -916,9 +925,10 @@ def test_dense_eliminant_matches_sympy():
             f, g = (_rand_bivariate(rng, max_deg=deg, max_terms=deg + 2) for _ in range(2))
             # coefficients that vanish mod p drop out
             f, g = ({pt: c for pt, c in t.items() if c % field.p} for t in (f, g))
-            if not f or not g or all(j == 0 for _, j in [*f, *g]):
+            if not f or not g or _ydeg(f) + _ydeg(g) == 0:
                 continue
-            assert _eliminant(f, g, field) == _sympy_resultant(sympy, f, g, field), (spec, f, g)
+            expected = _sympy_resultant(sympy, _monomial_free(f), _monomial_free(g), field)
+            assert _eliminant(f, g, field) == expected, (spec, f, g)
             dims.add(_ydeg(f) + _ydeg(g))
             checked += 1
         assert max(dims) >= 10, spec
@@ -1241,12 +1251,24 @@ def _fp_torus_zeros(f, g, p):
     return out
 
 
+def _common_component(sympy, f, g, p):
+    """Whether f and g share a factor over GF(p) that is not a monomial,
+    a curve of common torus zeros: the degree of the gcd of the two
+    polynomials divided by their monomial contents, by sympy."""
+    x, y = sympy.symbols("x y")
+    fs, gs = (sympy.Poly(sum(c * x**i * y**j for (i, j), c in _monomial_free(t).items()), x, y, modulus=p)
+              for t in (f, g))
+    return sympy.gcd(fs, gs).total_degree() > 0
+
+
 def test_local_solve_matches_brute_force_over_small_fields():
     # p = 67 and 101 take the gcd(x^p - x, f) splitting branch of the root
-    # finder, the smaller fields its scan of F_p^*
+    # finder, the smaller fields its scan of F_p^*.  A refused system must
+    # have a common component in the torus.
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(29)
     tri = [(i, j) for i in range(4) for j in range(4 - i)]
-    compared = nonsimple = 0
+    compared = nonsimple = refused = 0
     for p in (5, 7, 13, 67, 101):
         field = ResidualField(p)
         for _ in range(120):
@@ -1256,13 +1278,15 @@ def test_local_solve_matches_brute_force_over_small_fields():
             try:
                 sols = local_intersection_solve(fj, gj, (0, 0), field)
             except InformationLostError:
-                continue  # y-free or a common factor: not zero-dimensional
+                assert _common_component(sympy, f, g, p), (p, f, g)
+                refused += 1
+                continue
             got = [(s.x.v, s.y.v) for s in sols]
             assert len(set(got)) == len(got) and set(got) == _fp_torus_zeros(f, g, p), (p, f, g)
             assert all(s.multiplicity > 0 for s in sols)
             nonsimple += any(s.multiplicity != 1 for s in sols)
             compared += 1
-    assert compared >= 500 and nonsimple >= 20, (compared, nonsimple)
+    assert compared >= 500 and nonsimple >= 20 and refused >= 1, (compared, nonsimple, refused)
 
 
 def _intersected_y_roots(f0, g0, field):
