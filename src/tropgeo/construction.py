@@ -12,7 +12,8 @@ point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
 residuals are indeterminates over Q (symbolic mode, which has no field)
 or random elements of F_p* (numeric), and each local system is solved in
-closed form when linear (symbolic) or by root finding in F_p (numeric).
+closed form when linear (symbolic, as a homogeneous point (X : Y : Z),
+so that symbolic mode never divides) or by root finding in F_p (numeric).
 
 The tropical half of each step does not depend on the residues, so a
 ``lift_conditions`` call keeps a lift plan: each step's plan (see
@@ -38,7 +39,6 @@ from .residual import (
     PROVABLY_EMPTY,
     DEFAULT_FIELD,
     ResidualField,
-    RFrac,
     RPoly,
     RootsOutsideFieldError,
     density_test,
@@ -49,7 +49,6 @@ from .residual import (
 )
 from .genpos import _DSU
 from .stable_ops import (
-    _condition_poly,
     _dense_in_y,
     _fiber,
     _to_origin,
@@ -636,7 +635,7 @@ def _step_plan(plans, idx, ins, build):
 
 def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans):
     ins = [jets[q] for q in s.through]
-    pt_jets = [((jx.order, jy.order), (jx, jy)) for jx, jy in ins]
+    pt_jets = [((pj[0].order, pj[1].order), pj) for pj in ins]
     plan = _step_plan(plans, idx, ins, lambda: curve_step_plan(s.support, [p for p, _ in pt_jets]))
     jets[s.name], step_cs, undecidable = curve_step_jets(
         s.support, pt_jets, plan, origin=f"step#{idx} curve {s.name}")
@@ -666,11 +665,11 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     InformationLostError that ended it.  ``supports`` is the step plan's
     ``point_supports`` at b.
 
-    Numeric mode (a field F_p) finds every solution in (F_p*)^2, so an
-    empty list adds the zero condition "no torus solution".  Symbolic
-    mode (field None) solves linear systems only, in closed form, after
-    moving each polynomial to the origin; the coordinates and the
-    determinant must not vanish.
+    Numeric mode (a field F_p) finds every solution (x, y) in (F_p*)^2,
+    so an empty list adds the zero condition "no torus solution".
+    Symbolic mode (field None) solves linear systems only, after moving
+    each polynomial to the origin, as the homogeneous point (X, Y, Z) of
+    ``solve_local_linear``; Z, X and Y must not vanish.
     """
     if isinstance(supports, InformationLostError):
         return supports
@@ -685,12 +684,11 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
         return [(t.x, t.y) for t in sols], []
     ft, gt = (_to_origin(support_terms(jets, sup)) for jets, sup in zip((f_jets, g_jets), supports))
     try:
-        x, y, det = solve_local_linear(ft, gt)
+        x, y, z = solve_local_linear(ft, gt)
     except ValueError as exc:
         raise SymbolicModeUnsupported(f"{origin}: {exc} at point {b}") from exc
-    checks = [(what, _condition_poly(v))
-              for what, v in (("local det", det), ("torus x", x), ("torus y", y))]
-    return [(x, y)] if all(v for _, v in checks) else [], checks
+    checks = [("local det", z), ("torus x", x), ("torus y", y)]
+    return [(x, y, z)] if all(v for _, v in checks) else [], checks
 
 
 def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans):
@@ -725,7 +723,8 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
                 step_conds.append((f"{origin} {what} at {b}", v))
         failed = failed or not solved[b]
 
-    # hand the solved principal terms to the labeled points
+    # hand the solved principal terms to the labeled points; a symbolic
+    # point's third jet, of order 0, is its homogeneous coordinate Z
     perm = r.labelings[idx]
     labeled_pts = si.as_labeled()
     cursor = {}
@@ -734,9 +733,8 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
         options = solved[b]
         if options:
             i = cursor.get(b, 0)
-            x, y = options[i % len(options)]
             cursor[b] = i + 1
-            jets[q] = (Jet.principal(b[0], x), Jet.principal(b[1], y))
+            jets[q] = tuple(Jet.principal(o, v) for o, v in zip((*b, 0), options[i % len(options)]))
         else:
             jets[q] = (Jet.degenerate(b[0]), Jet.degenerate(b[1]))
 
@@ -816,7 +814,7 @@ def _passes(c: Construction, r: TropRealization, field, seed, trials):
     this generator: the tropical work of each step is done once per
     kinds of its input jets, and a pass evaluates only the residues."""
     if field is None:
-        draws = [lambda v: RFrac.of(RPoly.var(v))]
+        draws = [RPoly.var]
     else:
         draws = (_sampler(field, trial_rng(seed, t)) for t in range(trials))
     plans = {}
@@ -830,7 +828,7 @@ def _witness_json(jets):
         if isinstance(j, tuple):
             out[n] = {
                 "order": [str(j[0].order), str(j[1].order)],
-                "coeff": [_jet_coeff_str(j[0]), _jet_coeff_str(j[1])],
+                "coeff": [_jet_coeff_str(j[0], *j[2:]), _jet_coeff_str(j[1], *j[2:])],
             }
         else:
             pts = sorted(j)
@@ -842,9 +840,11 @@ def _witness_json(jets):
     return out
 
 
-def _jet_coeff_str(j: Jet):
+def _jet_coeff_str(j: Jet, z: Jet | None = None):
+    """A jet's coefficient; a coordinate of a homogeneous point whose Z
+    jet is z prints as the affine (coefficient)/(Z) unless Z is 1."""
     if j.is_principal:
-        return str(j.coeff)
+        return str(j.coeff) if z is None or z.coeff == 1 else f"({j.coeff})/({z.coeff})"
     if j.is_degenerate:
         return "?"
     return "0"

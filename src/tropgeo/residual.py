@@ -1,17 +1,18 @@
 """Residual-field arithmetic: scalars, sparse polynomials, jets, and
 dense univariate polynomials over F_p (roots, determinants).
 
-Symbolic values are sparse ``RPoly``s over Q on packed int monomials.
-Numeric residues live in a prime field F_p only: numeric residual
-polynomials are dense int coefficient lists mod p, low degree first, and
-``dense_roots`` finds their roots in F_p.  All lifting computations run
-over the ring of *jets*: principal terms c*t^(-u) with an explicit
-absorbing element for "principal information lost", so undecidability
-surfaces as a value instead of a crash.
+Symbolic values live in one ring: sparse ``RPoly``s over Q on packed
+int monomials, with no division anywhere.  A symbolic intersection point
+is homogeneous, (X : Y : Z) with Z the local determinant, so no residue
+is ever a fraction.  Numeric residues live in a prime field F_p only:
+numeric residual polynomials are dense int coefficient lists mod p, low
+degree first, and ``dense_roots`` finds their roots in F_p.  All lifting
+computations run over the ring of *jets*: principal terms c*t^(-u) with
+an explicit absorbing element for "principal information lost", so
+undecidability surfaces as a value instead of a crash.
 
-Coefficients of jets range over any of the domains defined here
-(field scalars, sparse polynomials, rational functions); all of them
-support +, -, *, truth-testing for zero and exact equality.
+Coefficients of jets are F_p scalars or ``RPoly``s; both support +, -,
+*, truth-testing for zero and exact equality.
 
 A fixed multiplicative section of the valuation is assumed implicitly:
 t^u * t^v = t^(u+v) exactly, so jets multiply orders additively and
@@ -402,7 +403,7 @@ class RPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers live in RFrac")
+            raise ValueError("RPoly has no negative powers: symbolic mode divides nothing")
         out, b = RPoly({0: 1}), self
         while n:
             if n & 1:
@@ -448,74 +449,6 @@ class RPoly:
 
     def __repr__(self):
         return f"RPoly({self})"
-
-
-class RFrac:
-    """Rational function num/den; zero test is exact (num == 0)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RPoly, den: RPoly | None = None):
-        den = den if den is not None else RPoly.const(1)
-        if not den:
-            raise ZeroDivisionError("zero denominator in RFrac")
-        if not num:
-            den = RPoly.const(1)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(x) -> "RFrac":
-        if isinstance(x, RFrac):
-            return x
-        if isinstance(x, RPoly):
-            return RFrac(x)
-        return RFrac(RPoly.const(x))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        o = RFrac.of(other)
-        return RFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RFrac.of(other))
-
-    def __mul__(self, other):
-        o = RFrac.of(other)
-        return RFrac(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = RFrac.of(other)
-        if not o.num:
-            raise ZeroDivisionError("division by symbolic zero")
-        return RFrac(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, other):
-        try:
-            o = RFrac.of(other)
-        except TypeError:
-            return NotImplemented
-        return (self.num * o.den).canonical() == (o.num * self.den).canonical()
-
-    def __hash__(self):
-        return hash(("rfrac", self.num.canonical(), self.den.canonical()))
-
-    def __str__(self):
-        if self.den == RPoly.const(1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RFrac({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ from .residual import (
     Jet,
     JET_ZERO,
     ResidualField,
-    RFrac,
     RPoly,
     _dense_trim,
     _fp_eval,
@@ -282,14 +281,14 @@ def _jet_pow(j: Jet, e: int) -> Jet:
     return out
 
 
-def _monomial_jet(jx: Jet, jy: Jet, i) -> Jet:
-    if i == (0, 0):
-        return Jet.principal(0, _one_like_coeff(jx))
-    parts = []
-    if i[0]:
-        parts.append(_jet_pow(jx, i[0]))
-    if i[1]:
-        parts.append(_jet_pow(jy, i[1]))
+def _monomial_jet(pj, i, deg) -> Jet:
+    """The jet of the monomial x^i1 y^i2 at a point whose jets pj are
+    (x, y), or homogeneous (X, Y, Z), where it is X^i1 Y^i2 Z^(deg-i1-i2)
+    for the support's largest degree deg: the affine row scaled by Z^deg.
+    Z has order 0, so the scaling changes no order."""
+    parts = [_jet_pow(j, e) for j, e in zip(pj, (*i, deg - i[0] - i[1])) if e]
+    if not parts:
+        return Jet.principal(0, _one_like_coeff(pj[0]))
     out = parts[0]
     for p in parts[1:]:
         out = out * p
@@ -312,9 +311,11 @@ def curve_step_plan(I: Support, pts):
 
 
 def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
-    """Stable curve through points given as (tropical point, (jet_x, jet_y)),
+    """Stable curve through points given as (tropical point, point jets),
     whose ``curve_step_plan`` is plan: (coefficient jets, conditions,
-    undecidable).
+    undecidable).  Point jets are (jet_x, jet_y), or homogeneous
+    (jet_X, jet_Y, jet_Z) with Z of order 0, whose row of monomials is
+    homogenized to the support's largest degree (``_monomial_jet``).
 
     The minors of the homogeneous system are evaluated in the jet ring;
     a minor whose top order cancels is exactly a vanishing
@@ -322,9 +323,8 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
     jets carry cofactor signs so they solve the residual linear system.
     The step is undecidable when every pseudodeterminant vanishes.
     """
-    entries = []
-    for _, (jx, jy) in pt_jets:
-        entries.append([_monomial_jet(jx, jy, i) for i in I.points])
+    deg = max(i + j for i, j in I.points)
+    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for _, pj in pt_jets]
     # a minor's top order cancels iff its pseudodeterminant vanishes, and
     # only the optimal permutations, the tight ones, reach the top order
     minors = masked_minors(
@@ -341,7 +341,7 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
         else:
             cond_val = _condition_zero(entries)
         coeff_jets[i] = det if k % 2 == 0 else -det
-        conds.add(_condition_poly(cond_val), f"{origin} minor {i}")
+        conds.add(cond_val, f"{origin} minor {i}")
     return coeff_jets, conds, not any_nonzero
 
 
@@ -351,13 +351,6 @@ def _condition_zero(entries):
             if e.is_principal:
                 return e.coeff * 0
     return Fraction(0)
-
-
-def _condition_poly(value):
-    """Conditions are stored as polynomials: numerators for fractions."""
-    if isinstance(value, RFrac):
-        return value.num
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +630,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
         zero = next(iter(coeffs[0].values())) * 0
         for e, picks in zip(fam.vertex_indices, fam.picks):
             val = _corner_coeff(picks, view, zero)
-            cs.add(_condition_poly(val), f"{origin} R_{fam.name} coeff {e}")
+            cs.add(val, f"{origin} R_{fam.name} coeff {e}")
             undecidable = undecidable and not val
     return cs, undecidable
 
@@ -658,11 +651,12 @@ def _xy_terms_linear(terms: dict):
 
 
 def solve_local_linear(ft: dict, gt: dict):
-    """Unique torus solution of two affine-linear residual polynomials.
-
-    Works over scalars and over rational functions; returns
-    (x, y, det) and leaves the nonvanishing of det and of the
-    coordinates to the caller's condition set.
+    """The solution of two affine-linear residual polynomials a*x + b*y + c
+    as a homogeneous point: the Cramer triple (X : Y : Z) with
+    X = b1*c2 - b2*c1, Y = c1*a2 - c2*a1 and Z = a1*b2 - a2*b1, so that
+    x = X/Z and y = Y/Z.  Nothing is divided, so it works over any ring;
+    the caller's condition set keeps Z (the local determinant), X and Y
+    nonzero, which puts the point in the torus.
     """
     l1 = _xy_terms_linear(ft)
     l2 = _xy_terms_linear(gt)
@@ -670,12 +664,10 @@ def solve_local_linear(ft: dict, gt: dict):
         raise ValueError("local system is not linear")
     a1, b1, c1 = l1
     a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if not det:
+    z = a1 * b2 - a2 * b1
+    if not z:
         raise ValueError("local linear system is singular")
-    x = (b1 * c2 - b2 * c1) / det
-    y = (c1 * a2 - c2 * a1) / det
-    return x, y, det
+    return b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, z
 
 
 @dataclass
@@ -706,6 +698,9 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
         supports = residual_support(f_jets, b), residual_support(g_jets, b)
     f, g = (_dense_in_y(support_terms(jets, sup), field) for jets, sup in zip((f_jets, g_jets), supports))
     if max(f) == 0 and max(g) == 0:
+        # y-free: common zeros are whole lines x = r over the common x-roots
+        if len(_fp_polygcd(f[0], g[0], field.p)) == 1:
+            return []
         raise InformationLostError("residual system is y-free; not zero-dimensional")
     res = dense_det([[cell or [] for cell in row] for row in _sylvester_rows(f, g)], field.p)
     if not res:
@@ -727,7 +722,7 @@ def _dense_in_y(terms: dict, field):
     """{(i, j): c} as {j: dense list over x} of ints mod p, the residues
     that vanish mod p dropped and the rest moved to the origin
     (``_by_y``)."""
-    if any(isinstance(c, (RPoly, RFrac)) for c in terms.values()):
+    if any(isinstance(c, RPoly) for c in terms.values()):
         raise ValueError("numeric local solve needs scalar coefficients")
     nonzero = {ij: v for ij, c in terms.items() if (v := field.elt(c).v)}
     return {j: [row.get(i, 0) for i in range(max(row) + 1)] for j, row in _by_y(nonzero).items()}

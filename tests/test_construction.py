@@ -14,6 +14,7 @@ from tropgeo.residual import (
     PROVABLY_EMPTY,
     Jet,
     ResidualField,
+    RPoly,
     residual_terms,
 )
 from tropgeo.cli import main
@@ -424,6 +425,94 @@ def test_input_curve_intersections_lift_after_the_shift_to_the_origin():
                 witnessed += 1
         # at t = 7 some local systems have no root in F_p
         assert witnessed == 9, (name, witnessed)
+
+
+def _catalog_doc(name):
+    """The parsed catalog file; vector_addition_z is vector_addition
+    without its last line l9, which symbolic mode runs in full."""
+    text = (resources.files("tropgeo") / "catalog" / f"{name.removesuffix('_z')}.tgc").read_text()
+    if name.endswith("_z"):
+        text = "".join(ln for ln in text.splitlines(True) if not ln.startswith("curve l9 "))
+    return dsl.parse(text)
+
+
+def _failed_local_solves(step):
+    """The stable points of an intersection step whose local solve failed:
+    a vanishing "no torus solution" condition or a note of lost information."""
+    return ({o.rsplit(" at ", 1)[1] for o, v in step.conditions
+             if " no torus solution at " in o and not v}
+            | {n.split(": ", 1)[0].removeprefix("local solve at ")
+               for n in step.notes if n.startswith("local solve at ")})
+
+
+def _evaluates_to(sym, num, sample):
+    """Whether symbolic node jets evaluated at sample are the numeric jets
+    num, with the same kinds and orders: a homogeneous point (X, Y, Z) is
+    (X/Z, Y/Z), and a curve's coefficients are num's times one nonzero
+    factor."""
+    def value(j):
+        return F10007.elt(j.coeff.evaluate(sample))
+
+    if isinstance(num, tuple):
+        z = value(sym[2]) if len(sym) == 3 else F10007.one
+        return z and all((s.kind, s.order) == (n.kind, n.order) and (
+            not n.is_principal or value(s) == n.coeff * z) for s, n in zip(sym, num))
+    if any((sym[i].kind, sym[i].order) != (n.kind, n.order) for i, n in num.items()):
+        return False
+    return len({value(sym[i]) / n.coeff for i, n in num.items() if n.is_principal}) <= 1
+
+
+@pytest.mark.parametrize("name", ["fano", "pappus", "pascal_converse", "abc_double_path",
+                                  "vector_addition_z"])
+def test_symbolic_conditions_vanish_where_the_numeric_pass_does(name):
+    # one symbolic pass, its conditions evaluated at a residue sample in
+    # F_10007, against a numeric pass at the same residues: per step the
+    # same conditions vanish.  A symbolic point is (X : Y : Z) and the
+    # numeric one (X/Z, Y/Z), so the two passes' conditions differ by
+    # powers of the local determinants Z, which the symbolic pass keeps
+    # nonzero: where its local det, torus x or torus y condition vanishes
+    # at b, the numeric local solve at b fails.  Past the first step with
+    # a vanishing condition that is not the zero polynomial, the numeric
+    # jets are degenerate where the symbolic ones are not, so the
+    # comparison stops there.  A pass compared to its end also has the
+    # numeric pass's jets: (X/Z, Y/Z) at each point, and each curve's
+    # coefficients up to one nonzero factor.
+    from tropgeo.theorems import sample_inputs
+
+    doc = _catalog_doc(name)
+    c = dsl.to_construction(doc)
+    local = (" local det at ", " torus x at ", " torus y at ")
+    compared = seed = full = 0
+    while compared < 20:
+        inputs = sample_inputs(c, random.Random(seed))
+        inputs.update(doc.realization_map())
+        r = realize(c, inputs)
+        seed += 1
+        try:
+            sym, conds, sym_jets, _ = construction._propagate(c, r, RPoly.var, None, {})
+        except construction.SymbolicModeUnsupported:
+            continue
+        rng = random.Random(1000 + seed)
+        sample = {v: F10007.random_nonzero(rng) for v in conds.variables}
+        num, _, num_jets, _ = construction._propagate(c, r, sample.__getitem__, F10007, {})
+        compared += 1
+        for s, n in zip(sym, num, strict=True):
+            assert all(isinstance(v, RPoly) for _, v in s.conditions), (name, s.index)
+            vanish = [(o, v) for o, v in s.conditions if not v.evaluate(sample)]
+            sym_zero = {o for o, _ in vanish if not any(k in o for k in local)}
+            num_zero = {o for o, v in n.conditions if not v and " no torus solution at " not in o}
+            assert sym_zero == num_zero, (name, seed, s.index)
+            failed = {o.rsplit(" at ", 1)[1] for o, _ in vanish if any(k in o for k in local)}
+            assert failed | _failed_local_solves(s) == _failed_local_solves(n), (name, seed, s.index)
+            if any(v for _, v in vanish):
+                break
+        else:
+            full += 1
+            for node, nj in num_jets.items():
+                assert _evaluates_to(sym_jets[node], nj, sample), (name, seed, node)
+    # a sample makes a nonzero condition vanish with probability about
+    # (its degree)/p, so almost every pass is compared to its end
+    assert full >= 18, (name, full)
 
 
 def test_vector_addition_certificates():

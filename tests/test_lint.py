@@ -2,7 +2,8 @@
 no module-level import goes unused, no private module-level function or
 class goes unreferenced in the package, no public one goes unread in the
 package, its tests and its benchmark, and no float enters the library
-outside the SVG renderer, which only formats pixel coordinates."""
+outside the SVG renderer, which only formats pixel coordinates; no class
+but the prime field's element divides."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,14 @@ def test_no_floats_outside_the_svg_renderer():
             for name, tree in MODULES.items() for scope, line in _float_uses(tree)
             if (name, scope) not in FLOAT_OK]
     assert not hits, hits
+
+
+def test_only_the_prime_field_divides():
+    # symbolic residues are RPolys and symbolic points homogeneous, so the
+    # only division in the library is F_p's
+    dividers = [f"{name}.{node.name}"
+                for name, tree in MODULES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(d, ast.FunctionDef) and d.name in ("__truediv__", "__rtruediv__")
+                        for d in node.body)]
+    assert dividers == ["residual.FpElt"], dividers

@@ -15,7 +15,6 @@ from tropgeo.residual import (
     NONEMPTY_DENSE,
     PROVABLY_EMPTY,
     ResidualField,
-    RFrac,
     _MR_BOUND,
     _is_prime,
     RPoly,
@@ -557,12 +556,3 @@ def test_schwartz_zippel_sanity():
             hits += 1
     bound = d / 100 + 3 * (d / 100) ** 0.5 / trials**0.5 + 3 * (trials ** -0.5)
     assert hits / trials <= d / 100 + 0.05
-
-
-def test_rfrac_zero_test_and_arithmetic():
-    a = RFrac.of(RPoly.var("x")) / RFrac.of(RPoly.var("y"))
-    b = RFrac.of(RPoly.var("x")) / RFrac.of(RPoly.var("y"))
-    assert a == b
-    assert not (a - b)
-    with pytest.raises(ZeroDivisionError):
-        a / (b - a)

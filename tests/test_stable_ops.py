@@ -34,7 +34,6 @@ from tropgeo.stable_ops import (
     _Degenerate,
     _by_y,
     _common_y_roots,
-    _condition_poly,
     _condition_zero,
     _corner_coeff,
     _inside,
@@ -497,7 +496,8 @@ def _reference_curve_step(I, pt_jets):
     """Each minor as the full jet determinant of its deleted-column
     matrix: the top order cancels iff the pseudodeterminant vanishes."""
     trop = point_value_matrix(I, [p for p, _ in pt_jets])
-    entries = [[_monomial_jet(jx, jy, i) for i in I.points] for _, (jx, jy) in pt_jets]
+    deg = max(i + j for i, j in I.points)
+    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for _, pj in pt_jets]
     conds, coeff_jets, any_nonzero = ConditionSet(), {}, False
     for k, i in enumerate(I.points):
         cols = [c for c in range(len(I.points)) if c != k]
@@ -509,7 +509,7 @@ def _reference_curve_step(I, pt_jets):
         else:
             cond_val, jet = _condition_zero(entries), Jet.degenerate(value)
         coeff_jets[i] = jet
-        conds.add(_condition_poly(cond_val), f"curve minor {i}")
+        conds.add(cond_val, f"curve minor {i}")
     return coeff_jets, conds, not any_nonzero
 
 
@@ -1168,6 +1168,20 @@ def test_local_solve_generic_lines_in_torus():
     assert len(sols) == 1
     s = sols[0]
     assert 3 * s.x + 2 * s.y + 5 == 0 and 5 * s.x + s.y + 2 == 0
+
+
+def test_y_free_local_systems_without_a_common_x_root_have_no_solution():
+    # at (0, 0), x + 1 and y*(x + 2) are y-free after the shift to the
+    # origin; their x-polynomials are coprime, so there is no common zero
+    def jets(terms):
+        return {pt: Jet.principal(0, F10007.elt(c)) for pt, c in terms.items()}
+
+    f = jets({(1, 0): 1, (0, 0): 1})
+    assert local_intersection_solve(f, jets({(1, 1): 1, (0, 1): 2}), (0, 0), F10007) == []
+    # x + 1 and y*(x + 1)*(x + 2) share the line x = -1
+    g = jets({(2, 1): 1, (1, 1): 3, (0, 1): 2})
+    with pytest.raises(InformationLostError, match="y-free; not zero-dimensional"):
+        local_intersection_solve(f, g, (0, 0), F10007)
 
 
 def test_local_solve_over_q_is_refused():

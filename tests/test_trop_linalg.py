@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropgeo.residual import RPoly
+from tropgeo.residual import Jet, RPoly
+from tropgeo.stable_ops import curve_step_jets, curve_step_plan
 from tropgeo.trop_linalg import (
     _hungarian_max,
     _scaled,
@@ -213,7 +214,11 @@ def _plain_det(m):
 def test_lemma_disjoint_monomials_for_homogenized_points():
     """Curve-through-points with homogenized symbolic residual points:
     every Cramer entry is a nonzero multihomogeneous polynomial and no
-    two entries share a monomial (line and conic supports)."""
+    two entries share a monomial (line and conic supports).  The lift's
+    curve step on homogeneous point jets (X, Y, Z), Z of order 0, gives
+    these entries as its conditions, and with every Z set to 1 the
+    conditions of the same step on the affine jets (X, Y), with the same
+    orders: scaling a row by Z^deg changes no order."""
     from tropgeo.trop_core import Support
 
     rng = random.Random(21)
@@ -239,3 +244,20 @@ def test_lemma_disjoint_monomials_for_homogenized_points():
         for u in range(len(monomial_sets)):
             for v in range(u + 1, len(monomial_sets)):
                 assert not (monomial_sets[u] & monomial_sets[v])
+        for mono in set().union(*monomial_sets):
+            for j in range(npts):
+                assert sum(e for v, e in mono if v.startswith(f"g{j}.")) == deg
+
+        plan = curve_step_plan(sup, pts)
+        var = [[RPoly.var(f"g{j}.{k}") for k in (1, 2, 3)] for j in range(npts)]
+        homog = [(q, (Jet.principal(q[0], X), Jet.principal(q[1], Y), Jet.principal(0, Z)))
+                 for q, (X, Y, Z) in zip(pts, var)]
+        affine = [(q, (jx, jy)) for q, (jx, jy, _) in homog]
+        h_jets, h_conds, h_undecidable = curve_step_jets(sup, homog, plan)
+        a_jets, a_conds, _ = curve_step_jets(sup, affine, plan)
+        assert not h_undecidable
+        assert [c.poly for c in h_conds.conditions] == [s for _, s in conds]
+        dehomogenize = {f"g{j}.{k}": var[j][k - 1] if k < 3 else 1 for j in range(npts) for k in (1, 2, 3)}
+        assert [c.poly.evaluate(dehomogenize) for c in h_conds.conditions] == [
+            c.poly for c in a_conds.conditions]
+        assert {i: j.order for i, j in h_jets.items()} == {i: j.order for i, j in a_jets.items()}
