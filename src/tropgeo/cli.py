@@ -337,7 +337,10 @@ def build_parser():
     sp = sub.add_parser("theorem", help="check a catalog or file statement")
     sp.add_argument("name")
     sp.add_argument("--trials", type=int, default=100)
-    common(sp)
+    common(sp, field=False)
+    sp.add_argument("--field", default=None, help=(
+        "fp:P for a prime P below 3.3e24, the residual field of the lift probe on "
+        "trial 0 (default $TROPGEO_FIELD or fp:10007); no output prints the probe"))
     sp.set_defaults(func=cmd_theorem)
 
     sp = sub.add_parser("genpos", help="generic position of points in a curve")

@@ -15,12 +15,16 @@ or random elements of F_p* (numeric), and each local system is solved in
 closed form when linear (symbolic, as a homogeneous point (X : Y : Z),
 so that symbolic mode never divides) or by root finding in F_p (numeric).
 
-The tropical half of each step does not depend on the residues, so a
-``lift_conditions`` call keeps a lift plan: each step's plan (see
-``stable_ops``) is built at the first pass that meets the kinds
-(principal, degenerate, zero) of its input jets, and reused by every
-later trial; a trial only evaluates the residues.  The plan is dropped
-when the call returns.
+The tropical half of each step does not depend on the residues, and the
+realization solves it once: ``realize`` keeps each curve step's Cramer
+solution and each intersection step's stable points, and the lift reads
+them.  The rest of an intersection step's residue-free work, its
+resultant corners and the argmax supports of its local solves (see
+``stable_ops``), depends on the kinds (principal, degenerate) of its
+input jets too.  A ``lift_conditions`` call keeps it in a lift plan,
+built at the first pass that meets those kinds and reused by every
+later trial, so a trial only evaluates the residues.  The plan is
+dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -51,14 +55,13 @@ from .genpos import _DSU
 from .stable_ops import (
     _dense_in_y,
     _fiber,
+    _solve_curve,
     _to_origin,
     curve_step_jets,
-    curve_step_plan,
     intersection_step_conditions,
     intersection_step_plan,
     local_intersection_solve,
     solve_local_linear,
-    stable_curve,
     stable_intersection,
 )
 
@@ -427,8 +430,9 @@ def _two_paths(table, counts, a, b):
 @dataclass
 class TropRealization:
     values: dict                 # node -> point tuple or TropPoly
-    intersections: dict          # step index -> StableIntersection
-    labelings: dict              # step index -> tuple permutation applied
+    cramer: dict                 # curve step index -> its CramerSolution
+    intersections: dict          # intersection step index -> StableIntersection
+    labelings: dict              # intersection step index -> tuple permutation applied
 
 
 def realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
@@ -463,11 +467,12 @@ def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
         if f.support != sup:
             raise ValueError(f"input curve {n!r} has the wrong support")
         vals[n] = f
+    cramer = {}
     inters = {}
     labelings = {}
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            vals[s.name] = stable_curve(s.support, [vals[q] for q in s.through])
+            vals[s.name], cramer[idx] = _solve_curve(s.support, [vals[q] for q in s.through])
         else:
             si = stable_intersection(vals[s.curves[0]], vals[s.curves[1]])
             labeled = si.as_labeled()
@@ -480,7 +485,7 @@ def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
                 vals[q] = labeled[perm[k]]
             inters[idx] = si
             labelings[idx] = perm
-    return TropRealization(values=vals, intersections=inters, labelings=labelings)
+    return TropRealization(values=vals, cramer=cramer, intersections=inters, labelings=labelings)
 
 
 LABELING_MAX_POINTS = 4
@@ -593,8 +598,8 @@ def _sampler(field: ResidualField, rng: random.Random):
 def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     """One forward pass, with draw(name) the residual of each input
     variable; the condition set's variables are the names drawn, in
-    order; symbolic when field is None.  ``plans`` holds the step plans
-    met so far (``_step_plan``).
+    order; symbolic when field is None.  ``plans`` holds the
+    intersection step plans met so far (``_step_plan``).
     Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
 
@@ -608,7 +613,7 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     ok = True
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, plans)
+            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, r.cramer[idx])
         else:
             rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, field, plans)
         reports.append(rep)
@@ -617,28 +622,28 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
 
 
 def _step_key(idx, ins):
-    """The plan key of step idx with input jets ins (pairs of point jets
-    or dicts of curve jets): the step and the kinds of its jets.  A
-    principal jet's order is fixed by the realization, and so is the
-    bound of a degenerate one, so the kinds decide every input order."""
-    return idx, tuple(j.kind for x in ins for j in (x.values() if isinstance(x, dict) else x))
+    """The plan key of intersection step idx with input jets ins, the
+    two curves' coefficient-jet dicts: the step and the kinds of its
+    jets.  A principal jet's order is fixed by the realization, and so is
+    the bound of a degenerate one, so the kinds decide every input order."""
+    return idx, tuple(j.kind for jets in ins for j in jets.values())
 
 
 def _step_plan(plans, idx, ins, build):
-    """The residue-free half of step idx for input jets ins: built by
-    build() at the first pass that meets their kinds, then reused."""
+    """The residue-free half of intersection step idx for input jets ins:
+    built by build() at the first pass that meets their kinds, then
+    reused."""
     key = _step_key(idx, ins)
     if key not in plans:
         plans[key] = build()
     return plans[key]
 
 
-def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plans):
-    ins = [jets[q] for q in s.through]
-    pt_jets = [((pj[0].order, pj[1].order), pj) for pj in ins]
-    plan = _step_plan(plans, idx, ins, lambda: curve_step_plan(s.support, [p for p, _ in pt_jets]))
+def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan):
+    """A curve step whose realized Cramer solution is plan: a point jet's
+    order is its realized coordinate, whatever the jet's kind."""
     jets[s.name], step_cs, undecidable = curve_step_jets(
-        s.support, pt_jets, plan, origin=f"step#{idx} curve {s.name}")
+        s.support, [jets[q] for q in s.through], plan, origin=f"step#{idx} curve {s.name}")
     conds.merge(step_cs)
     step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
     zeroes = [v for _, v in step_conds if not v]
@@ -669,7 +674,8 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     so an empty list adds the zero condition "no torus solution".
     Symbolic mode (field None) solves linear systems only, after moving
     each polynomial to the origin, as the homogeneous point (X, Y, Z) of
-    ``solve_local_linear``; Z, X and Y must not vanish.
+    ``solve_local_linear``; Z, X and Y must not vanish, and a singular
+    system, whose Z is zero, has no solution.
     """
     if isinstance(supports, InformationLostError):
         return supports
@@ -768,14 +774,19 @@ def lift_conditions(
     symbolic mode: one pass with indeterminate input residuals; the
     condition set is over the input variables only (auxiliary point
     coordinates are eliminated by forward substitution).  Restricted to
-    constructions whose local residual systems are linear.  It takes no
-    field; its density test samples in ``DEFAULT_FIELD``.
+    constructions whose local residual systems are linear; a singular
+    one is a zero "local det" condition, so the set is provably empty.
+    It takes no field; its density test samples in ``DEFAULT_FIELD``.
 
     numeric mode: samples input residuals in F_p* (default field
     ``DEFAULT_FIELD``) and propagates; a trial in which every condition is
     nonzero and every local system has a torus solution yields witness
     jets for every node.  The report is that of the first such trial, or
     else of the last one.
+
+    Each step reads its tropical half from the realization r: a curve
+    step its Cramer solution, an intersection step its stable points.
+    The intersection steps' plans live for this call only (``_passes``).
     """
     if mode == "symbolic":
         if field is not None:
@@ -811,8 +822,9 @@ def _passes(c: Construction, r: TropRealization, field, seed, trials):
     """The forward passes of ``lift_conditions``, one at a time: one
     symbolic pass when field is None, else one numeric pass per trial
     over field.  The passes share one lift plan, which lives as long as
-    this generator: the tropical work of each step is done once per
-    kinds of its input jets, and a pass evaluates only the residues."""
+    this generator: the tropical work of each intersection step is done
+    once per kinds of its input jets, and a pass evaluates only the
+    residues."""
     if field is None:
         draws = [RPoly.var]
     else:

@@ -24,18 +24,21 @@ corner is one max-weight assignment at a slope between two of them, and
 its coefficient is the determinant of the dominant coefficients on that
 assignment's tight graph.  No Sylvester dimension is bounded.
 
-Each residual step splits into a plan and an evaluator.  The plan reads
-only the orders and kinds of the input jets: a curve step's Cramer tight
-graph and regular flags (``curve_step_plan``), an intersection step's
-resultant corners, their tight graphs, the monomial flags of their
-conditions, the shear, and the argmax supports of the two residual
-polynomials at each stable point (``intersection_step_plan``).  The plan
-alone says whether a step is fixed or always compatible: a curve step's
-regular flags (a regular minor's pseudodeterminant is a monomial), an
-intersection plan's ``fixed`` and ``always_compatible``, read from the
-monomial flags.  The evaluators take the plan and read the residues,
-returning only what the residues decide: ``curve_step_jets`` the
-jet-ring minors, their conditions and whether all of them vanish,
+Each residual step splits into a residue-free plan and an evaluator.  A
+curve step's plan is the Cramer solution of its realization, which
+``_solve_curve`` returns beside the curve: a point jet's order is its
+realized coordinate.  An intersection step's plan reads the orders and
+kinds of its input jets and its stable points: the resultant corners,
+their tight graphs, the monomial flags of their conditions, the shear
+of R_z (the least a >= 0 for which x - a*y is injective on the stable
+points) and the argmax supports of the two residual polynomials at each
+stable point (``intersection_step_plan``).  The plan alone says whether
+a step is fixed or always compatible: a curve step's regular flags (a
+regular minor's pseudodeterminant is a monomial), an intersection
+plan's ``fixed`` and ``always_compatible``, read from the monomial
+flags.  The evaluators take the plan and read the residues, returning
+only what the residues decide: ``curve_step_jets`` the jet-ring minors,
+their conditions and whether all of them vanish,
 ``intersection_step_conditions`` the corner determinants and whether
 all of them vanish, and ``local_intersection_solve`` the roots of the
 coefficients on the plan's supports.
@@ -260,12 +263,19 @@ def _point_values(I: Support, pts):
 def stable_curve(I: Support, pts) -> TropPoly:
     """The unique curve of support I through delta-1 points that varies
     continuously with them, in concave canonical form."""
+    return _solve_curve(I, pts)[0]
+
+
+def _solve_curve(I: Support, pts):
+    """(``stable_curve`` of I through pts, the Cramer solution of their
+    point-value matrix): the solution's tight graph and regular flags are
+    the residue-free half of the curve step through pts."""
     if I.delta() < 2:
         raise ValueError("curve supports need at least two points")
     if len(pts) != I.delta() - 1:
         raise ValueError(f"need {I.delta() - 1} points, got {len(pts)}")
     sol = _cramer(*_point_values(I, pts))
-    return concave_canonical(TropPoly(I, sol.values))
+    return concave_canonical(TropPoly(I, sol.values)), sol
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +310,10 @@ def _one_like_coeff(j: Jet):
     return j.coeff * 0 + 1 if j.is_principal else Fraction(1)
 
 
-def curve_step_plan(I: Support, pts):
-    """The residue-free half of a curve step through the tropical points
-    pts: the Cramer solution of their point-value matrix, whose tight
-    graph and regular flags every residual evaluation reads.  The step
-    is fixed when any minor is regular (``any(plan.regular)``) and always
-    compatible when all are: a regular minor's pseudodeterminant is a
-    monomial."""
-    return _cramer(*_point_values(I, pts))
-
-
 def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
-    """Stable curve through points given as (tropical point, point jets),
-    whose ``curve_step_plan`` is plan: (coefficient jets, conditions,
-    undecidable).  Point jets are (jet_x, jet_y), or homogeneous
+    """Stable curve through points given by their jets, whose orders have
+    the Cramer solution plan (``_solve_curve``): (coefficient jets,
+    conditions, undecidable).  Point jets are (jet_x, jet_y), or homogeneous
     (jet_X, jet_Y, jet_Z) with Z of order 0, whose row of monomials is
     homogenized to the support's largest degree (``_monomial_jet``).
 
@@ -324,7 +324,7 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
     The step is undecidable when every pseudodeterminant vanishes.
     """
     deg = max(i + j for i, j in I.points)
-    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for _, pj in pt_jets]
+    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for pj in pt_jets]
     # a minor's top order cancels iff its pseudodeterminant vanishes, and
     # only the optimal permutations, the tight ones, reach the top order
     minors = masked_minors(
@@ -526,28 +526,6 @@ def _family_view(name, pair, a):
     return pair
 
 
-def _nonzero(jets):
-    return {i: j for i, j in jets.items() if not j.is_zero}
-
-
-def choose_shear(f: TropPoly, g: TropPoly, xs, ys):
-    """Smallest a >= 0 with x - a*y injective on the candidate point set
-    T(f) n T(g) n T(R_x) n T(R_y), for the tropical roots xs of R_x and
-    ys of R_y."""
-    cands = []
-    for x in xs:
-        for y in ys:
-            p = (x, y)
-            if f.on_curve(p) and g.on_curve(p):
-                cands.append(p)
-    a = 0
-    while True:
-        vals = {p[0] - a * p[1] for p in cands}
-        if len(vals) == len(cands):
-            return a
-        a += 1
-
-
 @dataclass
 class IntersectionPlan:
     """The residue-free half of an intersection step.  The step is fixed
@@ -584,10 +562,8 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
     projections, with the shear of R_z, and the argmax supports at each
     stable point.  A family whose resultant is not defined is left out."""
     supports = {b: point_supports(f_jets, g_jets, b) for b, _ in points}
-    f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
         return IntersectionPlan(families=None, shear=None, supports=supports)
-    f, g = (TropPoly(Support(jets), {i: j.order for i, j in jets.items()}) for jets in (f_jets, g_jets))
     families = []
 
     def run(name, coord, a=None):
@@ -598,13 +574,16 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
         try:
             families.append(_resultant_family(name, *_family_view(name, (f_jets, g_jets), a), roots))
         except ValueError:
-            return None
-        return [r for r, _ in roots]
+            return False
+        return True
 
-    xs, ys = run("x", lambda b: b[0]), run("y", lambda b: b[1])
+    has_x, has_y = run("x", lambda b: b[0]), run("y", lambda b: b[1])
     shear = None
-    if xs is not None and ys is not None:
-        shear = choose_shear(f, g, xs, ys)
+    if has_x and has_y:
+        # the least a >= 0 for which x - a*y is injective on the stable points
+        shear = 0
+        while len({b[0] - shear * b[1] for b, _ in points}) < len(points):
+            shear += 1
         run("z", lambda b: b[0] - shear * b[1], shear)
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
@@ -617,7 +596,6 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
     not vanish; only these corner coefficients are computed from the
     residues.  The step is undecidable when an input jet is degenerate
     or every vertex condition vanishes."""
-    f_jets, g_jets = _nonzero(f_jets), _nonzero(g_jets)
     cs = ConditionSet()
     if plan.families is None:
         cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
@@ -656,7 +634,8 @@ def solve_local_linear(ft: dict, gt: dict):
     X = b1*c2 - b2*c1, Y = c1*a2 - c2*a1 and Z = a1*b2 - a2*b1, so that
     x = X/Z and y = Y/Z.  Nothing is divided, so it works over any ring;
     the caller's condition set keeps Z (the local determinant), X and Y
-    nonzero, which puts the point in the torus.
+    nonzero, which puts the point in the torus.  A singular system is no
+    error: its Z is zero, a "local det" condition that never holds.
     """
     l1 = _xy_terms_linear(ft)
     l2 = _xy_terms_linear(gt)
@@ -665,8 +644,6 @@ def solve_local_linear(ft: dict, gt: dict):
     a1, b1, c1 = l1
     a2, b2, c2 = l2
     z = a1 * b2 - a2 * b1
-    if not z:
-        raise ValueError("local linear system is singular")
     return b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, z
 
 

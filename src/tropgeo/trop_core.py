@@ -392,15 +392,14 @@ def _normalize_coeff_keys(support: Support, coeffs: dict):
 
 @dataclass(frozen=True)
 class Cell:
-    """A cell of the Newton subdivision.
+    """A maximal (2-dimensional) cell of the Newton subdivision.
 
     ``on_points`` are the support points lying on the lifted face (these
     are the argmax set at the dual cell); ``hull`` is the ccw boundary of
-    the cell in the plane.  For 2-cells ``dual_vertex`` is the vertex of
-    the curve dual to the cell.
+    the cell in the plane; ``dual_vertex`` is the vertex of the curve
+    dual to the cell.
     """
 
-    dim: int
     on_points: tuple[LPoint, ...]
     hull: tuple[LPoint, ...]
     dual_vertex: Point | None = None
@@ -418,7 +417,6 @@ class SubdivEdge:
 @dataclass
 class NewtonSubdivision:
     support: Support
-    heights: tuple[Fraction, ...]
     facets: list[Cell]          # maximal cells, lex-sorted by on_points
     edges: list[SubdivEdge]     # 1-cells, lex-sorted by ends
     vertices: list[LPoint]      # 0-cells
@@ -522,9 +520,8 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
     the same int heights along the segment.
     """
     pts = list(f.support.points)
-    hts = list(f.coeffs)
     if len(pts) == 1:
-        return NewtonSubdivision(f.support, tuple(hts), [], [], [pts[0]])
+        return NewtonSubdivision(f.support, [], [], [pts[0]])
     hull = f.support.corners()
     if len(hull) == 2:  # collinear support: subdivision of a segment
         chain = _upper_chain_1d(pts, f.scaled()[0])
@@ -535,11 +532,11 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
             edges.append(SubdivEdge(ends=ends, on_points=tuple(pts[i] for i in on), facets=()))
             verts.update(ends)
         edges.sort(key=lambda e: e.ends)
-        return NewtonSubdivision(f.support, tuple(hts), [], edges, sorted(verts))
+        return NewtonSubdivision(f.support, [], edges, sorted(verts))
 
     # sorted by on-point indices, hence (the support being sorted) by on_points
     facets = [
-        Cell(dim=2, on_points=tuple(pts[i] for i in on), hull=fh,
+        Cell(on_points=tuple(pts[i] for i in on), hull=fh,
              dual_vertex=(Fraction(nx, nz), Fraction(ny, nz)))
         for on, (nx, ny, nz), fh in _upper_facets_ints(pts, *f.scaled(), hull)
     ]
@@ -560,7 +557,7 @@ def dual_subdivision(f: TropPoly) -> NewtonSubdivision:
         for key, rec in sorted(edge_map.items())
     ]
     verts = sorted({e.ends[0] for e in edges} | {e.ends[1] for e in edges})
-    return NewtonSubdivision(f.support, tuple(hts), facets, edges, verts)
+    return NewtonSubdivision(f.support, facets, edges, verts)
 
 
 # ---------------------------------------------------------------------------

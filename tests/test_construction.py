@@ -322,6 +322,26 @@ def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypat
         lift_conditions(c, r, mode="symbolic")
 
 
+def test_a_singular_symbolic_local_system_is_a_zero_local_det():
+    # four_lines at sample_inputs t = 8: the residual lines of l2 and l3
+    # at their stable point are parallel, so the homogeneous point
+    # (X : Y : Z) has Z = 0, a "local det" condition that is the zero
+    # polynomial.  The symbolic lift is then provably empty, with the
+    # certificates of the numeric lift, which finds no torus solution there
+    from tropgeo.theorems import sample_inputs
+
+    c = catalog_construction("four_lines")
+    r = realize(c, sample_inputs(c, random.Random(8)))
+    sym = lift_conditions(c, r, mode="symbolic")
+    num = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=8)
+    assert (sym.verdict, num.verdict) == (PROVABLY_EMPTY, LIKELY_EMPTY)
+    assert [s.certificate for s in sym.steps] == [s.certificate for s in num.steps]
+    step = sym.steps[7]
+    assert step.certificate == CERT_NEVER
+    det = [v for o, v in step.conditions if o.startswith("step#7 intersect l2*l3 local det at ")]
+    assert det == [RPoly()]
+
+
 ABC_TWICE = """\
 input point a
 input point b
@@ -582,17 +602,18 @@ def _plan_cases():
 
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
 def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypatch, name, c, r):
-    # per lift_conditions call, the corner assignments, shears, shape
-    # determinants, curve-step Cramer solves and the argmax supports of
-    # the local solves run only when a step meets a new (step, input-jet
-    # kinds) key, whatever the trial count
+    # per lift_conditions call, the corner assignments, shape determinants
+    # and the argmax supports of the local solves run only when an
+    # intersection step meets a new (step, input-jet kinds) key, whatever
+    # the trial count, and no Cramer solve runs: curve steps read theirs
+    # from the realization
     from collections import Counter
 
     from tropgeo import stable_ops
     from tropgeo.residual import RPoly
 
     counts = Counter()
-    for fn in ("_hungarian_max", "_cramer", "choose_shear", "residual_support"):
+    for fn in ("_hungarian_max", "_cramer", "residual_support"):
         def counted(*args, fn=fn, orig=getattr(stable_ops, fn)):
             counts[fn] += 1
             return orig(*args)
@@ -610,7 +631,7 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
 
     def recorded_key(idx, ins):
         key = step_key(idx, ins)
-        met = tuple(j.order for x in ins for j in (x.values() if isinstance(x, dict) else x))
+        met = tuple(j.order for jets in ins for j in jets.values())
         assert orders.setdefault(key, met) == met, key
         return key
 
@@ -640,8 +661,7 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert many_total == few_total + sum((w for k, w in many.items() if k not in few), Counter())
     assert (len(many) > len(few)) == (name == "weak_pascal")
     # chasles intersects two cubics, whose Sylvester dimension 6 is past SHAPE_BOUND
-    expected = {"_hungarian_max", "choose_shear", "residual_support"}
-    expected |= {"_cramer"} if any(isinstance(s, CurveThrough) for s in c.steps) else set()
+    expected = {"_hungarian_max", "residual_support"}
     expected |= {"shape det"} if name != "chasles" else set()
     assert set(many_total) == expected
 

@@ -46,7 +46,6 @@ from tropgeo.stable_ops import (
     _resultant_family,
     _sylvester_rows,
     curve_step_jets,
-    curve_step_plan,
     intersection_step_conditions,
     intersection_step_plan,
     local_intersection_solve,
@@ -423,8 +422,8 @@ def curve_step_conditions(I, pts, var_names=None, values=None):
         else:
             nx, ny = var_names[idx] if var_names else (f"q{idx}.x", f"q{idx}.y")
             cx, cy = RPoly.var(nx), RPoly.var(ny)
-        pt_jets.append((p, (Jet.principal(p[0], cx), Jet.principal(p[1], cy))))
-    plan = curve_step_plan(I, pts)
+        pt_jets.append((Jet.principal(p[0], cx), Jet.principal(p[1], cy)))
+    plan = cramer_stable(point_value_matrix(I, pts))
     coeff_jets, conds, undecidable = curve_step_jets(I, pt_jets, plan)
     if undecidable:
         conds.empty_flag = PROVABLY_EMPTY
@@ -547,7 +546,7 @@ def test_curve_step_jets_matches_full_jet_minors():
                     coords = (F(rng.randint(-box, box)), F(rng.randint(-box, box)))
                 pts.append(_random_point_jet(rng, coords, kind, f"q{idx}"))
             got_jets, got_conds, got_undecidable = curve_step_jets(
-                sup, pts, curve_step_plan(sup, [p for p, _ in pts]))
+                sup, [pj for _, pj in pts], cramer_stable(point_value_matrix(sup, [p for p, _ in pts])))
             coeff_jets, conds, undecidable = _reference_curve_step(sup, pts)
             assert got_jets == coeff_jets, (sup, pts)
             assert [(c.origin, repr(c.poly)) for c in got_conds.conditions] == [
@@ -853,6 +852,25 @@ def test_resultant_corners_are_read_at_slopes_from_the_stable_intersection():
     f, g = _symbolic_line_jets([(0, 0, 0), (0, 3, 1)])
     with pytest.raises(AssertionError, match="disagree with the stable intersection"):
         _resultant_corners(f, g, [(F(-2), 1)])
+
+
+def test_the_shear_separates_the_stable_points():
+    # the shear of R_z is the least a >= 0 for which x - a*y is injective
+    # on the stable points.  At chasles' first step at sample_inputs
+    # t = 17 the three stable points have distinct x, so a = 0; the point
+    # (-4/3, 2) lies on both cubics and shares its x with (-4/3, -8), but
+    # it is not a stable point
+    from tropgeo.construction import realize
+    from tropgeo.theorems import catalog, sample_inputs
+
+    hyp = catalog()["chasles"].hypothesis
+    r = realize(hyp, sample_inputs(hyp, random.Random(17)))
+    points = r.intersections[0].points
+    assert points == [((F(-4, 3), F(-8)), 3), ((F(-1, 2), F(2)), 4), ((F(1), F(2)), 2)]
+    curves = [r.values[n] for n in hyp.steps[0].curves]
+    assert all(f.on_curve((F(-4, 3), F(2))) for f in curves)
+    f, g = ({i: Jet.principal(o, F10007.one) for i, o in f.coeff_map().items()} for f in curves)
+    assert intersection_step_plan(f, g, points).shear == 0
 
 
 def test_each_resultant_corner_costs_one_assignment(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropgeo.residual import Jet, RPoly
-from tropgeo.stable_ops import curve_step_jets, curve_step_plan
+from tropgeo.stable_ops import curve_step_jets
 from tropgeo.trop_linalg import (
     _hungarian_max,
     _scaled,
@@ -248,11 +248,11 @@ def test_lemma_disjoint_monomials_for_homogenized_points():
             for j in range(npts):
                 assert sum(e for v, e in mono if v.startswith(f"g{j}.")) == deg
 
-        plan = curve_step_plan(sup, pts)
+        plan = cramer_stable(a)
         var = [[RPoly.var(f"g{j}.{k}") for k in (1, 2, 3)] for j in range(npts)]
-        homog = [(q, (Jet.principal(q[0], X), Jet.principal(q[1], Y), Jet.principal(0, Z)))
+        homog = [(Jet.principal(q[0], X), Jet.principal(q[1], Y), Jet.principal(0, Z))
                  for q, (X, Y, Z) in zip(pts, var)]
-        affine = [(q, (jx, jy)) for q, (jx, jy, _) in homog]
+        affine = [(jx, jy) for jx, jy, _ in homog]
         h_jets, h_conds, h_undecidable = curve_step_jets(sup, homog, plan)
         a_jets, a_conds, _ = curve_step_jets(sup, affine, plan)
         assert not h_undecidable
