@@ -294,13 +294,14 @@ class RPoly:
     so a product term costs one int add and one int multiply.
     """
 
-    __slots__ = ("_t", "_d")
+    __slots__ = ("_t", "_d", "_s")
 
     def __init__(self, terms=None, den=1):
         """terms: packed monomial -> nonzero int numerator over den, in
         lowest terms; ``RPoly()`` is zero."""
         self._t = terms if terms is not None else {}
         self._d = den
+        self._s = None  # the printed form, made on the first ``__str__``
 
     @staticmethod
     def _reduced(t, d):
@@ -437,15 +438,15 @@ class RPoly:
         return out
 
     def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for mono, c in sorted((_unpack(m), c) for m, c in self._t.items()):
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-            c = Fraction(c, self._d)
-            cs = f"({c})" if c < 0 or c.denominator != 1 else str(c)
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
+        if self._s is None:
+            parts = []
+            for mono, c in sorted((_unpack(m), c) for m, c in self._t.items()):
+                mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+                c = Fraction(c, self._d)
+                cs = f"({c})" if c < 0 or c.denominator != 1 else str(c)
+                parts.append(f"{cs}*{mono}" if mono else cs)
+            self._s = " + ".join(parts) or "0"
+        return self._s
 
     def __repr__(self):
         return f"RPoly({self})"

@@ -32,7 +32,12 @@ kinds of its input jets and its stable points: the resultant corners,
 their tight graphs, the monomial flags of their conditions, the shear
 of R_z (the least a >= 0 for which x - a*y is injective on the stable
 points) and the argmax supports of the two residual polynomials at each
-stable point (``intersection_step_plan``).  The plan alone says whether
+stable point (``intersection_step_plan``).  At shear 0 R_z is R_x, so
+the plan lists R_x's family again as R_z, and the evaluator computes
+each distinct family's corners once.  A corner's monomial flag is
+counted over the perfect matchings of its tight graph: its condition is
+a monomial when exactly one product of input coefficients keeps a
+nonzero signed count (``_monomial_flag``).  The plan alone says whether
 a step is fixed or always compatible: a curve step's regular flags (a
 regular minor's pseudodeterminant is a monomial), an intersection
 plan's ``fixed`` and ``always_compatible``, read from the monomial
@@ -69,7 +74,7 @@ from .trop_core import (
     polygon_area2,
     scaled_ints,
 )
-from .trop_linalg import _cramer, _hungarian_max, masked_det, masked_minors
+from .trop_linalg import _cramer, _enumerate_matchings, _hungarian_max, masked_det, masked_minors
 from .residual import (
     ConditionSet,
     FpElt,
@@ -476,7 +481,6 @@ class FamilyPlan:
     """The residue-free half of a resultant family: its corners, their
     tight graphs as picks, and the monomial flags of their conditions."""
 
-    name: str                    # "x", "y" or "z"
     vertex_indices: list
     picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
     monomial_flags: list | None  # per vertex; None when shape analysis skipped
@@ -490,21 +494,29 @@ class FamilyPlan:
         return bool(self.monomial_flags) and all(self.monomial_flags)
 
 
-def _resultant_family(name, f_jets, g_jets, roots) -> FamilyPlan:
+def _resultant_family(f_jets, g_jets, roots) -> FamilyPlan:
     """The plan of one resultant family, from the orders of its jets and
     its tropical roots."""
     corners = _resultant_corners(f_jets, g_jets, roots)
     flags = None
     if len(corners[0][2]) <= SHAPE_BOUND:
-        # monomial-ness of the vertex conditions: the same tight graphs
-        # with a fresh local variable per input coefficient
-        var = tuple({i: RPoly.var(f"{tag}[{i[0]},{i[1]}]") for i in jets}
-                    for tag, jets in (("f", f_jets), ("g", g_jets)))
-        flags = []
-        for *_, picks in corners:
-            det = _corner_coeff(picks, var, RPoly())
-            flags.append(bool(det) and det.is_monomial())
-    return FamilyPlan(name, [e for e, *_ in corners], [picks for *_, picks in corners], flags)
+        flags = [_monomial_flag(picks) for *_, picks in corners]
+    return FamilyPlan([e for e, *_ in corners], [picks for *_, picks in corners], flags)
+
+
+def _monomial_flag(picks) -> bool:
+    """Whether a corner's coefficient, as a polynomial with one variable
+    per input coefficient, is a monomial.  Each perfect matching of the
+    tight graph contributes its sign to the monomial that its picks
+    name, the multiset of their input coefficients; the coefficient is
+    a monomial when exactly one monomial keeps a nonzero count."""
+    n = len(picks)
+    counts = {}
+    for perm in _enumerate_matchings([[c in row for c in range(n)] for row in picks]):
+        mono = tuple(sorted(picks[r][c] for r, c in enumerate(perm)))
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        counts[mono] = counts.get(mono, 0) + (-1) ** inversions
+    return sum(1 for v in counts.values() if v) == 1
 
 
 def _swap_xy(jets):
@@ -532,17 +544,17 @@ class IntersectionPlan:
     when every family has a monomial vertex condition, and always
     compatible when every vertex condition is a monomial."""
 
-    families: list | None  # FamilyPlans; None when an input jet is degenerate
+    families: dict | None  # name -> FamilyPlan; None when an input jet is degenerate
     shear: int | None
     supports: dict         # stable point -> its local solve's ``point_supports``
 
     @property
     def fixed(self):
-        return bool(self.families) and all(f.fixed for f in self.families)
+        return bool(self.families) and all(f.fixed for f in self.families.values())
 
     @property
     def always_compatible(self):
-        return bool(self.families) and all(f.always_compatible for f in self.families)
+        return bool(self.families) and all(f.always_compatible for f in self.families.values())
 
 
 def point_supports(f_jets: dict, g_jets: dict, b):
@@ -560,31 +572,35 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
     its input jets and its stable points, [(point, multiplicity)]: the
     families R_x, R_y and R_z, whose tropical roots are the points'
     projections, with the shear of R_z, and the argmax supports at each
-    stable point.  A family whose resultant is not defined is left out."""
+    stable point.  A family whose resultant is not defined is left out.
+    At shear 0 the view of R_z is the identity and its roots are those
+    of R_x, so R_z is R_x: the plan lists R_x's family again as "z"."""
     supports = {b: point_supports(f_jets, g_jets, b) for b, _ in points}
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
         return IntersectionPlan(families=None, shear=None, supports=supports)
-    families = []
+    families = {}
 
     def run(name, coord, a=None):
         roots = {}
         for b, m in points:
             roots[coord(b)] = roots.get(coord(b), 0) + m
-        roots = sorted(roots.items())
         try:
-            families.append(_resultant_family(name, *_family_view(name, (f_jets, g_jets), a), roots))
+            families[name] = _resultant_family(*_family_view(name, (f_jets, g_jets), a), sorted(roots.items()))
         except ValueError:
-            return False
-        return True
+            pass
 
-    has_x, has_y = run("x", lambda b: b[0]), run("y", lambda b: b[1])
+    run("x", lambda b: b[0])
+    run("y", lambda b: b[1])
     shear = None
-    if has_x and has_y:
+    if "x" in families and "y" in families:
         # the least a >= 0 for which x - a*y is injective on the stable points
         shear = 0
         while len({b[0] - shear * b[1] for b, _ in points}) < len(points):
             shear += 1
-        run("z", lambda b: b[0] - shear * b[1], shear)
+        if shear:
+            run("z", lambda b: b[0] - shear * b[1], shear)
+        else:
+            families["z"] = families["x"]
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
@@ -594,21 +610,23 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
     (conditions, undecidable).  The principal coefficients at the
     Newton-segment vertices of the three resultants R_x, R_y, R_z must
     not vanish; only these corner coefficients are computed from the
-    residues.  The step is undecidable when an input jet is degenerate
-    or every vertex condition vanishes."""
+    residues, once per distinct family.  The step is undecidable when an
+    input jet is degenerate or every vertex condition vanishes."""
     cs = ConditionSet()
     if plan.families is None:
         cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
         return cs, True
 
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
+    zero = next(iter(coeffs[0].values())) * 0
     undecidable = bool(plan.families)
-    for fam in plan.families:
-        view = _family_view(fam.name, coeffs, plan.shear)
-        zero = next(iter(coeffs[0].values())) * 0
-        for e, picks in zip(fam.vertex_indices, fam.picks):
-            val = _corner_coeff(picks, view, zero)
-            cs.add(val, f"{origin} R_{fam.name} coeff {e}")
+    values = {}  # id of a family plan -> its corner coefficients
+    for name, fam in plan.families.items():
+        if id(fam) not in values:
+            view = _family_view(name, coeffs, plan.shear)
+            values[id(fam)] = [_corner_coeff(picks, view, zero) for picks in fam.picks]
+        for e, val in zip(fam.vertex_indices, values[id(fam)]):
+            cs.add(val, f"{origin} R_{name} coeff {e}")
             undecidable = undecidable and not val
     return cs, undecidable
 

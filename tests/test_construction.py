@@ -602,7 +602,7 @@ def _plan_cases():
 
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
 def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypatch, name, c, r):
-    # per lift_conditions call, the corner assignments, shape determinants
+    # per lift_conditions call, the corner assignments, monomial flags
     # and the argmax supports of the local solves run only when an
     # intersection step meets a new (step, input-jet kinds) key, whatever
     # the trial count, and no Cramer solve runs: curve steps read theirs
@@ -613,19 +613,14 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     from tropgeo.residual import RPoly
 
     counts = Counter()
-    for fn in ("_hungarian_max", "_cramer", "residual_support"):
+    for fn in ("_hungarian_max", "_cramer", "residual_support", "_monomial_flag"):
         def counted(*args, fn=fn, orig=getattr(stable_ops, fn)):
             counts[fn] += 1
             return orig(*args)
         monkeypatch.setattr(stable_ops, fn, counted)
-    corner_coeff = stable_ops._corner_coeff
-
-    def counted_corner(picks, coeffs, zero):
-        if isinstance(zero, RPoly):  # numeric residues are FpElts
-            counts["shape det"] += 1
-        return corner_coeff(picks, coeffs, zero)
-
-    monkeypatch.setattr(stable_ops, "_corner_coeff", counted_corner)
+    symbols = []  # a numeric lift builds no RPoly variable
+    rpoly_var = RPoly.var
+    monkeypatch.setattr(RPoly, "var", staticmethod(lambda *args: symbols.append(args) or rpoly_var(*args)))
     orders = {}  # key -> the orders of its input jets, over every trial
     step_key = construction._step_key
 
@@ -660,9 +655,10 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert all(many[k] == w for k, w in few.items() if k in many)
     assert many_total == few_total + sum((w for k, w in many.items() if k not in few), Counter())
     assert (len(many) > len(few)) == (name == "weak_pascal")
+    assert symbols == []
     # chasles intersects two cubics, whose Sylvester dimension 6 is past SHAPE_BOUND
     expected = {"_hungarian_max", "residual_support"}
-    expected |= {"shape det"} if name != "chasles" else set()
+    expected |= {"_monomial_flag"} if name != "chasles" else set()
     assert set(many_total) == expected
 
 

@@ -108,6 +108,13 @@ GOLDEN = [
      "832dcb0ee9437c88a2e4d69629dcdf68b720c71398a9195a35c7b0e99e0cd9e9"),
     (["certify", "@weak_pascal", "--trials", "8", "--seed", "1"], 0,
      "f6d53b270e29e97d13f1ad6592216ac84eb7db00eb60643802c4ba1b812cda9f"),
+    # a step sheared at a = 2, and symbolic shear-0 steps whose R_z
+    # conditions repeat R_x's, recorded before R_z at shear 0 reused R_x's
+    # plan and the monomial flags were counted over matchings
+    (["certify", "@chasles", "--trials", "2", "--seed", "6"], 0,
+     "3c8588891578435cb9cf23fb9140f1f28a2d00d654ba8fcb5fd55dafb1b83631"),
+    (["certify", "@pascal_converse", "--mode", "symbolic", "--seed", "0"], 0,
+     "bf92ec831ad7c61c456384508146c070f855ded1876ed6e036fd1c5cb14c124d"),
 ]
 
 

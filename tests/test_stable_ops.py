@@ -31,12 +31,14 @@ from tropgeo.residual import (
     residual_terms,
 )
 from tropgeo.stable_ops import (
+    SHAPE_BOUND,
     _Degenerate,
     _by_y,
     _common_y_roots,
     _condition_zero,
     _corner_coeff,
     _inside,
+    _monomial_flag,
     _monomial_jet,
     _dense_in_y,
     _family_view,
@@ -616,8 +618,8 @@ def test_two_lines_on_a_shared_ray_are_fixed_not_always_compatible():
     # of R_y is not a monomial: every family has a monomial vertex
     # condition, so the step is fixed, but not every vertex condition is
     # one, so it is not always compatible
-    assert [fam.monomial_flags for fam in plan.families] == [[True, True], [False, True],
-                                                             [True, True]]
+    assert {n: fam.monomial_flags for n, fam in plan.families.items()} == {
+        "x": [True, True], "y": [False, True], "z": [True, True]}
     assert plan.fixed
     assert not plan.always_compatible
 
@@ -631,7 +633,7 @@ def test_two_transversal_lines_are_always_compatible():
     assert not undecidable
     # a vertex-free edge-edge crossing: every vertex condition of every
     # resultant is a monomial
-    assert all(all(fam.monomial_flags) for fam in plan.families)
+    assert all(all(fam.monomial_flags) for fam in plan.families.values())
     assert all(c.poly.is_monomial() for c in conds.conditions)
     assert plan.fixed and plan.always_compatible
 
@@ -761,27 +763,75 @@ def test_sylvester_corners_match_laplace_oracle_at_dim_9_and_10():
         checked += 1
 
 
+def _family_roots(points, name, a):
+    """The tropical roots of resultant family name at shear a: the stable
+    points' x, y or x - a*y, with the multiplicities of the points that
+    share one summed, [(root, multiplicity)] ascending."""
+    coord = {"x": lambda b: b[0], "y": lambda b: b[1], "z": lambda b: b[0] - a * b[1]}[name]
+    roots = {}
+    for b, m in points:
+        roots[coord(b)] = roots.get(coord(b), 0) + m
+    return sorted(roots.items())
+
+
 def test_shape_flags_match_symbolic_oracle():
-    # the monomial flags, read on the tight graphs of the numeric run,
-    # against a full Laplace run with one variable per input coefficient
+    # the monomial flags, counted over the matchings of each corner's
+    # tight graph, against a full Laplace run with one variable per input
+    # coefficient, on the views of R_x, R_y and R_z sheared by a = 1, 2
     rng = random.Random(59)
-    checked = 0
+    checked = {}
     seen = set()
-    while checked < 200:
+    while min(checked.values(), default=0) < 100 or len(checked) < 4:
         shear, orders = rng.randint(0, 1), rng.choice([TIED, HALF])
         f, g = (_random_jets(rng, F10007, shear, orders, degrees=(1, 2)) for _ in range(2))
-        if not 0 < _ydeg(f) + _ydeg(g) <= 4:
-            continue
-        fam = _resultant_family("x", f, g, _x_roots(f, g))
-        res = _laplace_resultant(*(
-            {i: Jet.principal(j.order, RPoly.var(f"{tag}[{i[0]},{i[1]}]")) for i, j in jets.items()}
-            for tag, jets in (("f", f), ("g", g))
-        ))
-        expected = [res[e].is_principal and res[e].coeff.is_monomial() for e in fam.vertex_indices]
-        assert fam.monomial_flags == expected, (f, g)
-        seen.update(expected)
-        checked += 1
+        points = _stable_points(f, g)
+        syms = tuple({i: Jet.principal(j.order, RPoly.var(f"{tag}[{i[0]},{i[1]}]")) for i, j in jets.items()}
+                     for tag, jets in (("f", f), ("g", g)))
+        for name, a in (("x", None), ("y", None), ("z", 1), ("z", 2)):
+            view = _family_view(name, (f, g), a)
+            if not 0 < _ydeg(view[0]) + _ydeg(view[1]) <= SHAPE_BOUND:
+                continue
+            fam = _resultant_family(*view, _family_roots(points, name, a))
+            res = _laplace_resultant(*_family_view(name, syms, a))
+            expected = [res[e].is_principal and res[e].coeff.is_monomial() for e in fam.vertex_indices]
+            assert fam.monomial_flags == expected, (f, g, name, a)
+            seen.update(expected)
+            checked[name, a] = checked.get((name, a), 0) + 1
     assert seen == {True, False}
+    # a Sylvester matrix this small cancels no monomial, so random tight
+    # graphs with repeated coefficients check the signs: rows that pick
+    # alike cancel, as in [[a, b], [a, b]]
+    coeffs = ({(0, 0): RPoly.var("a")}, {(0, 0): RPoly.var("b")})
+    cancelled = 0
+    for _ in range(300):
+        n = rng.randint(2, SHAPE_BOUND)
+        perm = rng.sample(range(n), n)
+        picks = [{c: (rng.randint(0, 1), (0, 0)) for c in {perm[r], *rng.sample(range(n), rng.randint(0, n))}}
+                 for r in range(n)]
+        det = _corner_coeff(picks, coeffs, RPoly())
+        assert _monomial_flag(picks) == (bool(det) and det.is_monomial()), picks
+        cancelled += not det
+    assert _monomial_flag([{0: (0, (0, 0)), 1: (1, (0, 0))}] * 2) is False
+    assert cancelled >= 20, cancelled
+
+
+def test_r_z_at_shear_0_is_r_x():
+    # the identity behind listing R_x's plan again as R_z at shear 0: the
+    # view of R_z is the identity and its roots are the x-roots
+    rng = random.Random(83)
+    compared = 0
+    for _ in range(300):
+        f, g = _identity_jets(rng), _identity_jets(rng)
+        if _ydeg(f) + _ydeg(g) == 0:
+            continue
+        points = _stable_points(f, g)
+        z = _resultant_family(*_family_view("z", (f, g), 0), _family_roots(points, "z", 0))
+        assert z == _resultant_family(f, g, _family_roots(points, "x", None)), (f, g)
+        compared += 1
+        plan = intersection_step_plan(f, g, points)
+        if plan.shear == 0:
+            assert plan.families["z"] is plan.families["x"]
+    assert compared >= 250
 
 
 def test_sheared_cubic_resultant_past_the_old_bound():
@@ -825,27 +875,22 @@ def test_resultant_corners_are_read_at_slopes_from_the_stable_intersection():
     # with them raises; where the Sylvester matrix is small the corners
     # are the upper hull of the max-plus Sylvester permanent.
     rng = random.Random(89)
-    coords = {"x": lambda b, a: b[0], "y": lambda b, a: b[1], "z": lambda b, a: b[0] - a * b[1]}
     families = compared = large = 0
     for _ in range(500):
         f, g = _identity_jets(rng), _identity_jets(rng)
         points = _stable_points(f, g)
         plan = intersection_step_plan(f, g, points)
         families += len(plan.families)
-        for fam in plan.families:
-            view = _family_view(fam.name, (f, g), plan.shear)
+        for name, fam in plan.families.items():
+            view = _family_view(name, (f, g), plan.shear)
             dim = _ydeg(view[0]) + _ydeg(view[1])
             large += dim >= 10
             if dim > 6:
                 continue
-            roots = {}
-            for b, m in points:
-                r = coords[fam.name](b, plan.shear)
-                roots[r] = roots.get(r, 0) + m
-            corners = _resultant_corners(*view, sorted(roots.items()))
+            corners = _resultant_corners(*view, _family_roots(points, name, plan.shear))
             assert [e for e, *_ in corners] == fam.vertex_indices
             brute = _brute_trop_resultant(*({pt: j.order for pt, j in jets.items()} for jets in view))
-            assert [(e, h) for e, h, *_ in corners] == upper_chain(sorted(brute.items())), (f, g, fam.name)
+            assert [(e, h) for e, h, *_ in corners] == upper_chain(sorted(brute.items())), (f, g, name)
             compared += 1
     assert families >= 1200 and compared >= 600 and large >= 50, (families, compared, large)
     # the tripwire: R_x handed the roots of R_y
@@ -893,8 +938,20 @@ def test_each_resultant_corner_costs_one_assignment(monkeypatch):
                 continue
             roots = _x_roots(*view)
             calls.clear()
-            fam = _resultant_family(name, *view, roots)
+            fam = _resultant_family(*view, roots)
             assert len(calls) == len(fam.vertex_indices) == len(roots) + 1
+    # a shear-0 plan makes one assignment per corner of R_x and R_y, and
+    # none for R_z, which is R_x
+    shear_0 = 0
+    while shear_0 < 20:
+        f, g = _identity_jets(rng), _identity_jets(rng)
+        points = _stable_points(f, g)
+        calls.clear()
+        plan = intersection_step_plan(f, g, points)
+        if plan.shear != 0:
+            continue
+        assert len(calls) == len(plan.families["x"].vertex_indices) + len(plan.families["y"].vertex_indices)
+        shear_0 += 1
 
 
 def _rand_bivariate(rng, max_deg=2, max_terms=4):
