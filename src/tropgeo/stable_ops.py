@@ -3,10 +3,14 @@
 Tropical side:
 
 * ``stable_curve``        -- tropical Cramer minors of the point-value matrix.
-* ``stable_intersection`` -- mixed cells of the product subdivision: a maximal
-  cell of Subdiv(f*g) decomposes as (argmax cell of f) + (argmax cell of g)
-  over its dual vertex; its mixed area is the intersection multiplicity there.
-  The argmax cells are int argmaxes along the cell's facet normal.
+* ``stable_intersection`` -- two lines meet at the tropical cross product of
+  their coefficient rows (Richter-Gebert, Sturmfels and Theobald, "First
+  steps in tropical geometry", 2005), the stable Cramer solution of the
+  2 x 3 coefficient matrix.  Every other pair is read from the mixed cells
+  of the product subdivision: a maximal cell of Subdiv(f*g) decomposes as
+  (argmax cell of f) + (argmax cell of g) over its dual vertex; its mixed
+  area is the intersection multiplicity there.  The argmax cells are int
+  argmaxes along the cell's facet normal.
 * ``perturbation_oracle`` -- an independent check: translate g by an
   infinitesimal epsilon*v and cross every edge pair transversally.  Edge
   directions are integral, so every coordinate and edge parameter stays
@@ -27,7 +31,8 @@ assignment's tight graph.  No Sylvester dimension is bounded.
 Each residual step splits into a residue-free plan and an evaluator.  A
 curve step's plan is the Cramer solution of its realization, which
 ``_solve_curve`` returns beside the curve: a point jet's order is its
-realized coordinate.  An intersection step's plan reads the orders and
+realized coordinate, and the solution computes its regular flags when
+the lift first reads them.  An intersection step's plan reads the orders and
 kinds of its input jets and its stable points: the resultant corners,
 their tight graphs, the monomial flags of their conditions, the shear
 of R_z (the least a >= 0 for which x - a*y is injective on the stable
@@ -145,7 +150,25 @@ def trop_product(f: TropPoly, g: TropPoly) -> TropPoly:
     return TropPoly.from_ints(*_product_ints(f, g))
 
 
+_LINE = Support.named("line")
+
+
 def stable_intersection(f: TropPoly, g: TropPoly) -> StableIntersection:
+    """The stable intersection of T(f) and T(g).  Two lines meet at the
+    tropical cross product of their coefficient rows (Richter-Gebert,
+    Sturmfels and Theobald 2005): the stable Cramer solution of the 2 x 3
+    coefficient matrix, its columns in the support order (0,0), (0,1),
+    (1,0), is the point (0 : y : x).  Every other pair is read from the
+    product subdivision (``_mixed_cells``)."""
+    if f.support == _LINE == g.support:
+        (a, da), (b, db) = f.scaled(), g.scaled()
+        d = lcm(da, db)
+        v = _cramer([[c * (d // da) for c in a], [c * (d // db) for c in b]], d).values
+        return StableIntersection([((v[2] - v[0], v[1] - v[0]), 1)])
+    return _mixed_cells(f, g)
+
+
+def _mixed_cells(f: TropPoly, g: TropPoly) -> StableIntersection:
     """Mixed cells of the product subdivision, read from its facets: at a
     facet normal (nx, ny, nz) the summands are the argmaxes of f and g at
     the dual vertex (nx/nz, ny/nz), and a summand that is one point makes
@@ -273,8 +296,9 @@ def stable_curve(I: Support, pts) -> TropPoly:
 
 def _solve_curve(I: Support, pts):
     """(``stable_curve`` of I through pts, the Cramer solution of their
-    point-value matrix): the solution's tight graph and regular flags are
-    the residue-free half of the curve step through pts."""
+    point-value matrix): the solution's tight graph and regular flags,
+    computed on first read, are the residue-free half of the curve step
+    through pts."""
     if I.delta() < 2:
         raise ValueError("curve supports need at least two points")
     if len(pts) != I.delta() - 1:

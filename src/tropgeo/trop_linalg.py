@@ -17,7 +17,9 @@ diagonal sum.  The key computational facts used here:
   shortest-path pass on its reduced costs.  The shifted potentials are
   one optimal dual for every minor at once, so each minor's optimal
   permutations are the perfect matchings of one common tight graph
-  with that minor's column deleted;
+  with that minor's column deleted.  Whether a minor is regular (has
+  one optimal permutation) is a peel of that graph, which a
+  ``CramerSolution`` runs only when its flags are first read;
 * the pseudodeterminant of a same-shape matrix B over any commutative
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .trop_core import frac, scaled_ints
 
@@ -259,17 +262,23 @@ def pseudodet(a_rows, b_rows, zero=Fraction(0)):
 
 @dataclass
 class CramerSolution:
-    """Projective tuple [|A^1|_t : ... : |A^{n+1}|_t] with regularity
-    flags; minor k's optimal permutations are the perfect matchings of
-    the common tight graph ``tight`` (row -> columns) without column k."""
+    """Projective tuple [|A^1|_t : ... : |A^{n+1}|_t] and the common tight
+    graph ``tight`` (row -> columns): minor k's optimal permutations are
+    its perfect matchings without column k."""
 
     values: tuple
-    regular: tuple
     tight: tuple
+
+    @cached_property
+    def regular(self):
+        """Whether each minor has one optimal permutation: one
+        ``_matching_unique`` peel per deleted column, run on first read."""
+        return tuple(_matching_unique([cs - {k} for cs in self.tight])
+                     for k in range(len(self.tight) + 1))
 
 
 def cramer_stable(a_rows) -> CramerSolution:
-    """All n+1 maximal minors of an n x (n+1) matrix and their flags.
+    """All n+1 maximal minors of an n x (n+1) matrix and their tight graph.
 
     One assignment of the matrix with a zero row appended gives the
     largest minor |A^k0|, k0 being the column the zero row takes.  With
@@ -315,8 +324,7 @@ def _cramer(w, d) -> CramerSolution:
     values = [Fraction(value - u[n] - v[k] - shift[k], d) for k in range(n + 1)]
     tight = [{c for c in range(n + 1) if u[r] - dist[r] + v[c] + shift[c] == w[r][c]}
              for r in range(n)]
-    flags = [_matching_unique([cs - {k} for cs in tight]) for k in range(n + 1)]
-    return CramerSolution(values=tuple(values), regular=tuple(flags), tight=tuple(tight))
+    return CramerSolution(values=tuple(values), tight=tuple(tight))
 
 
 def cramer_conditions(a_rows, b_rows, zero=Fraction(0)):

@@ -669,6 +669,60 @@ def test_a_shared_lift_plan_gives_the_report_of_a_fresh_plan_per_pass(monkeypatc
     assert lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json() == shared
 
 
+def _count_peels_and_facets(monkeypatch):
+    """Count the regularity peels (``_matching_unique``) and the product
+    subdivisions' upper-hull runs (``_upper_facets_ints``)."""
+    from collections import Counter
+
+    from tropgeo import stable_ops, trop_linalg
+
+    counts = Counter()
+    for mod, fn in ((trop_linalg, "_matching_unique"), (stable_ops, "_upper_facets_ints")):
+        def counted(*args, fn=fn, orig=getattr(mod, fn)):
+            counts[fn] += 1
+            return orig(*args)
+        monkeypatch.setattr(mod, fn, counted)
+    return counts
+
+
+def test_realize_of_lines_runs_no_product_subdivision_and_no_peel(monkeypatch):
+    # two lines meet at their Cramer solution, and nothing in realize
+    # reads the Cramer solutions' regularity flags
+    from tropgeo.theorems import sample_inputs
+
+    counts = _count_peels_and_facets(monkeypatch)
+    _line_chain(33, random.Random(5))
+    hyp = catalog()["fano"].hypothesis
+    realize(hyp, sample_inputs(hyp, random.Random(0)))
+    assert counts == {}
+
+
+@pytest.mark.parametrize("name", ["pappus", "fano", "weak_pascal", "chain"])
+def test_lift_peels_each_curve_step_once_per_solution(monkeypatch, name):
+    # the lift reads each curve step's regular flags in every trial; they
+    # are computed on first read, one peel per deleted column
+    from tropgeo.theorems import sample_inputs
+
+    if name == "chain":
+        c, r = _line_chain(33, random.Random(5))
+    else:
+        c = catalog()[name].hypothesis
+        r = realize(c, sample_inputs(c, random.Random(1)))
+    counts = _count_peels_and_facets(monkeypatch)
+    rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=16)
+    assert rep.successes > 1
+    curve_steps = [s for s in c.steps if isinstance(s, CurveThrough)]
+    assert counts == {"_matching_unique": sum(s.support.delta() for s in curve_steps)}
+
+
+def test_thesis_curves_make_no_peel(monkeypatch):
+    from tropgeo.theorems import cayley_bacharach_statement, check_statement
+
+    counts = _count_peels_and_facets(monkeypatch)
+    assert check_statement(cayley_bacharach_statement(6, 6), trials=3, seed=0).holds
+    assert counts["_matching_unique"] == 0
+
+
 # ---------------------------------------------------------------------------
 # acyclic lifting
 

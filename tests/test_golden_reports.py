@@ -115,6 +115,16 @@ GOLDEN = [
      "3c8588891578435cb9cf23fb9140f1f28a2d00d654ba8fcb5fd55dafb1b83631"),
     (["certify", "@pascal_converse", "--mode", "symbolic", "--seed", "0"], 0,
      "bf92ec831ad7c61c456384508146c070f855ded1876ed6e036fd1c5cb14c124d"),
+    # line∩line steps (pascal_converse's input line meets six lines) and
+    # a theorem of lines only, recorded before two lines met at their
+    # tropical Cramer solution and the Cramer regularity flags were
+    # computed on first read
+    (["theorem", "pappus", "--trials", "20", "--seed", "3"], 0,
+     "3bbc91ddada263a31860b0abc297c1d7cf5397b6abd72a5e155ad0a91aec24c3"),
+    (["realize", "@pascal_converse", "--seed", "1"], 0,
+     "6a997e3979af36142d0d7225658352d2d9fde5a52720f52de950c9e3ae4ee33d"),
+    (["realize", "@four_lines", "--seed", "2"], 0,
+     "6da724e4ec563c5e2cfcd6a99695e1731e951d9f70ce1e0ff8443496d178c572"),
 ]
 
 

@@ -38,6 +38,7 @@ from tropgeo.stable_ops import (
     _condition_zero,
     _corner_coeff,
     _inside,
+    _mixed_cells,
     _monomial_flag,
     _monomial_jet,
     _dense_in_y,
@@ -286,6 +287,66 @@ def test_stable_intersection_matches_the_mixed_cell_oracle():
     parallel = [(f, g) for f, g in pairs if f.support == v and g.support == v]
     assert parallel and mixed_volume(v, v) == 0
     assert all(stable_intersection(f, g).points == [] for f, g in parallel)
+
+
+def _line_pairs():
+    """Seeded pairs of lines, coefficients in the support order (0,0),
+    (0,1), (1,0): tie-heavy and spread rationals, g = f, g = f shifted
+    along x, along y and along both, and g equal to f in one or in two
+    coefficients."""
+    rng = random.Random(2005)
+
+    def tie():
+        return F(rng.randint(-1, 1), rng.choice([1, 1, 2, 3]))
+
+    def spread():
+        return F(rng.randint(-40, 40), rng.randint(1, 6))
+
+    pairs = []
+    for _ in range(150):
+        for coeff in (tie, spread):
+            f = [coeff() for _ in range(3)]
+            s, t = coeff() or F(1), coeff() or F(-1, 2)
+            one, two = [coeff() for _ in range(3)], list(f)
+            k = rng.randrange(3)
+            one[k], two[k] = f[k], f[k] + (coeff() or F(1))
+            # f(x - s, y - t) has the coefficients c00, c01 - t, c10 - s
+            pairs += [
+                (f, [coeff() for _ in range(3)]), (f, f),
+                (f, [f[0], f[1], f[2] - s]), (f, [f[0], f[1] - t, f[2]]),
+                (f, [f[0], f[1] - t, f[2] - s]), (f, one), (f, two),
+            ]
+    return [(TropPoly(LINE, a), TropPoly(LINE, b)) for a, b in pairs]
+
+
+def test_two_lines_meet_at_their_cramer_solution():
+    # the line path shares no code with either oracle, nor with the
+    # product subdivision that every other pair of supports goes through
+    pairs = _line_pairs()
+    assert len(pairs) >= 2000
+    for f, g in pairs:
+        points = stable_intersection(f, g).points
+        assert len(points) == 1 and all(type(c) is F for c in points[0][0]), (f, g)
+        assert points == _mixed_cell_oracle(f, g), (f, g)
+        assert points == perturbation_oracle(f, g).points, (f, g)
+        assert points == _mixed_cells(f, g).points, (f, g)
+
+
+def test_only_two_lines_skip_the_product_subdivision(monkeypatch):
+    from tropgeo import stable_ops
+
+    calls = []
+    facets = stable_ops._upper_facets_ints
+    monkeypatch.setattr(stable_ops, "_upper_facets_ints", lambda *args: calls.append(args) or facets(*args))
+    rng = random.Random(7)
+    line, conic = rand_poly(rng, 1), rand_poly(rng, 2)
+    vertical = TropPoly(Support.named("vertical"), [F(0), F(3)])
+    stable_intersection(line, rand_poly(rng, 1))
+    assert calls == []
+    for f, g in ((line, conic), (vertical, line)):
+        stable_intersection(f, g)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def _fraction_canonical(f):
