@@ -889,7 +889,10 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
 
     For each incidence (q, C), the residual polynomial of C's jets at q
     must vanish when evaluated at q's residual coordinates, and q must
-    lie on the tropical curve.  Returns a list of violations.
+    lie on the tropical curve.  A homogeneous point (X : Y : Z) is
+    evaluated on the residual polynomial homogenized to the largest
+    degree D of C's support, sum c*X^i*Y^j*Z^(D-i-j), as in
+    ``curve_step_jets``.  Returns a list of violations.
     """
     bad = []
     for q, cv in c.flags():
@@ -899,8 +902,8 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
             bad.append(f"{q} not on tropical curve {cv}")
             continue
         cj = jets[cv]
-        qx, qy = jets[q]
-        if not (qx.is_principal and qy.is_principal):
+        qj = jets[q]
+        if not all(j.is_principal for j in qj):
             bad.append(f"{q} has non-principal witness jets")
             continue
         try:
@@ -908,13 +911,13 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
         except InformationLostError as exc:
             bad.append(f"residual terms of {cv} at {q}: {exc}")
             continue
+        deg = max(i + j for i, j in cj)
         acc = None
         for (i, j), cf in terms.items():
             v = cf
-            if i:
-                v = v * qx.coeff**i
-            if j:
-                v = v * qy.coeff**j
+            for jet, e in zip(qj, (i, j, deg - i - j)):
+                if e:
+                    v = v * jet.coeff**e
             acc = v if acc is None else acc + v
         if acc:
             bad.append(f"residual incidence of {q} on {cv} fails: {acc}")

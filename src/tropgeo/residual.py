@@ -6,10 +6,13 @@ int monomials, with no division anywhere.  A symbolic intersection point
 is homogeneous, (X : Y : Z) with Z the local determinant, so no residue
 is ever a fraction.  Numeric residues live in a prime field F_p only:
 numeric residual polynomials are dense int coefficient lists mod p, low
-degree first, and ``dense_roots`` finds their roots in F_p.  All lifting
-computations run over the ring of *jets*: principal terms c*t^(-u) with
-an explicit absorbing element for "principal information lost", so
-undecidability surfaces as a value instead of a crash.
+degree first, and ``dense_roots`` finds their roots in F_p.  A lift's
+values are *jets*: principal terms c*t^(-u), or an explicit element for
+"principal information lost", so undecidability surfaces as a value
+instead of a crash.  The lift makes each jet from one order and one
+residue (``Jet.of``) and does no jet arithmetic, since every residual
+condition is a determinant of residues on a tight graph; the jet ring's
+operations are the semantics those determinants are tested against.
 
 Coefficients of jets are F_p scalars or ``RPoly``s; both support +, -,
 *, truth-testing for zero and exact equality.

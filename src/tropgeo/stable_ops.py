@@ -17,16 +17,22 @@ Tropical side:
   affine in eps: a (value, eps-coefficient) pair, ordered as a tuple.
   The limits as eps -> 0 are the intersection points.
 
-Residual side: conditions are pseudodeterminants, the jet-ring minors on
-the tight entries of the Cramer system, and the Newton-segment vertex
-coefficients of Sylvester resultants over the jet ring, where an exact
-top-order cancellation is precisely a vanishing pseudodeterminant.  Only
-the strict upper-hull corners of a jet resultant's heights are computed:
-the resultant's tropical roots are the projections of the stable
-intersection, with multiplicities (Sturmfels-Tevelev 2008), so each
-corner is one max-weight assignment at a slope between two of them, and
-its coefficient is the determinant of the dominant coefficients on that
-assignment's tight graph.  No Sylvester dimension is bounded.
+Residual side: every condition is a pseudodeterminant, the signed sum of
+residue products over the optimal permutations of a tropical matrix,
+which is the determinant of the residues on its tight graph
+(``masked_det``, ``masked_minors``).  At a curve step it is a Cramer
+minor, whose tight cells hold the residues of their monomials at the
+points; at an intersection step it is the coefficient of a
+Newton-segment vertex of a Sylvester resultant.  It vanishes exactly
+when the top order of the jet minor or jet coefficient cancels, so no
+jet arithmetic is done: a coefficient jet is an order from the tropical
+solve and a residue.  Only the strict upper-hull corners of a jet
+resultant's heights are computed: the resultant's tropical roots are
+the projections of the stable intersection, with multiplicities
+(Sturmfels-Tevelev 2008), so each corner is one max-weight assignment at
+a slope between two of them, and its coefficient is the determinant of
+the dominant coefficients on that assignment's tight graph.  No
+Sylvester dimension is bounded.
 
 Each residual step splits into a residue-free plan and an evaluator.  A
 curve step's plan is the Cramer solution of its realization, which
@@ -47,8 +53,8 @@ a step is fixed or always compatible: a curve step's regular flags (a
 regular minor's pseudodeterminant is a monomial), an intersection
 plan's ``fixed`` and ``always_compatible``, read from the monomial
 flags.  The evaluators take the plan and read the residues, returning
-only what the residues decide: ``curve_step_jets`` the jet-ring minors,
-their conditions and whether all of them vanish,
+only what the residues decide: ``curve_step_jets`` the coefficient jets,
+the minors' conditions and whether all of them vanish,
 ``intersection_step_conditions`` the corner determinants and whether
 all of them vanish, and ``local_intersection_solve`` the roots of the
 coefficients on the plan's supports.
@@ -82,10 +88,8 @@ from .trop_core import (
 from .trop_linalg import _cramer, _enumerate_matchings, _hungarian_max, masked_det, masked_minors
 from .residual import (
     ConditionSet,
-    FpElt,
     InformationLostError,
     Jet,
-    JET_ZERO,
     ResidualField,
     RPoly,
     _dense_trim,
@@ -93,7 +97,6 @@ from .residual import (
     _fp_polygcd,
     dense_det,
     dense_roots,
-    fp_det,
     residual_support,
     support_terms,
 )
@@ -311,32 +314,22 @@ def _solve_curve(I: Support, pts):
 # curve step over jets
 
 
-def _jet_pow(j: Jet, e: int) -> Jet:
-    if e == 0:
-        raise ValueError("use an explicit one jet")
-    out = j
-    for _ in range(e - 1):
-        out = out * j
-    return out
-
-
-def _monomial_jet(pj, i, deg) -> Jet:
-    """The jet of the monomial x^i1 y^i2 at a point whose jets pj are
+def _residue(pj, i, deg):
+    """The residue of the monomial x^i1 y^i2 at a point whose jets pj are
     (x, y), or homogeneous (X, Y, Z), where it is X^i1 Y^i2 Z^(deg-i1-i2)
     for the support's largest degree deg: the affine row scaled by Z^deg.
-    Z has order 0, so the scaling changes no order."""
-    parts = [_jet_pow(j, e) for j, e in zip(pj, (*i, deg - i[0] - i[1])) if e]
-    if not parts:
-        return Jet.principal(0, _one_like_coeff(pj[0]))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out * p
+    Z has order 0, so the scaling changes no order.  None when the
+    monomial uses a degenerate coordinate: its terms lie strictly below
+    the top order."""
+    out = None
+    for j, e in zip(pj, (*i, deg - i[0] - i[1])):
+        if e:
+            if not j.is_principal:
+                return None
+            out = j.coeff ** e if out is None else out * j.coeff ** e
+    if out is None:  # the constant monomial, in the ring of x
+        return pj[0].coeff ** 0 if pj[0].is_principal else Fraction(1)
     return out
-
-
-def _one_like_coeff(j: Jet):
-    """The one of j's coefficient ring, or of Q when j is not principal."""
-    return j.coeff * 0 + 1 if j.is_principal else Fraction(1)
 
 
 def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
@@ -344,42 +337,34 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
     the Cramer solution plan (``_solve_curve``): (coefficient jets,
     conditions, undecidable).  Point jets are (jet_x, jet_y), or homogeneous
     (jet_X, jet_Y, jet_Z) with Z of order 0, whose row of monomials is
-    homogenized to the support's largest degree (``_monomial_jet``).
+    homogenized to the support's largest degree (``_residue``).
 
-    The minors of the homogeneous system are evaluated in the jet ring;
-    a minor whose top order cancels is exactly a vanishing
-    pseudodeterminant, one condition per support point.  Coefficient
-    jets carry cofactor signs so they solve the residual linear system.
-    The step is undecidable when every pseudodeterminant vanishes.
+    Only the optimal permutations, the perfect matchings of the plan's
+    tight graph, reach the top order of a minor, so minor k's top
+    coefficient is the pseudodeterminant: the determinant of the
+    residues on the tight graph without column k (``masked_minors``).
+    It vanishes exactly when the top order cancels, one condition per
+    support point.  Coefficient jet k has order ``plan.values[k]`` and
+    carries its cofactor sign, so the jets solve the residual linear
+    system.  The step is undecidable when every pseudodeterminant
+    vanishes.
     """
     deg = max(i + j for i, j in I.points)
-    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for pj in pt_jets]
-    # a minor's top order cancels iff its pseudodeterminant vanishes, and
-    # only the optimal permutations, the tight ones, reach the top order
-    minors = masked_minors(
-        len(pt_jets), lambda r, c: entries[r][c] if c in plan.tight[r] else None, JET_ZERO
-    )
+    zero = _condition_zero(_residue(pj, i, deg) for pj in pt_jets for i in I.points)
+    rows = [{c: v for c in cs if (v := _residue(pj, I.points[c], deg)) is not None}
+            for pj, cs in zip(pt_jets, plan.tight)]
     conds = ConditionSet()
     coeff_jets = {}
-    any_nonzero = False
-    for k, i in enumerate(I.points):
-        det = minors[k]
-        if det.is_principal:
-            cond_val = det.coeff
-            any_nonzero = True
-        else:
-            cond_val = _condition_zero(entries)
-        coeff_jets[i] = det if k % 2 == 0 else -det
-        conds.add(cond_val, f"{origin} minor {i}")
-    return coeff_jets, conds, not any_nonzero
+    for k, (i, det) in enumerate(zip(I.points, masked_minors(rows, zero))):
+        coeff_jets[i] = Jet.of(plan.values[k], det if k % 2 == 0 else -det)
+        conds.add(det if det else zero, f"{origin} minor {i}")
+    return coeff_jets, conds, not any(j.is_principal for j in coeff_jets.values())
 
 
-def _condition_zero(entries):
-    for row in entries:
-        for e in row:
-            if e.is_principal:
-                return e.coeff * 0
-    return Fraction(0)
+def _condition_zero(residues):
+    """The zero of the ring of the first residue that is not None, or of
+    Q: a vanishing condition's value."""
+    return next((v * 0 for v in residues if v is not None), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +466,7 @@ def _corner_coeff(picks, coeffs, zero):
     """The coefficient of a resultant corner: the determinant, on its
     tight graph, of the coefficients coeffs = (f's, g's) that its picks
     name."""
-    return _tight_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], zero)
-
-
-def _tight_det(rows, zero):
-    """Determinant of the matrix whose row r is rows[r] = {column: entry},
-    empty elsewhere: Gaussian elimination on ints when the entries are
-    F_p scalars, the masked Laplace expansion over any other ring."""
-    n = len(rows)
-    vals = [e for row in rows for e in row.values()]
-    if all(isinstance(e, FpElt) for e in vals):
-        p = vals[0].p
-        return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(n)] for row in rows], p), p)
-    return masked_det(n, lambda r, c: rows[r].get(c), zero)
+    return masked_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], zero)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +611,8 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
     input jet is degenerate or every vertex condition vanishes."""
     cs = ConditionSet()
     if plan.families is None:
-        cs.add(_condition_zero([list(f_jets.values()), list(g_jets.values())]), f"{origin} degenerate input jets")
+        cs.add(_condition_zero(j.coeff for j in [*f_jets.values(), *g_jets.values()]),
+               f"{origin} degenerate input jets")
         return cs, True
 
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))

@@ -24,10 +24,13 @@ diagonal sum.  The key computational facts used here:
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
   non-tight entries excluded; the n+1 maximal minors read B on their
-  common tight graph.  ``_laplace`` is the one masked Laplace expansion
-  of the package; the corner coefficients of jet Sylvester resultants
-  use it over symbolic rings, and fraction-free elimination
-  (``residual.dense_det``) over a field.
+  common tight graph.  ``masked_det`` and ``masked_minors`` are the
+  package's one determinant on a tight graph, given as rows
+  {column: entry}: pseudodeterminants, Cramer minors of a curve step
+  and resultant corner coefficients all call them.  Over F_p
+  ``masked_det`` is Gaussian elimination on ints (``residual.fp_det``),
+  over any other ring the memoized masked Laplace expansion, which
+  ``masked_minors`` shares among all n+1 minors.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .trop_core import frac, scaled_ints
+from .residual import FpElt, fp_det
 
 # trop_det enumerates every optimal permutation, up to n! of them
 DET_BOUND = 12
@@ -201,27 +205,28 @@ def trop_det_value_regular(a):
     return value, _matching_unique([{c for c, t in enumerate(row) if t} for row in mask])
 
 
-def _laplace(n, entry, zero):
-    """``det(mask)``: the determinant of rows 0..n-1 on the n columns in
-    the bit set ``mask``, over a commutative ring; ``entry(r, c)`` is None
-    on excluded cells, which are never multiplied.  Row r expands over the
-    columns rows 0..r-1 left free, so one memo keyed on that mask serves
-    every column subset."""
+def _laplace(rows, zero):
+    """``det(mask)``: the determinant of the rows on the columns in the bit
+    set ``mask``, over a commutative ring; row r is rows[r] =
+    {column: entry}, and a cell outside it is never multiplied.  Row r
+    expands over the columns rows 0..r-1 left free, so one memo keyed on
+    that mask serves every column subset."""
+    n = len(rows)
     memo = {}
 
     def det(mask, r=0):
         if r == n - 1:
-            e = entry(r, mask.bit_length() - 1)
-            return e if e is not None else zero
+            return rows[r].get(mask.bit_length() - 1, zero)
         if mask in memo:
             return memo[mask]
+        row = rows[r]
         total = zero
         sign = 1
         m = mask
         while m:
             low = m & -m
             m ^= low
-            e = entry(r, low.bit_length() - 1)
+            e = row.get(low.bit_length() - 1)
             if e is not None:
                 term = e * det(mask ^ low, r + 1)
                 total = total + term if sign > 0 else total + (-term)
@@ -232,18 +237,27 @@ def _laplace(n, entry, zero):
     return det
 
 
-def masked_det(n, entry, zero):
-    """Determinant of an n x n matrix with entries ``entry(r, c)``, None
-    for excluded cells; ``zero`` is the ring's additive identity."""
-    return _laplace(n, entry, zero)((1 << n) - 1)
+def masked_det(rows, zero):
+    """Determinant of the square matrix whose row r is rows[r] =
+    {column: entry}, empty elsewhere; ``zero`` is the ring's additive
+    identity, and the value when a row has no entry.  F_p entries are
+    eliminated on ints, any other ring is expanded."""
+    if not all(rows):
+        return zero
+    vals = [e for row in rows for e in row.values()]
+    if all(isinstance(e, FpElt) for e in vals):
+        p = vals[0].p
+        return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(len(rows))] for row in rows], p), p)
+    return _laplace(rows, zero)((1 << len(rows)) - 1)
 
 
-def masked_minors(n, entry, zero):
-    """The n+1 maximal minors of an n x (n+1) masked matrix, minor k
-    deleting column k, from one shared expansion memo."""
-    det = _laplace(n, entry, zero)
-    full = (1 << (n + 1)) - 1
-    return [det(full ^ (1 << k)) for k in range(n + 1)]
+def masked_minors(rows, zero):
+    """The n+1 maximal minors of the n x (n+1) matrix with rows rows[r] =
+    {column: entry}, minor k deleting column k, from one shared
+    expansion memo."""
+    det = _laplace(rows, zero)
+    full = (1 << (len(rows) + 1)) - 1
+    return [det(full ^ (1 << k)) for k in range(len(rows) + 1)]
 
 
 def pseudodet(a_rows, b_rows, zero=Fraction(0)):
@@ -257,7 +271,7 @@ def pseudodet(a_rows, b_rows, zero=Fraction(0)):
     if len(b) != n or any(len(r) != n for r in b):
         raise ValueError("weight and coefficient matrices must have equal shape")
     _, mask = tight_mask(a)
-    return masked_det(n, lambda r, c: b[r][c] if mask[r][c] else None, zero)
+    return masked_det([{c: row[c] for c in range(n) if m[c]} for row, m in zip(b, mask)], zero)
 
 
 @dataclass
@@ -338,6 +352,6 @@ def cramer_conditions(a_rows, b_rows, zero=Fraction(0)):
     b = list(b_rows)
     if len(b) != n or any(len(r) != n + 1 for r in b):
         raise ValueError("weight and coefficient matrices must have equal shape")
-    minors = masked_minors(n, lambda r, c: b[r][c] if c in tight[r] else None, zero)
+    minors = masked_minors([{c: row[c] for c in cs} for row, cs in zip(b, tight)], zero)
     return list(enumerate(minors))
 

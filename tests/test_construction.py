@@ -261,6 +261,61 @@ def test_verify_witness_reports_each_violation():
     assert msg.startswith("residual incidence of b on m fails: ")
 
 
+@pytest.mark.parametrize("name", ["pappus", "fano", "pascal_converse"])
+def test_symbolic_witnesses_are_sound(name):
+    # a symbolic intersection point is homogeneous, (X : Y : Z), and is
+    # checked on each curve's residual polynomial homogenized to the
+    # curve support's largest degree; fresh residues at one point break
+    # the incidences through it
+    from tropgeo.theorems import sample_inputs
+
+    c = catalog_construction(name)
+    witnessed = 0
+    for t in range(20):
+        r = realize(c, sample_inputs(c, random.Random(t)))
+        jets = lift_conditions(c, r, mode="symbolic").witness_jets
+        if jets is None:
+            continue
+        witnessed += 1
+        assert verify_witness(c, r, jets) == [], (name, t)
+        homogeneous = next(n for n, j in jets.items() if isinstance(j, tuple) and len(j) == 3)
+        for q in (c.input_points[0], homogeneous):
+            fresh = {**jets, q: tuple(Jet.principal(j.order, RPoly.var(f"fresh{k}"))
+                                      for k, j in enumerate(jets[q]))}
+            bad = verify_witness(c, r, fresh)
+            assert bad and all(m.startswith(f"residual incidence of {q} on ") for m in bad), (name, t, q)
+    assert witnessed == 20, (name, witnessed)
+
+
+def test_lift_does_no_jet_arithmetic(monkeypatch):
+    # every residual condition is a determinant of residues on a tight
+    # graph, and every jet the lift makes is one order and one residue
+    from tropgeo.theorems import sample_inputs
+
+    calls = []
+    for op in ("__add__", "__sub__", "__neg__", "__mul__"):
+        def counted(*args, op=op, orig=getattr(Jet, op)):
+            calls.append(op)
+            return orig(*args)
+
+        monkeypatch.setattr(Jet, op, counted)
+    symbolic = 0
+    for path in sorted((resources.files("tropgeo") / "catalog").iterdir()):
+        doc = dsl.parse(path.read_text())
+        c = dsl.to_construction(doc)
+        inputs = sample_inputs(c, random.Random(3))
+        inputs.update(doc.realization_map())
+        r = realize(c, inputs)
+        lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=4)
+        try:
+            lift_conditions(c, r, mode="symbolic")
+            symbolic += 1
+        except construction.SymbolicModeUnsupported:
+            pass
+    assert calls == []
+    assert symbolic >= 5, symbolic
+
+
 def test_four_lines_always_share_a_ray_direction():
     c = catalog_construction("four_lines")
     rng = random.Random(123)

@@ -3,9 +3,12 @@ no module-level import goes unused, no private module-level function or
 class goes unreferenced in the package, no public one goes unread in the
 package, its tests and its benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
-but the prime field's element divides."""
+but the prime field's element divides; and every ``name`` quoted in a
+docstring still names something."""
 
 import ast
+import builtins
+import re
 from pathlib import Path
 
 import tropgeo
@@ -140,3 +143,54 @@ def test_only_the_prime_field_divides():
                 and any(isinstance(d, ast.FunctionDef) and d.name in ("__truediv__", "__rtruediv__")
                         for d in node.body)]
     assert dividers == ["residual.FpElt"], dividers
+
+
+def _package_names(modules):
+    """The names the package binds: its modules, every def and class,
+    the targets of module- and class-level assignments, the attributes
+    set on self, and every imported name."""
+    out = set(modules)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.update(_bound_names(node))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                out.add(node.attr)
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                for stmt in node.body:
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+                        stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                    out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _parameters(fn):
+    """The parameters of a function and of the closures it defines."""
+    return {x.arg for f in ast.walk(fn) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for a in [f.args] for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x}
+
+
+def _stale_docstring_names(modules):
+    """Each ``identifier`` in a docstring that names neither something the
+    package binds, nor a parameter of the documented function, nor a
+    builtin, nor the TROPGEO_FIELD environment variable."""
+    known = _package_names(modules) | set(dir(builtins)) | {"TROPGEO_FIELD"}
+    stale = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            params = _parameters(node) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else set()
+            for ident in re.findall(r"``([A-Za-z_]\w*)``", ast.get_docstring(node) or ""):
+                if ident not in known | params:
+                    stale.append(f"{name}.py: {getattr(node, 'name', '<module>')}: {ident}")
+    return stale
+
+
+def test_docstrings_name_no_stale_definitions():
+    assert _stale_docstring_names(MODULES) == []
+    planted = ast.parse('def f(pj):\n    """Row ``pj`` by ``_monomial_jet``."""\n')
+    assert _stale_docstring_names({**MODULES, "planted": planted}) == ["planted.py: f: _monomial_jet"]

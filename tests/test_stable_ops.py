@@ -40,7 +40,6 @@ from tropgeo.stable_ops import (
     _inside,
     _mixed_cells,
     _monomial_flag,
-    _monomial_jet,
     _dense_in_y,
     _family_view,
     _perturbed_intersection,
@@ -554,6 +553,20 @@ def _full_det(n, entry, zero):
     return rec(0, (1 << n) - 1)
 
 
+def _monomial_jet(pj, i, deg):
+    """The jet of the monomial x^i1 y^i2 at a point whose jets pj are
+    (x, y), or X^i1 Y^i2 Z^(deg-i1-i2) at a homogeneous one (X, Y, Z),
+    as a product of jets; the constant monomial's coefficient is the one
+    of x's ring, or of Q when x is not principal."""
+    out = None
+    for j, e in zip(pj, (*i, deg - i[0] - i[1])):
+        for _ in range(e):
+            out = j if out is None else out * j
+    if out is None:
+        return Jet.principal(0, pj[0].coeff * 0 + 1 if pj[0].is_principal else F(1))
+    return out
+
+
 def _reference_curve_step(I, pt_jets):
     """Each minor as the full jet determinant of its deleted-column
     matrix: the top order cancels iff the pseudodeterminant vanishes."""
@@ -569,23 +582,27 @@ def _reference_curve_step(I, pt_jets):
             cond_val, any_nonzero = det.coeff, True
             jet = det if k % 2 == 0 else -det
         else:
-            cond_val, jet = _condition_zero(entries), Jet.degenerate(value)
+            cond_val, jet = _condition_zero(e.coeff for row in entries for e in row), Jet.degenerate(value)
         coeff_jets[i] = jet
         conds.add(cond_val, f"curve minor {i}")
     return coeff_jets, conds, not any_nonzero
 
 
 def _random_point_jet(rng, coords, kind, name):
-    """(tropical point, (jet_x, jet_y)): principal in F_7, symbolic or
-    rational residuals, with an occasional degenerate coordinate."""
+    """(tropical point, point jets): (jet_x, jet_y) principal in F_7,
+    symbolic or rational residuals, with an occasional degenerate
+    coordinate.  Kind "homog" gives symbolic homogeneous jets
+    (jet_X, jet_Y, jet_Z) with Z of order 0, and kind "dead" F_7 jets of
+    which every one is degenerate at about one point in three."""
     field = ResidualField(7)
+    dead = kind == "dead" and rng.random() < 0.35
     jets = []
-    for axis, o in zip("xy", coords):
-        if rng.random() < 0.15:
+    for axis, o in zip("XYZ" if kind == "homog" else "xy", (*coords, 0)):
+        if dead or rng.random() < 0.15:
             jets.append(Jet.degenerate(o))
-        elif kind == "fp":
+        elif kind in ("fp", "dead"):
             jets.append(Jet.principal(o, field.elt(rng.randint(1, 6))))
-        elif kind == "sym" or rng.random() < 0.5:
+        elif kind in ("sym", "homog") or rng.random() < 0.5:
             jets.append(Jet.principal(o, RPoly.var(f"{name}.{axis}")))
         else:
             jets.append(Jet.principal(o, F(rng.choice([-2, -1, 1, 3]))))
@@ -593,12 +610,18 @@ def _random_point_jet(rng, coords, kind, name):
 
 
 def test_curve_step_jets_matches_full_jet_minors():
+    # the evaluator's residue minors against the full jet determinants,
+    # on affine and homogeneous point jets; with degenerate points some
+    # rows keep no tight cell whose monomial is principal
     rng = random.Random(77)
     cases = [(Support.named("vertical"), "sym", 40), (Support.named("horizontal"), "fp", 40),
              (LINE, "sym", 120), (LINE, "fp", 120), (LINE, "mixed", 80),
              (Support.named("conic"), "fp", 60), (Support.named("conic"), "mixed", 25),
-             (Support.named("cubic"), "fp", 6)]
+             (Support.named("cubic"), "fp", 6), (LINE, "homog", 80), (Support.named("conic"), "homog", 20),
+             (LINE, "dead", 80), (Support.named("conic"), "dead", 30)]
+    dead_rows = 0
     for sup, kind, count in cases:
+        deg = max(i + j for i, j in sup.points)
         for _ in range(count):
             box = rng.choice([1, 2, 6])
             pts = []
@@ -608,13 +631,16 @@ def test_curve_step_jets_matches_full_jet_minors():
                 else:
                     coords = (F(rng.randint(-box, box)), F(rng.randint(-box, box)))
                 pts.append(_random_point_jet(rng, coords, kind, f"q{idx}"))
-            got_jets, got_conds, got_undecidable = curve_step_jets(
-                sup, [pj for _, pj in pts], cramer_stable(point_value_matrix(sup, [p for p, _ in pts])))
+            plan = cramer_stable(point_value_matrix(sup, [p for p, _ in pts]))
+            got_jets, got_conds, got_undecidable = curve_step_jets(sup, [pj for _, pj in pts], plan)
             coeff_jets, conds, undecidable = _reference_curve_step(sup, pts)
             assert got_jets == coeff_jets, (sup, pts)
             assert [(c.origin, repr(c.poly)) for c in got_conds.conditions] == [
                 (c.origin, repr(c.poly)) for c in conds.conditions], (sup, pts)
             assert got_undecidable == undecidable
+            dead_rows += sum(not any(_monomial_jet(pj, sup.points[c], deg).is_principal for c in cs)
+                             for (_, pj), cs in zip(pts, plan.tight))
+    assert dead_rows >= 20, dead_rows
 
 
 def test_cramer_conditions_match_per_column_pseudodet():
@@ -761,7 +787,7 @@ def _laplace_resultant(f_jets, g_jets):
             for k in range(deg + 1):
                 row[r + k] = coeffs.get(deg - k)
             rows.append(row)
-    return masked_det(m + n, lambda r, c: rows[r][c], JPoly()).c
+    return masked_det([{c: e for c, e in enumerate(row) if e is not None} for row in rows], JPoly()).c
 
 
 def _oracle_corners(f_jets, g_jets):

@@ -4,13 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropgeo.residual import Jet, RPoly
+from tropgeo.residual import FpElt, Jet, ResidualField, RPoly
 from tropgeo.stable_ops import curve_step_jets
 from tropgeo.trop_linalg import (
     _hungarian_max,
+    _laplace,
     _scaled,
     cramer_conditions,
     cramer_stable,
+    masked_det,
     pseudodet,
     trop_det,
     trop_det_value_regular,
@@ -152,6 +154,26 @@ def test_pseudodet_matches_signed_enumeration():
                 prod *= b[i][sigma[i]]
             expected += sign * prod
         assert pseudodet(a, b) == expected
+
+
+def test_masked_det_elimination_matches_laplace():
+    # over F_p masked_det eliminates on ints; the masked Laplace
+    # expansion of the same rows is its oracle, on 320 sparse graphs
+    # with empty rows, and on all-empty ones, whose determinant is zero
+    rng = random.Random(2005)
+    for p in (7, 10007):
+        field = ResidualField(p)
+        for n in range(1, 9):
+            for _ in range(20):
+                density = rng.choice([0.2, 0.4, 0.7, 1.0])
+                rows = [{c: field.elt(rng.randrange(p)) for c in range(n) if rng.random() < density}
+                        for _ in range(n)]
+                if rng.random() < 0.1:
+                    rows[rng.randrange(n)] = {}
+                got = masked_det(rows, field.zero)
+                assert isinstance(got, FpElt) and got == _laplace(rows, field.zero)((1 << n) - 1), rows
+            empty = [{} for _ in range(n)]
+            assert masked_det(empty, field.zero) == field.zero == _laplace(empty, field.zero)((1 << n) - 1)
 
 
 def test_cramer_conditions_all_ones():
