@@ -494,16 +494,18 @@ LABELING_MAX_POINTS = 4
 def labeling_choices(c: Construction, r: TropRealization):
     """Distinct label assignments per intersection step.
 
-    Permutations inducing the same point assignment are merged; steps
-    with more than LABELING_MAX_POINTS labels keep only the default
-    order (enumeration is meant for small sets, e.g. conic-line pairs).
+    Permutations inducing the same point assignment are merged; a step
+    with more than LABELING_MAX_POINTS labels raises ValueError rather
+    than check fewer than all of its labelings.
     """
     per_step = {}
     for idx, si in r.intersections.items():
         labeled = si.as_labeled()
         if len(labeled) > LABELING_MAX_POINTS:
-            per_step[idx] = [tuple(range(len(labeled)))]
-            continue
+            s = c.steps[idx]
+            raise ValueError(f"step 'points {{{' '.join(s.names)}}} = intersect {' '.join(s.curves)}'"
+                             f" has {len(labeled)} points; labelings are enumerated for at most"
+                             f" {LABELING_MAX_POINTS}")
         seen = {}
         for p in itertools.permutations(range(len(labeled))):
             key = tuple(labeled[i] for i in p)
@@ -793,10 +795,10 @@ def lift_conditions(
             raise ValueError(f"symbolic mode runs over Q; {field!r} does not apply")
     elif mode == "numeric":
         field = field or DEFAULT_FIELD
-        if trials < 1:
-            raise ValueError(f"numeric mode needs at least one trial, got {trials}")
     else:
         raise ValueError("mode must be 'symbolic' or 'numeric'")
+    if trials < 1:
+        raise ValueError(f"{mode} mode needs at least one trial, got {trials}")
     kept, successes = None, 0
     for outcome in _passes(c, r, field, seed, trials):
         successes += outcome[3]

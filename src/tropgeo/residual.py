@@ -1,12 +1,13 @@
 """Residual-field arithmetic: scalars, sparse polynomials, jets, and
 dense univariate polynomials over F_p (roots, determinants).
 
-Symbolic values live in one ring: sparse ``RPoly``s over Q on packed
-int monomials, with no division anywhere.  A symbolic intersection point
-is homogeneous, (X : Y : Z) with Z the local determinant, so no residue
-is ever a fraction.  Numeric residues live in a prime field F_p only:
-numeric residual polynomials are dense int coefficient lists mod p, low
-degree first, and ``dense_roots`` finds their roots in F_p.  A lift's
+Symbolic values live in one ring: sparse ``RPoly``s over Q on sorted
+(variable, exponent) monomials, with no division anywhere.  A symbolic
+intersection point is homogeneous, (X : Y : Z) with Z the local
+determinant, so no residue is ever a fraction.  Numeric residues live
+in a prime field F_p only: numeric residual polynomials are dense int
+coefficient lists mod p, low degree first, and ``dense_roots`` finds
+their roots in F_p.  A lift's
 values are *jets*: principal terms c*t^(-u), or an explicit element for
 "principal information lost", so undecidability surfaces as a value
 instead of a crash.  The lift makes each jet from one order and one
@@ -25,11 +26,7 @@ choice introduces no ambiguity.
 
 from __future__ import annotations
 
-import functools
-import math
-import operator
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -211,144 +208,55 @@ DEFAULT_FIELD = ResidualField(10007)
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q, on packed monomials
-
-
-_BITS = 16                        # bits of one variable's exponent field
-_FIELD = (1 << _BITS) - 1
-MAX_EXP = (1 << (_BITS - 1)) - 1  # the top bit of every field stays clear
-_INDEX = {}                       # variable name -> field index, first use first
-_NAMES = []                       # field index -> variable name
-_GUARD = 0                        # the top bit of every registered field
-
-
-def _index(name: str) -> int:
-    global _GUARD
-    i = _INDEX.get(name)
-    if i is None:
-        i = _INDEX[name] = len(_NAMES)
-        _NAMES.append(name)
-        _GUARD |= 1 << (_BITS * i + _BITS - 1)
-    return i
-
-
-def _pack(mono) -> int:
-    """The packed monomial of (name, exponent) pairs with distinct names."""
-    m = 0
-    for name, e in mono:
-        if not 0 <= e <= MAX_EXP:
-            raise OverflowError(f"exponent {e} of {name} outside 0..{MAX_EXP}")
-        m += e << (_BITS * _index(name))
-    return m
-
-
-def _unpack(m: int) -> tuple:
-    """The sorted (name, exponent) pairs of a packed monomial."""
-    out = []
-    while m:
-        shift = (m & -m).bit_length() - 1
-        shift -= shift % _BITS
-        e = (m >> shift) & _FIELD
-        out.append((_NAMES[shift // _BITS], e))
-        m -= e << shift
-    out.sort()
-    return tuple(out)
-
-
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms: sorted (var, exp) tuples
-    to Fraction coefficients, decoded at the first lookup, so that
-    counting the terms (as the benchmark's tracer does for every
-    product) decodes nothing."""
-
-    __slots__ = ("_t", "_d", "_decoded")
-
-    def __init__(self, t, d):
-        self._t, self._d, self._decoded = t, d, None
-
-    def _map(self):
-        if self._decoded is None:
-            self._decoded = {_unpack(m): Fraction(c, self._d) for m, c in self._t.items()}
-        return self._decoded
-
-    def __len__(self):
-        return len(self._t)
-
-    def __iter__(self):
-        return iter(self._map())
-
-    def __getitem__(self, mono):
-        return self._map()[mono]
+# sparse multivariate polynomials over Q
 
 
 class RPoly:
     """Sparse polynomial over Q in named variables.
 
-    A monomial is one int (Kronecker packing): variable i owns the bits
-    16*i .. 16*i+15, and its exponent sits there.  Indices come from the
-    module registry, in first-use order, and never reach an output: the
-    ``terms`` view, ``__str__``, ``variables()``, ``total_degree()`` and
-    ``evaluate()`` decode to sorted (name, exponent) pairs.  Exponents
-    stay in 0..MAX_EXP, so the top bit of every field is clear and the
-    sum of two monomials cannot carry into the next variable; an
-    exponent past MAX_EXP, from ``var`` or a product, raises
-    OverflowError.  Coefficients are int numerators over one positive
-    denominator, in lowest terms (1 wherever the library builds them),
-    so a product term costs one int add and one int multiply.
+    ``terms`` maps each monomial, a tuple of (name, exponent) pairs sorted
+    by name with every exponent at least 1, to its nonzero int or
+    Fraction coefficient; the constant monomial is ().  A product adds
+    the exponent maps of each pair of monomials.
     """
 
-    __slots__ = ("_t", "_d", "_s")
+    __slots__ = ("terms", "_s")
 
-    def __init__(self, terms=None, den=1):
-        """terms: packed monomial -> nonzero int numerator over den, in
-        lowest terms; ``RPoly()`` is zero."""
-        self._t = terms if terms is not None else {}
-        self._d = den
+    def __init__(self, terms=None):
+        """terms: monomial -> nonzero coefficient; ``RPoly()`` is zero."""
+        self.terms = terms if terms is not None else {}
         self._s = None  # the printed form, made on the first ``__str__``
 
     @staticmethod
-    def _reduced(t, d):
-        if d != 1:
-            g = math.gcd(d, *t.values())
-            if g != 1:
-                t = {m: c // g for m, c in t.items()}
-                d //= g
-        return RPoly(t, d)
-
-    @staticmethod
     def var(name: str, exp: int = 1) -> "RPoly":
-        return RPoly({_pack(((name, exp),)): 1})
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {name}")
+        return RPoly({((name, exp),) if exp else (): 1})
 
     @staticmethod
     def const(c) -> "RPoly":
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"not a rational scalar: {c!r}")
-        c = Fraction(c)
-        return RPoly({0: c.numerator}, c.denominator) if c else RPoly()
-
-    @property
-    def terms(self):
-        return _Terms(self._t, self._d)
+        return RPoly({(): c} if c else {})
 
     def __bool__(self):
-        return bool(self._t)
+        return bool(self.terms)
 
     @property
     def is_zero(self):
-        return not self._t
+        return not self.terms
 
     def is_monomial(self):
-        return len(self._t) == 1
+        return len(self.terms) == 1
 
     def is_constant(self):
-        return not self._t or (len(self._t) == 1 and 0 in self._t)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def variables(self):
-        # a field of the OR of all monomials is nonzero iff its variable occurs
-        return [v for v, _ in _unpack(functools.reduce(operator.or_, self._t, 0))]
+        return sorted({v for m in self.terms for v, _ in m})
 
     def total_degree(self):
-        return max((sum(e for _, e in _unpack(m)) for m in self._t), default=0)
+        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     @staticmethod
     def _as_poly(other):
@@ -362,24 +270,19 @@ class RPoly:
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        a, b, d = self._t, o._t, self._d
-        if d != o._d:
-            d = math.lcm(d, o._d)
-            a = {m: c * (d // self._d) for m, c in a.items()}
-            b = {m: c * (d // o._d) for m, c in b.items()}
-        t = dict(a)
-        for m, c in b.items():
+        t = dict(self.terms)
+        for m, c in o.terms.items():
             s = t.get(m, 0) + c
             if s:
                 t[m] = s
             else:
                 del t[m]
-        return RPoly._reduced(t, d)
+        return RPoly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RPoly({m: -c for m, c in self._t.items()}, self._d)
+        return RPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._as_poly(other)
@@ -393,22 +296,23 @@ class RPoly:
             return NotImplemented
         t = {}
         get = t.get
-        b = o._t.items()
-        for m1, c1 in self._t.items():
+        b = o.terms.items()
+        for m1, c1 in self.terms.items():
+            d1 = dict(m1)
             for m2, c2 in b:
-                m = m1 + m2
+                d = d1.copy()
+                for v, e in m2:
+                    d[v] = d.get(v, 0) + e
+                m = tuple(sorted(d.items()))
                 t[m] = get(m, 0) + c1 * c2
-        t = {m: c for m, c in t.items() if c}
-        if functools.reduce(operator.or_, t, 0) & _GUARD:
-            raise OverflowError(f"a product exponent exceeds {MAX_EXP}")
-        return RPoly._reduced(t, self._d * o._d)
+        return RPoly({m: c for m, c in t.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("RPoly has no negative powers: symbolic mode divides nothing")
-        out, b = RPoly({0: 1}), self
+        out, b = RPoly({(): 1}), self
         while n:
             if n & 1:
                 out = out * b
@@ -418,34 +322,31 @@ class RPoly:
         return out
 
     def canonical(self):
-        return self._d, frozenset(self._t.items())
+        return frozenset(self.terms.items())
 
     def __eq__(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        return self._d == o._d and self._t == o._t
+        return self.terms == o.terms
 
     def __hash__(self):
         return hash(self.canonical())
 
     def evaluate(self, assignment: dict):
         out = None
-        for m, c in self._t.items():
-            v = Fraction(c, self._d)
-            for var, e in _unpack(m):
+        for m, c in self.terms.items():
+            v = c
+            for var, e in m:
                 v = v * assignment[var] ** e
             out = v if out is None else out + v
-        if out is None:
-            return Fraction(0)
-        return out
+        return Fraction(0) if out is None else out
 
     def __str__(self):
         if self._s is None:
             parts = []
-            for mono, c in sorted((_unpack(m), c) for m, c in self._t.items()):
+            for mono, c in sorted(self.terms.items()):
                 mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-                c = Fraction(c, self._d)
                 cs = f"({c})" if c < 0 or c.denominator != 1 else str(c)
                 parts.append(f"{cs}*{mono}" if mono else cs)
             self._s = " + ".join(parts) or "0"
@@ -615,9 +516,8 @@ def residual_poly(f_jets: dict, b) -> RPoly:
     terms = residual_terms(f_jets, b)
     out = RPoly()
     for (i1, i2), c in terms.items():
-        mono = RPoly({_pack((("x", i1), ("y", i2))): 1})
-        cp = c if isinstance(c, RPoly) else RPoly.const(c)
-        out = out + cp * mono
+        mono = tuple(ve for ve in (("x", i1), ("y", i2)) if ve[1])
+        out = out + c * RPoly({mono: 1})
     return out
 
 
@@ -847,9 +747,7 @@ class Condition:
         return bool(self.poly)
 
     def key(self):
-        if isinstance(self.poly, RPoly):
-            return ("p", self.poly.canonical())
-        return ("s", repr(self.poly))
+        return self.poly.canonical()
 
 
 @dataclass

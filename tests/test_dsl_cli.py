@@ -111,6 +111,18 @@ def test_cli_theorem_weak_pascal_file_matches_catalog(capsys):
     assert "30/30" in capsys.readouterr().out
 
 
+def test_cli_theorem_refuses_genpos_over_a_step_too_large_to_enumerate(tmp_path, capsys):
+    # a conic meets a cubic in 6 points, 720 labelings: checking only the
+    # default one would not check the statement over every labeling
+    path = tmp_path / "six.tgc"
+    path.write_text("input curve Z support conic\ninput curve W support cubic\n"
+                    "points {A B C D E F} = intersect Z W\ngenpos A B in Z\n"
+                    "thesis curve L support line through A B\n")
+    assert main(["theorem", str(path), "--trials", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: step 'points {A B C D E F} = intersect Z W' "
+                                   "has 6 points; labelings are enumerated for at most 4\n")
+
+
 def test_cli_theorem_that_fails_exits_one_and_lists_its_failing_trials(tmp_path, capsys):
     # weak Pascal without its generic-position precondition fails two of
     # 100 trials at seed 2026
@@ -385,6 +397,8 @@ def test_cli_malformed_field_spec_is_a_usage_error(monkeypatch, capsys, command,
     ["certify", catalog_path("fano"), "--trials", "0"],
     ["theorem", "fano", "--trials", "0"],
     ["theorem", "fano", "--trials", "-1"],
+    ["lift", catalog_path("fano"), "--mode", "symbolic", "--trials", "-5"],
+    ["certify", catalog_path("fano"), "--mode", "symbolic", "--trials", "0"],
 ])
 def test_cli_rejects_fewer_than_one_trial(capsys, argv):
     assert main(argv) == 2

@@ -125,6 +125,13 @@ GOLDEN = [
      "6a997e3979af36142d0d7225658352d2d9fde5a52720f52de950c9e3ae4ee33d"),
     (["realize", "@four_lines", "--seed", "2"], 0,
      "6da724e4ec563c5e2cfcd6a99695e1731e951d9f70ce1e0ff8443496d178c572"),
+    # symbolic certificates with powers in their conditions (116 KB) and
+    # with zero local determinants, recorded before RPoly kept its
+    # monomials as sorted (variable, exponent) tuples
+    (["certify", "@vector_addition", "--mode", "symbolic"], 1,
+     "079f7b4a8d946cbd484601ef56798d6c0ff6ea9fc8d8847a72e228e2224e95b5"),
+    (["certify", "@four_lines", "--mode", "symbolic", "--seed", "8"], 1,
+     "82a66820997cb528d24650cc37f5f292b04aeb2de0eb35204dfa41b73349d0cf"),
 ]
 
 

@@ -3,8 +3,8 @@ no module-level import goes unused, no private module-level function or
 class goes unreferenced in the package, no public one goes unread in the
 package, its tests and its benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
-but the prime field's element divides; and every ``name`` quoted in a
-docstring still names something."""
+but the prime field's element divides; no function rebinds a module
+global; and every ``name`` quoted in a docstring still names something."""
 
 import ast
 import builtins
@@ -143,6 +143,14 @@ def test_only_the_prime_field_divides():
                 and any(isinstance(d, ast.FunctionDef) and d.name in ("__truediv__", "__rtruediv__")
                         for d in node.body)]
     assert dividers == ["residual.FpElt"], dividers
+
+
+def test_no_global_statements():
+    # no module keeps process-wide state that its functions rebind
+    hits = [f"{name}.py:{node.lineno}: global {', '.join(node.names)}"
+            for name, tree in MODULES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Global)]
+    assert not hits, hits
 
 
 def _package_names(modules):

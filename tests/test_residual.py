@@ -1,12 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropgeo.residual import (
-    MAX_EXP,
     ConditionSet,
     FpElt,
     InformationLostError,
@@ -151,13 +151,14 @@ def test_tropicalization_is_a_homomorphism_on_orders(a, b):
 
 
 # ---------------------------------------------------------------------------
-# RPoly on packed monomials against the tuple-monomial form it replaced
+# RPoly against an independent tuple-monomial oracle
 
 
 class _TuplePoly:
-    """Differential oracle: the tuple-monomial RPoly that packed monomials
-    replaced.  Monomials are sorted (var, exp) tuples and coefficients
-    Fractions; every product term builds a dict and a sorted tuple."""
+    """Differential oracle: a sparse polynomial with the same monomials as
+    RPoly, sorted (var, exp) tuples, written independently of it.
+    Coefficients are Fractions, and every product term builds a dict and
+    a sorted tuple; powers square after the last multiply too."""
 
     def __init__(self, terms=None):
         self.terms = dict(terms or {})
@@ -258,15 +259,13 @@ class _TuplePoly:
         return " + ".join(parts)
 
 
-# first used in an order unlike their sorted one, so that a registry index
-# leaking into an output would show
+# listed in an order unlike their sorted one, so that a monomial or a
+# printed polynomial left unsorted would show
 _DIFF_VARS = ["d.z", "d[1,0]", "d.b", "d_q", "d.a", "d[0,2]", "D", "d.x", "d.y", "d0"]
-for _v in _DIFF_VARS:
-    RPoly.var(_v)
 
 
 def _random_pair(rng):
-    """One polynomial as a packed RPoly and as the oracle, from the same
+    """One polynomial as an RPoly and as the oracle, from the same
     terms: integer or proper rational coefficients over up to 10
     variables, exponents up to 200."""
     new, old = RPoly(), _TuplePoly()
@@ -326,24 +325,39 @@ def test_packed_rpoly_matches_tuple_monomial_oracle():
     assert cancelled > 10
 
 
-def test_packed_exponent_overflow_raises_and_never_carries():
-    x, y = RPoly.var("ovf.x"), RPoly.var("ovf.y")  # y's field sits above x's
-    for exp in (2**40, MAX_EXP + 1, -1):
-        with pytest.raises(OverflowError):
-            RPoly.var("ovf.x", exp)
-    top = RPoly.var("ovf.x", MAX_EXP)
-    assert top == RPoly.var("ovf.x", MAX_EXP - 1) * x == x ** MAX_EXP
-    assert dict((top * y).terms) == {(("ovf.x", MAX_EXP), ("ovf.y", 1)): 1}
-    with pytest.raises(OverflowError):
-        top * x
-    with pytest.raises(OverflowError):
-        top * top
-    with pytest.raises(OverflowError):
-        x ** (MAX_EXP + 1)
-    with pytest.raises(OverflowError):
-        (x * y) ** (MAX_EXP + 1)
-    with pytest.raises(OverflowError):
-        (top + y) * (x + 1)
+def test_product_cost_does_not_depend_on_other_variables():
+    """RPoly keeps no state across polynomials: the product of eight
+    trinomials (6,561 terms) over fresh names costs the same after 20,000
+    other names have been used."""
+
+    def best_product_time(prefix):
+        best = math.inf
+        for rep in range(5):
+            factors = [RPoly.var(f"{prefix}{rep}.u{i}") + RPoly.var(f"{prefix}{rep}.w{i}") + 1
+                       for i in range(8)]
+            start = time.perf_counter()
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = prod * f
+            best = min(best, time.perf_counter() - start)
+            assert len(prod.terms) == 3 ** 8
+        return best
+
+    before = best_product_time("hist.before")
+    for i in range(20000):
+        RPoly.var(f"hist.other{i}")
+    after = best_product_time("hist.after")
+    assert after < 4 * before, (before, after)
+
+
+def test_negative_exponents_raise():
+    x = RPoly.var("neg.x")
+    with pytest.raises(ValueError):
+        RPoly.var("neg.x", -1)
+    with pytest.raises(ValueError):
+        x ** -1
+    assert RPoly.var("neg.x", 0) == RPoly.const(1)
+    assert dict((x ** 40000 * RPoly.var("neg.y")).terms) == {(("neg.x", 40000), ("neg.y", 1)): 1}
 
 
 # ---------------------------------------------------------------------------
