@@ -55,6 +55,7 @@ from .genpos import _DSU
 from .stable_ops import (
     _dense_in_y,
     _fiber,
+    _residue,
     _solve_curve,
     _to_origin,
     curve_step_jets,
@@ -172,12 +173,6 @@ class IncidenceStructure:
     blocks: list  # (name, Support)
     flags: list   # (point, block)
     orientation: dict | None = None  # flag -> "pb" (point feeds block) or "bp"
-
-    def support_of(self, name):
-        for n, sup in self.blocks:
-            if n == name:
-                return sup
-        raise KeyError(name)
 
     def is_acyclic(self):
         """Undirected acyclicity of the Levi graph (union-find)."""
@@ -432,7 +427,6 @@ class TropRealization:
     values: dict                 # node -> point tuple or TropPoly
     cramer: dict                 # curve step index -> its CramerSolution
     intersections: dict          # intersection step index -> StableIntersection
-    labelings: dict              # intersection step index -> tuple permutation applied
 
 
 def realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
@@ -469,23 +463,18 @@ def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
         vals[n] = f
     cramer = {}
     inters = {}
-    labelings = {}
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
             vals[s.name], cramer[idx] = _solve_curve(s.support, [vals[q] for q in s.through])
         else:
             si = stable_intersection(vals[s.curves[0]], vals[s.curves[1]])
             labeled = si.as_labeled()
-            perm = tuple(range(len(labeled)))
-            if labeling and idx in labeling:
-                perm = tuple(labeling[idx])
             if len(labeled) != len(s.names):
                 raise AssertionError("intersection arity mismatch")
-            for k, q in enumerate(s.names):
-                vals[q] = labeled[perm[k]]
+            perm = (labeling or {}).get(idx, range(len(labeled)))
+            vals.update((q, labeled[k]) for q, k in zip(s.names, perm, strict=True))
             inters[idx] = si
-            labelings[idx] = perm
-    return TropRealization(values=vals, cramer=cramer, intersections=inters, labelings=labelings)
+    return TropRealization(values=vals, cramer=cramer, intersections=inters)
 
 
 LABELING_MAX_POINTS = 4
@@ -544,12 +533,10 @@ class StepReport:
 
 @dataclass
 class LiftReport:
-    mode: str
     field: ResidualField | None  # None in symbolic mode
     steps: list
     condition_set: ConditionSet
     verdict: str
-    witness: dict | None
     seed: int | None = None
     trials: int | None = None
     successes: int | None = None
@@ -557,7 +544,7 @@ class LiftReport:
 
     def to_json(self):
         return {
-            "mode": self.mode,
+            "mode": "symbolic" if self.field is None else "numeric",
             "field": "Q" if self.field is None else repr(self.field),
             "seed": self.seed,
             "trials": self.trials,
@@ -577,7 +564,7 @@ class LiftReport:
                 for s in self.steps
             ],
             "conditions": self.condition_set.to_json(),
-            "witness": self.witness,
+            "witness": None if self.witness_jets is None else _witness_json(self.witness_jets),
         }
 
 
@@ -731,13 +718,12 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
                 step_conds.append((f"{origin} {what} at {b}", v))
         failed = failed or not solved[b]
 
-    # hand the solved principal terms to the labeled points; a symbolic
-    # point's third jet, of order 0, is its homogeneous coordinate Z
-    perm = r.labelings[idx]
-    labeled_pts = si.as_labeled()
+    # hand the solved principal terms to the labeled points, whose stable
+    # points the realization holds; a symbolic point's third jet, of
+    # order 0, is its homogeneous coordinate Z
     cursor = {}
-    for k, q in enumerate(s.names):
-        b = labeled_pts[perm[k]]
+    for q in s.names:
+        b = r.values[q]
         options = solved[b]
         if options:
             i = cursor.get(b, 0)
@@ -812,8 +798,7 @@ def lift_conditions(
     else:
         verdict, _w = density_test(conds, DEFAULT_FIELD, trials=max(trials, 8), seed=seed)
     rep = LiftReport(
-        mode=mode, field=field, steps=reports, condition_set=conds,
-        verdict=verdict, witness=_witness_json(jets) if ok else None, seed=seed,
+        field=field, steps=reports, condition_set=conds, verdict=verdict, seed=seed,
         trials=None if field is None else trials, successes=None if field is None else successes,
         witness_jets=jets if ok else None,
     )
@@ -889,12 +874,12 @@ def classify_certificates(report: LiftReport, c: Construction) -> LiftReport:
 def verify_witness(c: Construction, r: TropRealization, jets) -> list:
     """Soundness of witness jets: every flag's residual incidence holds.
 
-    For each incidence (q, C), the residual polynomial of C's jets at q
-    must vanish when evaluated at q's residual coordinates, and q must
-    lie on the tropical curve.  A homogeneous point (X : Y : Z) is
-    evaluated on the residual polynomial homogenized to the largest
-    degree D of C's support, sum c*X^i*Y^j*Z^(D-i-j), as in
-    ``curve_step_jets``.  Returns a list of violations.
+    For each incidence (q, C), q must lie on the tropical curve, and the
+    residual polynomial of C's jets at q must vanish on q's residues:
+    sum c*x^i*y^j, or sum c*X^i*Y^j*Z^(D-i-j) at a homogeneous point
+    (X : Y : Z), with D the largest degree of C's support, each monomial
+    evaluated by ``_residue`` as in ``curve_step_jets``.  Returns a list
+    of violations.
     """
     bad = []
     for q, cv in c.flags():
@@ -915,11 +900,8 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
             continue
         deg = max(i + j for i, j in cj)
         acc = None
-        for (i, j), cf in terms.items():
-            v = cf
-            for jet, e in zip(qj, (i, j, deg - i - j)):
-                if e:
-                    v = v * jet.coeff**e
+        for i, cf in terms.items():
+            v = cf * _residue(qj, i, deg)
             acc = v if acc is None else acc + v
         if acc:
             bad.append(f"residual incidence of {q} on {cv} fails: {acc}")
@@ -948,9 +930,14 @@ LIFT_TRIES = 64  # x-residuals tried per point-on-curve lift
 def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField, seed: int = 0):
     """Witness jets for an acyclic incidence structure (tree-walk lifting).
 
-    Alternates point-on-curve lifts (choose a residual root of the
-    residual polynomial) and curve-through-point lifts (solve one
-    coefficient from the linear residual relation).
+    ``realization`` maps each node to its tropical value, and a curve's
+    support is that of its ``TropPoly``.  The walk alternates
+    point-on-curve lifts (choose a residual root of the residual
+    polynomial) and curve-through-point lifts (solve one coefficient
+    from the linear residual relation, whose monomials ``_residue``
+    evaluates at the point).  A curve-through-point lift draws the
+    coefficients outside the argmax first, then all of the argmax but
+    its first point, which it solves for.
     """
     if not g.is_acyclic():
         raise ValueError("graph not acyclic")
@@ -988,34 +975,19 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
         raise RootsOutsideFieldError(f"no torus root for {q!r} on {b!r}")
 
     def lift_curve_through_point(b, q):
-        sup = g.support_of(b)
         f = realization[b]
-        cmap = f.coeff_map()
-        p = realization[q]
-        qx, qy = jets[q]
-        # residual relation: sum over argmax of alpha_i * gamma^i = 0
-        val, arg = f.eval(p)
+        # residual relation: sum over argmax of alpha_i * gamma^i = 0; the
+        # point is affine, so its residues need no degree
+        _val, arg = f.eval(realization[q])
         if len(arg) < 2:
             raise ValueError(f"point {q!r} is not on curve {b!r} tropically")
-        coeffs = {}
-        for pt in sup.points:
-            if pt not in arg:
-                coeffs[pt] = field.random_nonzero(rng)
-        solve_for = arg[0]
-        acc = field.zero
-        for pt in arg[1:]:
-            cfree = field.random_nonzero(rng)
-            coeffs[pt] = cfree
-            acc = acc + cfree * (qx.coeff ** pt[0] if pt[0] else field.one) * (
-                qy.coeff ** pt[1] if pt[1] else field.one
-            )
-        mono = (qx.coeff ** solve_for[0] if solve_for[0] else field.one) * (
-            qy.coeff ** solve_for[1] if solve_for[1] else field.one
-        )
-        coeffs[solve_for] = -acc / mono
-        if not coeffs[solve_for]:
+        coeffs = {pt: field.random_nonzero(rng) for pt in f.support.points if pt not in arg}
+        coeffs.update((pt, field.random_nonzero(rng)) for pt in arg[1:])
+        acc = sum((coeffs[pt] * _residue(jets[q], pt, 0) for pt in arg[1:]), field.zero)
+        coeffs[arg[0]] = -acc / _residue(jets[q], arg[0], 0)
+        if not coeffs[arg[0]]:
             raise ValueError("degenerate residual relation")
-        jets[b] = {pt: Jet.principal(cmap[pt], coeffs[pt]) for pt in sup.points}
+        jets[b] = {pt: Jet.principal(o, coeffs[pt]) for pt, o in f.coeff_map().items()}
 
     seen = set()
     for start in sorted(nodes):

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .trop_core import Support, TropPoly, frac
-from .construction import Construction, CurveThrough, Intersect
+from .construction import KIND, Construction, CurveThrough, Intersect, _node_table
 
 
 class DslError(ValueError):
@@ -102,6 +102,7 @@ def parse_support(text: str, line: int) -> Support:
 
 def parse(text: str) -> DslDocument:
     doc = DslDocument()
+    realized = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -128,6 +129,10 @@ def parse(text: str) -> DslDocument:
             continue
         m = _REALIZE_POINT.match(stripped) or _REALIZE_CURVE.match(stripped)
         if m:
+            if m.group(1) in realized:
+                raise DslError(f"node {m.group(1)!r} is realized twice", lineno,
+                               len(raw) - len(raw.lstrip()) + 1)
+            realized.add(m.group(1))
             try:
                 if m.re is _REALIZE_POINT:
                     value = (frac(m.group(2)), frac(m.group(3)))
@@ -230,11 +235,22 @@ def to_statement(doc: DslDocument, name="statement"):
     if doc.thesis is None:
         raise ValueError("document has no thesis clause")
     c = to_construction(doc)
+    table = _node_table(c)
     t = doc.thesis
-    named = list(t.nodes) + [n for pts, cv in doc.genpos for n in (*pts, cv)]
-    unknown = sorted(set(named) - set(c.node_names()))
+    # (name, the kind its clause needs, the clause's rule)
+    if t.kind == "point":
+        named = [(n, "curve", f"thesis point {t.name!r} lies on curves") for n in t.nodes]
+    else:
+        named = [(n, "point", f"thesis curve {t.name!r} passes through points") for n in t.nodes]
+    for pts, cv in doc.genpos:
+        rule = "genpos lists points in a curve"
+        named += [(n, "point", rule) for n in pts] + [(cv, "curve", rule)]
+    unknown = sorted({n for n, _, _ in named} - set(table))
     if unknown:
         raise ValueError(f"thesis or genpos names unknown nodes: {' '.join(unknown)}")
+    for n, kind, rule in named:
+        if table[n][KIND] != kind:
+            raise ValueError(f"{rule}; {n!r} is a {table[n][KIND]}")
     if t.kind == "point":
         thesis = ThesisPoint(name=t.name, on=list(t.nodes))
     else:

@@ -106,10 +106,9 @@ class Assignment:
     """Chosen target per query point: ("edge", pair) or ("iso", point)."""
 
     targets: list
-    gamma: GammaGraph
 
     def edge_targets(self):
-        return [t[1] for t in self.targets if t is not None and t[0] == "edge"]
+        return [t[1] for t in self.targets if t[0] == "edge"]
 
     def to_json(self):
         out = []
@@ -178,9 +177,8 @@ def find_assignment(f: TropPoly, pts, gamma: GammaGraph | None = None):
     gamma = gamma or build_gamma(f)
     cands = [_candidate_targets(gamma, q) for q in pts]
     order = sorted(range(len(pts)), key=lambda i: (len(cands[i]), i))
-    used_edges = set()
-    used_iso = set()
-    dsu = _DSU()
+    taken = set()  # targets are pairwise distinct
+    dsu = _DSU()  # and the chosen edges acyclic
     chosen = [None] * len(pts)
 
     def rec(k):
@@ -189,32 +187,18 @@ def find_assignment(f: TropPoly, pts, gamma: GammaGraph | None = None):
         i = order[k]
         for t in cands[i]:
             kind, tgt = t
+            if tgt in taken or (kind == "edge" and not dsu.union(*tgt)):
+                continue
+            taken.add(tgt)
+            chosen[i] = t
+            if rec(k + 1):
+                return True
+            taken.discard(tgt)
             if kind == "edge":
-                if tgt in used_edges:
-                    continue
-                if not dsu.union(tgt[0], tgt[1]):
-                    continue  # would close a cycle
-                used_edges.add(tgt)
-                chosen[i] = t
-                if rec(k + 1):
-                    return True
-                used_edges.discard(tgt)
                 dsu.undo()
-                chosen[i] = None
-            else:
-                if tgt in used_iso:
-                    continue
-                used_iso.add(tgt)
-                chosen[i] = t
-                if rec(k + 1):
-                    return True
-                used_iso.discard(tgt)
-                chosen[i] = None
         return False
 
-    if rec(0):
-        return Assignment(targets=list(chosen), gamma=gamma)
-    return None
+    return Assignment(targets=chosen) if rec(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +258,22 @@ def in_general_position(f: TropPoly, pts):
     if asg is None:
         return False, None
 
-    free = []
-    used_iso = {t[1] for t in asg.targets if t[0] == "iso"}
-    for p, fi in sorted(gamma.isolated.items()):
-        if p not in used_iso:
-            v = gamma.subdivision.facets[fi].dual_vertex
-            free.append((v, ("iso", p)))
+    taken = {t[1] for t in asg.targets}
+    free = [(gamma.subdivision.facets[fi].dual_vertex, ("iso", p))
+            for p, fi in sorted(gamma.isolated.items()) if p not in taken]
 
+    # every refined edge that keeps the chosen edges acyclic gets a free
+    # point; a chosen edge is already joined
     dsu = _DSU()
-    used_edges = set()
     for e in asg.edge_targets():
-        dsu.union(e[0], e[1])
-        used_edges.add(e)
+        dsu.union(*e)
     salt = 0
     cv = None
     for e in sorted(gamma.edges):
-        if e in used_edges:
-            continue
-        if dsu.union(e[0], e[1]):
+        if dsu.union(*e):
             cv = cv or _curve_of(gamma.poly, gamma.subdivision)
-            q = _point_on_dual_cell(gamma, cv, e, salt)
+            free.append((_point_on_dual_cell(gamma, cv, e, salt), ("edge", e)))
             salt += 1
-            free.append((q, ("edge", e)))
-            used_edges.add(e)
     total = len(pts) + len(free)
     if total != delta - 1:
         raise AssertionError(

@@ -782,35 +782,55 @@ def test_thesis_curves_make_no_peel(monkeypatch):
 # acyclic lifting
 
 
-def test_lift_acyclic_point_on_line():
-    g = IncidenceStructure(points=["p"], blocks=[("C", LINE)], flags=[("p", "C")])
-    Cv = TropPoly.parse("1x+0y+1")
-    jets = lift_acyclic(g, {"C": Cv, "p": (0, 1)}, F10007, seed=2)
-    terms = residual_terms(jets["C"], (0, 1))
-    px, py = jets["p"]
-    val = sum((c * px.coeff**i * py.coeff**j for (i, j), c in terms.items()),
-              F10007.zero)
-    assert not val
-
-
-def test_lift_acyclic_path_point_line_point_line():
+def _acyclic_structures():
+    """A point p on a line C, and the path C - p - D - q: lines C and D
+    through p, and q on D; each with its realization."""
     from tropgeo.stable_ops import stable_curve
 
-    g = IncidenceStructure(
+    on_line = IncidenceStructure(points=["p"], blocks=[("C", LINE)], flags=[("p", "C")])
+    path = IncidenceStructure(
         points=["p", "q"],
         blocks=[("C", LINE), ("D", LINE)],
         flags=[("p", "C"), ("p", "D"), ("q", "D")],
     )
     Cv = TropPoly.parse("1x+0y+1")
     Dv = stable_curve(LINE, [(0, 1), (4, 4)])
-    real = {"C": Cv, "p": (0, 1), "D": Dv, "q": (4, 4)}
-    jets = lift_acyclic(g, real, F10007, seed=9)
+    return [(on_line, {"C": Cv, "p": (0, 1)}),
+            (path, {"C": Cv, "p": (0, 1), "D": Dv, "q": (4, 4)})]
+
+
+def _assert_lifted(g, real, jets):
     for pt, blk in g.flags:
         terms = residual_terms(jets[blk], real[pt])
         px, py = jets[pt]
         val = sum((c * px.coeff**i * py.coeff**j for (i, j), c in terms.items()),
                   F10007.zero)
         assert not val
+
+
+def test_lift_acyclic_point_on_line():
+    g, real = _acyclic_structures()[0]
+    _assert_lifted(g, real, lift_acyclic(g, real, F10007, seed=2))
+
+
+def test_lift_acyclic_path_point_line_point_line():
+    g, real = _acyclic_structures()[1]
+    _assert_lifted(g, real, lift_acyclic(g, real, F10007, seed=9))
+
+
+def test_lift_acyclic_jets_are_unchanged():
+    # the residues drawn at seeds 0-9, in their order: recorded before the
+    # acyclic lift evaluated its monomials with the curve step's residue
+    rows = []
+    for seed in range(10):
+        for g, real in _acyclic_structures():
+            jets = lift_acyclic(g, real, F10007, seed=seed)
+            for n in sorted(jets):
+                j = jets[n]
+                cells = enumerate(j) if isinstance(j, tuple) else sorted(j.items())
+                rows.append((seed, n, [(k, str(v.order), str(v.coeff)) for k, v in cells]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "713a43ea97720e5cc6545a3cec1e8c06eba3bafc9ba4ec8e6f3b620aebd56259"
 
 
 def test_lift_acyclic_empty_structure():

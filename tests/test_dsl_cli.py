@@ -151,6 +151,27 @@ def test_cli_theorem_file_with_unknown_node_is_a_usage_error(tmp_path, capsys):
         assert "unknown nodes" in capsys.readouterr().err
 
 
+# each thesis or genpos name must be a node of the kind its clause needs
+WRONG_KIND = {
+    "thesis_point_on_points": ("thesis point p on A B\n",
+                               "thesis point 'p' lies on curves; 'A' is a point"),
+    "thesis_curve_through_a_curve": ("thesis curve m support line through l A\n",
+                                     "thesis curve 'm' passes through points; 'l' is a curve"),
+    "genpos_in_a_point": ("genpos A B in C\nthesis curve m support line through A B\n",
+                          "genpos lists points in a curve; 'C' is a point"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KIND))
+def test_cli_theorem_names_of_the_wrong_kind_are_a_usage_error(tmp_path, capsys, name):
+    extra, message = WRONG_KIND[name]
+    path = tmp_path / f"{name}.tgc"
+    path.write_text("input point A\ninput point B\ninput point C\n"
+                    "curve l = through A B support line\n" + extra)
+    assert main(["theorem", str(path), "--trials", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_theorem_unknown_name(capsys):
     rc = main(["theorem", "not_a_theorem"])
     assert rc == 2
@@ -327,6 +348,15 @@ def test_cli_wrong_realize_line_is_a_usage_error(tmp_path, capsys, name, command
                     "curve l = through a b support line\n" + line + "\n")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["realize", "lift", "certify"])
+def test_cli_repeated_realize_line_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "twice.tgc"
+    path.write_text("input point A\ninput point B\ncurve l = through A B support line\n"
+                    "realize A = (0, 0)\n  realize A = (1, 5)\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 5, column 3: node 'A' is realized twice\n")
 
 
 ZERO_DENOMINATOR = "zero denominator in '1/0'"

@@ -132,6 +132,16 @@ GOLDEN = [
      "079f7b4a8d946cbd484601ef56798d6c0ff6ea9fc8d8847a72e228e2224e95b5"),
     (["certify", "@four_lines", "--mode", "symbolic", "--seed", "8"], 1,
      "82a66820997cb528d24650cc37f5f292b04aeb2de0eb35204dfa41b73349d0cf"),
+    # generic position: points on edges, points at both vertices of the
+    # conic, and four points at one vertex, whose four refined edges
+    # close a cycle, recorded before the search kept one set of taken
+    # targets
+    (["genpos", "@weak_pascal", "--curve", "Z", "--points", "(4,-1/2)", "(3,2)"], 0,
+     "1a96f965df2034e74161ecd58bc0c94997b2ccafafbd6a0a1fed72c1bc9b5c5a"),
+    (["genpos", "@weak_pascal", "--curve", "Z", "--points", "(1,1)", "(4,5/2)", "(4,-1/2)"], 0,
+     "1fabcab206497b3ba1125be1b8551d4bcc4c70e4bd14bcb494aab59729d407c1"),
+    (["genpos", "@weak_pascal", "--curve", "Z", "--points", "(1,1)", "(1,1)", "(1,1)", "(1,1)"], 1,
+     "7be5b06c3ae29db265048034726b8decc3c1ac47d0e07f833580043760d6af45"),
 ]
 
 

@@ -202,3 +202,26 @@ def test_docstrings_name_no_stale_definitions():
     assert _stale_docstring_names(MODULES) == []
     planted = ast.parse('def f(pj):\n    """Row ``pj`` by ``_monomial_jet``."""\n')
     assert _stale_docstring_names({**MODULES, "planted": planted}) == ["planted.py: f: _monomial_jet"]
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) of each annotated field of a ``@dataclass``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    # a field no attribute access reads is a stored copy nobody needs;
+    # reads in the package, the tests and the benchmark count
+    trees = [*MODULES.values(), *(ast.parse(path.read_text(), str(path))
+                                  for d in ("tests", "perfbench") for path in sorted((ROOT / d).glob("*.py")))]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{name}.py:{line}: {cls}.{fld}" for name, tree in MODULES.items()
+              for cls, fld, line in _dataclass_fields(tree) if fld not in read]
+    assert not unread, unread
