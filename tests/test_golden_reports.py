@@ -142,6 +142,20 @@ GOLDEN = [
      "1fabcab206497b3ba1125be1b8551d4bcc4c70e4bd14bcb494aab59729d407c1"),
     (["genpos", "@weak_pascal", "--curve", "Z", "--points", "(1,1)", "(1,1)", "(1,1)", "(1,1)"], 1,
      "7be5b06c3ae29db265048034726b8decc3c1ac47d0e07f833580043760d6af45"),
+    # line∩line steps with a degenerate minor (four_lines at seed 2,
+    # steps 4, 6 and 8; at seed 8, step 7) and symbolic certificates of
+    # lines only, recorded before two lines were lifted by their 2 x 3
+    # masked minors
+    (["certify", "@four_lines", "--trials", "4", "--seed", "2"], 1,
+     "021d7c217fde4d2e183e1f2f2c976b939e496081d305e4346c96ace4c267eb8c"),
+    (["certify", "@four_lines", "--trials", "4", "--seed", "8"], 1,
+     "cff10b679c1807229db4b6869fdd68bd0137fe8d746a424a36e0e6a9f810500b"),
+    (["certify", "@pappus", "--mode", "symbolic"], 0,
+     "110ab9c1e7271eb709153f84433397e2c13ba7fa3395aae2c713b3a5bbe76a38"),
+    (["certify", "@fano", "--mode", "symbolic"], 0,
+     "858655859394f767ee2d7e141ed043dee46c503be546a81226ceea199f9a0c12"),
+    (["lift", "@four_lines", "--mode", "sample", "--trials", "4", "--seed", "0"], 1,
+     "6be52170e7636f71a7a4a49bfc75b0164fddd1e86e3f0db4cf0a7dab2c51ba98"),
 ]
 
 
