@@ -16,9 +16,13 @@ closed form when linear (symbolic, as a homogeneous point (X : Y : Z),
 so that symbolic mode never divides) or by root finding in F_p (numeric).
 
 The tropical half of each step does not depend on the residues, and the
-realization solves it once: ``realize`` keeps each curve step's Cramer
-solution and each intersection step's stable points, and the lift reads
-them.  The rest of an intersection step's residue-free work, its
+realization solves it once: ``realize`` keeps the Cramer solution of
+each curve step and of each line∩line step, and each intersection
+step's stable points, and the lift reads them.  Two lines with
+principal jets meet at the cross product of their residue rows, read
+off the three masked minors of that Cramer solution with the outputs of
+the resultant path (``_line_meet``).  The rest of every other
+intersection step's residue-free work, its
 resultant corners and the argmax supports of its local solves (see
 ``stable_ops``), depends on the kinds (principal, degenerate) of its
 input jets too.  A ``lift_conditions`` call keeps it in a lift plan,
@@ -55,15 +59,16 @@ from .genpos import _DSU
 from .stable_ops import (
     _dense_in_y,
     _fiber,
+    _intersect,
     _residue,
     _solve_curve,
     _to_origin,
     curve_step_jets,
     intersection_step_conditions,
     intersection_step_plan,
+    line_minors,
     local_intersection_solve,
     solve_local_linear,
-    stable_intersection,
 )
 
 
@@ -425,7 +430,7 @@ def _two_paths(table, counts, a, b):
 @dataclass
 class TropRealization:
     values: dict                 # node -> point tuple or TropPoly
-    cramer: dict                 # curve step index -> its CramerSolution
+    cramer: dict                 # curve or line∩line step index -> its CramerSolution
     intersections: dict          # intersection step index -> StableIntersection
 
 
@@ -467,7 +472,9 @@ def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
         if isinstance(s, CurveThrough):
             vals[s.name], cramer[idx] = _solve_curve(s.support, [vals[q] for q in s.through])
         else:
-            si = stable_intersection(vals[s.curves[0]], vals[s.curves[1]])
+            si, sol = _intersect(vals[s.curves[0]], vals[s.curves[1]])
+            if sol is not None:
+                cramer[idx] = sol
             labeled = si.as_labeled()
             if len(labeled) != len(s.names):
                 raise AssertionError("intersection arity mismatch")
@@ -686,23 +693,73 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     return [(x, y, z)] if all(v for _, v in checks) else [], checks
 
 
+def _line_meet(f_jets, g_jets, sol, b, field, origin):
+    """A line∩line step with principal input jets whose orders have the
+    Cramer solution sol, read off its pseudodeterminants (M0, M1, M2)
+    (``line_minors``) with the outputs of the resultant path: (the
+    conditions of ``intersection_step_conditions``, whether all of them
+    vanish, the outcome of ``_local_solve`` at the stable point b, fixed,
+    always compatible).
+
+    R_x has the corners -M2 and M0, R_y has -M1 and -M0, and R_z is R_x
+    at shear 0.  The step is fixed when both families have a monomial
+    corner (M0 regular, or M1 and M2 regular) and always compatible when
+    all three minors are regular.  The local solve's point is
+    (M2/M0, -M1/M0) in F_p, and symbolically the (X : Y : Z) of
+    ``solve_local_linear``, which is (-M2 : M1 : -M0).  Over F_p a
+    vanishing minor leaves no torus solution, and when all three vanish
+    the two residual lines are one, and the solve is not zero-dimensional.
+    """
+    m0, m1, m2 = line_minors(f_jets, g_jets, sol)
+    cs = ConditionSet()
+    for name, corners in (("x", (-m2, m0)), ("y", (-m1, -m0)), ("z", (-m2, m0))):
+        for e, v in enumerate(corners):
+            cs.add(v, f"{origin} R_{name} coeff {e}")
+    undecidable = not (m0 or m1 or m2)
+    if field is None:
+        checks = [("local det", -m0), ("torus x", -m2), ("torus y", m1)]
+        out = [(-m2, m1, -m0)] if m0 and m1 and m2 else [], checks
+    elif m0 and m1 and m2:
+        out = [(m2 / m0, -m1 / m0)], []
+    elif undecidable:
+        out = InformationLostError("residual eliminant vanishes; not zero-dimensional")
+    else:
+        out = [], [("no torus solution", field.zero)]
+    reg = sol.regular
+    return cs, undecidable, [(b, out)], reg[0] or (reg[1] and reg[2]), all(reg)
+
+
 def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans):
+    """Intersection step idx: its report and whether it lifted; sets the
+    jets of its points and adds its conditions to conds.  Two lines with
+    principal jets are read off the Cramer solution that the realization
+    keeps for the step (``_line_meet``); every other pair, and two lines
+    with a degenerate jet, take the resultant path: the lift plan from
+    ``plans`` (``_step_plan``), a local solve per stable point and the
+    resultant corners (``intersection_step_conditions``)."""
     f_jets = jets[s.curves[0]]
     g_jets = jets[s.curves[1]]
     origin = f"step#{idx} intersect {s.curves[0]}*{s.curves[1]}"
     si = r.intersections[idx]
-    plan = _step_plan(plans, idx, (f_jets, g_jets), lambda: intersection_step_plan(f_jets, g_jets, si.points))
-    # the local systems, one per distinct stable point, come before the
-    # resultants, whose symbolic corner coefficients grow fast with the
-    # degree, so that a step symbolic mode cannot solve stops at once
-    outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
-                for b, _ in si.points]
-    step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, origin=origin)
+    sol = r.cramer.get(idx)
+    if sol is not None and all(j.is_principal for j in [*f_jets.values(), *g_jets.values()]):
+        (b, _), = si.points
+        step_cs, undecidable, outcomes, fixed, always = _line_meet(f_jets, g_jets, sol, b, field, origin)
+        notes = ["shear a=0"]
+    else:
+        plan = _step_plan(plans, idx, (f_jets, g_jets),
+                          lambda: intersection_step_plan(f_jets, g_jets, si.points))
+        # the local systems, one per distinct stable point, come before the
+        # resultants, whose symbolic corner coefficients grow fast with the
+        # degree, so that a step symbolic mode cannot solve stops at once
+        outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
+                    for b, _ in si.points]
+        step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, origin=origin)
+        notes = [f"shear a={plan.shear}"] if plan.shear is not None else []
+        fixed, always = plan.fixed, plan.always_compatible
     conds.merge(step_cs)
     step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
-    notes = [f"shear a={plan.shear}"] if plan.shear is not None else []
-
-    if plan.always_compatible:
+    if always:
         notes.append("always-compatible")
     failed = bool([v for _, v in step_conds if not v]) or undecidable
 
@@ -739,8 +796,8 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
         conditions=step_conds,
         all_zero=undecidable,
         some_zero=failed,
-        fixed=plan.fixed,
-        always_compatible=plan.always_compatible,
+        fixed=fixed,
+        always_compatible=always,
         notes=notes,
     )
     return rep, not failed
@@ -773,8 +830,11 @@ def lift_conditions(
     else of the last one.
 
     Each step reads its tropical half from the realization r: a curve
-    step its Cramer solution, an intersection step its stable points.
-    The intersection steps' plans live for this call only (``_passes``).
+    step its Cramer solution, an intersection step its stable points,
+    and a line∩line step with principal input jets its Cramer solution
+    too, whose masked minors give its conditions and its point.  The
+    plans of the other intersection steps live for this call only
+    (``_passes``).
     """
     if mode == "symbolic":
         if field is not None:

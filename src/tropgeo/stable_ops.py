@@ -23,7 +23,10 @@ which is the determinant of the residues on its tight graph
 (``masked_det``, ``masked_minors``).  At a curve step it is a Cramer
 minor, whose tight cells hold the residues of their monomials at the
 points; at an intersection step it is the coefficient of a
-Newton-segment vertex of a Sylvester resultant.  It vanishes exactly
+Newton-segment vertex of a Sylvester resultant, and at the meet of two
+lines with principal jets one of the three minors of their 2 x 3
+residue matrix (``line_minors``), which are those vertex coefficients
+up to sign and also give the meet's point.  It vanishes exactly
 when the top order of the jet minor or jet coefficient cancels, so no
 jet arithmetic is done: a coefficient jet is an order from the tropical
 solve and a residue.  Only the strict upper-hull corners of a jet
@@ -38,8 +41,11 @@ Each residual step splits into a residue-free plan and an evaluator.  A
 curve step's plan is the Cramer solution of its realization, which
 ``_solve_curve`` returns beside the curve: a point jet's order is its
 realized coordinate, and the solution computes its regular flags when
-the lift first reads them.  An intersection step's plan reads the orders and
-kinds of its input jets and its stable points: the resultant corners,
+the lift first reads them.  So is a line∩line step's, when both input
+jets are principal: the Cramer solution of the 2 x 3 coefficient
+matrix that ``_intersect`` returns beside the stable point.  Every
+other intersection step's plan reads the orders and kinds of its input
+jets and its stable points: the resultant corners,
 their tight graphs, the monomial flags of their conditions, the shear
 of R_z (the least a >= 0 for which x - a*y is injective on the stable
 points) and the argmax supports of the two residual polynomials at each
@@ -50,14 +56,17 @@ counted over the perfect matchings of its tight graph: its condition is
 a monomial when exactly one product of input coefficients keeps a
 nonzero signed count (``_monomial_flag``).  The plan alone says whether
 a step is fixed or always compatible: a curve step's regular flags (a
-regular minor's pseudodeterminant is a monomial), an intersection
-plan's ``fixed`` and ``always_compatible``, read from the monomial
-flags.  The evaluators take the plan and read the residues, returning
-only what the residues decide: ``curve_step_jets`` the coefficient jets,
-the minors' conditions and whether all of them vanish,
-``intersection_step_conditions`` the corner determinants and whether
-all of them vanish, and ``local_intersection_solve`` the roots of the
-coefficients on the plan's supports.
+regular minor's pseudodeterminant is a monomial), a line∩line step's
+(fixed when M0, or M1 and M2, are regular, always compatible when all
+three are), another intersection plan's ``fixed`` and
+``always_compatible``, read from the monomial flags.  The evaluators
+take the plan and read the residues, returning only what the residues
+decide: ``curve_step_jets`` the coefficient jets, the minors'
+conditions and whether all of them vanish, ``line_minors`` the three
+minors of a line pair, ``intersection_step_conditions`` the corner
+determinants and whether all of them vanish, and
+``local_intersection_solve`` the roots of the coefficients on the
+plan's supports.
 
 A numeric local system lives in F_p and stays on dense int lists from
 its residual terms to its roots: each polynomial is divided by its
@@ -163,12 +172,21 @@ def stable_intersection(f: TropPoly, g: TropPoly) -> StableIntersection:
     coefficient matrix, its columns in the support order (0,0), (0,1),
     (1,0), is the point (0 : y : x).  Every other pair is read from the
     product subdivision (``_mixed_cells``)."""
+    return _intersect(f, g)[0]
+
+
+def _intersect(f: TropPoly, g: TropPoly):
+    """(``stable_intersection`` of f and g, the Cramer solution of their
+    2 x 3 coefficient matrix when both are lines, else None): the
+    solution's tight graph and regular flags are the residue-free half of
+    the line∩line step (``line_minors``)."""
     if f.support == _LINE == g.support:
         (a, da), (b, db) = f.scaled(), g.scaled()
         d = lcm(da, db)
-        v = _cramer([[c * (d // da) for c in a], [c * (d // db) for c in b]], d).values
-        return StableIntersection([((v[2] - v[0], v[1] - v[0]), 1)])
-    return _mixed_cells(f, g)
+        sol = _cramer([[c * (d // da) for c in a], [c * (d // db) for c in b]], d)
+        v = sol.values
+        return StableIntersection([((v[2] - v[0], v[1] - v[0]), 1)]), sol
+    return _mixed_cells(f, g), None
 
 
 def _mixed_cells(f: TropPoly, g: TropPoly) -> StableIntersection:
@@ -359,6 +377,20 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
         coeff_jets[i] = Jet.of(plan.values[k], det if k % 2 == 0 else -det)
         conds.add(det if det else zero, f"{origin} minor {i}")
     return coeff_jets, conds, not any(j.is_principal for j in coeff_jets.values())
+
+
+def line_minors(f_jets: dict, g_jets: dict, sol):
+    """The pseudodeterminants (M0, M1, M2) of two lines with principal
+    coefficient jets, whose orders have the Cramer solution sol
+    (``_intersect``): the masked minors of the 2 x 3 matrix of their
+    residues on sol's tight graph, Mk deleting column k, the columns in
+    the support order (0,0), (0,1), (1,0).  The tight graph's rows are
+    the argmax supports of the two lines at their stable point, so these
+    are the minors of the two residual lines a0 + a1*y + a2*x: their
+    resultant in y is R_x = -M2 + M0*x, in x it is R_y = -M1 - M0*y, and
+    their common zero is (1 : y : x) = (M0 : -M1 : M2)."""
+    rows = [{c: jets[_LINE.points[c]].coeff for c in cs} for jets, cs in zip((f_jets, g_jets), sol.tight)]
+    return masked_minors(rows, _condition_zero(rows[0].values()))
 
 
 def _condition_zero(residues):

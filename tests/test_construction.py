@@ -726,10 +726,13 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert many_total == few_total + sum((w for k, w in many.items() if k not in few), Counter())
     assert (len(many) > len(few)) == (name == "weak_pascal")
     assert symbols == []
-    # chasles intersects two cubics, whose Sylvester dimension 6 is past SHAPE_BOUND
+    # chasles intersects two cubics, whose Sylvester dimension 6 is past
+    # SHAPE_BOUND; the line∩line steps of pappus and of the chain, whose
+    # input jets are principal here, are read off their Cramer solutions
+    # and build no plan
     expected = {"_hungarian_max", "residual_support"}
     expected |= {"_monomial_flag"} if name != "chasles" else set()
-    assert set(many_total) == expected
+    assert set(many_total) == (set() if name in ("pappus", "chain") else expected)
 
 
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
@@ -737,6 +740,52 @@ def test_a_shared_lift_plan_gives_the_report_of_a_fresh_plan_per_pass(monkeypatc
     shared = lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json()
     monkeypatch.setattr(construction, "_step_plan", lambda plans, idx, ins, build: build())
     assert lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json() == shared
+
+
+@pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+@pytest.mark.parametrize("name", ["chain", "fano"])
+def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, name, mode):
+    # a line∩line step with principal input jets is read off the masked
+    # minors of its Cramer solution: no lift plan, resultant corner,
+    # assignment or local solve runs for it.  The same lift without the
+    # realization's line-pair solutions takes the resultant path, so the
+    # counters do count
+    from collections import Counter
+
+    from tropgeo import stable_ops, trop_linalg
+    from tropgeo.theorems import sample_inputs
+
+    if name == "chain":
+        c, r = _line_chain(33, random.Random(5))
+    else:
+        c = catalog()[name].hypothesis
+        r = realize(c, sample_inputs(c, random.Random(0)))
+    counts, lines = Counter(), []
+    for mod, fn in ((construction, "intersection_step_plan"), (stable_ops, "_resultant_corners"),
+                    (construction, "local_intersection_solve"), (construction, "solve_local_linear"),
+                    (stable_ops, "_hungarian_max"), (trop_linalg, "_hungarian_max")):
+        def counted(*args, fn=fn, orig=getattr(mod, fn)):
+            counts[fn, lines[-1]] += 1
+            return orig(*args)
+        monkeypatch.setattr(mod, fn, counted)
+    step = construction._propagate_intersection_step
+
+    def tracked(idx, s, jets, conds, r, field, plans):
+        lines.append(all(r.values[n].support == LINE for n in s.curves)
+                     and all(j.is_principal for n in s.curves for j in jets[n].values()))
+        return step(idx, s, jets, conds, r, field, plans)
+
+    monkeypatch.setattr(construction, "_propagate_intersection_step", tracked)
+    kw = {"mode": "numeric", "field": F10007, "seed": 0, "trials": 8} if mode == "numeric" else {}
+    lift_conditions(c, r, **kw)
+    assert sum(lines) >= (31 if name == "chain" else 3) * kw.get("trials", 1)
+    assert not any(principal for _, principal in counts), counts
+    lines.clear()
+    lift_conditions(c, replace(r, cramer={k: v for k, v in r.cramer.items()
+                                          if isinstance(c.steps[k], CurveThrough)}), **kw)
+    assert {fn for fn, principal in counts if principal} >= {
+        "intersection_step_plan", "_resultant_corners", "_hungarian_max",
+        "local_intersection_solve" if mode == "numeric" else "solve_local_linear"}
 
 
 def _count_peels_and_facets(monkeypatch):
@@ -769,8 +818,9 @@ def test_realize_of_lines_runs_no_product_subdivision_and_no_peel(monkeypatch):
 
 @pytest.mark.parametrize("name", ["pappus", "fano", "weak_pascal", "chain"])
 def test_lift_peels_each_curve_step_once_per_solution(monkeypatch, name):
-    # the lift reads each curve step's regular flags in every trial; they
-    # are computed on first read, one peel per deleted column
+    # the lift reads the regular flags of each curve step and of each
+    # line∩line step with principal input jets in every trial; they are
+    # computed on first read, one peel per deleted column
     from tropgeo.theorems import sample_inputs
 
     if name == "chain":
@@ -782,7 +832,9 @@ def test_lift_peels_each_curve_step_once_per_solution(monkeypatch, name):
     rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=16)
     assert rep.successes > 1
     curve_steps = [s for s in c.steps if isinstance(s, CurveThrough)]
-    assert counts == {"_matching_unique": sum(s.support.delta() for s in curve_steps)}
+    line_pairs = [s for s in c.steps if isinstance(s, Intersect)
+                  and all(r.values[n].support == LINE for n in s.curves)]
+    assert counts == {"_matching_unique": sum(s.support.delta() for s in curve_steps) + 3 * len(line_pairs)}
 
 
 def test_thesis_curves_make_no_peel(monkeypatch):

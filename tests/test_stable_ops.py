@@ -1526,3 +1526,84 @@ def test_common_y_roots_match_the_per_fiber_intersection():
             compared += 1
     assert compared >= 2000 and both_zero >= 10 and shared_zero >= 100 and repeated >= 100, (
         compared, both_zero, shared_zero, repeated)
+
+
+# ---------------------------------------------------------------------------
+# line∩line steps by their 2 x 3 masked minors
+
+
+def _line_step_runs(f, g, draw, field):
+    """One line∩line step on the input lines f and g, residues from draw:
+    (outputs, lift plans met) by the dual step, and by the resultant path,
+    which runs when the realization keeps no Cramer solution of the step.
+    The outputs are the step report's conditions, flags and notes, the
+    condition set and the jets of the point."""
+    from dataclasses import replace
+
+    from tropgeo import construction
+
+    c = construction.Construction(input_curves=[("f", LINE), ("g", LINE)],
+                                  steps=[construction.Intersect(["p"], ("f", "g"))])
+    r = construction.realize(c, {"f": f, "g": g})
+    assert set(r.cramer) == {0}
+    out = []
+    for rr in (r, replace(r, cramer={})):
+        plans = {}
+        (rep,), conds, jets, ok = construction._propagate(c, rr, draw, field, plans)
+        assert rep.nodes == ["p"]
+        out.append(((rep.conditions, [str(v) for _, v in rep.conditions], rep.all_zero, rep.some_zero,
+                     rep.fixed, rep.always_compatible, rep.notes, conds.to_json(), jets["p"], ok), plans))
+    return out
+
+
+def _memo_draw(pool):
+    """A residual draw that gives each variable one value from pool(), so
+    that the two paths read the same residues."""
+    values = {}
+    return lambda name: values[name] if name in values else values.setdefault(name, pool())
+
+
+def test_line_step_by_minors_matches_the_resultant_path():
+    # the dual step (masked minors M0, M1, M2 on the Cramer tight graph)
+    # against the resultant path (three Sylvester families, argmax
+    # supports and the local solve) on tie-heavy, shared-ray and shifted
+    # line pairs, over F_10007 with generic and with few residues, over
+    # F_7, and symbolically with distinct and with repeated variables;
+    # g = f with equal residues makes all three minors vanish
+    pairs = _line_pairs()
+    assert len(pairs) >= 2000
+    rng = random.Random(29)
+    f7 = ResidualField(7)
+    few = [F10007.elt(v) for v in (1, -1, 2)]
+    uvw = [RPoly.var(v) for v in "uvw"] + [-RPoly.var(v) for v in "uvw"]
+    fresh = itertools.count()
+    seen = {"point": 0, "no torus solution": 0, "lost": 0, "symbolic zero": 0, "fixed": 0,
+            "always-compatible": 0}
+    for k, (f, g) in enumerate(pairs):
+        shared = [F10007.random_nonzero(rng) for _ in range(3)]
+        same = {f"{n}[{i},{j}]": v for n in "fg" for (i, j), v in zip(LINE.points, shared)}
+        fp = [
+            (lambda: F10007.random_nonzero(rng), F10007),
+            (lambda: rng.choice(few), F10007),
+            (None, F10007),
+        ][k % 3]
+        symbolic = [lambda: RPoly.var(f"c{next(fresh)}"), lambda: rng.choice(uvw)][k % 2]
+        modes = [fp, (lambda: f7.random_nonzero(rng), f7), (symbolic, None)]
+        for pool, field in modes:
+            draw = same.__getitem__ if pool is None else _memo_draw(pool)
+            (dual, dual_plans), (ref, ref_plans) = _line_step_runs(f, g, draw, field)
+            assert dual == ref, (f, g, field)
+            assert dual_plans == {} and ref_plans, (f, g)
+            conditions, _, _, some_zero, fixed, always, notes, *_ = dual
+            seen["fixed"] += fixed
+            seen["always-compatible"] += always
+            origins = [o for o, _ in conditions]
+            if any(n.endswith("not zero-dimensional") for n in notes):
+                seen["lost"] += 1
+            elif any(" no torus solution at " in o for o in origins):
+                seen["no torus solution"] += 1
+            elif field is None and some_zero:
+                seen["symbolic zero"] += 1
+            elif not some_zero:
+                seen["point"] += 1
+    assert all(seen.values()), seen
