@@ -660,6 +660,11 @@ def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan)
     return rep, not rep.some_zero
 
 
+def _point_str(p):
+    """A stable point as ``realize`` prints it: (-7, 1/2)."""
+    return f"({p[0]}, {p[1]})"
+
+
 def _local_solve(f_jets, g_jets, b, field, origin, supports):
     """The torus solutions of the local residual system at stable point b
     and the conditions [(what, value)] the solve adds, or the
@@ -688,7 +693,7 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     try:
         x, y, z = solve_local_linear(ft, gt)
     except ValueError as exc:
-        raise SymbolicModeUnsupported(f"{origin}: {exc} at point {b}") from exc
+        raise SymbolicModeUnsupported(f"{origin}: {exc} at point {_point_str(b)}") from exc
     checks = [("local det", z), ("torus x", x), ("torus y", y)]
     return [(x, y, z)] if all(v for _, v in checks) else [], checks
 
@@ -766,13 +771,13 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
     solved = {}
     for b, out in outcomes:
         if isinstance(out, Exception):
-            notes.append(f"local solve at {b}: {out}")
+            notes.append(f"local solve at {_point_str(b)}: {out}")
             solved[b] = []
         else:
             solved[b], checks = out
             for what, v in checks:
-                conds.add(v, f"{origin} {what} at {b}")
-                step_conds.append((f"{origin} {what} at {b}", v))
+                conds.add(v, f"{origin} {what} at {_point_str(b)}")
+                step_conds.append((f"{origin} {what} at {_point_str(b)}", v))
         failed = failed or not solved[b]
 
     # hand the solved principal terms to the labeled points, whose stable

@@ -22,11 +22,17 @@ and the full vector_addition report went from 449 KB to 113 KB.  Their
 verdicts and certificates did not change.  The fano and abc_double_path
 symbolic reports, whose curves pass through no intersection point, and
 every numeric report kept their bytes.
+
+The 17 digests whose reports named a stable point as a Python repr,
+``(Fraction(-7, 1), Fraction(-3, 1))`` in a local-solve condition's
+origin or note, were re-recorded when those points came to print as
+``realize`` prints them, ``(-7, -3)``; no other byte of those reports
+changed.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
@@ -48,15 +54,15 @@ GOLDEN = [
     (["theorem", "chasles", "--trials", "2", "--seed", "7"], 0,
      "339b174cca6ce5b8b597059b05cb8f4c4f6e04bd24499affa83f294d1bd1ae4e"),
     (["lift", "@weak_pascal", "--mode", "sample", "--trials", "2", "--seed", "1"], 1,
-     "4d667adafd6335b053811c69906d6d6a61edf3da53535f826d9133534b744763"),
+     "a1a8bd687ae1a308805e48c0b88f80fe2c4df140000e4ff97c43734eb94816a1"),
     (["lift", "@abc_double_path", "--mode", "sample", "--trials", "4", "--seed", "1"], 1,
-     "7be41e796041244bfdea62c630dd96854ee357698d8b85bdafc9df2036198dfe"),
+     "a962127effb9738e8e101985b2f209e7cb833c53b35feb2abde486279168e6f2"),
     (["lift", "@pappus", "--mode", "symbolic"], 0,
-     "7284f19f59addf840c65db5981e2baae8c17c101e4590b5fdf0aaa997d0cfbd0"),
+     "ba5393089646af4dcc90fb1e8b42570f621b3ccb2e518d15aa6b24ca994ea9df"),
     (["lift", "@fano", "--mode", "symbolic"], 0,
-     "33d0d007e6424e6af4f4ece99b59f8bdf6a16f842007dab153495f66b6543503"),
+     "c63a9b760358b93373dbe64fcceb42589c21e64ca044dfd4479f928bbd642b82"),
     (["certify", "@four_lines", "--trials", "4", "--seed", "1"], 1,
-     "34bbf0a288726ae0f97a264225796b4e477d4f11d51f5d4653a2d8da62e31b62"),
+     "1a66d2c9e6a34970879311be211738683d2cae0bb213d8e169d3271ae9f6539a"),
     (["certify", "@chasles", "--trials", "2", "--seed", "1"], 0,
      "29dddec0a2e980f9b175e7262171d79d50edd82f7e4673d8f2026a64cb85d89a"),
     (["certify", "@vector_addition", "--trials", "2", "--seed", "1"], 1,
@@ -81,11 +87,11 @@ GOLDEN = [
     # symbolic conditions of every size: the provably-empty full
     # vector_addition report is 113 KB of printed polynomials
     (["lift", "@vector_addition", "--mode", "symbolic"], 1,
-     "66af0fadea112a09f4e7060e1a1d076506b2e1a014b0c505b26f1e329c38d04d"),
+     "da30d167e696596687b778571060b18187881a3ca00e59699c077a8c77f28d02"),
     (["lift", "@abc_double_path", "--mode", "symbolic"], 1,
-     "8b524d9eb011484a5c77063c9c5cbe246183fa842d9da43cbeecb4e74e61f191"),
+     "1b93e966d29658cf2a5e542b0c00a93205462b57337fe917423b14b0554559d6"),
     (["lift", "@pascal_converse", "--mode", "symbolic"], 0,
-     "a0e944d413333e1ab177b8f1bbe5e6260e687ee355c72e90becbcb1bc778dac9"),
+     "c8adbea129ad9649dd3799f22354af7d62dc7a37d48ebf7f3118dc4335337d66"),
     # every certificate the fixed and always-compatible flags decide
     # (AlwaysCompatible, Conditional, NeverLiftable) and the notes they
     # add, recorded before those flags moved onto the step plans
@@ -96,7 +102,7 @@ GOLDEN = [
     (["certify", "@pascal_converse", "--trials", "4", "--seed", "2"], 0,
      "5aad33f904ff1d20aed4f2610387790cc8ea8c741ec2163a781de4881a962b0f"),
     (["certify", "@abc_double_path", "--trials", "4", "--seed", "2"], 1,
-     "0acbb1a4f0239330346c5510ed30f9b10403f97587522357c89fbefc6db2cc7c"),
+     "26ebfa6edf2b7c89c2b97947eceb3daab88963f330c21768302510c69a98bc87"),
     (["certify", "@weak_pascal", "--trials", "4", "--seed", "2"], 0,
      "52aa684a2a52d0d48e8d9ac0a4501f4cc12ac7b5809f828288966ad938c3ea1e"),
     # resultant corners of degree >= 2 and the sheared family R_z,
@@ -114,7 +120,7 @@ GOLDEN = [
     (["certify", "@chasles", "--trials", "2", "--seed", "6"], 0,
      "3c8588891578435cb9cf23fb9140f1f28a2d00d654ba8fcb5fd55dafb1b83631"),
     (["certify", "@pascal_converse", "--mode", "symbolic", "--seed", "0"], 0,
-     "bf92ec831ad7c61c456384508146c070f855ded1876ed6e036fd1c5cb14c124d"),
+     "31c15bc6a98e065c9a319290c852bdc43dd4a2241e72d3c041897f6e139e302d"),
     # line∩line steps (pascal_converse's input line meets six lines) and
     # a theorem of lines only, recorded before two lines met at their
     # tropical Cramer solution and the Cramer regularity flags were
@@ -129,9 +135,9 @@ GOLDEN = [
     # with zero local determinants, recorded before RPoly kept its
     # monomials as sorted (variable, exponent) tuples
     (["certify", "@vector_addition", "--mode", "symbolic"], 1,
-     "079f7b4a8d946cbd484601ef56798d6c0ff6ea9fc8d8847a72e228e2224e95b5"),
+     "263e1880a6e71732b8e129ca76d4bac4327536496aefb4496f7f01af7bbe40e0"),
     (["certify", "@four_lines", "--mode", "symbolic", "--seed", "8"], 1,
-     "82a66820997cb528d24650cc37f5f292b04aeb2de0eb35204dfa41b73349d0cf"),
+     "a1cf0c951f3e741372facef8a965061348c609609820209ccaec8847fa8f3c92"),
     # generic position: points on edges, points at both vertices of the
     # conic, and four points at one vertex, whose four refined edges
     # close a cycle, recorded before the search kept one set of taken
@@ -147,15 +153,15 @@ GOLDEN = [
     # lines only, recorded before two lines were lifted by their 2 x 3
     # masked minors
     (["certify", "@four_lines", "--trials", "4", "--seed", "2"], 1,
-     "021d7c217fde4d2e183e1f2f2c976b939e496081d305e4346c96ace4c267eb8c"),
+     "4cd260a33065059e2560914eb00675b9dfc6f0b35814679a94fd21470ef0b392"),
     (["certify", "@four_lines", "--trials", "4", "--seed", "8"], 1,
-     "cff10b679c1807229db4b6869fdd68bd0137fe8d746a424a36e0e6a9f810500b"),
+     "5e9e5a618f41e4977b7b0b31789b6a082a89e034e42483a481661128e957b1cf"),
     (["certify", "@pappus", "--mode", "symbolic"], 0,
-     "110ab9c1e7271eb709153f84433397e2c13ba7fa3395aae2c713b3a5bbe76a38"),
+     "a9a002018f8902b06412cba870ff5d203b0f4019a4289e1f6014a34fec53935a"),
     (["certify", "@fano", "--mode", "symbolic"], 0,
-     "858655859394f767ee2d7e141ed043dee46c503be546a81226ceea199f9a0c12"),
+     "3ee2dfa942f0fe2d16aa7da1d5838ef064795103b847671f5d4d9202c9afb222"),
     (["lift", "@four_lines", "--mode", "sample", "--trials", "4", "--seed", "0"], 1,
-     "6be52170e7636f71a7a4a49bfc75b0164fddd1e86e3f0db4cf0a7dab2c51ba98"),
+     "cea2a24f034d5fde5c28b09a0bdddab92fd17f1e4a4a28c45a877746e40367ca"),
 ]
 
 
@@ -177,3 +183,18 @@ def test_report_bytes_are_unchanged(argv, code, digest):
         rc = main(argv + ["--json", "-"])
     assert rc == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["sample", "symbolic"])
+@pytest.mark.parametrize("command", ["lift", "certify"])
+def test_reports_print_stable_points_as_realize_does(command, mode):
+    # a local-solve condition's origin, a local-solve note and a refused
+    # symbolic step name their stable point as (-7, 1/2), never as the
+    # repr (Fraction(-7, 1), Fraction(1, 2))
+    catalog = sorted((resources.files("tropgeo") / "catalog").iterdir())
+    for path in catalog:
+        for seed in ("0", "1", "2"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                main([command, str(path), "--mode", mode, "--trials", "4", "--seed", seed, "--json", "-"])
+            assert "Fraction(" not in out.getvalue() + err.getvalue(), (path.name, seed)
