@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success (theorem holds, lift nonempty), 1 on theorem
 failure / empty condition set / non-admissible, 2 on usage errors, 3 on
-a broken internal invariant (an ``AssertionError``).  The
-``TROPGEO_FIELD`` environment variable overrides the default residual
-field of numeric runs, F_10007 (e.g. ``fp:61``); symbolic mode runs over
-Q and takes no field.
+a broken internal invariant (an ``AssertionError``).  The residual
+field picks how the lift and certify commands run: ``--mode sample``
+samples residues in F_p, by default F_10007 (``--field fp:61`` picks
+F_61), and ``--mode symbolic`` runs over Q and takes no field.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ from .construction import is_admissible, lift_conditions, realize
 from .genpos import in_general_position
 from . import dsl
 from . import theorems as th
-
-
-def _field(spec):
-    """The residual field of a numeric run: spec, else $TROPGEO_FIELD, else F_10007."""
-    spec = spec or os.environ.get("TROPGEO_FIELD")
-    return ResidualField.parse(spec) if spec else DEFAULT_FIELD
 
 
 def _load_doc(path):
@@ -101,12 +95,16 @@ def cmd_admissible(args):
 
 
 def _lift_report(args):
-    """The lift report of args.file, and its construction; --mode sample
-    is the library's numeric mode."""
-    field = None if args.mode == "symbolic" and not args.field else _field(args.field)
+    """The lift report of args.file, and its construction: --mode sample
+    runs over args.field, F_10007 unless given, and --mode symbolic over
+    Q, which refuses a field."""
+    field = ResidualField.parse(args.field) if args.field else DEFAULT_FIELD
     c, r = _realized(args)
-    mode = "symbolic" if args.mode == "symbolic" else "numeric"
-    return lift_conditions(c, r, mode=mode, field=field, seed=args.seed, trials=args.trials), c
+    if args.mode == "symbolic":
+        if args.field:
+            raise ValueError(f"symbolic mode runs over Q; {field!r} does not apply")
+        field = None
+    return lift_conditions(c, r, field, seed=args.seed, trials=args.trials), c
 
 
 def cmd_lift(args):
@@ -147,7 +145,7 @@ def cmd_theorem(args):
         print(f"unknown theorem {args.name!r}; catalog: {', '.join(sorted(cat))}",
               file=sys.stderr)
         return 2
-    verdict = th.check_statement(stmt, trials=args.trials, seed=args.seed, field=_field(args.field))
+    verdict = th.check_statement(stmt, trials=args.trials, seed=args.seed)
     print(f"{verdict.name}: {verdict.passed}/{len(verdict.trials)} trials passed")
     if args.json:
         _write_json(args.json, verdict.to_json())
@@ -308,8 +306,8 @@ def build_parser():
         sp.add_argument("--json", default=None, help="write a JSON report")
         if field:
             sp.add_argument("--field", default=None, help=(
-                "fp:P for a prime P below 3.3e24, the residual field of numeric runs "
-                "(default $TROPGEO_FIELD or fp:10007); --mode symbolic takes none"))
+                "fp:P for a prime P below 3.3e24, the residual field of --mode sample "
+                "(default fp:10007); --mode symbolic runs over Q and takes none"))
 
     sp = sub.add_parser("realize", help="run a construction tropically")
     sp.add_argument("file")
@@ -338,9 +336,6 @@ def build_parser():
     sp.add_argument("name")
     sp.add_argument("--trials", type=int, default=100)
     common(sp, field=False)
-    sp.add_argument("--field", default=None, help=(
-        "fp:P for a prime P below 3.3e24, the residual field of the lift probe on "
-        "trial 0 (default $TROPGEO_FIELD or fp:10007); no output prints the probe"))
     sp.set_defaults(func=cmd_theorem)
 
     sp = sub.add_parser("genpos", help="generic position of points in a curve")

@@ -811,28 +811,27 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
 def lift_conditions(
     c: Construction,
     r: TropRealization,
-    mode: str = "symbolic",
     field: ResidualField | None = None,
     seed: int = 0,
     trials: int = 32,
 ) -> LiftReport:
     """Residual conditions for the whole construction to lift.
 
-    Both modes run the same forward pass; they differ in the input
-    residuals and in the local solve.
+    The residual field picks the mode.  Both modes run the same forward
+    pass; they differ in the input residuals and in the local solve.
 
-    symbolic mode: one pass with indeterminate input residuals; the
-    condition set is over the input variables only (auxiliary point
-    coordinates are eliminated by forward substitution).  Restricted to
-    constructions whose local residual systems are linear; a singular
-    one is a zero "local det" condition, so the set is provably empty.
-    It takes no field; its density test samples in ``DEFAULT_FIELD``.
+    symbolic mode (field None): one pass with indeterminate input
+    residuals over Q; the condition set is over the input variables only
+    (auxiliary point coordinates are eliminated by forward substitution).
+    Restricted to constructions whose local residual systems are linear;
+    a singular one is a zero "local det" condition, so the set is
+    provably empty.  Its density test samples in ``DEFAULT_FIELD``.
 
-    numeric mode: samples input residuals in F_p* (default field
-    ``DEFAULT_FIELD``) and propagates; a trial in which every condition is
-    nonzero and every local system has a torus solution yields witness
-    jets for every node.  The report is that of the first such trial, or
-    else of the last one.
+    numeric mode (field F_p): samples input residuals in F_p* and
+    propagates; a trial in which every condition is nonzero and every
+    local system has a torus solution yields witness jets for every
+    node.  The report is that of the first such trial, or else of the
+    last one.
 
     Each step reads its tropical half from the realization r: a curve
     step its Cramer solution, an intersection step its stable points,
@@ -841,14 +840,8 @@ def lift_conditions(
     plans of the other intersection steps live for this call only
     (``_passes``).
     """
-    if mode == "symbolic":
-        if field is not None:
-            raise ValueError(f"symbolic mode runs over Q; {field!r} does not apply")
-    elif mode == "numeric":
-        field = field or DEFAULT_FIELD
-    else:
-        raise ValueError("mode must be 'symbolic' or 'numeric'")
     if trials < 1:
+        mode = "symbolic" if field is None else "numeric"
         raise ValueError(f"{mode} mode needs at least one trial, got {trials}")
     kept, successes = None, 0
     for outcome in _passes(c, r, field, seed, trials):
@@ -905,13 +898,10 @@ def _witness_json(jets):
 
 
 def _jet_coeff_str(j: Jet, z: Jet | None = None):
-    """A jet's coefficient; a coordinate of a homogeneous point whose Z
-    jet is z prints as the affine (coefficient)/(Z) unless Z is 1."""
-    if j.is_principal:
-        return str(j.coeff) if z is None or z.coeff == 1 else f"({j.coeff})/({z.coeff})"
-    if j.is_degenerate:
-        return "?"
-    return "0"
+    """A witness jet's coefficient, which is principal: a witness is kept
+    only when every step lifted.  A coordinate of a homogeneous point
+    whose Z jet is z prints as the affine (coefficient)/(Z) unless Z is 1."""
+    return str(j.coeff) if z is None or z.coeff == 1 else f"({j.coeff})/({z.coeff})"
 
 
 def classify_certificates(report: LiftReport, c: Construction) -> LiftReport:

@@ -159,11 +159,11 @@ class ResidualField:
 
     @staticmethod
     def parse(spec: str) -> "ResidualField":
-        """'fp:P' (or 'fP') for a prime P."""
+        """'fp:P' for a prime P."""
         spec = spec.strip().lower()
-        if spec.startswith("f"):
+        if spec.startswith("fp:"):
             try:
-                p = int(spec[3:] if spec.startswith("fp:") else spec[1:])
+                p = int(spec[3:])
             except ValueError:
                 pass
             else:
@@ -203,7 +203,8 @@ class ResidualField:
         return f"F_{self.p}"
 
 
-# the residual field of numeric runs unless one is given, and of symbolic density tests
+# the residual field of numeric lifts unless one is given, of the lift probe
+# of a statement check, and of symbolic density tests
 DEFAULT_FIELD = ResidualField(10007)
 
 
@@ -776,13 +777,9 @@ class ConditionSet:
             self.conditions.append(cond)
 
     def merge(self, other: "ConditionSet"):
+        """Add other's conditions; a zero one marks self provably empty."""
         for c in other.conditions:
             self.add(c.poly, c.origin)
-        if other.empty_flag == PROVABLY_EMPTY:
-            self.empty_flag = PROVABLY_EMPTY
-        for v in other.variables:
-            if v not in self.variables:
-                self.variables.append(v)
 
     @property
     def provably_empty(self):

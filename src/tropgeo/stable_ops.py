@@ -426,7 +426,7 @@ def _sylvester_rows(fy: dict, gy: dict):
     in f the matrix is diagonal, so the resultant is fy[0]^n."""
     m, n = max(fy), max(gy)
     if m == 0 and n == 0:
-        raise ValueError("resultant of two y-free polynomials")
+        raise AssertionError("resultant of two y-free polynomials")
     rows = []
     for coeffs, deg, shifts in ((fy, m, n), (gy, n, m)):
         for r in range(shifts):
@@ -601,9 +601,11 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
     its input jets and its stable points, [(point, multiplicity)]: the
     families R_x, R_y and R_z, whose tropical roots are the points'
     projections, with the shear of R_z, and the argmax supports at each
-    stable point.  A family whose resultant is not defined is left out.
-    At shear 0 the view of R_z is the identity and its roots are those
-    of R_x, so R_z is R_x: the plan lists R_x's family again as "z"."""
+    stable point.  Every family's resultant is defined: two views free of
+    y would put both supports on parallel lines, of mixed volume 0, and
+    the step has a stable point.  At shear 0 the view of R_z is the
+    identity and its roots are those of R_x, so R_z is R_x: the plan
+    lists R_x's family again as "z"."""
     supports = {b: point_supports(f_jets, g_jets, b) for b, _ in points}
     if any(j.is_degenerate for j in [*f_jets.values(), *g_jets.values()]):
         return IntersectionPlan(families=None, shear=None, supports=supports)
@@ -613,23 +615,18 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
         roots = {}
         for b, m in points:
             roots[coord(b)] = roots.get(coord(b), 0) + m
-        try:
-            families[name] = _resultant_family(*_family_view(name, (f_jets, g_jets), a), sorted(roots.items()))
-        except ValueError:
-            pass
+        families[name] = _resultant_family(*_family_view(name, (f_jets, g_jets), a), sorted(roots.items()))
 
     run("x", lambda b: b[0])
     run("y", lambda b: b[1])
-    shear = None
-    if "x" in families and "y" in families:
-        # the least a >= 0 for which x - a*y is injective on the stable points
-        shear = 0
-        while len({b[0] - shear * b[1] for b, _ in points}) < len(points):
-            shear += 1
-        if shear:
-            run("z", lambda b: b[0] - shear * b[1], shear)
-        else:
-            families["z"] = families["x"]
+    # the least a >= 0 for which x - a*y is injective on the stable points
+    shear = 0
+    while len({b[0] - shear * b[1] for b, _ in points}) < len(points):
+        shear += 1
+    if shear:
+        run("z", lambda b: b[0] - shear * b[1], shear)
+    else:
+        families["z"] = families["x"]
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
@@ -649,7 +646,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
 
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
     zero = next(iter(coeffs[0].values())) * 0
-    undecidable = bool(plan.families)
+    undecidable = True
     values = {}  # id of a family plan -> its corner coefficients
     for name, fam in plan.families.items():
         if id(fam) not in values:

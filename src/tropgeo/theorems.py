@@ -30,7 +30,7 @@ from functools import reduce
 
 from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
 from .trop_linalg import trop_det_value_regular
-from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, ResidualField, trial_rng
+from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, trial_rng
 from .stable_ops import _point_values, stable_curve, trop_product
 from .construction import (
     Construction,
@@ -216,20 +216,17 @@ def _run_thesis(s: Statement, r):
     return thesis_feasible_curve(s.thesis.support, pts)
 
 
-def check_statement(
-    s: Statement, trials: int = 100, seed: int = 0, field: ResidualField | None = None
-) -> TheoremVerdict:
+def check_statement(s: Statement, trials: int = 100, seed: int = 0) -> TheoremVerdict:
     """Property-based check: the thesis element must exist for every
     sampled realization of the hypothesis, including the degenerate
     corner cases of trial 0 (every input zero) and trial 1 (every input
     point the same).  For admissible hypotheses the first trial also
     cross-runs the numeric lifting conditions, exhibiting the transfer
-    mechanism: the verdict of ``lift_conditions(..., trials=4)``, which
-    is nonempty-dense exactly when some trial succeeds, so the probe
-    stops at the first success."""
+    mechanism: the verdict of ``lift_conditions(..., DEFAULT_FIELD,
+    trials=4)``, which is nonempty-dense exactly when some trial
+    succeeds, so the probe stops at the first success."""
     if trials < 1:
         raise ValueError(f"a statement check needs at least one trial, got {trials}")
-    field = field or DEFAULT_FIELD
     admissible, _ = is_admissible(s.hypothesis)
     _require_exact(s.hypothesis)  # once: every trial realizes the same hypothesis
     out = []
@@ -244,7 +241,7 @@ def check_statement(
             witness = _run_thesis(s, r)
             trial = Trial(index=t, inputs=inputs, witness=witness, passed=witness is not None)
         if admissible and t == 0:
-            lifts = any(ok for *_, ok in _passes(s.hypothesis, r, field, seed, trials=4))
+            lifts = any(ok for *_, ok in _passes(s.hypothesis, r, DEFAULT_FIELD, seed, trials=4))
             trial.lift_verdict = NONEMPTY_DENSE if lifts else LIKELY_EMPTY
         out.append(trial)
         if not trial.passed:

@@ -77,15 +77,9 @@ def convex_hull(pts):
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    # the lower chain is the upper chain of the points (x, -y), mirrored back
+    lower = [(x, -y) for x, y in upper_chain([(x, -y) for x, y in pts])]
+    upper = upper_chain(pts)[::-1]
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:  # all collinear: keep the two extreme points
         return [pts[0], pts[-1]]

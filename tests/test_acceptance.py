@@ -145,7 +145,7 @@ def test_criterion_05_double_path_counterexample():
         r = realize(c, {"a": (0, 0), "b": (-2, 1), "c": (-1, 3)})
         assert r.values["p"] == (F(0), F(1))
         assert r.values["p"] != r.values["a"]
-        rep = lift_conditions(c, r, mode="symbolic")
+        rep = lift_conditions(c, r)
         assert rep.verdict == PROVABLY_EMPTY
 
 
@@ -154,18 +154,18 @@ def test_criterion_06_vector_addition_undecidable():
         c = catalog_construction("vector_addition")
         inp = {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)}
         r = realize(c, inp)
-        rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=11, trials=6)
+        rep = lift_conditions(c, r, field=F10007, seed=11, trials=6)
         final = [s for s in rep.steps if "l9" in s.nodes][0]
         assert final.certificate == CERT_UNDECIDABLE
 
         sub = subconstruction_to(c, "z")
         rz = realize(sub, inp)
-        repz = lift_conditions(sub, rz, mode="numeric", field=F10007, seed=11, trials=8)
+        repz = lift_conditions(sub, rz, field=F10007, seed=11, trials=8)
         assert repz.verdict == "nonempty-dense" and repz.successes >= 7
 
         inp2 = {"a": (0, 0), "b": (-1, -2), "c": (-2, -2), "q": (2, -1)}
         r2 = realize(c, inp2)
-        rep2 = lift_conditions(c, r2, mode="numeric", field=F10007, seed=11, trials=6)
+        rep2 = lift_conditions(c, r2, field=F10007, seed=11, trials=6)
         final2 = [s for s in rep2.steps if "l9" in s.nodes][0]
         assert final2.certificate == CERT_UNDECIDABLE
 
@@ -232,7 +232,7 @@ def test_criterion_10_lifting_soundness():
                 }
                 r = realize(c, inputs)
                 rep = lift_conditions(
-                    c, r, mode="numeric", field=F10007, seed=7000 + t, trials=3
+                    c, r, field=F10007, seed=7000 + t, trials=3
                 )
                 if rep.witness_jets is not None and not verify_witness(c, r, rep.witness_jets):
                     good += 1

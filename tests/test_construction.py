@@ -237,7 +237,7 @@ def test_most_degenerate_input_is_liftable():
     # still realizable algebraically with all elements of order zero
     c = catalog_construction("four_lines")
     r = realize(c, {n: (0, 0) for n in c.input_points})
-    rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=77, trials=6)
+    rep = lift_conditions(c, r, field=F10007, seed=77, trials=6)
     assert rep.successes and rep.successes >= 4
     assert verify_witness(c, r, rep.witness_jets) == []
 
@@ -245,7 +245,7 @@ def test_most_degenerate_input_is_liftable():
 def test_verify_witness_reports_each_violation():
     c = Construction(input_points=["a", "b"], steps=[CurveThrough(name="m", support=LINE, through=["a", "b"])])
     r = realize(c, {"a": (F(0), F(0)), "b": (F(1), F(3))})
-    jets = lift_conditions(c, r, mode="numeric", field=F10007, seed=1, trials=4).witness_jets
+    jets = lift_conditions(c, r, field=F10007, seed=1, trials=4).witness_jets
     assert verify_witness(c, r, jets) == []
     off = replace(r, values={**r.values, "a": (F(-50), F(7))})
     assert verify_witness(c, off, jets) == ["a not on tropical curve m"]
@@ -274,7 +274,7 @@ def test_symbolic_witnesses_are_sound(name):
     witnessed = 0
     for t in range(20):
         r = realize(c, sample_inputs(c, random.Random(t)))
-        jets = lift_conditions(c, r, mode="symbolic").witness_jets
+        jets = lift_conditions(c, r).witness_jets
         if jets is None:
             continue
         witnessed += 1
@@ -307,9 +307,9 @@ def test_lift_does_no_jet_arithmetic(monkeypatch):
         inputs = sample_inputs(c, random.Random(3))
         inputs.update(doc.realization_map())
         r = realize(c, inputs)
-        lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=4)
+        lift_conditions(c, r, field=F10007, seed=3, trials=4)
         try:
-            lift_conditions(c, r, mode="symbolic")
+            lift_conditions(c, r)
             symbolic += 1
         except construction.SymbolicModeUnsupported:
             pass
@@ -341,7 +341,7 @@ def test_four_lines_always_share_a_ray_direction():
 def test_abc_symbolic_lift_is_provably_empty():
     c = catalog_construction("abc_double_path")
     r = realize(c, {"a": (0, 0), "b": (-2, 1), "c": (-1, 3)})
-    rep = lift_conditions(c, r, mode="symbolic")
+    rep = lift_conditions(c, r)
     assert rep.verdict == PROVABLY_EMPTY
     final = rep.steps[-1]
     assert final.certificate == CERT_NEVER
@@ -351,14 +351,17 @@ def test_abc_symbolic_lift_is_provably_empty():
 
 
 def test_symbolic_lift_takes_no_field():
+    # the field alone picks the mode: none is symbolic over Q, F_p numeric
     from tropgeo.theorems import sample_inputs
 
     c = catalog_construction("fano")
     r = realize(c, sample_inputs(c, random.Random(0)))
-    with pytest.raises(ValueError, match="symbolic mode runs over Q; F_61 does not apply"):
-        lift_conditions(c, r, mode="symbolic", field=ResidualField(61))
-    rep = lift_conditions(c, r, mode="symbolic")
-    assert rep.field is None and rep.to_json()["field"] == "Q"
+    rep = lift_conditions(c, r)
+    assert rep.field is None and rep.trials is None
+    assert (rep.to_json()["mode"], rep.to_json()["field"]) == ("symbolic", "Q")
+    rep = lift_conditions(c, r, ResidualField(61), trials=2)
+    assert rep.field == ResidualField(61) and rep.trials == 2
+    assert (rep.to_json()["mode"], rep.to_json()["field"]) == ("numeric", "F_61")
 
 
 def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypatch):
@@ -375,7 +378,7 @@ def test_symbolic_lift_stops_at_a_nonlinear_step_before_its_resultants(monkeypat
 
     monkeypatch.setattr(construction, "intersection_step_conditions", unreachable)
     with pytest.raises(construction.SymbolicModeUnsupported, match="not linear"):
-        lift_conditions(c, r, mode="symbolic")
+        lift_conditions(c, r)
 
 
 def test_a_singular_symbolic_local_system_is_a_zero_local_det():
@@ -388,8 +391,8 @@ def test_a_singular_symbolic_local_system_is_a_zero_local_det():
 
     c = catalog_construction("four_lines")
     r = realize(c, sample_inputs(c, random.Random(8)))
-    sym = lift_conditions(c, r, mode="symbolic")
-    num = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=8)
+    sym = lift_conditions(c, r)
+    num = lift_conditions(c, r, field=F10007, seed=0, trials=8)
     assert (sym.verdict, num.verdict) == (PROVABLY_EMPTY, LIKELY_EMPTY)
     assert [s.certificate for s in sym.steps] == [s.certificate for s in num.steps]
     step = sym.steps[7]
@@ -438,7 +441,7 @@ def test_local_solve_notes_lost_information_in_both_modes(tmp_path, mode, verdic
     doc = dsl.parse(ABC_TWICE)
     c = dsl.to_construction(doc)
     r = realize(c, doc.realization_map())
-    rep = lift_conditions(c, r, mode="numeric" if mode == "sample" else mode, seed=4)
+    rep = lift_conditions(c, r, F10007 if mode == "sample" else None, seed=4)
     assert rep.verdict == verdict
     last = rep.steps[8]
     assert last.certificate == CERT_UNDECIDABLE
@@ -462,7 +465,7 @@ def test_transversal_line_intersection_is_always_compatible():
         "g": TropPoly.parse("(-10)x+0y+(-4)"),
     })
     assert r.values["p"] == (F(0), F(-4))
-    rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=1, trials=4)
+    rep = lift_conditions(c, r, field=F10007, seed=1, trials=4)
     assert rep.steps[0].certificate == CERT_ALWAYS
     assert rep.steps[0].fixed
 
@@ -476,7 +479,7 @@ def test_fano_pappus_numeric_lift_with_sound_witnesses():
             inputs = {n: (F(rng.randint(-8, 8)), F(rng.randint(-8, 8)))
                       for n in c.input_points}
             r = realize(c, inputs)
-            rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=100 + t, trials=3)
+            rep = lift_conditions(c, r, field=F10007, seed=100 + t, trials=3)
             if rep.witness_jets is not None:
                 assert verify_witness(c, r, rep.witness_jets) == []
                 good += 1
@@ -495,7 +498,7 @@ def test_input_curve_intersections_lift_after_the_shift_to_the_origin():
         witnessed = 0
         for t in range(10):
             r = realize(c, sample_inputs(c, random.Random(t)))
-            rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=8)
+            rep = lift_conditions(c, r, field=F10007, seed=0, trials=8)
             notes = [n for s in rep.steps for n in s.notes]
             assert not any("not zero-dimensional" in n for n in notes), (name, t, notes)
             if rep.witness_jets is not None:
@@ -597,13 +600,13 @@ def test_vector_addition_certificates():
     c = catalog_construction("vector_addition")
     r = realize(c, {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)})
     assert r.values["z"] == (F(0), F(0))
-    rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=11, trials=4)
+    rep = lift_conditions(c, r, field=F10007, seed=11, trials=4)
     final = [s for s in rep.steps if "l9" in s.nodes][0]
     assert final.certificate == CERT_UNDECIDABLE
 
     sub = subconstruction_to(c, "z")
     rz = realize(sub, {"a": (0, 0), "b": (-1, -1), "c": (-2, -2), "q": (2, -1)})
-    repz = lift_conditions(sub, rz, mode="numeric", field=F10007, seed=11, trials=6)
+    repz = lift_conditions(sub, rz, field=F10007, seed=11, trials=6)
     assert repz.successes and repz.successes >= 5
 
 
@@ -629,7 +632,7 @@ def test_weak_pascal_general_position_instance_lifts():
         )
         if not pre:
             continue
-        rep = lift_conditions(stmt.hypothesis, r, mode="numeric", field=F10007,
+        rep = lift_conditions(stmt.hypothesis, r, field=F10007,
                               seed=5, trials=40)
         assert rep.successes
         return
@@ -646,9 +649,9 @@ def _line_chain(n_lines, rng):
 
 
 @pytest.mark.parametrize("kw,digest", [
-    ({"mode": "numeric", "field": F10007, "seed": 0, "trials": 4},
+    ({"field": F10007, "seed": 0, "trials": 4},
      "9d6de7d93d08ed2f751fb56d109f5badc52980926fd390c1b86af99dcee7ff11"),
-    ({"mode": "symbolic"},
+    ({},
      "f3b2990924ab641d79ecaa461a1599fd6263fc2623e1a31702175a01f7672ba1"),
 ], ids=["numeric", "symbolic"])
 def test_line_chain_reports_are_unchanged(kw, digest):
@@ -722,7 +725,7 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     for trials in (2, 16):
         counts.clear()
         built.clear()
-        lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=trials)
+        lift_conditions(c, r, field=F10007, seed=3, trials=trials)
         assert counts == sum(built.values(), Counter())
         runs[trials] = dict(built), Counter(counts)
     (few, few_total), (many, many_total) = runs[2], runs[16]
@@ -741,9 +744,9 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
 
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
 def test_a_shared_lift_plan_gives_the_report_of_a_fresh_plan_per_pass(monkeypatch, name, c, r):
-    shared = lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json()
+    shared = lift_conditions(c, r, field=F10007, seed=3, trials=16).to_json()
     monkeypatch.setattr(construction, "_step_plan", lambda plans, idx, ins, build: build())
-    assert lift_conditions(c, r, mode="numeric", field=F10007, seed=3, trials=16).to_json() == shared
+    assert lift_conditions(c, r, field=F10007, seed=3, trials=16).to_json() == shared
 
 
 @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
@@ -780,7 +783,7 @@ def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, n
         return step(idx, s, jets, conds, r, field, plans)
 
     monkeypatch.setattr(construction, "_propagate_intersection_step", tracked)
-    kw = {"mode": "numeric", "field": F10007, "seed": 0, "trials": 8} if mode == "numeric" else {}
+    kw = {"field": F10007, "seed": 0, "trials": 8} if mode == "numeric" else {}
     report = lift_conditions(c, r, **kw).to_json()
     assert sum(lines) >= (31 if name == "chain" else 3) * kw.get("trials", 1)
     assert not any(principal for _, principal in counts), counts
@@ -834,7 +837,7 @@ def test_lift_peels_each_curve_step_once_per_solution(monkeypatch, name):
         c = catalog()[name].hypothesis
         r = realize(c, sample_inputs(c, random.Random(1)))
     counts = _count_peels_and_facets(monkeypatch)
-    rep = lift_conditions(c, r, mode="numeric", field=F10007, seed=0, trials=16)
+    rep = lift_conditions(c, r, field=F10007, seed=0, trials=16)
     assert rep.successes > 1
     curve_steps = [s for s in c.steps if isinstance(s, CurveThrough)]
     line_pairs = [s for s in c.steps if isinstance(s, Intersect)

@@ -313,6 +313,24 @@ NOT_A_CONSTRUCTION = {
         "points {q} = intersect a b\n",
         "point fed by non-curves 'a', 'b'",
     ),
+    "curve_through_three_points": (
+        "input point a\ninput point b\ninput point c\n"
+        "curve l = through a b c support line\n",
+        "curve 'l' has 3 direct predecessors (max 2)",
+    ),
+    "two_lines_meet_twice": (
+        "input point a\ninput point b\ninput point c\ninput point d\n"
+        "curve l1 = through a b support line\n"
+        "curve l2 = through c d support line\n"
+        "points {p q} = intersect l1 l2\n",
+        "curves 'l1','l2' share 2 successors (mixed volume 1)",
+    ),
+    "repeated_step": (
+        "input point a\ninput point b\n"
+        "curve l1 = through a b support line\n"
+        "curve l2 = through a b support line\n",
+        "curves 'l1' and 'l2' repeat the same step",
+    ),
 }
 
 
@@ -326,10 +344,19 @@ def test_cli_admissible_rejects_malformed_construction(tmp_path, capsys, name):
 
 
 def test_cli_admissible_accepts_inexact_construction(tmp_path, capsys):
-    path = tmp_path / "short.tgc"
-    path.write_text("input point a\ncurve l = through a support line\n")
-    assert main(["admissible", str(path)]) == 0
-    assert capsys.readouterr().out == "admissible\n"
+    # realize refuses it: a curve short of its points, or two curves that
+    # name fewer points than their mixed volume
+    for text, message in (("input point a\ncurve l = through a support line\n",
+                           "curve 'l' has 1 of 2 points"),
+                          ("input curve C1 support conic\ninput curve C2 support conic\n"
+                           "points {p q} = intersect C1 C2\n",
+                           "curves 'C1','C2' share 2 of 4 points")):
+        path = tmp_path / "short.tgc"
+        path.write_text(text)
+        assert main(["admissible", str(path)]) == 0
+        assert capsys.readouterr().out == "admissible\n"
+        assert main(["realize", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: realize needs an exact construction: {message}\n")
 
 
 WRONG_REALIZE = {
@@ -383,20 +410,16 @@ def test_cli_bad_number_in_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("command", ["lift", "certify"])
-def test_cli_symbolic_mode_rejects_a_finite_field(monkeypatch, capsys, command):
+def test_cli_symbolic_mode_rejects_a_finite_field(capsys, command):
     argv = [command, catalog_path("fano"), "--mode", "symbolic"]
     assert main(argv + ["--field", "fp:61"]) == 2
     assert capsys.readouterr() == ("", "error: symbolic mode runs over Q; F_61 does not apply\n")
     assert main(argv + ["--field", "q"]) == 2
     assert capsys.readouterr() == ("", "error: cannot parse field spec 'q'\n")
-    # TROPGEO_FIELD sets the field of numeric runs only
-    monkeypatch.setenv("TROPGEO_FIELD", "foo")
-    assert main(argv + ["--json", "-"]) == 0
-    assert '"field": "Q"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
-    ["theorem", "fano", "--trials", "1", "--field", "q"],
+    ["lift", catalog_path("fano"), "--mode", "sample", "--field", "q"],
     ["lift", catalog_path("fano"), "--field", "q"],
     ["certify", catalog_path("fano"), "--mode", "sample", "--field", "q"],
 ])
@@ -405,20 +428,14 @@ def test_cli_numeric_runs_reject_q(capsys, argv):
     assert capsys.readouterr() == ("", "error: cannot parse field spec 'q'\n")
 
 
-@pytest.mark.parametrize("via", ["--field", "TROPGEO_FIELD"])
-@pytest.mark.parametrize("command", ["lift", "theorem"])
-def test_cli_malformed_field_spec_is_a_usage_error(monkeypatch, capsys, command, via):
-    argv = [command, catalog_path("fano") if command == "lift" else "fano", "--trials", "1"]
+@pytest.mark.parametrize("command", ["lift", "certify"])
+def test_cli_malformed_field_spec_is_a_usage_error(capsys, command):
+    argv = [command, catalog_path("fano"), "--trials", "1", "--field"]
     specs = [("foo", "cannot parse field spec 'foo'"), ("fp:abc", "cannot parse field spec 'fp:abc'"),
              ("fp:", "cannot parse field spec 'fp:'"), ("7", "cannot parse field spec '7'"),
-             ("fp:10", "10 is not prime"), ("f9", "9 is not prime")]
+             ("fp:10", "10 is not prime"), ("f9", "cannot parse field spec 'f9'")]
     for spec, message in specs:
-        if via == "--field":
-            args = argv + ["--field", spec]
-        else:
-            args = argv
-            monkeypatch.setenv("TROPGEO_FIELD", spec)
-        assert main(args) == 2, spec
+        assert main(argv + [spec]) == 2, spec
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -438,6 +455,7 @@ def test_cli_rejects_fewer_than_one_trial(capsys, argv):
 
 def test_cli_usage_error_exit_code(capsys):
     assert main(["lift"]) == 2  # missing file
+    assert main(["theorem", "fano", "--field", "fp:61"]) == 2  # only lifts take a field
     assert main(["plot", "nope.tgc", "--svg", "x.svg", "--bbox", "0,0,1,1"]) == 2
 
 
@@ -485,9 +503,3 @@ def test_render_svg_matches_curve_structure():
             clipped += 1
     assert svg.count("<line") == clipped
 
-
-def test_env_var_field_override(monkeypatch, capsys):
-    monkeypatch.setenv("TROPGEO_FIELD", "fp:101")
-    rc = main(["lift", catalog_path("fano"), "--trials", "4", "--seed", "3"])
-    out = capsys.readouterr().out
-    assert rc in (0, 1)  # small field: witnesses may fail, but the run works

@@ -185,6 +185,46 @@ def test_report_bytes_are_unchanged(argv, code, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+VECTOR_ADDITION_ON_A_LINE = {"realize b = (-1, -1)": "realize b = (-1, 0)",
+                             "realize c = (-2, -2)": "realize c = (1, 0)",
+                             "realize q = (2, -1)": "realize q = (0, 0)"}
+
+# catalog files with edited lines, for reports no catalog file reaches:
+# GenericLiftFails certificates (vector_addition with every input on one
+# horizontal line) and a statement whose thesis fails on labelings that
+# meet its precondition (weak Pascal's line through P, Q and A)
+EDITED = [
+    ("vector_addition", VECTOR_ADDITION_ON_A_LINE, ["certify", "--trials", "4", "--seed", "0"], 1,
+     ["step#13 [GenericLiftFails]", "step#42 [GenericLiftFails]", "verdict: likely-empty"],
+     "938c8e47d40c50c8bb0146b99a2684485590822f5572a9eeec1552d820a96551"),
+    ("vector_addition", VECTOR_ADDITION_ON_A_LINE, ["certify", "--mode", "symbolic"], 1,
+     ["step#13 [GenericLiftFails]", "step#42 [GenericLiftFails]", "verdict: provably-empty"],
+     "cc612867a3fcf815b61c10ff40342fd680fef89acf8886d8d74b07400ff2406e"),
+    ("weak_pascal", {"through P Q R": "through P Q A"}, ["theorem", "--trials", "10", "--seed", "7"], 1,
+     ["6/10 trials passed", "failing trial 1: 2/4 labelings satisfy the precondition",
+      "failing trial 6: 2/4 labelings satisfy the precondition"],
+     "9c218ec2b4acd9d8f50e08c8cd0f9a953e17442f5194a269f0365e50a5473e28"),
+]
+
+
+@pytest.mark.parametrize("name,edits,argv,code,lines,digest", EDITED,
+                         ids=[" ".join([argv[0], name, *argv[1:]]) for name, _, argv, *_ in EDITED])
+def test_edited_catalog_reports_are_unchanged(tmp_path, name, edits, argv, code, lines, digest):
+    with open(catalog_path(name)) as f:
+        text = f.read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"{name}.tgc"
+    path.write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main([argv[0], str(path), *argv[1:], "--json", "-"])
+    assert rc == code
+    assert [line for line in lines if line not in out.getvalue()] == []
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("mode", ["sample", "symbolic"])
 @pytest.mark.parametrize("command", ["lift", "certify"])
 def test_reports_print_stable_points_as_realize_does(command, mode):

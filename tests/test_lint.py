@@ -4,7 +4,8 @@ class goes unreferenced in the package, no public one goes unread in the
 package, its tests and its benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
 but the prime field's element divides; no function rebinds a module
-global; and every ``name`` quoted in a docstring still names something."""
+global; the library reads no environment variable; and every ``name``
+quoted in a docstring still names something."""
 
 import ast
 import builtins
@@ -184,8 +185,8 @@ def _parameters(fn):
 def _stale_docstring_names(modules):
     """Each ``identifier`` in a docstring that names neither something the
     package binds, nor a parameter of the documented function, nor a
-    builtin, nor the TROPGEO_FIELD environment variable."""
-    known = _package_names(modules) | set(dir(builtins)) | {"TROPGEO_FIELD"}
+    builtin."""
+    known = _package_names(modules) | set(dir(builtins))
     stale = []
     for name, tree in modules.items():
         for node in ast.walk(tree):
@@ -202,6 +203,18 @@ def test_docstrings_name_no_stale_definitions():
     assert _stale_docstring_names(MODULES) == []
     planted = ast.parse('def f(pj):\n    """Row ``pj`` by ``_monomial_jet``."""\n')
     assert _stale_docstring_names({**MODULES, "planted": planted}) == ["planted.py: f: _monomial_jet"]
+
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_the_library_reads_no_environment_variable():
+    # each setting is an argument, as the residual field is lift_conditions'
+    # field and the CLI's --field: none is read from the environment
+    reads = {name: sorted(ENV_READS & _used_names(tree)) for name, tree in MODULES.items()}
+    assert {name: r for name, r in reads.items() if r} == {}
+    planted = ast.parse('from os import getenv\nimport os\nF = os.environ.get("F")\n')
+    assert ENV_READS & _used_names(planted) == {"getenv", "environ"}
 
 
 def _dataclass_fields(tree):

@@ -29,8 +29,9 @@ from tropgeo.residual import (
 def test_field_parsing_and_elements():
     f = ResidualField.parse("fp:10007")
     assert f.p == 10007 and f == ResidualField(10007) and repr(f) == "F_10007"
-    with pytest.raises(ValueError, match="cannot parse field spec 'q'"):
-        ResidualField.parse("q")
+    for spec in ("q", "f61", "f9"):  # a field is spelled fp:P only
+        with pytest.raises(ValueError, match=f"cannot parse field spec '{spec}'"):
+            ResidualField.parse(spec)
     assert f.elt(F(1, 2)) * f.elt(2) == f.one
     with pytest.raises(ValueError):
         ResidualField(10)  # not prime

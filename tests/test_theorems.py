@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropgeo.trop_core import Support, TropPoly, curve
-from tropgeo.residual import trial_rng
+from tropgeo.residual import DEFAULT_FIELD, trial_rng
 from tropgeo.stable_ops import stable_intersection
 from tropgeo.construction import lift_conditions, realize
 from tropgeo.theorems import (
@@ -285,8 +285,8 @@ def test_check_statement_validates_the_hypothesis_a_fixed_number_of_times(monkey
 
 
 def test_lift_probe_stops_at_its_first_successful_trial(monkeypatch):
-    # the probe's verdict is that of lift_conditions(..., trials=4), from
-    # the same passes up to the first one that succeeds
+    # the probe's verdict is that of lift_conditions(..., DEFAULT_FIELD,
+    # trials=4), from the same passes up to the first one that succeeds
     import tropgeo.construction as construction
 
     passes = []
@@ -307,7 +307,7 @@ def test_lift_probe_stops_at_its_first_successful_trial(monkeypatch):
             probe = list(passes)
             r = realize(s.hypothesis, sample_inputs(s.hypothesis, trial_rng(seed, 0), "zero"))
             passes.clear()
-            assert lift_conditions(s.hypothesis, r, mode="numeric", seed=seed, trials=4).verdict == verdict
+            assert lift_conditions(s.hypothesis, r, DEFAULT_FIELD, seed=seed, trials=4).verdict == verdict
             assert probe == passes[:len(probe)]
             assert not any(probe[:-1]) and (probe[-1] or len(probe) == 4)
             lengths.add(len(probe))
