@@ -8,7 +8,7 @@ theorems (Fano, Pappus, converse Pascal, Chasles, Cayley-Bacharach).
 
 from .trop_core import Support, TropPoly, curve, dual_subdivision, concave_canonical, mixed_volume
 from .trop_linalg import trop_det, cramer_stable, pseudodet, cramer_conditions
-from .residual import ResidualField, RPoly, Jet, ConditionSet, density_test, residual_poly
+from .residual import ResidualField, RPoly, Jet, ConditionSet, density_test
 from .stable_ops import (
     stable_curve,
     stable_intersection,
@@ -22,6 +22,8 @@ from .construction import (
     CurveThrough,
     Intersect,
     IncidenceStructure,
+    construction_to_incidence,
+    subconstruction_to,
     validate_construction,
     complete_to_construction,
     is_admissible,
@@ -33,9 +35,11 @@ from .construction import (
 from .theorems import (
     Statement,
     catalog,
+    cayley_bacharach_statement,
     check_statement,
     thesis_feasible_curve,
     thesis_feasible_point,
 )
+from .dsl import print_doc
 
 __version__ = "0.1.0"

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from graphlib import CycleError, TopologicalSorter
 
 from .trop_core import Support, TropPoly, frac, mixed_volume
 from .residual import (
@@ -187,10 +188,10 @@ class IncidenceStructure:
 
 def _incidence_table(g: IncidenceStructure):
     """The node table of an oriented incidence structure (points, then
-    blocks), and the node at which an oriented cycle closes, or None.
+    blocks), and the least node of an oriented cycle, or None.
 
-    One iterative depth-first search yields the depths; on a cyclic
-    structure the depths are meaningless and only the cycle counts.
+    Depths follow a topological order; a cyclic structure has none, so
+    its depths stay 0 and only the cycle counts.
     """
     if g.orientation is None:
         raise ValueError("incidence structure carries no orientation")
@@ -202,25 +203,12 @@ def _incidence_table(g: IncidenceStructure):
             preds[b].append(p)
         else:
             preds[p].append(b)
-    depth, cycle = {}, None
-    for root in preds:
-        if root in depth:
-            continue
-        stack, open_ = [(root, iter(preds[root]))], {root}
-        while stack:
-            n, it = stack[-1]
-            for p in it:
-                if p in open_:
-                    if cycle is None:
-                        cycle = n
-                elif p not in depth:
-                    stack.append((p, iter(preds[p])))
-                    open_.add(p)
-                    break
-            else:
-                stack.pop()
-                open_.discard(n)
-                depth[n] = 1 + max((depth.get(p, -1) for p in preds[n]), default=-1)
+    depth, cycle = dict.fromkeys(preds, 0), None
+    try:
+        for n in TopologicalSorter(preds).static_order():
+            depth[n] = 1 + max((depth[p] for p in preds[n]), default=-1)
+    except CycleError as e:
+        cycle = min(e.args[1])
     sups = dict(g.blocks)
     table = {p: ("point", None, tuple(preds[p]), None, depth[p]) for p in g.points}
     table.update((b, ("curve", sups[b], tuple(preds[b]), None, depth[b])) for b in sups)

@@ -185,10 +185,6 @@ class ResidualField:
     def zero(self):
         return self.elt(0)
 
-    @property
-    def one(self):
-        return self.elt(1)
-
     def random_nonzero(self, rng: random.Random):
         """A uniform element of F_p*."""
         return FpElt(rng.randrange(1, self.p), self.p)
@@ -466,9 +462,6 @@ class Jet:
         return f"Jet({self.coeff}*t^-({self.order}))"
 
 
-JET_ZERO = Jet.zero()
-
-
 # ---------------------------------------------------------------------------
 # residual polynomial of a lift at a tropical point
 
@@ -506,20 +499,6 @@ def residual_terms(f_jets: dict, b) -> dict:
     """Terms of the residual polynomial over b: the argmax support points
     (``residual_support``) with their principal coefficients."""
     return support_terms(f_jets, residual_support(f_jets, b))
-
-
-def residual_poly(f_jets: dict, b) -> RPoly:
-    """The residual polynomial over b as an RPoly in x and y.
-
-    Coefficients that are symbolic polynomials are multiplied through, so
-    the result may mix x, y with input residual variables.
-    """
-    terms = residual_terms(f_jets, b)
-    out = RPoly()
-    for (i1, i2), c in terms.items():
-        mono = tuple(ve for ve in (("x", i1), ("y", i2)) if ve[1])
-        out = out + c * RPoly({mono: 1})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -811,14 +790,12 @@ def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int)
     """
     if cs.provably_empty:
         return PROVABLY_EMPTY, None
-    variables = set(cs.variables)
-    for c in cs.conditions:
-        if isinstance(c.poly, RPoly):
-            variables.update(c.poly.variables())
-    variables = sorted(variables)
+    # add() drops nonzero scalars as units, and a zero makes the set
+    # provably empty, so every condition left is an RPoly
+    variables = sorted(set(cs.variables).union(*(c.poly.variables() for c in cs.conditions)))
     for t in range(max(trials, 1)):
         rng = trial_rng(seed, t)
         sample = {v: field.random_nonzero(rng) for v in variables}
-        if all(c.poly.evaluate(sample) if isinstance(c.poly, RPoly) else c.poly for c in cs.conditions):
+        if all(c.poly.evaluate(sample) for c in cs.conditions):
             return NONEMPTY_DENSE, sample
     return LIKELY_EMPTY, None

@@ -49,14 +49,6 @@ from . import dsl
 # thesis feasibility
 
 
-def tropical_collinear(p, q, r) -> bool:
-    """Three points lie on a common tropical line iff the 3x3 tropical
-    determinant of their projective coordinates is singular."""
-    rows = [[frac(t[0]), frac(t[1]), Fraction(0)] for t in (p, q, r)]
-    _, regular = trop_det_value_regular(rows)
-    return not regular
-
-
 def thesis_feasible_curve(I: Support, pts):
     """A curve of support I through all of ``pts``, or None.
 

@@ -364,11 +364,6 @@ class TropPoly:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(obj) -> "TropPoly":
-        pts = [tuple(p) for p in obj["support"]]
-        return TropPoly(Support(pts), dict(zip(pts, obj["coeffs"])))
-
 
 def _normalize_coeff_keys(support: Support, coeffs: dict):
     keys = {(int(k[0]), int(k[1])) for k in coeffs}
@@ -573,10 +568,6 @@ class CurveEdge:
     weight: int
     dual: tuple[LPoint, LPoint]
     kind: str = "segment"
-
-    def second_point(self) -> Point:
-        t = self.length if self.kind == "segment" else Fraction(1)
-        return (self.base[0] + t * self.dir[0], self.base[1] + t * self.dir[1])
 
 
 @dataclass

@@ -535,7 +535,7 @@ def _evaluates_to(sym, num, sample):
         return F10007.elt(j.coeff.evaluate(sample))
 
     if isinstance(num, tuple):
-        z = value(sym[2]) if len(sym) == 3 else F10007.one
+        z = value(sym[2]) if len(sym) == 3 else F10007.elt(1)
         return z and all((s.kind, s.order) == (n.kind, n.order) and (
             not n.is_principal or value(s) == n.coeff * z) for s, n in zip(sym, num))
     if any((sym[i].kind, sym[i].order) != (n.kind, n.order) for i, n in num.items()):

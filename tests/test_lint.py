@@ -1,7 +1,7 @@
 """Static checks on the library source, with the standard ``ast`` module:
-no module-level import goes unused, no private module-level function or
-class goes unreferenced in the package, no public one goes unread in the
-package, its tests and its benchmark, and no float enters the library
+no module-level import goes unused, every module-level definition is
+reached from the command line, the catalog, the package's re-exports or
+the benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
 but the prime field's element divides; no function rebinds a module
 global; the library reads no environment variable; and every ``name``
@@ -17,6 +17,9 @@ import tropgeo
 SRC = Path(tropgeo.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 ROOT = Path(__file__).resolve().parent.parent
+# the tests and the benchmark, by path from the root of the checkout
+CALLERS = {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(), str(path))
+           for d in ("tests", "perfbench") for path in sorted((ROOT / d).glob("*.py"))}
 
 
 def _used_names(node):
@@ -62,19 +65,6 @@ def test_no_unused_module_level_imports():
     assert not unused, unused
 
 
-def test_every_private_definition_is_referenced():
-    uses = [(stmt, _used_names(stmt)) for tree in MODULES.values() for stmt in tree.body]
-    unreferenced = []
-    for name, tree in MODULES.items():
-        for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and stmt.name.startswith("_") and not stmt.name.startswith("__")
-                    # references from its own body (recursion) do not count
-                    and not any(stmt.name in names for top, names in uses if top is not stmt)):
-                unreferenced.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
-    assert not unreferenced, unreferenced
-
-
 def _read_names(node):
     """The names a subtree reads as bare names or attributes; an import
     alone is no read."""
@@ -82,21 +72,70 @@ def _read_names(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_read():
-    # a read anywhere in the package, the tests or the benchmark counts,
-    # except from the definition's own body; the package's re-exports
-    # are imports, so they do not count
-    trees = [*(t for name, t in MODULES.items() if name != "__init__"),
-             *(ast.parse(path.read_text(), str(path))
-               for d in ("tests", "perfbench") for path in sorted((ROOT / d).glob("*.py")))]
-    uses = [(stmt, _read_names(stmt)) for tree in trees for stmt in tree.body]
-    unread = []
-    for name, tree in MODULES.items():
-        for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-                    and not any(stmt.name in names for top, names in uses if top is not stmt)):
-                unread.append(f"{name}.py:{stmt.lineno}: {stmt.name}")
-    assert not unread, unread
+def _defined_names(stmt):
+    """The names a module-level statement defines: a def, a class, or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+        stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _bench_reads(tree, modules):
+    """The names a benchmark module reads off ``tropgeo`` or its modules:
+    each name it imports from them, and the first name past the package
+    and its module names in each attribute chain, as ``realize`` in
+    ``tg.realize`` and ``verify_witness`` in
+    ``tg.construction.verify_witness``."""
+    aliases, out = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            aliases.update(a.asname or a.name for a in n.names if a.name == "tropgeo")
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "tropgeo":
+            for a in n.names:
+                (aliases if a.name in modules else out).add(a.asname or a.name)
+    for n in ast.walk(tree):
+        chain = []
+        while isinstance(n, ast.Attribute):
+            chain.insert(0, n.attr)
+            n = n.value
+        if isinstance(n, ast.Name) and n.id in aliases:
+            out.update([a for a in chain if a not in modules][:1])
+    return out
+
+
+def _unreached(modules, callers):
+    """Each module-level def, class and constant of the package that no
+    root reaches. The roots are ``cli.main``, ``theorems.catalog``, the
+    names ``__init__`` re-exports and the names the benchmark modules
+    (``callers`` under ``perfbench/``) read off the package; a test is no
+    caller. A reached definition reaches every definition whose name it
+    reads, its methods' bodies included; methods themselves are not
+    checked."""
+    defs = [(mod, stmt, name) for mod, tree in modules.items() if mod != "__init__"
+            for stmt in tree.body for name in _defined_names(stmt)]
+    todo = {"main", "catalog"}
+    todo |= {a.name for stmt in modules["__init__"].body if isinstance(stmt, ast.ImportFrom)
+             for a in stmt.names}
+    todo |= {name for path, tree in callers.items() if path.startswith("perfbench/")
+             for name in _bench_reads(tree, modules)}
+    seen = set()
+    while todo:
+        seen.add(name := todo.pop())
+        todo |= {r for _, stmt, n in defs if n == name for r in _read_names(stmt)} - seen
+    return [f"{mod}.py:{stmt.lineno}: {name}" for mod, stmt, name in defs if name not in seen]
+
+
+def test_every_definition_is_reached():
+    assert _unreached(MODULES, CALLERS) == []
+    orphan = ast.parse("def orphan():\n    return catalog()\n")
+    assert _unreached({**MODULES, "planted": orphan}, CALLERS) == ["planted.py:1: orphan"]
+    # a test reading a definition does not reach it
+    helper = ast.parse("def helper():\n    return 1\n")
+    test = ast.parse("from tropgeo.planted import helper\n\n\ndef test_helper():\n    assert helper() == 1\n")
+    assert _unreached({**MODULES, "planted": helper},
+                      {**CALLERS, "tests/test_planted.py": test}) == ["planted.py:1: helper"]
 
 
 FLOAT_MATH = {"sqrt", "log", "exp"}
@@ -231,9 +270,7 @@ def _dataclass_fields(tree):
 def test_every_dataclass_field_is_read():
     # a field no attribute access reads is a stored copy nobody needs;
     # reads in the package, the tests and the benchmark count
-    trees = [*MODULES.values(), *(ast.parse(path.read_text(), str(path))
-                                  for d in ("tests", "perfbench") for path in sorted((ROOT / d).glob("*.py")))]
-    read = {n.attr for tree in trees for n in ast.walk(tree)
+    read = {n.attr for tree in [*MODULES.values(), *CALLERS.values()] for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f"{name}.py:{line}: {cls}.{fld}" for name, tree in MODULES.items()
               for cls, fld, line in _dataclass_fields(tree) if fld not in read]

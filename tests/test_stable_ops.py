@@ -18,7 +18,6 @@ from tropgeo.trop_core import (
     upper_chain,
 )
 from tropgeo.residual import (
-    JET_ZERO,
     PROVABLY_EMPTY,
     ConditionSet,
     InformationLostError,
@@ -577,7 +576,7 @@ def _reference_curve_step(I, pt_jets):
     for k, i in enumerate(I.points):
         cols = [c for c in range(len(I.points)) if c != k]
         value, _ = trop_det_value_regular([[row[c] for c in cols] for row in trop])
-        det = _full_det(len(pt_jets), lambda r, c: entries[r][cols[c]], JET_ZERO)
+        det = _full_det(len(pt_jets), lambda r, c: entries[r][cols[c]], Jet.zero())
         if det.is_principal and det.order == value:
             cond_val, any_nonzero = det.coeff, True
             jet = det if k % 2 == 0 else -det
@@ -752,7 +751,7 @@ class JPoly:
     def __add__(self, o):
         out = dict(self.c)
         for e, j in o.c.items():
-            s = out.get(e, JET_ZERO) + j
+            s = out.get(e, Jet.zero()) + j
             if s.is_zero:
                 out.pop(e, None)
             else:
@@ -767,7 +766,7 @@ class JPoly:
         for e1, j1 in self.c.items():
             for e2, j2 in o.c.items():
                 e = e1 + e2
-                s = out.get(e, JET_ZERO) + j1 * j2
+                s = out.get(e, Jet.zero()) + j1 * j2
                 if s.is_zero:
                     out.pop(e, None)
                 else:
@@ -1001,7 +1000,7 @@ def test_the_shear_separates_the_stable_points():
     assert points == [((F(-4, 3), F(-8)), 3), ((F(-1, 2), F(2)), 4), ((F(1), F(2)), 2)]
     curves = [r.values[n] for n in hyp.steps[0].curves]
     assert all(f.on_curve((F(-4, 3), F(2))) for f in curves)
-    f, g = ({i: Jet.principal(o, F10007.one) for i, o in f.coeff_map().items()} for f in curves)
+    f, g = ({i: Jet.principal(o, F10007.elt(1)) for i, o in f.coeff_map().items()} for f in curves)
     assert intersection_step_plan(f, g, points).shear == 0
 
 

@@ -17,11 +17,19 @@ from tropgeo.theorems import (
     sample_inputs,
     thesis_feasible_curve,
     thesis_feasible_point,
-    tropical_collinear,
 )
+from tropgeo.trop_linalg import trop_det_value_regular
 
 LINE = Support.named("line")
 CUBIC = Support.named("cubic")
+
+
+def tropical_collinear(p, q, r) -> bool:
+    """Three points lie on a common tropical line iff the 3x3 tropical
+    determinant of their projective coordinates is singular: the oracle
+    that the complete search is compared against."""
+    _, regular = trop_det_value_regular([[F(t[0]), F(t[1]), F(0)] for t in (p, q, r)])
+    return not regular
 
 
 def test_fano_points_admit_a_witness_line():
