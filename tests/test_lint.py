@@ -127,8 +127,23 @@ def _unreached(modules, callers):
     return [f"{mod}.py:{stmt.lineno}: {name}" for mod, stmt, name in defs if name not in seen]
 
 
+def _unreached_of_kind(private):
+    """The library's unreached private (``_``-prefixed) or public names."""
+    return [u for u in _unreached(MODULES, CALLERS) if u.rsplit(" ", 1)[1].startswith("_") == private]
+
+
+def test_every_private_definition_is_referenced():
+    # a private name must be reached from a root, not merely named
+    assert _unreached_of_kind(private=True) == []
+
+
+def test_every_public_definition_is_read():
+    # a public name must be read by a root or a reached definition; a
+    # read from a test is no use
+    assert _unreached_of_kind(private=False) == []
+
+
 def test_every_definition_is_reached():
-    assert _unreached(MODULES, CALLERS) == []
     orphan = ast.parse("def orphan():\n    return catalog()\n")
     assert _unreached({**MODULES, "planted": orphan}, CALLERS) == ["planted.py:1: orphan"]
     # a test reading a definition does not reach it
