@@ -3,6 +3,8 @@
 A construction is a DAG program with two step kinds: the stable curve of
 a fixed support through delta-1 points, and the stable intersection of
 two curves (which creates all of its mixed-volume many points at once).
+A statement adds a thesis node to one (``ThesisPoint``, ``ThesisCurve``);
+``dsl`` parses its clauses into these records and ``theorems`` checks it.
 
 ``lift_conditions`` runs the forward jet propagation that realizes the
 residual sufficient-condition set: curve steps contribute
@@ -121,6 +123,30 @@ class Construction:
                 for q in s.names:
                     out.extend(((q, s.curves[0]), (q, s.curves[1])))
         return out
+
+
+@dataclass
+class ThesisPoint:
+    name: str
+    on: list
+
+
+@dataclass
+class ThesisCurve:
+    name: str
+    support: Support
+    through: list
+
+
+@dataclass
+class Statement:
+    """A hypothesis construction and a thesis node with its incidences;
+    ``genpos_pairs`` are the thesis's precondition."""
+
+    name: str
+    hypothesis: Construction
+    thesis: ThesisPoint | ThesisCurve
+    genpos_pairs: list = dc_field(default_factory=list)  # [(point names, curve name)]
 
 
 # A node table maps each node name to (kind, support, direct predecessors,
@@ -819,7 +845,7 @@ def lift_conditions(
     propagates; a trial in which every condition is nonzero and every
     local system has a torus solution yields witness jets for every
     node.  The report is that of the first such trial, or else of the
-    last one.
+    last of the trials with the fewest failed steps (``some_zero``).
 
     Each step reads its tropical half from the realization r: a curve
     step its Cramer solution, an intersection step its stable points,
@@ -831,11 +857,12 @@ def lift_conditions(
     if trials < 1:
         mode = "symbolic" if field is None else "numeric"
         raise ValueError(f"{mode} mode needs at least one trial, got {trials}")
-    kept, successes = None, 0
+    kept, kept_failed, successes = None, None, 0
     for outcome in _passes(c, r, field, seed, trials):
         successes += outcome[3]
-        if kept is None or not kept[3]:
-            kept = outcome
+        failed = sum(s.some_zero for s in outcome[0])
+        if kept is None or not kept[3] and (outcome[3] or failed <= kept_failed):
+            kept, kept_failed = outcome, failed
     reports, conds, jets, ok = kept
     if field is not None:
         verdict = NONEMPTY_DENSE if successes else LIKELY_EMPTY

@@ -28,8 +28,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .trop_core import Support, TropPoly, frac
-from .construction import KIND, Construction, CurveThrough, Intersect, _node_table
+from .trop_core import _NAMED_SUPPORTS, Support, TropPoly, frac
+from .construction import (
+    KIND,
+    Construction,
+    CurveThrough,
+    Intersect,
+    Statement,
+    ThesisCurve,
+    ThesisPoint,
+    _node_table,
+)
 
 
 class DslError(ValueError):
@@ -67,20 +76,12 @@ class InputDecl:
 
 
 @dataclass
-class ThesisDecl:
-    kind: str  # "point" | "curve"
-    name: str
-    support: Support | None
-    nodes: list
-
-
-@dataclass
 class DslDocument:
     inputs: list = dc_field(default_factory=list)
-    steps: list = dc_field(default_factory=list)
+    steps: list = dc_field(default_factory=list)  # CurveThrough and Intersect records
     realizations: list = dc_field(default_factory=list)  # (name, value)
-    genpos: list = dc_field(default_factory=list)  # (point names, curve name)
-    thesis: ThesisDecl | None = None
+    genpos: list = dc_field(default_factory=list)  # (tuple of point names, curve name)
+    thesis: ThesisPoint | ThesisCurve | None = None
 
     def realization_map(self):
         return dict(self.realizations)
@@ -119,13 +120,13 @@ def parse(text: str) -> DslDocument:
             continue
         m = _CURVE_STEP.match(stripped)
         if m:
-            doc.steps.append(
-                ("curve", m.group(1), m.group(2).split(), parse_support(m.group(3), lineno))
-            )
+            doc.steps.append(CurveThrough(
+                name=m.group(1), support=parse_support(m.group(3), lineno), through=m.group(2).split()
+            ))
             continue
         m = _POINTS_STEP.match(stripped)
         if m:
-            doc.steps.append(("points", m.group(1).split(), m.group(2), m.group(3)))
+            doc.steps.append(Intersect(names=m.group(1).split(), curves=(m.group(2), m.group(3))))
             continue
         m = _REALIZE_POINT.match(stripped) or _REALIZE_CURVE.match(stripped)
         if m:
@@ -145,16 +146,16 @@ def parse(text: str) -> DslDocument:
             continue
         m = _GENPOS.match(stripped)
         if m:
-            doc.genpos.append((m.group(1).split(), m.group(2)))
+            doc.genpos.append((tuple(m.group(1).split()), m.group(2)))
             continue
         m = _THESIS_POINT.match(stripped)
         if m:
-            doc.thesis = ThesisDecl("point", m.group(1), None, m.group(2).split())
+            doc.thesis = ThesisPoint(name=m.group(1), on=m.group(2).split())
             continue
         m = _THESIS_CURVE.match(stripped)
         if m:
-            doc.thesis = ThesisDecl(
-                "curve", m.group(1), parse_support(m.group(2), lineno), m.group(3).split()
+            doc.thesis = ThesisCurve(
+                name=m.group(1), support=parse_support(m.group(2), lineno), through=m.group(3).split()
             )
             continue
         col = len(raw) - len(raw.lstrip()) + 1
@@ -162,18 +163,13 @@ def parse(text: str) -> DslDocument:
     return doc
 
 
-_NAMED_BY_POINTS = {
-    Support.named(n).points: n
-    for n in ("line", "conic", "cubic", "vertical", "horizontal", "pencil")
-}
-
-
 def print_support(sup: Support) -> str:
-    if sup.points in _NAMED_BY_POINTS:
-        return _NAMED_BY_POINTS[sup.points]
-    for d in range(4, 13):
-        if sup == Support.degree(d):
-            return f"degree({d})"
+    for name, pts in _NAMED_SUPPORTS.items():
+        if sup == Support(pts):
+            return name
+    d = max(i + j for i, j in sup.points)
+    if 4 <= d <= 12 and sup == Support.degree(d):
+        return f"degree({d})"
     return "{" + ", ".join(f"({i},{j})" for i, j in sup.points) + "}"
 
 
@@ -185,14 +181,12 @@ def print_doc(doc: DslDocument) -> str:
         else:
             lines.append(f"input curve {inp.name} support {print_support(inp.support)}")
     for s in doc.steps:
-        if s[0] == "curve":
-            _, name, through, sup = s
+        if isinstance(s, CurveThrough):
             lines.append(
-                f"curve {name} = through {' '.join(through)} support {print_support(sup)}"
+                f"curve {s.name} = through {' '.join(s.through)} support {print_support(s.support)}"
             )
         else:
-            _, names, c1, c2 = s
-            lines.append(f"points {{{' '.join(names)}}} = intersect {c1} {c2}")
+            lines.append(f"points {{{' '.join(s.names)}}} = intersect {s.curves[0]} {s.curves[1]}")
     for name, val in doc.realizations:
         if isinstance(val, TropPoly):
             lines.append(f'realize {name} = "{val}"')
@@ -200,48 +194,38 @@ def print_doc(doc: DslDocument) -> str:
             lines.append(f"realize {name} = ({val[0]}, {val[1]})")
     for pts, cv in doc.genpos:
         lines.append(f"genpos {' '.join(pts)} in {cv}")
-    if doc.thesis:
-        t = doc.thesis
-        if t.kind == "point":
-            lines.append(f"thesis point {t.name} on {' '.join(t.nodes)}")
-        else:
-            lines.append(
-                f"thesis curve {t.name} support {print_support(t.support)} "
-                f"through {' '.join(t.nodes)}"
-            )
+    t = doc.thesis
+    if isinstance(t, ThesisPoint):
+        lines.append(f"thesis point {t.name} on {' '.join(t.on)}")
+    elif t is not None:
+        lines.append(
+            f"thesis curve {t.name} support {print_support(t.support)} "
+            f"through {' '.join(t.through)}"
+        )
     return "\n".join(lines) + "\n"
 
 
 def to_construction(doc: DslDocument) -> Construction:
-    c = Construction()
+    c = Construction(steps=list(doc.steps))
     for inp in doc.inputs:
         if inp.kind == "point":
             c.input_points.append(inp.name)
         else:
             c.input_curves.append((inp.name, inp.support))
-    for s in doc.steps:
-        if s[0] == "curve":
-            _, name, through, sup = s
-            c.steps.append(CurveThrough(name=name, support=sup, through=list(through)))
-        else:
-            _, names, c1, c2 = s
-            c.steps.append(Intersect(names=list(names), curves=(c1, c2)))
     return c
 
 
-def to_statement(doc: DslDocument, name="statement"):
-    from .theorems import Statement, ThesisCurve, ThesisPoint
-
-    if doc.thesis is None:
+def to_statement(doc: DslDocument, name="statement") -> Statement:
+    t = doc.thesis
+    if t is None:
         raise ValueError("document has no thesis clause")
     c = to_construction(doc)
     table = _node_table(c)
-    t = doc.thesis
     # (name, the kind its clause needs, the clause's rule)
-    if t.kind == "point":
-        named = [(n, "curve", f"thesis point {t.name!r} lies on curves") for n in t.nodes]
+    if isinstance(t, ThesisPoint):
+        named = [(n, "curve", f"thesis point {t.name!r} lies on curves") for n in t.on]
     else:
-        named = [(n, "point", f"thesis curve {t.name!r} passes through points") for n in t.nodes]
+        named = [(n, "point", f"thesis curve {t.name!r} passes through points") for n in t.through]
     for pts, cv in doc.genpos:
         rule = "genpos lists points in a curve"
         named += [(n, "point", rule) for n in pts] + [(cv, "curve", rule)]
@@ -251,10 +235,4 @@ def to_statement(doc: DslDocument, name="statement"):
     for n, kind, rule in named:
         if table[n][KIND] != kind:
             raise ValueError(f"{rule}; {n!r} is a {table[n][KIND]}")
-    if t.kind == "point":
-        thesis = ThesisPoint(name=t.name, on=list(t.nodes))
-    else:
-        thesis = ThesisCurve(name=t.name, support=t.support, through=list(t.nodes))
-    genpos_pairs = [(tuple(pts), cv) for pts, cv in doc.genpos]
-    return Statement(name=name, hypothesis=c, thesis=thesis, genpos_pairs=genpos_pairs)
-
+    return Statement(name=name, hypothesis=c, thesis=t, genpos_pairs=list(doc.genpos))

@@ -539,9 +539,8 @@ def _monomial_flag(picks) -> bool:
     tight graph contributes its sign to the monomial that its picks
     name, the multiset of their input coefficients; the coefficient is
     a monomial when exactly one monomial keeps a nonzero count."""
-    n = len(picks)
     counts = {}
-    for perm in _enumerate_matchings([[c in row for c in range(n)] for row in picks]):
+    for perm in _enumerate_matchings(picks):
         mono = tuple(sorted(picks[r][c] for r, c in enumerate(perm)))
         inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
         counts[mono] = counts.get(mono, 0) + (-1) ** inversions

@@ -11,7 +11,8 @@ lie on a common curve of support I exactly when their delta x delta
 point-value matrix is tropically singular (Richter-Gebert, Sturmfels and
 Theobald, "First steps in tropical geometry").  A witness is a stable
 curve through delta-1 of the points; infeasibility is proven by a
-regular delta x delta minor.
+regular delta x delta minor, read off the Cramer solutions that the
+witness search computed.
 
 A point thesis is decided on the vertices of the union of the curves,
 which is the curve of their product: the dual vertices of the maximal
@@ -24,17 +25,19 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
-from .trop_linalg import trop_det_value_regular
 from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, trial_rng
-from .stable_ops import _point_values, stable_curve, trop_product
+from .stable_ops import _solve_curve, trop_product
 from .construction import (
     Construction,
     Intersect,
+    Statement,
+    ThesisCurve,
+    ThesisPoint,
     _passes,
     _realize,
     _require_exact,
@@ -56,7 +59,12 @@ def thesis_feasible_curve(I: Support, pts):
     (padded by repeating the last one) that passes through all of them.
     Without one, None is proven by delta of the points whose point-value
     matrix is tropically regular: a curve through all the points would
-    make every such minor singular.
+    make every such minor singular.  The proof reads the Cramer
+    solutions that the witness search computed: expanded along its last
+    point p, the minor of delta points is f(p) for f the stable curve
+    through the others, with coefficients the tropical minors of their
+    matrix, so it is regular exactly when one monomial k attains f(p)
+    and f's minor k is regular.
     """
     pts = [(frac(p[0]), frac(p[1])) for p in pts]
     delta = I.delta()
@@ -64,15 +72,18 @@ def thesis_feasible_curve(I: Support, pts):
     base = list(pts)
     while len(base) < need:
         base.append(base[-1] if base else (Fraction(0), Fraction(0)))
-    subsets = itertools.combinations(range(len(base)), need)
-    for sub in subsets:
-        f = stable_curve(I, [base[i] for i in sub])
+    solved = {}
+    for sub in itertools.combinations(range(len(base)), need):
+        f, sol = _solve_curve(I, [base[i] for i in sub])
         if all(f.on_curve(p) for p in pts):
             return f
-    for sub in itertools.combinations(pts, delta):
-        # the int matrix is the point-value matrix scaled by e > 0, which
-        # keeps its optimal permutations and so its regularity
-        if trop_det_value_regular(_point_values(I, sub)[0])[1]:
+        solved[sub] = sol
+    # with delta points or more, base is pts and each delta-subset's
+    # first delta-1 points were solved above
+    for sub in itertools.combinations(range(len(pts)), delta):
+        sol = solved[sub[:-1]]
+        _, attained = TropPoly(I, sol.values).eval(pts[sub[-1]])
+        if len(attained) == 1 and sol.regular[I.points.index(attained[0])]:
             return None
     # Not reached with at most delta points.  Fewer than delta points lie
     # on the stable curve through them.  For delta points with a singular
@@ -108,27 +119,6 @@ def thesis_feasible_point(curves):
 
 # ---------------------------------------------------------------------------
 # statements and checking
-
-
-@dataclass
-class ThesisPoint:
-    name: str
-    on: list
-
-
-@dataclass
-class ThesisCurve:
-    name: str
-    support: Support
-    through: list
-
-
-@dataclass
-class Statement:
-    name: str
-    hypothesis: Construction
-    thesis: object
-    genpos_pairs: list = dc_field(default_factory=list)  # [(point names, curve name)]
 
 
 @dataclass

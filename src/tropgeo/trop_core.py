@@ -148,6 +148,8 @@ _NAMED_SUPPORTS = {
     "vertical": ((0, 0), (1, 0)),
     "horizontal": ((0, 0), (0, 1)),
     "pencil": ((1, 0), (0, 1)),
+    "conic": ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
+    "cubic": ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)),
 }
 
 
@@ -182,10 +184,6 @@ class Support:
         name = name.strip()
         if name in _NAMED_SUPPORTS:
             return Support(_NAMED_SUPPORTS[name])
-        if name == "conic":
-            return Support.degree(2)
-        if name == "cubic":
-            return Support.degree(3)
         m = re.fullmatch(r"degree\((\d+)\)", name)
         if m:
             return Support.degree(int(m.group(1)))

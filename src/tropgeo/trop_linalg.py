@@ -116,13 +116,14 @@ def _hungarian_max(w):
     return value, [-x for x in u[1:]], [-x for x in v[1:]], col
 
 
-def tight_mask(a):
-    """Boolean mask of entries that can appear in an optimal permutation."""
+def tight_graph(a):
+    """(value, adj): the tropical determinant of a and its tight graph,
+    ``adj[r]`` the set of columns c whose entry (r, c) can appear in an
+    optimal permutation."""
     d, w = _scaled(a)
     value, u, v, _ = _hungarian_max(w)
     n = len(w)
-    mask = [[u[r] + v[c] == w[r][c] for c in range(n)] for r in range(n)]
-    return Fraction(value, d), mask
+    return Fraction(value, d), [{c for c in range(n) if u[r] + v[c] == w[r][c]} for r in range(n)]
 
 
 def _matching_unique(adj):
@@ -155,10 +156,11 @@ def _matching_unique(adj):
     return peeled == len(adj)
 
 
-def _enumerate_matchings(mask):
-    """All perfect matchings of the tight graph, as row->col tuples."""
-    n = len(mask)
-    cols_of = [frozenset(c for c in range(n) if mask[r][c]) for r in range(n)]
+def _enumerate_matchings(adj):
+    """All perfect matchings of a bipartite graph, as row->col tuples;
+    ``adj[r]`` iterates the columns adjacent to row r."""
+    n = len(adj)
+    cols_of = [frozenset(cs) for cs in adj]
     out = []
     perm = [-1] * n
     used = set()
@@ -194,15 +196,9 @@ def trop_det(rows) -> DetResult:
         raise ValueError("tropical determinant needs a square matrix")
     if n > DET_BOUND:
         raise ValueError(f"matrix size {n} exceeds the bound {DET_BOUND}")
-    value, mask = tight_mask(a)
-    perms = _enumerate_matchings(mask)
+    value, adj = tight_graph(a)
+    perms = _enumerate_matchings(adj)
     return DetResult(value=value, optimal_perms=perms, regular=len(perms) == 1)
-
-
-def trop_det_value_regular(a):
-    """Fast path: value and regularity without enumerating permutations."""
-    value, mask = tight_mask(a)
-    return value, _matching_unique([{c for c, t in enumerate(row) if t} for row in mask])
 
 
 def _laplace(rows, zero):
@@ -270,8 +266,8 @@ def pseudodet(a_rows, b_rows, zero=Fraction(0)):
     b = list(b_rows)
     if len(b) != n or any(len(r) != n for r in b):
         raise ValueError("weight and coefficient matrices must have equal shape")
-    _, mask = tight_mask(a)
-    return masked_det([{c: row[c] for c in range(n) if m[c]} for row, m in zip(b, mask)], zero)
+    _, adj = tight_graph(a)
+    return masked_det([{c: row[c] for c in cs} for row, cs in zip(b, adj)], zero)
 
 
 @dataclass

@@ -610,6 +610,18 @@ def test_vector_addition_certificates():
     assert repz.successes and repz.successes >= 5
 
 
+def test_failed_numeric_lift_reports_a_pass_with_fewest_failed_steps():
+    # with these inputs passes 0-6 fail at l9 only (step 44) and pass 7
+    # fails 25 steps after an accidental vanishing at step 11; reporting
+    # pass 7 made steps 11 and 20 NeverLiftable and l9 GenericLiftFails
+    c = catalog_construction("vector_addition")
+    r = realize(c, {"a": (-6, -7), "b": (-7, -8), "c": (-8, -9), "q": (-4, -8)})
+    rep = lift_conditions(c, r, field=F10007, seed=653219, trials=8)
+    assert rep.successes == 0
+    assert [s.index for s in rep.steps if s.some_zero] == [44]
+    assert [s.certificate for s in rep.steps if "l9" in s.nodes] == [CERT_UNDECIDABLE]
+
+
 def test_weak_pascal_general_position_instance_lifts():
     # the almost-admissible case: when the double-path point pairs are in
     # general position the numeric lift finds a witness

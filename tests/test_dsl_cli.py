@@ -7,7 +7,7 @@ import pytest
 from tropgeo import dsl
 from tropgeo.cli import main, render_svg
 from tropgeo.trop_core import Support, TropPoly, curve
-from tropgeo.construction import validate_construction
+from tropgeo.construction import CurveThrough, Intersect, ThesisPoint, validate_construction
 
 
 CATALOG_FILES = [
@@ -57,13 +57,15 @@ thesis point w on l1 Z
     doc = dsl.parse(text)
     assert doc.inputs[0].kind == "point"
     assert doc.inputs[1].support == Support.named("conic")
-    assert doc.steps[0][0] == "curve"
-    assert doc.steps[1][1] == ["P", "Q"]
+    assert doc.steps == [
+        CurveThrough(name="l1", support=Support.named("line"), through=["A", "A"]),
+        Intersect(names=["P", "Q"], curves=("Z", "l1")),
+    ]
     rm = doc.realization_map()
     assert rm["A"] == (F(0), F(-3, 2))
     assert isinstance(rm["Z"], TropPoly)
-    assert doc.genpos == [(["P", "Q"], "Z")]
-    assert doc.thesis.kind == "point"
+    assert doc.genpos == [(("P", "Q"), "Z")]
+    assert doc.thesis == ThesisPoint(name="w", on=["l1", "Z"])
     assert dsl.to_statement(doc).genpos_pairs == [(("P", "Q"), "Z")]
 
 

@@ -60,7 +60,7 @@ from tropgeo.trop_linalg import (
     cramer_stable,
     masked_det,
     pseudodet,
-    trop_det_value_regular,
+    trop_det,
 )
 
 LINE = Support.named("line")
@@ -575,7 +575,7 @@ def _reference_curve_step(I, pt_jets):
     conds, coeff_jets, any_nonzero = ConditionSet(), {}, False
     for k, i in enumerate(I.points):
         cols = [c for c in range(len(I.points)) if c != k]
-        value, _ = trop_det_value_regular([[row[c] for c in cols] for row in trop])
+        value = trop_det([[row[c] for c in cols] for row in trop]).value
         det = _full_det(len(pt_jets), lambda r, c: entries[r][cols[c]], Jet.zero())
         if det.is_principal and det.order == value:
             cond_val, any_nonzero = det.coeff, True
