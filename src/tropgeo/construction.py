@@ -13,9 +13,11 @@ vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
 residuals are indeterminates over Q (symbolic mode, which has no field)
-or random elements of F_p* (numeric), and each local system is solved in
-closed form when linear (symbolic, as a homogeneous point (X : Y : Z),
-so that symbolic mode never divides) or by root finding in F_p (numeric).
+or random elements of F_p* (numeric).  A local system of two residual
+lines is met in both modes by the masked minors of its 2 x 3 residue
+matrix (``_meet``), symbolically as a homogeneous point (X : Y : Z), so
+that symbolic mode never divides; every other local system is solved
+by root finding in F_p (numeric) and refused symbolically.
 
 The tropical half of each step does not depend on the residues, and the
 realization solves it once: ``realize`` keeps the Cramer solution of
@@ -55,7 +57,6 @@ from .residual import (
     density_test,
     dense_roots,
     residual_terms,
-    support_terms,
     trial_rng,
 )
 from .genpos import _DSU
@@ -65,13 +66,13 @@ from .stable_ops import (
     _intersect,
     _residue,
     _solve_curve,
-    _to_origin,
     curve_step_jets,
     intersection_step_conditions,
     intersection_step_plan,
     line_minors,
+    line_rows,
     local_intersection_solve,
-    solve_local_linear,
+    local_line_rows,
 )
 
 
@@ -685,67 +686,76 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     InformationLostError that ended it.  ``supports`` is the step plan's
     ``point_supports`` at b.
 
-    Numeric mode (a field F_p) finds every solution (x, y) in (F_p*)^2,
-    so an empty list adds the zero condition "no torus solution".
-    Symbolic mode (field None) solves linear systems only, after moving
-    each polynomial to the origin, as the homogeneous point (X, Y, Z) of
-    ``solve_local_linear``; Z, X and Y must not vanish, and a singular
-    system, whose Z is zero, has no solution.
+    Two residual polynomials that, moved to the origin, lie in the line
+    support are two residual lines, which both modes meet by the masked
+    minors of their residue rows (``local_line_rows``, ``_meet``).
+    Numeric mode (a field F_p) solves every other system by elimination
+    and finds every solution (x, y) in (F_p*)^2, so an empty list adds
+    the zero condition "no torus solution"; symbolic mode (field None)
+    solves linear systems only.
     """
     if isinstance(supports, InformationLostError):
         return supports
-    if field is not None:
-        try:
-            sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
-        except InformationLostError as exc:
-            return exc
-        if not sols:
-            return [], [("no torus solution", field.zero)]
-        sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
-        return [(t.x, t.y) for t in sols], []
-    ft, gt = (_to_origin(support_terms(jets, sup)) for jets, sup in zip((f_jets, g_jets), supports))
+    rows = local_line_rows(f_jets, g_jets, supports)
+    if rows is not None:
+        return _meet(rows[0], line_minors(rows), field)
+    if field is None:
+        raise SymbolicModeUnsupported(f"{origin}: local system is not linear at point {_point_str(b)}")
     try:
-        x, y, z = solve_local_linear(ft, gt)
-    except ValueError as exc:
-        raise SymbolicModeUnsupported(f"{origin}: {exc} at point {_point_str(b)}") from exc
-    checks = [("local det", z), ("torus x", x), ("torus y", y)]
-    return [(x, y, z)] if all(v for _, v in checks) else [], checks
+        sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
+    except InformationLostError as exc:
+        return exc
+    if not sols:
+        return [], [("no torus solution", field.zero)]
+    sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
+    return [(t.x, t.y) for t in sols], []
+
+
+def _meet(line, minors, field):
+    """The outcome of a local solve of two residual lines a0 + a1*y +
+    a2*x, the first with the residues line {column: residue} and both
+    with the masked minors (M0, M1, M2) of their 2 x 3 residue matrix
+    (``line_minors``): their meet is (1 : y : x) = (M0 : -M1 : M2).
+
+    Symbolically it is the homogeneous point (X : Y : Z) = (-M2 : M1 :
+    -M0), whose Z is the "local det" condition and X and Y the torus
+    conditions, so a singular system, whose Z is zero, has no solution.
+    Over F_p it is the point (M2/M0, -M1/M0) when no minor vanishes and
+    "no torus solution" when some do.  When all three vanish the two
+    lines are one: a monomial, which has no torus zero, or a line whose
+    torus zeros form a curve, so the system is not zero-dimensional."""
+    m0, m1, m2 = minors
+    if field is None:
+        checks = [("local det", -m0), ("torus x", -m2), ("torus y", m1)]
+        return [(-m2, m1, -m0)] if m0 and m1 and m2 else [], checks
+    if m0 and m1 and m2:
+        return [(m2 / m0, -m1 / m0)], []
+    if m0 or m1 or m2 or len(line) == 1:
+        return [], [("no torus solution", field.zero)]
+    return InformationLostError("residual eliminant vanishes; not zero-dimensional")
 
 
 def _line_meet(f_jets, g_jets, sol, b, field, origin):
     """A line∩line step with principal input jets whose orders have the
     Cramer solution sol, read off its pseudodeterminants (M0, M1, M2)
-    (``line_minors``) with the outputs of the resultant path: (the
-    conditions of ``intersection_step_conditions``, whether all of them
-    vanish, the outcome of ``_local_solve`` at the stable point b, fixed,
-    always compatible).
+    (``line_rows``, ``line_minors``) with the outputs of the resultant
+    path: (the conditions of ``intersection_step_conditions``, whether
+    all of them vanish, the outcome of ``_meet`` at the stable point b,
+    fixed, always compatible).
 
     R_x has the corners -M2 and M0, R_y has -M1 and -M0, and R_z is R_x
     at shear 0.  The step is fixed when both families have a monomial
     corner (M0 regular, or M1 and M2 regular) and always compatible when
-    all three minors are regular.  The local solve's point is
-    (M2/M0, -M1/M0) in F_p, and symbolically the (X : Y : Z) of
-    ``solve_local_linear``, which is (-M2 : M1 : -M0).  Over F_p a
-    vanishing minor leaves no torus solution, and when all three vanish
-    the two residual lines are one, and the solve is not zero-dimensional.
+    all three minors are regular.
     """
-    m0, m1, m2 = line_minors(f_jets, g_jets, sol)
+    rows = line_rows(f_jets, g_jets, sol)
+    m0, m1, m2 = minors = line_minors(rows)
     cs = ConditionSet()
     for name, corners in (("x", (-m2, m0)), ("y", (-m1, -m0)), ("z", (-m2, m0))):
         for e, v in enumerate(corners):
             cs.add(v, f"{origin} R_{name} coeff {e}")
-    undecidable = not (m0 or m1 or m2)
-    if field is None:
-        checks = [("local det", -m0), ("torus x", -m2), ("torus y", m1)]
-        out = [(-m2, m1, -m0)] if m0 and m1 and m2 else [], checks
-    elif m0 and m1 and m2:
-        out = [(m2 / m0, -m1 / m0)], []
-    elif undecidable:
-        out = InformationLostError("residual eliminant vanishes; not zero-dimensional")
-    else:
-        out = [], [("no torus solution", field.zero)]
     reg = sol.regular
-    return cs, undecidable, [(b, out)], reg[0] or (reg[1] and reg[2]), all(reg)
+    return cs, not any(minors), [(b, _meet(rows[0], minors, field))], reg[0] or (reg[1] and reg[2]), all(reg)
 
 
 def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans):

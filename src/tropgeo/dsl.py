@@ -66,6 +66,7 @@ _THESIS_CURVE = re.compile(
 )
 _EXPLICIT_SUPPORT = re.compile(r"^\{\s*(.*?)\s*\}$")
 _LATTICE_POINT = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_POINT_LIST = re.compile(rf"{_LATTICE_POINT.pattern}(?:\s*,\s*{_LATTICE_POINT.pattern})*")
 
 
 @dataclass
@@ -91,10 +92,11 @@ def parse_support(text: str, line: int) -> Support:
     text = text.strip()
     m = _EXPLICIT_SUPPORT.match(text)
     if m:
-        pts = _LATTICE_POINT.findall(m.group(1))
-        if not pts:
+        if not m.group(1):
             raise DslError("empty explicit support", line)
-        return Support((int(a), int(b)) for a, b in pts)
+        if not _POINT_LIST.fullmatch(m.group(1)):
+            raise DslError(f"explicit support {text!r} is not lattice points (i,j) separated by commas", line)
+        return Support((int(a), int(b)) for a, b in _LATTICE_POINT.findall(m.group(1)))
     try:
         return Support.named(text)
     except ValueError as exc:

@@ -175,8 +175,6 @@ class ResidualField:
             if x.p != self.p:
                 raise ValueError("mixed characteristics")
             return x
-        if isinstance(x, str):
-            x = frac(x)
         if isinstance(x, Fraction):
             return FpElt(x.numerator * pow(x.denominator, -1, self.p), self.p)
         return FpElt(int(x), self.p)
@@ -243,17 +241,11 @@ class RPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def variables(self):
         return sorted({v for m in self.terms for v, _ in m})
-
-    def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     @staticmethod
     def _as_poly(other):

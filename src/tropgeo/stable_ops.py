@@ -25,11 +25,11 @@ minor, whose tight cells hold the residues of their monomials at the
 points; at an intersection step it is the coefficient of a
 Newton-segment vertex of a Sylvester resultant, and at the meet of two
 lines with principal jets one of the three minors of their 2 x 3
-residue matrix (``line_minors``), which are those vertex coefficients
-up to sign and also give the meet's point.  It vanishes exactly
-when the top order of the jet minor or jet coefficient cancels, so no
-jet arithmetic is done: a coefficient jet is an order from the tropical
-solve and a residue.  Only the strict upper-hull corners of a jet
+residue matrix (``line_rows``, ``line_minors``), which are those
+vertex coefficients up to sign and also give the meet's point.  It
+vanishes exactly when the top order of the jet minor or jet coefficient
+cancels, so no jet arithmetic is done: a coefficient jet is an order
+from the tropical solve and a residue.  Only the strict upper-hull corners of a jet
 resultant's heights are computed: the resultant's tropical roots are
 the projections of the stable intersection, with multiplicities
 (Sturmfels-Tevelev 2008), so each corner is one max-weight assignment at
@@ -64,16 +64,18 @@ take the plan and read the residues, returning only what the residues
 decide: ``curve_step_jets`` the coefficient jets, the minors'
 conditions and whether all of them vanish, ``line_minors`` the three
 minors of a line pair, ``intersection_step_conditions`` the corner
-determinants and whether all of them vanish, and
-``local_intersection_solve`` the roots of the coefficients on the
-plan's supports.
+determinants and whether all of them vanish, and the local solve on
+the plan's supports either the rows of two residual lines
+(``local_line_rows``), met by the minors of a line pair, or the roots of
+``local_intersection_solve``.
 
-A numeric local system lives in F_p and stays on dense int lists from
-its residual terms to its roots: each polynomial is divided by its
-monomial content and read as {y-degree: dense x-list} mod p, its
-eliminant is the fraction-free (Bareiss) determinant of the Sylvester
-matrix over F_p[x], each fiber over an x-root is evaluated by Horner,
-and the common y-roots of the two fibers are the roots of their gcd.
+A numeric local system that is not two residual lines lives in F_p and
+stays on dense int lists from its residual terms to its roots: each
+polynomial is divided by its monomial content and read as {y-degree:
+dense x-list} mod p, its eliminant is the fraction-free (Bareiss)
+determinant of the Sylvester matrix over F_p[x], each fiber over an
+x-root is evaluated by Horner, and the common y-roots of the two fibers
+are the roots of their gcd.
 """
 
 from __future__ import annotations
@@ -379,17 +381,36 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
     return coeff_jets, conds, not any(j.is_principal for j in coeff_jets.values())
 
 
-def line_minors(f_jets: dict, g_jets: dict, sol):
-    """The pseudodeterminants (M0, M1, M2) of two lines with principal
+def line_rows(f_jets: dict, g_jets: dict, sol):
+    """The 2 x 3 matrix of the residues of two lines with principal
     coefficient jets, whose orders have the Cramer solution sol
-    (``_intersect``): the masked minors of the 2 x 3 matrix of their
-    residues on sol's tight graph, Mk deleting column k, the columns in
-    the support order (0,0), (0,1), (1,0).  The tight graph's rows are
-    the argmax supports of the two lines at their stable point, so these
-    are the minors of the two residual lines a0 + a1*y + a2*x: their
+    (``_intersect``), on sol's tight graph, the columns in the support
+    order (0,0), (0,1), (1,0).  The tight graph's rows are the argmax
+    supports of the two lines at their stable point, so these are the
+    rows of the two residual lines a0 + a1*y + a2*x."""
+    return [{c: jets[_LINE.points[c]].coeff for c in cs} for jets, cs in zip((f_jets, g_jets), sol.tight)]
+
+
+def local_line_rows(f_jets: dict, g_jets: dict, supports):
+    """The rows of ``line_rows`` for the local system of two residual
+    polynomials on their argmax supports (``point_supports``) when both,
+    moved to the origin, lie in the line support; else None."""
+    rows = []
+    for jets, sup in zip((f_jets, g_jets), supports):
+        terms = _to_origin(support_terms(jets, sup))
+        if not all(pt in _LINE.points for pt in terms):
+            return None
+        rows.append({_LINE.points.index(pt): c for pt, c in terms.items()})
+    return rows
+
+
+def line_minors(rows):
+    """The masked minors (M0, M1, M2) of the 2 x 3 residue matrix rows of
+    two residual lines a0 + a1*y + a2*x, Mk deleting column k: their
     resultant in y is R_x = -M2 + M0*x, in x it is R_y = -M1 - M0*y, and
-    their common zero is (1 : y : x) = (M0 : -M1 : M2)."""
-    rows = [{c: jets[_LINE.points[c]].coeff for c in cs} for jets, cs in zip((f_jets, g_jets), sol.tight)]
+    their common zero is (1 : y : x) = (M0 : -M1 : M2).  On a Cramer
+    solution's tight graph (``line_rows``) they are its
+    pseudodeterminants."""
     return masked_minors(rows, _condition_zero(rows[0].values()))
 
 
@@ -661,36 +682,6 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="inter
 # local residual systems at an intersection point
 
 
-def _xy_terms_linear(terms: dict):
-    if not set(terms) <= {(0, 0), (1, 0), (0, 1)}:
-        return None
-    z = next(iter(terms.values())) * 0
-    return (
-        terms.get((1, 0), z),
-        terms.get((0, 1), z),
-        terms.get((0, 0), z),
-    )
-
-
-def solve_local_linear(ft: dict, gt: dict):
-    """The solution of two affine-linear residual polynomials a*x + b*y + c
-    as a homogeneous point: the Cramer triple (X : Y : Z) with
-    X = b1*c2 - b2*c1, Y = c1*a2 - c2*a1 and Z = a1*b2 - a2*b1, so that
-    x = X/Z and y = Y/Z.  Nothing is divided, so it works over any ring;
-    the caller's condition set keeps Z (the local determinant), X and Y
-    nonzero, which puts the point in the torus.  A singular system is no
-    error: its Z is zero, a "local det" condition that never holds.
-    """
-    l1 = _xy_terms_linear(ft)
-    l2 = _xy_terms_linear(gt)
-    if l1 is None or l2 is None:
-        raise ValueError("local system is not linear")
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    z = a1 * b2 - a2 * b1
-    return b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, z
-
-
 @dataclass
 class LocalSolution:
     x: object
@@ -710,8 +701,10 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     eliminant vanish, and the eliminant is a fraction-free determinant
     over F_p[x].  ``supports`` is the pair of
     argmax supports at b (``point_supports``), found here when not
-    given.  Over Q (``field`` None, symbolic mode) there is no local
-    solve: it raises ``ValueError``.
+    given.  The lift meets two residual lines by their minors
+    (``local_line_rows``) and sends only the other systems here.  Over
+    Q (``field`` None, symbolic mode) there is no local solve: it raises
+    ``ValueError``.
     """
     if not isinstance(field, ResidualField):
         raise ValueError(f"a local solve needs a finite field F_p, not {field!r}")

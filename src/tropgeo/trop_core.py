@@ -312,23 +312,6 @@ class TropPoly:
         (x, y), e = scaled_ints((frac(p[0]), frac(p[1])))
         return len(self.argmax(x, y, e)[1]) >= 2
 
-    def scale(self, c) -> "TropPoly":
-        c = frac(c)
-        return TropPoly(self.support, tuple(a + c for a in self.coeffs))
-
-    def normalized(self) -> "TropPoly":
-        """Tropical-scaling normal form: first coefficient shifted to 0."""
-        return self.scale(-self.coeffs[0])
-
-    def same_curve(self, other: "TropPoly") -> bool:
-        """Same support and same curve: concave canonical forms agree up
-        to adding a constant."""
-        if self.support != other.support:
-            return False
-        a = concave_canonical(self).normalized()
-        b = concave_canonical(other).normalized()
-        return a.coeffs == b.coeffs
-
     def __eq__(self, other):
         return (
             isinstance(other, TropPoly)

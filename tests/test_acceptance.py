@@ -31,6 +31,7 @@ from tropgeo.theorems import catalog, check_statement
 from tropgeo import dsl
 from tropgeo.cli import main as cli_main
 from test_construction import _ray_of_point, catalog_construction
+from test_trop_core import same_curve
 
 F10007 = ResidualField(10007)
 LINE = Support.named("line")
@@ -124,9 +125,9 @@ def test_criterion_04_weak_pascal_instance():
             return L4, L5, L6, P, Q, R
 
         L4, L5, L6, P, Q, R = run(A, Bp, B, Cp, C, Ap)
-        assert L4.same_curve(TropPoly.parse("3y+2x+(9/2)"))
-        assert L5.same_curve(TropPoly.parse("(3/2)x+4y+(11/2)"))
-        assert L6.same_curve(TropPoly.parse("0x+1y+1"))
+        assert same_curve(L4, TropPoly.parse("3y+2x+(9/2)"))
+        assert same_curve(L5, TropPoly.parse("(3/2)x+4y+(11/2)"))
+        assert same_curve(L6, TropPoly.parse("0x+1y+1"))
         assert (P, Q, R) == ((F(5, 2), F(3, 2)), (F(2), F(1)), (F(5, 2), F(-3, 2)))
         from tropgeo.theorems import thesis_feasible_curve
 

@@ -781,7 +781,7 @@ def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, n
         r = realize(c, sample_inputs(c, random.Random(0)))
     counts, lines = Counter(), []
     for mod, fn in ((construction, "intersection_step_plan"), (stable_ops, "_resultant_corners"),
-                    (construction, "local_intersection_solve"), (construction, "solve_local_linear"),
+                    (construction, "_local_solve"),
                     (stable_ops, "_hungarian_max"), (trop_linalg, "_hungarian_max")):
         def counted(*args, fn=fn, orig=getattr(mod, fn)):
             counts[fn, lines[-1]] += 1
@@ -800,12 +800,151 @@ def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, n
     assert sum(lines) >= (31 if name == "chain" else 3) * kw.get("trials", 1)
     assert not any(principal for _, principal in counts), counts
     lines.clear()
-    assert lift_conditions(c, replace(r, cramer={k: v for k, v in r.cramer.items()
-                                                 if isinstance(c.steps[k], CurveThrough)}),
-                           **kw).to_json() == report
+    assert lift_conditions(c, _line_pairs_by_resultant(c, r), **kw).to_json() == report
     assert {fn for fn, principal in counts if principal} >= {
-        "intersection_step_plan", "_resultant_corners", "_hungarian_max",
-        "local_intersection_solve" if mode == "numeric" else "solve_local_linear"}
+        "intersection_step_plan", "_resultant_corners", "_hungarian_max", "_local_solve"}
+
+
+def _line_pairs_by_resultant(c, r):
+    """r without the Cramer solutions of its line∩line steps, which then
+    take the resultant path and its local solves."""
+    return replace(r, cramer={k: v for k, v in r.cramer.items() if isinstance(c.steps[k], CurveThrough)})
+
+
+def _linear_local_solves(monkeypatch):
+    """The local solves of linear systems (``local_line_rows``) that the
+    lifts run from now on: (f_jets, g_jets, b, supports, outcome) each."""
+    from tropgeo import stable_ops
+
+    met = []
+    local_solve = construction._local_solve
+
+    def recorded(f_jets, g_jets, b, field, origin, supports):
+        out = local_solve(f_jets, g_jets, b, field, origin, supports)
+        if not isinstance(supports, Exception) and stable_ops.local_line_rows(f_jets, g_jets, supports):
+            met.append((f_jets, g_jets, b, supports, out))
+        return out
+
+    monkeypatch.setattr(construction, "_local_solve", recorded)
+    return met
+
+
+def test_linear_local_systems_meet_as_the_eliminant_solves_them(monkeypatch):
+    # the numeric eliminant stays the reference of the minors rule: at
+    # every linear local system of seeded numeric lifts, the line pairs
+    # sent down the resultant path, local_intersection_solve gives the
+    # same point, or no torus solution too, or loses information too.
+    # Two residual monomials, which degenerate jets leave at some stable
+    # points of vector_addition, make all three minors vanish and have no
+    # torus solution
+    from collections import Counter
+
+    from tropgeo.residual import InformationLostError
+    from tropgeo.stable_ops import local_intersection_solve
+    from tropgeo.theorems import sample_inputs
+
+    met = _linear_local_solves(monkeypatch)
+    seen = Counter()
+    for name in ("vector_addition", "weak_pascal", "chasles", "fano", "pappus", "pascal_converse",
+                 "abc_double_path", "four_lines"):
+        met.clear()
+        c = catalog_construction(name)
+        for seed in range(8):
+            r = _line_pairs_by_resultant(c, realize(c, sample_inputs(c, random.Random(seed))))
+            lift_conditions(c, r, field=F10007, seed=seed, trials=4)
+        assert met, name
+        for f_jets, g_jets, b, supports, out in met:
+            try:
+                ref = [(t.x, t.y) for t in local_intersection_solve(f_jets, g_jets, b, F10007, supports)]
+            except InformationLostError as exc:
+                ref = str(exc)
+            got = str(out) if isinstance(out, InformationLostError) else out[0]
+            assert got == ref, (name, b, supports)
+            seen["lost" if isinstance(ref, str) else "point" if ref else
+                 "two monomials" if len(supports[0]) == len(supports[1]) == 1 else "no torus solution"] += 1
+    assert seen["point"] >= 500 and seen["no torus solution"] >= 50 and seen["two monomials"] >= 10, seen
+
+
+def _sympy_poly(sympy, p):
+    """An ``RPoly`` as a sympy expression in symbols of its variables' names."""
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in mono)) for mono, c in p.terms.items()),
+               sympy.Integer(0))
+
+
+def test_symbolic_line_meets_are_sympys_solutions(monkeypatch):
+    # in symbolic mode the meet (X : Y : Z) of two residual lines, moved
+    # to the origin, is sympy's solution (X/Z, Y/Z) of them; a meet with a
+    # vanishing coordinate has no unique solution in the torus
+    from collections import Counter
+
+    from tropgeo.residual import support_terms
+    from tropgeo.stable_ops import _to_origin
+    from tropgeo.theorems import sample_inputs
+
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    met = _linear_local_solves(monkeypatch)
+    seen = Counter()
+    for name in ("fano", "pappus", "pascal_converse", "abc_double_path", "four_lines", "vector_addition_z"):
+        met.clear()
+        doc = _catalog_doc(name)
+        c = dsl.to_construction(doc)
+        for seed in range(4):
+            inputs = sample_inputs(c, random.Random(seed))
+            inputs.update(doc.realization_map())
+            try:
+                lift_conditions(c, _line_pairs_by_resultant(c, realize(c, inputs)))
+            except construction.SymbolicModeUnsupported:
+                pass
+        assert met, name
+        for f_jets, g_jets, b, supports, (solved, _checks) in met[:30]:
+            lines = [sum((_sympy_poly(sympy, v) * x ** i * y ** j
+                          for (i, j), v in _to_origin(support_terms(jets, sup)).items()), sympy.Integer(0))
+                     for jets, sup in zip((f_jets, g_jets), supports)]
+            sols = sympy.solve(lines, [x, y], dict=True)
+            if solved:
+                (X, Y, Z), = (tuple(_sympy_poly(sympy, v) for v in p) for p in solved)
+                assert len(sols) == 1 and set(sols[0]) == {x, y}, (name, b, sols)
+                assert sympy.cancel(X / Z - sols[0][x]) == 0 and sympy.cancel(Y / Z - sols[0][y]) == 0
+                seen["point"] += 1
+            else:
+                assert not any(set(s) == {x, y} and s[x] != 0 and s[y] != 0 for s in sols), (name, b, sols)
+                seen["none"] += 1
+    assert seen["point"] >= 50 and seen["none"] >= 5, seen
+
+
+def test_numeric_linear_local_systems_build_no_eliminant(monkeypatch):
+    # a linear local system is met by its minors and never reaches the
+    # Sylvester determinant; a nonlinear one still does
+    from collections import Counter
+
+    from tropgeo import stable_ops
+    from tropgeo.theorems import sample_inputs
+
+    dets = []
+    monkeypatch.setattr(stable_ops, "dense_det",
+                        lambda *args, det=stable_ops.dense_det: dets.append(1) or det(*args))
+    counts = Counter()
+    local_solve = construction._local_solve
+
+    def counted(f_jets, g_jets, b, field, origin, supports):
+        before = len(dets)
+        out = local_solve(f_jets, g_jets, b, field, origin, supports)
+        if not isinstance(supports, Exception):
+            linear = stable_ops.local_line_rows(f_jets, g_jets, supports) is not None
+            counts["linear" if linear else "nonlinear"] += 1
+            counts[("linear" if linear else "nonlinear") + " dets"] += len(dets) - before
+        return out
+
+    monkeypatch.setattr(construction, "_local_solve", counted)
+    for name in ("weak_pascal", "chasles", "pappus"):
+        c = catalog_construction(name)
+        for seed in range(3):
+            r = _line_pairs_by_resultant(c, realize(c, sample_inputs(c, random.Random(seed))))
+            lift_conditions(c, r, field=F10007, seed=seed, trials=4)
+    assert counts["linear"] >= 50 and counts["linear dets"] == 0, counts
+    assert counts["nonlinear"] >= 30 and counts["nonlinear dets"] == counts["nonlinear"], counts
 
 
 def _count_peels_and_facets(monkeypatch):

@@ -78,9 +78,12 @@ def test_explicit_and_degree_supports():
 
 
 def test_malformed_support_reports_position():
-    with pytest.raises(dsl.DslError) as exc:
-        dsl.parse("input point A\ninput curve Z support {bogus}\n")
-    assert exc.value.line == 2
+    # a support is lattice points separated by commas, as print_support
+    # writes it; nothing between the points is skipped
+    for support in ("{bogus}", "{(0,0),(1,0),(0;1)}", "{(0,0),(1,0) zzz}"):
+        with pytest.raises(dsl.DslError) as exc:
+            dsl.parse(f"input point A\ninput curve Z support {support}\n")
+        assert exc.value.line == 2, support
 
 
 def test_unparsable_statement_reports_position():

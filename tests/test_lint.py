@@ -1,7 +1,7 @@
 """Static checks on the library source, with the standard ``ast`` module:
-no module-level import goes unused, every module-level definition is
-reached from the command line, the catalog, the package's re-exports or
-the benchmark, and no float enters the library
+no module-level import goes unused, every module-level definition and
+every method is reached from the command line, the catalog, the
+package's re-exports or the benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
 but the prime field's element divides; no function rebinds a module
 global; the library reads no environment variable; and every ``name``
@@ -105,26 +105,45 @@ def _bench_reads(tree, modules):
     return out
 
 
+def _methods(cls):
+    """A class's non-dunder methods."""
+    return [m for m in cls.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
+def _own_reads(node):
+    """The names a definition reads: a class's bases, decorators and body
+    without its non-dunder methods, which are reached on their own."""
+    if isinstance(node, ast.ClassDef):
+        methods = _methods(node)
+        return set().union(*(_read_names(n) for n in [*node.bases, *node.keywords, *node.decorator_list,
+                                                      *node.body] if n not in methods))
+    return _read_names(node)
+
+
 def _unreached(modules, callers):
-    """Each module-level def, class and constant of the package that no
-    root reaches. The roots are ``cli.main``, ``theorems.catalog``, the
-    names ``__init__`` re-exports and the names the benchmark modules
-    (``callers`` under ``perfbench/``) read off the package; a test is no
-    caller. A reached definition reaches every definition whose name it
-    reads, its methods' bodies included; methods themselves are not
-    checked."""
-    defs = [(mod, stmt, name) for mod, tree in modules.items() if mod != "__init__"
-            for stmt in tree.body for name in _defined_names(stmt)]
+    """Each module-level def, class and constant of the package, and each
+    non-dunder method of its classes, that no root reaches. The roots are
+    ``cli.main``, ``theorems.catalog``, the names ``__init__`` re-exports,
+    the names the benchmark modules (``callers`` under ``perfbench/``)
+    read off the package and, for methods, every attribute they read; a
+    test is no caller. A reached definition reaches every definition
+    whose name it reads; a class reaches its dunder methods, and a method
+    is reached by a read of its name."""
+    stmts = [(mod, stmt) for mod, tree in modules.items() if mod != "__init__" for stmt in tree.body]
+    methods = [(mod, m, m.name) for mod, stmt in stmts if isinstance(stmt, ast.ClassDef) for m in _methods(stmt)]
+    defs = [(mod, stmt, name) for mod, stmt in stmts for name in _defined_names(stmt)] + methods
+    bench = [tree for path, tree in callers.items() if path.startswith("perfbench/")]
     todo = {"main", "catalog"}
     todo |= {a.name for stmt in modules["__init__"].body if isinstance(stmt, ast.ImportFrom)
              for a in stmt.names}
-    todo |= {name for path, tree in callers.items() if path.startswith("perfbench/")
-             for name in _bench_reads(tree, modules)}
+    todo |= {name for tree in bench for name in _bench_reads(tree, modules)}
+    todo |= {name for _, _, name in methods} & set().union(*map(_read_names, bench))
     seen = set()
     while todo:
         seen.add(name := todo.pop())
-        todo |= {r for _, stmt, n in defs if n == name for r in _read_names(stmt)} - seen
-    return [f"{mod}.py:{stmt.lineno}: {name}" for mod, stmt, name in defs if name not in seen]
+        todo |= {r for _, node, n in defs if n == name for r in _own_reads(node)} - seen
+    return [f"{mod}.py:{node.lineno}: {name}" for mod, node, name in defs if name not in seen]
 
 
 def _unreached_of_kind(private):
@@ -151,6 +170,16 @@ def test_every_definition_is_reached():
     test = ast.parse("from tropgeo.planted import helper\n\n\ndef test_helper():\n    assert helper() == 1\n")
     assert _unreached({**MODULES, "planted": helper},
                       {**CALLERS, "tests/test_planted.py": test}) == ["planted.py:1: helper"]
+    # nor a method that only a test reads, though its class is reached
+    method = ast.parse("class Planted:\n    def __init__(self):\n        self.v = 1\n\n"
+                       "    def helper_only(self):\n        return self.v\n\n\n"
+                       "def make():\n    return Planted().v\n")
+    test = ast.parse("from tropgeo.planted import Planted\n\n\n"
+                     "def test_helper_only():\n    assert Planted().helper_only() == 1\n")
+    reach = ast.parse("from tropgeo.planted import make\n\nmake()\n")
+    assert _unreached({**MODULES, "planted": method},
+                      {**CALLERS, "tests/test_planted.py": test, "perfbench/planted.py": reach}) == [
+        "planted.py:5: helper_only"]
 
 
 FLOAT_MATH = {"sqrt", "log", "exp"}

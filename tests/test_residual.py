@@ -25,6 +25,16 @@ from tropgeo.residual import (
 )
 
 
+def is_monomial(p):
+    """Whether an ``RPoly`` has one term."""
+    return len(p.terms) == 1
+
+
+def total_degree(p):
+    """The largest total degree of an ``RPoly``'s monomials, 0 for zero."""
+    return max((sum(e for _, e in m) for m in p.terms), default=0)
+
+
 def test_field_parsing_and_elements():
     f = ResidualField.parse("fp:10007")
     assert f.p == 10007 and f == ResidualField(10007) and repr(f) == "F_10007"
@@ -286,9 +296,9 @@ def _assert_same(new, old, point):
     assert dict(new.terms) == old.terms and len(new.terms) == len(old.terms)
     assert sorted(new.terms) == sorted(old.terms)
     assert new.variables() == old.variables()
-    assert new.total_degree() == old.total_degree()
+    assert total_degree(new) == old.total_degree()
     assert new.is_constant() == old.is_constant()
-    assert new.is_monomial() == old.is_monomial()
+    assert is_monomial(new) == old.is_monomial()
     assert bool(new) == bool(old)
     assert new.evaluate(point) == old.evaluate(point)
 
@@ -555,7 +565,7 @@ def test_schwartz_zippel_sanity():
     field = ResidualField(101)
     rng = random.Random(8)
     poly = (RPoly.var("a") + RPoly.var("b")) * RPoly.var("a") + RPoly.const(3)
-    d = poly.total_degree()
+    d = total_degree(poly)
     trials = 4000
     hits = 0
     for t in range(trials):
