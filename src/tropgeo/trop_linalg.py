@@ -20,6 +20,11 @@ diagonal sum.  The key computational facts used here:
   with that minor's column deleted.  Whether a minor is regular (has
   one optimal permutation) is a peel of that graph, which a
   ``CramerSolution`` runs only when its flags are first read;
+* the 2 x 3 systems, every line through two points and every meet of
+  two lines, skip the assignment: each of the three minors is the
+  larger of two sums, and the sums attaining them make up the same
+  common tight graph (``cramer_stable``).  The assignment path stays
+  for every other size and is the tests' reference for this one;
 * the pseudodeterminant of a same-shape matrix B over any commutative
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
@@ -296,6 +301,16 @@ def cramer_stable(a_rows) -> CramerSolution:
     alternating path from row r to column k0, and forcing the zero row
     onto column k costs red(zero row, k) + dist[row holding k].  The
     potentials u - dist, v + dist are an optimal dual of every minor.
+
+    A 2 x 3 matrix, a line through two points or the coefficient rows of
+    two lines, is decided in closed form instead: minor k is the larger
+    of its two diagonal sums, and the tight graph is the union of the
+    sums that attain the three minors.  That union is the tight graph of
+    any common optimal dual.  Such a dual makes every optimal matching
+    tight.  Conversely, if (0, c) is tight, minor c has a tight optimal
+    matching, whose row 1 edge (1, j) has j != c; then (0, c), (1, j) is
+    a tight perfect matching of the third minor, so it is optimal there.
+    The same holds for row 1.
     """
     a = as_matrix(a_rows)
     if len(a[0]) != len(a) + 1:
@@ -306,9 +321,32 @@ def cramer_stable(a_rows) -> CramerSolution:
 
 def _cramer(w, d) -> CramerSolution:
     """``cramer_stable`` of the matrix w/d, for an n x (n+1) int matrix
-    w (extended in place by the zero row) and an int d > 0."""
+    w, left unchanged, and an int d > 0.  For n = 2 each minor k is a
+    max of two sums, s over the matching (0, i), (1, j) of its other
+    columns i < j and t over (0, j), (1, i); its optimal matchings are
+    the sums attaining it, and the tight graph is their union."""
+    if len(w) != 2:
+        return _cramer_assignment(w, d)
+    w0, w1 = w
+    values, tight = [], (set(), set())
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        s, t = w0[i] + w1[j], w0[j] + w1[i]
+        values.append(Fraction(max(s, t), d))
+        if s >= t:
+            tight[0].add(i)
+            tight[1].add(j)
+        if t >= s:
+            tight[0].add(j)
+            tight[1].add(i)
+    return CramerSolution(values=tuple(values), tight=tight)
+
+
+def _cramer_assignment(w, d) -> CramerSolution:
+    """``_cramer`` by one assignment and one shortest-path pass (see
+    ``cramer_stable``), for every n; the reference of the n = 2 closed
+    form."""
     n = len(w)
-    w.append([0] * (n + 1))
+    w = w + [[0] * (n + 1)]
     value, u, v, col = _hungarian_max(w)
     k0 = col[n]
     # dense Dijkstra toward column k0: settle the nearest row, then relax

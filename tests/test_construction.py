@@ -38,6 +38,7 @@ from tropgeo.construction import (
     verify_witness,
 )
 from tropgeo.theorems import catalog
+from tropgeo.trop_linalg import cramer_stable
 from tropgeo import construction, dsl
 
 LINE = Support.named("line")
@@ -658,6 +659,35 @@ def _line_chain(n_lines, rng):
     c.steps += [CurveThrough(f"L{i}", LINE, [f"a{i}", f"a{i + 1}"]) for i in range(n_lines)]
     c.steps += [Intersect([f"q{i}"], (f"L{i}", f"L{i + 2}")) for i in range(n_lines - 2)]
     return c, realize(c, {n: (rng.randint(-999, 999), rng.randint(-999, 999)) for n in c.input_points})
+
+
+def test_lines_and_line_theses_run_no_assignment(monkeypatch):
+    # every line through two points and every meet of two lines is a
+    # 2 x 3 Cramer system, decided in closed form without the Hungarian
+    from tropgeo import trop_linalg
+    from tropgeo.theorems import sample_inputs, thesis_feasible_curve
+
+    calls = []
+    hungarian = trop_linalg._hungarian_max
+    monkeypatch.setattr(trop_linalg, "_hungarian_max", lambda w: calls.append(len(w)) or hungarian(w))
+    rng = random.Random(6)
+    realized = {}
+    for name in ("pappus", "fano"):
+        s = catalog()[name]
+        realized[name] = construction._realize(s.hypothesis, sample_inputs(s.hypothesis, rng))
+        assert len(realized[name].cramer) == len(s.hypothesis.steps)
+    fano = catalog()["fano"].thesis
+    assert fano.support == LINE
+    assert thesis_feasible_curve(LINE, [realized["fano"].values[n] for n in fano.through]) is not None
+    # three input points, a witness search that fails and reads regular flags
+    assert thesis_feasible_curve(LINE, [(0, 0), (1, 3), (4, 1)]) is None
+    c, _ = _line_chain(65, rng)
+    assert len(c.steps) == 128
+    r = construction._realize(c, {n: (rng.randint(-999, 999), rng.randint(-999, 999)) for n in c.input_points})
+    assert len(r.cramer) == 128
+    assert calls == []
+    cramer_stable([[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 0, 1]])  # the hook does count
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("kw,digest", [

@@ -7,6 +7,8 @@ import pytest
 from tropgeo.residual import FpElt, Jet, ResidualField, RPoly
 from tropgeo.stable_ops import curve_step_jets
 from tropgeo.trop_linalg import (
+    _cramer,
+    _cramer_assignment,
     _hungarian_max,
     _laplace,
     _scaled,
@@ -120,6 +122,46 @@ def test_cramer_minors_match_brute_force(family):
                     assert u[r] + v[col[r]] == w[r][col[r]]
                     assert all(u[r] + v[c] >= w[r][c] for c in range(n))
     assert regular_seen == {True, False}
+
+
+def _minor_matchings(tight, k):
+    """The perfect matchings of a two-row tight graph without column k."""
+    t0, t1 = (cs - {k} for cs in tight)
+    return {(a, b) for a in t0 for b in t1 if a != b}
+
+
+def _closed_form_agrees(w, d):
+    got, want = _cramer(w, d), _cramer_assignment(w, d)
+    assert got.values == want.values, (w, d)
+    for k in range(3):
+        assert _minor_matchings(got.tight, k) == _minor_matchings(want.tight, k), (w, d, k)
+    assert got.regular == want.regular, (w, d)
+    assert got.tight == want.tight, (w, d)
+
+
+def test_two_by_three_closed_form_matches_the_assignment_path():
+    # the closed form that decides every 2 x 3 system against the
+    # Hungarian + Dijkstra path it bypasses there: every int matrix with
+    # entries in [-2, 2], then 10,000 seeded ones, wide, tied and huge,
+    # over denominators 1..7
+    for flat in itertools.product(range(-2, 3), repeat=6):
+        _closed_form_agrees([list(flat[:3]), list(flat[3:])], 1)
+    rng = random.Random("cramer-2x3")
+    families = [lambda r=r: rng.randint(-r, r) for r in (1, 3, 1000)]
+    families.append(lambda: rng.randint(-3, 3) * 10**40 + rng.randint(-1, 1))
+    for entry in families:
+        for _ in range(2500):
+            _closed_form_agrees([[entry() for _ in range(3)] for _ in range(2)], rng.randint(1, 7))
+
+
+def test_cramer_leaves_its_matrix_unchanged():
+    rng = random.Random(4)
+    for n in range(1, 5):
+        w = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(n)]
+        kept = [list(row) for row in w]
+        _cramer(w, 1)
+        _cramer_assignment(w, 1)
+        assert w == kept
 
 
 def test_pseudodet_regular_is_single_product():
