@@ -13,7 +13,9 @@ vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
 residuals are indeterminates over Q (symbolic mode, which has no field)
-or random elements of F_p* (numeric).  A local system of two residual
+or random elements of F_p* (numeric).  The pass names its ring once, by
+its zero (``RPoly()`` or the field's), and hands that zero to every
+evaluator, so no ring is guessed from a residue.  A local system of two residual
 lines is met in both modes by the masked minors of its 2 x 3 residue
 matrix (``_meet``), symbolically as a homogeneous point (X : Y : Z), so
 that symbolic mode never divides; every other local system is solved
@@ -613,6 +615,7 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     intersection step plans met so far (``_step_plan``).
     Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
+    zero = RPoly() if field is None else field.zero
 
     def named(v):
         conds.variables.append(v)
@@ -624,9 +627,9 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     ok = True
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, r.cramer[idx])
+            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, r.cramer[idx], zero)
         else:
-            rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, field, plans)
+            rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, field, zero, plans)
         reports.append(rep)
         ok = ok and ok_step
     return reports, conds, jets, ok
@@ -650,11 +653,11 @@ def _step_plan(plans, idx, ins, build):
     return plans[key]
 
 
-def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan):
-    """A curve step whose realized Cramer solution is plan: a point jet's
-    order is its realized coordinate, whatever the jet's kind."""
+def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan, zero):
+    """A curve step in zero's ring whose realized Cramer solution is plan:
+    a point jet's order is its realized coordinate, whatever its kind."""
     jets[s.name], step_cs, undecidable = curve_step_jets(
-        s.support, [jets[q] for q in s.through], plan, origin=f"step#{idx} curve {s.name}")
+        s.support, [jets[q] for q in s.through], plan, zero, origin=f"step#{idx} curve {s.name}")
     conds.merge(step_cs)
     step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
     zeroes = [v for _, v in step_conds if not v]
@@ -680,11 +683,11 @@ def _point_str(p):
     return f"({p[0]}, {p[1]})"
 
 
-def _local_solve(f_jets, g_jets, b, field, origin, supports):
-    """The torus solutions of the local residual system at stable point b
-    and the conditions [(what, value)] the solve adds, or the
-    InformationLostError that ended it.  ``supports`` is the step plan's
-    ``point_supports`` at b.
+def _local_solve(f_jets, g_jets, b, field, zero, origin, supports):
+    """The torus solutions in zero's ring of the local residual system at
+    stable point b and the conditions [(what, value)] the solve adds, or
+    the InformationLostError that ended it.  ``supports`` is the step
+    plan's ``point_supports`` at b.
 
     Two residual polynomials that, moved to the origin, lie in the line
     support are two residual lines, which both modes meet by the masked
@@ -698,7 +701,7 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
         return supports
     rows = local_line_rows(f_jets, g_jets, supports)
     if rows is not None:
-        return _meet(rows[0], line_minors(rows), field)
+        return _meet(rows[0], line_minors(rows, zero), field)
     if field is None:
         raise SymbolicModeUnsupported(f"{origin}: local system is not linear at point {_point_str(b)}")
     try:
@@ -706,7 +709,7 @@ def _local_solve(f_jets, g_jets, b, field, origin, supports):
     except InformationLostError as exc:
         return exc
     if not sols:
-        return [], [("no torus solution", field.zero)]
+        return [], [("no torus solution", zero)]
     sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
     return [(t.x, t.y) for t in sols], []
 
@@ -735,7 +738,7 @@ def _meet(line, minors, field):
     return InformationLostError("residual eliminant vanishes; not zero-dimensional")
 
 
-def _line_meet(f_jets, g_jets, sol, b, field, origin):
+def _line_meet(f_jets, g_jets, sol, b, field, zero, origin):
     """A line∩line step with principal input jets whose orders have the
     Cramer solution sol, read off its pseudodeterminants (M0, M1, M2)
     (``line_rows``, ``line_minors``) with the outputs of the resultant
@@ -749,7 +752,7 @@ def _line_meet(f_jets, g_jets, sol, b, field, origin):
     all three minors are regular.
     """
     rows = line_rows(f_jets, g_jets, sol)
-    m0, m1, m2 = minors = line_minors(rows)
+    m0, m1, m2 = minors = line_minors(rows, zero)
     cs = ConditionSet()
     for name, corners in (("x", (-m2, m0)), ("y", (-m1, -m0)), ("z", (-m2, m0))):
         for e, v in enumerate(corners):
@@ -758,9 +761,10 @@ def _line_meet(f_jets, g_jets, sol, b, field, origin):
     return cs, not any(minors), [(b, _meet(rows[0], minors, field))], reg[0] or (reg[1] and reg[2]), all(reg)
 
 
-def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans):
-    """Intersection step idx: its report and whether it lifted; sets the
-    jets of its points and adds its conditions to conds.  Two lines with
+def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, zero, plans):
+    """Intersection step idx in zero's ring: its report and whether it
+    lifted; sets the jets of its points and adds its conditions to
+    conds.  Two lines with
     principal jets are read off the Cramer solution that the realization
     keeps for the step (``_line_meet``); every other pair, and two lines
     with a degenerate jet, take the resultant path: the lift plan from
@@ -773,7 +777,7 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
     sol = r.cramer.get(idx)
     if sol is not None and all(j.is_principal for j in [*f_jets.values(), *g_jets.values()]):
         (b, _), = si.points
-        step_cs, undecidable, outcomes, fixed, always = _line_meet(f_jets, g_jets, sol, b, field, origin)
+        step_cs, undecidable, outcomes, fixed, always = _line_meet(f_jets, g_jets, sol, b, field, zero, origin)
         notes = ["shear a=0"]
     else:
         plan = _step_plan(plans, idx, (f_jets, g_jets),
@@ -781,9 +785,9 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, plans
         # the local systems, one per distinct stable point, come before the
         # resultants, whose symbolic corner coefficients grow fast with the
         # degree, so that a step symbolic mode cannot solve stops at once
-        outcomes = [(b, _local_solve(f_jets, g_jets, b, field, origin, plan.supports[b]))
+        outcomes = [(b, _local_solve(f_jets, g_jets, b, field, zero, origin, plan.supports[b]))
                     for b, _ in si.points]
-        step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, origin=origin)
+        step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, zero, origin=origin)
         notes = [f"shear a={plan.shear}"] if plan.shear is not None else []
         fixed, always = plan.fixed, plan.always_compatible
     conds.merge(step_cs)
@@ -981,7 +985,7 @@ def verify_witness(c: Construction, r: TropRealization, jets) -> list:
         deg = max(i + j for i, j in cj)
         acc = None
         for i, cf in terms.items():
-            v = cf * _residue(qj, i, deg)
+            v = cf * _residue(qj, i, deg, 1)
             acc = v if acc is None else acc + v
         if acc:
             bad.append(f"residual incidence of {q} on {cv} fails: {acc}")
@@ -1063,8 +1067,8 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
             raise ValueError(f"point {q!r} is not on curve {b!r} tropically")
         coeffs = {pt: field.random_nonzero(rng) for pt in f.support.points if pt not in arg}
         coeffs.update((pt, field.random_nonzero(rng)) for pt in arg[1:])
-        acc = sum((coeffs[pt] * _residue(jets[q], pt, 0) for pt in arg[1:]), field.zero)
-        coeffs[arg[0]] = -acc / _residue(jets[q], arg[0], 0)
+        acc = sum((coeffs[pt] * _residue(jets[q], pt, 0, field.elt(1)) for pt in arg[1:]), field.zero)
+        coeffs[arg[0]] = -acc / _residue(jets[q], arg[0], 0, field.elt(1))
         if not coeffs[arg[0]]:
             raise ValueError("degenerate residual relation")
         jets[b] = {pt: Jet.principal(o, coeffs[pt]) for pt, o in f.coeff_map().items()}

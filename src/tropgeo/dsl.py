@@ -110,6 +110,7 @@ def parse(text: str) -> DslDocument:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
+        col = len(raw) - len(raw.lstrip()) + 1
         m = _INPUT_POINT.match(stripped)
         if m:
             doc.inputs.append(InputDecl("point", m.group(1)))
@@ -133,8 +134,7 @@ def parse(text: str) -> DslDocument:
         m = _REALIZE_POINT.match(stripped) or _REALIZE_CURVE.match(stripped)
         if m:
             if m.group(1) in realized:
-                raise DslError(f"node {m.group(1)!r} is realized twice", lineno,
-                               len(raw) - len(raw.lstrip()) + 1)
+                raise DslError(f"node {m.group(1)!r} is realized twice", lineno, col)
             realized.add(m.group(1))
             try:
                 if m.re is _REALIZE_POINT:
@@ -142,25 +142,24 @@ def parse(text: str) -> DslDocument:
                 else:
                     value = TropPoly.parse(m.group(2))
             except ValueError as exc:
-                col = len(raw) - len(raw.lstrip()) + m.start(2) + 1
-                raise DslError(str(exc), lineno, col) from exc
+                raise DslError(str(exc), lineno, col + m.start(2)) from exc
             doc.realizations.append((m.group(1), value))
             continue
         m = _GENPOS.match(stripped)
         if m:
             doc.genpos.append((tuple(m.group(1).split()), m.group(2)))
             continue
-        m = _THESIS_POINT.match(stripped)
+        m = _THESIS_POINT.match(stripped) or _THESIS_CURVE.match(stripped)
         if m:
-            doc.thesis = ThesisPoint(name=m.group(1), on=m.group(2).split())
+            if doc.thesis is not None:
+                raise DslError("a statement has one thesis; this is a second", lineno, col)
+            if m.re is _THESIS_POINT:
+                doc.thesis = ThesisPoint(name=m.group(1), on=m.group(2).split())
+            else:
+                doc.thesis = ThesisCurve(
+                    name=m.group(1), support=parse_support(m.group(2), lineno), through=m.group(3).split()
+                )
             continue
-        m = _THESIS_CURVE.match(stripped)
-        if m:
-            doc.thesis = ThesisCurve(
-                name=m.group(1), support=parse_support(m.group(2), lineno), through=m.group(3).split()
-            )
-            continue
-        col = len(raw) - len(raw.lstrip()) + 1
         raise DslError(f"cannot parse statement {stripped!r}", lineno, col)
     return doc
 

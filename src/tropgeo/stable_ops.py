@@ -60,8 +60,10 @@ regular minor's pseudodeterminant is a monomial), a line∩line step's
 (fixed when M0, or M1 and M2, are regular, always compatible when all
 three are), another intersection plan's ``fixed`` and
 ``always_compatible``, read from the monomial flags.  The evaluators
-take the plan and read the residues, returning only what the residues
-decide: ``curve_step_jets`` the coefficient jets, the minors'
+take the plan and the zero of the ring that the lift names for its
+pass, so that every condition lies in that one ring (a constant
+monomial's residue is its one, and a vanishing condition its zero), and
+read the residues, returning only what the residues decide: ``curve_step_jets`` the coefficient jets, the minors'
 conditions and whether all of them vanish, ``line_minors`` the three
 minors of a line pair, ``intersection_step_conditions`` the corner
 determinants and whether all of them vanish, and the local solve on
@@ -334,30 +336,30 @@ def _solve_curve(I: Support, pts):
 # curve step over jets
 
 
-def _residue(pj, i, deg):
+def _residue(pj, i, deg, one):
     """The residue of the monomial x^i1 y^i2 at a point whose jets pj are
     (x, y), or homogeneous (X, Y, Z), where it is X^i1 Y^i2 Z^(deg-i1-i2)
     for the support's largest degree deg: the affine row scaled by Z^deg.
-    Z has order 0, so the scaling changes no order.  None when the
-    monomial uses a degenerate coordinate: its terms lie strictly below
-    the top order."""
+    Z has order 0, so the scaling changes no order.  The constant
+    monomial's residue is one, the one of the caller's ring.  None when
+    the monomial uses a degenerate coordinate: its terms lie strictly
+    below the top order."""
     out = None
     for j, e in zip(pj, (*i, deg - i[0] - i[1])):
         if e:
             if not j.is_principal:
                 return None
             out = j.coeff ** e if out is None else out * j.coeff ** e
-    if out is None:  # the constant monomial, in the ring of x
-        return pj[0].coeff ** 0 if pj[0].is_principal else Fraction(1)
-    return out
+    return one if out is None else out
 
 
-def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
+def curve_step_jets(I: Support, pt_jets, plan, zero, origin="curve"):
     """Stable curve through points given by their jets, whose orders have
-    the Cramer solution plan (``_solve_curve``): (coefficient jets,
-    conditions, undecidable).  Point jets are (jet_x, jet_y), or homogeneous
-    (jet_X, jet_Y, jet_Z) with Z of order 0, whose row of monomials is
-    homogenized to the support's largest degree (``_residue``).
+    the Cramer solution plan (``_solve_curve``), in zero's ring:
+    (coefficient jets, conditions, undecidable).  Point jets are (jet_x,
+    jet_y), or homogeneous (jet_X, jet_Y, jet_Z) with Z of order 0, whose
+    row of monomials is homogenized to the support's largest degree
+    (``_residue``).
 
     Only the optimal permutations, the perfect matchings of the plan's
     tight graph, reach the top order of a minor, so minor k's top
@@ -370,8 +372,8 @@ def curve_step_jets(I: Support, pt_jets, plan, origin="curve"):
     vanishes.
     """
     deg = max(i + j for i, j in I.points)
-    zero = _condition_zero(_residue(pj, i, deg) for pj in pt_jets for i in I.points)
-    rows = [{c: v for c in cs if (v := _residue(pj, I.points[c], deg)) is not None}
+    one = zero + 1
+    rows = [{c: v for c in cs if (v := _residue(pj, I.points[c], deg, one)) is not None}
             for pj, cs in zip(pt_jets, plan.tight)]
     conds = ConditionSet()
     coeff_jets = {}
@@ -404,20 +406,14 @@ def local_line_rows(f_jets: dict, g_jets: dict, supports):
     return rows
 
 
-def line_minors(rows):
+def line_minors(rows, zero):
     """The masked minors (M0, M1, M2) of the 2 x 3 residue matrix rows of
-    two residual lines a0 + a1*y + a2*x, Mk deleting column k: their
-    resultant in y is R_x = -M2 + M0*x, in x it is R_y = -M1 - M0*y, and
-    their common zero is (1 : y : x) = (M0 : -M1 : M2).  On a Cramer
-    solution's tight graph (``line_rows``) they are its
-    pseudodeterminants."""
-    return masked_minors(rows, _condition_zero(rows[0].values()))
-
-
-def _condition_zero(residues):
-    """The zero of the ring of the first residue that is not None, or of
-    Q: a vanishing condition's value."""
-    return next((v * 0 for v in residues if v is not None), Fraction(0))
+    two residual lines a0 + a1*y + a2*x in zero's ring, Mk deleting
+    column k: their resultant in y is R_x = -M2 + M0*x, in x it is
+    R_y = -M1 - M0*y, and their common zero is (1 : y : x) =
+    (M0 : -M1 : M2).  On a Cramer solution's tight graph (``line_rows``)
+    they are its pseudodeterminants."""
+    return masked_minors(rows, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -650,22 +646,20 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
-def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, origin="intersect"):
+def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, zero, origin="intersect"):
     """Residual conditions for the compatibility of the stable and the
-    algebraic intersection, whose ``intersection_step_plan`` is plan:
-    (conditions, undecidable).  The principal coefficients at the
-    Newton-segment vertices of the three resultants R_x, R_y, R_z must
-    not vanish; only these corner coefficients are computed from the
-    residues, once per distinct family.  The step is undecidable when an
+    algebraic intersection, whose ``intersection_step_plan`` is plan, in
+    zero's ring: (conditions, undecidable).  The principal coefficients
+    at the Newton-segment vertices of the three resultants R_x, R_y, R_z
+    must not vanish; only these corner coefficients are computed from
+    the residues, once per distinct family.  The step is undecidable when an
     input jet is degenerate or every vertex condition vanishes."""
     cs = ConditionSet()
     if plan.families is None:
-        cs.add(_condition_zero(j.coeff for j in [*f_jets.values(), *g_jets.values()]),
-               f"{origin} degenerate input jets")
+        cs.add(zero, f"{origin} degenerate input jets")
         return cs, True
 
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
-    zero = next(iter(coeffs[0].values())) * 0
     undecidable = True
     values = {}  # id of a family plan -> its corner coefficients
     for name, fam in plan.families.items():

@@ -32,10 +32,12 @@ diagonal sum.  The key computational facts used here:
   common tight graph.  ``masked_det`` and ``masked_minors`` are the
   package's one determinant on a tight graph, given as rows
   {column: entry}: pseudodeterminants, Cramer minors of a curve step
-  and resultant corner coefficients all call them.  Over F_p
-  ``masked_det`` is Gaussian elimination on ints (``residual.fp_det``),
-  over any other ring the memoized masked Laplace expansion, which
-  ``masked_minors`` shares among all n+1 minors.
+  and resultant corner coefficients all call them with the zero of the
+  caller's ring, which alone picks the method.  When that zero lies in
+  F_p, ``masked_det`` is Gaussian elimination on ints
+  (``residual.fp_det``); over any other ring it is the memoized masked
+  Laplace expansion, which ``masked_minors`` shares among all n+1
+  minors.
 """
 
 from __future__ import annotations
@@ -241,13 +243,13 @@ def _laplace(rows, zero):
 def masked_det(rows, zero):
     """Determinant of the square matrix whose row r is rows[r] =
     {column: entry}, empty elsewhere; ``zero`` is the ring's additive
-    identity, and the value when a row has no entry.  F_p entries are
-    eliminated on ints, any other ring is expanded."""
+    identity, and the value when a row has no entry.  Over F_p (zero an
+    ``FpElt``) the entries are eliminated on ints, over any other ring
+    expanded."""
     if not all(rows):
         return zero
-    vals = [e for row in rows for e in row.values()]
-    if all(isinstance(e, FpElt) for e in vals):
-        p = vals[0].p
+    if isinstance(zero, FpElt):
+        p = zero.p
         return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(len(rows))] for row in rows], p), p)
     return _laplace(rows, zero)((1 << len(rows)) - 1)
 

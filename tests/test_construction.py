@@ -318,6 +318,37 @@ def test_lift_does_no_jet_arithmetic(monkeypatch):
     assert symbolic >= 5, symbolic
 
 
+def test_numeric_lifts_compute_every_determinant_in_their_field(monkeypatch):
+    # a numeric pass names its ring, F_p, once: every entry and the zero of
+    # every masked determinant and expansion lie in that field, even where
+    # a point jet is degenerate and a constant monomial's residue is one
+    from collections import Counter
+
+    from tropgeo import stable_ops, trop_linalg
+    from tropgeo.residual import FpElt
+
+    checked, mixed = Counter(), Counter()
+    current = []
+
+    def in_field(fn):
+        def wrapped(rows, zero):
+            entries = [zero, *(e for row in rows for e in row.values())]
+            checked[current[-1]] += 1
+            mixed[current[-1]] += not all(type(e) is FpElt and e.p == F10007.p for e in entries)
+            return fn(rows, zero)
+        return wrapped
+
+    monkeypatch.setattr(trop_linalg, "_laplace", in_field(trop_linalg._laplace))
+    monkeypatch.setattr(stable_ops, "masked_det", in_field(trop_linalg.masked_det))
+    for path in sorted((resources.files("tropgeo") / "catalog").iterdir()):
+        current.append(path.stem)
+        for seed in range(6):
+            with redirect_stdout(io.StringIO()):
+                main(["certify", str(path), "--trials", "8", "--seed", str(seed)])
+    assert len(checked) == 9 and min(checked.values()) >= 50, checked
+    assert sum(mixed.values()) == 0, mixed
+
+
 def test_four_lines_always_share_a_ray_direction():
     c = catalog_construction("four_lines")
     rng = random.Random(123)
@@ -454,6 +485,23 @@ def test_local_solve_notes_lost_information_in_both_modes(tmp_path, mode, verdic
         rc = main(["lift", str(path), "--mode", mode, "--seed", "4", "--json", "-"])
     assert rc == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_local_solve_of_conics_with_a_common_factor_loses_information():
+    # (x - y)(x + y + 1) and (x - y)(x + 2y + 3) share the line x = y,
+    # whose torus zeros form a curve: the eliminant vanishes, and the
+    # solve ends in the error instead of a root list
+    from tropgeo.residual import InformationLostError
+    from tropgeo.stable_ops import point_supports
+
+    conic = Support.named("conic")
+    f, g = ({pt: Jet.principal(0 if pt in terms else -1, F10007.elt(terms.get(pt, 1))) for pt in conic.points}
+            for terms in ({(2, 0): 1, (1, 0): 1, (0, 1): -1, (0, 2): -1},
+                          {(2, 0): 1, (1, 1): 1, (1, 0): 3, (0, 1): -3, (0, 2): -2}))
+    b = (F(0), F(0))
+    out = construction._local_solve(f, g, b, F10007, F10007.zero, "t", point_supports(f, g, b))
+    assert isinstance(out, InformationLostError)
+    assert str(out) == "residual eliminant vanishes; not zero-dimensional"
 
 
 def test_transversal_line_intersection_is_always_compatible():
@@ -819,10 +867,10 @@ def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, n
         monkeypatch.setattr(mod, fn, counted)
     step = construction._propagate_intersection_step
 
-    def tracked(idx, s, jets, conds, r, field, plans):
+    def tracked(idx, s, jets, conds, r, field, zero, plans):
         lines.append(all(r.values[n].support == LINE for n in s.curves)
                      and all(j.is_principal for n in s.curves for j in jets[n].values()))
-        return step(idx, s, jets, conds, r, field, plans)
+        return step(idx, s, jets, conds, r, field, zero, plans)
 
     monkeypatch.setattr(construction, "_propagate_intersection_step", tracked)
     kw = {"field": F10007, "seed": 0, "trials": 8} if mode == "numeric" else {}
@@ -849,8 +897,8 @@ def _linear_local_solves(monkeypatch):
     met = []
     local_solve = construction._local_solve
 
-    def recorded(f_jets, g_jets, b, field, origin, supports):
-        out = local_solve(f_jets, g_jets, b, field, origin, supports)
+    def recorded(f_jets, g_jets, b, field, zero, origin, supports):
+        out = local_solve(f_jets, g_jets, b, field, zero, origin, supports)
         if not isinstance(supports, Exception) and stable_ops.local_line_rows(f_jets, g_jets, supports):
             met.append((f_jets, g_jets, b, supports, out))
         return out
@@ -958,9 +1006,9 @@ def test_numeric_linear_local_systems_build_no_eliminant(monkeypatch):
     counts = Counter()
     local_solve = construction._local_solve
 
-    def counted(f_jets, g_jets, b, field, origin, supports):
+    def counted(f_jets, g_jets, b, field, zero, origin, supports):
         before = len(dets)
-        out = local_solve(f_jets, g_jets, b, field, origin, supports)
+        out = local_solve(f_jets, g_jets, b, field, zero, origin, supports)
         if not isinstance(supports, Exception):
             linear = stable_ops.local_line_rows(f_jets, g_jets, supports) is not None
             counts["linear" if linear else "nonlinear"] += 1

@@ -391,6 +391,47 @@ def test_cli_repeated_realize_line_is_a_usage_error(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", "error: line 5, column 3: node 'A' is realized twice\n")
 
 
+THREE_LINES = "".join(f"input point {n}\n" for n in "abcdef") + (
+    "curve l1 = through a b support line\ncurve l2 = through c d support line\n"
+    "curve l3 = through e f support line\npoints {p} = intersect l1 l2\npoints {q} = intersect l1 l3\n"
+    "thesis point p on l1 l2 l3\n")
+
+
+def test_cli_second_thesis_line_is_a_usage_error(tmp_path, capsys):
+    # three general lines do not meet in one point; a second, true thesis
+    # after the false one must not replace it
+    path = tmp_path / "three_lines.tgc"
+    path.write_text(THREE_LINES)
+    assert main(["theorem", str(path), "--trials", "20"]) == 1
+    assert "failing trial" in capsys.readouterr().out
+    path.write_text(THREE_LINES + "  thesis point q on l1 l3\n")
+    assert main(["theorem", str(path), "--trials", "20"]) == 2
+    assert capsys.readouterr() == ("", "error: line 13, column 3: a statement has one thesis; "
+                                   "this is a second\n")
+
+
+TWO_LINES = "input curve Z support line\ninput curve W support line\n"
+USAGE_ERRORS = {
+    "bbox_arity": (TWO_LINES, ["plot", "--svg", "out.svg", "--bbox", "0,0,1"], "bbox must be x0,y0,x1,y1\n"),
+    "bbox_empty": (TWO_LINES, ["plot", "--svg", "out.svg", "--bbox", "1,0,0,1"], "error: empty bounding box\n"),
+    "plot_no_curve": ("input point a\nrealize a = (0, 0)\n", ["plot", "--svg", "out.svg", "--bbox", "0,0,1,1"],
+                      "nothing to plot: no curves realized\n"),
+    "empty_support": ("input curve Z support {}\n", ["realize"], "error: line 1, column 1: empty explicit support\n"),
+    "unknown_support": ("input curve Z support quartic\n", ["realize"],
+                        "error: line 1, column 1: unknown support name 'quartic'\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_errors_exit_two(tmp_path, monkeypatch, capsys, name):
+    text, argv, message = USAGE_ERRORS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.tgc").write_text(text)
+    assert main([argv[0], "in.tgc", *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out.svg").exists()
+
+
 ZERO_DENOMINATOR = "zero denominator in '1/0'"
 BAD_NUMBERS = {
     "realize_point": (["realize"], "realize a = (1/0, 2)", f"line 5, column 14: {ZERO_DENOMINATOR}"),

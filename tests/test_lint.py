@@ -237,6 +237,24 @@ def test_no_global_statements():
     assert not hits, hits
 
 
+def _ring_guesses(tree):
+    """The line of each product or power with the constant 0 as an
+    operand, ``v * 0`` or ``v ** 0``: the zero or one of whatever ring the
+    value v happens to lie in."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow))
+            and any(isinstance(o, ast.Constant) and o.value == 0 for o in (node.left, node.right))]
+
+
+def test_no_ring_is_guessed_from_a_residue():
+    # a lift pass names its ring once, by its zero; a zero guessed from
+    # the first residue at hand put Q's zero and one into F_p expansions
+    hits = [f"{name}.py:{line}" for name, tree in MODULES.items() for line in _ring_guesses(tree)]
+    assert not hits, hits
+    planted = ast.parse("def f(v, w):\n    return v * 0, 0 * w,\\\n        w ** 0, v * 1, v + 0\n")
+    assert _ring_guesses(planted) == [2, 2, 3]
+
+
 def _package_names(modules):
     """The names the package binds: its modules, every def and class,
     the targets of module- and class-level assignments, the attributes

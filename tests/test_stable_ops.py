@@ -34,7 +34,6 @@ from tropgeo.stable_ops import (
     _Degenerate,
     _by_y,
     _common_y_roots,
-    _condition_zero,
     _corner_coeff,
     _inside,
     _mixed_cells,
@@ -488,7 +487,7 @@ def curve_step_conditions(I, pts, var_names=None, values=None):
             cx, cy = RPoly.var(nx), RPoly.var(ny)
         pt_jets.append((Jet.principal(p[0], cx), Jet.principal(p[1], cy)))
     plan = cramer_stable(point_value_matrix(I, pts))
-    coeff_jets, conds, undecidable = curve_step_jets(I, pt_jets, plan)
+    coeff_jets, conds, undecidable = curve_step_jets(I, pt_jets, plan, RPoly())
     if undecidable:
         conds.empty_flag = PROVABLY_EMPTY
     return SimpleNamespace(plan=plan, coeff_jets=coeff_jets, conditions=conds,
@@ -555,26 +554,24 @@ def _full_det(n, entry, zero):
     return rec(0, (1 << n) - 1)
 
 
-def _monomial_jet(pj, i, deg):
+def _monomial_jet(pj, i, deg, one):
     """The jet of the monomial x^i1 y^i2 at a point whose jets pj are
     (x, y), or X^i1 Y^i2 Z^(deg-i1-i2) at a homogeneous one (X, Y, Z),
-    as a product of jets; the constant monomial's coefficient is the one
-    of x's ring, or of Q when x is not principal."""
+    as a product of jets; the constant monomial's coefficient is one."""
     out = None
     for j, e in zip(pj, (*i, deg - i[0] - i[1])):
         for _ in range(e):
             out = j if out is None else out * j
-    if out is None:
-        return Jet.principal(0, pj[0].coeff * 0 + 1 if pj[0].is_principal else F(1))
-    return out
+    return Jet.principal(0, one) if out is None else out
 
 
-def _reference_curve_step(I, pt_jets):
+def _reference_curve_step(I, pt_jets, zero):
     """Each minor as the full jet determinant of its deleted-column
-    matrix: the top order cancels iff the pseudodeterminant vanishes."""
+    matrix, over the ring whose zero is zero: the top order cancels iff
+    the pseudodeterminant vanishes."""
     trop = point_value_matrix(I, [p for p, _ in pt_jets])
     deg = max(i + j for i, j in I.points)
-    entries = [[_monomial_jet(pj, i, deg) for i in I.points] for _, pj in pt_jets]
+    entries = [[_monomial_jet(pj, i, deg, zero + 1) for i in I.points] for _, pj in pt_jets]
     conds, coeff_jets, any_nonzero = ConditionSet(), {}, False
     for k, i in enumerate(I.points):
         cols = [c for c in range(len(I.points)) if c != k]
@@ -584,7 +581,7 @@ def _reference_curve_step(I, pt_jets):
             cond_val, any_nonzero = det.coeff, True
             jet = det if k % 2 == 0 else -det
         else:
-            cond_val, jet = _condition_zero(e.coeff for row in entries for e in row), Jet.degenerate(value)
+            cond_val, jet = zero, Jet.degenerate(value)
         coeff_jets[i] = jet
         conds.add(cond_val, f"curve minor {i}")
     return coeff_jets, conds, not any_nonzero
@@ -634,13 +631,14 @@ def test_curve_step_jets_matches_full_jet_minors():
                     coords = (F(rng.randint(-box, box)), F(rng.randint(-box, box)))
                 pts.append(_random_point_jet(rng, coords, kind, f"q{idx}"))
             plan = cramer_stable(point_value_matrix(sup, [p for p, _ in pts]))
-            got_jets, got_conds, got_undecidable = curve_step_jets(sup, [pj for _, pj in pts], plan)
-            coeff_jets, conds, undecidable = _reference_curve_step(sup, pts)
+            zero = ResidualField(7).zero if kind in ("fp", "dead") else RPoly()
+            got_jets, got_conds, got_undecidable = curve_step_jets(sup, [pj for _, pj in pts], plan, zero)
+            coeff_jets, conds, undecidable = _reference_curve_step(sup, pts, zero)
             assert got_jets == coeff_jets, (sup, pts)
             assert [(c.origin, repr(c.poly)) for c in got_conds.conditions] == [
                 (c.origin, repr(c.poly)) for c in conds.conditions], (sup, pts)
             assert got_undecidable == undecidable
-            dead_rows += sum(not any(_monomial_jet(pj, sup.points[c], deg).is_principal for c in cs)
+            dead_rows += sum(not any(_monomial_jet(pj, sup.points[c], deg, zero + 1).is_principal for c in cs)
                              for (_, pj), cs in zip(pts, plan.tight))
     assert dead_rows >= 20, dead_rows
 
@@ -700,7 +698,7 @@ def _symbolic_line_jets(orders):
 def test_two_lines_on_a_shared_ray_are_fixed_not_always_compatible():
     f, g = _symbolic_line_jets([(1, 0, 1), (3, 0, 3)])
     plan = intersection_step_plan(f, g, _stable_points(f, g))
-    conds, undecidable = intersection_step_conditions(f, g, plan)
+    conds, undecidable = intersection_step_conditions(f, g, plan, RPoly())
     assert plan.shear is not None
     assert not undecidable and all(c.poly for c in conds.conditions)
     # both lines contain the ray x = 0 below (0, 1), so the first vertex
@@ -718,7 +716,7 @@ def test_two_transversal_lines_are_always_compatible():
     assert stable_intersection(*(TropPoly(LINE, {i: j.order for i, j in jets.items()})
                                  for jets in (f, g))).points == [((F(0), F(-2)), 1)]
     plan = intersection_step_plan(f, g, _stable_points(f, g))
-    conds, undecidable = intersection_step_conditions(f, g, plan)
+    conds, undecidable = intersection_step_conditions(f, g, plan, RPoly())
     assert not undecidable
     # a vertex-free edge-edge crossing: every vertex condition of every
     # resultant is a monomial

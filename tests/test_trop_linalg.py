@@ -317,8 +317,8 @@ def test_lemma_disjoint_monomials_for_homogenized_points():
         homog = [(Jet.principal(q[0], X), Jet.principal(q[1], Y), Jet.principal(0, Z))
                  for q, (X, Y, Z) in zip(pts, var)]
         affine = [(jx, jy) for jx, jy, _ in homog]
-        h_jets, h_conds, h_undecidable = curve_step_jets(sup, homog, plan)
-        a_jets, a_conds, _ = curve_step_jets(sup, affine, plan)
+        h_jets, h_conds, h_undecidable = curve_step_jets(sup, homog, plan, RPoly())
+        a_jets, a_conds, _ = curve_step_jets(sup, affine, plan, RPoly())
         assert not h_undecidable
         assert [c.poly for c in h_conds.conditions] == [s for _, s in conds]
         dehomogenize = {f"g{j}.{k}": var[j][k - 1] if k < 3 else 1 for j in range(npts) for k in (1, 2, 3)}
