@@ -470,8 +470,16 @@ def _require_exact(c: Construction):
         )
 
 
-def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
-    """``realize`` of a construction that ``_require_exact`` accepted."""
+def _realize(c: Construction, inputs: dict, labeling=None, base=None) -> TropRealization:
+    """``realize`` of a construction that ``_require_exact`` accepted.
+
+    ``base``, a realization of the same inputs in another labeling,
+    shares its labeling-independent work: a step whose input values equal
+    base's takes base's result (the curve and its Cramer solution, or
+    the stable intersection and a line pair's Cramer solution) and only
+    applies its own labeling, so a relabeled realization solves just the
+    steps downstream of a changed label.
+    """
     vals = {}
     for n in c.input_points:
         p = inputs[n]
@@ -487,9 +495,15 @@ def _realize(c: Construction, inputs: dict, labeling=None) -> TropRealization:
     inters = {}
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            vals[s.name], cramer[idx] = _solve_curve(s.support, [vals[q] for q in s.through])
+            if base is not None and all(vals[q] == base.values[q] for q in s.through):
+                vals[s.name], cramer[idx] = base.values[s.name], base.cramer[idx]
+            else:
+                vals[s.name], cramer[idx] = _solve_curve(s.support, [vals[q] for q in s.through])
         else:
-            si, sol = _intersect(vals[s.curves[0]], vals[s.curves[1]])
+            if base is not None and all(vals[n] == base.values[n] for n in s.curves):
+                si, sol = base.intersections[idx], base.cramer.get(idx)
+            else:
+                si, sol = _intersect(vals[s.curves[0]], vals[s.curves[1]])
             if sol is not None:
                 cramer[idx] = sol
             labeled = si.as_labeled()

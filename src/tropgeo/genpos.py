@@ -19,6 +19,7 @@ from .trop_core import (
     _curve_of,
     area2,
     dual_subdivision,
+    frac,
     in_convex_polygon,
     on_segment,
 )
@@ -30,14 +31,16 @@ class PointNotOnCurve(ValueError):
 
 @dataclass
 class GammaGraph:
-    """Refined skeleton of the dual subdivision."""
+    """Refined skeleton of the dual subdivision of a polynomial f.  f
+    keeps it (``build_gamma``), so it holds no reference back to f."""
 
     vertices: list          # lattice points of I on 0/1-cells
     edges: list             # refined edges, as sorted lattice-point pairs
     isolated: dict          # lattice point -> enclosing facet index
     refined_of: dict        # subdivision-edge index -> list of refined edges
     subdivision: object
-    poly: TropPoly
+    facet_of: dict          # dual vertex of a maximal cell -> its index
+    curve: object = None    # f's DualComplex, built by the first completion that needs it
 
 
 def _sorted_pair(a, b):
@@ -45,6 +48,16 @@ def _sorted_pair(a, b):
 
 
 def build_gamma(f: TropPoly) -> GammaGraph:
+    """The gamma graph of f, built once per polynomial and kept on f, as
+    ``f.scaled()`` is: a TropPoly is immutable, so every genpos query on
+    the same curve (each labeling and each pair of a labeled statement)
+    shares one dual subdivision."""
+    if f._gamma is None:
+        f._gamma = _gamma_of(f)
+    return f._gamma
+
+
+def _gamma_of(f: TropPoly) -> GammaGraph:
     sub = dual_subdivision(f)
     I = list(f.support.points)
     endpoint_set = set()
@@ -93,7 +106,7 @@ def build_gamma(f: TropPoly) -> GammaGraph:
         isolated=isolated,
         refined_of=refined_of,
         subdivision=sub,
-        poly=f,
+        facet_of={cell.dual_vertex: fi for fi, cell in enumerate(sub.facets)},
     )
 
 
@@ -120,11 +133,10 @@ class Assignment:
         return out
 
 
-def _candidate_targets(gamma: GammaGraph, q):
-    """Valid targets of a point on the curve: refined pieces of its dual
-    edge, or (at a vertex) interior points and boundary pieces of the
-    dual polygon."""
-    f = gamma.poly
+def _candidate_targets(f: TropPoly, gamma: GammaGraph, q):
+    """Valid targets of a point on the curve of f: refined pieces of its
+    dual edge, or (at a vertex) interior points and boundary pieces of
+    the dual polygon."""
     sub = gamma.subdivision
     _, arg = f.eval(q)
     if len(arg) < 2:
@@ -136,15 +148,15 @@ def _candidate_targets(gamma: GammaGraph, q):
             if set(arg) <= set(e.on_points):
                 return [("edge", piece) for piece in gamma.refined_of[k]]
         raise AssertionError(f"dual edge of {q} not found")
-    for fi, cell in enumerate(sub.facets):
-        if cell.dual_vertex == (Fraction(q[0]), Fraction(q[1])):
-            iso = [("iso", p) for p, idx in gamma.isolated.items() if idx == fi]
-            pieces = []
-            for k, e in enumerate(sub.edges):
-                if fi in e.facets:
-                    pieces.extend(("edge", pc) for pc in gamma.refined_of[k])
-            return iso + sorted(pieces)
-    raise AssertionError(f"dual vertex of {q} not found")
+    fi = gamma.facet_of.get((frac(q[0]), frac(q[1])))
+    if fi is None:
+        raise AssertionError(f"dual vertex of {q} not found")
+    iso = [("iso", p) for p, idx in gamma.isolated.items() if idx == fi]
+    pieces = []
+    for k, e in enumerate(sub.edges):
+        if fi in e.facets:
+            pieces.extend(("edge", pc) for pc in gamma.refined_of[k])
+    return iso + sorted(pieces)
 
 
 class _DSU:
@@ -171,11 +183,11 @@ class _DSU:
         self.parent[ra] = ra
 
 
-def find_assignment(f: TropPoly, pts, gamma: GammaGraph | None = None):
+def find_assignment(f: TropPoly, pts):
     """Backtracking search for an assignment of the points; None if none
     exists.  Fail-first ordering: fewest candidate targets first."""
-    gamma = gamma or build_gamma(f)
-    cands = [_candidate_targets(gamma, q) for q in pts]
+    gamma = build_gamma(f)
+    cands = [_candidate_targets(f, gamma, q) for q in pts]
     order = sorted(range(len(pts)), key=lambda i: (len(cands[i]), i))
     taken = set()  # targets are pairwise distinct
     dsu = _DSU()  # and the chosen edges acyclic
@@ -249,14 +261,15 @@ def _point_on_dual_cell(gamma: GammaGraph, cv, refined_edge, salt: int):
 def in_general_position(f: TropPoly, pts):
     """True iff an assignment exists; the witness includes the free
     points completing the set so the curve is the stable curve through
-    all of them."""
-    gamma = build_gamma(f)
+    all of them.  The gamma graph and the curve that places the free
+    points are f's own (``build_gamma``), built once per polynomial."""
     delta = f.support.delta()
     if len(pts) > delta - 1:
         raise ValueError(f"at most {delta - 1} points allowed")
-    asg = find_assignment(f, pts, gamma)
+    asg = find_assignment(f, pts)
     if asg is None:
         return False, None
+    gamma = build_gamma(f)
 
     taken = {t[1] for t in asg.targets}
     free = [(gamma.subdivision.facets[fi].dual_vertex, ("iso", p))
@@ -268,11 +281,11 @@ def in_general_position(f: TropPoly, pts):
     for e in asg.edge_targets():
         dsu.union(*e)
     salt = 0
-    cv = None
     for e in sorted(gamma.edges):
         if dsu.union(*e):
-            cv = cv or _curve_of(gamma.poly, gamma.subdivision)
-            free.append((_point_on_dual_cell(gamma, cv, e, salt), ("edge", e)))
+            if gamma.curve is None:
+                gamma.curve = _curve_of(f, gamma.subdivision)
+            free.append((_point_on_dual_cell(gamma, gamma.curve, e, salt), ("edge", e)))
             salt += 1
     total = len(pts) + len(free)
     if total != delta - 1:

@@ -236,14 +236,16 @@ def check_statement(s: Statement, trials: int = 100, seed: int = 0) -> TheoremVe
 def _check_with_labelings(s: Statement, inputs, r0, t) -> Trial:
     """Conditional statements (weak Pascal): for every labeling whose
     double-path point sets are in generic position, the thesis must hold.
-    ``r0`` is the realization of ``inputs`` in the default labeling."""
+    ``r0`` is the realization of ``inputs`` in the default labeling.
+
+    The labeling-independent work is done once per trial: each labeling
+    is realized against r0, re-solving only the steps whose input values
+    a relabeled point changed, and the genpos curves keep one gamma graph
+    each across labelings and pairs (``genpos.build_gamma``)."""
     results = []
     ok = True
     for lab in labeling_choices(s.hypothesis, r0):
-        if all(perm == tuple(range(len(perm))) for perm in lab.values()):
-            r = r0  # labeling_choices keeps the identity for its key
-        else:
-            r = _realize(s.hypothesis, inputs, labeling=lab)
+        r = _realize(s.hypothesis, inputs, labeling=lab, base=r0)
         pre = all(
             in_general_position(r.values[cv], [r.values[p] for p in pts])[0]
             for pts, cv in s.genpos_pairs

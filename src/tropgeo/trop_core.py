@@ -232,7 +232,7 @@ def _parse_monomial(s: str) -> LPoint:
 class TropPoly:
     """Max-plus polynomial: evaluation at p is max_i(coeff_i + i.p)."""
 
-    __slots__ = ("support", "coeffs", "_scaled")
+    __slots__ = ("support", "coeffs", "_scaled", "_gamma")
 
     def __init__(self, support: Support, coeffs):
         self.support = support
@@ -245,6 +245,7 @@ class TropPoly:
                 raise ValueError("one coefficient per support point required")
             self.coeffs = coeffs
         self._scaled = None
+        self._gamma = None  # genpos.build_gamma's graph, built on first use
 
     @staticmethod
     def from_ints(support: Support, ints, d: int) -> "TropPoly":
@@ -258,6 +259,7 @@ class TropPoly:
         f.support = support
         f.coeffs = tuple(Fraction(c, d) for c in ints)
         f._scaled = (ints, d)
+        f._gamma = None
         return f
 
     def scaled(self):

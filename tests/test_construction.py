@@ -700,6 +700,35 @@ def test_weak_pascal_general_position_instance_lifts():
     pytest.fail("no labeling satisfied the general position precondition")
 
 
+def test_a_relabeled_realization_on_a_shared_prefix_is_the_fresh_one():
+    # every labeling of 64 weak_pascal trials, the all-zero and the
+    # repeated-point inputs among them, realized against the default
+    # realization gives the realization from scratch, and takes the
+    # default's Z meets L_i unsolved
+    from tropgeo.construction import _realize, labeling_choices
+    from tropgeo.residual import trial_rng
+    from tropgeo.theorems import sample_inputs
+
+    c = catalog()["weak_pascal"].hypothesis
+    counts = []
+    for t in range(64):
+        inputs = sample_inputs(c, trial_rng(37, t), {0: "zero", 1: "repeat"}.get(t))
+        r0 = _realize(c, inputs)
+        labelings = list(labeling_choices(c, r0))
+        counts.append(len(labelings))
+        for lab in labelings:
+            shared = _realize(c, inputs, labeling=lab, base=r0)
+            fresh = _realize(c, inputs, labeling=lab)
+            assert shared.values == fresh.values
+            assert shared.cramer.keys() == fresh.cramer.keys()
+            assert all(shared.cramer[k].values == fresh.cramer[k].values for k in fresh.cramer)
+            assert shared.intersections.keys() == fresh.intersections.keys()
+            assert all(shared.intersections[k].points == fresh.intersections[k].points
+                       for k in fresh.intersections)
+            assert all(shared.intersections[k] is r0.intersections[k] for k in range(3))
+    assert max(counts) == 8  # both orders at each of the three meets
+
+
 def _line_chain(n_lines, rng):
     """Lines L_i through a_i a_(i+1), and q_i = L_i meet L_(i+2): a
     construction of 2*n_lines - 2 steps and one realization of it."""

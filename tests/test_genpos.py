@@ -101,7 +101,7 @@ def test_full_assignment_is_a_maximal_tree():
         P = [(F(rng.randint(-6, 6)), F(rng.randint(-6, 6))) for _ in range(5)]
         f = stable_curve(sup, P)
         gamma = build_gamma(f)
-        asg = find_assignment(f, P, gamma)
+        asg = find_assignment(f, P)
         if asg is None:
             continue
         checked += 1
@@ -158,6 +158,18 @@ def test_stable_curve_roundtrip_property():
         assert ok
 
 
+def test_too_many_points_are_rejected_before_any_subdivision(monkeypatch):
+    import tropgeo.genpos as genpos
+
+    def refused(f):
+        raise AssertionError("subdivided before validating the point count")
+
+    monkeypatch.setattr(genpos, "dual_subdivision", refused)
+    f = TropPoly.parse("0x+0y+0")
+    with pytest.raises(ValueError, match="at most 2 points allowed"):
+        in_general_position(f, [(-3, 0), (-5, 0), (0, -4)])
+
+
 def test_general_position_reuses_the_stored_subdivision(monkeypatch):
     import tropgeo.genpos as genpos
     import tropgeo.trop_core as trop_core
@@ -176,7 +188,7 @@ def test_general_position_reuses_the_stored_subdivision(monkeypatch):
     monkeypatch.setattr(trop_core, "dual_subdivision", counted)
     monkeypatch.setattr(genpos, "dual_subdivision", counted)
     for pts, cv in s.genpos_pairs:
-        calls.clear()
         ok, witness = in_general_position(r.values[cv], [r.values[p] for p in pts])
         assert ok and any(kind == "edge" for _, (kind, _) in witness.free_points)
-        assert calls == [r.values[cv]]  # build_gamma's, none for the curve
+    # the three pairs share Z's gamma: one subdivision, none for the curve
+    assert calls == [r.values["Z"]] and {cv for _, cv in s.genpos_pairs} == {"Z"}

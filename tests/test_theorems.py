@@ -357,6 +357,51 @@ def test_weak_pascal_reports_per_labeling():
         assert "labelings" in t.note
 
 
+def test_weak_pascal_trials_are_unchanged():
+    # SHA-256 of each trial's (index, witness, passed, note), the witness
+    # listing (labeling, precondition, thesis witness) per labeling, as
+    # recorded while every labeling was realized from scratch and every
+    # genpos query built its own gamma graph
+    digests = {
+        0: "3864621c73975cc18a1e44c3364fe529a52fa83b7b1d1d3b0d184f852f801e9e",
+        1: "87f4f67318911745cc8f62afb1fc9b8a6c1be20b74672e538b3e01237fa7bf10",
+        2: "e9df3dfa8004c4a9d4ce8ac56ac2cb137e361f5d8301cc2ed0934c019ac8ddeb",
+    }
+    s = catalog()["weak_pascal"]
+    for seed, digest in digests.items():
+        v = check_statement(s, trials=8, seed=seed)
+        trials = [(t.index, t.witness, t.passed, t.note) for t in v.trials]
+        assert hashlib.sha256(repr(trials).encode()).hexdigest() == digest
+
+
+def test_weak_pascal_builds_one_gamma_per_curve_and_meets_z_once_per_trial(monkeypatch):
+    # the labelings of a trial share its genpos curve's gamma graph and
+    # the default realization's conic-line intersections
+    import tropgeo.genpos as genpos
+    import tropgeo.stable_ops as stable_ops
+
+    conic_line = {Support.named("conic"), LINE}
+    gammas, meets = [], []
+    subdivide, mixed_cells = genpos.dual_subdivision, stable_ops._mixed_cells
+
+    def counted_subdivision(f):
+        gammas.append(f)
+        return subdivide(f)
+
+    def counted_mixed_cells(f, g):
+        if {f.support, g.support} == conic_line:
+            meets.append((f, g))
+        return mixed_cells(f, g)
+
+    monkeypatch.setattr(genpos, "dual_subdivision", counted_subdivision)
+    monkeypatch.setattr(stable_ops, "_mixed_cells", counted_mixed_cells)
+    s = catalog()["weak_pascal"]
+    v = check_statement(s, trials=8, seed=5)
+    curves = {t.inputs[cv] for t in v.trials for _, cv in s.genpos_pairs}
+    assert len(gammas) == len(curves) == 8
+    assert len(meets) == 3 * 8
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: branch search over one argmax pair per point, with
 # exact rational feasibility (substitution for the equalities,
