@@ -184,8 +184,12 @@ class _DSU:
 
 
 def find_assignment(f: TropPoly, pts):
-    """Backtracking search for an assignment of the points; None if none
-    exists.  Fail-first ordering: fewest candidate targets first."""
+    """Backtracking search for an assignment of at most delta-1 points;
+    None if none exists.  Fail-first ordering: fewest candidate targets
+    first."""
+    delta = f.support.delta()
+    if len(pts) > delta - 1:
+        raise ValueError(f"at most {delta - 1} points allowed")
     gamma = build_gamma(f)
     cands = [_candidate_targets(f, gamma, q) for q in pts]
     order = sorted(range(len(pts)), key=lambda i: (len(cands[i]), i))
@@ -263,9 +267,6 @@ def in_general_position(f: TropPoly, pts):
     points completing the set so the curve is the stable curve through
     all of them.  The gamma graph and the curve that places the free
     points are f's own (``build_gamma``), built once per polynomial."""
-    delta = f.support.delta()
-    if len(pts) > delta - 1:
-        raise ValueError(f"at most {delta - 1} points allowed")
     asg = find_assignment(f, pts)
     if asg is None:
         return False, None
@@ -287,6 +288,7 @@ def in_general_position(f: TropPoly, pts):
                 gamma.curve = _curve_of(f, gamma.subdivision)
             free.append((_point_on_dual_cell(gamma, gamma.curve, e, salt), ("edge", e)))
             salt += 1
+    delta = f.support.delta()
     total = len(pts) + len(free)
     if total != delta - 1:
         raise AssertionError(

@@ -162,10 +162,6 @@ def _product_ints(f: TropPoly, g: TropPoly):
     return sup, [best[k] for k in sup.points], d
 
 
-def trop_product(f: TropPoly, g: TropPoly) -> TropPoly:
-    return TropPoly.from_ints(*_product_ints(f, g))
-
-
 _LINE = Support.named("line")
 
 

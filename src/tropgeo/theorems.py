@@ -15,9 +15,15 @@ regular delta x delta minor, read off the Cramer solutions that the
 witness search computed.
 
 A point thesis is decided on the vertices of the union of the curves,
-which is the curve of their product: the dual vertices of the maximal
-cells of the product subdivision (Maclagan and Sturmfels, "Introduction
-to Tropical Geometry", section 3).
+read as the stable intersections of every pair of curves, each curve
+with itself included (Maclagan and Sturmfels, "Introduction to Tropical
+Geometry", section 3.6).  A curve's stable self-intersection lies
+exactly at its vertices: a maximal cell s of its subdivision becomes 2s
+in the subdivision of f*f, of mixed area 2*area(s) > 0.  A transversal
+crossing of edges of two curves is a stable point of that pair, and
+every other stable point is a vertex of one of the curves.  Two lines
+meet on the 2 x 3 Cramer kernel, so a thesis on lines computes no upper
+hull.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .trop_core import Support, TropPoly, curve, dual_subdivision, frac
+from .trop_core import Support, TropPoly, curve, frac
 from .residual import DEFAULT_FIELD, LIKELY_EMPTY, NONEMPTY_DENSE, trial_rng
-from .stable_ops import _solve_curve, trop_product
+from .stable_ops import _solve_curve, stable_intersection
 from .construction import (
     Construction,
     Intersect,
@@ -44,7 +49,7 @@ from .construction import (
     is_admissible,
     labeling_choices,
 )
-from .genpos import in_general_position
+from .genpos import find_assignment
 from . import dsl
 
 
@@ -98,19 +103,24 @@ def thesis_feasible_curve(I: Support, pts):
 def thesis_feasible_point(curves):
     """A point common to all curves, or None.
 
-    The union of the curves is the curve of their tropical product, whose
-    vertices are the dual vertices of the maximal cells of the product
-    subdivision: every vertex of one curve and every point where edges of
-    two curves cross.  A common point that is no such vertex lies inside
-    parallel edges of all the curves, and moving along them reaches an
-    end, a vertex, unless all of those edges are whole lines.  Only
-    collinear supports have lines, so the base points of their lines are
+    The candidates are the points of ``stable_intersection(f, g)`` for
+    every pair of curves, f = g included: the vertices of their union.
+    A maximal cell s of f's subdivision becomes 2s in the subdivision of
+    f*f, of mixed area 2*area(s) > 0, so f's stable self-intersection
+    lies exactly at its vertices.  A transversal crossing of edges of f
+    and g has a mixed cell of positive area, so it is a stable point of
+    the pair, and every other stable point is a vertex of f or of g.  A
+    common point that is no vertex of the union lies inside parallel
+    edges of all the curves, and moving along them reaches an end, a
+    vertex, unless all of those edges are whole lines.  Only collinear
+    supports have lines, so the base points of their lines are
     candidates too.  The lexicographic minimum of the candidates that lie
     on every curve is returned.
     """
     if not curves:
         raise ValueError("need at least one curve")
-    candidates = {c.dual_vertex for c in dual_subdivision(reduce(trop_product, curves)).facets}
+    pairs = itertools.combinations_with_replacement(curves, 2)
+    candidates = {p for f, g in pairs for p, _ in stable_intersection(f, g).points}
     for f in curves:
         if len(f.support.corners()) == 2:
             candidates.update(e.base for e in curve(f).edges)
@@ -247,7 +257,7 @@ def _check_with_labelings(s: Statement, inputs, r0, t) -> Trial:
     for lab in labeling_choices(s.hypothesis, r0):
         r = _realize(s.hypothesis, inputs, labeling=lab, base=r0)
         pre = all(
-            in_general_position(r.values[cv], [r.values[p] for p in pts])[0]
+            find_assignment(r.values[cv], [r.values[p] for p in pts]) is not None
             for pts, cv in s.genpos_pairs
         )
         witness = _run_thesis(s, r)

@@ -247,21 +247,6 @@ class TropPoly:
         self._scaled = None
         self._gamma = None  # genpos.build_gamma's graph, built on first use
 
-    @staticmethod
-    def from_ints(support: Support, ints, d: int) -> "TropPoly":
-        """The polynomial with coefficients ints[k]/d, d > 0, on
-        ``support.points``; the int form, reduced by its gcd, is kept as
-        ``scaled()``."""
-        g = gcd(d, *ints)
-        if g > 1:
-            ints, d = [c // g for c in ints], d // g
-        f = TropPoly.__new__(TropPoly)
-        f.support = support
-        f.coeffs = tuple(Fraction(c, d) for c in ints)
-        f._scaled = (ints, d)
-        f._gamma = None
-        return f
-
     def scaled(self):
         """(ints, d) = ``scaled_ints(coeffs)``, computed once: a TropPoly
         is immutable."""

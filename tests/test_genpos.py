@@ -166,8 +166,9 @@ def test_too_many_points_are_rejected_before_any_subdivision(monkeypatch):
 
     monkeypatch.setattr(genpos, "dual_subdivision", refused)
     f = TropPoly.parse("0x+0y+0")
-    with pytest.raises(ValueError, match="at most 2 points allowed"):
-        in_general_position(f, [(-3, 0), (-5, 0), (0, -4)])
+    for check in (in_general_position, find_assignment):
+        with pytest.raises(ValueError, match="at most 2 points allowed"):
+            check(f, [(-3, 0), (-5, 0), (0, -4)])
 
 
 def test_general_position_reuses_the_stored_subdivision(monkeypatch):

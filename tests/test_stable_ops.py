@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,6 @@ from tropgeo.trop_core import (
     dual_subdivision,
     mixed_volume,
     polygon_area2,
-    scaled_ints,
     upper_chain,
 )
 from tropgeo.residual import (
@@ -42,6 +42,7 @@ from tropgeo.stable_ops import (
     _family_view,
     _perturbed_intersection,
     _point_values,
+    _product_ints,
     _resultant_corners,
     _resultant_family,
     _sylvester_rows,
@@ -52,7 +53,6 @@ from tropgeo.stable_ops import (
     perturbation_oracle,
     stable_curve,
     stable_intersection,
-    trop_product,
 )
 from tropgeo.trop_linalg import (
     cramer_conditions,
@@ -272,10 +272,13 @@ def _differential_pairs():
 
 
 def test_trop_product_matches_the_fraction_product():
+    # the int product that _mixed_cells reads: coefficients ints/d on its
+    # support, d the lcm of the factors' denominators
     for f, g in _differential_pairs():
-        h = trop_product(f, g)
-        assert h == _fraction_product(f, g)
-        assert h.scaled() == scaled_ints(h.coeffs)
+        sup, ints, d = _product_ints(f, g)
+        h = _fraction_product(f, g)
+        assert (sup, [F(c, d) for c in ints]) == (h.support, list(h.coeffs)), (f, g)
+        assert d == lcm(f.scaled()[1], g.scaled()[1]), (f, g)
 
 
 def test_stable_intersection_matches_the_mixed_cell_oracle():
@@ -287,6 +290,29 @@ def test_stable_intersection_matches_the_mixed_cell_oracle():
     parallel = [(f, g) for f, g in pairs if f.support == v and g.support == v]
     assert parallel and mixed_volume(v, v) == 0
     assert all(stable_intersection(f, g).points == [] for f, g in parallel)
+
+
+def test_stable_self_intersection_lies_at_the_vertices():
+    # a maximal cell s of f's subdivision becomes 2s in f*f, of doubled
+    # mixed area area2(2s) - 2*area2(s) = 2*area2(s): f meets itself at
+    # the dual vertex of s with multiplicity area2(s), and nowhere else
+    rng = random.Random(3615)
+    lattice = [(i, j) for i in range(4) for j in range(4)]
+    sups = [Support(rng.sample(lattice, rng.randint(3, 9))) for _ in range(300)]
+    sups += [Support.named(n) for n in ("line", "vertical", "horizontal", "pencil", "conic", "cubic")]
+    sups += [Support([(0, 0), (2, 0), (3, 0)]), Support([(0, 0), (1, 1), (3, 3)]), Support([(1, 2)])]
+    cells = non_unimodular = empty = 0
+    for sup in sups:
+        for _ in range(3):
+            f = TropPoly(sup, [F(rng.randint(-2, 2), rng.choice([1, 1, 2])) for _ in sup.points])
+            facets = dual_subdivision(f).facets
+            want = {c.dual_vertex: polygon_area2(c.hull) for c in facets}
+            assert dict(stable_intersection(f, f).points) == want, f
+            cells += len(facets)
+            non_unimodular += sum(1 for c in facets if polygon_area2(c.hull) > 1)
+            empty += not facets
+    # collinear and one-point supports have no cell and no self-intersection
+    assert cells >= 2000 and non_unimodular >= 1000 and empty >= 18, (cells, non_unimodular, empty)
 
 
 def _line_pairs():

@@ -115,9 +115,8 @@ def test_thesis_point_three_generic_lines_fail():
 
 
 def test_thesis_point_of_two_curves_is_at_most_their_least_stable_point():
-    # every stable intersection point is the dual vertex of a mixed cell
-    # of the product subdivision, so the candidates that
-    # thesis_feasible_point scans must contain it
+    # thesis_feasible_point scans the stable intersection of every pair
+    # of its curves, so its candidates contain this pair's least point
     rng = random.Random(12)
     for _ in range(400):
         f, g = (TropPoly(sup, [F(rng.randint(-2, 2)) for _ in sup.points])
@@ -206,6 +205,59 @@ def test_thesis_point_matches_pairwise_crossing_oracle():
             assert any(p == e.base for f in curves for e in curve(f).edges if e.kind == "line")
             off_product += 1
     assert found >= 1000 and off_product >= 100, (found, off_product)
+
+
+def test_thesis_point_of_three_lines_matches_pairwise_crossing_oracle():
+    # every multiset of three lines with coefficients in {-1, 0, 1}: the
+    # rule ignores the order of the curves
+    lines = [TropPoly(LINE, [F(c) for c in cs]) for cs in itertools.product((-1, 0, 1), repeat=3)]
+    found = 0
+    for trio in itertools.combinations_with_replacement(lines, 3):
+        p = thesis_feasible_point(list(trio))
+        assert p == _pairwise_thesis_point(trio), trio
+        found += p is not None
+    assert 1000 <= found < 3654, found
+
+
+def _count_upper_hulls(monkeypatch):
+    """Calls of ``trop_core._upper_facets_ints``, through every module
+    that binds it."""
+    import sys
+
+    from tropgeo import trop_core
+
+    hull, calls = trop_core._upper_facets_ints, []
+
+    def counted(*args):
+        calls.append(args)
+        return hull(*args)
+
+    bound = [m for name, m in list(sys.modules.items())
+             if name.startswith("tropgeo") and getattr(m, "_upper_facets_ints", None) is hull]
+    assert {m.__name__ for m in bound} >= {"tropgeo.trop_core", "tropgeo.stable_ops"}
+    for m in bound:
+        monkeypatch.setattr(m, "_upper_facets_ints", counted)
+    return calls
+
+
+def test_pappus_check_computes_no_upper_hull(monkeypatch):
+    # its thesis lines meet pairwise, and each line itself, on the 2 x 3
+    # Cramer kernel; the lift probe of trial 0 meets lines only
+    calls = _count_upper_hulls(monkeypatch)
+    check_statement(catalog()["pappus"], trials=20, seed=3)
+    assert calls == []
+
+
+def test_weak_pascal_check_builds_no_completion_witness(monkeypatch):
+    # the genpos precondition reads whether an assignment exists, and
+    # places no free point
+    import tropgeo.genpos as genpos
+
+    calls = []
+    place = genpos._point_on_dual_cell
+    monkeypatch.setattr(genpos, "_point_on_dual_cell", lambda *args: calls.append(args) or place(*args))
+    v = check_statement(catalog()["weak_pascal"], trials=8, seed=5)
+    assert v.holds and calls == []
 
 
 def test_pappus_witnesses_are_unchanged():
