@@ -13,13 +13,17 @@ vertex conditions plus the local residual systems at each intersection
 point, and auxiliary variables are eliminated by solving those local
 systems directly.  One pass serves both residual modes: the input
 residuals are indeterminates over Q (symbolic mode, which has no field)
-or random elements of F_p* (numeric).  The pass names its ring once, by
-its zero (``RPoly()`` or the field's), and hands that zero to every
-evaluator, so no ring is guessed from a residue.  A local system of two residual
-lines is met in both modes by the masked minors of its 2 x 3 residue
-matrix (``_meet``), symbolically as a homogeneous point (X : Y : Z), so
-that symbolic mode never divides; every other local system is solved
-by root finding in F_p (numeric) and refused symbolically.
+or random elements of F_p* (numeric), plain ints in [0, p).  The pass
+names its ring once, the field itself or the zero ``RPoly()``, and
+hands it to every evaluator, so no ring is guessed from a residue and
+F_p's arithmetic stays on ints; a successful numeric pass wraps its
+witness jets once through ``ResidualField.elt``, as ``lift_acyclic``
+does its jets, so that a residue carries its prime past the field.  A
+local system of two residual lines is met in both modes by the masked
+minors of its 2 x 3 residue matrix (``_meet``), symbolically as a
+homogeneous point (X : Y : Z), so that symbolic mode never divides;
+every other local system is solved by root finding in F_p (numeric)
+and refused symbolically.
 
 The tropical half of each step does not depend on the residues, and the
 realization solves it once: ``realize`` keeps the Cramer solution of
@@ -629,7 +633,7 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     intersection step plans met so far (``_step_plan``).
     Returns (step reports, condition set, node jets, ok)."""
     conds = ConditionSet()
-    zero = RPoly() if field is None else field.zero
+    ring = RPoly() if field is None else field
 
     def named(v):
         conds.variables.append(v)
@@ -641,9 +645,9 @@ def _propagate(c: Construction, r: TropRealization, draw, field, plans: dict):
     ok = True
     for idx, s in enumerate(c.steps):
         if isinstance(s, CurveThrough):
-            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, r.cramer[idx], zero)
+            rep, ok_step = _propagate_curve_step(idx, s, jets, conds, r.cramer[idx], ring)
         else:
-            rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, field, zero, plans)
+            rep, ok_step = _propagate_intersection_step(idx, s, jets, conds, r, ring, plans)
         reports.append(rep)
         ok = ok and ok_step
     return reports, conds, jets, ok
@@ -667,11 +671,11 @@ def _step_plan(plans, idx, ins, build):
     return plans[key]
 
 
-def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan, zero):
-    """A curve step in zero's ring whose realized Cramer solution is plan:
+def _propagate_curve_step(idx, s: CurveThrough, jets, conds: ConditionSet, plan, ring):
+    """A curve step in ``ring`` whose realized Cramer solution is plan:
     a point jet's order is its realized coordinate, whatever its kind."""
     jets[s.name], step_cs, undecidable = curve_step_jets(
-        s.support, [jets[q] for q in s.through], plan, zero, origin=f"step#{idx} curve {s.name}")
+        s.support, [jets[q] for q in s.through], plan, ring, origin=f"step#{idx} curve {s.name}")
     conds.merge(step_cs)
     step_conds = [(c.origin, c.poly) for c in step_cs.conditions]
     zeroes = [v for _, v in step_conds if not v]
@@ -697,8 +701,8 @@ def _point_str(p):
     return f"({p[0]}, {p[1]})"
 
 
-def _local_solve(f_jets, g_jets, b, field, zero, origin, supports):
-    """The torus solutions in zero's ring of the local residual system at
+def _local_solve(f_jets, g_jets, b, ring, origin, supports):
+    """The torus solutions in ``ring`` of the local residual system at
     stable point b and the conditions [(what, value)] the solve adds, or
     the InformationLostError that ended it.  ``supports`` is the step
     plan's ``point_supports`` at b.
@@ -706,53 +710,54 @@ def _local_solve(f_jets, g_jets, b, field, zero, origin, supports):
     Two residual polynomials that, moved to the origin, lie in the line
     support are two residual lines, which both modes meet by the masked
     minors of their residue rows (``local_line_rows``, ``_meet``).
-    Numeric mode (a field F_p) solves every other system by elimination
-    and finds every solution (x, y) in (F_p*)^2, so an empty list adds
-    the zero condition "no torus solution"; symbolic mode (field None)
-    solves linear systems only.
+    Numeric mode (ring a field F_p) solves every other system by
+    elimination and finds every solution (x, y) in (F_p*)^2, so an empty
+    list adds the zero condition "no torus solution"; symbolic mode
+    (ring ``RPoly()``) solves linear systems only.
     """
     if isinstance(supports, InformationLostError):
         return supports
     rows = local_line_rows(f_jets, g_jets, supports)
     if rows is not None:
-        return _meet(rows[0], line_minors(rows, zero), field)
-    if field is None:
+        return _meet(rows[0], line_minors(rows, ring), ring)
+    if not isinstance(ring, ResidualField):
         raise SymbolicModeUnsupported(f"{origin}: local system is not linear at point {_point_str(b)}")
     try:
-        sols = local_intersection_solve(f_jets, g_jets, b, field, supports)
+        sols = local_intersection_solve(f_jets, g_jets, b, ring, supports)
     except InformationLostError as exc:
         return exc
     if not sols:
-        return [], [("no torus solution", zero)]
+        return [], [("no torus solution", 0)]
     sols = sorted(sols, key=lambda t: (repr(t.x), repr(t.y)))
     return [(t.x, t.y) for t in sols], []
 
 
-def _meet(line, minors, field):
+def _meet(line, minors, ring):
     """The outcome of a local solve of two residual lines a0 + a1*y +
     a2*x, the first with the residues line {column: residue} and both
     with the masked minors (M0, M1, M2) of their 2 x 3 residue matrix
     (``line_minors``): their meet is (1 : y : x) = (M0 : -M1 : M2).
 
-    Symbolically it is the homogeneous point (X : Y : Z) = (-M2 : M1 :
-    -M0), whose Z is the "local det" condition and X and Y the torus
-    conditions, so a singular system, whose Z is zero, has no solution.
-    Over F_p it is the point (M2/M0, -M1/M0) when no minor vanishes and
-    "no torus solution" when some do.  When all three vanish the two
+    Symbolically (ring ``RPoly()``) it is the homogeneous point (X : Y :
+    Z) = (-M2 : M1 : -M0), whose Z is the "local det" condition and X and
+    Y the torus conditions, so a singular system, whose Z is zero, has
+    no solution.  Over a field F_p it is the point (M2/M0, -M1/M0) when
+    no minor vanishes and "no torus solution" when some do.  When all three vanish the two
     lines are one: a monomial, which has no torus zero, or a line whose
     torus zeros form a curve, so the system is not zero-dimensional."""
     m0, m1, m2 = minors
-    if field is None:
+    if not isinstance(ring, ResidualField):
         checks = [("local det", -m0), ("torus x", -m2), ("torus y", m1)]
         return [(-m2, m1, -m0)] if m0 and m1 and m2 else [], checks
     if m0 and m1 and m2:
-        return [(m2 / m0, -m1 / m0)], []
+        inv = ring.inv(m0)
+        return [(ring.mul(m2, inv), ring.mul(ring.neg(m1), inv))], []
     if m0 or m1 or m2 or len(line) == 1:
-        return [], [("no torus solution", field.zero)]
+        return [], [("no torus solution", 0)]
     return InformationLostError("residual eliminant vanishes; not zero-dimensional")
 
 
-def _line_meet(f_jets, g_jets, sol, b, field, zero, origin):
+def _line_meet(f_jets, g_jets, sol, b, ring, origin):
     """A line∩line step with principal input jets whose orders have the
     Cramer solution sol, read off its pseudodeterminants (M0, M1, M2)
     (``line_rows``, ``line_minors``) with the outputs of the resultant
@@ -766,17 +771,17 @@ def _line_meet(f_jets, g_jets, sol, b, field, zero, origin):
     all three minors are regular.
     """
     rows = line_rows(f_jets, g_jets, sol)
-    m0, m1, m2 = minors = line_minors(rows, zero)
+    m0, m1, m2 = minors = line_minors(rows, ring)
     cs = ConditionSet()
     for name, corners in (("x", (-m2, m0)), ("y", (-m1, -m0)), ("z", (-m2, m0))):
         for e, v in enumerate(corners):
             cs.add(v, f"{origin} R_{name} coeff {e}")
     reg = sol.regular
-    return cs, not any(minors), [(b, _meet(rows[0], minors, field))], reg[0] or (reg[1] and reg[2]), all(reg)
+    return cs, not any(minors), [(b, _meet(rows[0], minors, ring))], reg[0] or (reg[1] and reg[2]), all(reg)
 
 
-def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, zero, plans):
-    """Intersection step idx in zero's ring: its report and whether it
+def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, ring, plans):
+    """Intersection step idx in ``ring``: its report and whether it
     lifted; sets the jets of its points and adds its conditions to
     conds.  Two lines with
     principal jets are read off the Cramer solution that the realization
@@ -791,7 +796,7 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, zero,
     sol = r.cramer.get(idx)
     if sol is not None and all(j.is_principal for j in [*f_jets.values(), *g_jets.values()]):
         (b, _), = si.points
-        step_cs, undecidable, outcomes, fixed, always = _line_meet(f_jets, g_jets, sol, b, field, zero, origin)
+        step_cs, undecidable, outcomes, fixed, always = _line_meet(f_jets, g_jets, sol, b, ring, origin)
         notes = ["shear a=0"]
     else:
         plan = _step_plan(plans, idx, (f_jets, g_jets),
@@ -799,9 +804,9 @@ def _propagate_intersection_step(idx, s: Intersect, jets, conds, r, field, zero,
         # the local systems, one per distinct stable point, come before the
         # resultants, whose symbolic corner coefficients grow fast with the
         # degree, so that a step symbolic mode cannot solve stops at once
-        outcomes = [(b, _local_solve(f_jets, g_jets, b, field, zero, origin, plan.supports[b]))
+        outcomes = [(b, _local_solve(f_jets, g_jets, b, ring, origin, plan.supports[b]))
                     for b, _ in si.points]
-        step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, zero, origin=origin)
+        step_cs, undecidable = intersection_step_conditions(f_jets, g_jets, plan, ring, origin=origin)
         notes = [f"shear a={plan.shear}"] if plan.shear is not None else []
         fixed, always = plan.fixed, plan.always_compatible
     conds.merge(step_cs)
@@ -901,7 +906,7 @@ def lift_conditions(
     rep = LiftReport(
         field=field, steps=reports, condition_set=conds, verdict=verdict, seed=seed,
         trials=None if field is None else trials, successes=None if field is None else successes,
-        witness_jets=jets if ok else None,
+        witness_jets=None if not ok else jets if field is None else _as_elts(jets, field),
     )
     return classify_certificates(rep, c)
 
@@ -920,6 +925,17 @@ def _passes(c: Construction, r: TropRealization, field, seed, trials):
     plans = {}
     for draw in draws:
         yield _propagate(c, r, draw, field, plans)
+
+
+def _as_elts(jets, field: ResidualField):
+    """Node jets of a numeric pass with each principal residue wrapped
+    by ``ResidualField.elt``, for callers that compute without the
+    field."""
+    def elt(j):
+        return Jet.principal(j.order, field.elt(j.coeff)) if j.is_principal else j
+
+    return {n: tuple(map(elt, j)) if isinstance(j, tuple) else {pt: elt(x) for pt, x in j.items()}
+            for n, j in jets.items()}
 
 
 def _witness_json(jets):
@@ -1035,7 +1051,8 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
     from the linear residual relation, whose monomials ``_residue``
     evaluates at the point).  A curve-through-point lift draws the
     coefficients outside the argmax first, then all of the argmax but
-    its first point, which it solves for.
+    its first point, which it solves for.  The walk computes on ints mod
+    p and returns its jets wrapped by the field (``_as_elts``).
     """
     if not g.is_acyclic():
         raise ValueError("graph not acyclic")
@@ -1059,7 +1076,7 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
         for _ in range(LIFT_TRIES):
             # fix one coordinate, solve the other from the univariate trace
             xs = field.random_nonzero(rng)
-            trace = _fiber(h, xs, field.p)
+            trace = _fiber(h, xs, field)
             if len(trace) <= 1:
                 continue
             roots = [y for y, _ in dense_roots(trace, field) if y]
@@ -1081,8 +1098,9 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
             raise ValueError(f"point {q!r} is not on curve {b!r} tropically")
         coeffs = {pt: field.random_nonzero(rng) for pt in f.support.points if pt not in arg}
         coeffs.update((pt, field.random_nonzero(rng)) for pt in arg[1:])
-        acc = sum((coeffs[pt] * _residue(jets[q], pt, 0, field.elt(1)) for pt in arg[1:]), field.zero)
-        coeffs[arg[0]] = -acc / _residue(jets[q], arg[0], 0, field.elt(1))
+        acc = sum(coeffs[pt] * _residue(jets[q], pt, 0, 1) for pt in arg[1:])
+        lead = field.inv(field.reduce(_residue(jets[q], arg[0], 0, 1)))
+        coeffs[arg[0]] = field.mul(field.neg(acc), lead)
         if not coeffs[arg[0]]:
             raise ValueError("degenerate residual relation")
         jets[b] = {pt: Jet.principal(o, coeffs[pt]) for pt, o in f.coeff_map().items()}
@@ -1105,4 +1123,4 @@ def lift_acyclic(g: IncidenceStructure, realization: dict, field: ResidualField,
                     lift_curve_through_point(y, x)
                 seen.add(y)
                 queue.append(y)
-    return jets
+    return _as_elts(jets, field)

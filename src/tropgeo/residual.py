@@ -15,8 +15,14 @@ residue (``Jet.of``) and does no jet arithmetic, since every residual
 condition is a determinant of residues on a tight graph; the jet ring's
 operations are the semantics those determinants are tested against.
 
-Coefficients of jets are F_p scalars or ``RPoly``s; both support +, -,
-*, truth-testing for zero and exact equality.
+Coefficients of jets are numeric residues or ``RPoly``s.  A numeric
+residue is a plain int in [0, p), and its ``ResidualField`` owns its
+arithmetic: reduction, negation, products, inverses and the masked
+determinant and maximal minors; its truth value is the zero test.  An
+``RPoly`` carries its own +, -, * and exact equality.  ``FpElt`` wraps
+a residue with its prime only at the boundary, for callers that
+compute without the field: ``ResidualField.elt``, a numeric lift's
+witness jets and the jets of ``lift_acyclic``.
 
 A fixed multiplicative section of the valuation is assumed implicitly:
 t^u * t^v = t^(u+v) exactly, so jets multiply orders additively and
@@ -148,7 +154,9 @@ def _is_prime(n: int) -> bool:
 
 
 class ResidualField:
-    """F_p for a prime p, the field of numeric residues; symbolic mode has none."""
+    """F_p for a prime p, the field of numeric residues; symbolic mode has
+    none.  Its elements are plain ints in [0, p), and its methods are
+    their arithmetic; an int's truth value is its zero test."""
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -170,22 +178,61 @@ class ResidualField:
                 return ResidualField(p)
         raise ValueError(f"cannot parse field spec {spec!r}")
 
+    def reduce(self, x) -> int:
+        """The residue of an int or a Fraction, whose denominator p must
+        not divide."""
+        if isinstance(x, Fraction):
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return x % self.p
+
+    def neg(self, a) -> int:
+        return -a % self.p
+
+    def mul(self, a, b) -> int:
+        return a * b % self.p
+
+    def inv(self, a) -> int:
+        return pow(a, -1, self.p)
+
+    def det(self, rows) -> int:
+        """The determinant of the square matrix whose row r is rows[r] =
+        {column: int entry}, zero elsewhere: 1 and 2 rows in closed form,
+        more by elimination (``fp_det``)."""
+        p = self.p
+        if len(rows) == 1:
+            return rows[0].get(0, 0) % p
+        if len(rows) == 2:
+            (a0, a1), (b0, b1) = ((row.get(0, 0), row.get(1, 0)) for row in rows)
+            return (a0 * b1 - a1 * b0) % p
+        return fp_det([[row.get(c, 0) for c in range(len(rows))] for row in rows], p)
+
+    def minors(self, rows) -> list:
+        """The n+1 maximal minors of the n x (n+1) matrix whose row r is
+        rows[r] = {column: int entry}, zero elsewhere, minor k deleting
+        column k: 1 and 2 rows in closed form, more by one elimination
+        (``fp_minors``)."""
+        p = self.p
+        if len(rows) == 1:
+            get = rows[0].get
+            return [get(1, 0) % p, get(0, 0) % p]
+        if len(rows) == 2:
+            (a0, a1, a2), (b0, b1, b2) = ((row.get(0, 0), row.get(1, 0), row.get(2, 0)) for row in rows)
+            return [(a1 * b2 - a2 * b1) % p, (a0 * b2 - a2 * b0) % p, (a0 * b1 - a1 * b0) % p]
+        return fp_minors([[row.get(c, 0) for c in range(len(rows) + 1)] for row in rows], p)
+
     def elt(self, x):
+        """x, an int, a Fraction or an ``FpElt`` of this field, as an
+        ``FpElt``: a residue that carries its prime, for callers that
+        compute without the field."""
         if isinstance(x, FpElt):
             if x.p != self.p:
                 raise ValueError("mixed characteristics")
             return x
-        if isinstance(x, Fraction):
-            return FpElt(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        return FpElt(int(x), self.p)
+        return FpElt(self.reduce(x), self.p)
 
-    @property
-    def zero(self):
-        return self.elt(0)
-
-    def random_nonzero(self, rng: random.Random):
+    def random_nonzero(self, rng: random.Random) -> int:
         """A uniform element of F_p*."""
-        return FpElt(rng.randrange(1, self.p), self.p)
+        return rng.randrange(1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, ResidualField) and self.p == other.p
@@ -322,7 +369,17 @@ class RPoly:
     def __hash__(self):
         return hash(self.canonical())
 
-    def evaluate(self, assignment: dict):
+    def evaluate(self, assignment: dict, field: ResidualField | None = None):
+        """The value at assignment, {variable: value}: over Q, or, with a
+        field F_p, on int residues mod p, term by term."""
+        if field is not None:
+            p, acc = field.p, 0
+            for m, c in self.terms.items():
+                c = field.reduce(c)
+                for var, e in m:
+                    c = c * pow(assignment[var], e, p) % p
+                acc += c
+            return acc % p
         out = None
         for m, c in self.terms.items():
             v = c
@@ -599,6 +656,51 @@ def fp_det(a, p):
     return det % p
 
 
+def fp_minors(a, p):
+    """The n+1 maximal minors mod p of an n x (n+1) int matrix, minor k
+    deleting column k, from one elimination.
+
+    Row additions keep every minor and a swap negates them all, so the
+    echelon form has A's minors.  By Laplace expansion along a repeated
+    row, ((-1)^k M_k)_k lies in A's kernel.  If the pivots miss two
+    columns the rank is below n and every minor is 0; else the one free
+    column q gives M_q, the signed product of the pivots, and the kernel
+    vector v with v_q = 1 by back substitution, so M_k = (-1)^(k+q) M_q v_k.
+    """
+    a = [[x % p for x in row] for row in a]
+    n = len(a)
+    sign, pivots, free = 1, [], None
+    for c in range(n + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            if free is not None:
+                return [0] * (n + 1)
+            free = c
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        rowr = a[r]
+        inv = pow(rowr[c], -1, p)
+        for rowi in a[r + 1:]:
+            f = rowi[c] * inv % p
+            if f:
+                for j in range(c + 1, n + 1):
+                    rowi[j] = (rowi[j] - f * rowr[j]) % p
+        pivots.append(c)
+    mq = sign
+    for r, c in enumerate(pivots):
+        mq = mq * a[r][c] % p
+    v = [0] * (n + 1)
+    v[free] = 1
+    for r in range(n - 1, -1, -1):
+        c, row = pivots[r], a[r]
+        acc = sum(row[j] * v[j] for j in range(c + 1, n + 1))
+        v[c] = -acc * pow(row[c], -1, p) % p
+    return [(mq * v[k] if (k + free) % 2 == 0 else -mq * v[k]) % p for k in range(n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # univariate roots over F_p
 
@@ -690,9 +792,10 @@ def _fp_split(g, p):
 
 
 def dense_roots(coeffs, field: ResidualField):
-    """All roots in F_p, with multiplicities and sorted, of a polynomial
-    given as dense ints mod p, low degree first (``_fp_roots``)."""
-    return [(FpElt(r, field.p), m) for r, m in _fp_roots(coeffs, field.p)]
+    """All roots in F_p, ints with multiplicities and sorted, of a
+    polynomial given as dense ints mod p, low degree first
+    (``_fp_roots``)."""
+    return _fp_roots(coeffs, field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +810,8 @@ LIKELY_EMPTY = "likely-empty"
 
 @dataclass
 class Condition:
-    poly: object  # RPoly (symbolic) or a field scalar (numeric evaluation)
+    poly: object  # RPoly (symbolic) or a residue (numeric evaluation)
     origin: str
-
-    def is_zero(self):
-        return not self.poly
-
-    def is_unit(self):
-        if isinstance(self.poly, RPoly):
-            return bool(self.poly) and self.poly.is_constant()
-        return bool(self.poly)
-
-    def key(self):
-        return self.poly.canonical()
 
 
 @dataclass
@@ -732,20 +824,19 @@ class ConditionSet:
     _keys: set = dc_field(default_factory=set, init=False, repr=False, compare=False)
 
     def add(self, poly, origin: str):
-        """Add poly != 0, unless it is a nonzero constant or repeats a
-        stored condition; the first of equal conditions keeps its place
-        and origin.  A zero is always stored."""
-        cond = Condition(poly, origin)
-        if cond.is_zero():
+        """Add poly != 0, unless it is a nonzero constant, an ``RPoly`` or
+        a residue, or repeats a stored condition; the first of equal
+        conditions keeps its place and origin.  A zero is always stored."""
+        if not poly:
             self.empty_flag = PROVABLY_EMPTY
-            self.conditions.append(cond)
+            self.conditions.append(Condition(poly, origin))
             return
-        if cond.is_unit():
+        if not isinstance(poly, RPoly) or poly.is_constant():
             return  # nonzero constants carry no constraint
-        key = cond.key()
+        key = poly.canonical()
         if key not in self._keys:
             self._keys.add(key)
-            self.conditions.append(cond)
+            self.conditions.append(Condition(poly, origin))
 
     def merge(self, other: "ConditionSet"):
         """Add other's conditions; a zero one marks self provably empty."""
@@ -776,8 +867,9 @@ def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int)
     """Sample the condition variables uniformly in k* and look for a witness.
 
     Returns (verdict, witness) where witness is an assignment satisfying
-    every condition, or None.  Deterministic under the seed; by
-    Schwartz-Zippel the failure probability per trial is at most
+    every condition, its values ``FpElt``s, or None.  Each condition is
+    evaluated on ints mod p (``RPoly.evaluate``).  Deterministic under the seed;
+    by Schwartz-Zippel the failure probability per trial is at most
     (total degree)/|k*|.
     """
     if cs.provably_empty:
@@ -788,6 +880,6 @@ def density_test(cs: ConditionSet, field: ResidualField, trials: int, seed: int)
     for t in range(max(trials, 1)):
         rng = trial_rng(seed, t)
         sample = {v: field.random_nonzero(rng) for v in variables}
-        if all(c.poly.evaluate(sample) for c in cs.conditions):
-            return NONEMPTY_DENSE, sample
+        if all(c.poly.evaluate(sample, field) for c in cs.conditions):
+            return NONEMPTY_DENSE, {v: field.elt(x) for v, x in sample.items()}
     return LIKELY_EMPTY, None

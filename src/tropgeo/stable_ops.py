@@ -60,8 +60,9 @@ regular minor's pseudodeterminant is a monomial), a line∩line step's
 (fixed when M0, or M1 and M2, are regular, always compatible when all
 three are), another intersection plan's ``fixed`` and
 ``always_compatible``, read from the monomial flags.  The evaluators
-take the plan and the zero of the ring that the lift names for its
-pass, so that every condition lies in that one ring (a constant
+take the plan and the ring that the lift names for its pass, the
+``ResidualField`` F_p, whose residues are ints in [0, p), or the zero of
+``RPoly``, so that every condition lies in that one ring (a constant
 monomial's residue is its one, and a vanishing condition its zero), and
 read the residues, returning only what the residues decide: ``curve_step_jets`` the coefficient jets, the minors'
 conditions and whether all of them vanish, ``line_minors`` the three
@@ -82,6 +83,7 @@ are the roots of their gcd.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -349,9 +351,22 @@ def _residue(pj, i, deg, one):
     return one if out is None else out
 
 
-def curve_step_jets(I: Support, pt_jets, plan, zero, origin="curve"):
+def _ring_ops(ring):
+    """(zero, one, reduce, negate) of ``ring``: F_p's ints and its
+    arithmetic for a ``ResidualField``, else the ring whose zero ring is,
+    whose values need no reduction."""
+    if isinstance(ring, ResidualField):
+        return 0, 1, ring.reduce, ring.neg
+    return ring, ring + 1, _same, operator.neg
+
+
+def _same(v):
+    return v
+
+
+def curve_step_jets(I: Support, pt_jets, plan, ring, origin="curve"):
     """Stable curve through points given by their jets, whose orders have
-    the Cramer solution plan (``_solve_curve``), in zero's ring:
+    the Cramer solution plan (``_solve_curve``), in ``ring``:
     (coefficient jets, conditions, undecidable).  Point jets are (jet_x,
     jet_y), or homogeneous (jet_X, jet_Y, jet_Z) with Z of order 0, whose
     row of monomials is homogenized to the support's largest degree
@@ -368,14 +383,14 @@ def curve_step_jets(I: Support, pt_jets, plan, zero, origin="curve"):
     vanishes.
     """
     deg = max(i + j for i, j in I.points)
-    one = zero + 1
-    rows = [{c: v for c in cs if (v := _residue(pj, I.points[c], deg, one)) is not None}
+    _zero, one, reduce, neg = _ring_ops(ring)
+    rows = [{c: reduce(v) for c in cs if (v := _residue(pj, I.points[c], deg, one)) is not None}
             for pj, cs in zip(pt_jets, plan.tight)]
     conds = ConditionSet()
     coeff_jets = {}
-    for k, (i, det) in enumerate(zip(I.points, masked_minors(rows, zero))):
-        coeff_jets[i] = Jet.of(plan.values[k], det if k % 2 == 0 else -det)
-        conds.add(det if det else zero, f"{origin} minor {i}")
+    for k, (i, det) in enumerate(zip(I.points, masked_minors(rows, ring))):
+        coeff_jets[i] = Jet.of(plan.values[k], det if k % 2 == 0 else neg(det))
+        conds.add(det, f"{origin} minor {i}")
     return coeff_jets, conds, not any(j.is_principal for j in coeff_jets.values())
 
 
@@ -402,14 +417,14 @@ def local_line_rows(f_jets: dict, g_jets: dict, supports):
     return rows
 
 
-def line_minors(rows, zero):
+def line_minors(rows, ring):
     """The masked minors (M0, M1, M2) of the 2 x 3 residue matrix rows of
-    two residual lines a0 + a1*y + a2*x in zero's ring, Mk deleting
+    two residual lines a0 + a1*y + a2*x in ``ring``, Mk deleting
     column k: their resultant in y is R_x = -M2 + M0*x, in x it is
     R_y = -M1 - M0*y, and their common zero is (1 : y : x) =
     (M0 : -M1 : M2).  On a Cramer solution's tight graph (``line_rows``)
     they are its pseudodeterminants."""
-    return masked_minors(rows, zero)
+    return masked_minors(rows, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +522,11 @@ def _resultant_corners(f_jets: dict, g_jets: dict, roots) -> list:
     return [(e, Fraction(h, d), tight, picks) for e, h, tight, picks in out]
 
 
-def _corner_coeff(picks, coeffs, zero):
-    """The coefficient of a resultant corner: the determinant, on its
-    tight graph, of the coefficients coeffs = (f's, g's) that its picks
-    name."""
-    return masked_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], zero)
+def _corner_coeff(picks, coeffs, ring):
+    """The coefficient of a resultant corner in ``ring``: the determinant,
+    on its tight graph, of the coefficients coeffs = (f's, g's) that its
+    picks name."""
+    return masked_det([{c: coeffs[k][i] for c, (k, i) in row.items()} for row in picks], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +657,17 @@ def intersection_step_plan(f_jets: dict, g_jets: dict, points) -> IntersectionPl
     return IntersectionPlan(families=families, shear=shear, supports=supports)
 
 
-def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, zero, origin="intersect"):
+def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, ring, origin="intersect"):
     """Residual conditions for the compatibility of the stable and the
     algebraic intersection, whose ``intersection_step_plan`` is plan, in
-    zero's ring: (conditions, undecidable).  The principal coefficients
+    ``ring``: (conditions, undecidable).  The principal coefficients
     at the Newton-segment vertices of the three resultants R_x, R_y, R_z
     must not vanish; only these corner coefficients are computed from
     the residues, once per distinct family.  The step is undecidable when an
     input jet is degenerate or every vertex condition vanishes."""
     cs = ConditionSet()
     if plan.families is None:
-        cs.add(zero, f"{origin} degenerate input jets")
+        cs.add(_ring_ops(ring)[0], f"{origin} degenerate input jets")
         return cs, True
 
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
@@ -661,7 +676,7 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, zero, origin=
     for name, fam in plan.families.items():
         if id(fam) not in values:
             view = _family_view(name, coeffs, plan.shear)
-            values[id(fam)] = [_corner_coeff(picks, view, zero) for picks in fam.picks]
+            values[id(fam)] = [_corner_coeff(picks, view, ring) for picks in fam.picks]
         for e, val in zip(fam.vertex_indices, values[id(fam)]):
             cs.add(val, f"{origin} R_{name} coeff {e}")
             undecidable = undecidable and not val
@@ -674,9 +689,9 @@ def intersection_step_conditions(f_jets: dict, g_jets: dict, plan, zero, origin=
 
 @dataclass
 class LocalSolution:
-    x: object
-    y: object
-    multiplicity: object
+    x: int  # a residue in F_p*
+    y: int
+    multiplicity: Fraction
 
 
 def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField, supports=None):
@@ -715,7 +730,7 @@ def local_intersection_solve(f_jets: dict, g_jets: dict, b, field: ResidualField
     for x0, mx in dense_roots(res, field):
         if not x0:
             continue  # outside the torus
-        ys = _common_y_roots(_fiber(f, x0, field.p), _fiber(g, x0, field.p), field)
+        ys = _common_y_roots(_fiber(f, x0, field), _fiber(g, x0, field), field)
         ys = [(y0, my) for y0, my in ys if y0]
         tot = sum(my for _, my in ys)
         out += [LocalSolution(x=x0, y=y0, multiplicity=Fraction(mx * my, tot)) for y0, my in ys]
@@ -728,16 +743,16 @@ def _dense_in_y(terms: dict, field):
     (``_by_y``)."""
     if any(isinstance(c, RPoly) for c in terms.values()):
         raise ValueError("numeric local solve needs scalar coefficients")
-    nonzero = {ij: v for ij, c in terms.items() if (v := field.elt(c).v)}
+    nonzero = {ij: v for ij, c in terms.items() if (v := field.reduce(c))}
     return {j: [row.get(i, 0) for i in range(max(row) + 1)] for j, row in _by_y(nonzero).items()}
 
 
-def _fiber(h: dict, x0, p):
+def _fiber(h: dict, x0, field):
     """h(x0, y) mod p as a dense list over y: each y-column evaluated at
-    the F_p element x0 by Horner."""
+    the residue x0 by Horner."""
     out = [0] * (max(h) + 1)
     for j, col in h.items():
-        out[j] = _fp_eval(col, x0.v, p)
+        out[j] = _fp_eval(col, x0, field.p)
     return _dense_trim(out, None)
 
 

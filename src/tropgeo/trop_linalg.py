@@ -22,9 +22,10 @@ diagonal sum.  The key computational facts used here:
   ``CramerSolution`` runs only when its flags are first read;
 * the 2 x 3 systems, every line through two points and every meet of
   two lines, skip the assignment: each of the three minors is the
-  larger of two sums, and the sums attaining them make up the same
-  common tight graph (``cramer_stable``).  The assignment path stays
-  for every other size and is the tests' reference for this one;
+  larger of two sums, the sums attaining them make up the same common
+  tight graph, and a minor is regular exactly when its two sums differ
+  (``cramer_stable``).  The assignment path and the peel stay for every
+  other size and are the tests' reference for this one;
 * the pseudodeterminant of a same-shape matrix B over any commutative
   ring (the signed sum of diagonal products of B over exactly the
   optimal permutations) equals the ordinary determinant of B with all
@@ -32,22 +33,22 @@ diagonal sum.  The key computational facts used here:
   common tight graph.  ``masked_det`` and ``masked_minors`` are the
   package's one determinant on a tight graph, given as rows
   {column: entry}: pseudodeterminants, Cramer minors of a curve step
-  and resultant corner coefficients all call them with the zero of the
-  caller's ring, which alone picks the method.  When that zero lies in
-  F_p, ``masked_det`` is Gaussian elimination on ints
-  (``residual.fp_det``); over any other ring it is the memoized masked
-  Laplace expansion, which ``masked_minors`` shares among all n+1
-  minors.
+  and resultant corner coefficients all call them with the caller's
+  ring, which alone picks the method.  A ``ResidualField`` F_p, whose
+  entries are ints, computes them itself, in closed form for 1 and 2
+  rows and by one elimination on ints for more
+  (``ResidualField.det``, ``ResidualField.minors``); any other ring is
+  named by its zero and expanded by the memoized masked Laplace
+  expansion, which ``masked_minors`` shares among all n+1 minors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 
 from .trop_core import frac, scaled_ints
-from .residual import FpElt, fp_det
+from .residual import ResidualField
 
 # trop_det enumerates every optimal permutation, up to n! of them
 DET_BOUND = 12
@@ -240,25 +241,27 @@ def _laplace(rows, zero):
     return det
 
 
-def masked_det(rows, zero):
+def masked_det(rows, ring):
     """Determinant of the square matrix whose row r is rows[r] =
-    {column: entry}, empty elsewhere; ``zero`` is the ring's additive
-    identity, and the value when a row has no entry.  Over F_p (zero an
-    ``FpElt``) the entries are eliminated on ints, over any other ring
-    expanded."""
+    {column: entry}, empty elsewhere.  ``ring`` is a ``ResidualField``,
+    whose entries are ints in [0, p) and which computes the determinant
+    itself, or the zero of any other commutative ring, the value when a
+    row has no entry, which expands it."""
+    if isinstance(ring, ResidualField):
+        return ring.det(rows)
     if not all(rows):
-        return zero
-    if isinstance(zero, FpElt):
-        p = zero.p
-        return FpElt(fp_det([[row[c].v if c in row else 0 for c in range(len(rows))] for row in rows], p), p)
-    return _laplace(rows, zero)((1 << len(rows)) - 1)
+        return ring
+    return _laplace(rows, ring)((1 << len(rows)) - 1)
 
 
-def masked_minors(rows, zero):
+def masked_minors(rows, ring):
     """The n+1 maximal minors of the n x (n+1) matrix with rows rows[r] =
-    {column: entry}, minor k deleting column k, from one shared
-    expansion memo."""
-    det = _laplace(rows, zero)
+    {column: entry}, minor k deleting column k, in ``ring`` as for
+    ``masked_det``: a ``ResidualField`` computes them itself, any other
+    ring from one shared expansion memo."""
+    if isinstance(ring, ResidualField):
+        return ring.minors(rows)
+    det = _laplace(rows, ring)
     full = (1 << (len(rows) + 1)) - 1
     return [det(full ^ (1 << k)) for k in range(len(rows) + 1)]
 
@@ -285,13 +288,17 @@ class CramerSolution:
 
     values: tuple
     tight: tuple
+    _regular: tuple | None = dc_field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @property
     def regular(self):
-        """Whether each minor has one optimal permutation: one
-        ``_matching_unique`` peel per deleted column, run on first read."""
-        return tuple(_matching_unique([cs - {k} for cs in self.tight])
-                     for k in range(len(self.tight) + 1))
+        """Whether each minor has one optimal permutation: given by the
+        2 x 3 closed form, else one ``_matching_unique`` peel per deleted
+        column, run on first read."""
+        if self._regular is None:
+            self._regular = tuple(_matching_unique([cs - {k} for cs in self.tight])
+                                  for k in range(len(self.tight) + 1))
+        return self._regular
 
 
 def cramer_stable(a_rows) -> CramerSolution:
@@ -326,21 +333,23 @@ def _cramer(w, d) -> CramerSolution:
     w, left unchanged, and an int d > 0.  For n = 2 each minor k is a
     max of two sums, s over the matching (0, i), (1, j) of its other
     columns i < j and t over (0, j), (1, i); its optimal matchings are
-    the sums attaining it, and the tight graph is their union."""
+    the sums attaining it, so it is regular exactly when s != t, and the
+    tight graph is their union."""
     if len(w) != 2:
         return _cramer_assignment(w, d)
     w0, w1 = w
-    values, tight = [], (set(), set())
+    values, regular, tight = [], [], (set(), set())
     for i, j in ((1, 2), (0, 2), (0, 1)):
         s, t = w0[i] + w1[j], w0[j] + w1[i]
         values.append(Fraction(max(s, t), d))
+        regular.append(s != t)
         if s >= t:
             tight[0].add(i)
             tight[1].add(j)
         if t >= s:
             tight[0].add(j)
             tight[1].add(i)
-    return CramerSolution(values=tuple(values), tight=tight)
+    return CramerSolution(values=tuple(values), tight=tight, _regular=tuple(regular))
 
 
 def _cramer_assignment(w, d) -> CramerSolution:

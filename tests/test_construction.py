@@ -318,35 +318,55 @@ def test_lift_does_no_jet_arithmetic(monkeypatch):
     assert symbolic >= 5, symbolic
 
 
+def _conics_and_a_line():
+    """Two conics through five of six input points each and the line
+    through the two points they share with no other: curve steps whose
+    rows hold products of residues."""
+    pts = [f"p{k}" for k in range(6)]
+    return Construction(input_points=pts, steps=[
+        CurveThrough(name="Q", support=Support.named("conic"), through=pts[:5]),
+        CurveThrough(name="m", support=LINE, through=pts[4:]),
+        CurveThrough(name="R", support=Support.named("conic"), through=pts[1:])])
+
+
 def test_numeric_lifts_compute_every_determinant_in_their_field(monkeypatch):
-    # a numeric pass names its ring, F_p, once: every entry and the zero of
-    # every masked determinant and expansion lie in that field, even where
-    # a point jet is degenerate and a constant monomial's residue is one
+    # a numeric pass names its ring, F_p, once: every entry of every
+    # masked determinant and minor is an int in [0, p) of that field, even
+    # where a point jet is degenerate and a constant monomial's residue is
+    # one, or a product of residues, so no Q value mixes into F_p, and
+    # none reaches the Laplace expansion
     from collections import Counter
 
     from tropgeo import stable_ops, trop_linalg
-    from tropgeo.residual import FpElt
+    from tropgeo.theorems import sample_inputs
 
     checked, mixed = Counter(), Counter()
     current = []
 
     def in_field(fn):
-        def wrapped(rows, zero):
-            entries = [zero, *(e for row in rows for e in row.values())]
+        def wrapped(rows, ring):
+            entries = [e for row in rows for e in row.values()]
             checked[current[-1]] += 1
-            mixed[current[-1]] += not all(type(e) is FpElt and e.p == F10007.p for e in entries)
-            return fn(rows, zero)
+            mixed[current[-1]] += not (ring == F10007 and all(type(e) is int and 0 <= e < F10007.p
+                                                              for e in entries))
+            return fn(rows, ring)
         return wrapped
 
-    monkeypatch.setattr(trop_linalg, "_laplace", in_field(trop_linalg._laplace))
+    expanded = []
+    monkeypatch.setattr(trop_linalg, "_laplace", lambda rows, zero: expanded.append(rows))
     monkeypatch.setattr(stable_ops, "masked_det", in_field(trop_linalg.masked_det))
+    monkeypatch.setattr(stable_ops, "masked_minors", in_field(trop_linalg.masked_minors))
     for path in sorted((resources.files("tropgeo") / "catalog").iterdir()):
         current.append(path.stem)
         for seed in range(6):
             with redirect_stdout(io.StringIO()):
                 main(["certify", str(path), "--trials", "8", "--seed", str(seed)])
-    assert len(checked) == 9 and min(checked.values()) >= 50, checked
-    assert sum(mixed.values()) == 0, mixed
+    current.append("conics")
+    c = _conics_and_a_line()
+    for seed in range(6):
+        lift_conditions(c, realize(c, sample_inputs(c, random.Random(seed))), F10007, seed=seed, trials=8)
+    assert len(checked) == 10 and min(checked.values()) >= 50, checked
+    assert sum(mixed.values()) == 0 and expanded == [], (mixed, expanded)
 
 
 def test_four_lines_always_share_a_ray_direction():
@@ -495,11 +515,11 @@ def test_local_solve_of_conics_with_a_common_factor_loses_information():
     from tropgeo.stable_ops import point_supports
 
     conic = Support.named("conic")
-    f, g = ({pt: Jet.principal(0 if pt in terms else -1, F10007.elt(terms.get(pt, 1))) for pt in conic.points}
+    f, g = ({pt: Jet.principal(0 if pt in terms else -1, F10007.reduce(terms.get(pt, 1))) for pt in conic.points}
             for terms in ({(2, 0): 1, (1, 0): 1, (0, 1): -1, (0, 2): -1},
                           {(2, 0): 1, (1, 1): 1, (1, 0): 3, (0, 1): -3, (0, 2): -2}))
     b = (F(0), F(0))
-    out = construction._local_solve(f, g, b, F10007, F10007.zero, "t", point_supports(f, g, b))
+    out = construction._local_solve(f, g, b, F10007, "t", point_supports(f, g, b))
     assert isinstance(out, InformationLostError)
     assert str(out) == "residual eliminant vanishes; not zero-dimensional"
 
@@ -896,10 +916,10 @@ def test_principal_line_pairs_run_no_resultant_and_no_local_solve(monkeypatch, n
         monkeypatch.setattr(mod, fn, counted)
     step = construction._propagate_intersection_step
 
-    def tracked(idx, s, jets, conds, r, field, zero, plans):
+    def tracked(idx, s, jets, conds, r, ring, plans):
         lines.append(all(r.values[n].support == LINE for n in s.curves)
                      and all(j.is_principal for n in s.curves for j in jets[n].values()))
-        return step(idx, s, jets, conds, r, field, zero, plans)
+        return step(idx, s, jets, conds, r, ring, plans)
 
     monkeypatch.setattr(construction, "_propagate_intersection_step", tracked)
     kw = {"field": F10007, "seed": 0, "trials": 8} if mode == "numeric" else {}
@@ -926,8 +946,8 @@ def _linear_local_solves(monkeypatch):
     met = []
     local_solve = construction._local_solve
 
-    def recorded(f_jets, g_jets, b, field, zero, origin, supports):
-        out = local_solve(f_jets, g_jets, b, field, zero, origin, supports)
+    def recorded(f_jets, g_jets, b, ring, origin, supports):
+        out = local_solve(f_jets, g_jets, b, ring, origin, supports)
         if not isinstance(supports, Exception) and stable_ops.local_line_rows(f_jets, g_jets, supports):
             met.append((f_jets, g_jets, b, supports, out))
         return out
@@ -1035,9 +1055,9 @@ def test_numeric_linear_local_systems_build_no_eliminant(monkeypatch):
     counts = Counter()
     local_solve = construction._local_solve
 
-    def counted(f_jets, g_jets, b, field, zero, origin, supports):
+    def counted(f_jets, g_jets, b, ring, origin, supports):
         before = len(dets)
-        out = local_solve(f_jets, g_jets, b, field, zero, origin, supports)
+        out = local_solve(f_jets, g_jets, b, ring, origin, supports)
         if not isinstance(supports, Exception):
             linear = stable_ops.local_line_rows(f_jets, g_jets, supports) is not None
             counts["linear" if linear else "nonlinear"] += 1
@@ -1082,25 +1102,29 @@ def test_realize_of_lines_runs_no_product_subdivision_and_no_peel(monkeypatch):
     assert counts == {}
 
 
-@pytest.mark.parametrize("name", ["pappus", "fano", "weak_pascal", "chain"])
+@pytest.mark.parametrize("name", ["pappus", "fano", "weak_pascal", "chain", "conics"])
 def test_lift_peels_each_curve_step_once_per_solution(monkeypatch, name):
     # the lift reads the regular flags of each curve step and of each
-    # line∩line step with principal input jets in every trial; they are
-    # computed on first read, one peel per deleted column
+    # line∩line step with principal input jets in every trial; a 2 x 3
+    # Cramer solution, a line's or a line pair's, has them from its closed
+    # form, and every other one computes them on first read, one peel per
+    # deleted column
     from tropgeo.theorems import sample_inputs
 
     if name == "chain":
         c, r = _line_chain(33, random.Random(5))
+    elif name == "conics":
+        c = _conics_and_a_line()
+        r = realize(c, sample_inputs(c, random.Random(1)))
     else:
         c = catalog()[name].hypothesis
         r = realize(c, sample_inputs(c, random.Random(1)))
     counts = _count_peels_and_facets(monkeypatch)
     rep = lift_conditions(c, r, field=F10007, seed=0, trials=16)
     assert rep.successes > 1
-    curve_steps = [s for s in c.steps if isinstance(s, CurveThrough)]
-    line_pairs = [s for s in c.steps if isinstance(s, Intersect)
-                  and all(r.values[n].support == LINE for n in s.curves)]
-    assert counts == {"_matching_unique": sum(s.support.delta() for s in curve_steps) + 3 * len(line_pairs)}
+    peeled = sum(s.support.delta() for s in c.steps if isinstance(s, CurveThrough) and s.support != LINE)
+    assert counts == ({"_matching_unique": peeled} if peeled else {})
+    assert peeled == (12 if name == "conics" else 0)
 
 
 def test_thesis_curves_make_no_peel(monkeypatch):
@@ -1137,7 +1161,7 @@ def _assert_lifted(g, real, jets):
         terms = residual_terms(jets[blk], real[pt])
         px, py = jets[pt]
         val = sum((c * px.coeff**i * py.coeff**j for (i, j), c in terms.items()),
-                  F10007.zero)
+                  F10007.elt(0))
         assert not val
 
 

@@ -32,6 +32,7 @@ changed.
 
 import hashlib
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -238,3 +239,39 @@ def test_reports_print_stable_points_as_realize_does(command, mode):
             with redirect_stdout(out), redirect_stderr(err):
                 main([command, str(path), "--mode", mode, "--trials", "4", "--seed", seed, "--json", "-"])
             assert "Fraction(" not in out.getvalue() + err.getvalue(), (path.name, seed)
+
+
+# one degree(d) curve through the (d + 1)(d + 2)/2 - 1 input points that
+# sample_inputs draws at seed 0: their small-integer coordinates make the
+# tight graph of the curve step dense.  The degree(6) digest was recorded
+# before the F_p minors moved from the memoized Laplace expansion, which
+# took 5.7 s here and did not finish in 200 s at degree 7, onto one
+# elimination
+DENSE_CURVES = [
+    (6, "1bdfabf98c3f010f5d92a33a4a05964b3ae327a1aa71bc98f1017cda4692b2ed"),
+    (7, "91fe340a3e738a652cf1f5258792da07c3701db8d1d02ab27965344b70deb157"),
+]
+
+
+@pytest.mark.parametrize("degree,digest", DENSE_CURVES, ids=[f"degree({d})" for d, _ in DENSE_CURVES])
+def test_dense_curve_step_reports_are_unchanged(tmp_path, degree, digest):
+    from tropgeo.construction import lift_conditions, realize, verify_witness
+    from tropgeo.dsl import parse, to_construction
+    from tropgeo.residual import DEFAULT_FIELD
+    from tropgeo.theorems import sample_inputs
+
+    names = [f"p{k}" for k in range((degree + 1) * (degree + 2) // 2 - 1)]
+    text = "".join(f"input point {q}\n" for q in names)
+    text += f"curve c = through {' '.join(names)} support degree({degree})\n"
+    path = tmp_path / f"degree{degree}.tgc"
+    path.write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["certify", str(path), "--trials", "2", "--seed", "0", "--json", "-"])
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    # the witness curve passes through every lifted point
+    c = to_construction(parse(text))
+    r = realize(c, sample_inputs(c, random.Random(0)))
+    rep = lift_conditions(c, r, DEFAULT_FIELD, seed=0, trials=2)
+    assert rep.witness_jets is not None and verify_witness(c, r, rep.witness_jets) == []

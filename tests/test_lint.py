@@ -3,7 +3,8 @@ no module-level import goes unused, every module-level definition and
 every method is reached from the command line, the catalog, the
 package's re-exports or the benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
-but the prime field's element divides; no function rebinds a module
+but the prime field's element divides, and no module but ``residual``
+names that element; no function rebinds a module
 global; the library reads no environment variable; and every ``name``
 quoted in a docstring still names something."""
 
@@ -227,6 +228,13 @@ def test_only_the_prime_field_divides():
                 and any(isinstance(d, ast.FunctionDef) and d.name in ("__truediv__", "__rtruediv__")
                         for d in node.body)]
     assert dividers == ["residual.FpElt"], dividers
+
+
+def test_only_the_residual_module_names_the_field_element():
+    # a numeric residue is a plain int under its ResidualField, which
+    # owns its arithmetic; the element class that carries its prime
+    # lives at residual.py's boundary alone
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "FpElt" in path.read_text()] == ["residual"]
 
 
 def test_no_global_statements():

@@ -4,17 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropgeo.residual import FpElt, Jet, ResidualField, RPoly
+from tropgeo.residual import Jet, ResidualField, RPoly
 from tropgeo.stable_ops import curve_step_jets
 from tropgeo.trop_linalg import (
     _cramer,
     _cramer_assignment,
     _hungarian_max,
     _laplace,
+    _matching_unique,
     _scaled,
     cramer_conditions,
     cramer_stable,
     masked_det,
+    masked_minors,
     pseudodet,
     trop_det,
 )
@@ -198,24 +200,76 @@ def test_pseudodet_matches_signed_enumeration():
         assert pseudodet(a, b) == expected
 
 
+def _as_elts(rows, field):
+    """Int rows as ``FpElt`` rows, on which the Laplace expansion computes mod p."""
+    return [{c: field.elt(e) for c, e in row.items()} for row in rows]
+
+
 def test_masked_det_elimination_matches_laplace():
-    # over F_p masked_det eliminates on ints; the masked Laplace
-    # expansion of the same rows is its oracle, on 320 sparse graphs
-    # with empty rows, and on all-empty ones, whose determinant is zero
+    # over F_p masked_det computes on ints, and returns an int in [0, p);
+    # the masked Laplace expansion of the same rows as FpElts is its
+    # oracle, on 320 sparse graphs with empty rows, and on all-empty ones,
+    # whose determinant is zero
     rng = random.Random(2005)
     for p in (7, 10007):
         field = ResidualField(p)
         for n in range(1, 9):
             for _ in range(20):
                 density = rng.choice([0.2, 0.4, 0.7, 1.0])
-                rows = [{c: field.elt(rng.randrange(p)) for c in range(n) if rng.random() < density}
+                rows = [{c: rng.randrange(p) for c in range(n) if rng.random() < density}
                         for _ in range(n)]
                 if rng.random() < 0.1:
                     rows[rng.randrange(n)] = {}
-                got = masked_det(rows, field.zero)
-                assert isinstance(got, FpElt) and got == _laplace(rows, field.zero)((1 << n) - 1), rows
+                got = masked_det(rows, field)
+                want = _laplace(_as_elts(rows, field), field.elt(0))((1 << n) - 1)
+                assert type(got) is int and 0 <= got < p and field.elt(got) == want, rows
             empty = [{} for _ in range(n)]
-            assert masked_det(empty, field.zero) == field.zero == _laplace(empty, field.zero)((1 << n) - 1)
+            assert masked_det(empty, field) == 0 == _laplace(empty, field.elt(0))((1 << n) - 1)
+
+
+def test_fp_minors_and_det_match_laplace():
+    # F_p's minors, the closed forms at 1 and 2 rows and one elimination
+    # for all n+1 minors beyond, and its determinants against the Laplace
+    # expansion over FpElts, on seeded rows with n <= 6 at several
+    # densities; over F_2 and F_3, and with a repeated or a zero row,
+    # many systems have rank below n and some miss two pivot columns
+    rng = random.Random(39)
+    ranks = set()
+    for p in (2, 3, 7, 10007):
+        field = ResidualField(p)
+        for n in range(1, 7):
+            for _ in range(60):
+                density = rng.choice([0.2, 0.5, 0.8, 1.0])
+                rows = [{c: rng.randrange(p) for c in range(n + 1) if rng.random() < density}
+                        for _ in range(n)]
+                if n > 1 and rng.random() < 0.15:
+                    rows[rng.randrange(n)] = dict(rows[rng.randrange(n)])
+                elts = _as_elts(rows, field)
+                got = masked_minors(rows, field)
+                det = _laplace(elts, field.elt(0))
+                full = (1 << (n + 1)) - 1
+                want = [det(full ^ (1 << k)) for k in range(n + 1)]
+                assert all(type(m) is int and 0 <= m < p for m in got), rows
+                assert [field.elt(m) for m in got] == want, (p, rows)
+                ranks.add(any(got))
+                square = [{c: e for c, e in row.items() if c < n} for row in rows]
+                assert field.elt(masked_det(square, field)) == _laplace(
+                    _as_elts(square, field), field.elt(0))((1 << n) - 1), (p, square)
+    assert ranks == {True, False}
+
+
+def test_closed_form_regular_flags_match_the_peel():
+    # every int 2 x 3 matrix with entries in -1..2: the closed form reads
+    # minor k regular exactly when its two diagonal sums differ, as the
+    # peel of the common tight graph without column k, the assignment
+    # path's peel and a count of the optimal permutations all say
+    for flat in itertools.product(range(-1, 3), repeat=6):
+        w = [list(flat[:3]), list(flat[3:])]
+        sol = _cramer(w, 1)
+        peeled = tuple(_matching_unique([cs - {k} for cs in sol.tight]) for k in range(3))
+        counted = tuple(len(trop_det([[row[c] for c in range(3) if c != k] for row in w]).optimal_perms) == 1
+                        for k in range(3))
+        assert sol.regular == peeled == counted == _cramer_assignment(w, 1).regular, w
 
 
 def test_cramer_conditions_all_ones():
