@@ -221,13 +221,8 @@ class ResidualField:
         return fp_minors([[row.get(c, 0) for c in range(len(rows) + 1)] for row in rows], p)
 
     def elt(self, x):
-        """x, an int, a Fraction or an ``FpElt`` of this field, as an
-        ``FpElt``: a residue that carries its prime, for callers that
-        compute without the field."""
-        if isinstance(x, FpElt):
-            if x.p != self.p:
-                raise ValueError("mixed characteristics")
-            return x
+        """The residue of an int or a Fraction as an ``FpElt``, which
+        carries its prime, for callers that compute without the field."""
         return FpElt(self.reduce(x), self.p)
 
     def random_nonzero(self, rng: random.Random) -> int:
