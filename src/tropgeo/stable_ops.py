@@ -40,8 +40,9 @@ Sylvester dimension is bounded.
 Each residual step splits into a residue-free plan and an evaluator.  A
 curve step's plan is the Cramer solution of its realization, which
 ``_solve_curve`` returns beside the curve: a point jet's order is its
-realized coordinate, and the solution computes its regular flags when
-the lift first reads them.  So is a line∩line step's, when both input
+realized coordinate, and the solution has its regular flags from the
+2 x 3 closed form (a line's) or computes them when the lift first
+reads them.  So is a line∩line step's, when both input
 jets are principal: the Cramer solution of the 2 x 3 coefficient
 matrix that ``_intersect`` returns beside the stable point.  Every
 other intersection step's plan reads the orders and kinds of its input
