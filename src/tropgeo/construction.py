@@ -766,7 +766,7 @@ def _line_meet(f_jets, g_jets, sol, b, ring, origin):
     fixed, always compatible).
 
     R_x has the corners -M2 and M0, R_y has -M1 and -M0, and R_z is R_x
-    at shear 0.  The step is fixed when both families have a monomial
+    at shear 0.  The step is fixed when both families have a regular
     corner (M0 regular, or M1 and M2 regular) and always compatible when
     all three minors are regular.
     """

@@ -47,20 +47,20 @@ jets are principal: the Cramer solution of the 2 x 3 coefficient
 matrix that ``_intersect`` returns beside the stable point.  Every
 other intersection step's plan reads the orders and kinds of its input
 jets and its stable points: the resultant corners,
-their tight graphs, the monomial flags of their conditions, the shear
+their tight graphs, whether each corner is regular, the shear
 of R_z (the least a >= 0 for which x - a*y is injective on the stable
 points) and the argmax supports of the two residual polynomials at each
 stable point (``intersection_step_plan``).  At shear 0 R_z is R_x, so
 the plan lists R_x's family again as R_z, and the evaluator computes
-each distinct family's corners once.  A corner's monomial flag is
-counted over the perfect matchings of its tight graph: its condition is
-a monomial when exactly one product of input coefficients keeps a
-nonzero signed count (``_monomial_flag``).  The plan alone says whether
-a step is fixed or always compatible: a curve step's regular flags (a
-regular minor's pseudodeterminant is a monomial), a line∩line step's
-(fixed when M0, or M1 and M2, are regular, always compatible when all
-three are), another intersection plan's ``fixed`` and
-``always_compatible``, read from the monomial flags.  The evaluators
+each distinct family's corners once.  One regularity test serves every
+condition: it is regular when its tight graph has exactly one perfect
+matching (``_matching_unique``, a linear-time peel), and then it is
+plus or minus one product of nonzero residues, which vanishes over no
+field.  The plan alone says whether a step is fixed or always compatible: a curve
+step's regular flags, a line∩line step's (fixed when M0, or M1 and M2,
+are regular, always compatible when all three are), another
+intersection plan's ``fixed`` and ``always_compatible``, read from its
+corners' regular flags at every Sylvester dimension.  The evaluators
 take the plan and the ring that the lift names for its pass, the
 ``ResidualField`` F_p, whose residues are ints in [0, p), or the zero of
 ``RPoly``, so that every condition lies in that one ring (a constant
@@ -101,7 +101,7 @@ from .trop_core import (
     polygon_area2,
     scaled_ints,
 )
-from .trop_linalg import _cramer, _enumerate_matchings, _hungarian_max, masked_det, masked_minors
+from .trop_linalg import _cramer, _hungarian_max, _matching_unique, masked_det, masked_minors
 from .residual import (
     ConditionSet,
     InformationLostError,
@@ -120,9 +120,6 @@ from .residual import (
 
 class NonGenericDirection(ValueError):
     """Perturbation direction still degenerate after bounded retries."""
-
-
-SHAPE_BOUND = 4  # largest Sylvester dimension given a monomial-shape run
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +467,9 @@ def _resultant_corners(f_jets: dict, g_jets: dict, roots) -> list:
     """The strict upper-hull corners of Res_y(f, g) over the jet ring, by
     x-exponent, for principal input jets whose resultant has the tropical
     roots roots, [(root, multiplicity)] ascending: (x-exponent, order,
-    tight, picks) per corner, where picks[r] = {column: (0 for f or 1
-    for g, support point)} names the input coefficient of each dominant
-    entry on the tight graph.
+    picks) per corner, where picks[r] = {column: (0 for f or 1 for g,
+    support point)} is row r of the tight graph, naming the input
+    coefficient of each dominant entry.
 
     Cell (r, c) of the Sylvester matrix is sum_i J_i x^i with jets J_i of
     order o_i.  The orders h_e of the resultant's coefficients are the
@@ -516,11 +513,11 @@ def _resultant_corners(f_jets: dict, g_jets: dict, roots) -> list:
                  for r, row in enumerate(best)]
         chosen = [best[r][col[r]] for r in range(n)]
         picks = [{c: rows[r][c][i][0] for c, i in t.items()} for r, t in enumerate(tight)]
-        out.append((sum(t[1] for t in chosen), sum(t[2] for t in chosen), tight, picks))
-    for (e0, h0, *_), (e1, h1, *_), (r, m) in zip(out, out[1:], roots):
+        out.append((sum(t[1] for t in chosen), sum(t[2] for t in chosen), picks))
+    for (e0, h0, _), (e1, h1, _), (r, m) in zip(out, out[1:], roots):
         if e1 - e0 != m or h0 - h1 != r * d * m:
             raise AssertionError("resultant corners disagree with the stable intersection")
-    return [(e, Fraction(h, d), tight, picks) for e, h, tight, picks in out]
+    return [(e, Fraction(h, d), picks) for e, h, picks in out]
 
 
 def _corner_coeff(picks, coeffs, ring):
@@ -537,43 +534,27 @@ def _corner_coeff(picks, coeffs, ring):
 @dataclass
 class FamilyPlan:
     """The residue-free half of a resultant family: its corners, their
-    tight graphs as picks, and the monomial flags of their conditions."""
+    tight graphs as picks, and whether each corner is regular."""
 
     vertex_indices: list
-    picks: list                  # per vertex: row -> {column: (0 or 1, support point)}
-    monomial_flags: list | None  # per vertex; None when shape analysis skipped
+    picks: list    # per vertex: row -> {column: (0 or 1, support point)}
+    regular: list  # per vertex: whether its tight graph has one perfect matching
 
     @property
     def fixed(self):
-        return bool(self.monomial_flags) and any(self.monomial_flags)
+        return any(self.regular)
 
     @property
     def always_compatible(self):
-        return bool(self.monomial_flags) and all(self.monomial_flags)
+        return all(self.regular)
 
 
 def _resultant_family(f_jets, g_jets, roots) -> FamilyPlan:
     """The plan of one resultant family, from the orders of its jets and
     its tropical roots."""
     corners = _resultant_corners(f_jets, g_jets, roots)
-    flags = None
-    if len(corners[0][2]) <= SHAPE_BOUND:
-        flags = [_monomial_flag(picks) for *_, picks in corners]
-    return FamilyPlan([e for e, *_ in corners], [picks for *_, picks in corners], flags)
-
-
-def _monomial_flag(picks) -> bool:
-    """Whether a corner's coefficient, as a polynomial with one variable
-    per input coefficient, is a monomial.  Each perfect matching of the
-    tight graph contributes its sign to the monomial that its picks
-    name, the multiset of their input coefficients; the coefficient is
-    a monomial when exactly one monomial keeps a nonzero count."""
-    counts = {}
-    for perm in _enumerate_matchings(picks):
-        mono = tuple(sorted(picks[r][c] for r, c in enumerate(perm)))
-        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
-        counts[mono] = counts.get(mono, 0) + (-1) ** inversions
-    return sum(1 for v in counts.values() if v) == 1
+    picks = [p for *_, p in corners]
+    return FamilyPlan([e for e, *_ in corners], picks, [_matching_unique(p) for p in picks])
 
 
 def _swap_xy(jets):
@@ -598,8 +579,8 @@ def _family_view(name, pair, a):
 @dataclass
 class IntersectionPlan:
     """The residue-free half of an intersection step.  The step is fixed
-    when every family has a monomial vertex condition, and always
-    compatible when every vertex condition is a monomial."""
+    when every family has a regular vertex, and always compatible when
+    every vertex is regular."""
 
     families: dict | None  # name -> FamilyPlan; None when an input jet is degenerate
     shear: int | None

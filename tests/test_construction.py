@@ -818,7 +818,7 @@ def _plan_cases():
 
 @pytest.mark.parametrize("name, c, r", list(_plan_cases()))
 def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypatch, name, c, r):
-    # per lift_conditions call, the corner assignments, monomial flags
+    # per lift_conditions call, the corner assignments, regular flags
     # and the argmax supports of the local solves run only when an
     # intersection step meets a new (step, input-jet kinds) key, whatever
     # the trial count, and no Cramer solve runs: curve steps read theirs
@@ -829,7 +829,7 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     from tropgeo.residual import RPoly
 
     counts = Counter()
-    for fn in ("_hungarian_max", "_cramer", "residual_support", "_monomial_flag"):
+    for fn in ("_hungarian_max", "_cramer", "residual_support", "_matching_unique"):
         def counted(*args, fn=fn, orig=getattr(stable_ops, fn)):
             counts[fn] += 1
             return orig(*args)
@@ -872,12 +872,12 @@ def test_lift_plan_runs_the_tropical_work_once_per_step_and_input_kinds(monkeypa
     assert many_total == few_total + sum((w for k, w in many.items() if k not in few), Counter())
     assert (len(many) > len(few)) == (name == "weak_pascal")
     assert symbols == []
-    # chasles intersects two cubics, whose Sylvester dimension 6 is past
-    # SHAPE_BOUND; the line∩line steps of pappus and of the chain, whose
-    # input jets are principal here, are read off their Cramer solutions
-    # and build no plan
-    expected = {"_hungarian_max", "residual_support"}
-    expected |= {"_monomial_flag"} if name != "chasles" else set()
+    # every resultant corner is flagged by one unique-matching peel, at
+    # every Sylvester dimension, chasles' two cubics at 6 included; the
+    # line∩line steps of pappus and of the chain, whose input jets are
+    # principal here, are read off their Cramer solutions and build no
+    # plan
+    expected = {"_hungarian_max", "residual_support", "_matching_unique"}
     assert set(many_total) == (set() if name in ("pappus", "chain") else expected)
 
 

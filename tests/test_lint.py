@@ -4,9 +4,10 @@ every method is reached from the command line, the catalog, the
 package's re-exports or the benchmark, and no float enters the library
 outside the SVG renderer, which only formats pixel coordinates; no class
 but the prime field's element divides, and no module but ``residual``
-names that element; no function rebinds a module
-global; the library reads no environment variable; and every ``name``
-quoted in a docstring still names something."""
+names that element; only ``trop_det`` enumerates perfect matchings; no
+function rebinds a module global; the library reads no environment
+variable; and every ``name`` quoted in a docstring still names
+something."""
 
 import ast
 import builtins
@@ -235,6 +236,23 @@ def test_only_the_residual_module_names_the_field_element():
     # owns its arithmetic; the element class that carries its prime
     # lives at residual.py's boundary alone
     assert [path.stem for path in sorted(SRC.glob("*.py")) if "FpElt" in path.read_text()] == ["residual"]
+
+
+def _readers(modules, name):
+    """module.def for each module-level def or class that reads name, and
+    module.import for each module-level import of it."""
+    return [f"{mod}.{getattr(stmt, 'name', 'import')}" for mod, tree in modules.items()
+            for stmt in tree.body if name in _used_names(stmt) and getattr(stmt, "name", None) != name]
+
+
+def test_only_the_tropical_determinant_enumerates_matchings():
+    # a lifting condition is decided by one unique-matching peel, so no
+    # plan or lift path counts over every perfect matching: only
+    # trop_det, which returns them, runs the enumerator
+    assert _readers(MODULES, "_enumerate_matchings") == ["trop_linalg.trop_det"]
+    planted = {"m": ast.parse("from .t import _enumerate_matchings\n"
+                              "def f(a):\n    return len(_enumerate_matchings(a))\n")}
+    assert _readers(planted, "_enumerate_matchings") == ["m.import", "m.f"]
 
 
 def test_no_global_statements():

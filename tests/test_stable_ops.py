@@ -30,14 +30,12 @@ from tropgeo.residual import (
     residual_terms,
 )
 from tropgeo.stable_ops import (
-    SHAPE_BOUND,
     _Degenerate,
     _by_y,
     _common_y_roots,
     _corner_coeff,
     _inside,
     _mixed_cells,
-    _monomial_flag,
     _dense_in_y,
     _family_view,
     _perturbed_intersection,
@@ -55,6 +53,8 @@ from tropgeo.stable_ops import (
     stable_intersection,
 )
 from tropgeo.trop_linalg import (
+    _enumerate_matchings,
+    _matching_unique,
     cramer_conditions,
     cramer_stable,
     masked_det,
@@ -734,10 +734,10 @@ def test_two_lines_on_a_shared_ray_are_fixed_not_always_compatible():
     assert plan.shear is not None
     assert not undecidable and all(c.poly for c in conds.conditions)
     # both lines contain the ray x = 0 below (0, 1), so the first vertex
-    # of R_y is not a monomial: every family has a monomial vertex
-    # condition, so the step is fixed, but not every vertex condition is
-    # one, so it is not always compatible
-    assert {n: fam.monomial_flags for n, fam in plan.families.items()} == {
+    # of R_y is not regular: every family has a regular vertex, so the
+    # step is fixed, but not every vertex is, so it is not always
+    # compatible
+    assert {n: fam.regular for n, fam in plan.families.items()} == {
         "x": [True, True], "y": [False, True], "z": [True, True]}
     assert plan.fixed
     assert not plan.always_compatible
@@ -750,9 +750,9 @@ def test_two_transversal_lines_are_always_compatible():
     plan = intersection_step_plan(f, g, _stable_points(f, g))
     conds, undecidable = intersection_step_conditions(f, g, plan, RPoly())
     assert not undecidable
-    # a vertex-free edge-edge crossing: every vertex condition of every
-    # resultant is a monomial
-    assert all(all(fam.monomial_flags) for fam in plan.families.values())
+    # a vertex-free edge-edge crossing: every vertex of every resultant is
+    # regular, and its condition a monomial
+    assert all(all(fam.regular) for fam in plan.families.values())
     assert all(is_monomial(c.poly) for c in conds.conditions)
     assert plan.fixed and plan.always_compatible
 
@@ -765,7 +765,7 @@ def sylvester_resultant(f_jets, g_jets):
     coeffs = tuple({i: j.coeff for i, j in jets.items()} for jets in (f_jets, g_jets))
     zero = next(iter(coeffs[0].values())) * 0
     return [SimpleNamespace(index=e, order=h, coeff=_corner_coeff(picks, coeffs, zero))
-            for e, h, _, picks in _resultant_corners(f_jets, g_jets, _x_roots(f_jets, g_jets))]
+            for e, h, picks in _resultant_corners(f_jets, g_jets, _x_roots(f_jets, g_jets))]
 
 
 # The masked Laplace expansion of the Sylvester matrix over the jet ring,
@@ -893,45 +893,106 @@ def _family_roots(points, name, a):
     return sorted(roots.items())
 
 
+def _signed_count_flag(picks) -> bool:
+    """Whether a corner's coefficient, as a polynomial over Z with one
+    variable per input coefficient, is a monomial: each perfect matching
+    of the tight graph adds its sign to the monomial that its picks name,
+    the multiset of their input coefficients, and exactly one monomial
+    keeps a nonzero count.  The plan ran this exponential count below
+    Sylvester dimension 5 before a unique perfect matching flagged every
+    corner; it is now the test oracle of ``FamilyPlan.regular``."""
+    counts = {}
+    for perm in _enumerate_matchings(picks):
+        mono = tuple(sorted(picks[r][c] for r, c in enumerate(perm)))
+        counts[mono] = counts.get(mono, 0) + _sign(perm)
+    return sum(1 for v in counts.values() if v) == 1
+
+
+def _sign(perm) -> int:
+    """The sign of a permutation, (-1) ** (its size - its cycles)."""
+    seen, cycles = set(), 0
+    for s in range(len(perm)):
+        cycles += s not in seen
+        while s not in seen:
+            seen.add(s)
+            s = perm[s]
+    return (-1) ** (len(perm) - cycles)
+
+
+def _all_zero_jets(rng, field, shear, degrees=(1, 2, 3)):
+    """Jets on a whole degree-d triangle, sheared as in ``_random_jets``,
+    every order 0: the all-zero input, whose corners have the most
+    matchings."""
+    d = rng.choice(degrees)
+    return {(i, j + shear * i): Jet.principal(0, field.elt(field.random_nonzero(rng)))
+            for i in range(d + 1) for j in range(d + 1 - i)}
+
+
 def test_shape_flags_match_symbolic_oracle():
-    # the monomial flags, counted over the matchings of each corner's
-    # tight graph, against a full Laplace run with one variable per input
-    # coefficient, on the views of R_x, R_y and R_z sheared by a = 1, 2
+    # the regular flags, one unique-matching peel per corner, against the
+    # signed count over the matchings of each corner's tight graph at
+    # Sylvester dimensions 1..12, and against a full Laplace run with one
+    # variable per input coefficient where that is fast, on the first 100
+    # corners at each dimension up to 6; on the views of R_x, R_y and R_z
+    # sheared by a = 1, 2, at least 100 corners at each dimension; orders
+    # None draw all-zero inputs
     rng = random.Random(59)
-    checked = {}
+    corners = dict.fromkeys(range(1, 13), 0)
     seen = set()
-    while min(checked.values(), default=0) < 100 or len(checked) < 4:
-        shear, orders = rng.randint(0, 1), rng.choice([TIED, HALF])
-        f, g = (_random_jets(rng, F10007, shear, orders, degrees=(1, 2)) for _ in range(2))
+    while min(corners.values()) < 100:
+        shear = rng.randint(0, 1)
+        orders = None if rng.random() < 0.2 else rng.choice([EQUAL, TIED, HALF])
+        f, g = (_random_jets(rng, F10007, shear, orders) if orders else _all_zero_jets(rng, F10007, shear)
+                for _ in range(2))
         points = _stable_points(f, g)
         syms = tuple({i: Jet.principal(j.order, RPoly.var(f"{tag}[{i[0]},{i[1]}]")) for i, j in jets.items()}
                      for tag, jets in (("f", f), ("g", g)))
         for name, a in (("x", None), ("y", None), ("z", 1), ("z", 2)):
             view = _family_view(name, (f, g), a)
-            if not 0 < _ydeg(view[0]) + _ydeg(view[1]) <= SHAPE_BOUND:
+            dim = _ydeg(view[0]) + _ydeg(view[1])
+            if not 0 < dim <= 12:
                 continue
             fam = _resultant_family(*view, _family_roots(points, name, a))
-            res = _laplace_resultant(*_family_view(name, syms, a))
-            expected = [res[e].is_principal and is_monomial(res[e].coeff) for e in fam.vertex_indices]
-            assert fam.monomial_flags == expected, (f, g, name, a)
-            seen.update(expected)
-            checked[name, a] = checked.get((name, a), 0) + 1
+            assert fam.regular == [_signed_count_flag(p) for p in fam.picks], (f, g, name, a)
+            if dim <= 6 and corners[dim] < 100:
+                res = _laplace_resultant(*_family_view(name, syms, a))
+                expected = [res[e].is_principal and is_monomial(res[e].coeff) for e in fam.vertex_indices]
+                assert fam.regular == expected, (f, g, name, a)
+            seen.update(fam.regular)
+            corners[dim] += len(fam.regular)
     assert seen == {True, False}
-    # a Sylvester matrix this small cancels no monomial, so random tight
-    # graphs with repeated coefficients check the signs: rows that pick
-    # alike cancel, as in [[a, b], [a, b]]
+    # a unique matching makes a corner's coefficient plus or minus one
+    # product of its picks, so random tight graphs with repeated
+    # coefficients check that one way: rows that pick alike may cancel,
+    # as in [[a, b], [a, b]], but never on a unique matching
     coeffs = ({(0, 0): RPoly.var("a")}, {(0, 0): RPoly.var("b")})
-    cancelled = 0
+    cancelled = unique = 0
     for _ in range(300):
-        n = rng.randint(2, SHAPE_BOUND)
+        n = rng.randint(2, 6)
         perm = rng.sample(range(n), n)
         picks = [{c: (rng.randint(0, 1), (0, 0)) for c in {perm[r], *rng.sample(range(n), rng.randint(0, n))}}
                  for r in range(n)]
         det = _corner_coeff(picks, coeffs, RPoly())
-        assert _monomial_flag(picks) == (bool(det) and is_monomial(det)), picks
+        if _matching_unique(picks):
+            assert is_monomial(det) and set(det.terms.values()) <= {1, -1}, picks
+            unique += 1
         cancelled += not det
-    assert _monomial_flag([{0: (0, (0, 0)), 1: (1, (0, 0))}] * 2) is False
-    assert cancelled >= 20, cancelled
+    assert not _matching_unique([{0: (0, (0, 0)), 1: (1, (0, 0))}] * 2)
+    assert cancelled >= 20 and unique >= 20, (cancelled, unique)
+
+
+def test_a_signed_count_of_one_monomial_is_not_regular():
+    # the converse fails: two even matchings pick the same product, so
+    # the count keeps one monomial, 2*a*b*c, which vanishes over F_2; a
+    # unique matching never does, and the plan asks for one
+    a, b, c = (0, (0, 0)), (0, (1, 0)), (1, (0, 0))
+    picks = [{0: a, 1: b}, {1: c, 2: a}, {2: b, 0: c}]
+    syms = ({(0, 0): RPoly.var("a"), (1, 0): RPoly.var("b")}, {(0, 0): RPoly.var("c")})
+    assert _corner_coeff(picks, syms, RPoly()) == 2 * RPoly.var("a") * RPoly.var("b") * RPoly.var("c")
+    assert _signed_count_flag(picks)
+    assert not _matching_unique(picks)
+    f2 = ResidualField(2)
+    assert _corner_coeff(picks, ({(0, 0): 1, (1, 0): 1}, {(0, 0): 1}), f2) == 0
 
 
 def test_r_z_at_shear_0_is_r_x():
@@ -972,6 +1033,35 @@ def test_sheared_cubic_resultant_past_the_old_bound():
     brute = _brute_trop_resultant(*({pt: j.order for pt, j in jets.items()} for jets in (f, g)))
     assert [(k.index, k.order) for k in corners] == upper_chain(sorted(brute.items()))
     assert len(corners) > 2
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_all_zero_cayley_bacharach_step_flags_every_corner_without_enumerating(monkeypatch, d):
+    # step 0 of CB(d, d) on the all-zero input meets two all-zero degree-d
+    # curves at the origin, with multiplicity d^2; its corners' tight
+    # graphs have from 56 to 198,272 perfect matchings for d = 3..6.
+    # Every family has a regular flag per corner, and no module's
+    # binding of the matching enumerator runs while the plan is built
+    import sys
+
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("tropgeo")]:
+        if hasattr(mod, "_enumerate_matchings"):
+            def counted(*args, orig=mod._enumerate_matchings):
+                calls.append(args)
+                return orig(*args)
+            monkeypatch.setattr(mod, "_enumerate_matchings", counted)
+    sup = Support.degree(d)
+    zero = TropPoly(sup, [F(0)] * sup.delta())
+    points = stable_intersection(zero, zero).points
+    assert points == [((F(0), F(0)), d * d)]
+    rng = random.Random(d)
+    f, g = ({pt: Jet.principal(F(0), F10007.random_nonzero(rng)) for pt in sup.points} for _ in range(2))
+    plan = intersection_step_plan(f, g, points)
+    assert calls == []
+    assert set(plan.families) == {"x", "y", "z"}
+    for fam in plan.families.values():
+        assert len(fam.regular) == len(fam.vertex_indices) == len(fam.picks) == 2
 
 
 def _identity_jets(rng):
